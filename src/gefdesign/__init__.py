@@ -46,7 +46,6 @@ from .digital import (
     SignalBuffer,
     apply_fft,
     apply_sos,
-    denormalize,
     digital_response,
     to_sos,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "closed_form",
     "crosstalk_report",
     "default_grid",
-    "denormalize",
     "design",
     "digital_response",
     "errors",

@@ -28,6 +28,7 @@ from .errors import (
     LevelNotReached,
     MissingCharacteristic,
     NoInteriorPeak,
+    OutOfRange,
 )
 
 # empirical power-law fit constants for Q_erb, valid for b_u >= 3/2
@@ -197,27 +198,63 @@ def numeric_values(report: CharacteristicReport) -> dict:
     }
 
 
-def erb_closed_form(theta: FilterConstants) -> float:
-    """ERB in beta: sqrt(pi) * a_p * Gamma(b_u - 1/2) / Gamma(b_u).
+SQRT_PI = math.sqrt(math.pi)
 
-    Uses log-gamma so arbitrarily large exponents stay finite.
-    """
+
+def gamma_ratio(b_u: float) -> float:
+    """Gamma(b_u) / Gamma(b_u - 1/2) via log-gamma, so large exponents stay
+    finite."""
+    return math.exp(math.lgamma(b_u) - math.lgamma(b_u - 0.5))
+
+
+def level_factor(n_db: float, b_u: float) -> float:
+    """Half the n-dB bandwidth in units of a_p: sqrt(10**(n/(10 b_u)) - 1)."""
+    return math.sqrt(10.0 ** (n_db / (10.0 * b_u)) - 1.0)
+
+
+def _erb(a_p: float, b_u: float) -> float:
+    return SQRT_PI * a_p / gamma_ratio(b_u)
+
+
+def _s_beta(a_p: float, b_p: float, b_u: float, n_db) -> float:
+    """(20/ln 10) b_u / a_p**2.  Below a_p ~ 1e-162, a_p**2 underflows to 0;
+    dividing by a_p twice there still gives the (overflowing) value."""
+    a2 = a_p * a_p
+    return DB_PER_LOG * b_u / a2 if a2 > 0.0 else DB_PER_LOG * b_u / a_p / a_p
+
+
+# The design characteristics as functions (a_p, b_p, b_u, n_db) -> value;
+# n_db is the level of q_n and unused by the other keys.
+CHARACTERISTIC = {
+    "n_cycles": lambda a_p, b_p, b_u, n_db: b_u / (TWO_PI * a_p),
+    "phi_accum": lambda a_p, b_p, b_u, n_db: 0.5 * b_u,
+    "q_erb": lambda a_p, b_p, b_u, n_db: b_p / _erb(a_p, b_u),
+    "q_n": lambda a_p, b_p, b_u, n_db: b_p / (2.0 * a_p * level_factor(n_db, b_u)),
+    "s_beta": _s_beta,
+}
+
+# Their inverses for a_p, as functions (b_p, b_u, value, n_db) -> a_p.
+# phi_accum = b_u / 2 does not involve a_p, so it has none.
+A_P_FROM = {
+    "n_cycles": lambda b_p, b_u, value, n_db: b_u / (TWO_PI * value),
+    "q_erb": lambda b_p, b_u, value, n_db: b_p * gamma_ratio(b_u) / (SQRT_PI * value),
+    "q_n": lambda b_p, b_u, value, n_db: b_p / (2.0 * value * level_factor(n_db, b_u)),
+    "s_beta": lambda b_p, b_u, value, n_db: math.sqrt(DB_PER_LOG * b_u / value),
+}
+
+
+def erb_closed_form(theta: FilterConstants) -> float:
+    """ERB in beta: sqrt(pi) * a_p * Gamma(b_u - 1/2) / Gamma(b_u)."""
     if theta.b_u <= 0.5:
         raise ExponentTooSmallForErb(
             f"ERB needs b_u > 1/2, got b_u = {theta.b_u:g}"
         )
-    ratio = math.exp(math.lgamma(theta.b_u) - math.lgamma(theta.b_u - 0.5))
-    return math.sqrt(math.pi) * theta.a_p / ratio
+    return _erb(theta.a_p, theta.b_u)
 
 
 def qerb_closed_form(theta: FilterConstants) -> float:
-    """Q_erb = b_p / (sqrt(pi) a_p) * Gamma(b_u) / Gamma(b_u - 1/2)."""
-    if theta.b_u <= 0.5:
-        raise ExponentTooSmallForErb(
-            f"Q_erb needs b_u > 1/2, got b_u = {theta.b_u:g}"
-        )
-    ratio = math.exp(math.lgamma(theta.b_u) - math.lgamma(theta.b_u - 0.5))
-    return theta.b_p * ratio / (math.sqrt(math.pi) * theta.a_p)
+    """Q_erb = b_p / ERB = b_p / (sqrt(pi) a_p) * Gamma(b_u) / Gamma(b_u - 1/2)."""
+    return theta.b_p / erb_closed_form(theta)
 
 
 def qerb_approx(theta: FilterConstants) -> float:
@@ -248,7 +285,8 @@ def closed_form(
     BW_n = 2 a_p sqrt(10**(n/(10 b_u)) - 1)      Q_n = b_p / BW_n
     ERB  = sqrt(pi) a_p Gamma(b_u - 1/2)/Gamma(b_u)   Q_erb = b_p / ERB
 
-    The ERB pair is omitted (None) when b_u <= 1/2.
+    The ERB pair is omitted (None) when b_u <= 1/2.  Raises OutOfRange when
+    a characteristic of the constants is not a finite float.
     """
     a, b, bu = theta.a_p, theta.b_p, theta.b_u
     q_n, bw = {}, {}
@@ -256,19 +294,25 @@ def closed_form(
         n = float(n)
         if n <= 0.0:
             raise ValueError(f"dB levels must be > 0, got {n:g}")
-        half = a * math.sqrt(10.0 ** (n / (10.0 * bu)) - 1.0)
-        bw[n] = 2.0 * half
-        q_n[n] = b / (2.0 * half)
+        bw[n] = 2.0 * a * level_factor(n, bu)
+        q_n[n] = CHARACTERISTIC["q_n"](a, b, bu, n)
     try:
         erb = erb_closed_form(theta)
-        q_erb = b / erb
+        q_erb = CHARACTERISTIC["q_erb"](a, b, bu, None)
     except ExponentTooSmallForErb:
         erb = q_erb = None
+    n_beta, phi_accum, s_beta = (
+        CHARACTERISTIC[key](a, b, bu, None) for key in ("n_cycles", "phi_accum", "s_beta")
+    )
+    values = [n_beta, s_beta, *q_n.values(), *bw.values()]
+    values += [value for value in (erb, q_erb) if value is not None]
+    if not all(math.isfinite(value) for value in values):
+        raise OutOfRange(f"characteristics of {theta} are not all finite")
     return CharacteristicReport(
         beta_peak=b,
-        n_beta=bu / (TWO_PI * a),
-        phi_accum=0.5 * bu,
-        s_beta=DB_PER_LOG * bu / (a * a),
+        n_beta=n_beta,
+        phi_accum=phi_accum,
+        s_beta=s_beta,
         q_n=q_n,
         bw_n_beta=bw,
         q_erb=q_erb,

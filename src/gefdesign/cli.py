@@ -19,12 +19,7 @@ import numpy as np
 from . import __version__
 from .core import FilterConstants, eval_gef
 from .characteristics import closed_form, default_grid, extract_numeric, numeric_values
-from .design import (
-    CharacteristicSpec,
-    DesignRow,
-    ROWS_WITH_MODE,
-    design,
-)
+from .design import CharacteristicSpec, DesignRow, design
 from .digital import (
     SignalBuffer,
     apply_fft,
@@ -39,24 +34,12 @@ from .digital import (
 )
 from .errors import GefError
 from .filterbank import CfMap, bank_to_dict, build_constant_q_bank, uniform_places
-from .harness import figure_report, sweep, sweep_csv, sweep_json
+from .harness import _csv, figure_report, sweep, sweep_csv, sweep_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
-
-# which pair of characteristic flags selects which design row
-_PAIR_TO_ROW = {
-    frozenset({"n_cycles", "phi_accum"}): DesignRow.PEAK_DELAY_PHASE,
-    frozenset({"n_cycles", "q_erb"}): DesignRow.PEAK_DELAY_QERB,
-    frozenset({"q_erb", "phi_accum"}): DesignRow.PEAK_QERB_PHASE,
-    frozenset({"q_n", "phi_accum"}): DesignRow.PEAK_QN_PHASE,
-    frozenset({"s_beta", "n_cycles"}): DesignRow.PEAK_CONVEXITY_DELAY,
-    frozenset({"s_beta", "phi_accum"}): DesignRow.PEAK_CONVEXITY_PHASE,
-    frozenset({"q_n", "n_cycles"}): DesignRow.PEAK_QN_DELAY,
-}
-
 
 class UsageError(Exception):
     pass
@@ -125,13 +108,13 @@ def _spec_from_flags(args) -> tuple[CharacteristicSpec, float | None]:
         except ValueError:
             raise UsageError("--qn expects N:VALUE, e.g. 10:14.6") from None
 
-    row = _PAIR_TO_ROW.get(frozenset(values))
+    row = DesignRow.for_keys(values)
     if row is None:
         raise UsageError(
             "the characteristic flags must form a supported trio around the "
             "peak frequency; got: " + (", ".join(sorted(values)) or "none")
         )
-    mode = args.mode if row in ROWS_WITH_MODE else "exact"
+    mode = args.mode if row.has_approx else "exact"
     try:
         spec = CharacteristicSpec(
             row=row, beta_peak=beta_peak, values=values, n_level=n_level, mode=mode
@@ -143,7 +126,10 @@ def _spec_from_flags(args) -> tuple[CharacteristicSpec, float | None]:
 
 def _load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _constants_from_args(args) -> FilterConstants:
@@ -169,15 +155,10 @@ def _write_signal(path, signal: SignalBuffer) -> None:
 
 
 def _report_csv(reports: dict) -> str:
-    keys = sorted({key for report in reports.values() for key in numeric_values(report)})
-    lines = ["characteristic," + ",".join(reports)]
-    for key in keys:
-        cells = []
-        for report in reports.values():
-            value = numeric_values(report).get(key)
-            cells.append("" if value is None else f"{value:.12e}")
-        lines.append(f"{key}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = [numeric_values(report) for report in reports.values()]
+    keys = sorted({key for column in columns for key in column})
+    rows = [(key, *(column.get(key) for column in columns)) for key in keys]
+    return _csv(("characteristic", *reports), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +275,10 @@ def _cmd_response(args) -> int:
             raise UsageError("--constants responses need --peak-hz")
         theta = _constants_from_args(args)
         values = np.asarray(eval_gef(theta, freqs / args.peak_hz))
-    levels = 20.0 * np.log10(np.abs(values))
-    phases = np.unwrap(np.angle(values))
-    lines = ["f_hz,re,im,level_db,phase_rad"]
-    for f, v, lvl, ph in zip(freqs, values, levels, phases):
-        lines.append(
-            f"{f:.12e},{v.real:.12e},{v.imag:.12e},{lvl:.12e},{ph:.12e}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    columns = (freqs, values.real, values.imag, 20.0 * np.log10(np.abs(values)),
+               np.unwrap(np.angle(values)))
+    rows = zip(*(column.tolist() for column in columns))
+    _emit(_csv(("f_hz", "re", "im", "level_db", "phase_rad"), rows), args.out)
     return EXIT_OK
 
 

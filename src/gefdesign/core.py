@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NonPositiveConstant, ZeroOrderTooLarge
+from .errors import InfeasibleSpec, NonPositiveConstant, ZeroOrderTooLarge
 
 # dB per unit natural log of magnitude: level = (20/ln 10) * ln|H|
 DB_PER_LOG = 20.0 / math.log(10.0)
@@ -84,12 +84,20 @@ class FilterConstants:
 
     @classmethod
     def from_dict(cls, data) -> "FilterConstants":
-        return cls(
-            a_p=float(data["a_p"]),
-            b_p=float(data["b_p"]),
-            b_u=float(data["b_u"]),
-            gain=float(data.get("gain", 1.0)),
-        )
+        """Constants from a mapping of a_p, b_p, b_u and optionally gain; a
+        missing, unknown or non-numeric field raises InfeasibleSpec."""
+        try:
+            fields = {key: float(value) for key, value in dict(data).items()}
+        except (TypeError, ValueError) as exc:
+            raise InfeasibleSpec(f"bad constants: {exc}") from None
+        missing = {"a_p", "b_p", "b_u"} - set(fields)
+        unknown = set(fields) - {"a_p", "b_p", "b_u", "gain"}
+        if missing or unknown:
+            raise InfeasibleSpec(
+                f"constants need a_p, b_p, b_u and optionally gain; "
+                f"missing {sorted(missing)}, unknown {sorted(unknown)}"
+            )
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,23 @@
 """Inverse maps: filter constants from a named trio of desired characteristics.
 
-Every mode fixes b_p = beta_peak and derives (a_p, b_u) from the remaining
-two characteristics.  Five modes are pure closed forms; the delay+Q modes
-solve a one-dimensional implicit equation by bracketed root finding.  All
-positive specifications land the pole pair strictly in the left half-plane,
-so the designs are inherently stable.
+Every row fixes b_p = beta_peak and derives (a_p, b_u) from its two other
+characteristics.  A row says only where b_u comes from and which of its
+keys fixes a_p (the delay key when it has one, otherwise its other key):
+
+    row   keys               b_u from                          a_p from
+    II.1  n_cycles, phi      2 phi_accum                       n_cycles
+    II.2  n_cycles, q_erb    solve qerb_over_delay (or approx) n_cycles
+    II.3  q_erb, phi         2 phi_accum                       q_erb
+    II.4  q_n, phi           2 phi_accum                       q_n
+    II.5  n_cycles, s_beta   (80 pi^2 / ln 10) N^2 / S         n_cycles
+    II.6  s_beta, phi        2 phi_accum                       s_beta
+    II.7  n_cycles, q_n      solve qn_over_delay               n_cycles
+
+a_p then comes from the inverse of its key in ``characteristics.A_P_FROM``,
+and both keys are checked through ``characteristics.CHARACTERISTIC``.  The
+implicit rows solve a one-dimensional equation by bracketed root finding.
+All positive specifications land the pole pair strictly in the left
+half-plane, so the designs are inherently stable.
 """
 
 from __future__ import annotations
@@ -18,46 +31,75 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import DB_PER_LOG, TWO_PI, FilterConstants, sharpness_check
-from .characteristics import QERB_FIT_A, QERB_FIT_B
+from .core import FilterConstants, sharpness_check
+from .characteristics import (
+    A_P_FROM,
+    CHARACTERISTIC,
+    QERB_FIT_A,
+    QERB_FIT_B,
+    SQRT_PI,
+    gamma_ratio,
+    level_factor,
+)
 from .errors import BracketFailure, ErbRequiresBu, InfeasibleSpec
 
 LN10 = math.log(10.0)
 
 
-class DesignRow(enum.Enum):
-    """Supported characteristic trios; values are the wire codes."""
+def _bu_from_phase(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
+    return 2.0 * spec.values["phi_accum"]
 
-    PEAK_DELAY_PHASE = "II.1"
-    PEAK_DELAY_QERB = "II.2"
-    PEAK_QERB_PHASE = "II.3"
-    PEAK_QN_PHASE = "II.4"
-    PEAK_CONVEXITY_DELAY = "II.5"
-    PEAK_CONVEXITY_PHASE = "II.6"
-    PEAK_QN_DELAY = "II.7"
+
+def _bu_from_convexity_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
+    v = spec.values
+    return (80.0 * math.pi**2 / LN10) * v["n_cycles"] ** 2 / v["s_beta"]
+
+
+def _bu_from_qerb_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
+    ratio = spec.values["q_erb"] / (spec.beta_peak * spec.values["n_cycles"])
+    seed = qerb_delay_approx_exponent(ratio)
+    if spec.mode == "approx":
+        return seed
+    return _solve_decreasing(qerb_over_delay, ratio, cfg, seed=seed)
+
+
+def _bu_from_qn_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
+    ratio = spec.values["q_n"] / (spec.beta_peak * spec.values["n_cycles"])
+    return _solve_decreasing(lambda x: qn_over_delay(x, spec.n_level), ratio, cfg)
+
+
+class DesignRow(enum.Enum):
+    """Supported characteristic trios; values are the wire codes.
+
+    Each row also carries its two keys, the one whose inverse fixes a_p
+    first, and the function giving b_u from a spec and a SolverConfig.
+    """
+
+    PEAK_DELAY_PHASE = ("II.1", ("n_cycles", "phi_accum"), _bu_from_phase)
+    PEAK_DELAY_QERB = ("II.2", ("n_cycles", "q_erb"), _bu_from_qerb_delay)
+    PEAK_QERB_PHASE = ("II.3", ("q_erb", "phi_accum"), _bu_from_phase)
+    PEAK_QN_PHASE = ("II.4", ("q_n", "phi_accum"), _bu_from_phase)
+    PEAK_CONVEXITY_DELAY = ("II.5", ("n_cycles", "s_beta"), _bu_from_convexity_delay)
+    PEAK_CONVEXITY_PHASE = ("II.6", ("s_beta", "phi_accum"), _bu_from_phase)
+    PEAK_QN_DELAY = ("II.7", ("n_cycles", "q_n"), _bu_from_qn_delay)
+
+    def __new__(cls, code, keys, exponent):
+        row = object.__new__(cls)
+        row._value_ = code
+        row.keys = keys
+        row.exponent = exponent
+        return row
 
     @classmethod
-    def from_code(cls, code: str) -> "DesignRow":
-        for row in cls:
-            if row.value == code:
-                return row
-        raise ValueError(f"unknown design row code {code!r}")
+    def for_keys(cls, keys) -> "DesignRow | None":
+        """The row whose two characteristic keys are exactly these, if any."""
+        keys = set(keys)
+        return next((row for row in cls if set(row.keys) == keys), None)
 
-
-ROW_VALUE_KEYS = {
-    DesignRow.PEAK_DELAY_PHASE: frozenset({"n_cycles", "phi_accum"}),
-    DesignRow.PEAK_DELAY_QERB: frozenset({"n_cycles", "q_erb"}),
-    DesignRow.PEAK_QERB_PHASE: frozenset({"q_erb", "phi_accum"}),
-    DesignRow.PEAK_QN_PHASE: frozenset({"q_n", "phi_accum"}),
-    DesignRow.PEAK_CONVEXITY_DELAY: frozenset({"s_beta", "n_cycles"}),
-    DesignRow.PEAK_CONVEXITY_PHASE: frozenset({"s_beta", "phi_accum"}),
-    DesignRow.PEAK_QN_DELAY: frozenset({"q_n", "n_cycles"}),
-}
-
-ROWS_WITH_LEVEL = {DesignRow.PEAK_QN_PHASE, DesignRow.PEAK_QN_DELAY}
-
-# only the delay+Q_erb trio has a printed approximate inverse
-ROWS_WITH_MODE = {DesignRow.PEAK_DELAY_QERB}
+    @property
+    def has_approx(self) -> bool:
+        """Only the delay + Q_erb trio has a printed approximate inverse."""
+        return self is DesignRow.PEAK_DELAY_QERB
 
 
 class SharpnessWarning(UserWarning):
@@ -103,7 +145,7 @@ class CharacteristicSpec:
         object.__setattr__(self, "values", dict(self.values))
         if not (math.isfinite(self.beta_peak) and self.beta_peak > 0.0):
             raise InfeasibleSpec(f"beta_peak must be > 0, got {self.beta_peak!r}")
-        required = ROW_VALUE_KEYS[self.row]
+        required = self.row.keys
         if set(self.values) != set(required):
             raise InfeasibleSpec(
                 f"row {self.row.value} needs exactly {sorted(required)}, "
@@ -112,7 +154,7 @@ class CharacteristicSpec:
         for key, value in self.values.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise InfeasibleSpec(f"{key} must be > 0, got {value!r}")
-        if self.row in ROWS_WITH_LEVEL:
+        if "q_n" in self.row.keys:
             if self.n_level is None or self.n_level <= 0.0:
                 raise InfeasibleSpec(
                     f"row {self.row.value} needs a positive n_level in dB"
@@ -121,7 +163,7 @@ class CharacteristicSpec:
             raise InfeasibleSpec(f"row {self.row.value} takes no n_level")
         if self.mode not in ("exact", "approx"):
             raise InfeasibleSpec(f"mode must be 'exact' or 'approx', got {self.mode!r}")
-        if self.mode == "approx" and self.row not in ROWS_WITH_MODE:
+        if self.mode == "approx" and not self.row.has_approx:
             raise InfeasibleSpec(
                 f"row {self.row.value} has no printed approximation; use mode='exact'"
             )
@@ -131,30 +173,31 @@ class CharacteristicSpec:
         out.update(self.values)
         if self.n_level is not None:
             out["n_level"] = self.n_level
-        if self.row in ROWS_WITH_MODE:
+        if self.row.has_approx:
             out["mode"] = self.mode
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CharacteristicSpec":
-        data = dict(data)
-        row = DesignRow.from_code(str(data.pop("row")))
-        beta_peak = float(data.pop("beta_peak"))
-        n_level = data.pop("n_level", None)
-        mode = str(data.pop("mode", "exact"))
-        values = {key: float(value) for key, value in data.items()}
+        try:
+            data = dict(data)
+            row = DesignRow(str(data.pop("row")))
+            beta_peak = float(data.pop("beta_peak"))
+            n_level = data.pop("n_level", None)
+            mode = str(data.pop("mode", "exact"))
+            values = {key: float(value) for key, value in data.items()}
+            n_level = None if n_level is None else float(n_level)
+        except KeyError as exc:
+            raise InfeasibleSpec(f"spec lacks the field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InfeasibleSpec(f"bad spec: {exc}") from None
         return cls(
             row=row,
             beta_peak=beta_peak,
             values=values,
-            n_level=None if n_level is None else float(n_level),
+            n_level=n_level,
             mode=mode,
         )
-
-
-def _gamma_ratio(b_u: float) -> float:
-    """Gamma(b_u) / Gamma(b_u - 1/2) via log-gamma."""
-    return math.exp(math.lgamma(b_u) - math.lgamma(b_u - 0.5))
 
 
 def qerb_over_delay(b_u: float) -> float:
@@ -163,13 +206,13 @@ def qerb_over_delay(b_u: float) -> float:
     With a_p tied to N, 2 sqrt(pi) Gamma(b_u) / (b_u Gamma(b_u - 1/2)).
     Decreasing for b_u beyond ~1.4 and ~ 2 sqrt(pi/b_u) asymptotically.
     """
-    return 2.0 * math.sqrt(math.pi) * _gamma_ratio(b_u) / b_u
+    return 2.0 * SQRT_PI * gamma_ratio(b_u) / b_u
 
 
 def qn_over_delay(b_u: float, n_level: float) -> float:
     """Q_n / (beta_peak * N) as a function of b_u alone:
     (pi / b_u) * (10**(n/(10 b_u)) - 1)**(-1/2)."""
-    return math.pi / (b_u * math.sqrt(10.0 ** (n_level / (10.0 * b_u)) - 1.0))
+    return math.pi / (b_u * level_factor(n_level, b_u))
 
 
 def qerb_delay_approx_exponent(ratio: float) -> float:
@@ -230,43 +273,6 @@ def _solve_decreasing(fn, target: float, cfg: SolverConfig, seed: float | None =
     )
 
 
-def _achieved_value(theta: FilterConstants, key: str, n_level: float | None) -> float:
-    if key == "n_cycles":
-        return theta.b_u / (TWO_PI * theta.a_p)
-    if key == "phi_accum":
-        return 0.5 * theta.b_u
-    if key == "q_erb":
-        return theta.b_p * _gamma_ratio(theta.b_u) / (math.sqrt(math.pi) * theta.a_p)
-    if key == "q_n":
-        half = theta.a_p * math.sqrt(10.0 ** (n_level / (10.0 * theta.b_u)) - 1.0)
-        return theta.b_p / (2.0 * half)
-    if key == "s_beta":
-        return DB_PER_LOG * theta.b_u / (theta.a_p * theta.a_p)
-    raise KeyError(key)
-
-
-def _snap_exponent(
-    row: DesignRow, spec: CharacteristicSpec, b_u: float
-) -> tuple[float, float]:
-    """Round b_u to the nearest integer and re-derive a_p from the row's
-    delay equation when available (else its bandwidth/convexity equation),
-    preserving the most critical characteristic."""
-    b_snap = max(1.0, float(round(b_u)))
-    v = spec.values
-    b = spec.beta_peak
-    if "n_cycles" in v:
-        a_p = b_snap / (TWO_PI * v["n_cycles"])
-    elif row is DesignRow.PEAK_QERB_PHASE:
-        a_p = b / (math.sqrt(math.pi) * v["q_erb"]) * _gamma_ratio(b_snap)
-    elif row is DesignRow.PEAK_QN_PHASE:
-        a_p = b / (
-            2.0 * v["q_n"] * math.sqrt(10.0 ** (spec.n_level / (10.0 * b_snap)) - 1.0)
-        )
-    else:  # convexity + phase
-        a_p = math.sqrt(DB_PER_LOG * b_snap / v["s_beta"])
-    return a_p, b_snap
-
-
 def design(
     spec: CharacteristicSpec,
     cfg: SolverConfig = DEFAULT_SOLVER,
@@ -274,68 +280,36 @@ def design(
 ) -> FilterConstants:
     """Construct filter constants realizing the specified trio.
 
-    b_p = beta_peak always.  The closed-form rows recover their trio to
+    b_p = beta_peak always.  b_u comes from the row, a_p from the inverse
+    of the row's a_p key.  The closed-form rows recover their trio to
     machine precision; the implicit rows (delay + Q_erb exact, delay + Q_n)
-    solve a monotone residual by bracketed bisection refined with secant
-    steps and reproduce the trio to the solver tolerance.  mode='approx'
-    applies the printed power-law exponent instead of the exact solve.
+    solve a monotone residual by bracketed root finding and reproduce the
+    trio to the solver tolerance.  mode='approx' applies the printed
+    power-law exponent instead of the exact solve.
 
-    integer_snap rounds b_u to the nearest integer afterwards, re-deriving
-    a_p to preserve the delay (or, failing that, the bandwidth) value.
+    integer_snap rounds b_u to the nearest integer (at least 1) afterwards
+    and re-derives a_p from the same key, preserving the delay (or, failing
+    that, the bandwidth or convexity) value.
 
     Emits SharpnessWarning when the result violates a_p < 0.2 * b_p.
     """
-    v = spec.values
-    b = spec.beta_peak
-    row = spec.row
+    row, v, b = spec.row, spec.values, spec.beta_peak
+    ap_key = row.keys[0]
 
-    if row is DesignRow.PEAK_DELAY_PHASE:
-        a_p = v["phi_accum"] / (math.pi * v["n_cycles"])
-        b_u = 2.0 * v["phi_accum"]
-    elif row is DesignRow.PEAK_QERB_PHASE:
-        b_u = 2.0 * v["phi_accum"]
-        if b_u <= 0.5:
-            raise ErbRequiresBu(
-                f"phi_accum = {v['phi_accum']:g} gives b_u = {b_u:g} <= 1/2"
-            )
-        a_p = b * _gamma_ratio(b_u) / (math.sqrt(math.pi) * v["q_erb"])
-    elif row is DesignRow.PEAK_QN_PHASE:
-        b_u = 2.0 * v["phi_accum"]
-        a_p = b / (
-            2.0
-            * v["q_n"]
-            * math.sqrt(10.0 ** (spec.n_level / (20.0 * v["phi_accum"])) - 1.0)
-        )
-    elif row is DesignRow.PEAK_CONVEXITY_DELAY:
-        a_p = (40.0 * math.pi / LN10) * v["n_cycles"] / v["s_beta"]
-        b_u = (80.0 * math.pi**2 / LN10) * v["n_cycles"] ** 2 / v["s_beta"]
-    elif row is DesignRow.PEAK_CONVEXITY_PHASE:
-        b_u = 2.0 * v["phi_accum"]
-        # inverting S = (20/ln10) b_u / a_p**2 with b_u = 2 phi_accum
-        a_p = math.sqrt((40.0 / LN10) * v["phi_accum"] / v["s_beta"])
-    elif row is DesignRow.PEAK_DELAY_QERB:
-        ratio = v["q_erb"] / (b * v["n_cycles"])
-        seed = qerb_delay_approx_exponent(ratio)
-        if spec.mode == "approx":
-            b_u = seed
-        else:
-            b_u = _solve_decreasing(qerb_over_delay, ratio, cfg, seed=seed)
-        a_p = b_u / (TWO_PI * v["n_cycles"])
-    elif row is DesignRow.PEAK_QN_DELAY:
-        ratio = v["q_n"] / (b * v["n_cycles"])
-        b_u = _solve_decreasing(
-            lambda x: qn_over_delay(x, spec.n_level), ratio, cfg
-        )
-        a_p = b_u / (TWO_PI * v["n_cycles"])
-    else:  # pragma: no cover - enum is exhaustive
-        raise InfeasibleSpec(f"unhandled row {row!r}")
+    def a_p_for(b_u):
+        return A_P_FROM[ap_key](b, b_u, v[ap_key], spec.n_level)
 
+    b_u = row.exponent(spec, cfg)
+    if "q_erb" in v and b_u <= 0.5:
+        raise ErbRequiresBu(f"row {row.value} gives b_u = {b_u:g} <= 1/2, too small for Q_erb")
+    a_p = a_p_for(b_u)
     if not (math.isfinite(a_p) and a_p > 0.0 and math.isfinite(b_u) and b_u > 0.0):
         raise InfeasibleSpec(
             f"row {row.value} produced a_p = {a_p!r}, b_u = {b_u!r}"
         )
     if integer_snap:
-        a_p, b_u = _snap_exponent(row, spec, b_u)
+        b_u = max(1.0, float(round(b_u)))
+        a_p = a_p_for(b_u)
 
     theta = FilterConstants(a_p=a_p, b_p=b, b_u=b_u)
 
@@ -348,9 +322,10 @@ def design(
         )
 
     if not integer_snap and spec.mode != "approx":
-        tol = 1e-9 if row not in (DesignRow.PEAK_DELAY_QERB, DesignRow.PEAK_QN_DELAY) else 1e-6
-        for key, want in v.items():
-            got = _achieved_value(theta, key, spec.n_level)
+        tol = 1e-6 if row.exponent in (_bu_from_qerb_delay, _bu_from_qn_delay) else 1e-9
+        for key in row.keys:
+            want = v[key]
+            got = CHARACTERISTIC[key](a_p, b, b_u, spec.n_level)
             if abs(got - want) > tol * abs(want):
                 raise InfeasibleSpec(
                     f"round-trip check failed for {key}: wanted {want:g}, "
@@ -371,13 +346,8 @@ def ap_options_for_delay_qerb(
     if spec.row is not DesignRow.PEAK_DELAY_QERB:
         raise InfeasibleSpec("a_p options exist only for the delay + Q_erb trio")
     theta = design(spec, cfg)
-    from_delay = theta.a_p
-    from_qerb = (
-        spec.beta_peak
-        * _gamma_ratio(theta.b_u)
-        / (math.sqrt(math.pi) * spec.values["q_erb"])
-    )
-    return from_delay, from_qerb
+    from_qerb = A_P_FROM["q_erb"](spec.beta_peak, theta.b_u, spec.values["q_erb"], None)
+    return theta.a_p, from_qerb
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import bilinear, sosfilt
 
-from .core import FilterConstants, eval_gef, peak_beta
+from .core import FilterConstants, _maybe_scalar, eval_gef, peak_beta
 from .errors import (
+    NoInteriorPeak,
     NonIntegerExponent,
     NyquistViolation,
     OutOfRange,
@@ -39,39 +40,6 @@ class SignalBuffer:
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=float).ravel()
         )
-
-
-@dataclass(frozen=True)
-class AnalogPrototype:
-    """Denormalized s-plane quadratic s**2 + c1*s + c0 raised to -exponent.
-
-    poles are omega_peak * (-a_p +/- i b_p); the gain scale the frequency
-    transformation would introduce is deliberately dropped.
-    """
-
-    omega_peak: float
-    c1: float
-    c0: float
-    exponent: float
-
-    @property
-    def poles(self) -> tuple[complex, complex]:
-        p = complex(-0.5 * self.c1, math.sqrt(self.c0 - 0.25 * self.c1 * self.c1))
-        return p, p.conjugate()
-
-
-def denormalize(theta: FilterConstants, f_peak: float) -> AnalogPrototype:
-    """Scale normalized constants to an s-plane prototype peaking near
-    omega_peak = 2*pi*f_peak: poles become omega_peak * (-a_p +/- i b_p)."""
-    if f_peak <= 0.0:
-        raise ValueError("f_peak must be > 0")
-    w = 2.0 * math.pi * f_peak
-    return AnalogPrototype(
-        omega_peak=w,
-        c1=2.0 * theta.a_p * w,
-        c0=(theta.a_p * theta.a_p + theta.b_p * theta.b_p) * w * w,
-        exponent=theta.b_u,
-    )
 
 
 @dataclass(frozen=True)
@@ -134,6 +102,15 @@ class DigitalFilter:
         )
 
 
+def _bandpass_peak(theta: FilterConstants) -> float:
+    """peak_beta(theta), refusing constants whose magnitude has no bandpass
+    peak (it falls from beta = 0), which cannot be placed at f_peak."""
+    beta_star = peak_beta(theta)
+    if beta_star <= 0.0:
+        raise NoInteriorPeak(f"{theta} has no bandpass peak to place at f_peak")
+    return beta_star
+
+
 def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     """Bilinear-transform the prototype into b_u identical biquad sections.
 
@@ -154,8 +131,7 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     n_sections = int(round(theta.b_u))
 
     # scale chosen so the analog peak (at beta_star) maps to f_peak
-    beta_star = peak_beta(theta)
-    w = 2.0 * fs * math.tan(math.pi * f_peak / fs) / beta_star
+    w = 2.0 * fs * math.tan(math.pi * f_peak / fs) / _bandpass_peak(theta)
     a = [1.0, 2.0 * theta.a_p * w, (theta.a_p**2 + theta.b_p**2) * w * w]
     bz, az = bilinear([1.0], a, fs=fs)
     bz = np.atleast_1d(bz).astype(float)
@@ -187,9 +163,7 @@ def digital_response(filt: DigitalFilter, f_hz):
     for b0, b1, b2, a1, a2 in filt.sections:
         out = out * (b0 + b1 * z_inv + b2 * z_inv**2)
         out = out / (1.0 + a1 * z_inv + a2 * z_inv**2)
-    if out.ndim == 0:
-        return complex(out[()])
-    return out
+    return _maybe_scalar(out)
 
 
 def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:
@@ -240,7 +214,7 @@ def apply_fft(
         nfft *= 2
     spectrum = np.fft.rfft(x, nfft)
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
-    response = np.asarray(eval_gef(theta, freqs * (peak_beta(theta) / f_peak)))
+    response = np.asarray(eval_gef(theta, freqs * (_bandpass_peak(theta) / f_peak)))
     out = np.fft.irfft(spectrum * response, nfft)[:n]
     return SignalBuffer(sample_rate=fs, samples=out)
 

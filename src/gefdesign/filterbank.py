@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FilterConstants, eval_gef, peak_beta
+from .core import FilterConstants, _maybe_scalar, eval_gef, peak_beta
 from .design import CharacteristicSpec, SolverConfig, DEFAULT_SOLVER, design
 from .errors import OutOfRange
 
@@ -153,9 +153,7 @@ def multiband_response(
     total = np.zeros(f.shape, dtype=complex)
     for f_peak, theta, gain in _designed_bands(spec, cfg):
         total = total + gain * np.asarray(eval_gef(theta, f / f_peak))
-    if total.ndim == 0:
-        return complex(total[()])
-    return total
+    return _maybe_scalar(total)
 
 
 def crosstalk_report(

@@ -27,6 +27,7 @@ from gefdesign.errors import (
     LevelNotReached,
     MissingCharacteristic,
     NoInteriorPeak,
+    OutOfRange,
 )
 
 LN10 = math.log(10.0)
@@ -82,6 +83,11 @@ class TestClosedForm:
             erb_closed_form(FilterConstants(0.05, 1.0, 0.4))
         with pytest.raises(ExponentTooSmallForErb):
             qerb_closed_form(FilterConstants(0.05, 1.0, 0.5))
+
+    def test_tiny_pole_real_part_is_out_of_range(self):
+        # a_p**2 underflows to 0 here; S overflows instead of dividing by 0
+        with pytest.raises(OutOfRange):
+            closed_form(FilterConstants(3.18e-201, 1.0, 2.0))
 
     def test_qerb_decreasing_in_ap(self):
         values = [closed_form(FilterConstants(a, 1.0, 6.0)).q_erb for a in (0.02, 0.05, 0.1, 0.2)]

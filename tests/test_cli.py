@@ -12,6 +12,11 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def error_type(capsys):
+    """The type named by the one JSON error object on stderr."""
+    return json.loads(capsys.readouterr().err)["error"]["type"]
+
+
 @pytest.fixture
 def constants_file(tmp_path):
     path = tmp_path / "constants.json"
@@ -124,6 +129,51 @@ class TestAnalyzeCommand:
 
     def test_missing_input_exits_4(self, capsys):
         assert run(["analyze", "--constants", "/nonexistent/c.json"]) == 4
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("text", [
+        '{"beta_peak": 1}',
+        '{"row": "II.1", "beta_peak": 1, "n_cycles": "x", "phi_accum": 3}',
+    ])
+    def test_bad_spec_exits_3(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert run(["analyze", "--spec", str(spec)]) == 3
+        assert error_type(capsys) == "InfeasibleSpec"
+
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("{")
+        assert run(["analyze", "--spec", str(spec)]) == 2
+        assert error_type(capsys) == "UsageError"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["discretize", "--peak-hz", "1000", "--fs", "48000"],
+    ])
+    def test_constants_missing_b_u_exits_3(self, tmp_path, capsys, argv):
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps({"a_p": 0.05, "b_p": 1.0}))
+        assert run([*argv, "--constants", str(constants)]) == 3
+        assert error_type(capsys) == "InfeasibleSpec"
+
+    def test_constants_without_peak_exit_3(self, tmp_path, capsys):
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps({"a_p": 1.0, "b_p": 0.5, "b_u": 2.0}))
+        assert run(["discretize", "--constants", str(constants),
+                    "--peak-hz", "1000", "--fs", "48000"]) == 3
+        assert error_type(capsys) == "NoInteriorPeak"
+
+    def test_analyze_overflowing_characteristics_exits_3(self, tmp_path, capsys):
+        # design accepts this trio, giving a_p ~ 3.18e-201; S overflows
+        out = tmp_path / "c.json"
+        assert run(["design", "--peak-beta", "1", "--gdelay-cycles", "1e200",
+                    "--phase-accum", "1", "--out", str(out)]) == 0
+        assert read_json(out)["constants"]["a_p"] == pytest.approx(3.18e-201, rel=1e-3)
+        capsys.readouterr()
+        assert run(["analyze", "--constants", str(out)]) == 3
+        assert error_type(capsys) == "OutOfRange"
 
 
 class TestEvaluateCommand:

@@ -20,7 +20,7 @@ from gefdesign import (
     wavenumber,
 )
 from gefdesign.core import DB_PER_LOG
-from gefdesign.errors import NonPositiveConstant, ZeroOrderTooLarge
+from gefdesign.errors import InfeasibleSpec, NonPositiveConstant, ZeroOrderTooLarge
 
 LN10 = math.log(10.0)
 
@@ -63,6 +63,16 @@ class TestFilterConstants:
 
     def test_dict_round_trip(self, theta_sharp6):
         assert FilterConstants.from_dict(theta_sharp6.as_dict()) == theta_sharp6
+
+    @pytest.mark.parametrize("data", [
+        {"a_p": 0.05, "b_p": 1.0},
+        {"a_p": 0.05, "b_p": 1.0, "b_u": 6.0, "c": 1.0},
+        {"a_p": "x", "b_p": 1.0, "b_u": 6.0},
+        [0.05, 1.0, 6.0],
+    ])
+    def test_from_dict_rejects_bad_fields(self, data):
+        with pytest.raises(InfeasibleSpec):
+            FilterConstants.from_dict(data)
 
 
 class TestEvalGef:

@@ -72,6 +72,36 @@ CLOSED_ROWS = (
 IMPLICIT_ROWS = (DesignRow.PEAK_DELAY_QERB, DesignRow.PEAK_QN_DELAY)
 
 
+# design() output at 12 significant digits for the constants
+# (a_p, b_p, b_u) = (0.0731, 1.37, 5.37), recorded before the rows became
+# one table: (row, values, n_level, mode, integer_snap, a_p, b_u)
+GOLDEN = [
+    ("II.1", {"n_cycles": 11.69168323, "phi_accum": 2.685}, None, "exact", False, "0.0731000000248", "5.37"),
+    ("II.1", {"n_cycles": 11.69168323, "phi_accum": 2.685}, None, "exact", True, "0.0680633147345", "5"),
+    ("II.2", {"n_cycles": 11.69168323, "q_erb": 22.74389748}, None, "exact", False, "0.0730999999534", "5.36999999475"),
+    ("II.2", {"n_cycles": 11.69168323, "q_erb": 22.74389748}, None, "exact", True, "0.0680633147345", "5"),
+    ("II.2", {"n_cycles": 11.69168323, "q_erb": 22.74389748}, None, "approx", False, "0.0675194587641", "4.96004778988"),
+    ("II.2", {"n_cycles": 11.69168323, "q_erb": 22.74389748}, None, "approx", True, "0.0680633147345", "5"),
+    ("II.3", {"q_erb": 22.74389748, "phi_accum": 2.685}, None, "exact", False, "0.0730999999948", "5.37"),
+    ("II.3", {"q_erb": 22.74389748, "phi_accum": 2.685}, None, "exact", True, "0.0701209402155", "5"),
+    ("II.4", {"q_n": 12.80668088, "phi_accum": 2.685}, 10.0, "exact", False, "0.073099999995", "5.37"),
+    ("II.4", {"q_n": 12.80668088, "phi_accum": 2.685}, 10.0, "exact", True, "0.0699384012473", "5"),
+    ("II.5", {"s_beta": 8728.78585, "n_cycles": 11.69168323}, None, "exact", False, "0.0730999999759", "5.36999999641"),
+    ("II.5", {"s_beta": 8728.78585, "n_cycles": 11.69168323}, None, "exact", True, "0.0680633147345", "5"),
+    ("II.6", {"s_beta": 8728.78585, "phi_accum": 2.685}, None, "exact", False, "0.0731000000004", "5.37"),
+    ("II.6", {"s_beta": 8728.78585, "phi_accum": 2.685}, None, "exact", True, "0.0705367160098", "5"),
+    ("II.7", {"q_n": 12.80668088, "n_cycles": 11.69168323}, 10.0, "exact", False, "0.0730999999473", "5.3699999943"),
+    ("II.7", {"q_n": 12.80668088, "n_cycles": 11.69168323}, 10.0, "exact", True, "0.0680633147345", "5"),
+]
+
+
+@pytest.mark.parametrize("code, values, n_level, mode, snap, a_p, b_u", GOLDEN)
+def test_golden_design_output(code, values, n_level, mode, snap, a_p, b_u):
+    theta = design(spec_for(DesignRow(code), 1.37, values, n_level, mode), integer_snap=snap)
+    assert theta.b_p == 1.37
+    assert (f"{theta.a_p:.12g}", f"{theta.b_u:.12g}") == (a_p, b_u)
+
+
 class TestSpecValidation:
     def test_rejects_wrong_field_set(self):
         with pytest.raises(InfeasibleSpec):
@@ -94,6 +124,23 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleSpec):
             spec_for(DesignRow.PEAK_QN_DELAY, 1.0,
                      {"q_n": 14.6, "n_cycles": 19.1}, 10.0, mode="approx")
+
+    @pytest.mark.parametrize("data", [
+        {"beta_peak": 1.0, "n_cycles": 19.1, "phi_accum": 3.0},
+        {"row": "II.1", "n_cycles": 19.1, "phi_accum": 3.0},
+        {"row": "II.9", "beta_peak": 1.0, "n_cycles": 19.1, "phi_accum": 3.0},
+        {"row": "II.1", "beta_peak": 1.0, "n_cycles": "x", "phi_accum": 3.0},
+        {"row": "II.1", "beta_peak": 1.0, "n_cycles": 19.1, "phi_accum": 3.0, "q_n": 9.0},
+        ["row", "II.1"],
+    ])
+    def test_from_dict_rejects_bad_fields(self, data):
+        with pytest.raises(InfeasibleSpec):
+            CharacteristicSpec.from_dict(data)
+
+    def test_each_key_set_names_one_row(self):
+        for row in DesignRow:
+            assert DesignRow.for_keys(reversed(row.keys)) is row
+        assert DesignRow.for_keys({"q_erb", "q_n"}) is None
 
     def test_json_round_trip(self):
         spec = CharacteristicSpec.from_dict(
@@ -177,6 +224,22 @@ class TestRoundTrip:
                 got = design(spec)
                 assert got.a_p == pytest.approx(a_p, rel=1e-6)
                 assert got.b_u == pytest.approx(b_u, rel=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sharpness=st.floats(0.005, 0.19),
+        b_u=st.floats(1.5, 60.0),
+        b_p=st.floats(0.2, 4.0),
+    )
+    def test_every_row_recovers_constants(self, sharpness, b_u, b_p):
+        # theta -> closed_form -> design over the sharp domain, all seven rows
+        theta = FilterConstants(sharpness * b_p, b_p, b_u)
+        for row, spec in trio_specs(closed_form(theta)).items():
+            tol = 1e-6 if row in IMPLICIT_ROWS else 1e-9
+            got = design(spec)
+            assert got.b_p == b_p
+            assert got.a_p == pytest.approx(theta.a_p, rel=tol)
+            assert got.b_u == pytest.approx(b_u, rel=tol)
 
     @settings(max_examples=60, deadline=None)
     @given(

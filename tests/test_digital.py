@@ -10,7 +10,6 @@ from gefdesign import (
     apply_fft,
     apply_sos,
     closed_form,
-    denormalize,
     digital_response,
     eval_gef,
     extract_numeric,
@@ -29,6 +28,7 @@ from gefdesign.digital import (
     write_wav,
 )
 from gefdesign.errors import (
+    NoInteriorPeak,
     NonIntegerExponent,
     NyquistViolation,
     OutOfRange,
@@ -46,27 +46,6 @@ def filt_sharp6():
 
 def rms(x):
     return float(np.sqrt(np.mean(np.square(x))))
-
-
-class TestDenormalize:
-    def test_pole_scaling(self, theta_sharp6):
-        proto = denormalize(theta_sharp6, 1000.0)
-        w = 2.0 * math.pi * 1000.0
-        p, p_conj = proto.poles
-        assert p == pytest.approx(w * complex(-0.05, 1.0), rel=1e-12)
-        assert p_conj == pytest.approx(w * complex(-0.05, -1.0), rel=1e-12)
-        assert proto.c1 == pytest.approx(2.0 * 0.05 * w, rel=1e-12)
-        assert proto.c0 == pytest.approx((0.05**2 + 1.0) * w * w, rel=1e-12)
-
-    def test_unit_angular_frequency_recovers_normalized_pole(self, theta_sharp6):
-        proto = denormalize(theta_sharp6, 1.0 / (2.0 * math.pi))
-        assert proto.poles[0] == pytest.approx(theta_sharp6.pole, rel=1e-12)
-
-    def test_b_p_scales_imaginary_only(self):
-        p1 = denormalize(FilterConstants(0.05, 1.0, 6.0), 100.0).poles[0]
-        p2 = denormalize(FilterConstants(0.05, 2.0, 6.0), 100.0).poles[0]
-        assert p2.real == pytest.approx(p1.real, rel=1e-12)
-        assert p2.imag == pytest.approx(2.0 * p1.imag, rel=1e-12)
 
 
 class TestToSos:
@@ -94,6 +73,11 @@ class TestToSos:
     def test_non_integer_exponent_rejected(self):
         with pytest.raises(NonIntegerExponent):
             to_sos(FilterConstants(0.05, 1.0, 5.5), F_PEAK, FS)
+
+    def test_constants_without_peak_rejected(self):
+        # |P| falls from beta = 0: there is no peak to place at f_peak
+        with pytest.raises(NoInteriorPeak):
+            to_sos(FilterConstants(1.0, 0.5, 2.0), F_PEAK, FS)
 
     @pytest.mark.parametrize("a_p,b_u", [(0.02, 3.0), (0.05, 6.0), (0.1, 7.0), (0.2, 2.0)])
     @pytest.mark.parametrize("f_peak", [200.0, 1000.0, 8000.0])
@@ -207,6 +191,10 @@ class TestApplyFft:
     def test_nyquist_violation(self, theta_sharp6):
         with pytest.raises(NyquistViolation):
             apply_fft(theta_sharp6, 30000.0, FS, SignalBuffer(FS, np.zeros(16)))
+
+    def test_constants_without_peak_rejected(self):
+        with pytest.raises(NoInteriorPeak):
+            apply_fft(FilterConstants(1.0, 0.5, 2.0), F_PEAK, FS, SignalBuffer(FS, np.zeros(16)))
 
     def test_sample_rate_mismatch(self, theta_sharp6):
         with pytest.raises(SampleRateMismatch):
