@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import DB_PER_LOG, TWO_PI, FilterConstants
 from .errors import (
@@ -208,8 +207,21 @@ def gamma_ratio(b_u: float) -> float:
 
 
 def level_factor(n_db: float, b_u: float) -> float:
-    """Half the n-dB bandwidth in units of a_p: sqrt(10**(n/(10 b_u)) - 1)."""
-    return math.sqrt(10.0 ** (n_db / (10.0 * b_u)) - 1.0)
+    """Half the n-dB bandwidth in units of a_p: sqrt(10**(n/(10 b_u)) - 1).
+
+    Raises OutOfRange when that is not a positive finite float: the power
+    overflows for b_u below about n / 3083 and rounds to 1 for b_u above
+    about 2e15 n.
+    """
+    try:
+        factor = math.sqrt(10.0 ** (n_db / (10.0 * b_u)) - 1.0)
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise OutOfRange(
+            f"the {n_db:g} dB bandwidth factor of b_u = {b_u:g} is not a positive finite float"
+        )
+    return factor
 
 
 def _erb(a_p: float, b_u: float) -> float:
@@ -375,6 +387,46 @@ def _bisect_level(level_fn, target, a, b):
     return 0.5 * (lo + hi)
 
 
+def _divide_or_zero(num, den):
+    """num / den, and 0 where den is 0."""
+    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson integral of samples y at increasing points x.
+
+    A port of scipy.integrate.simpson (1.17) for 1-D samples that keeps its
+    operations and their order, so the result is bit-identical: the
+    non-uniform three-point rule over consecutive interval pairs and, for an
+    even sample count, Cartwright's correction for the last interval (the
+    trapezoid rule when there are only two samples).
+    """
+    n = y.size
+    if n == 2:
+        return 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _divide_or_zero(h0, h1)
+    result = np.sum(
+        hsum / 6.0 * (
+            y[0:stop:2] * (2.0 - _divide_or_zero(1.0, h0divh1))
+            + y[1:stop + 1:2] * (hsum * _divide_or_zero(hsum, hprod))
+            + y[2:stop + 2:2] * (2.0 - h0divh1)
+        )
+    )
+    if n % 2 == 0:
+        # 0-d arrays, as in scipy, so that h1 ** 3 takes numpy's power loop
+        h0, h1 = h[-2:-1].reshape(()), h[-1:].reshape(())
+        alpha = _divide_or_zero(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+        beta = _divide_or_zero(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+        eta = _divide_or_zero(h1 ** 3, 6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 def extract_numeric(
     response: Callable,
     grid: FrequencyGrid,
@@ -447,7 +499,7 @@ def extract_numeric(
         q_n[n] = beta_pk / width
 
     power = (mag / peak_mag) ** 2
-    erb = float(simpson(power, x=betas))
+    erb = float(_simpson(power, betas))
     q_erb = beta_pk / erb
 
     phase = np.unwrap(np.angle(values))

@@ -21,11 +21,11 @@ from .core import FilterConstants, eval_gef
 from .characteristics import closed_form, default_grid, extract_numeric, numeric_values
 from .design import CharacteristicSpec, DesignRow, design
 from .digital import (
+    DigitalFilter,
     SignalBuffer,
     apply_fft,
     apply_sos,
     digital_response,
-    load_filter,
     read_signal_csv,
     read_wav,
     to_sos,
@@ -34,7 +34,7 @@ from .digital import (
 )
 from .errors import GefError
 from .filterbank import CfMap, bank_to_dict, build_constant_q_bank, uniform_places
-from .harness import _csv, figure_report, sweep, sweep_csv, sweep_json
+from .harness import _csv, _float_csv, figure_report, sweep, sweep_csv, sweep_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,6 +137,10 @@ def _constants_from_args(args) -> FilterConstants:
     if "constants" in data:
         data = data["constants"]
     return FilterConstants.from_dict(data)
+
+
+def _filter_from_args(args) -> DigitalFilter:
+    return DigitalFilter.from_dict(_load_json(args.sos))
 
 
 def _read_signal(path, rate) -> SignalBuffer:
@@ -254,7 +258,7 @@ def _cmd_filter(args) -> int:
     else:
         if args.sos is None:
             raise UsageError("give --sos (or --fft with --constants/--peak-hz)")
-        filt = load_filter(args.sos)
+        filt = _filter_from_args(args)
         signal = _read_signal(args.infile, args.rate)
         out = apply_sos(filt, signal)
     _write_signal(args.outfile, out)
@@ -268,7 +272,7 @@ def _cmd_response(args) -> int:
         raise UsageError("--points must be >= 2")
     freqs = np.linspace(args.fmin, args.fmax, args.points)
     if args.sos is not None:
-        filt = load_filter(args.sos)
+        filt = _filter_from_args(args)
         values = np.asarray(digital_response(filt, freqs))
     else:
         if args.peak_hz is None:
@@ -277,8 +281,7 @@ def _cmd_response(args) -> int:
         values = np.asarray(eval_gef(theta, freqs / args.peak_hz))
     columns = (freqs, values.real, values.imag, 20.0 * np.log10(np.abs(values)),
                np.unwrap(np.angle(values)))
-    rows = zip(*(column.tolist() for column in columns))
-    _emit(_csv(("f_hz", "re", "im", "level_db", "phase_rad"), rows), args.out)
+    _emit(_float_csv(("f_hz", "re", "im", "level_db", "phase_rad"), columns), args.out)
     return EXIT_OK
 
 

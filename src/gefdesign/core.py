@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InfeasibleSpec, NonPositiveConstant, ZeroOrderTooLarge
 
@@ -264,8 +263,76 @@ def peak_beta(theta: FilterConstants) -> float:
     # slope(b) < 0 always; search a lower bracket edge with positive slope
     for lo in (b - theta.a_p, 0.5 * b, 1e-3 * b):
         if lo > 0.0 and slope(lo) > 0.0:
-            return float(brentq(slope, lo, b, xtol=1e-15 * max(1.0, b), maxiter=200))
+            return _brentq(slope, lo, b, xtol=1e-15 * max(1.0, b), maxiter=200)
     return 0.0
+
+
+def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * float(np.finfo(float).eps), maxiter=100):
+    """Root of f on the bracket [xa, xb] by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq (its brentq.c), with its
+    defaults, so the iterates, and the root, are bit-identical: the same
+    inverse quadratic extrapolation, secant and bisection steps, and the same
+    stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2.  Raises
+    ValueError when f(xa) and f(xb) have the same sign or f returns NaN, and
+    RuntimeError when maxiter iterations do not converge.  Returns a float.
+    """
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    if fpre != fpre:
+        raise _nan_value(xpre)
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise _nan_value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise _nan_value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _nan_value(x) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
 
 
 def normalized_to_peak(theta: FilterConstants) -> FilterConstants:

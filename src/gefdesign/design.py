@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import FilterConstants, sharpness_check
+from .core import FilterConstants, _brentq, sharpness_check
 from .characteristics import (
     A_P_FROM,
     CHARACTERISTIC,
@@ -216,8 +215,12 @@ def qn_over_delay(b_u: float, n_level: float) -> float:
 
 
 def qerb_delay_approx_exponent(ratio: float) -> float:
-    """Printed power-law inverse: b_u ~ e**(b/a) * ratio**(-1/a)."""
-    return math.exp(QERB_FIT_B / QERB_FIT_A) * ratio ** (-1.0 / QERB_FIT_A)
+    """Printed power-law inverse: b_u ~ e**(b/a) * ratio**(-1/a); inf when
+    ratio is so small that the power overflows."""
+    try:
+        return math.exp(QERB_FIT_B / QERB_FIT_A) * ratio ** (-1.0 / QERB_FIT_A)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _solve_decreasing(fn, target: float, cfg: SolverConfig, seed: float | None = None):
@@ -245,9 +248,7 @@ def _solve_decreasing(fn, target: float, cfg: SolverConfig, seed: float | None =
             if fb == 0.0:
                 return b
             if (fa > 0.0) != (fb > 0.0):
-                return float(
-                    brentq(residual, a, b, rtol=rtol, maxiter=cfg.max_iter)
-                )
+                return _brentq(residual, a, b, rtol=rtol, maxiter=cfg.max_iter)
 
     grid = np.geomspace(lo, hi, 257)
     vals = np.array([fn(x) for x in grid])
@@ -264,9 +265,7 @@ def _solve_decreasing(fn, target: float, cfg: SolverConfig, seed: float | None =
         if f_b == 0.0:
             return float(grid[j + 1])
         if (f_a > 0.0) != (f_b > 0.0):
-            return float(
-                brentq(residual, grid[j], grid[j + 1], rtol=rtol, maxiter=cfg.max_iter)
-            )
+            return _brentq(residual, grid[j], grid[j + 1], rtol=rtol, maxiter=cfg.max_iter)
     raise BracketFailure(
         f"target {target:g} below fn(b_u_max) = {vals[-1]:g}; "
         f"no root on [{lo:g}, {hi:g}]"

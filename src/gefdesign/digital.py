@@ -9,16 +9,20 @@ frequencies.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import bilinear, sosfilt
 
 from .core import FilterConstants, _maybe_scalar, eval_gef, peak_beta
 from .errors import (
+    InfeasibleSpec,
     NoInteriorPeak,
     NonIntegerExponent,
     NyquistViolation,
@@ -91,15 +95,23 @@ class DigitalFilter:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "DigitalFilter":
-        theta = data.get("source_theta")
-        return cls(
-            sample_rate=float(data["fs"]),
-            sections=tuple(tuple(row) for row in data["sos"]),
-            gain=float(data.get("gain", 1.0)),
-            source_theta=None if theta is None else FilterConstants.from_dict(theta),
-            f_peak=None if data.get("f_peak_hz") is None else float(data["f_peak_hz"]),
-        )
+    def from_dict(cls, data) -> "DigitalFilter":
+        """The filter of an as_dict mapping; a missing or non-numeric field,
+        or sections that do not make a stable cascade, raise InfeasibleSpec."""
+        try:
+            data = dict(data)
+            theta = data.get("source_theta")
+            return cls(
+                sample_rate=float(data["fs"]),
+                sections=tuple(tuple(row) for row in data["sos"]),
+                gain=float(data.get("gain", 1.0)),
+                source_theta=None if theta is None else FilterConstants.from_dict(theta),
+                f_peak=None if data.get("f_peak_hz") is None else float(data["f_peak_hz"]),
+            )
+        except KeyError as exc:
+            raise InfeasibleSpec(f"filter lacks the field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InfeasibleSpec(f"bad filter: {exc}") from None
 
 
 def _bandpass_peak(theta: FilterConstants) -> float:
@@ -109,6 +121,32 @@ def _bandpass_peak(theta: FilterConstants) -> float:
     if beta_star <= 0.0:
         raise NoInteriorPeak(f"{theta} has no bandpass peak to place at f_peak")
     return beta_star
+
+
+def _bilinear_all_pole(c1: float, c0: float, fs: float):
+    """Digital biquad (b, a), a[0] = 1, of the analog section
+    1 / (s**2 + c1 s + c0) under the bilinear map s = 2 fs (z - 1) / (z + 1).
+
+    Multiplying through by (z + 1)**2 gives the numerator (z + 1)**2 and the
+    denominator (z + 1)**2 c0 + (z + 1)(z - 1) 2 fs c1 + (z - 1)**2 (2 fs)**2.
+    The terms are formed as scipy.signal.bilinear forms them, with (z + 1)
+    scaled by 1 / sqrt(2 fs) and (z - 1) by sqrt(2 fs), then divided by the
+    leading denominator coefficient, so the result is bit-identical to it
+    wherever scipy keeps the whole numerator.  scipy drops leading numerator
+    coefficients below 1e-14, which near Nyquist or at very high fs would
+    remove the double zero at z = -1; here all three are kept.
+    """
+    m = math.sqrt(fs * 2.0)
+    p = 1.0 / m
+    pp = p * p
+    c1pm = c1 * p * m
+    mm = m * m
+    den = np.array([
+        (c0 * pp + c1pm) + mm,
+        c0 * (pp + pp) - (mm + mm),
+        (c0 * pp - c1pm) + mm,
+    ])
+    return np.array([pp, pp + pp, pp]) / den[0], den / den[0]
 
 
 def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
@@ -132,11 +170,9 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
 
     # scale chosen so the analog peak (at beta_star) maps to f_peak
     w = 2.0 * fs * math.tan(math.pi * f_peak / fs) / _bandpass_peak(theta)
-    a = [1.0, 2.0 * theta.a_p * w, (theta.a_p**2 + theta.b_p**2) * w * w]
-    bz, az = bilinear([1.0], a, fs=fs)
-    bz = np.atleast_1d(bz).astype(float)
-    az = np.atleast_1d(az).astype(float)
-    bz = np.pad(bz, (0, 3 - bz.size))
+    bz, az = _bilinear_all_pole(
+        2.0 * theta.a_p * w, (theta.a_p**2 + theta.b_p**2) * w * w, fs
+    )
     theta_pk = 2.0 * math.pi * f_peak / fs
     z = np.exp(1j * theta_pk)
     zv = np.array([1.0, 1.0 / z, 1.0 / z**2])
@@ -176,8 +212,49 @@ def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:
     sos = np.array(
         [[b0, b1, b2, 1.0, a1, a2] for b0, b1, b2, a1, a2 in filt.sections]
     )
-    out = sosfilt(sos, signal.samples) * filt.gain
-    return SignalBuffer(sample_rate=signal.sample_rate, samples=out)
+    kernel = _sosfilt_kernel()
+    if kernel is None:
+        from scipy.signal import sosfilt
+
+        out = sosfilt(sos, signal.samples)
+    else:
+        # what scipy.signal.sosfilt does for one float64 signal at rest
+        rows = signal.samples.reshape(1, -1).copy()
+        kernel(sos, rows, np.zeros((1, len(sos), 2)))
+        out = rows[0]
+    return SignalBuffer(sample_rate=signal.sample_rate, samples=out * filt.gain)
+
+
+def _sosfilt_kernel():
+    """scipy's compiled cascade loop `_sosfilt(sos, x, zi)`, which filters
+    the rows of x in place, or None when it cannot be found.
+
+    `from scipy.signal import sosfilt` loads all of scipy.signal: about 1.3 s
+    on a 2-core Xeon and 60 MB, most of a cold `filter` call.  The extension module needs only
+    numpy and the scipy package, so it is loaded from its file under its own
+    name; a later `import scipy.signal` finds it in sys.modules and reuses it.
+    """
+    name = "scipy.signal._sosfilt"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None:
+            return None
+        paths = [os.path.join(d, "signal", "_sosfilt" + suffix)
+                 for d in scipy_spec.submodule_search_locations or ()
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            return None
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(module)
+        except ImportError:
+            sys.modules.pop(name, None)
+            return None
+        sys.modules[name] = module
+    return getattr(module, "_sosfilt", None)
 
 
 def apply_fft(
@@ -236,11 +313,81 @@ def load_filter(path) -> DigitalFilter:
 
 
 def write_wav(path, signal: SignalBuffer) -> None:
-    wavfile.write(path, int(round(signal.sample_rate)), signal.samples.astype(np.float32))
+    """Mono 32-bit float WAV, byte for byte what scipy.io.wavfile.write
+    writes: an 18-byte fmt chunk (IEEE float, cbSize 0), a fact chunk with
+    the frame count, then the data chunk."""
+    rate = int(round(signal.sample_rate))
+    data = signal.samples.astype("<f4")
+    if data.nbytes > 0xFFFFFF00:  # at the 4 GiB RIFF limit scipy writes RF64
+        from scipy.io import wavfile
+
+        wavfile.write(path, rate, data)
+        return
+    fmt = struct.pack("<HHIIHHH", 3, 1, rate, 4 * rate, 4, 32, 0)
+    header = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+              + b"fact" + struct.pack("<II", 4, data.size)
+              + b"data" + struct.pack("<I", data.nbytes))
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes) + header)
+        fh.write(data.tobytes())
+
+
+# (format tag, bytes per sample) -> the dtype scipy.io.wavfile.read gives
+_WAV_DTYPES = {(1, 2): "<i2", (1, 4): "<i4", (3, 4): "<f4", (3, 8): "<f8"}
+_WAV_SKIPPED_CHUNKS = (b"fact", b"LIST", b"JUNK", b"Fake")
+
+
+def _parse_plain_wav(raw: bytes):
+    """(rate, samples) of a little-endian RIFF WAV of 8, 16 or 32-bit PCM or
+    32 or 64-bit float, with one fmt and one data chunk, as
+    scipy.io.wavfile.read returns them; None for any other file."""
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        return None
+    if struct.unpack_from("<I", raw, 4)[0] + 8 != len(raw):
+        return None
+    fmt = data = None
+    pos = 12
+    while pos + 8 <= len(raw):
+        chunk, (size,) = raw[pos:pos + 4], struct.unpack_from("<I", raw, pos + 4)
+        body, pos = pos + 8, pos + 8 + size + size % 2
+        if pos > len(raw):
+            return None
+        if chunk == b"fmt " and fmt is None and size >= 16:
+            fmt = struct.unpack_from("<HHIIHH", raw, body)
+        elif chunk == b"data" and fmt is not None and data is None:
+            data = (body, size)
+        elif chunk not in _WAV_SKIPPED_CHUNKS:
+            return None
+    if pos != len(raw) or data is None:
+        return None
+    tag, channels, rate, byte_rate, align, bits = fmt
+    if channels == 0 or align % channels or data[1] % align:
+        return None
+    width = align // channels
+    if tag == 1 and width == 1 and 1 <= bits <= 8:
+        dtype = "u1"
+    elif (tag == 1 and 8 < bits <= 8 * width) or (tag == 3 and bits == 8 * width):
+        dtype = _WAV_DTYPES.get((tag, width))
+    else:
+        dtype = None
+    if dtype is None or (tag == 1 and byte_rate != rate * align):
+        return None
+    samples = np.frombuffer(raw, dtype, count=data[1] // width, offset=data[0])
+    return rate, samples.reshape(-1, channels) if channels > 1 else samples
 
 
 def read_wav(path) -> SignalBuffer:
-    rate, data = wavfile.read(path)
+    """A WAV file as a mono float signal: channels are averaged and integer
+    PCM is scaled to [-1, 1).  Layouts _parse_plain_wav does not take (RF64,
+    big-endian RIFX, 24-bit PCM, WAVE_FORMAT_EXTENSIBLE, unknown chunks or a
+    damaged file) go to scipy.io.wavfile.read and its errors."""
+    with open(path, "rb") as fh:
+        parsed = _parse_plain_wav(fh.read())
+    if parsed is None:
+        from scipy.io import wavfile
+
+        parsed = wavfile.read(path)
+    rate, data = parsed
     data = np.asarray(data)
     if data.ndim > 1:
         data = data.mean(axis=1)

@@ -202,6 +202,14 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _float_csv(header, columns) -> str:
+    """What _csv writes for rows of floats, from equal-length float columns,
+    formatted a row at a time."""
+    line = ",".join(["%.12e"] * len(header)) + "\n"
+    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
+    return ",".join(header) + "\n" + "".join(line % row for row in rows)
+
+
 def _with_ratios(flat: dict) -> dict:
     out = dict(flat)
     for name, num, den in RATIO_KEYS:
@@ -242,8 +250,6 @@ def figure_report(
         phase_zero = np.angle(complex(response(1e-9)))
         columns[f"{target}_level_db"] = level - level.max()
         columns[f"{target}_phase_rad"] = phase - phase_zero
-    response_header = list(columns)
-    response_rows = list(zip(*(np.asarray(col, dtype=float) for col in columns.values())))
 
     desired_flat = _with_ratios(numeric_values(by_target["p"].desired))
     achieved_flat = {
@@ -268,7 +274,7 @@ def figure_report(
 
     if out_format == "csv":
         return {
-            "response": _csv(response_header, [tuple(map(float, r)) for r in response_rows]),
+            "response": _float_csv(list(columns), columns.values()),
             "errors": _csv(error_header, error_rows),
         }
     return {

@@ -17,6 +17,7 @@ from gefdesign import (
 )
 from gefdesign.characteristics import (
     FrequencyGrid,
+    _simpson,
     erb_closed_form,
     numeric_values,
     qerb_closed_form,
@@ -325,3 +326,27 @@ class TestRelativeErrors:
         assert "beta_peak" in values
         assert not any(key.startswith("grid_") for key in values)
         assert "method" not in values
+
+
+class TestSimpsonPort:
+    """characteristics._simpson against scipy.integrate.simpson, which stays
+    a test-only oracle, on default_grid samples of the power response."""
+
+    @pytest.mark.parametrize("theta", [
+        FilterConstants(0.05, 1.0, 6.0),
+        FilterConstants(0.1, 1.0, 7.0),
+        FilterConstants(0.013, 0.7, 2.5),
+        FilterConstants(0.3, 2.0, 1.2),
+    ])
+    def test_matches_scipy_bit_for_bit(self, theta):
+        from scipy.integrate import simpson
+
+        betas = default_grid(theta).samples
+        power = np.abs(np.asarray(eval_gef(theta, betas))) ** 2
+        sizes = {betas.size, betas.size - 1, 2, 3, 4, 5, 16, 17}
+        assert {size % 2 for size in sizes} == {0, 1}
+        for size in sorted(sizes):
+            x, y = betas[-size:], power[-size:]
+            assert _simpson(y, x) == simpson(y, x=x), size
+            x, y = betas[:size], power[:size]
+            assert _simpson(y, x) == simpson(y, x=x), size

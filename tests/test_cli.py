@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gefdesign.cli import run
+from gefdesign.digital import SignalBuffer, apply_sos, load_filter, read_wav, write_wav
 
 N_SHARP6_TEXT = "19.098593171027442"
 
@@ -175,6 +180,42 @@ class TestBadInputFiles:
         assert run(["analyze", "--constants", str(out)]) == 3
         assert error_type(capsys) == "OutOfRange"
 
+    @pytest.mark.parametrize("argv, error", [
+        # b_u = 0.002: the 10 dB level factor 10**(500) - 1 overflows
+        (["--qn", "10:14", "--phase-accum", "0.001"], "OutOfRange"),
+        # b_u = 2e20: 10**(10 / (10 b_u)) rounds to 1, so the factor is 0
+        (["--qn", "10:14", "--phase-accum", "1e20"], "OutOfRange"),
+        # Q_erb / N = 1e-310: the power-law seed overflows, the scan finds no root
+        (["--gdelay-cycles", "1e10", "--qerb", "1e-300"], "BracketFailure"),
+        (["--gdelay-cycles", "1e10", "--qerb", "1e-300", "--mode", "approx"], "InfeasibleSpec"),
+    ])
+    def test_extreme_trio_exits_3(self, capsys, argv, error):
+        assert run(["design", "--peak-beta", "1", *argv]) == 3
+        assert error_type(capsys) == error
+
+    def test_analyze_tiny_exponent_exits_3(self, tmp_path, capsys):
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps({"a_p": 0.05, "b_p": 1.0, "b_u": 0.001}))
+        assert run(["analyze", "--constants", str(constants)]) == 3
+        assert error_type(capsys) == "OutOfRange"
+
+    @pytest.mark.parametrize("command", [
+        ["response", "--fmin", "500", "--fmax", "1500", "--points", "11"],
+        ["filter", "in.csv", "out.csv", "--rate", "48000"],
+    ])
+    @pytest.mark.parametrize("text, code, error", [
+        ("{", 2, "UsageError"),
+        ('{"fs": 48000}', 3, "InfeasibleSpec"),
+        ('{"fs": 48000, "sos": [["one", 0, 0, 0, 0]]}', 3, "InfeasibleSpec"),
+        ('{"fs": 48000, "sos": [[1, 0, 0, -2, 1.01]]}', 3, "InfeasibleSpec"),
+    ])
+    def test_bad_filter_file(self, tmp_path, monkeypatch, capsys, command, text, code, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.csv").write_text("0.0\n1.0\n")
+        (tmp_path / "f.json").write_text(text)
+        assert run([*command, "--sos", "f.json"]) == code
+        assert error_type(capsys) == error
+
 
 class TestEvaluateCommand:
     def test_writes_both_tables(self, tmp_path, constants_file):
@@ -312,3 +353,74 @@ class TestEndToEndRoundTrip:
         assert doc["closed_form"]["q_erb"] == pytest.approx(25.868993924419065, rel=1e-9)
         assert doc["closed_form"]["phi_accum"] == 3.0
         assert doc["numeric"]["q_erb"] == pytest.approx(25.868993924419065, rel=0.015)
+
+
+class TestImportPath:
+    """Only `filter` needs scipy, for its compiled cascade loop alone;
+    everything else runs on numpy."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _python(self, code, cwd):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        proc = self._python(
+            "import sys, gefdesign.cli\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_filter_loads_neither_scipy_signal_nor_scipy_io(self, tmp_path):
+        assert run(["design", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT,
+                     "--phase-accum", "3", "--out", str(tmp_path / "c.json")]) == 0
+        assert run(["discretize", "--constants", str(tmp_path / "c.json"), "--peak-hz", "1000",
+                     "--fs", "48000", "--out", str(tmp_path / "sos.json")]) == 0
+        rng = np.random.default_rng(3)
+        write_wav(tmp_path / "in.wav", SignalBuffer(48000.0, rng.standard_normal(4800)))
+        proc = self._python(
+            "import json, sys\n"
+            "from gefdesign.cli import run\n"
+            "assert run(['filter', '--sos', 'sos.json', 'in.wav', 'out.wav']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)  # the packages, not the kernel's own module
+        assert "scipy.signal" not in loaded and "scipy.io" not in loaded
+        expected = apply_sos(load_filter(tmp_path / "sos.json"), read_wav(tmp_path / "in.wav"))
+        written = read_wav(tmp_path / "out.wav").samples
+        assert np.array_equal(written, expected.samples.astype(np.float32))
+
+    def test_subcommands_run_without_scipy(self, tmp_path):
+        spec = {"row": "II.2", "beta_peak": 1.0, "n_cycles": 19.1, "q_erb": 25.9}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        calls = [
+            ["design", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT,
+             "--phase-accum", "3", "--out", "c.json"],
+            ["analyze", "--constants", "c.json"],
+            ["evaluate", "--spec", "spec.json"],
+            ["discretize", "--constants", "c.json", "--peak-hz", "1000", "--fs", "48000",
+             "--out", "sos.json"],
+            ["response", "--sos", "sos.json", "--fmin", "500", "--fmax", "1500", "--points", "11"],
+            ["bank", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT, "--phase-accum", "3",
+             "--cf0", "20000", "--l", "1", "--channels", "4", "--x-max", "3"],
+        ]
+        proc = self._python(
+            "import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gefdesign.cli import run\n"
+            "codes = []\n"
+            f"for argv in {calls!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(run(argv))\n"
+            "print(json.dumps(codes))",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0] * len(calls), proc.stderr

@@ -19,7 +19,7 @@ from gefdesign import (
     sharpness_check,
     wavenumber,
 )
-from gefdesign.core import DB_PER_LOG
+from gefdesign.core import DB_PER_LOG, _brentq
 from gefdesign.errors import InfeasibleSpec, NonPositiveConstant, ZeroOrderTooLarge
 
 LN10 = math.log(10.0)
@@ -317,3 +317,70 @@ class TestPeakHelpers:
     def test_normalized_to_peak(self, theta_sharp6):
         unit = normalized_to_peak(theta_sharp6)
         assert abs(eval_gef(unit, peak_beta(unit))) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestBrentqPort:
+    """core._brentq against scipy.optimize.brentq, which stays a test-only
+    oracle: the same iterates, root and exceptions."""
+
+    @staticmethod
+    def _logged(fn):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return fn(x)
+
+        return wrapped, calls
+
+    @staticmethod
+    def _functions(rng):
+        r, c, k = rng.uniform(0.1, 5.0), rng.uniform(0.5, 3.0), rng.uniform(0.1, 2.0)
+        theta = FilterConstants(rng.uniform(0.01, 0.3), rng.uniform(0.5, 2.0), rng.uniform(1.0, 20.0))
+        return [
+            (lambda x: (x - r) * (x + c) ** 3, 0.0, 2.0 * r + 1.0),
+            (lambda x: math.cos(x) - k * x, 0.0, math.pi / 2.0),
+            (lambda x: math.exp(k * x) - c - 1.0, -1.0, 10.0 / k),
+            (lambda x: math.atan(x - r) ** 3, r - 3.0, r + c),
+            (lambda x: wavenumber(theta, x).imag, theta.b_p - theta.a_p, theta.b_p),
+        ]
+
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(20240611)
+        compared = 0
+        for _ in range(60):
+            xtol = float(10.0 ** rng.uniform(-15, -3))
+            rtol = float(4.0 * np.finfo(float).eps * 10.0 ** rng.uniform(0, 6))
+            for fn, lo, hi in self._functions(rng):
+                if fn(lo) * fn(hi) >= 0.0:
+                    continue
+                ours, our_calls = self._logged(fn)
+                theirs, their_calls = self._logged(fn)
+                root = _brentq(ours, lo, hi, xtol=xtol, rtol=rtol, maxiter=200)
+                assert root == brentq(theirs, lo, hi, xtol=xtol, rtol=rtol, maxiter=200)
+                assert our_calls == their_calls
+                compared += 1
+        assert compared > 250
+
+    @pytest.mark.parametrize("fn, lo, hi, maxiter, error", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 100, ValueError),
+        (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 100, ValueError),
+        (lambda x: math.nan, 0.0, 1.0, 100, ValueError),
+        (lambda x: x - 0.3, 0.0, 1.0, 1, RuntimeError),
+        (lambda x: x - 0.3, 0.0, 1.0, 0, RuntimeError),
+        (lambda x: x - 0.3, 0.0, 1.0, -1, ValueError),
+    ])
+    def test_raises_what_scipy_raises(self, fn, lo, hi, maxiter, error):
+        from scipy.optimize import brentq
+
+        with pytest.raises(error) as theirs:
+            brentq(fn, lo, hi, maxiter=maxiter)
+        with pytest.raises(error) as ours:
+            _brentq(fn, lo, hi, maxiter=maxiter)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_endpoint_roots_returned_as_is(self):
+        assert _brentq(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+        assert _brentq(lambda x: x - 1.0, 0.25, 1.0) == 1.0

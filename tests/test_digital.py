@@ -16,10 +16,12 @@ from gefdesign import (
     normalized_to_peak,
     to_sos,
 )
+from gefdesign import digital
 from gefdesign.characteristics import FrequencyGrid, default_grid
 from gefdesign.digital import (
     DigitalFilter,
     SignalBuffer,
+    _bilinear_all_pole,
     load_filter,
     read_signal_csv,
     read_wav,
@@ -28,6 +30,7 @@ from gefdesign.digital import (
     write_wav,
 )
 from gefdesign.errors import (
+    InfeasibleSpec,
     NoInteriorPeak,
     NonIntegerExponent,
     NyquistViolation,
@@ -84,6 +87,41 @@ class TestToSos:
     def test_stability_preserved(self, a_p, b_u, f_peak):
         filt = to_sos(FilterConstants(a_p, 1.0, b_u), f_peak, FS)
         assert np.all(filt.pole_radii() < 1.0)
+
+
+class TestBilinearPort:
+    """digital._bilinear_all_pole against scipy.signal.bilinear, which stays
+    a test-only oracle."""
+
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.signal import bilinear
+
+        rng = np.random.default_rng(5)
+        compared = 0
+        for _ in range(500):
+            fs = float(rng.choice([8000.0, 16000.0, 44100.0, 48000.0, 96000.0, 192000.0]))
+            theta = FilterConstants(rng.uniform(0.005, 0.3), rng.uniform(0.5, 2.0), 2.0)
+            f_peak = float(rng.uniform(20.0, 0.45 * fs))
+            # to_sos's prewarped scale, with the pole's b_p standing in for its peak
+            w = 2.0 * fs * math.tan(math.pi * f_peak / fs) / theta.b_p
+            c1, c0 = 2.0 * theta.a_p * w, (theta.a_p**2 + theta.b_p**2) * w * w
+            b, a = bilinear([1.0], [1.0, c1, c0], fs=fs)
+            if b[0] <= 1e-14:  # scipy trims such leading coefficients; see below
+                continue
+            ours_b, ours_a = _bilinear_all_pole(c1, c0, fs)
+            assert np.array_equal(ours_b, b) and np.array_equal(ours_a, a)
+            compared += 1
+        assert compared > 400
+
+    @pytest.mark.parametrize("f_peak, fs", [(23900.0, 48000.0), (1e5, 1e8)])
+    def test_keeps_double_zero_at_nyquist(self, f_peak, fs):
+        # scipy.signal.bilinear drops numerator coefficients below 1e-14, which
+        # made these sections (b0, 0, 0): the zeros at z = -1 went missing
+        filt = to_sos(FilterConstants(0.05, 1.0, 4.0), f_peak, fs)
+        b0, b1, b2 = filt.sections[0][:3]
+        assert b1 == 2.0 * b0 and b2 == b0 > 0.0
+        assert abs(digital_response(filt, f_peak)) == pytest.approx(1.0, abs=1e-6)
+        assert abs(digital_response(filt, 0.5 * fs)) < 1e-12
 
 
 class TestDigitalResponse:
@@ -166,6 +204,46 @@ class TestApplySos:
         assert np.max(np.abs(y_shifted[shift:] - y)) < 1e-10
 
 
+class TestSosfiltKernel:
+    """apply_sos runs scipy's compiled cascade loop without importing
+    scipy.signal; scipy.signal.sosfilt stays a test-only oracle."""
+
+    @staticmethod
+    def _random_filter(rng):
+        sections = []
+        for _ in range(int(rng.integers(1, 9))):
+            radius, angle = rng.uniform(0.1, 0.999), rng.uniform(0.0, np.pi)
+            sections.append((*rng.standard_normal(3), -2.0 * radius * np.cos(angle), radius**2))
+        return DigitalFilter(FS, tuple(sections), gain=float(rng.uniform(0.1, 10.0)))
+
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.signal import sosfilt
+
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 1000, 48000):
+            filt = self._random_filter(rng)
+            x = rng.standard_normal(n)
+            sos = np.array([[b0, b1, b2, 1.0, a1, a2] for b0, b1, b2, a1, a2 in filt.sections])
+            ours = apply_sos(filt, SignalBuffer(FS, x)).samples
+            assert np.array_equal(ours, sosfilt(sos, x) * filt.gain)
+
+    def test_empty_signal(self, filt_sharp6):
+        # scipy.signal.sosfilt raises ValueError on an empty signal
+        assert apply_sos(filt_sharp6, SignalBuffer(FS, np.zeros(0))).samples.size == 0
+
+    def test_without_the_kernel_scipy_sosfilt_runs(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        filt, x = self._random_filter(rng), SignalBuffer(FS, rng.standard_normal(500))
+        expected = apply_sos(filt, x).samples
+        monkeypatch.setattr(digital, "_sosfilt_kernel", lambda: None)
+        assert np.array_equal(apply_sos(filt, x).samples, expected)
+
+    def test_kernel_is_scipy_signals_own(self):
+        from scipy.signal import _signaltools
+
+        assert digital._sosfilt_kernel() is _signaltools._sosfilt
+
+
 class TestApplyFft:
     def test_matches_sos_on_chirp(self, filt_sharp6, theta_sharp6):
         t = np.arange(int(FS)) / FS
@@ -220,6 +298,19 @@ class TestDigitalFilterType:
         assert len(doc["sos"][0]) == 5
 
 
+    @pytest.mark.parametrize("doc", [
+        {"fs": 48000.0},
+        {"sos": [[1.0, 0.0, 0.0, 0.0, 0.0]]},
+        {"fs": "fast", "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]]},
+        {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, 0.0]]},
+        {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, -2.0, 1.01]]},
+        [1.0, 2.0],
+    ])
+    def test_from_dict_rejects_bad_documents(self, doc):
+        with pytest.raises(InfeasibleSpec):
+            DigitalFilter.from_dict(doc)
+
+
 class TestSignalIo:
     def test_wav_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -236,6 +327,42 @@ class TestSignalIo:
         write_signal_csv(path, signal)
         loaded = read_signal_csv(path, 8000.0)
         assert np.allclose(loaded.samples, signal.samples, rtol=1e-12, atol=1e-18)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 48000])
+    @pytest.mark.parametrize("rate", [8000.0, 44100.0, 48000.4])
+    def test_wav_bytes_match_scipy(self, tmp_path, n, rate):
+        from scipy.io import wavfile
+
+        signal = SignalBuffer(rate, np.random.default_rng(n).standard_normal(n))
+        write_wav(tmp_path / "ours.wav", signal)
+        wavfile.write(tmp_path / "scipy.wav", int(round(rate)), signal.samples.astype(np.float32))
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64", "int16", "int32", "uint8"])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_plain_wav_parsed_as_scipy_reads_it(self, tmp_path, dtype, channels):
+        from scipy.io import wavfile
+
+        x = np.random.default_rng(channels).standard_normal((100, channels)).squeeze()
+        x = (x * 100).astype(dtype) if np.dtype(dtype).kind in "iu" else x.astype(dtype)
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 16000, x)
+        rate, data = digital._parse_plain_wav(path.read_bytes())
+        expected_rate, expected = wavfile.read(path)
+        assert rate == expected_rate
+        assert data.dtype == expected.dtype and np.array_equal(data, expected)
+
+    def test_other_layouts_go_to_scipy(self, tmp_path):
+        from scipy.io import wavfile
+
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 8000, np.arange(-3, 4, dtype=np.int64))  # 64-bit PCM
+        assert digital._parse_plain_wav(path.read_bytes()) is None
+        assert read_wav(path).samples.tolist() == list(range(-3, 4))
+        path.write_bytes(path.read_bytes()[:-3])  # a truncated last sample
+        assert digital._parse_plain_wav(path.read_bytes()) is None
+        with pytest.warns(wavfile.WavFileWarning):
+            assert read_wav(path).samples.tolist() == list(range(-3, 3))
 
     def test_int16_wav_scaled(self, tmp_path):
         from scipy.io import wavfile
