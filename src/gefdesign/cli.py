@@ -134,7 +134,7 @@ def _load_json(path) -> dict:
 
 def _constants_from_args(args) -> FilterConstants:
     data = _load_json(args.constants)
-    if "constants" in data:
+    if isinstance(data, dict) and "constants" in data:
         data = data["constants"]
     return FilterConstants.from_dict(data)
 

@@ -40,7 +40,7 @@ from .characteristics import (
     gamma_ratio,
     level_factor,
 )
-from .errors import BracketFailure, ErbRequiresBu, InfeasibleSpec
+from .errors import BracketFailure, ErbRequiresBu, InfeasibleSpec, OutOfRange
 
 LN10 = math.log(10.0)
 
@@ -51,11 +51,25 @@ def _bu_from_phase(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
 
 def _bu_from_convexity_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
     v = spec.values
-    return (80.0 * math.pi**2 / LN10) * v["n_cycles"] ** 2 / v["s_beta"]
+    try:
+        return (80.0 * math.pi**2 / LN10) * v["n_cycles"] ** 2 / v["s_beta"]
+    except OverflowError:
+        raise OutOfRange(f"N = {v['n_cycles']:g} is too large: N**2 overflows") from None
+
+
+def _over_delay(spec: "CharacteristicSpec", key: str) -> float:
+    """The spec's value for key divided by beta_peak * N; OutOfRange when
+    that product underflows to 0."""
+    scale = spec.beta_peak * spec.values["n_cycles"]
+    if scale == 0.0:
+        raise OutOfRange(
+            f"beta_peak * N = {spec.beta_peak:g} * {spec.values['n_cycles']:g} underflows to 0"
+        )
+    return spec.values[key] / scale
 
 
 def _bu_from_qerb_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
-    ratio = spec.values["q_erb"] / (spec.beta_peak * spec.values["n_cycles"])
+    ratio = _over_delay(spec, "q_erb")
     seed = qerb_delay_approx_exponent(ratio)
     if spec.mode == "approx":
         return seed
@@ -63,7 +77,7 @@ def _bu_from_qerb_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> floa
 
 
 def _bu_from_qn_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
-    ratio = spec.values["q_n"] / (spec.beta_peak * spec.values["n_cycles"])
+    ratio = _over_delay(spec, "q_n")
     return _solve_decreasing(lambda x: qn_over_delay(x, spec.n_level), ratio, cfg)
 
 

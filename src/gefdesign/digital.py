@@ -149,6 +149,17 @@ def _bilinear_all_pole(c1: float, c0: float, fs: float):
     return np.array([pp, pp + pp, pp]) / den[0], den / den[0]
 
 
+def _check_rates(f_peak: float, fs: float) -> None:
+    """f_peak must be positive and finite, fs finite, and f_peak below fs/2
+    (which refuses fs <= 0 too)."""
+    if not (math.isfinite(f_peak) and f_peak > 0.0):
+        raise OutOfRange(f"f_peak must be positive and finite, got {f_peak!r}")
+    if not math.isfinite(fs):
+        raise OutOfRange(f"fs must be finite, got {fs!r}")
+    if f_peak >= 0.5 * fs:
+        raise NyquistViolation(f"f_peak = {f_peak:g} Hz >= fs/2 = {0.5 * fs:g} Hz")
+
+
 def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     """Bilinear-transform the prototype into b_u identical biquad sections.
 
@@ -158,10 +169,7 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     the argmax maps exactly).  Each section is scaled to unit magnitude at
     the peak, making the cascade peak magnitude 1.
     """
-    if f_peak <= 0.0:
-        raise ValueError("f_peak must be > 0")
-    if f_peak >= 0.5 * fs:
-        raise NyquistViolation(f"f_peak = {f_peak:g} Hz >= fs/2 = {0.5 * fs:g} Hz")
+    _check_rates(f_peak, fs)
     if not theta.is_integer_exponent:
         raise NonIntegerExponent(
             f"b_u = {theta.b_u:g} is not an integer; use apply_fft instead"
@@ -274,10 +282,7 @@ def apply_fft(
     about a_p**2/2 relative).  Gain follows theta.gain; combine with
     normalized_to_peak for a unit-peak filter.
     """
-    if f_peak <= 0.0:
-        raise ValueError("f_peak must be > 0")
-    if f_peak >= 0.5 * fs:
-        raise NyquistViolation(f"f_peak = {f_peak:g} Hz >= fs/2 = {0.5 * fs:g} Hz")
+    _check_rates(f_peak, fs)
     if signal.sample_rate != fs:
         raise SampleRateMismatch(
             f"signal at {signal.sample_rate:g} Hz, requested fs = {fs:g} Hz"

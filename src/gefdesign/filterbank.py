@@ -234,17 +234,21 @@ def multiband_from_dict(data: dict) -> MultibandSpec:
 
 def bank_response_rows(
     channels: Sequence[BankChannel], freqs_hz: Sequence[float]
-) -> list[tuple]:
-    """Rows (f_hz, re, im, level_db, phase_rad, channel_id) for CSV export.
+) -> np.ndarray:
+    """Float array of shape (len(channels) * len(freqs_hz), 6) for CSV export.
 
-    Phase is unwrapped along frequency within each channel.
+    Columns are (f_hz, re, im, level_db, phase_rad, channel_id), rows
+    channel-major then frequency; channel_id is the channel's index as a
+    float.  Phase is unwrapped along frequency within each channel.
     """
-    rows = []
     freqs = np.asarray(freqs_hz, dtype=float)
+    out = np.empty((6, len(channels), freqs.size))
     for idx, channel in enumerate(channels):
         values = np.asarray(channel_response(channel, freqs))
-        levels = 20.0 * np.log10(np.abs(values))
-        phases = np.unwrap(np.angle(values))
-        for f, v, lvl, ph in zip(freqs, values, levels, phases):
-            rows.append((float(f), float(v.real), float(v.imag), float(lvl), float(ph), idx))
-    return rows
+        out[0, idx] = freqs
+        out[1, idx] = values.real
+        out[2, idx] = values.imag
+        out[3, idx] = 20.0 * np.log10(np.abs(values))
+        out[4, idx] = np.unwrap(np.angle(values))
+        out[5, idx] = idx
+    return out.reshape(6, -1).T

@@ -193,6 +193,24 @@ class TestBadInputFiles:
         assert run(["design", "--peak-beta", "1", *argv]) == 3
         assert error_type(capsys) == error
 
+    @pytest.mark.parametrize("argv", [
+        # N**2 overflows in the II.5 exponent
+        ["--peak-beta", "1", "--gdelay-cycles", "1e200", "--convexity", "1"],
+        # beta_peak * N underflows to 0 below Q_erb / (beta_peak N) and Q_n / (beta_peak N)
+        ["--peak-beta", "1e-200", "--gdelay-cycles", "1e-200", "--qerb", "1"],
+        ["--peak-beta", "1e-200", "--gdelay-cycles", "1e-200", "--qn", "10:1"],
+    ])
+    def test_design_overflow_exits_3(self, capsys, argv):
+        assert run(["design", *argv]) == 3
+        assert error_type(capsys) == "OutOfRange"
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"constants"', '{"constants": 5}'])
+    def test_non_object_constants_exits_3(self, tmp_path, capsys, text):
+        constants = tmp_path / "five.json"
+        constants.write_text(text)
+        assert run(["analyze", "--constants", str(constants)]) == 3
+        assert error_type(capsys) == "InfeasibleSpec"
+
     def test_analyze_tiny_exponent_exits_3(self, tmp_path, capsys):
         constants = tmp_path / "c.json"
         constants.write_text(json.dumps({"a_p": 0.05, "b_p": 1.0, "b_u": 0.001}))
@@ -317,6 +335,22 @@ class TestDiscretizeAndFilter:
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "NonIntegerExponent"
+
+    @pytest.mark.parametrize("fs", ["nan", "inf"])
+    def test_non_finite_fs_exits_3(self, constants_file, capsys, fs):
+        rc = run(["discretize", "--constants", str(constants_file),
+                  "--peak-hz", "1000", "--fs", fs])
+        assert rc == 3
+        assert error_type(capsys) == "OutOfRange"
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_fft_route_non_finite_rate_exits_3(self, tmp_path, constants_file, capsys, rate):
+        infile = tmp_path / "in.csv"
+        infile.write_text("0.0\n1.0\n")
+        rc = run(["filter", "--fft", "--constants", str(constants_file), "--peak-hz", "1000",
+                  "--rate", rate, str(infile), str(tmp_path / "out.csv")])
+        assert rc == 3
+        assert error_type(capsys) == "OutOfRange"
 
     def test_nyquist_violation_exits_3(self, constants_file):
         rc = run(["discretize", "--constants", str(constants_file),

@@ -23,7 +23,7 @@ from gefdesign.design import (
     qerb_over_delay,
     qn_over_delay,
 )
-from gefdesign.errors import BracketFailure, ErbRequiresBu, InfeasibleSpec
+from gefdesign.errors import BracketFailure, ErbRequiresBu, InfeasibleSpec, OutOfRange
 
 N_SHARP6 = 6.0 / (2.0 * math.pi * 0.05)  # 19.098593...
 
@@ -149,6 +149,16 @@ class TestSpecValidation:
         assert spec.row is DesignRow.PEAK_DELAY_QERB
         assert spec.values == {"n_cycles": 19.1, "q_erb": 25.9}
         assert CharacteristicSpec.from_dict(json.loads(json.dumps(spec.as_dict()))) == spec
+
+    @pytest.mark.parametrize("row, beta_peak, values, n_level, mode", [
+        (DesignRow.PEAK_CONVEXITY_DELAY, 1.0, {"n_cycles": 1e200, "s_beta": 1.0}, None, "exact"),
+        (DesignRow.PEAK_DELAY_QERB, 1e-200, {"n_cycles": 1e-200, "q_erb": 1.0}, None, "exact"),
+        (DesignRow.PEAK_DELAY_QERB, 1e-200, {"n_cycles": 1e-200, "q_erb": 1.0}, None, "approx"),
+        (DesignRow.PEAK_QN_DELAY, 1e-200, {"n_cycles": 1e-200, "q_n": 1.0}, 10.0, "exact"),
+    ])
+    def test_overflowing_delay_terms_raise_out_of_range(self, row, beta_peak, values, n_level, mode):
+        with pytest.raises(OutOfRange):
+            design(spec_for(row, beta_peak, values, n_level, mode=mode))
 
 
 class TestDesignRows:

@@ -77,6 +77,14 @@ class TestToSos:
         with pytest.raises(NonIntegerExponent):
             to_sos(FilterConstants(0.05, 1.0, 5.5), F_PEAK, FS)
 
+    @pytest.mark.parametrize("f_peak, fs", [
+        (F_PEAK, math.nan), (F_PEAK, math.inf),
+        (math.nan, FS), (math.inf, FS), (0.0, FS), (-F_PEAK, FS),
+    ])
+    def test_non_finite_or_non_positive_rates_rejected(self, theta_sharp6, f_peak, fs):
+        with pytest.raises(OutOfRange):
+            to_sos(theta_sharp6, f_peak, fs)
+
     def test_constants_without_peak_rejected(self):
         # |P| falls from beta = 0: there is no peak to place at f_peak
         with pytest.raises(NoInteriorPeak):
@@ -277,6 +285,13 @@ class TestApplyFft:
     def test_sample_rate_mismatch(self, theta_sharp6):
         with pytest.raises(SampleRateMismatch):
             apply_fft(theta_sharp6, F_PEAK, FS, SignalBuffer(44100.0, np.zeros(16)))
+
+    @pytest.mark.parametrize("f_peak, fs", [
+        (F_PEAK, math.nan), (F_PEAK, math.inf), (math.nan, FS), (math.inf, FS), (0.0, FS),
+    ])
+    def test_non_finite_or_non_positive_rates_rejected(self, theta_sharp6, f_peak, fs):
+        with pytest.raises(OutOfRange):
+            apply_fft(theta_sharp6, f_peak, fs, SignalBuffer(fs, np.zeros(16)))
 
 
 class TestDigitalFilterType:

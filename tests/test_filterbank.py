@@ -116,6 +116,74 @@ class TestConstantQBank:
         assert level == pytest.approx(20.0 * math.log10(math.hypot(re, im)), rel=1e-9)
 
 
+def _reference_rows(channels, freqs_hz):
+    """The row-by-row export the array version must reproduce bit for bit."""
+    rows = []
+    freqs = np.asarray(freqs_hz, dtype=float)
+    for idx, channel in enumerate(channels):
+        values = np.asarray(channel_response(channel, freqs))
+        levels = 20.0 * np.log10(np.abs(values))
+        phases = np.unwrap(np.angle(values))
+        for f, v, lvl, ph in zip(freqs, values, levels, phases):
+            rows.append((float(f), float(v.real), float(v.imag), float(lvl), float(ph), idx))
+    return rows
+
+
+class TestBankResponseArray:
+    FREQS = np.geomspace(50.0, 20000.0, 257)
+
+    @pytest.fixture
+    def mixed_bank(self):
+        """Three channels with their own constants and gains, as a bank file
+        may hold them."""
+        thetas = [
+            {"a_p": 0.05, "b_p": 1.0, "b_u": 6.0},
+            {"a_p": 0.12, "b_p": 1.0, "b_u": 2.5},
+            {"a_p": 0.08, "b_p": 1.0, "b_u": 4.0, "gain": 0.5},
+        ]
+        data = {
+            "cf_map": {"cf0": 8000.0, "l": 1.0, "x_max": 3.0},
+            "channels": [
+                {"x": x, "f_peak_hz": 8000.0 * math.exp(-x), "theta": theta, "gain": gain}
+                for x, theta, gain in zip((0.0, 1.0, 2.5), thetas, (1.0, 3.0, 0.25))
+            ],
+        }
+        return bank_from_dict(data)[1]
+
+    def test_bit_identical_to_row_loop(self, mixed_bank):
+        assert len({ch.theta for ch in mixed_bank}) == 3
+        rows = bank_response_rows(mixed_bank, self.FREQS)
+        assert np.array_equal(rows, np.array(_reference_rows(mixed_bank, self.FREQS)))
+
+    def test_constant_q_bank_with_gains(self, norm_spec):
+        cf_map = CfMap(16000.0, 1.0, 3.0)
+        places = uniform_places(cf_map, 8)
+        bank = build_constant_q_bank(cf_map, places, norm_spec, gains=np.linspace(0.5, 2.0, 8))
+        rows = bank_response_rows(bank, self.FREQS)
+        assert np.array_equal(rows, np.array(_reference_rows(bank, self.FREQS)))
+
+    def test_phase_unwrapped_within_each_channel_only(self, mixed_bank):
+        rows = bank_response_rows(mixed_bank, self.FREQS)
+        n = self.FREQS.size
+        for idx, channel in enumerate(mixed_bank):
+            block = rows[idx * n:(idx + 1) * n]
+            assert np.all(block[:, 5] == idx)
+            assert np.array_equal(block[:, 0], self.FREQS)
+            phase = block[:, 4]
+            wrapped = np.angle(np.asarray(channel_response(channel, self.FREQS)))
+            # each channel starts from its own wrapped phase, not the last one's
+            assert phase[0] == wrapped[0]
+            # the wrapped phase jumps by a turn somewhere; the exported one never does
+            assert np.max(np.abs(np.diff(wrapped))) > math.pi
+            assert np.max(np.abs(np.diff(phase))) < math.pi
+
+    @pytest.mark.parametrize("n_channels", [0, 1, 3])
+    def test_dtype_and_shape(self, mixed_bank, n_channels):
+        rows = bank_response_rows(mixed_bank[:n_channels], self.FREQS)
+        assert rows.dtype == np.float64
+        assert rows.shape == (n_channels * self.FREQS.size, 6)
+
+
 class TestDomainConsistency:
     def test_hz_extraction_matches_normalized(self, norm_spec):
         # Q is domain-invariant; BW_f = CF * BW_beta, N_f = N_beta / CF
