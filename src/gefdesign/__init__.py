@@ -37,7 +37,6 @@ from .design import (
     DesignRow,
     QuadraticPower,
     SharpnessWarning,
-    SolverConfig,
     design,
     parameterized_tf,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "SharpnessReport",
     "SharpnessWarning",
     "SignalBuffer",
-    "SolverConfig",
     "SweepResult",
     "apply_fft",
     "apply_sos",

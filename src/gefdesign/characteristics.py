@@ -6,7 +6,7 @@ Two independent routes produce the same characteristic set
 * ``closed_form`` evaluates the analytic expressions in terms of the filter
   constants (exact for the one-sided sharp form).
 * ``extract_numeric`` recomputes everything from response samples alone:
-  golden-section peak refinement, bisection for level crossings, Simpson
+  golden-section peak refinement, Brent level crossings, Simpson
   quadrature for the ERB, and finite differences for group delay and
   convexity.  It never consults the closed forms, so it can serve as an
   oracle for them.
@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import DB_PER_LOG, TWO_PI, FilterConstants
+from .core import DB_PER_LOG, TWO_PI, FilterConstants, _brentq
 from .errors import (
     ApproximationDomain,
     ExponentTooSmallForErb,
@@ -363,28 +363,18 @@ def _golden_max(fn: Callable, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _bisect_level(level_fn, target, a, b):
-    """Bisection for level(beta) == target between two samples bracketing
-    the crossing (accepted in either order)."""
-    lo, hi = (a, b) if a < b else (b, a)
-    f_lo = level_fn(lo) - target
-    f_hi = level_fn(hi) - target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) < 1e-13 * max(1.0, mid):
-            return mid
-        f_mid = level_fn(mid) - target
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0.0) == (f_mid > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+def _level_crossing(level_fn, target, a, b):
+    """Brent root of level(beta) == target between two samples bracketing
+    the crossing.  The samples bracket it by their vectorized levels; when a
+    target within rounding of a sample's level leaves the scalar levels on
+    one side, the sample whose level is nearer the target is the crossing."""
+    def gap(beta):
+        return level_fn(beta) - target
+
+    try:
+        return _brentq(gap, a, b, xtol=1e-15 * max(1.0, a, b))
+    except ValueError:
+        return min(a, b, key=lambda beta: abs(gap(beta)))
 
 
 def _divide_or_zero(num, den):
@@ -445,9 +435,9 @@ def extract_numeric(
         dB levels for bandwidths and quality factors.
 
     Procedure: peak by golden-section refinement around the best sample
-    (ties break to the smallest beta); BW_n by bisection between bracketing
-    samples on each side; ERB by composite Simpson quadrature of the
-    normalized power response over the full grid span; N as the maximum of
+    (ties break to the smallest beta); BW_n by Brent's method between
+    bracketing samples on each side; ERB by composite Simpson quadrature of
+    the normalized power response over the full grid span; N as the maximum of
     -(1/2 pi) d(phase)/d(beta) using centered differences of the unwrapped
     phase; phi_accum as the unwrapped phase span over the grid divided by
     2 pi; S by a second-order central difference of the dB level at the
@@ -483,14 +473,14 @@ def extract_numeric(
         upper = None
         for j in range(i_pk + 1, betas.size):
             if levels[j] < target:
-                upper = _bisect_level(level_at, target, betas[j - 1], betas[j])
+                upper = _level_crossing(level_at, target, betas[j - 1], betas[j])
                 break
         if upper is None:
             raise LevelNotReached(n, "high-frequency")
         lower = None
         for j in range(i_pk - 1, -1, -1):
             if levels[j] < target:
-                lower = _bisect_level(level_at, target, betas[j + 1], betas[j])
+                lower = _level_crossing(level_at, target, betas[j], betas[j + 1])
                 break
         if lower is None:
             raise LevelNotReached(n, "low-frequency")

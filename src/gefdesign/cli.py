@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 
@@ -32,7 +33,7 @@ from .digital import (
     write_signal_csv,
     write_wav,
 )
-from .errors import GefError
+from .errors import GefError, OutOfRange
 from .filterbank import CfMap, bank_to_dict, build_constant_q_bank, uniform_places
 from .harness import _csv, _float_csv, figure_report, sweep, sweep_csv, sweep_json
 
@@ -87,8 +88,8 @@ def _spec_from_flags(args) -> tuple[CharacteristicSpec, float | None]:
     if beta_peak is None or beta_peak <= 0.0:
         raise UsageError("peak frequency must be positive")
     f_peak_hz = args.peak_hz
-    if f_peak_hz is not None and f_peak_hz <= 0.0:
-        raise UsageError("--peak-hz must be positive")
+    if f_peak_hz is not None and not 0.0 < f_peak_hz < math.inf:
+        raise UsageError("--peak-hz must be positive and finite")
 
     values: dict[str, float] = {}
     n_level = None
@@ -148,7 +149,9 @@ def _read_signal(path, rate) -> SignalBuffer:
         return read_wav(path)
     if rate is None:
         raise UsageError("CSV signal input needs --rate")
-    return read_signal_csv(path, float(rate))
+    if not 0.0 < rate < math.inf:
+        raise OutOfRange(f"--rate must be positive and finite, got {rate!r}")
+    return read_signal_csv(path, rate)
 
 
 def _write_signal(path, signal: SignalBuffer) -> None:
@@ -270,6 +273,8 @@ def _cmd_response(args) -> int:
         raise UsageError("give exactly one of --constants or --sos")
     if args.points < 2:
         raise UsageError("--points must be >= 2")
+    if not (math.isfinite(args.fmin) and math.isfinite(args.fmax)):
+        raise OutOfRange(f"--fmin and --fmax must be finite, got {args.fmin!r}, {args.fmax!r}")
     freqs = np.linspace(args.fmin, args.fmax, args.points)
     if args.sos is not None:
         filt = _filter_from_args(args)
@@ -277,6 +282,8 @@ def _cmd_response(args) -> int:
     else:
         if args.peak_hz is None:
             raise UsageError("--constants responses need --peak-hz")
+        if not 0.0 < args.peak_hz < math.inf:
+            raise OutOfRange(f"--peak-hz must be positive and finite, got {args.peak_hz!r}")
         theta = _constants_from_args(args)
         values = np.asarray(eval_gef(theta, freqs / args.peak_hz))
     columns = (freqs, values.real, values.imag, 20.0 * np.log10(np.abs(values)),

@@ -250,21 +250,17 @@ def sharpness_check(theta: FilterConstants) -> SharpnessReport:
 def peak_beta(theta: FilterConstants) -> float:
     """Normalized frequency of the exact magnitude maximum of the filter.
 
-    The peak sits slightly below b_p (by about a_p**2 / (2 b_p)) because of
-    the conjugate pole factor; it is the zero crossing of the magnitude
-    slope Im{k}, found by bracketed root finding.  Degenerate constants
-    whose magnitude decreases from beta = 0 (no bandpass peak) return 0.
+    |P(beta)|**2 is proportional to D(beta)**(-b_u) with
+    D = (a_p**2 + beta**2 + b_p**2)**2 - 4 b_p**2 beta**2, and
+    dD/dbeta = 4 beta (a_p**2 + beta**2 - b_p**2), so for every exponent the
+    peak is beta* = sqrt(b_p**2 - a_p**2), slightly below b_p (by about
+    a_p**2 / (2 b_p)).  The product (b_p - a_p)(b_p + a_p) avoids
+    cancellation when a_p is close to b_p.  Degenerate constants with
+    a_p >= b_p, whose magnitude decreases from beta = 0 (no bandpass peak),
+    return 0.
     """
-    b = theta.b_p
-
-    def slope(beta):
-        return wavenumber(theta, beta).imag
-
-    # slope(b) < 0 always; search a lower bracket edge with positive slope
-    for lo in (b - theta.a_p, 0.5 * b, 1e-3 * b):
-        if lo > 0.0 and slope(lo) > 0.0:
-            return _brentq(slope, lo, b, xtol=1e-15 * max(1.0, b), maxiter=200)
-    return 0.0
+    a, b = theta.a_p, theta.b_p
+    return math.sqrt((b - a) * (b + a)) if b > a else 0.0
 
 
 def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * float(np.finfo(float).eps), maxiter=100):

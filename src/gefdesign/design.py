@@ -44,12 +44,18 @@ from .errors import BracketFailure, ErbRequiresBu, InfeasibleSpec, OutOfRange
 
 LN10 = math.log(10.0)
 
+# The implicit b_u solves: exponent bracket, and Brent's relative tolerance
+# (above its floor of 4 eps) and iteration cap.
+B_U_BRACKET = (1.0, 64.0)
+SOLVE_RTOL = 1e-12
+SOLVE_MAXITER = 200
 
-def _bu_from_phase(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
+
+def _bu_from_phase(spec: "CharacteristicSpec") -> float:
     return 2.0 * spec.values["phi_accum"]
 
 
-def _bu_from_convexity_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
+def _bu_from_convexity_delay(spec: "CharacteristicSpec") -> float:
     v = spec.values
     try:
         return (80.0 * math.pi**2 / LN10) * v["n_cycles"] ** 2 / v["s_beta"]
@@ -68,24 +74,24 @@ def _over_delay(spec: "CharacteristicSpec", key: str) -> float:
     return spec.values[key] / scale
 
 
-def _bu_from_qerb_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
+def _bu_from_qerb_delay(spec: "CharacteristicSpec") -> float:
     ratio = _over_delay(spec, "q_erb")
     seed = qerb_delay_approx_exponent(ratio)
     if spec.mode == "approx":
         return seed
-    return _solve_decreasing(qerb_over_delay, ratio, cfg, seed=seed)
+    return _solve_decreasing(qerb_over_delay, ratio, seed=seed)
 
 
-def _bu_from_qn_delay(spec: "CharacteristicSpec", cfg: "SolverConfig") -> float:
+def _bu_from_qn_delay(spec: "CharacteristicSpec") -> float:
     ratio = _over_delay(spec, "q_n")
-    return _solve_decreasing(lambda x: qn_over_delay(x, spec.n_level), ratio, cfg)
+    return _solve_decreasing(lambda x: qn_over_delay(x, spec.n_level), ratio)
 
 
 class DesignRow(enum.Enum):
     """Supported characteristic trios; values are the wire codes.
 
     Each row also carries its two keys, the one whose inverse fixes a_p
-    first, and the function giving b_u from a spec and a SolverConfig.
+    first, and the function giving b_u from a spec.
     """
 
     PEAK_DELAY_PHASE = ("II.1", ("n_cycles", "phi_accum"), _bu_from_phase)
@@ -117,25 +123,6 @@ class DesignRow(enum.Enum):
 
 class SharpnessWarning(UserWarning):
     """Designed constants violate the sharp-approximation condition."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Bracket and tolerances for the implicit b_u solves."""
-
-    b_u_min: float = 1.0
-    b_u_max: float = 64.0
-    rel_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.b_u_min < self.b_u_max):
-            raise ValueError("need 0 < b_u_min < b_u_max")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be > 0")
-
-
-DEFAULT_SOLVER = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -237,7 +224,7 @@ def qerb_delay_approx_exponent(ratio: float) -> float:
         return math.inf
 
 
-def _solve_decreasing(fn, target: float, cfg: SolverConfig, seed: float | None = None):
+def _solve_decreasing(fn, target: float, seed: float | None = None):
     """Solve fn(b_u) == target on the decreasing branch of a rise-then-fall
     residual, returning the largest root inside the bracket.
 
@@ -246,8 +233,7 @@ def _solve_decreasing(fn, target: float, cfg: SolverConfig, seed: float | None =
     maximum outward.  Raises BracketFailure when the target is above the
     branch maximum or below fn(b_u_max).
     """
-    lo, hi = cfg.b_u_min, cfg.b_u_max
-    rtol = max(cfg.rel_tol, 4.0 * np.finfo(float).eps)
+    lo, hi = B_U_BRACKET
 
     def residual(x):
         return fn(x) - target
@@ -262,7 +248,7 @@ def _solve_decreasing(fn, target: float, cfg: SolverConfig, seed: float | None =
             if fb == 0.0:
                 return b
             if (fa > 0.0) != (fb > 0.0):
-                return _brentq(residual, a, b, rtol=rtol, maxiter=cfg.max_iter)
+                return _brentq(residual, a, b, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
 
     grid = np.geomspace(lo, hi, 257)
     vals = np.array([fn(x) for x in grid])
@@ -279,18 +265,16 @@ def _solve_decreasing(fn, target: float, cfg: SolverConfig, seed: float | None =
         if f_b == 0.0:
             return float(grid[j + 1])
         if (f_a > 0.0) != (f_b > 0.0):
-            return _brentq(residual, grid[j], grid[j + 1], rtol=rtol, maxiter=cfg.max_iter)
+            return _brentq(
+                residual, grid[j], grid[j + 1], rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER
+            )
     raise BracketFailure(
         f"target {target:g} below fn(b_u_max) = {vals[-1]:g}; "
         f"no root on [{lo:g}, {hi:g}]"
     )
 
 
-def design(
-    spec: CharacteristicSpec,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    integer_snap: bool = False,
-) -> FilterConstants:
+def design(spec: CharacteristicSpec, integer_snap: bool = False) -> FilterConstants:
     """Construct filter constants realizing the specified trio.
 
     b_p = beta_peak always.  b_u comes from the row, a_p from the inverse
@@ -312,7 +296,7 @@ def design(
     def a_p_for(b_u):
         return A_P_FROM[ap_key](b, b_u, v[ap_key], spec.n_level)
 
-    b_u = row.exponent(spec, cfg)
+    b_u = row.exponent(spec)
     if "q_erb" in v and b_u <= 0.5:
         raise ErbRequiresBu(f"row {row.value} gives b_u = {b_u:g} <= 1/2, too small for Q_erb")
     a_p = a_p_for(b_u)
@@ -347,9 +331,7 @@ def design(
     return theta
 
 
-def ap_options_for_delay_qerb(
-    spec: CharacteristicSpec, cfg: SolverConfig = DEFAULT_SOLVER
-) -> tuple[float, float]:
+def ap_options_for_delay_qerb(spec: CharacteristicSpec) -> tuple[float, float]:
     """Diagnostic: both printed a_p options for the delay + Q_erb trio.
 
     Returns (from_delay, from_qerb).  design() always uses the first; under
@@ -358,7 +340,7 @@ def ap_options_for_delay_qerb(
     """
     if spec.row is not DesignRow.PEAK_DELAY_QERB:
         raise InfeasibleSpec("a_p options exist only for the delay + Q_erb trio")
-    theta = design(spec, cfg)
+    theta = design(spec)
     from_qerb = A_P_FROM["q_erb"](spec.beta_peak, theta.b_u, spec.values["q_erb"], None)
     return theta.a_p, from_qerb
 
@@ -372,12 +354,10 @@ class QuadraticPower:
     exponent: float
 
 
-def parameterized_tf(
-    spec: CharacteristicSpec, cfg: SolverConfig = DEFAULT_SOLVER
-) -> QuadraticPower:
+def parameterized_tf(spec: CharacteristicSpec) -> QuadraticPower:
     """Transfer function of the designed filter as a quadratic raised to a
     power: c1 = 2 a_p, c0 = beta_peak**2 + a_p**2, exponent = -b_u."""
-    theta = design(spec, cfg)
+    theta = design(spec)
     return QuadraticPower(
         c1=2.0 * theta.a_p,
         c0=theta.b_p * theta.b_p + theta.a_p * theta.a_p,

@@ -63,8 +63,8 @@ class DigitalFilter:
     def __post_init__(self):
         sections = tuple(tuple(float(c) for c in sec) for sec in self.sections)
         object.__setattr__(self, "sections", sections)
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be > 0")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate!r}")
         if not sections:
             raise ValueError("need at least one section")
         for sec in sections:

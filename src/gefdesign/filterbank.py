@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import FilterConstants, _maybe_scalar, eval_gef, peak_beta
-from .design import CharacteristicSpec, SolverConfig, DEFAULT_SOLVER, design
+from .design import CharacteristicSpec, design
 from .errors import OutOfRange
 
 
@@ -30,8 +30,12 @@ class CfMap:
     x_max: float
 
     def __post_init__(self):
-        if self.cf0 <= 0.0 or self.l <= 0.0 or self.x_max < 0.0:
-            raise ValueError("need cf0 > 0, l > 0, x_max >= 0")
+        if not (0.0 < self.cf0 < math.inf and 0.0 < self.l < math.inf
+                and 0.0 <= self.x_max < math.inf):
+            raise OutOfRange(
+                f"need finite cf0 > 0, l > 0 and x_max >= 0, got cf0 = {self.cf0!r}, "
+                f"l = {self.l!r}, x_max = {self.x_max!r}"
+            )
 
 
 def cf_at(cf_map: CfMap, x: float) -> float:
@@ -55,7 +59,6 @@ def build_constant_q_bank(
     cf_map: CfMap,
     channel_xs: Sequence[float],
     spec: CharacteristicSpec,
-    cfg: SolverConfig = DEFAULT_SOLVER,
     gains: Sequence[float] | None = None,
 ) -> list[BankChannel]:
     """Design one normalized prototype and place it at each channel.
@@ -68,7 +71,7 @@ def build_constant_q_bank(
         raise ValueError("constant-Q banks need a normalized spec (beta_peak = 1)")
     if gains is not None and len(gains) != len(channel_xs):
         raise ValueError("gains must match channel_xs in length")
-    theta = design(spec, cfg)
+    theta = design(spec)
     channels = []
     for i, x in enumerate(channel_xs):
         channels.append(
@@ -131,40 +134,36 @@ class MultibandSpec:
             raise ValueError("band peak frequencies must be strictly increasing")
 
 
-def _designed_bands(spec: MultibandSpec, cfg: SolverConfig):
+def _designed_bands(spec: MultibandSpec):
     """Per-band (f_peak, theta, normalized gain): each band's own peak
     magnitude is scaled to 1 before the user gain applies."""
     out = []
     for band in spec.bands:
-        theta = design(band.spec, cfg)
+        theta = design(band.spec)
         norm = 1.0 / abs(eval_gef(theta, peak_beta(theta)))
         out.append((band.f_peak_hz, theta, band.gain * norm))
     return out
 
 
-def multiband_response(
-    spec: MultibandSpec, f_hz, cfg: SolverConfig = DEFAULT_SOLVER
-):
+def multiband_response(spec: MultibandSpec, f_hz):
     """Complex response at f (Hz): the sum over bands of
 
         gain_i * P_i(f / f_peak_i) / peak_magnitude_i
     """
     f = np.asarray(f_hz, dtype=float)
     total = np.zeros(f.shape, dtype=complex)
-    for f_peak, theta, gain in _designed_bands(spec, cfg):
+    for f_peak, theta, gain in _designed_bands(spec):
         total = total + gain * np.asarray(eval_gef(theta, f / f_peak))
     return _maybe_scalar(total)
 
 
-def crosstalk_report(
-    spec: MultibandSpec, cfg: SolverConfig = DEFAULT_SOLVER
-) -> np.ndarray:
+def crosstalk_report(spec: MultibandSpec) -> np.ndarray:
     """Matrix of dB levels: entry (i, j) is band j's level at band i's peak
     frequency, relative to band i's own peak level.  Diagonal is 0 dB by
     the peak-normalization convention."""
     if len(spec.bands) < 2:
         raise ValueError("crosstalk needs at least two bands")
-    designed = _designed_bands(spec, cfg)
+    designed = _designed_bands(spec)
 
     def band_level(j, f_hz):
         f_peak_j, theta_j, gain_j = designed[j]

@@ -26,13 +26,7 @@ from .characteristics import (
     numeric_values,
     relative_errors,
 )
-from .design import (
-    CharacteristicSpec,
-    DEFAULT_SOLVER,
-    DesignRow,
-    SolverConfig,
-    design,
-)
+from .design import CharacteristicSpec, DesignRow, design
 from .errors import GefError
 
 logger = logging.getLogger(__name__)
@@ -85,7 +79,6 @@ def _target_responses(theta):
 
 def evaluate_case(
     spec: CharacteristicSpec,
-    cfg: SolverConfig = DEFAULT_SOLVER,
     n_levels=DEFAULT_LEVELS_DB,
     grid: FrequencyGrid | None = None,
 ) -> list[ErrorRecord]:
@@ -97,7 +90,7 @@ def evaluate_case(
     specified trio is reproduced within design tolerances, so the remaining
     characteristics inherit their desired values from the same constants).
     """
-    theta = design(spec, cfg)
+    theta = design(spec)
     desired = closed_form(theta, n_levels=n_levels)
     if grid is None:
         grid = default_grid(theta)
@@ -133,12 +126,7 @@ def _log_v_comparison(records) -> None:
     )
 
 
-def sweep(
-    q_erb_values,
-    n_values,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    n_levels=DEFAULT_LEVELS_DB,
-) -> SweepResult:
+def sweep(q_erb_values, n_values, n_levels=DEFAULT_LEVELS_DB) -> SweepResult:
     """Error surfaces over desired (Q_erb, N) with beta_peak = 1 throughout.
 
     Each cell designs through the exact delay+Q_erb solve and extracts from
@@ -161,7 +149,7 @@ def sweep(
                     values={"q_erb": q_erb, "n_cycles": n_cyc},
                     mode="exact",
                 )
-                theta = design(spec, cfg)
+                theta = design(spec)
                 achieved = extract_numeric(
                     partial(eval_gef, theta), default_grid(theta), n_levels=n_levels
                 )
@@ -221,7 +209,6 @@ def _with_ratios(flat: dict) -> dict:
 def figure_report(
     spec: CharacteristicSpec,
     out_format: str = "csv",
-    cfg: SolverConfig = DEFAULT_SOLVER,
     n_levels=DEFAULT_LEVELS_DB,
 ) -> dict:
     """Response and error tables for one designed case.
@@ -236,9 +223,9 @@ def figure_report(
     """
     if out_format not in ("csv", "json"):
         raise ValueError("out_format must be 'csv' or 'json'")
-    theta = design(spec, cfg)
+    theta = design(spec)
     grid = default_grid(theta)
-    records = evaluate_case(spec, cfg=cfg, n_levels=n_levels, grid=grid)
+    records = evaluate_case(spec, n_levels=n_levels, grid=grid)
     by_target = {record.target: record for record in records}
 
     betas = grid.samples

@@ -15,8 +15,10 @@ from gefdesign import (
     qerb_approx,
     relative_errors,
 )
+from gefdesign import characteristics
 from gefdesign.characteristics import (
     FrequencyGrid,
+    _level_crossing,
     _simpson,
     erb_closed_form,
     numeric_values,
@@ -242,6 +244,62 @@ class TestExtractNumeric:
 
         report = extract_numeric(scalar_only, grid)
         assert report.beta_peak == pytest.approx(1.0 - 0.05**2 / 2.0, abs=1e-5)
+
+
+    def test_sharp_form_bandwidths_match_closed_form(self):
+        # q_n = beta_peak / bw_n also carries the golden-section peak error
+        # (about 1e-9), so the bandwidth is what the crossings pin down
+        rng = np.random.default_rng(20261018)
+        for _ in range(30):
+            b_p = float(rng.uniform(0.2, 4.0))
+            theta = FilterConstants(
+                float(rng.uniform(0.01, 0.19)) * b_p, b_p, float(rng.uniform(1.5, 20.0))
+            )
+            got = extract_numeric(partial(eval_sharp, theta), default_grid(theta))
+            want = closed_form(theta)
+            for n in (3.0, 10.0):
+                assert got.bw_n_beta[n] == pytest.approx(want.bw_n_beta[n], rel=1e-12, abs=0.0)
+                assert got.q_n[n] * got.bw_n_beta[n] == pytest.approx(
+                    got.beta_peak, rel=1e-15, abs=0.0
+                )
+
+    def test_crossings_survive_scalar_and_vector_disagreement(self, theta_sharp6, monkeypatch):
+        # the scalar path reads 0.086 dB louder off the peak, so some sampled
+        # brackets hold no scalar crossing and the nearer sample is taken
+        def louder_off_peak(beta):
+            value = eval_sharp(theta_sharp6, beta)
+            return value if np.ndim(beta) or abs(beta - 1.0) < 0.01 else 1.01 * value
+
+        same_sign = []
+        brentq = characteristics._brentq
+
+        def recording(*args, **kwargs):
+            try:
+                return brentq(*args, **kwargs)
+            except ValueError:
+                same_sign.append(args[1:3])
+                raise
+
+        monkeypatch.setattr(characteristics, "_brentq", recording)
+        grid = default_grid(theta_sharp6)
+        levels = tuple(np.arange(1.0, 20.5, 0.5))
+        report = extract_numeric(louder_off_peak, grid, n_levels=levels)
+        assert same_sign
+        want = closed_form(theta_sharp6, n_levels=levels)
+        for n in levels:
+            assert abs(report.bw_n_beta[n] - want.bw_n_beta[n]) < 4.0 * grid.dense_step
+
+
+class TestLevelCrossing:
+    def test_root_between_the_samples(self):
+        crossing = _level_crossing(lambda beta: -beta * beta, -2.0, 1.0, 2.0)
+        assert crossing == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("target, nearer", [(-2.5, 2.0), (-0.5, 1.0)])
+    def test_same_sign_ends_give_the_nearer_sample(self, target, nearer):
+        # both scalar levels on one side of the target: no bracket for Brent
+        assert _level_crossing(lambda beta: -beta, target, 1.0, 2.0) == nearer
+        assert _level_crossing(lambda beta: -beta, target, 2.0, 1.0) == nearer
 
 
 class TestErbQuadratureAgainstGammaRatio:

@@ -87,6 +87,15 @@ class TestDesignCommand:
         assert doc["f_peak_hz"] == 1000.0
         assert doc["spec"]["beta_peak"] == 1.0
 
+    @pytest.mark.parametrize("peak_hz", ["nan", "inf", "-5"])
+    def test_bad_peak_hz_exits_2(self, capsys, peak_hz):
+        rc = run(["design", "--peak-hz", peak_hz, "--gdelay-cycles", N_SHARP6_TEXT,
+                  "--phase-accum", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "UsageError"
+
     def test_integer_snap_flag(self, capsys):
         rc = run(["design", "--peak-beta", "1", "--gdelay-cycles", "19",
                   "--qerb", "25", "--integer-snap"])
@@ -273,6 +282,21 @@ class TestBankCommand:
         assert doc["channels"][0]["f_peak_hz"] == 20000.0
         assert doc["channels"][0]["theta"]["a_p"] == pytest.approx(0.05, rel=1e-9)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--cf0", "nan"), ("--cf0", "-1"), ("--cf0", "inf"),
+        ("--l", "nan"), ("--l", "0"),
+        ("--x-max", "nan"), ("--x-max", "-1"),
+    ])
+    def test_bad_map_exits_3(self, capsys, flag, value):
+        flags = {"--cf0": "20000", "--l": "1", "--x-max": "3", flag: value}
+        rc = run(["bank", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT,
+                  "--phase-accum", "3", "--channels", "2",
+                  *(item for pair in flags.items() for item in pair)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+
 
 class TestDiscretizeAndFilter:
     def test_sos_document(self, sos_file):
@@ -352,6 +376,20 @@ class TestDiscretizeAndFilter:
         assert rc == 3
         assert error_type(capsys) == "OutOfRange"
 
+    @pytest.mark.parametrize("rate", ["0", "-48000"])
+    @pytest.mark.parametrize("route", ["sos", "fft"])
+    def test_non_positive_rate_exits_3(self, tmp_path, constants_file, sos_file, capsys,
+                                       rate, route):
+        infile = tmp_path / "in.csv"
+        infile.write_text("0.0\n1.0\n")
+        source = (["--sos", str(sos_file)] if route == "sos" else
+                  ["--fft", "--constants", str(constants_file), "--peak-hz", "1000"])
+        capsys.readouterr()
+        rc = run(["filter", *source, "--rate", rate, str(infile), str(tmp_path / "out.csv")])
+        assert rc == 3
+        assert error_type(capsys) == "OutOfRange"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_nyquist_violation_exits_3(self, constants_file):
         rc = run(["discretize", "--constants", str(constants_file),
                   "--peak-hz", "30000", "--fs", "48000"])
@@ -372,6 +410,40 @@ class TestResponseCommand:
                     "--sos", str(sos_file), "--fmin", "1", "--fmax", "2",
                     "--points", "2"]) == 2
         assert run(["response", "--fmin", "1", "--fmax", "2", "--points", "2"]) == 2
+
+    @pytest.mark.parametrize("peak_hz", ["nan", "inf", "-5", "0"])
+    def test_bad_peak_hz_exits_3(self, constants_file, capsys, peak_hz):
+        rc = run(["response", "--constants", str(constants_file), "--peak-hz", peak_hz,
+                  "--fmin", "50", "--fmax", "1000", "--points", "3"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+
+    @pytest.mark.parametrize("fmin, fmax", [("nan", "1000"), ("50", "nan"), ("50", "inf")])
+    @pytest.mark.parametrize("route", ["constants", "sos"])
+    def test_non_finite_band_exits_3(self, constants_file, sos_file, capsys, fmin, fmax, route):
+        source = (["--sos", str(sos_file)] if route == "sos" else
+                  ["--constants", str(constants_file), "--peak-hz", "1000"])
+        capsys.readouterr()
+        rc = run(["response", *source, "--fmin", fmin, "--fmax", fmax, "--points", "3"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+
+    @pytest.mark.parametrize("fs", ["NaN", "Infinity"])
+    def test_filter_file_with_non_finite_rate_exits_3(self, tmp_path, sos_file, capsys, fs):
+        bad = tmp_path / "bad.json"
+        bad.write_text(sos_file.read_text().replace('"fs": 48000.0', f'"fs": {fs}'))
+        assert fs in bad.read_text()
+        capsys.readouterr()
+        rc = run(["response", "--sos", str(bad), "--fmin", "50", "--fmax", "1000",
+                  "--points", "3"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "InfeasibleSpec"
 
 
 class TestEndToEndRoundTrip:

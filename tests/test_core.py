@@ -318,6 +318,43 @@ class TestPeakHelpers:
         unit = normalized_to_peak(theta_sharp6)
         assert abs(eval_gef(unit, peak_beta(unit))) == pytest.approx(1.0, rel=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ratio=st.floats(1e-4, 0.99),
+        b_p=st.floats(1e-3, 1e3),
+        b_u=st.floats(0.1, 64.0),
+    )
+    def test_peak_beta_is_the_slope_zero(self, ratio, b_p, b_u):
+        theta = FilterConstants(ratio * b_p, b_p, b_u)
+        beta_star = peak_beta(theta)
+        assert wavenumber(theta, beta_star * (1.0 - 1e-9)).imag > 0.0
+        assert wavenumber(theta, beta_star * (1.0 + 1e-9)).imag < 0.0
+        assert beta_star == pytest.approx(_bracketed_peak(theta), rel=1e-10, abs=0.0)
+
+    def test_near_degenerate_constants_keep_their_tiny_peak(self):
+        # the bracket search found no bracket this close to a_p = b_p
+        theta = FilterConstants(1.0 - 1e-12, 1.0, 2.0)
+        assert _bracketed_peak(theta) == 0.0
+        assert peak_beta(theta) == pytest.approx(math.sqrt(2e-12), rel=1e-3, abs=0.0)
+
+    @pytest.mark.parametrize("a_p", [1.0, 1.5])
+    def test_no_bandpass_peak_gives_zero(self, a_p):
+        assert peak_beta(FilterConstants(a_p, 1.0, 2.0)) == 0.0
+
+
+def _bracketed_peak(theta):
+    """The bracket search and Brent solve of the magnitude slope that
+    peak_beta ran before its closed form, kept as a reference."""
+    b = theta.b_p
+
+    def slope(beta):
+        return wavenumber(theta, beta).imag
+
+    for lo in (b - theta.a_p, 0.5 * b, 1e-3 * b):
+        if lo > 0.0 and slope(lo) > 0.0:
+            return _brentq(slope, lo, b, xtol=1e-15 * max(1.0, b), maxiter=200)
+    return 0.0
+
 
 class TestBrentqPort:
     """core._brentq against scipy.optimize.brentq, which stays a test-only

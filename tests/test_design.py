@@ -12,7 +12,6 @@ from gefdesign import (
     DesignRow,
     FilterConstants,
     SharpnessWarning,
-    SolverConfig,
     closed_form,
     design,
     parameterized_tf,
@@ -299,12 +298,6 @@ class TestImplicitResidual:
         with pytest.raises(BracketFailure):
             design(spec_for(DesignRow.PEAK_QN_DELAY, 1.0,
                             {"q_n": 0.1, "n_cycles": 100.0}, 10.0))
-
-    def test_custom_bracket(self):
-        spec = spec_for(DesignRow.PEAK_QN_DELAY, 1.0,
-                        {"q_n": 14.620769527557067, "n_cycles": N_SHARP6}, 10.0)
-        theta = design(spec, cfg=SolverConfig(b_u_min=2.0, b_u_max=32.0))
-        assert theta.b_u == pytest.approx(6.0, abs=1e-6)
 
 
 class TestIntegerSnap:

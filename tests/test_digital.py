@@ -90,6 +90,15 @@ class TestToSos:
         with pytest.raises(NoInteriorPeak):
             to_sos(FilterConstants(1.0, 0.5, 2.0), F_PEAK, FS)
 
+    def test_near_degenerate_constants_discretize(self):
+        # a_p within 1e-12 of b_p still has a (tiny) bandpass peak to place
+        theta = FilterConstants(1.0 - 1e-12, 1.0, 2.0)
+        filt = to_sos(theta, F_PEAK, FS)
+        assert np.all(filt.pole_radii() < 1.0)
+        assert abs(digital_response(filt, F_PEAK)) == pytest.approx(1.0, rel=1e-9)
+        out = apply_fft(theta, F_PEAK, FS, SignalBuffer(FS, np.ones(64)))
+        assert np.all(np.isfinite(out.samples))
+
     @pytest.mark.parametrize("a_p,b_u", [(0.02, 3.0), (0.05, 6.0), (0.1, 7.0), (0.2, 2.0)])
     @pytest.mark.parametrize("f_peak", [200.0, 1000.0, 8000.0])
     def test_stability_preserved(self, a_p, b_u, f_peak):
@@ -299,6 +308,11 @@ class TestDigitalFilterType:
         with pytest.raises(ValueError):
             DigitalFilter(FS, sections=((1.0, 0.0, 0.0, -2.0, 1.01),))
 
+    @pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -FS])
+    def test_rejects_non_finite_or_non_positive_rate(self, fs):
+        with pytest.raises(ValueError):
+            DigitalFilter(fs, sections=((1.0, 0.0, 0.0, 0.0, 0.0),))
+
     def test_json_round_trip(self, filt_sharp6, tmp_path):
         path = tmp_path / "filter.json"
         save_filter(filt_sharp6, path)
@@ -319,6 +333,8 @@ class TestDigitalFilterType:
         {"fs": "fast", "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]]},
         {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, 0.0]]},
         {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, -2.0, 1.01]]},
+        {"fs": math.nan, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]]},
+        {"fs": math.inf, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]]},
         [1.0, 2.0],
     ])
     def test_from_dict_rejects_bad_documents(self, doc):

@@ -62,6 +62,15 @@ class TestCfMap:
         with pytest.raises(OutOfRange):
             cf_at(CfMap(20000.0, 1.0, 3.0), -0.1)
 
+    @pytest.mark.parametrize("cf0, l, x_max", [
+        (math.nan, 1.0, 3.0), (math.inf, 1.0, 3.0), (0.0, 1.0, 3.0), (-1.0, 1.0, 3.0),
+        (20000.0, math.nan, 3.0), (20000.0, math.inf, 3.0), (20000.0, 0.0, 3.0),
+        (20000.0, 1.0, math.nan), (20000.0, 1.0, math.inf), (20000.0, 1.0, -0.5),
+    ])
+    def test_rejects_bad_map(self, cf0, l, x_max):
+        with pytest.raises(OutOfRange):
+            CfMap(cf0, l, x_max)
+
 
 class TestConstantQBank:
     def test_channels_share_constants(self, norm_spec):
