@@ -14,7 +14,6 @@ from .core import (
     eval_gef,
     eval_sharp,
     eval_v,
-    eval_zero_variant,
     group_delay_cycles,
     level_db,
     normalized_to_peak,
@@ -35,10 +34,8 @@ from .characteristics import (
 from .design import (
     CharacteristicSpec,
     DesignRow,
-    QuadraticPower,
     SharpnessWarning,
     design,
-    parameterized_tf,
 )
 from .digital import (
     DigitalFilter,
@@ -75,7 +72,6 @@ __all__ = [
     "FrequencyGrid",
     "MultibandBand",
     "MultibandSpec",
-    "QuadraticPower",
     "SharpnessReport",
     "SharpnessWarning",
     "SignalBuffer",
@@ -94,7 +90,6 @@ __all__ = [
     "eval_gef",
     "eval_sharp",
     "eval_v",
-    "eval_zero_variant",
     "evaluate_case",
     "extract_numeric",
     "figure_report",
@@ -102,7 +97,6 @@ __all__ = [
     "level_db",
     "multiband_response",
     "normalized_to_peak",
-    "parameterized_tf",
     "peak_beta",
     "phase_rad",
     "qerb_approx",

@@ -86,6 +86,7 @@ def default_grid(
     Dense window [b_p - 12 a_p, b_p + 12 a_p] at step a_p / 200 (clipped to
     positive beta and always containing b_p exactly), log-spaced tails from
     beta_min out to tail_max = b_p + max(8, 60 a_p) unless overridden.
+    Raises OutOfRange when b_p does not sit above beta_min.
     """
     a, b = theta.a_p, theta.b_p
     step = a / 200.0
@@ -98,7 +99,7 @@ def default_grid(
     dense = b + step * np.arange(-k, k + 1)
     dense = dense[dense > beta_min]
     if dense.size == 0 or dense[0] > b:
-        raise ValueError(f"peak b_p = {b:g} must sit above beta_min = {beta_min:g}")
+        raise OutOfRange(f"peak b_p = {b:g} must sit above beta_min = {beta_min:g}")
     tails = np.geomspace(beta_min, float(tail_max), int(tail_points))
     samples = np.concatenate(
         [tails[tails < dense[0]], dense, tails[tails > dense[-1]]]
@@ -345,13 +346,15 @@ def _eval_response(response: Callable, betas: np.ndarray) -> np.ndarray:
 
 
 def _golden_max(fn: Callable, lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for the maximizer of a unimodal function."""
+    """Golden-section search for the maximizer of a unimodal function.  It
+    also stops once the interior points no longer fall strictly between the
+    ends, which happens before tol where the floats are coarser than tol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
+    while (b - a) > tol and a < c < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -442,11 +445,14 @@ def extract_numeric(
     phase; phi_accum as the unwrapped phase span over the grid divided by
     2 pi; S by a second-order central difference of the dB level at the
     peak with step 4 * dense_step.
+
+    Raises OutOfRange when the response is not finite on the grid or the
+    quadrature ERB is not positive.
     """
     betas = grid.samples
     values = _eval_response(response, betas)
     if not np.all(np.isfinite(values)):
-        raise ValueError("response must be finite on the whole grid")
+        raise OutOfRange("response must be finite on the whole grid")
     mag = np.abs(values)
 
     i_pk = int(np.argmax(mag))
@@ -490,6 +496,8 @@ def extract_numeric(
 
     power = (mag / peak_mag) ** 2
     erb = float(_simpson(power, betas))
+    if not erb > 0.0:
+        raise OutOfRange(f"Simpson quadrature gives a non-positive ERB of {erb:g}")
     q_erb = beta_pk / erb
 
     phase = np.unwrap(np.angle(values))

@@ -35,7 +35,15 @@ from .digital import (
 )
 from .errors import GefError, OutOfRange
 from .filterbank import CfMap, bank_to_dict, build_constant_q_bank, uniform_places
-from .harness import _csv, _float_csv, figure_report, sweep, sweep_csv, sweep_json
+from .harness import (
+    _csv,
+    _float_csv,
+    figure_report,
+    response_table,
+    sweep,
+    sweep_csv,
+    sweep_json,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -208,11 +216,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     spec = CharacteristicSpec.from_dict(_load_json(args.spec))
-    tables = figure_report(spec, out_format=args.format)
+    errors = figure_report(spec, out_format=args.format)
     if args.response_out:
+        response = response_table(spec, out_format=args.format)
         with open(args.response_out, "w") as fh:
-            fh.write(tables["response"])
-    _emit(tables["errors"], args.errors_out)
+            fh.write(response)
+    _emit(errors, args.errors_out)
     return EXIT_OK
 
 
@@ -224,6 +233,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--qerb and --n expect comma-separated numbers") from None
     if not q_values or not n_values:
         raise UsageError("--qerb and --n must be non-empty")
+    if not all(0.0 < value < math.inf for value in q_values + n_values):
+        raise UsageError("--qerb and --n values must be positive and finite")
     result = sweep(q_values, n_values)
     text = sweep_json(result) + "\n" if args.format == "json" else sweep_csv(result)
     _emit(text, args.out)

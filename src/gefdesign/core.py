@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleSpec, NonPositiveConstant, ZeroOrderTooLarge
+from .errors import InfeasibleSpec, NonPositiveConstant
 
 # dB per unit natural log of magnitude: level = (20/ln 10) * ln|H|
 DB_PER_LOG = 20.0 / math.log(10.0)
@@ -168,20 +168,6 @@ def eval_v(theta: FilterConstants, beta):
     beta = _as_beta_array(beta)
     log_p, log_c = _log_pole_factors(theta, beta)
     return _maybe_scalar((theta.a_p + 1j * beta) * np.exp(-theta.b_u * (log_p + log_c)))
-
-
-def eval_zero_variant(theta: FilterConstants, c: int, beta):
-    """Evaluate s**c * ((s - p)(s - conj(p)))**(-b_u) with an origin zero of
-    integer order c, 0 <= c < b_u.  Proportionality constant 1.
-    """
-    if int(c) != c or c < 0:
-        raise ValueError(f"zero order must be a non-negative integer, got {c!r}")
-    c = int(c)
-    if c >= theta.b_u:
-        raise ZeroOrderTooLarge(f"zero order {c} must be < b_u = {theta.b_u:g}")
-    beta = _as_beta_array(beta)
-    log_p, log_c = _log_pole_factors(theta, beta)
-    return _maybe_scalar((1j * beta) ** c * np.exp(-theta.b_u * (log_p + log_c)))
 
 
 def wavenumber(theta: FilterConstants, beta):

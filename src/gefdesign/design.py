@@ -330,36 +330,3 @@ def design(spec: CharacteristicSpec, integer_snap: bool = False) -> FilterConsta
                 )
     return theta
 
-
-def ap_options_for_delay_qerb(spec: CharacteristicSpec) -> tuple[float, float]:
-    """Diagnostic: both printed a_p options for the delay + Q_erb trio.
-
-    Returns (from_delay, from_qerb).  design() always uses the first; under
-    the approximate exponent the two disagree, which measures the
-    power-law fit error.
-    """
-    if spec.row is not DesignRow.PEAK_DELAY_QERB:
-        raise InfeasibleSpec("a_p options exist only for the delay + Q_erb trio")
-    theta = design(spec)
-    from_qerb = A_P_FROM["q_erb"](spec.beta_peak, theta.b_u, spec.values["q_erb"], None)
-    return theta.a_p, from_qerb
-
-
-@dataclass(frozen=True)
-class QuadraticPower:
-    """Base quadratic and exponent: (s**2 + c1*s + c0)**exponent, c2 = 1."""
-
-    c1: float
-    c0: float
-    exponent: float
-
-
-def parameterized_tf(spec: CharacteristicSpec) -> QuadraticPower:
-    """Transfer function of the designed filter as a quadratic raised to a
-    power: c1 = 2 a_p, c0 = beta_peak**2 + a_p**2, exponent = -b_u."""
-    theta = design(spec)
-    return QuadraticPower(
-        c1=2.0 * theta.a_p,
-        c0=theta.b_p * theta.b_p + theta.a_p * theta.a_p,
-        exponent=-theta.b_u,
-    )

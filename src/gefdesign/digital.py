@@ -312,11 +312,6 @@ def save_filter(filt: DigitalFilter, path) -> None:
         fh.write("\n")
 
 
-def load_filter(path) -> DigitalFilter:
-    with open(path) as fh:
-        return DigitalFilter.from_dict(json.load(fh))
-
-
 def write_wav(path, signal: SignalBuffer) -> None:
     """Mono 32-bit float WAV, byte for byte what scipy.io.wavfile.write
     writes: an 18-byte fmt chunk (IEEE float, cbSize 0), a fact chunk with
@@ -385,7 +380,8 @@ def read_wav(path) -> SignalBuffer:
     """A WAV file as a mono float signal: channels are averaged and integer
     PCM is scaled to [-1, 1).  Layouts _parse_plain_wav does not take (RF64,
     big-endian RIFX, 24-bit PCM, WAVE_FORMAT_EXTENSIBLE, unknown chunks or a
-    damaged file) go to scipy.io.wavfile.read and its errors."""
+    damaged file) go to scipy.io.wavfile.read and its errors.  A header
+    sample rate of 0 raises OutOfRange."""
     with open(path, "rb") as fh:
         parsed = _parse_plain_wav(fh.read())
     if parsed is None:
@@ -393,6 +389,8 @@ def read_wav(path) -> SignalBuffer:
 
         parsed = wavfile.read(path)
     rate, data = parsed
+    if rate <= 0:
+        raise OutOfRange(f"{path} gives a sample rate of {rate} Hz")
     data = np.asarray(data)
     if data.ndim > 1:
         data = data.mean(axis=1)

@@ -9,10 +9,6 @@ class NonPositiveConstant(GefError):
     """A filter constant that must be strictly positive was not."""
 
 
-class ZeroOrderTooLarge(GefError):
-    """The zero order c must satisfy c < b_u."""
-
-
 class ExponentTooSmallForErb(GefError):
     """ERB expressions need b_u > 1/2."""
 

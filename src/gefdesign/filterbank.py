@@ -59,7 +59,6 @@ def build_constant_q_bank(
     cf_map: CfMap,
     channel_xs: Sequence[float],
     spec: CharacteristicSpec,
-    gains: Sequence[float] | None = None,
 ) -> list[BankChannel]:
     """Design one normalized prototype and place it at each channel.
 
@@ -69,20 +68,11 @@ def build_constant_q_bank(
     """
     if abs(spec.beta_peak - 1.0) > 1e-12:
         raise ValueError("constant-Q banks need a normalized spec (beta_peak = 1)")
-    if gains is not None and len(gains) != len(channel_xs):
-        raise ValueError("gains must match channel_xs in length")
     theta = design(spec)
-    channels = []
-    for i, x in enumerate(channel_xs):
-        channels.append(
-            BankChannel(
-                x=float(x),
-                f_peak=cf_at(cf_map, float(x)),
-                theta=theta,
-                gain=1.0 if gains is None else float(gains[i]),
-            )
-        )
-    return channels
+    return [
+        BankChannel(x=float(x), f_peak=cf_at(cf_map, float(x)), theta=theta)
+        for x in channel_xs
+    ]
 
 
 def uniform_places(cf_map: CfMap, n_channels: int) -> np.ndarray:
@@ -192,30 +182,6 @@ def bank_to_dict(cf_map: CfMap, channels: Sequence[BankChannel]) -> dict:
             }
             for ch in channels
         ],
-    }
-
-
-def bank_from_dict(data: dict) -> tuple[CfMap, list[BankChannel]]:
-    m = data["cf_map"]
-    cf_map = CfMap(cf0=float(m["cf0"]), l=float(m["l"]), x_max=float(m["x_max"]))
-    channels = [
-        BankChannel(
-            x=float(ch["x"]),
-            f_peak=float(ch["f_peak_hz"]),
-            theta=FilterConstants.from_dict(ch["theta"]),
-            gain=float(ch.get("gain", 1.0)),
-        )
-        for ch in data["channels"]
-    ]
-    return cf_map, channels
-
-
-def multiband_to_dict(spec: MultibandSpec) -> dict:
-    return {
-        "bands": [
-            {"f_peak_hz": band.f_peak_hz, "gain": band.gain, "spec": band.spec.as_dict()}
-            for band in spec.bands
-        ]
     }
 
 

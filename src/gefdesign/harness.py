@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-import logging
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -18,8 +18,6 @@ import numpy as np
 from .core import eval_gef, eval_sharp, eval_v
 from .characteristics import (
     CharacteristicReport,
-    DEFAULT_LEVELS_DB,
-    FrequencyGrid,
     closed_form,
     default_grid,
     extract_numeric,
@@ -27,11 +25,7 @@ from .characteristics import (
     relative_errors,
 )
 from .design import CharacteristicSpec, DesignRow, design
-from .errors import GefError
-
-logger = logging.getLogger(__name__)
-
-TARGETS = ("p_sharp", "p", "v")
+from .errors import GefError, OutOfRange
 
 RATIO_KEYS = (
     ("q_erb_over_n", "q_erb", "n_beta"),
@@ -69,6 +63,14 @@ class SweepResult:
         return rows
 
 
+def _designed(spec: CharacteristicSpec):
+    """The constants designed from spec, and their extraction grid.  Every
+    design here goes through this one call, so a spec's SharpnessWarning is
+    shown once per process however many tables are built from it."""
+    theta = design(spec)
+    return theta, default_grid(theta)
+
+
 def _target_responses(theta):
     return {
         "p_sharp": partial(eval_sharp, theta),
@@ -77,11 +79,7 @@ def _target_responses(theta):
     }
 
 
-def evaluate_case(
-    spec: CharacteristicSpec,
-    n_levels=DEFAULT_LEVELS_DB,
-    grid: FrequencyGrid | None = None,
-) -> list[ErrorRecord]:
+def evaluate_case(spec: CharacteristicSpec) -> list[ErrorRecord]:
     """Design a filter, then extract its characteristics numerically from
     the sharp form, the full filter, and the single-zero variant.
 
@@ -90,13 +88,11 @@ def evaluate_case(
     specified trio is reproduced within design tolerances, so the remaining
     characteristics inherit their desired values from the same constants).
     """
-    theta = design(spec)
-    desired = closed_form(theta, n_levels=n_levels)
-    if grid is None:
-        grid = default_grid(theta)
+    theta, grid = _designed(spec)
+    desired = closed_form(theta)
     records = []
     for target, response in _target_responses(theta).items():
-        achieved = extract_numeric(response, grid, n_levels=n_levels)
+        achieved = extract_numeric(response, grid)
         records.append(
             ErrorRecord(
                 target=target,
@@ -105,55 +101,39 @@ def evaluate_case(
                 errors=relative_errors(desired, achieved),
             )
         )
-    _log_v_comparison(records)
     return records
 
 
-def _log_v_comparison(records) -> None:
-    """The zero-variant errors are often at or below the full filter's; that
-    is a recorded observation, not an assertion."""
-    by_target = {record.target: record for record in records}
-    if "p" not in by_target or "v" not in by_target:
-        return
-    p_err, v_err = by_target["p"].errors, by_target["v"].errors
-    shared = sorted(set(p_err) & set(v_err))
-    smaller = [key for key in shared if abs(v_err[key]) <= abs(p_err[key])]
-    logger.info(
-        "zero-variant |error| <= full-filter |error| for %d of %d characteristics: %s",
-        len(smaller),
-        len(shared),
-        ", ".join(smaller) or "none",
-    )
-
-
-def sweep(q_erb_values, n_values, n_levels=DEFAULT_LEVELS_DB) -> SweepResult:
+def sweep(q_erb_values, n_values) -> SweepResult:
     """Error surfaces over desired (Q_erb, N) with beta_peak = 1 throughout.
 
     Each cell designs through the exact delay+Q_erb solve and extracts from
     the full filter.  Cells whose implicit solve has no solution inside the
-    exponent bracket are recorded as None, never as zero.
+    exponent bracket are recorded as None, never as zero.  Raises OutOfRange
+    when an axis value is not positive and finite.
     """
     q_axis = tuple(float(q) for q in q_erb_values)
     n_axis = tuple(float(n) for n in n_values)
-    if any(q <= 0 for q in q_axis) or any(n <= 0 for n in n_axis):
-        raise ValueError("axis values must be positive")
+    if not all(0.0 < value < math.inf for value in q_axis + n_axis):
+        raise OutOfRange(
+            f"sweep axes must be positive and finite, got Q_erb {q_axis} and N {n_axis}"
+        )
 
     cells: dict[tuple[int, int], dict] = {}
     keys: set[str] = set()
     for i, q_erb in enumerate(q_axis):
         for j, n_cyc in enumerate(n_axis):
             try:
-                spec = CharacteristicSpec(
-                    row=DesignRow.PEAK_DELAY_QERB,
-                    beta_peak=1.0,
-                    values={"q_erb": q_erb, "n_cycles": n_cyc},
-                    mode="exact",
+                theta, grid = _designed(
+                    CharacteristicSpec(
+                        row=DesignRow.PEAK_DELAY_QERB,
+                        beta_peak=1.0,
+                        values={"q_erb": q_erb, "n_cycles": n_cyc},
+                        mode="exact",
+                    )
                 )
-                theta = design(spec)
-                achieved = extract_numeric(
-                    partial(eval_gef, theta), default_grid(theta), n_levels=n_levels
-                )
-                errors = relative_errors(closed_form(theta, n_levels=n_levels), achieved)
+                achieved = extract_numeric(partial(eval_gef, theta), grid)
+                errors = relative_errors(closed_form(theta), achieved)
             except GefError:
                 continue
             cells[(i, j)] = errors
@@ -170,7 +150,7 @@ def sweep(q_erb_values, n_values, n_levels=DEFAULT_LEVELS_DB) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# figure-style tables: responses plus per-target error bars
+# figure-style tables: per-target error bars, and responses
 # ---------------------------------------------------------------------------
 
 
@@ -198,36 +178,68 @@ def _float_csv(header, columns) -> str:
     return ",".join(header) + "\n" + "".join(line % row for row in rows)
 
 
-def _with_ratios(flat: dict) -> dict:
-    out = dict(flat)
-    for name, num, den in RATIO_KEYS:
-        if num in flat and den in flat:
-            out[name] = flat[num] / flat[den]
-    return out
+def _ratios(flat: dict) -> dict:
+    """The compound ratios of a flat characteristic map that has their parts."""
+    return {
+        name: flat[num] / flat[den]
+        for name, num, den in RATIO_KEYS
+        if num in flat and den in flat
+    }
 
 
-def figure_report(
-    spec: CharacteristicSpec,
-    out_format: str = "csv",
-    n_levels=DEFAULT_LEVELS_DB,
-) -> dict:
-    """Response and error tables for one designed case.
-
-    Returns {"response": ..., "errors": ...} serialized as CSV or JSON.
-    The response table holds level and phase of the three targets over the
-    extraction grid, each peak-normalized (own maximum level subtracted)
-    and phase-referenced to zero at beta -> 0.  The error table carries the
-    desired value, and per target the achieved value and signed relative
-    error; compound ratios (Q_erb/N, Q_10/N, Q_erb/Q_10) are ratios of the
-    per-target extracted values.
-    """
+def _check_format(out_format: str) -> None:
     if out_format not in ("csv", "json"):
         raise ValueError("out_format must be 'csv' or 'json'")
-    theta = design(spec)
-    grid = default_grid(theta)
-    records = evaluate_case(spec, n_levels=n_levels, grid=grid)
-    by_target = {record.target: record for record in records}
 
+
+def figure_report(spec: CharacteristicSpec, out_format: str = "csv") -> str:
+    """Error table for one designed case, serialized as CSV or JSON.
+
+    It carries the desired value, and per target the achieved value and
+    signed relative error.  The compound ratios (Q_erb/N, Q_10/N,
+    Q_erb/Q_10) are ratios of the per-target extracted values.
+    """
+    _check_format(out_format)
+    records = evaluate_case(spec)
+    desired = numeric_values(records[0].desired)
+    desired.update(_ratios(desired))
+    achieved, errors = {}, {}
+    for record in records:
+        flat = numeric_values(record.achieved)
+        ratios = _ratios(flat)
+        achieved[record.target] = {**flat, **ratios}
+        errors[record.target] = dict(record.errors)
+        errors[record.target].update(
+            (key, (desired[key] - value) / desired[key])
+            for key, value in ratios.items()
+            if key in desired
+        )
+
+    if out_format == "json":
+        return json.dumps(
+            {"desired": desired, "achieved": achieved, "errors": errors}, sort_keys=True
+        )
+    header = ["characteristic", "desired"]
+    for record in records:
+        header += [f"{record.target}_achieved", f"{record.target}_error"]
+    rows = []
+    for key in sorted(desired):
+        row = [key, desired[key]]
+        for record in records:
+            row += [achieved[record.target].get(key), errors[record.target].get(key)]
+        rows.append(row)
+    return _csv(header, rows)
+
+
+def response_table(spec: CharacteristicSpec, out_format: str = "csv") -> str:
+    """Response table for one designed case, serialized as CSV or JSON.
+
+    It holds level and phase of the three targets over the extraction grid,
+    each peak-normalized (own maximum level subtracted) and phase-referenced
+    to zero at beta -> 0.
+    """
+    _check_format(out_format)
+    theta, grid = _designed(spec)
     betas = grid.samples
     columns = {"beta": betas}
     for target, response in _target_responses(theta).items():
@@ -238,53 +250,12 @@ def figure_report(
         columns[f"{target}_level_db"] = level - level.max()
         columns[f"{target}_phase_rad"] = phase - phase_zero
 
-    desired_flat = _with_ratios(numeric_values(by_target["p"].desired))
-    achieved_flat = {
-        target: _with_ratios(numeric_values(by_target[target].achieved))
-        for target in TARGETS
-    }
-    error_header = ["characteristic", "desired"]
-    for target in TARGETS:
-        error_header += [f"{target}_achieved", f"{target}_error"]
-    error_rows = []
-    for key in sorted(desired_flat):
-        row = [key, desired_flat[key]]
-        for target in TARGETS:
-            achieved = achieved_flat[target].get(key)
-            error = (
-                None
-                if achieved is None
-                else (desired_flat[key] - achieved) / desired_flat[key]
-            )
-            row += [achieved, error]
-        error_rows.append(tuple(row))
-
-    if out_format == "csv":
-        return {
-            "response": _float_csv(list(columns), columns.values()),
-            "errors": _csv(error_header, error_rows),
-        }
-    return {
-        "response": json.dumps(
+    if out_format == "json":
+        return json.dumps(
             {name: [float(x) for x in col] for name, col in columns.items()},
             sort_keys=True,
-        ),
-        "errors": json.dumps(
-            {
-                "desired": desired_flat,
-                "achieved": achieved_flat,
-                "errors": {
-                    target: {
-                        key: (desired_flat[key] - value) / desired_flat[key]
-                        for key, value in achieved_flat[target].items()
-                        if key in desired_flat
-                    }
-                    for target in TARGETS
-                },
-            },
-            sort_keys=True,
-        ),
-    }
+        )
+    return _float_csv(list(columns), columns.values())
 
 
 def sweep_csv(result: SweepResult) -> str:

@@ -18,6 +18,7 @@ from gefdesign import (
 from gefdesign import characteristics
 from gefdesign.characteristics import (
     FrequencyGrid,
+    _golden_max,
     _level_crossing,
     _simpson,
     erb_closed_form,
@@ -300,6 +301,14 @@ class TestLevelCrossing:
         # both scalar levels on one side of the target: no bracket for Brent
         assert _level_crossing(lambda beta: -beta, target, 1.0, 2.0) == nearer
         assert _level_crossing(lambda beta: -beta, target, 2.0, 1.0) == nearer
+
+
+class TestGoldenMax:
+    def test_stops_where_floats_are_coarser_than_tol(self):
+        # near 1e7 adjacent floats are 1.9e-9 apart, so the bracket can never
+        # narrow to 1e-10
+        peak = _golden_max(lambda beta: -(beta - 1e7) ** 2, 1e7 - 10.0, 1e7 + 10.0, tol=1e-10)
+        assert peak == pytest.approx(1e7, abs=1e-8)
 
 
 class TestErbQuadratureAgainstGammaRatio:

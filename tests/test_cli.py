@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gefdesign.cli import run
-from gefdesign.digital import SignalBuffer, apply_sos, load_filter, read_wav, write_wav
+from gefdesign.digital import DigitalFilter, SignalBuffer, apply_sos, read_wav, write_wav
 
 N_SHARP6_TEXT = "19.098593171027442"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_json(path):
@@ -20,6 +26,26 @@ def read_json(path):
 def error_type(capsys):
     """The type named by the one JSON error object on stderr."""
     return json.loads(capsys.readouterr().err)["error"]["type"]
+
+
+def run_captured(argv):
+    """run(argv) with stdout and stderr captured: the exit code, stdout, and
+    the JSON error lines on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    errors = [json.loads(line) for line in err.getvalue().splitlines()
+              if line.startswith('{"error"')]
+    return code, out.getvalue(), errors
+
+
+def write_float_wav(path, rate, samples):
+    """A mono 32-bit float WAV whose header gives this sample rate."""
+    data = np.asarray(samples, dtype="<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, rate, 4 * rate, 4, 32)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 @pytest.fixture
@@ -220,6 +246,31 @@ class TestBadInputFiles:
         assert run(["analyze", "--constants", str(constants)]) == 3
         assert error_type(capsys) == "InfeasibleSpec"
 
+    @pytest.mark.parametrize("constants", [
+        # exp overflows in eval_gef on the extraction grid
+        {"a_p": 0.001, "b_p": 1, "b_u": 200},
+        # the non-uniform Simpson weights where the log tail meets the dense
+        # window take the quadrature ERB below zero
+        {"a_p": 1.3859e-4, "b_p": 103.42, "b_u": 0.886},
+        # the peak sits below the grid's beta_min of 1e-3
+        {"a_p": 0.05, "b_p": 5e-4, "b_u": 6},
+    ])
+    def test_analyze_unextractable_constants_exits_3(self, tmp_path, capsys, constants):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(constants))
+        assert run(["analyze", "--constants", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+
+    def test_analyze_peak_beyond_golden_section_resolution(self, tmp_path, capsys):
+        # floats near b_p = 1e7 are coarser than the peak search's 1e-10 tolerance
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"a_p": 1000, "b_p": 1e7, "b_u": 4}))
+        assert run(["analyze", "--constants", str(path)]) == 0
+        numeric = json.loads(capsys.readouterr().out)["numeric"]
+        assert numeric["beta_peak"] == pytest.approx(1e7, rel=1e-8)
+
     def test_analyze_tiny_exponent_exits_3(self, tmp_path, capsys):
         constants = tmp_path / "c.json"
         constants.write_text(json.dumps({"a_p": 0.05, "b_p": 1.0, "b_u": 0.001}))
@@ -258,6 +309,35 @@ class TestEvaluateCommand:
         assert header.startswith("characteristic,desired,p_sharp_achieved")
         assert response_path.read_text().splitlines()[0].startswith("beta,")
 
+    def test_response_table_only_on_request(self, tmp_path, constants_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("response table built without --response-out")
+
+        monkeypatch.setattr("gefdesign.cli.response_table", refuse)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(read_json(constants_file)["spec"]))
+        errors_path = tmp_path / "errors.csv"
+        assert run(["evaluate", "--spec", str(spec_path), "--errors-out", str(errors_path)]) == 0
+        assert errors_path.read_text().startswith("characteristic,desired,")
+
+    @pytest.mark.parametrize("n_cycles, response_out, code", [
+        (1.5, False, 3),  # a_p = 1 / pi: no 10 dB crossing below the peak
+        (3.0, False, 0),  # a_p = 1 / (2 pi)
+        (3.0, True, 0),
+    ])
+    def test_sharpness_warning_printed_once(self, tmp_path, n_cycles, response_out, code):
+        spec = {"row": "II.1", "beta_peak": 1, "n_cycles": n_cycles, "phi_accum": 3}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["evaluate", "--spec", "spec.json", "--errors-out", "errors.csv"]
+        if response_out:
+            argv += ["--response-out", "response.csv"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "gefdesign.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.count("SharpnessWarning") == 1, proc.stderr
+
 
 class TestSweepCommand:
     def test_csv_output(self, capsys):
@@ -269,6 +349,17 @@ class TestSweepCommand:
 
     def test_bad_axis_exits_2(self):
         assert run(["sweep", "--qerb", "20,nope", "--n", "15"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--qerb", "nan", "--n", "15"],
+        ["--qerb", "20", "--n", "inf", "--format", "json"],
+        ["--qerb", "-1", "--n", "15"],
+    ])
+    def test_non_finite_or_non_positive_axis_exits_2(self, capsys, argv):
+        assert run(["sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "UsageError"
 
 
 class TestBankCommand:
@@ -390,6 +481,17 @@ class TestDiscretizeAndFilter:
         assert error_type(capsys) == "OutOfRange"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("route", ["sos", "fft"])
+    def test_zero_rate_wav_exits_3(self, tmp_path, constants_file, sos_file, capsys, route):
+        infile = tmp_path / "in.wav"
+        write_float_wav(infile, 0, [0.0, 0.5, -0.5, 0.25])
+        source = (["--sos", str(sos_file)] if route == "sos" else
+                  ["--fft", "--constants", str(constants_file), "--peak-hz", "1000"])
+        capsys.readouterr()
+        assert run(["filter", *source, str(infile), str(tmp_path / "out.wav")]) == 3
+        assert error_type(capsys) == "OutOfRange"
+        assert not (tmp_path / "out.wav").exists()
+
     def test_nyquist_violation_exits_3(self, constants_file):
         rc = run(["discretize", "--constants", str(constants_file),
                   "--peak-hz", "30000", "--fs", "48000"])
@@ -465,11 +567,9 @@ class TestImportPath:
     """Only `filter` needs scipy, for its compiled cascade loop alone;
     everything else runs on numpy."""
 
-    SRC = Path(__file__).resolve().parents[1] / "src"
-
     def _python(self, code, cwd):
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                               capture_output=True, text=True, timeout=120)
 
@@ -499,7 +599,8 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout)  # the packages, not the kernel's own module
         assert "scipy.signal" not in loaded and "scipy.io" not in loaded
-        expected = apply_sos(load_filter(tmp_path / "sos.json"), read_wav(tmp_path / "in.wav"))
+        expected = apply_sos(DigitalFilter.from_dict(read_json(tmp_path / "sos.json")),
+                             read_wav(tmp_path / "in.wav"))
         written = read_wav(tmp_path / "out.wav").samples
         assert np.array_equal(written, expected.samples.astype(np.float32))
 
@@ -530,3 +631,49 @@ class TestImportPath:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0] * len(calls), proc.stderr
+
+
+LOG_UNIFORM = st.floats(-6.0, 6.0).map(lambda exponent: 10.0 ** exponent)
+AXIS_VALUE = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-300", "1e300"]),
+    st.floats(5.0, 60.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+AXIS = st.lists(AXIS_VALUE, min_size=1, max_size=2).map(",".join)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+class TestCliProperties:
+    """Random input through run(): every call exits with a documented code,
+    raises nothing, and prints one JSON error exactly when it fails."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("properties")
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(a_p=LOG_UNIFORM, b_p=LOG_UNIFORM, b_u=LOG_UNIFORM)
+    def test_random_constants_files(self, workdir, a_p, b_p, b_u):
+        path = workdir / "c.json"
+        path.write_text(json.dumps({"a_p": a_p, "b_p": b_p, "b_u": b_u}))
+        for argv in (
+            ["analyze", "--constants", str(path)],
+            ["discretize", "--constants", str(path), "--peak-hz", "1000", "--fs", "48000"],
+            ["response", "--constants", str(path), "--peak-hz", "1000",
+             "--fmin", "50", "--fmax", "5000", "--points", "16"],
+        ):
+            code, _, errors = run_captured(argv)
+            assert code in (0, 2, 3, 4), argv
+            assert len(errors) == (code != 0), argv
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(qerb=AXIS, n=AXIS)
+    def test_random_sweep_axes(self, qerb, n):
+        code, out, errors = run_captured(["sweep", f"--qerb={qerb}", f"--n={n}", "--format", "json"])
+        assert code in (0, 2, 3, 4)
+        assert len(errors) == (code != 0)
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)

@@ -10,7 +10,6 @@ from gefdesign import (
     eval_gef,
     eval_sharp,
     eval_v,
-    eval_zero_variant,
     group_delay_cycles,
     level_db,
     normalized_to_peak,
@@ -20,7 +19,7 @@ from gefdesign import (
     wavenumber,
 )
 from gefdesign.core import DB_PER_LOG, _brentq
-from gefdesign.errors import InfeasibleSpec, NonPositiveConstant, ZeroOrderTooLarge
+from gefdesign.errors import InfeasibleSpec, NonPositiveConstant
 
 LN10 = math.log(10.0)
 
@@ -150,27 +149,6 @@ class TestEvalV:
     def test_real_at_dc(self, theta_wide7):
         value = eval_v(theta_wide7, 0.0)
         assert value.imag == pytest.approx(0.0, abs=1e-15)
-
-
-class TestZeroVariant:
-    def test_order_zero_equals_base_filter(self, theta_sharp6):
-        for beta in (0.1, 0.9, 1.0, 2.4):
-            assert eval_zero_variant(theta_sharp6, 0, beta) == pytest.approx(
-                eval_gef(theta_sharp6, beta), rel=1e-12
-            )
-
-    def test_zero_at_origin(self, theta_sharp6):
-        assert eval_zero_variant(theta_sharp6, 1, 0.0) == 0.0
-
-    def test_order_must_stay_below_exponent(self, theta_sharp6):
-        with pytest.raises(ZeroOrderTooLarge):
-            eval_zero_variant(theta_sharp6, 7, 1.0)
-        with pytest.raises(ZeroOrderTooLarge):
-            eval_zero_variant(theta_sharp6, 6, 1.0)
-
-    def test_order_must_be_non_negative_integer(self, theta_sharp6):
-        with pytest.raises(ValueError):
-            eval_zero_variant(theta_sharp6, -1, 1.0)
 
 
 class TestWavenumber:

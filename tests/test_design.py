@@ -14,10 +14,8 @@ from gefdesign import (
     SharpnessWarning,
     closed_form,
     design,
-    parameterized_tf,
 )
 from gefdesign.design import (
-    ap_options_for_delay_qerb,
     qerb_delay_approx_exponent,
     qerb_over_delay,
     qn_over_delay,
@@ -335,46 +333,3 @@ class TestSharpnessWarning:
             design(spec_for(DesignRow.PEAK_DELAY_PHASE, 1.0,
                             {"n_cycles": N_SHARP6, "phi_accum": 3.0}))
 
-
-class TestParameterizedTf:
-    def test_delay_phase_quadratic(self):
-        tf = parameterized_tf(spec_for(DesignRow.PEAK_DELAY_PHASE, 1.0,
-                                       {"n_cycles": N_SHARP6, "phi_accum": 3.0}))
-        assert tf.c1 == pytest.approx(0.1, rel=1e-9)
-        assert tf.c0 == pytest.approx(1.0025, rel=1e-9)
-        assert tf.exponent == pytest.approx(-6.0, rel=1e-12)
-
-    def test_convexity_delay_equivalent(self, theta_sharp6):
-        report = closed_form(theta_sharp6)
-        tf1 = parameterized_tf(spec_for(DesignRow.PEAK_DELAY_PHASE, 1.0,
-                                        {"n_cycles": report.n_beta, "phi_accum": 3.0}))
-        tf5 = parameterized_tf(spec_for(DesignRow.PEAK_CONVEXITY_DELAY, 1.0,
-                                        {"s_beta": report.s_beta, "n_cycles": report.n_beta}))
-        assert tf5.c1 == pytest.approx(tf1.c1, abs=1e-9)
-        assert tf5.c0 == pytest.approx(tf1.c0, abs=1e-9)
-        assert tf5.exponent == pytest.approx(tf1.exponent, abs=1e-9)
-
-    def test_vieta_expansion(self, theta_wide7):
-        report = closed_form(theta_wide7)
-        spec = spec_for(DesignRow.PEAK_QERB_PHASE, 1.0,
-                        {"q_erb": report.q_erb, "phi_accum": report.phi_accum})
-        theta = design(spec)
-        tf = parameterized_tf(spec)
-        assert tf.c1 == pytest.approx(2.0 * theta.a_p, rel=1e-12)
-        assert tf.c0 == pytest.approx(theta.b_p**2 + theta.a_p**2, rel=1e-12)
-
-
-class TestApOptions:
-    def test_options_disagree_under_approx_exponent(self, theta_sharp6):
-        report = closed_form(theta_sharp6)
-        spec = spec_for(DesignRow.PEAK_DELAY_QERB, 1.0,
-                        {"n_cycles": report.n_beta, "q_erb": report.q_erb}, mode="approx")
-        from_delay, from_qerb = ap_options_for_delay_qerb(spec)
-        assert from_delay != pytest.approx(from_qerb, rel=1e-3)
-
-    def test_options_agree_under_exact_exponent(self, theta_sharp6):
-        report = closed_form(theta_sharp6)
-        spec = spec_for(DesignRow.PEAK_DELAY_QERB, 1.0,
-                        {"n_cycles": report.n_beta, "q_erb": report.q_erb}, mode="exact")
-        from_delay, from_qerb = ap_options_for_delay_qerb(spec)
-        assert from_delay == pytest.approx(from_qerb, rel=1e-6)

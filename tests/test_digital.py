@@ -22,7 +22,6 @@ from gefdesign.digital import (
     DigitalFilter,
     SignalBuffer,
     _bilinear_all_pole,
-    load_filter,
     read_signal_csv,
     read_wav,
     save_filter,
@@ -316,7 +315,7 @@ class TestDigitalFilterType:
     def test_json_round_trip(self, filt_sharp6, tmp_path):
         path = tmp_path / "filter.json"
         save_filter(filt_sharp6, path)
-        loaded = load_filter(path)
+        loaded = DigitalFilter.from_dict(json.loads(path.read_text()))
         assert loaded.sections == filt_sharp6.sections
         assert loaded.sample_rate == filt_sharp6.sample_rate
         assert loaded.f_peak == filt_sharp6.f_peak
