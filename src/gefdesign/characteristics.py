@@ -335,9 +335,11 @@ def closed_form(
 
 
 def _eval_response(response: Callable, betas: np.ndarray) -> np.ndarray:
-    """Evaluate a frequency response on the grid, vectorized when possible."""
+    """Evaluate a frequency response on the grid, vectorized when possible;
+    an overflow gives a non-finite value, not a warning."""
     try:
-        values = np.asarray(response(betas), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(response(betas), dtype=complex)
         if values.shape == betas.shape:
             return values
     except (TypeError, ValueError):

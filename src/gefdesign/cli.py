@@ -296,7 +296,10 @@ def _cmd_response(args) -> int:
         if not 0.0 < args.peak_hz < math.inf:
             raise OutOfRange(f"--peak-hz must be positive and finite, got {args.peak_hz!r}")
         theta = _constants_from_args(args)
-        values = np.asarray(eval_gef(theta, freqs / args.peak_hz))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(eval_gef(theta, freqs / args.peak_hz))
+        if not np.all(np.isfinite(values)):
+            raise OutOfRange(f"the response of {theta} is not finite from --fmin to --fmax")
     columns = (freqs, values.real, values.imag, 20.0 * np.log10(np.abs(values)),
                np.unwrap(np.angle(values)))
     _emit(_float_csv(("f_hz", "re", "im", "level_db", "phase_rad"), columns), args.out)

@@ -3,8 +3,11 @@
 Integer exponents become a cascade of b_u identical biquad sections via the
 bilinear transform, prewarped so the digital magnitude peak lands exactly
 on the requested peak frequency.  Non-integer exponents are supported
-through FFT-domain filtering with the analog response sampled at bin
-frequencies.
+through FFT-domain filtering: the analog response is sampled at the bins of
+a block whose length follows the impulse response's decay, and the signal
+is filtered block by block (overlap-add), so memory stays near the signal's
+own and the output drifts from one whole-signal transform by about 1e-12
+of its peak at most.
 """
 
 from __future__ import annotations
@@ -265,22 +268,88 @@ def _sosfilt_kernel():
     return getattr(module, "_sosfilt", None)
 
 
+# The kernel of an nb-point block passes when the middle half of
+# irfft(H, nb) holds at most this share of its energy.
+_ALIAS_ENERGY = 1e-24
+# Time constants of the impulse-response envelope past its peak in the first
+# guess at the kernel length.
+_DECAY_CONSTANTS = 40.0
+# Shortest block: below it the Python loop costs more than the transforms.
+_MIN_BLOCK = 4096
+
+
+def _block_response(theta: FilterConstants, f_peak: float, fs: float, n: int):
+    """Block size nb for apply_fft on n samples, and the analog response
+    sampled on its rfft grid.
+
+    The kernel irfft(H, nb) holds the causal impulse response in its first
+    quarter and, in its last quarter, the pre-ringing from cutting the
+    response off at fs/2.  The response decays like t**(b_u - 1) exp(-r t)
+    with r = 2 pi a_p f_peak / (peak_beta fs) per sample, so the first guess
+    at the kernel length is that envelope's peak, (b_u - 1) / r, plus 40 time
+    constants 1 / r; nb starts at the power of two at or above four times
+    that, and at least 4096, and doubles until the middle half of the kernel
+    holds at most 1e-24 of its energy.  nb is capped at the power of two at
+    or above 2 n, where one block takes the whole signal.  A kernel that does
+    not decay (short signals, or a small b_u whose response is far from 0 at
+    fs/2) ends there, at once when a doubling cuts the middle's energy less
+    than fourfold.
+    Raises OutOfRange when the sampled response is not finite.
+    """
+    nfft = 1 << (2 * n - 1).bit_length()
+    scale = _bandpass_peak(theta) / f_peak
+    # four times the kernel length in samples; r could underflow to 0, so 1 / r
+    # is formed directly (it may overflow to inf, which reaches the cap)
+    span = 4.0 * (max(theta.b_u - 1.0, 0.0) + _DECAY_CONSTANTS) * (
+        scale * fs / (2.0 * math.pi * theta.a_p))
+    nb = min(_MIN_BLOCK, nfft)
+    while nb < nfft and nb < span:
+        nb *= 2
+    previous = math.inf
+    while True:
+        freqs = np.fft.rfftfreq(nb, d=1.0 / fs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            response = np.asarray(eval_gef(theta, freqs * scale))
+        if not np.all(np.isfinite(response)):
+            raise OutOfRange(f"the response of {theta} at f_peak = {f_peak:g} Hz is not finite")
+        if nb == nfft:
+            return nb, response
+        energy = np.square(np.fft.irfft(response, nb))
+        middle = energy[nb // 4:3 * nb // 4].sum()
+        if middle <= _ALIAS_ENERGY * energy.sum():
+            return nb, response
+        # a middle that falls less than fourfold per doubling is the 1/nb
+        # tail of the cut at fs/2, which goes on until the cap
+        nb = 2 * nb if 4.0 * middle < previous else nfft
+        previous = middle
+
+
 def apply_fft(
     theta: FilterConstants, f_peak: float, fs: float, signal: SignalBuffer
 ) -> SignalBuffer:
-    """Filter by multiplying the signal spectrum with the analog response.
+    """Filter by multiplying the signal spectrum with the analog response,
+    block by block (overlap-add).
 
-    Works for any positive exponent, including non-integer b_u.  The signal
-    is zero-padded to the next power of two at least twice its length; the
-    analog response is sampled at the bin frequencies and applied to the
-    one-sided spectrum, so the output is exactly real.
+    Works for any positive exponent, including non-integer b_u.  The analog
+    response H is sampled once at the rfft bins of an nb-point block (see
+    _block_response for how nb follows the impulse response's decay).  The
+    signal goes through in hops of nb/2 samples, each zero-padded to nb,
+    multiplied by H and transformed back; the block's first three quarters
+    are added in place from the hop's start and its last quarter, the
+    pre-ringing, just before it.  The output is exactly real and as long as
+    the input.  Against one transform of the whole signal the blocks drift
+    by about 1e-12 of max|y| at most (the kernel's middle half holds at most
+    1e-24 of its energy); when nb reaches its cap, one block is that
+    transform and the output is the same bit for bit.  Memory is the output
+    plus a few blocks.
 
     Bin k maps to beta = peak_beta(theta) * f_k / f_peak: the response is
     placed so its magnitude peak sits exactly at f_peak, matching the
     cascade realization from to_sos (the magnitude peak sits slightly below
     b_p in beta, so the naive f/f_peak mapping would misplace the filter by
     about a_p**2/2 relative).  Gain follows theta.gain; combine with
-    normalized_to_peak for a unit-peak filter.
+    normalized_to_peak for a unit-peak filter.  Raises OutOfRange when the
+    sampled response is not finite.
     """
     _check_rates(f_peak, fs)
     if signal.sample_rate != fs:
@@ -291,14 +360,17 @@ def apply_fft(
     n = x.size
     if n == 0:
         return SignalBuffer(sample_rate=fs, samples=x.copy())
-    nfft = 1
-    while nfft < 2 * n:
-        nfft *= 2
-    spectrum = np.fft.rfft(x, nfft)
-    freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
-    response = np.asarray(eval_gef(theta, freqs * (_bandpass_peak(theta) / f_peak)))
-    out = np.fft.irfft(spectrum * response, nfft)[:n]
-    return SignalBuffer(sample_rate=fs, samples=out)
+    nb, response = _block_response(theta, f_peak, fs, n)
+    hop, lead = nb // 2, nb // 4
+    # out[i] is output sample i - lead; -0.0 is the additive identity, so a
+    # single block comes out bit for bit
+    out = np.full(lead + n, -0.0)
+    for start in range(0, n, hop):
+        block = np.fft.irfft(np.fft.rfft(x[start:start + hop], nb) * response, nb)
+        out[start:start + lead] += block[nb - lead:]
+        stop = min(start + nb, lead + n)
+        out[start + lead:stop] += block[:stop - start - lead]
+    return SignalBuffer(sample_rate=fs, samples=out[lead:])
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,7 @@ class TestBadInputFiles:
         # the peak sits below the grid's beta_min of 1e-3
         {"a_p": 0.05, "b_p": 5e-4, "b_u": 6},
     ])
+    @pytest.mark.filterwarnings("error")
     def test_analyze_unextractable_constants_exits_3(self, tmp_path, capsys, constants):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(constants))
@@ -492,6 +493,20 @@ class TestDiscretizeAndFilter:
         assert error_type(capsys) == "OutOfRange"
         assert not (tmp_path / "out.wav").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_fft_route_non_finite_response_exits_3(self, tmp_path, capsys):
+        # |P| near the peak is about 0.002**-200, which overflows
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps({"a_p": 0.001, "b_p": 1, "b_u": 200}))
+        infile = tmp_path / "in.wav"
+        write_wav(infile, SignalBuffer(48000.0, np.ones(48000)))
+        capsys.readouterr()
+        rc = run(["filter", "--fft", "--constants", str(constants), "--peak-hz", "1000",
+                  str(infile), str(tmp_path / "out.wav")])
+        assert rc == 3
+        assert error_type(capsys) == "OutOfRange"
+        assert not (tmp_path / "out.wav").exists()
+
     def test_nyquist_violation_exits_3(self, constants_file):
         rc = run(["discretize", "--constants", str(constants_file),
                   "--peak-hz", "30000", "--fs", "48000"])
@@ -529,6 +544,17 @@ class TestResponseCommand:
                   ["--constants", str(constants_file), "--peak-hz", "1000"])
         capsys.readouterr()
         rc = run(["response", *source, "--fmin", fmin, "--fmax", fmax, "--points", "3"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_response_exits_3(self, tmp_path, capsys):
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps({"a_p": 0.001, "b_p": 1, "b_u": 200}))
+        rc = run(["response", "--constants", str(constants), "--peak-hz", "1000",
+                  "--fmin", "900", "--fmax", "1100", "--points", "5"])
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import chirp
 
 from gefdesign import (
@@ -14,6 +17,7 @@ from gefdesign import (
     eval_gef,
     extract_numeric,
     normalized_to_peak,
+    peak_beta,
     to_sos,
 )
 from gefdesign import digital
@@ -22,6 +26,7 @@ from gefdesign.digital import (
     DigitalFilter,
     SignalBuffer,
     _bilinear_all_pole,
+    _block_response,
     read_signal_csv,
     read_wav,
     save_filter,
@@ -48,6 +53,22 @@ def filt_sharp6():
 
 def rms(x):
     return float(np.sqrt(np.mean(np.square(x))))
+
+
+def single_transform(theta, f_peak, fs, x):
+    """FFT filtering of the whole signal in one transform zero-padded to the
+    power of two at or above twice its length: the reference for apply_fft."""
+    nfft = 1
+    while nfft < 2 * x.size:
+        nfft *= 2
+    spectrum = np.fft.rfft(x, nfft)
+    freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
+    response = np.asarray(eval_gef(theta, freqs * (peak_beta(theta) / f_peak)))
+    return np.fft.irfft(spectrum * response, nfft)[:x.size]
+
+
+def noise(n, seed=0):
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 class TestToSos:
@@ -300,6 +321,88 @@ class TestApplyFft:
     def test_non_finite_or_non_positive_rates_rejected(self, theta_sharp6, f_peak, fs):
         with pytest.raises(OutOfRange):
             apply_fft(theta_sharp6, f_peak, fs, SignalBuffer(fs, np.zeros(16)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_response_rejected(self):
+        # |P| near the peak is about (2 a_p b_p)**(-b_u) = 0.002**-200, which
+        # overflows on bins within 3 Hz of it
+        with pytest.raises(OutOfRange):
+            apply_fft(FilterConstants(0.001, 1.0, 200.0), F_PEAK, FS, SignalBuffer(FS, np.ones(4800)))
+
+
+# sharp enough that the blocks are far shorter than a long signal
+THETA_BLOCKS = normalized_to_peak(FilterConstants(0.05, 1.0, 6.5))
+
+
+def block_size(n, theta=THETA_BLOCKS, f_peak=F_PEAK):
+    return _block_response(theta, f_peak, FS, n)[0]
+
+
+def cap(n):
+    """The longest block apply_fft uses on n samples: one transform of all."""
+    return 1 << (2 * n - 1).bit_length()
+
+
+class TestApplyFftBlocks:
+    """apply_fft against one transform of the whole signal."""
+
+    def assert_matches_single_transform(self, theta, f_peak, x):
+        y = apply_fft(theta, f_peak, FS, SignalBuffer(FS, x)).samples
+        y_ref = single_transform(theta, f_peak, FS, x)
+        assert y.size == x.size
+        assert np.all(np.isfinite(y))
+        assert np.max(np.abs(y - y_ref), initial=0.0) <= 1e-10 * np.max(np.abs(y_ref), initial=0.0)
+        if x.size and block_size(x.size, theta, f_peak) == cap(x.size):
+            assert y.tobytes() == y_ref.tobytes()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        ratio=st.floats(0.005, 0.19),
+        b_u=st.floats(1.0, 20.0),
+        f_peak=st.floats(20.0, 0.45 * FS),
+        n=st.integers(0, 2**18),
+    )
+    def test_matches_single_transform(self, ratio, b_u, f_peak, n):
+        theta = normalized_to_peak(FilterConstants(ratio, 1.0, b_u))
+        self.assert_matches_single_transform(theta, f_peak, noise(n, seed=n))
+
+    def test_empty_signal(self):
+        out = apply_fft(THETA_BLOCKS, F_PEAK, FS, SignalBuffer(FS, np.zeros(0)))
+        assert out.samples.size == 0
+
+    def test_one_sample(self):
+        self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, np.array([0.75]))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_lengths_around_a_multiple_of_the_hop(self, offset):
+        hop = block_size(2**20) // 2
+        n = 5 * hop + offset
+        assert block_size(n) == 2 * hop < cap(n)
+        self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, noise(n))
+
+    def test_lengths_around_the_cap(self):
+        nb = block_size(2**20)
+        n = nb // 2  # the longest signal whose cap is the kernel's own block
+        assert block_size(n) == cap(n) == nb
+        self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, noise(n))
+        assert block_size(n + 1) == nb < cap(n + 1)
+        self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, noise(n + 1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_decay_rate_underflow(self):
+        # r = 2 pi a_p f_peak / (peak_beta fs) underflows to 0
+        out = apply_fft(FilterConstants(5e-324, 1.0, 2.5), 1e-300, FS, SignalBuffer(FS, noise(5000)))
+        assert np.all(np.isfinite(out.samples))
+
+    def test_memory_stays_near_the_signal(self):
+        x = SignalBuffer(FS, noise(2**21))
+        tracemalloc.start()
+        try:
+            apply_fft(THETA_BLOCKS, F_PEAK, FS, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.samples.nbytes
 
 
 class TestDigitalFilterType:
