@@ -4,60 +4,51 @@ Design IIR bandpass filters directly from trios of frequency-domain
 characteristics (peak frequency, quality factors, group delay, phase
 accumulation, convexity), evaluate and discretize them, and audit the
 designs by numerically re-extracting the characteristics.
+
+The package loads each submodule the first time one of its names is looked
+up.  ``scalar`` holds the filter constants and the scalar characteristic
+maps, and ``design`` the inverse maps; both run on the standard library
+alone, so designing a filter does not import numpy.  ``core`` (response
+evaluation), ``characteristics`` (closed forms and numeric extraction),
+``digital``, ``filterbank`` and ``harness`` need numpy.
 """
+
+import importlib
+
+from . import errors
+from .design import design  # binds the function over the submodule of the same name
 
 __version__ = "0.1.0"
 
-from .core import (
-    FilterConstants,
-    SharpnessReport,
-    eval_gef,
-    eval_sharp,
-    eval_v,
-    group_delay_cycles,
-    level_db,
-    normalized_to_peak,
-    peak_beta,
-    phase_rad,
-    sharpness_check,
-    wavenumber,
-)
-from .characteristics import (
-    CharacteristicReport,
-    FrequencyGrid,
-    closed_form,
-    default_grid,
-    extract_numeric,
-    qerb_approx,
-    relative_errors,
-)
-from .design import (
-    CharacteristicSpec,
-    DesignRow,
-    SharpnessWarning,
-    design,
-)
-from .digital import (
-    DigitalFilter,
-    SignalBuffer,
-    apply_fft,
-    apply_sos,
-    digital_response,
-    to_sos,
-)
-from .filterbank import (
-    BankChannel,
-    CfMap,
-    MultibandBand,
-    MultibandSpec,
-    build_constant_q_bank,
-    cf_at,
-    channel_response,
-    crosstalk_report,
-    multiband_response,
-)
-from .harness import ErrorRecord, SweepResult, evaluate_case, figure_report, sweep
-from . import errors
+# the public names each submodule defines
+_EXPORTS = {
+    "scalar": ("FilterConstants", "SharpnessReport", "sharpness_check"),
+    "core": ("eval_gef", "eval_sharp", "eval_v", "group_delay_cycles", "level_db",
+             "normalized_to_peak", "peak_beta", "phase_rad", "wavenumber"),
+    "characteristics": ("CharacteristicReport", "FrequencyGrid", "closed_form",
+                        "default_grid", "extract_numeric", "qerb_approx",
+                        "relative_errors"),
+    "design": ("CharacteristicSpec", "DesignRow", "SharpnessWarning"),
+    "digital": ("DigitalFilter", "SignalBuffer", "apply_fft", "apply_sos",
+                "digital_response", "to_sos"),
+    "filterbank": ("BankChannel", "CfMap", "MultibandBand", "MultibandSpec",
+                   "build_constant_q_bank", "cf_at", "channel_response",
+                   "crosstalk_report", "multiband_response"),
+    "harness": ("ErrorRecord", "SweepResult", "evaluate_case", "figure_report", "sweep"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "__version__",

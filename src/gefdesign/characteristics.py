@@ -20,7 +20,17 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import DB_PER_LOG, TWO_PI, FilterConstants, _brentq
+from .scalar import (
+    CHARACTERISTIC,
+    DB_PER_LOG,
+    QERB_FIT_A,
+    QERB_FIT_B,
+    TWO_PI,
+    FilterConstants,
+    _brentq,
+    _erb,
+    level_factor,
+)
 from .errors import (
     ApproximationDomain,
     ExponentTooSmallForErb,
@@ -29,10 +39,6 @@ from .errors import (
     NoInteriorPeak,
     OutOfRange,
 )
-
-# empirical power-law fit constants for Q_erb, valid for b_u >= 3/2
-QERB_FIT_A = 0.418
-QERB_FIT_B = 1.02
 
 DEFAULT_LEVELS_DB = (3.0, 10.0)
 
@@ -196,64 +202,6 @@ def numeric_values(report: CharacteristicReport) -> dict:
         for key, value in report.as_dict().items()
         if isinstance(value, float) and not key.startswith("grid_")
     }
-
-
-SQRT_PI = math.sqrt(math.pi)
-
-
-def gamma_ratio(b_u: float) -> float:
-    """Gamma(b_u) / Gamma(b_u - 1/2) via log-gamma, so large exponents stay
-    finite."""
-    return math.exp(math.lgamma(b_u) - math.lgamma(b_u - 0.5))
-
-
-def level_factor(n_db: float, b_u: float) -> float:
-    """Half the n-dB bandwidth in units of a_p: sqrt(10**(n/(10 b_u)) - 1).
-
-    Raises OutOfRange when that is not a positive finite float: the power
-    overflows for b_u below about n / 3083 and rounds to 1 for b_u above
-    about 2e15 n.
-    """
-    try:
-        factor = math.sqrt(10.0 ** (n_db / (10.0 * b_u)) - 1.0)
-    except OverflowError:
-        factor = math.inf
-    if not 0.0 < factor < math.inf:
-        raise OutOfRange(
-            f"the {n_db:g} dB bandwidth factor of b_u = {b_u:g} is not a positive finite float"
-        )
-    return factor
-
-
-def _erb(a_p: float, b_u: float) -> float:
-    return SQRT_PI * a_p / gamma_ratio(b_u)
-
-
-def _s_beta(a_p: float, b_p: float, b_u: float, n_db) -> float:
-    """(20/ln 10) b_u / a_p**2.  Below a_p ~ 1e-162, a_p**2 underflows to 0;
-    dividing by a_p twice there still gives the (overflowing) value."""
-    a2 = a_p * a_p
-    return DB_PER_LOG * b_u / a2 if a2 > 0.0 else DB_PER_LOG * b_u / a_p / a_p
-
-
-# The design characteristics as functions (a_p, b_p, b_u, n_db) -> value;
-# n_db is the level of q_n and unused by the other keys.
-CHARACTERISTIC = {
-    "n_cycles": lambda a_p, b_p, b_u, n_db: b_u / (TWO_PI * a_p),
-    "phi_accum": lambda a_p, b_p, b_u, n_db: 0.5 * b_u,
-    "q_erb": lambda a_p, b_p, b_u, n_db: b_p / _erb(a_p, b_u),
-    "q_n": lambda a_p, b_p, b_u, n_db: b_p / (2.0 * a_p * level_factor(n_db, b_u)),
-    "s_beta": _s_beta,
-}
-
-# Their inverses for a_p, as functions (b_p, b_u, value, n_db) -> a_p.
-# phi_accum = b_u / 2 does not involve a_p, so it has none.
-A_P_FROM = {
-    "n_cycles": lambda b_p, b_u, value, n_db: b_u / (TWO_PI * value),
-    "q_erb": lambda b_p, b_u, value, n_db: b_p * gamma_ratio(b_u) / (SQRT_PI * value),
-    "q_n": lambda b_p, b_u, value, n_db: b_p / (2.0 * value * level_factor(n_db, b_u)),
-    "s_beta": lambda b_p, b_u, value, n_db: math.sqrt(DB_PER_LOG * b_u / value),
-}
 
 
 def erb_closed_form(theta: FilterConstants) -> float:

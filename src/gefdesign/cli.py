@@ -1,10 +1,13 @@
 """Command-line front end: design, analysis, evaluation, bank construction,
 discretization, and signal filtering.
 
-Exit codes: 0 success, 2 flag validation, 3 infeasible design / domain
-errors, 4 I/O failures.  Errors print one machine-readable JSON object to
-stderr.  All numeric file output uses 12 significant digits so identical
-inputs produce byte-identical outputs.
+Exit codes: 0 success, 2 flag validation or an input file that does not
+parse, 3 infeasible design / domain errors, 4 I/O failures.  Errors print
+one machine-readable JSON object to stderr.  All numeric file output uses
+12 significant digits so identical inputs produce byte-identical outputs.
+
+Each subcommand imports the numpy-backed modules it uses when it runs, so
+``design`` and usage errors cost the standard library alone.
 """
 
 from __future__ import annotations
@@ -12,38 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import struct
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import __version__
-from .core import FilterConstants, eval_gef
-from .characteristics import closed_form, default_grid, extract_numeric, numeric_values
 from .design import CharacteristicSpec, DesignRow, design
-from .digital import (
-    DigitalFilter,
-    SignalBuffer,
-    apply_fft,
-    apply_sos,
-    digital_response,
-    read_signal_csv,
-    read_wav,
-    to_sos,
-    write_signal_csv,
-    write_wav,
-)
 from .errors import GefError, OutOfRange
-from .filterbank import CfMap, bank_to_dict, build_constant_q_bank, uniform_places
-from .harness import (
-    _csv,
-    _float_csv,
-    figure_report,
-    response_table,
-    sweep,
-    sweep_csv,
-    sweep_json,
-)
+from .scalar import FilterConstants
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,7 +116,7 @@ def _load_json(path) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -148,21 +127,32 @@ def _constants_from_args(args) -> FilterConstants:
     return FilterConstants.from_dict(data)
 
 
-def _filter_from_args(args) -> DigitalFilter:
+def _filter_from_args(args):
+    from .digital import DigitalFilter
+
     return DigitalFilter.from_dict(_load_json(args.sos))
 
 
-def _read_signal(path, rate) -> SignalBuffer:
-    if str(path).lower().endswith(".wav"):
-        return read_wav(path)
-    if rate is None:
-        raise UsageError("CSV signal input needs --rate")
-    if not 0.0 < rate < math.inf:
-        raise OutOfRange(f"--rate must be positive and finite, got {rate!r}")
-    return read_signal_csv(path, rate)
+def _read_signal(path, rate):
+    """The signal in a WAV or headerless CSV file; a file that does not parse
+    is a UsageError, as an unparseable JSON input is."""
+    from .digital import read_signal_csv, read_wav
+
+    is_wav = str(path).lower().endswith(".wav")
+    if not is_wav:
+        if rate is None:
+            raise UsageError("CSV signal input needs --rate")
+        if not 0.0 < rate < math.inf:
+            raise OutOfRange(f"--rate must be positive and finite, got {rate!r}")
+    try:
+        return read_wav(path) if is_wav else read_signal_csv(path, rate)
+    except (ValueError, struct.error) as exc:
+        raise UsageError(f"{path} is not a readable signal file: {exc}") from None
 
 
-def _write_signal(path, signal: SignalBuffer) -> None:
+def _write_signal(path, signal) -> None:
+    from .digital import write_signal_csv, write_wav
+
     if str(path).lower().endswith(".wav"):
         write_wav(path, signal)
     else:
@@ -170,6 +160,9 @@ def _write_signal(path, signal: SignalBuffer) -> None:
 
 
 def _report_csv(reports: dict) -> str:
+    from .characteristics import numeric_values
+    from .harness import _csv
+
     columns = [numeric_values(report) for report in reports.values()]
     keys = sorted({key for column in columns for key in column})
     rows = [(key, *(column.get(key) for column in columns)) for key in keys]
@@ -202,6 +195,9 @@ def _cmd_analyze(args) -> int:
         theta = _constants_from_args(args)
     else:
         theta = design(CharacteristicSpec.from_dict(_load_json(args.spec)))
+    from .characteristics import closed_form, default_grid, extract_numeric
+    from .core import eval_gef
+
     reports = {
         "closed_form": closed_form(theta),
         "numeric": extract_numeric(partial(eval_gef, theta), default_grid(theta)),
@@ -216,6 +212,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     spec = CharacteristicSpec.from_dict(_load_json(args.spec))
+    from .harness import figure_report, response_table
+
     errors = figure_report(spec, out_format=args.format)
     if args.response_out:
         response = response_table(spec, out_format=args.format)
@@ -235,6 +233,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--qerb and --n must be non-empty")
     if not all(0.0 < value < math.inf for value in q_values + n_values):
         raise UsageError("--qerb and --n values must be positive and finite")
+    from .harness import sweep, sweep_csv, sweep_json
+
     result = sweep(q_values, n_values)
     text = sweep_json(result) + "\n" if args.format == "json" else sweep_csv(result)
     _emit(text, args.out)
@@ -247,6 +247,8 @@ def _cmd_bank(args) -> int:
         raise UsageError("banks take a normalized trio: --peak-beta 1")
     if args.channels < 1:
         raise UsageError("--channels must be >= 1")
+    from .filterbank import CfMap, bank_to_dict, build_constant_q_bank, uniform_places
+
     cf_map = CfMap(cf0=args.cf0, l=args.l, x_max=args.x_max)
     places = uniform_places(cf_map, args.channels)
     channels = build_constant_q_bank(cf_map, places, spec)
@@ -256,6 +258,8 @@ def _cmd_bank(args) -> int:
 
 def _cmd_discretize(args) -> int:
     theta = _constants_from_args(args)
+    from .digital import to_sos
+
     filt = to_sos(theta, f_peak=args.peak_hz, fs=args.fs)
     text = _dump_json(filt.as_dict())
     _emit(text, args.out)
@@ -266,12 +270,16 @@ def _cmd_filter(args) -> int:
     if args.fft:
         if args.constants is None or args.peak_hz is None:
             raise UsageError("--fft needs --constants and --peak-hz")
+        from .digital import apply_fft
+
         theta = _constants_from_args(args)
         signal = _read_signal(args.infile, args.rate)
         out = apply_fft(theta, args.peak_hz, signal.sample_rate, signal)
     else:
         if args.sos is None:
             raise UsageError("give --sos (or --fft with --constants/--peak-hz)")
+        from .digital import apply_sos
+
         filt = _filter_from_args(args)
         signal = _read_signal(args.infile, args.rate)
         out = apply_sos(filt, signal)
@@ -286,6 +294,12 @@ def _cmd_response(args) -> int:
         raise UsageError("--points must be >= 2")
     if not (math.isfinite(args.fmin) and math.isfinite(args.fmax)):
         raise OutOfRange(f"--fmin and --fmax must be finite, got {args.fmin!r}, {args.fmax!r}")
+    import numpy as np
+
+    from .core import eval_gef
+    from .digital import digital_response
+    from .harness import _float_csv
+
     freqs = np.linspace(args.fmin, args.fmax, args.points)
     if args.sos is not None:
         filt = _filter_from_args(args)

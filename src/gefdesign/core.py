@@ -20,97 +20,10 @@ in beta and no branch unwrapping is needed, even for non-integer b_u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleSpec, NonPositiveConstant
-
-# dB per unit natural log of magnitude: level = (20/ln 10) * ln|H|
-DB_PER_LOG = 20.0 / math.log(10.0)
-
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class FilterConstants:
-    """Pole geometry and exponent of a generalized-exponent filter.
-
-    Attributes
-    ----------
-    a_p : float
-        Magnitude of the pole pair's real part (> 0).
-    b_p : float
-        Pole imaginary part, i.e. the normalized peak location (> 0).
-    b_u : float
-        Exponent applied to the second-order base (> 0, real; integer
-        values admit a cascaded digital realization).
-    gain : float
-        Linear gain constant C (> 0), 1 by default.
-    """
-
-    a_p: float
-    b_p: float
-    b_u: float
-    gain: float = 1.0
-
-    def __post_init__(self):
-        for name in ("a_p", "b_p", "b_u", "gain"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise NonPositiveConstant(
-                    f"{name} must be finite and > 0, got {value!r}"
-                )
-            object.__setattr__(self, name, value)
-
-    @property
-    def pole(self) -> complex:
-        return complex(-self.a_p, self.b_p)
-
-    @property
-    def pole_conjugate(self) -> complex:
-        return complex(-self.a_p, -self.b_p)
-
-    @property
-    def is_integer_exponent(self) -> bool:
-        return abs(self.b_u - round(self.b_u)) <= 1e-12
-
-    def with_gain(self, gain: float) -> "FilterConstants":
-        return replace(self, gain=gain)
-
-    def as_dict(self) -> dict:
-        return {"a_p": self.a_p, "b_p": self.b_p, "b_u": self.b_u, "gain": self.gain}
-
-    @classmethod
-    def from_dict(cls, data) -> "FilterConstants":
-        """Constants from a mapping of a_p, b_p, b_u and optionally gain; a
-        missing, unknown or non-numeric field raises InfeasibleSpec."""
-        try:
-            fields = {key: float(value) for key, value in dict(data).items()}
-        except (TypeError, ValueError) as exc:
-            raise InfeasibleSpec(f"bad constants: {exc}") from None
-        missing = {"a_p", "b_p", "b_u"} - set(fields)
-        unknown = set(fields) - {"a_p", "b_p", "b_u", "gain"}
-        if missing or unknown:
-            raise InfeasibleSpec(
-                f"constants need a_p, b_p, b_u and optionally gain; "
-                f"missing {sorted(missing)}, unknown {sorted(unknown)}"
-            )
-        return cls(**fields)
-
-
-@dataclass(frozen=True)
-class SharpnessReport:
-    """Whether the one-sided approximation of the filter is trustworthy.
-
-    alpha_at_peak is a_p / (2*b_p); the approximation drops the conjugate
-    pole factor, which is legitimate when that ratio is small.  The
-    practical cutoff is a_p < 0.2 * b_p (exclusive).
-    """
-
-    a_p: float
-    alpha_at_peak: float
-    satisfied: bool
+from .scalar import DB_PER_LOG, TWO_PI, FilterConstants
 
 
 def _as_beta_array(beta):
@@ -221,18 +134,6 @@ def group_delay_cycles(theta: FilterConstants, beta):
     return _maybe_scalar(np.real(wavenumber(theta, beta)) / TWO_PI)
 
 
-def sharpness_check(theta: FilterConstants) -> SharpnessReport:
-    """Report whether the one-sided approximation condition holds.
-
-    The threshold is exclusive: satisfied iff a_p < 0.2 * b_p.
-    """
-    return SharpnessReport(
-        a_p=theta.a_p,
-        alpha_at_peak=theta.a_p / (2.0 * theta.b_p),
-        satisfied=theta.a_p < 0.2 * theta.b_p,
-    )
-
-
 def peak_beta(theta: FilterConstants) -> float:
     """Normalized frequency of the exact magnitude maximum of the filter.
 
@@ -247,74 +148,6 @@ def peak_beta(theta: FilterConstants) -> float:
     """
     a, b = theta.a_p, theta.b_p
     return math.sqrt((b - a) * (b + a)) if b > a else 0.0
-
-
-def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * float(np.finfo(float).eps), maxiter=100):
-    """Root of f on the bracket [xa, xb] by Brent's method.
-
-    A step-for-step port of scipy.optimize.brentq (its brentq.c), with its
-    defaults, so the iterates, and the root, are bit-identical: the same
-    inverse quadratic extrapolation, secant and bisection steps, and the same
-    stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2.  Raises
-    ValueError when f(xa) and f(xb) have the same sign or f returns NaN, and
-    RuntimeError when maxiter iterations do not converge.  Returns a float.
-    """
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    if fpre != fpre:
-        raise _nan_value(xpre)
-    fcur = f(xcur)
-    if fcur != fcur:
-        raise _nan_value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise _nan_value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _nan_value(x) -> ValueError:
-    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
 
 
 def normalized_to_peak(theta: FilterConstants) -> FilterConstants:

@@ -13,9 +13,10 @@ keys fixes a_p (the delay key when it has one, otherwise its other key):
     II.6  s_beta, phi        2 phi_accum                       s_beta
     II.7  n_cycles, q_n      solve qn_over_delay               n_cycles
 
-a_p then comes from the inverse of its key in ``characteristics.A_P_FROM``,
-and both keys are checked through ``characteristics.CHARACTERISTIC``.  The
-implicit rows solve a one-dimensional equation by bracketed root finding.
+a_p then comes from the inverse of its key in ``scalar.A_P_FROM``, and both
+keys are checked through ``scalar.CHARACTERISTIC``.  The implicit rows solve
+a one-dimensional equation by bracketed root finding.  Designing needs only
+``math``: this module imports no numpy.
 All positive specifications land the pole pair strictly in the left
 half-plane, so the designs are inherently stable.
 """
@@ -28,25 +29,27 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
-from .core import FilterConstants, _brentq, sharpness_check
-from .characteristics import (
+from .scalar import (
     A_P_FROM,
     CHARACTERISTIC,
     QERB_FIT_A,
     QERB_FIT_B,
     SQRT_PI,
+    FilterConstants,
+    _brentq,
     gamma_ratio,
     level_factor,
+    sharpness_check,
 )
 from .errors import BracketFailure, ErbRequiresBu, InfeasibleSpec, OutOfRange
 
 LN10 = math.log(10.0)
 
-# The implicit b_u solves: exponent bracket, and Brent's relative tolerance
-# (above its floor of 4 eps) and iteration cap.
+# The implicit b_u solves: exponent bracket, the number of geometrically
+# spaced points its scan samples, and Brent's relative tolerance (above its
+# floor of 4 eps) and iteration cap.
 B_U_BRACKET = (1.0, 64.0)
+SCAN_POINTS = 257
 SOLVE_RTOL = 1e-12
 SOLVE_MAXITER = 200
 
@@ -224,6 +227,18 @@ def qerb_delay_approx_exponent(ratio: float) -> float:
         return math.inf
 
 
+def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi, evenly spaced in log10, with both ends exact.
+
+    The steps of np.geomspace, but the powers come from the C library, and
+    numpy's vectorized power can differ from those in the last bit."""
+    log_lo = math.log10(lo)
+    step = (math.log10(hi) - log_lo) / (n - 1)
+    grid = [10.0 ** (k * step + log_lo) for k in range(n)]
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
 def _solve_decreasing(fn, target: float, seed: float | None = None):
     """Solve fn(b_u) == target on the decreasing branch of a rise-then-fall
     residual, returning the largest root inside the bracket.
@@ -250,20 +265,20 @@ def _solve_decreasing(fn, target: float, seed: float | None = None):
             if (fa > 0.0) != (fb > 0.0):
                 return _brentq(residual, a, b, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
 
-    grid = np.geomspace(lo, hi, 257)
-    vals = np.array([fn(x) for x in grid])
-    i_max = int(np.argmax(vals))
+    grid = _geometric_grid(lo, hi, SCAN_POINTS)
+    vals = [fn(x) for x in grid]
+    i_max = vals.index(max(vals))
     if vals[i_max] < target:
         raise BracketFailure(
             f"target {target:g} exceeds the achievable maximum "
             f"{vals[i_max]:g} on [{lo:g}, {hi:g}]"
         )
-    for j in range(i_max, grid.size - 1):
+    for j in range(i_max, len(grid) - 1):
         f_a, f_b = vals[j] - target, vals[j + 1] - target
         if f_a == 0.0:
-            return float(grid[j])
+            return grid[j]
         if f_b == 0.0:
-            return float(grid[j + 1])
+            return grid[j + 1]
         if (f_a > 0.0) != (f_b > 0.0):
             return _brentq(
                 residual, grid[j], grid[j + 1], rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER

@@ -1,0 +1,245 @@
+"""Scalar maps of the generalized-exponent filter, on the standard library.
+
+The design methods are closed-form maps between the filter constants
+(a_p, b_p, b_u) and a trio of characteristics, plus at most one scalar
+root solve.  This module holds that scalar layer: the constants and their
+sharpness check, each characteristic as a function of the constants
+(``CHARACTERISTIC``), each inverse for a_p (``A_P_FROM``), and the one
+bracketed root solver.  It imports nothing beyond the standard library, so
+designing a filter does not load numpy; ``core`` and ``characteristics``
+import these names from here.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from dataclasses import dataclass, replace
+
+from .errors import InfeasibleSpec, NonPositiveConstant, OutOfRange
+
+# dB per unit natural log of magnitude: level = (20/ln 10) * ln|H|
+DB_PER_LOG = 20.0 / math.log(10.0)
+
+TWO_PI = 2.0 * math.pi
+SQRT_PI = math.sqrt(math.pi)
+
+# empirical power-law fit constants for Q_erb, valid for b_u >= 3/2
+QERB_FIT_A = 0.418
+QERB_FIT_B = 1.02
+
+
+@dataclass(frozen=True)
+class FilterConstants:
+    """Pole geometry and exponent of a generalized-exponent filter.
+
+    Attributes
+    ----------
+    a_p : float
+        Magnitude of the pole pair's real part (> 0).
+    b_p : float
+        Pole imaginary part, i.e. the normalized peak location (> 0).
+    b_u : float
+        Exponent applied to the second-order base (> 0, real; integer
+        values admit a cascaded digital realization).
+    gain : float
+        Linear gain constant C (> 0), 1 by default.
+    """
+
+    a_p: float
+    b_p: float
+    b_u: float
+    gain: float = 1.0
+
+    def __post_init__(self):
+        for name in ("a_p", "b_p", "b_u", "gain"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value) or value <= 0.0:
+                raise NonPositiveConstant(
+                    f"{name} must be finite and > 0, got {value!r}"
+                )
+            object.__setattr__(self, name, value)
+
+    @property
+    def pole(self) -> complex:
+        return complex(-self.a_p, self.b_p)
+
+    @property
+    def pole_conjugate(self) -> complex:
+        return complex(-self.a_p, -self.b_p)
+
+    @property
+    def is_integer_exponent(self) -> bool:
+        return abs(self.b_u - round(self.b_u)) <= 1e-12
+
+    def with_gain(self, gain: float) -> "FilterConstants":
+        return replace(self, gain=gain)
+
+    def as_dict(self) -> dict:
+        return {"a_p": self.a_p, "b_p": self.b_p, "b_u": self.b_u, "gain": self.gain}
+
+    @classmethod
+    def from_dict(cls, data) -> "FilterConstants":
+        """Constants from a mapping of a_p, b_p, b_u and optionally gain; a
+        missing, unknown or non-numeric field raises InfeasibleSpec."""
+        try:
+            fields = {key: float(value) for key, value in dict(data).items()}
+        except (TypeError, ValueError) as exc:
+            raise InfeasibleSpec(f"bad constants: {exc}") from None
+        missing = {"a_p", "b_p", "b_u"} - set(fields)
+        unknown = set(fields) - {"a_p", "b_p", "b_u", "gain"}
+        if missing or unknown:
+            raise InfeasibleSpec(
+                f"constants need a_p, b_p, b_u and optionally gain; "
+                f"missing {sorted(missing)}, unknown {sorted(unknown)}"
+            )
+        return cls(**fields)
+
+
+@dataclass(frozen=True)
+class SharpnessReport:
+    """Whether the one-sided approximation of the filter is trustworthy.
+
+    alpha_at_peak is a_p / (2*b_p); the approximation drops the conjugate
+    pole factor, which is legitimate when that ratio is small.  The
+    practical cutoff is a_p < 0.2 * b_p (exclusive).
+    """
+
+    a_p: float
+    alpha_at_peak: float
+    satisfied: bool
+
+
+def sharpness_check(theta: FilterConstants) -> SharpnessReport:
+    """Report whether the one-sided approximation condition holds.
+
+    The threshold is exclusive: satisfied iff a_p < 0.2 * b_p.
+    """
+    return SharpnessReport(
+        a_p=theta.a_p,
+        alpha_at_peak=theta.a_p / (2.0 * theta.b_p),
+        satisfied=theta.a_p < 0.2 * theta.b_p,
+    )
+
+
+def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=100):
+    """Root of f on the bracket [xa, xb] by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq (its brentq.c), with its
+    defaults, so the iterates, and the root, are bit-identical: the same
+    inverse quadratic extrapolation, secant and bisection steps, and the same
+    stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2.  Raises
+    ValueError when f(xa) and f(xb) have the same sign or f returns NaN, and
+    RuntimeError when maxiter iterations do not converge.  Returns a float.
+    """
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    if fpre != fpre:
+        raise _nan_value(xpre)
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise _nan_value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise _nan_value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _nan_value(x) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+
+
+def gamma_ratio(b_u: float) -> float:
+    """Gamma(b_u) / Gamma(b_u - 1/2) via log-gamma, so large exponents stay
+    finite."""
+    return math.exp(math.lgamma(b_u) - math.lgamma(b_u - 0.5))
+
+
+def level_factor(n_db: float, b_u: float) -> float:
+    """Half the n-dB bandwidth in units of a_p: sqrt(10**(n/(10 b_u)) - 1).
+
+    Raises OutOfRange when that is not a positive finite float: the power
+    overflows for b_u below about n / 3083 and rounds to 1 for b_u above
+    about 2e15 n.
+    """
+    try:
+        factor = math.sqrt(10.0 ** (n_db / (10.0 * b_u)) - 1.0)
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise OutOfRange(
+            f"the {n_db:g} dB bandwidth factor of b_u = {b_u:g} is not a positive finite float"
+        )
+    return factor
+
+
+def _erb(a_p: float, b_u: float) -> float:
+    return SQRT_PI * a_p / gamma_ratio(b_u)
+
+
+def _s_beta(a_p: float, b_p: float, b_u: float, n_db) -> float:
+    """(20/ln 10) b_u / a_p**2.  Below a_p ~ 1e-162, a_p**2 underflows to 0;
+    dividing by a_p twice there still gives the (overflowing) value."""
+    a2 = a_p * a_p
+    return DB_PER_LOG * b_u / a2 if a2 > 0.0 else DB_PER_LOG * b_u / a_p / a_p
+
+
+# The design characteristics as functions (a_p, b_p, b_u, n_db) -> value;
+# n_db is the level of q_n and unused by the other keys.
+CHARACTERISTIC = {
+    "n_cycles": lambda a_p, b_p, b_u, n_db: b_u / (TWO_PI * a_p),
+    "phi_accum": lambda a_p, b_p, b_u, n_db: 0.5 * b_u,
+    "q_erb": lambda a_p, b_p, b_u, n_db: b_p / _erb(a_p, b_u),
+    "q_n": lambda a_p, b_p, b_u, n_db: b_p / (2.0 * a_p * level_factor(n_db, b_u)),
+    "s_beta": _s_beta,
+}
+
+# Their inverses for a_p, as functions (b_p, b_u, value, n_db) -> a_p.
+# phi_accum = b_u / 2 does not involve a_p, so it has none.
+A_P_FROM = {
+    "n_cycles": lambda b_p, b_u, value, n_db: b_u / (TWO_PI * value),
+    "q_erb": lambda b_p, b_u, value, n_db: b_p * gamma_ratio(b_u) / (SQRT_PI * value),
+    "q_n": lambda b_p, b_u, value, n_db: b_p / (2.0 * value * level_factor(n_db, b_u)),
+    "s_beta": lambda b_p, b_u, value, n_db: math.sqrt(DB_PER_LOG * b_u / value),
+}

@@ -17,6 +17,12 @@ from gefdesign.digital import DigitalFilter, SignalBuffer, apply_sos, read_wav, 
 
 N_SHARP6_TEXT = "19.098593171027442"
 SRC = Path(__file__).resolve().parents[1] / "src"
+# stdout of `design` for seeded trios of all seven rows, plain, with
+# --integer-snap and with --mode approx, captured while design still ran on
+# numpy; the math-only design path must print the same bytes
+DESIGN_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "design_golden.json").read_text()
+)
 
 
 def read_json(path):
@@ -136,6 +142,12 @@ class TestDesignCommand:
                  "--phase-accum", "3", "--out", str(path)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("case", DESIGN_GOLDEN, ids=[case["id"] for case in DESIGN_GOLDEN])
+    def test_golden_stdout(self, case):
+        code, out, errors = run_captured(case["argv"])
+        assert (code, errors) == (0, [])
+        assert out == case["stdout"]
+
 
 class TestAnalyzeCommand:
     def test_closed_and_numeric_reports(self, capsys, constants_file):
@@ -187,6 +199,35 @@ class TestBadInputFiles:
         spec.write_text("{")
         assert run(["analyze", "--spec", str(spec)]) == 2
         assert error_type(capsys) == "UsageError"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--constants"],
+        ["analyze", "--spec"],
+        ["response", "--fmin", "500", "--fmax", "1500", "--points", "11", "--sos"],
+    ])
+    def test_non_utf8_json_exits_2(self, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        code, _, errors = run_captured([*argv, str(path)])
+        assert code == 2
+        assert [error["error"]["type"] for error in errors] == ["UsageError"]
+        assert str(path) in errors[0]["error"]["message"]
+
+    @pytest.mark.parametrize("name, content, argv", [
+        ("bad.csv", b"0.5\nnot a number\n0.25\n", ["--rate", "48000"]),
+        ("bad.wav", b"RIFF\0\0", []),
+    ])
+    def test_damaged_signal_exits_2(self, tmp_path, sos_file, name, content, argv):
+        infile = tmp_path / name
+        infile.write_bytes(content)
+        outfile = tmp_path / ("out" + infile.suffix)
+        code, _, errors = run_captured(
+            ["filter", "--sos", str(sos_file), *argv, str(infile), str(outfile)]
+        )
+        assert code == 2
+        assert [error["error"]["type"] for error in errors] == ["UsageError"]
+        assert str(infile) in errors[0]["error"]["message"]
+        assert not outfile.exists()
 
     @pytest.mark.parametrize("argv", [
         ["analyze"],
@@ -314,7 +355,7 @@ class TestEvaluateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("response table built without --response-out")
 
-        monkeypatch.setattr("gefdesign.cli.response_table", refuse)
+        monkeypatch.setattr("gefdesign.harness.response_table", refuse)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(read_json(constants_file)["spec"]))
         errors_path = tmp_path / "errors.csv"
@@ -589,15 +630,76 @@ class TestEndToEndRoundTrip:
         assert doc["numeric"]["q_erb"] == pytest.approx(25.868993924419065, rel=0.015)
 
 
+# CLI calls that must run without numpy: (flags after `design --peak-beta 1`,
+# exit code)
+NUMPY_FREE_DESIGNS = {
+    "II.1": (["--gdelay-cycles", N_SHARP6_TEXT, "--phase-accum", "3"], 0),
+    "II.2": (["--gdelay-cycles", "19.1", "--qerb", "25.9"], 0),
+    # Q_erb / N = 2.05: the power-law seed brackets no root, so this scans
+    "II.2-scan": (["--gdelay-cycles", "10", "--qerb", "20.5"], 0),
+    "II.3": (["--qerb", "25.9", "--phase-accum", "3"], 0),
+    "II.4": (["--qn", "10:14.620769527557067", "--phase-accum", "3"], 0),
+    "II.5": (["--gdelay-cycles", N_SHARP6_TEXT, "--convexity", "20846.3"], 0),
+    "II.6": (["--convexity", "20846.3", "--phase-accum", "3"], 0),
+    # II.7 has no seed for its exponent and always scans the bracket
+    "II.7": (["--gdelay-cycles", N_SHARP6_TEXT, "--qn", "10:14.620769527557067"], 0),
+    "integer-snap": (["--gdelay-cycles", "19", "--qerb", "25", "--integer-snap"], 0),
+    "approx": (["--gdelay-cycles", "19.1", "--qerb", "25.9", "--mode", "approx"], 0),
+    "refused": (["--gdelay-cycles", "10", "--qerb", "30"], 3),
+    "usage-error": (["--gdelay-cycles", "10", "--qn", "ten"], 2),
+}
+
+
 class TestImportPath:
-    """Only `filter` needs scipy, for its compiled cascade loop alone;
-    everything else runs on numpy."""
+    """Only `filter` needs scipy, for its compiled cascade loop alone; `design`,
+    `--version` and usage errors need neither numpy nor scipy."""
 
     def _python(self, code, cwd):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                               capture_output=True, text=True, timeout=120)
+
+    def _run_module(self, argv, cwd):
+        """`python -m gefdesign.cli *argv` in a fresh interpreter: its exit
+        code and whether numpy was loaded, from the last line of stdout."""
+        proc = self._python(
+            "import runpy, sys\n"
+            f"sys.argv = ['gefdesign', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('gefdesign.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, 'numpy' in sys.modules)",
+            cwd,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, numpy_loaded = proc.stdout.splitlines()[-1].split()
+        return int(code), numpy_loaded == "True"
+
+    def test_package_import_loads_no_numpy(self, tmp_path):
+        proc = self._python("import sys, gefdesign\nprint('numpy' in sys.modules)", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_version_loads_no_numpy(self, tmp_path):
+        assert self._run_module(["--version"], tmp_path) == (0, False)
+
+    @pytest.mark.parametrize("case", NUMPY_FREE_DESIGNS)
+    def test_design_loads_no_numpy(self, tmp_path, case):
+        flags, code = NUMPY_FREE_DESIGNS[case]
+        assert self._run_module(["design", "--peak-beta", "1", *flags], tmp_path) == (code, False)
+
+    def test_star_import_and_dir_list_all(self):
+        import gefdesign
+
+        namespace = {}
+        exec("from gefdesign import *", namespace)
+        assert set(gefdesign.__all__) <= set(namespace)
+        assert set(gefdesign.__all__) <= set(dir(gefdesign))
+        assert namespace["design"] is sys.modules["gefdesign.design"].design
+        with pytest.raises(AttributeError):
+            gefdesign.no_such_name
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
         proc = self._python(
@@ -660,12 +762,37 @@ class TestImportPath:
 
 
 LOG_UNIFORM = st.floats(-6.0, 6.0).map(lambda exponent: 10.0 ** exponent)
+EXTREME = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-300", "1e300"])
 AXIS_VALUE = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-300", "1e300"]),
+    EXTREME,
     st.floats(5.0, 60.0).map(repr),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 AXIS = st.lists(AXIS_VALUE, min_size=1, max_size=2).map(",".join)
+
+
+# flag values: in the designable range half the time, else extremes
+TRIO_VALUE = st.one_of(
+    st.floats(0.5, 60.0).map(repr),
+    LOG_UNIFORM.map(repr),
+    EXTREME,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+# characteristic flags beside the peak: the pair of a design row half the
+# time, else any 0 to 3 of them; --qn takes a dB level as well
+ROW_FLAGS = [
+    ("--gdelay-cycles", "--phase-accum"), ("--gdelay-cycles", "--qerb"),
+    ("--qerb", "--phase-accum"), ("--qn", "--phase-accum"), ("--gdelay-cycles", "--convexity"),
+    ("--convexity", "--phase-accum"), ("--gdelay-cycles", "--qn"),
+]
+TRIO_FLAG = st.sampled_from(["--gdelay-cycles", "--phase-accum", "--qerb", "--convexity", "--qn"])
+TRIO_FLAGS = st.one_of(
+    st.sampled_from(ROW_FLAGS).flatmap(
+        lambda pair: st.fixed_dictionaries({flag: TRIO_VALUE for flag in pair})
+    ),
+    st.dictionaries(TRIO_FLAG, TRIO_VALUE, max_size=3),
+)
+PEAK_FLAGS = st.sampled_from([["--peak-beta"], ["--peak-hz"], [], ["--peak-beta", "--peak-hz"]])
 
 
 def _reject_constant(name):
@@ -694,6 +821,22 @@ class TestCliProperties:
             code, _, errors = run_captured(argv)
             assert code in (0, 2, 3, 4), argv
             assert len(errors) == (code != 0), argv
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(peaks=PEAK_FLAGS,
+           peak=st.one_of(st.just("1"), TRIO_VALUE),
+           flags=TRIO_FLAGS,
+           n_level=st.one_of(st.sampled_from(["3", "10"]), TRIO_VALUE),
+           extra=st.lists(st.sampled_from(["--integer-snap", "--mode=approx"]), unique=True))
+    def test_random_design_flags(self, peaks, peak, flags, n_level, extra):
+        argv = ["design", *(f"{flag}={peak}" for flag in peaks), *extra]
+        for flag, value in flags.items():
+            argv.append(f"{flag}={n_level}:{value}" if flag == "--qn" else f"{flag}={value}")
+        code, out, errors = run_captured(argv)
+        assert code in (0, 2, 3), argv
+        assert len(errors) == (code != 0), argv
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(qerb=AXIS, n=AXIS)

@@ -18,7 +18,8 @@ from gefdesign import (
     sharpness_check,
     wavenumber,
 )
-from gefdesign.core import DB_PER_LOG, _brentq
+from gefdesign.core import DB_PER_LOG
+from gefdesign.scalar import _brentq
 from gefdesign.errors import InfeasibleSpec, NonPositiveConstant
 
 LN10 = math.log(10.0)
@@ -335,7 +336,7 @@ def _bracketed_peak(theta):
 
 
 class TestBrentqPort:
-    """core._brentq against scipy.optimize.brentq, which stays a test-only
+    """scalar._brentq against scipy.optimize.brentq, which stays a test-only
     oracle: the same iterates, root and exceptions."""
 
     @staticmethod
