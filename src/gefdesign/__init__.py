@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 # the public names each submodule defines
 _EXPORTS = {
     "scalar": ("FilterConstants", "SharpnessReport", "sharpness_check"),
-    "core": ("eval_gef", "eval_sharp", "eval_v", "group_delay_cycles", "level_db",
-             "normalized_to_peak", "peak_beta", "phase_rad", "wavenumber"),
+    "core": ("eval_gef", "eval_sharp", "eval_v", "level_db", "normalized_to_peak",
+             "peak_beta", "phase_rad", "wavenumber"),
     "characteristics": ("CharacteristicReport", "FrequencyGrid", "closed_form",
                         "default_grid", "extract_numeric", "qerb_approx",
                         "relative_errors"),
@@ -37,6 +37,7 @@ _EXPORTS = {
     "harness": ("ErrorRecord", "SweepResult", "evaluate_case", "figure_report", "sweep"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = ["__version__", "design", "errors", *_SUBMODULE]
 
 
 def __getattr__(name):
@@ -49,51 +50,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "__version__",
-    "BankChannel",
-    "CfMap",
-    "CharacteristicReport",
-    "CharacteristicSpec",
-    "DesignRow",
-    "DigitalFilter",
-    "ErrorRecord",
-    "FilterConstants",
-    "FrequencyGrid",
-    "MultibandBand",
-    "MultibandSpec",
-    "SharpnessReport",
-    "SharpnessWarning",
-    "SignalBuffer",
-    "SweepResult",
-    "apply_fft",
-    "apply_sos",
-    "build_constant_q_bank",
-    "cf_at",
-    "channel_response",
-    "closed_form",
-    "crosstalk_report",
-    "default_grid",
-    "design",
-    "digital_response",
-    "errors",
-    "eval_gef",
-    "eval_sharp",
-    "eval_v",
-    "evaluate_case",
-    "extract_numeric",
-    "figure_report",
-    "group_delay_cycles",
-    "level_db",
-    "multiband_response",
-    "normalized_to_peak",
-    "peak_beta",
-    "phase_rad",
-    "qerb_approx",
-    "relative_errors",
-    "sharpness_check",
-    "sweep",
-    "to_sos",
-    "wavenumber",
-]

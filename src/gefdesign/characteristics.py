@@ -282,19 +282,6 @@ def closed_form(
     )
 
 
-def _eval_response(response: Callable, betas: np.ndarray) -> np.ndarray:
-    """Evaluate a frequency response on the grid, vectorized when possible;
-    an overflow gives a non-finite value, not a warning."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(response(betas), dtype=complex)
-        if values.shape == betas.shape:
-            return values
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(response(b)) for b in betas])
-
-
 def _golden_max(fn: Callable, lo: float, hi: float, tol: float) -> float:
     """Golden-section search for the maximizer of a unimodal function.  It
     also stops once the interior points no longer fall strictly between the
@@ -380,8 +367,8 @@ def extract_numeric(
     Parameters
     ----------
     response : callable
-        beta -> complex response; must accept scalars (arrays are used when
-        supported) and be finite on the grid.
+        beta -> complex response; must accept both a scalar and an array of
+        betas (returning values of the same shape) and be finite on the grid.
     grid : FrequencyGrid
         Sample locations; the magnitude maximum must be interior.
     n_levels : iterable of float
@@ -400,7 +387,8 @@ def extract_numeric(
     quadrature ERB is not positive.
     """
     betas = grid.samples
-    values = _eval_response(response, betas)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as non-finite
+        values = np.asarray(response(betas), dtype=complex)
     if not np.all(np.isfinite(values)):
         raise OutOfRange("response must be finite on the whole grid")
     mag = np.abs(values)

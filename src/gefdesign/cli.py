@@ -3,8 +3,12 @@ discretization, and signal filtering.
 
 Exit codes: 0 success, 2 flag validation or an input file that does not
 parse, 3 infeasible design / domain errors, 4 I/O failures.  Errors print
-one machine-readable JSON object to stderr.  All numeric file output uses
-12 significant digits so identical inputs produce byte-identical outputs.
+one machine-readable JSON object to stderr.
+
+The library returns tables as data; this module writes every CSV and JSON
+table through one writer each, ``_csv`` and ``_dump_json``.  Both write
+floats at 12 significant digits, so identical inputs produce byte-identical
+outputs; JSON is indented, with sorted keys, and ends in a newline.
 
 Each subcommand imports the numpy-backed modules it uses when it runs, so
 ``design`` and usage errors cost the standard library alone.
@@ -46,6 +50,22 @@ def _round_floats(obj):
 
 def _dump_json(data) -> str:
     return json.dumps(_round_floats(data), indent=2, sort_keys=True) + "\n"
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.12e}"
+    return str(value)
+
+
+def _csv(header, rows) -> str:
+    """A header line, then one line per row; floats at 12 significant digits,
+    None as an empty cell."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out_path) -> None:
@@ -161,12 +181,27 @@ def _write_signal(path, signal) -> None:
 
 def _report_csv(reports: dict) -> str:
     from .characteristics import numeric_values
-    from .harness import _csv
 
     columns = [numeric_values(report) for report in reports.values()]
     keys = sorted({key for column in columns for key in column})
     rows = [(key, *(column.get(key) for column in columns)) for key in keys]
     return _csv(("characteristic", *reports), rows)
+
+
+def _errors_csv(report: dict) -> str:
+    """figure_report's document with one row per characteristic: the desired
+    value, then the achieved value and error of each target."""
+    targets = list(report["achieved"])
+    header = ["characteristic", "desired"]
+    for target in targets:
+        header += [f"{target}_achieved", f"{target}_error"]
+    rows = []
+    for key, desired in sorted(report["desired"].items()):
+        row = [key, desired]
+        for target in targets:
+            row += [report["achieved"][target].get(key), report["errors"][target].get(key)]
+        rows.append(row)
+    return _csv(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +249,14 @@ def _cmd_evaluate(args) -> int:
     spec = CharacteristicSpec.from_dict(_load_json(args.spec))
     from .harness import figure_report, response_table
 
-    errors = figure_report(spec, out_format=args.format)
+    report = figure_report(spec)
+    errors = _dump_json(report) if args.format == "json" else _errors_csv(report)
     if args.response_out:
-        response = response_table(spec, out_format=args.format)
+        columns = {name: column.tolist() for name, column in response_table(spec).items()}
+        if args.format == "json":
+            response = _dump_json(columns)
+        else:
+            response = _csv(list(columns), zip(*columns.values()))
         with open(args.response_out, "w") as fh:
             fh.write(response)
     _emit(errors, args.errors_out)
@@ -233,10 +273,20 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--qerb and --n must be non-empty")
     if not all(0.0 < value < math.inf for value in q_values + n_values):
         raise UsageError("--qerb and --n values must be positive and finite")
-    from .harness import sweep, sweep_csv, sweep_json
+    from .harness import sweep
 
     result = sweep(q_values, n_values)
-    text = sweep_json(result) + "\n" if args.format == "json" else sweep_csv(result)
+    if args.format == "json":
+        text = _dump_json({"q_erb_axis": result.q_erb_axis, "n_axis": result.n_axis,
+                           "error_grids": result.error_grids})
+    else:
+        rows = [
+            (q, n, key, result.error_grids[key][i][j])
+            for key in sorted(result.error_grids)
+            for i, q in enumerate(result.q_erb_axis)
+            for j, n in enumerate(result.n_axis)
+        ]
+        text = _csv(("q_erb", "n_cycles", "characteristic", "rel_error"), rows)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -296,9 +346,8 @@ def _cmd_response(args) -> int:
         raise OutOfRange(f"--fmin and --fmax must be finite, got {args.fmin!r}, {args.fmax!r}")
     import numpy as np
 
-    from .core import eval_gef
+    from .core import _level_phase, eval_gef
     from .digital import digital_response
-    from .harness import _float_csv
 
     freqs = np.linspace(args.fmin, args.fmax, args.points)
     if args.sos is not None:
@@ -314,9 +363,10 @@ def _cmd_response(args) -> int:
             values = np.asarray(eval_gef(theta, freqs / args.peak_hz))
         if not np.all(np.isfinite(values)):
             raise OutOfRange(f"the response of {theta} is not finite from --fmin to --fmax")
-    columns = (freqs, values.real, values.imag, 20.0 * np.log10(np.abs(values)),
-               np.unwrap(np.angle(values)))
-    _emit(_float_csv(("f_hz", "re", "im", "level_db", "phase_rad"), columns), args.out)
+    level, phase = _level_phase(values)
+    columns = (freqs, values.real, values.imag, level, phase)
+    rows = zip(*(column.tolist() for column in columns))
+    _emit(_csv(("f_hz", "re", "im", "level_db", "phase_rad"), rows), args.out)
     return EXIT_OK
 
 

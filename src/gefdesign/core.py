@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .scalar import DB_PER_LOG, TWO_PI, FilterConstants
+from .scalar import DB_PER_LOG, FilterConstants
 
 
 def _as_beta_array(beta):
@@ -129,9 +129,12 @@ def phase_rad(theta: FilterConstants, beta):
     return _maybe_scalar(out)
 
 
-def group_delay_cycles(theta: FilterConstants, beta):
-    """Group delay in cycles per unit beta: Re{k(beta)} / (2*pi)."""
-    return _maybe_scalar(np.real(wavenumber(theta, beta)) / TWO_PI)
+def _level_phase(values):
+    """Level in dB and unwrapped phase in radians of sampled complex response
+    values; a zero value has level -inf, without a divide-by-zero warning."""
+    with np.errstate(divide="ignore"):
+        level = 20.0 * np.log10(np.abs(values))
+    return level, np.unwrap(np.angle(values))
 
 
 def peak_beta(theta: FilterConstants) -> float:

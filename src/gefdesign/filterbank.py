@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FilterConstants, _maybe_scalar, eval_gef, peak_beta
+from .core import FilterConstants, _level_phase, _maybe_scalar, eval_gef, peak_beta
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
 
@@ -213,7 +213,6 @@ def bank_response_rows(
         out[0, idx] = freqs
         out[1, idx] = values.real
         out[2, idx] = values.imag
-        out[3, idx] = 20.0 * np.log10(np.abs(values))
-        out[4, idx] = np.unwrap(np.angle(values))
+        out[3, idx], out[4, idx] = _level_phase(values)
         out[5, idx] = idx
     return out.reshape(6, -1).T

@@ -7,15 +7,13 @@ Error convention: (desired - achieved) / desired.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .core import eval_gef, eval_sharp, eval_v
+from .core import _level_phase, eval_gef, eval_sharp, eval_v
 from .characteristics import (
     CharacteristicReport,
     closed_form,
@@ -51,16 +49,6 @@ class SweepResult:
     q_erb_axis: tuple
     n_axis: tuple
     error_grids: dict
-
-    def as_rows(self) -> list[tuple]:
-        """Long-format rows (q_erb, n_cycles, characteristic, error|None)."""
-        rows = []
-        for key in sorted(self.error_grids):
-            grid = self.error_grids[key]
-            for i, q in enumerate(self.q_erb_axis):
-                for j, n in enumerate(self.n_axis):
-                    rows.append((q, n, key, grid[i][j]))
-        return rows
 
 
 def _designed(spec: CharacteristicSpec):
@@ -154,30 +142,6 @@ def sweep(q_erb_values, n_values) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12e}"
-    return str(value)
-
-
-def _csv(header, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(cell) for cell in row) + "\n")
-    return buf.getvalue()
-
-
-def _float_csv(header, columns) -> str:
-    """What _csv writes for rows of floats, from equal-length float columns,
-    formatted a row at a time."""
-    line = ",".join(["%.12e"] * len(header)) + "\n"
-    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
-    return ",".join(header) + "\n" + "".join(line % row for row in rows)
-
-
 def _ratios(flat: dict) -> dict:
     """The compound ratios of a flat characteristic map that has their parts."""
     return {
@@ -187,19 +151,15 @@ def _ratios(flat: dict) -> dict:
     }
 
 
-def _check_format(out_format: str) -> None:
-    if out_format not in ("csv", "json"):
-        raise ValueError("out_format must be 'csv' or 'json'")
+def figure_report(spec: CharacteristicSpec) -> dict:
+    """Error table for one designed case: ``{"desired", "achieved", "errors"}``.
 
-
-def figure_report(spec: CharacteristicSpec, out_format: str = "csv") -> str:
-    """Error table for one designed case, serialized as CSV or JSON.
-
-    It carries the desired value, and per target the achieved value and
-    signed relative error.  The compound ratios (Q_erb/N, Q_10/N,
-    Q_erb/Q_10) are ratios of the per-target extracted values.
+    ``desired`` maps each characteristic to its desired value; ``achieved``
+    and ``errors`` map each target (p_sharp, p, v, in that order) to its
+    achieved values and signed relative errors.  The compound ratios
+    (Q_erb/N, Q_10/N, Q_erb/Q_10) are ratios of the per-target extracted
+    values.
     """
-    _check_format(out_format)
     records = evaluate_case(spec)
     desired = numeric_values(records[0].desired)
     desired.update(_ratios(desired))
@@ -214,60 +174,22 @@ def figure_report(spec: CharacteristicSpec, out_format: str = "csv") -> str:
             for key, value in ratios.items()
             if key in desired
         )
-
-    if out_format == "json":
-        return json.dumps(
-            {"desired": desired, "achieved": achieved, "errors": errors}, sort_keys=True
-        )
-    header = ["characteristic", "desired"]
-    for record in records:
-        header += [f"{record.target}_achieved", f"{record.target}_error"]
-    rows = []
-    for key in sorted(desired):
-        row = [key, desired[key]]
-        for record in records:
-            row += [achieved[record.target].get(key), errors[record.target].get(key)]
-        rows.append(row)
-    return _csv(header, rows)
+    return {"desired": desired, "achieved": achieved, "errors": errors}
 
 
-def response_table(spec: CharacteristicSpec, out_format: str = "csv") -> str:
-    """Response table for one designed case, serialized as CSV or JSON.
+def response_table(spec: CharacteristicSpec) -> dict:
+    """Response table for one designed case: column name -> float array.
 
     It holds level and phase of the three targets over the extraction grid,
     each peak-normalized (own maximum level subtracted) and phase-referenced
     to zero at beta -> 0.
     """
-    _check_format(out_format)
     theta, grid = _designed(spec)
     betas = grid.samples
     columns = {"beta": betas}
     for target, response in _target_responses(theta).items():
-        values = np.asarray(response(betas))
-        level = 20.0 * np.log10(np.abs(values))
-        phase = np.unwrap(np.angle(values))
+        level, phase = _level_phase(np.asarray(response(betas)))
         phase_zero = np.angle(complex(response(1e-9)))
         columns[f"{target}_level_db"] = level - level.max()
         columns[f"{target}_phase_rad"] = phase - phase_zero
-
-    if out_format == "json":
-        return json.dumps(
-            {name: [float(x) for x in col] for name, col in columns.items()},
-            sort_keys=True,
-        )
-    return _float_csv(list(columns), columns.values())
-
-
-def sweep_csv(result: SweepResult) -> str:
-    return _csv(("q_erb", "n_cycles", "characteristic", "rel_error"), result.as_rows())
-
-
-def sweep_json(result: SweepResult) -> str:
-    return json.dumps(
-        {
-            "q_erb_axis": list(result.q_erb_axis),
-            "n_axis": list(result.n_axis),
-            "error_grids": result.error_grids,
-        },
-        sort_keys=True,
-    )
+    return columns

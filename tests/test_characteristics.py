@@ -235,18 +235,6 @@ class TestExtractNumeric:
         report = extract_numeric(flat_top, grid)
         assert report.beta_peak < 1.0  # true peak is below b_p
 
-    def test_scalar_only_response_supported(self, theta_sharp6):
-        grid = default_grid(theta_sharp6)
-
-        def scalar_only(beta):
-            if np.ndim(beta) != 0:
-                raise TypeError("scalars only")
-            return eval_gef(theta_sharp6, float(beta))
-
-        report = extract_numeric(scalar_only, grid)
-        assert report.beta_peak == pytest.approx(1.0 - 0.05**2 / 2.0, abs=1e-5)
-
-
     def test_sharp_form_bandwidths_match_closed_form(self):
         # q_n = beta_peak / bw_n also carries the golden-section peak error
         # (about 1e-9), so the bandwidth is what the crossings pin down

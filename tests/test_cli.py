@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -23,6 +25,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DESIGN_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "data" / "design_golden.json").read_text()
 )
+# stdout and output files of `analyze`, `evaluate`, `sweep` and `response` on
+# seeded inputs, captured from the commit before the CLI took over writing
+# the harness tables: "text" cases hold CSV and JSON that must not move (by
+# content, or by SHA-256 where long); "json" cases hold the documents that
+# were printed at 17 digits then, and must now be those values at 12
+TABLES_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "tables_golden.json").read_text()
+)
 
 
 def read_json(path):
@@ -43,6 +53,21 @@ def run_captured(argv):
     errors = [json.loads(line) for line in err.getvalue().splitlines()
               if line.startswith('{"error"')]
     return code, out.getvalue(), errors
+
+
+def round12(obj):
+    """Every float of a JSON document at 12 significant digits."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12e}")
+    if isinstance(obj, dict):
+        return {key: round12(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [round12(item) for item in obj]
+    return obj
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def write_float_wav(path, rate, samples):
@@ -601,6 +626,31 @@ class TestResponseCommand:
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_at_nyquist_is_minus_inf_without_warning(self, sos_file, capsys):
+        # the bilinear cascade has its double zero at fs / 2
+        rc = run(["response", "--sos", str(sos_file), "--fmin", "0", "--fmax", "24000",
+                  "--points", "9"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == (
+            "2.400000000000e+04,0.000000000000e+00,0.000000000000e+00,-inf,0.000000000000e+00"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflow_is_minus_inf_without_warning(self, tmp_path, capsys):
+        constants = tmp_path / "u.json"
+        constants.write_text(json.dumps({"a_p": 0.1, "b_p": 1, "b_u": 200}))
+        rc = run(["response", "--constants", str(constants), "--peak-hz", "1000",
+                  "--fmin", "50", "--fmax", "12000", "--points", "5"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        levels = [line.split(",")[3] for line in captured.out.splitlines()[1:]]
+        assert levels[3:] == ["-inf", "-inf"]
+        assert all(float(level) > -math.inf for level in levels[:3])
+
     @pytest.mark.parametrize("fs", ["NaN", "Infinity"])
     def test_filter_file_with_non_finite_rate_exits_3(self, tmp_path, sos_file, capsys, fs):
         bad = tmp_path / "bad.json"
@@ -613,6 +663,45 @@ class TestResponseCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == "InfeasibleSpec"
+
+
+class TestTablesGolden:
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        for name, doc in TABLES_GOLDEN["inputs"].items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def _outputs(argv, names):
+        """stdout (as "-") and the named output files of one successful call."""
+        code, out, errors = run_captured(argv)
+        assert (code, errors) == (0, [])
+        return {"-": out, **{name: Path(name).read_text() for name in names if name != "-"}}
+
+    @pytest.mark.parametrize("case", TABLES_GOLDEN["text"],
+                             ids=[case["id"] for case in TABLES_GOLDEN["text"]])
+    def test_tables_byte_identical(self, inputs, case):
+        outputs = self._outputs(case["argv"], [*case["text"], *case["sha256"]])
+        for name, text in case["text"].items():
+            assert outputs[name] == text, name
+        for name, digest in case["sha256"].items():
+            assert sha256(outputs[name]) == digest, name
+
+    @pytest.mark.parametrize("case", TABLES_GOLDEN["json"],
+                             ids=[case["id"] for case in TABLES_GOLDEN["json"]])
+    def test_json_documents_at_12_digits(self, inputs, case):
+        outputs = self._outputs(case["argv"], [*case["values"], *case["rounded_sha256"]])
+        for name, values in case["values"].items():
+            assert json.loads(outputs[name]) == round12(values), name
+            # indented, keys sorted, newline-terminated, like every JSON output
+            assert outputs[name] == json.dumps(round12(values), indent=2, sort_keys=True) + "\n"
+        for name, digest in case["rounded_sha256"].items():
+            doc = json.loads(outputs[name])
+            assert round12(doc) == doc, name
+            assert sha256(json.dumps(doc, sort_keys=True)) == digest, name
+            assert outputs[name] == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestEndToEndRoundTrip:
@@ -662,20 +751,20 @@ class TestImportPath:
 
     def _run_module(self, argv, cwd):
         """`python -m gefdesign.cli *argv` in a fresh interpreter: its exit
-        code and whether numpy was loaded, from the last line of stdout."""
+        code and the names of the modules it loaded."""
         proc = self._python(
-            "import runpy, sys\n"
+            "import json, runpy, sys\n"
             f"sys.argv = ['gefdesign', *{argv!r}]\n"
             "try:\n"
             "    runpy.run_module('gefdesign.cli', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
-            "print(code, 'numpy' in sys.modules)",
+            "print(json.dumps([code, sorted(sys.modules)]))",
             cwd,
         )
         assert proc.returncode == 0, proc.stderr
-        code, numpy_loaded = proc.stdout.splitlines()[-1].split()
-        return int(code), numpy_loaded == "True"
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        return code, set(modules)
 
     def test_package_import_loads_no_numpy(self, tmp_path):
         proc = self._python("import sys, gefdesign\nprint('numpy' in sys.modules)", tmp_path)
@@ -683,12 +772,30 @@ class TestImportPath:
         assert proc.stdout.strip() == "False"
 
     def test_version_loads_no_numpy(self, tmp_path):
-        assert self._run_module(["--version"], tmp_path) == (0, False)
+        code, modules = self._run_module(["--version"], tmp_path)
+        assert (code, "numpy" in modules) == (0, False)
 
     @pytest.mark.parametrize("case", NUMPY_FREE_DESIGNS)
     def test_design_loads_no_numpy(self, tmp_path, case):
-        flags, code = NUMPY_FREE_DESIGNS[case]
-        assert self._run_module(["design", "--peak-beta", "1", *flags], tmp_path) == (code, False)
+        flags, want = NUMPY_FREE_DESIGNS[case]
+        code, modules = self._run_module(["design", "--peak-beta", "1", *flags], tmp_path)
+        assert (code, "numpy" in modules) == (want, False)
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["response", "--sos", "sos.json", "--fmin", "50", "--fmax", "12000", "--points", "9"],
+         {"gefdesign.harness", "gefdesign.characteristics"}),
+        (["response", "--constants", "c.json", "--peak-hz", "1000", "--fmin", "50",
+          "--fmax", "12000", "--points", "9"],
+         {"gefdesign.harness", "gefdesign.characteristics"}),
+        (["analyze", "--constants", "c.json", "--format", "csv"], {"gefdesign.harness"}),
+    ], ids=["response-sos", "response-constants", "analyze-csv"])
+    def test_tables_load_no_audit_code(self, tmp_path, argv, unused):
+        (tmp_path / "c.json").write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 6}))
+        assert run(["discretize", "--constants", str(tmp_path / "c.json"), "--peak-hz", "1000",
+                    "--fs", "48000", "--out", str(tmp_path / "sos.json")]) == 0
+        code, modules = self._run_module(argv, tmp_path)
+        assert code == 0
+        assert not unused & modules
 
     def test_star_import_and_dir_list_all(self):
         import gefdesign

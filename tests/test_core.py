@@ -10,7 +10,6 @@ from gefdesign import (
     eval_gef,
     eval_sharp,
     eval_v,
-    group_delay_cycles,
     level_db,
     normalized_to_peak,
     peak_beta,
@@ -18,7 +17,7 @@ from gefdesign import (
     sharpness_check,
     wavenumber,
 )
-from gefdesign.core import DB_PER_LOG
+from gefdesign.core import DB_PER_LOG, _level_phase
 from gefdesign.scalar import _brentq
 from gefdesign.errors import InfeasibleSpec, NonPositiveConstant
 
@@ -231,24 +230,18 @@ class TestLevelAndPhase:
             assert d_phase == pytest.approx(-k.real, rel=1e-5)
 
 
-class TestGroupDelay:
-    def test_value_at_peak(self, theta_sharp6):
-        expected = (6.0 * (1.0 / 0.05 + 1.0 / (0.05 + 2.0j))).real / (2.0 * math.pi)
-        assert group_delay_cycles(theta_sharp6, 1.0) == pytest.approx(expected, rel=1e-12)
-        assert group_delay_cycles(theta_sharp6, 1.0) == pytest.approx(19.11, abs=5e-3)
+class TestSampledLevelAndPhase:
+    def test_matches_closed_forms(self, theta_sharp6):
+        betas = np.linspace(0.01, 4.0, 1000)
+        level, phase = _level_phase(np.asarray(eval_gef(theta_sharp6, betas)))
+        np.testing.assert_allclose(level, level_db(theta_sharp6, betas), rtol=1e-12)
+        np.testing.assert_allclose(phase, phase_rad(theta_sharp6, betas), rtol=1e-9, atol=1e-9)
 
-    def test_case2_value_at_peak(self, theta_wide7):
-        expected = 7.0 / (2.0 * math.pi * 0.1) * (1.0 + 0.01 / 4.01)
-        assert group_delay_cycles(theta_wide7, 1.0) == pytest.approx(expected, rel=1e-12)
-        assert group_delay_cycles(theta_wide7, 1.0) == pytest.approx(11.17, abs=5e-3)
-
-    def test_matches_phase_slope(self, theta_sharp6):
-        h = 1e-6
-        for beta in (0.6, 1.0, 1.9):
-            slope = (phase_rad(theta_sharp6, beta + h) - phase_rad(theta_sharp6, beta - h)) / (2 * h)
-            assert group_delay_cycles(theta_sharp6, beta) == pytest.approx(
-                -slope / (2.0 * math.pi), rel=1e-6
-            )
+    @pytest.mark.filterwarnings("error")
+    def test_zero_value_is_minus_inf_without_warning(self):
+        level, phase = _level_phase(np.array([1.0 + 0.0j, 0.0j, -1.0 + 0.0j]))
+        assert level.tolist() == [0.0, -math.inf, 0.0]
+        assert phase.tolist() == [0.0, 0.0, math.pi]
 
 
 class TestSharpness:

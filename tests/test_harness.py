@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import math
 
@@ -13,8 +11,9 @@ from gefdesign import (
     figure_report,
     sweep,
 )
+from gefdesign.cli import run
 from gefdesign.errors import OutOfRange
-from gefdesign.harness import response_table, sweep_csv, sweep_json
+from gefdesign.harness import response_table
 
 N_SHARP6 = 6.0 / (2.0 * math.pi * 0.05)
 N_WIDE7 = 7.0 / (2.0 * math.pi * 0.1)
@@ -116,17 +115,20 @@ class TestSweep:
         with pytest.raises(OutOfRange):
             sweep([q_erb], [n_cycles])
 
-    def test_csv_and_json_serialization(self):
+    def test_csv_and_json_output(self, tmp_path):
         # only the (30, 10.5) cell has Q_erb / N above the achievable ratio
-        result = sweep([20.0, 30.0], [10.5, 16.0])
-        text = sweep_csv(result)
-        rows = list(csv.reader(io.StringIO(text)))
+        argv = ["sweep", "--qerb", "20,30", "--n", "10.5,16"]
+        assert run([*argv, "--out", str(tmp_path / "s.csv")]) == 0
+        rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()]
         assert rows[0] == ["q_erb", "n_cycles", "characteristic", "rel_error"]
-        # infeasible cell serialized as an empty field
+        # infeasible cell written as an empty field
         empties = [row for row in rows[1:] if row[3] == ""]
         assert empties and all(row[0] == "3.000000000000e+01" for row in empties)
         assert all(row[1] == "1.050000000000e+01" for row in empties)
-        data = json.loads(sweep_json(result))
+        assert run([*argv, "--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+        text = (tmp_path / "s.json").read_text()
+        assert text.startswith('{\n  "error_grids"') and text.endswith("}\n")
+        data = json.loads(text)
         assert data["q_erb_axis"] == [20.0, 30.0]
         assert data["error_grids"]["q_erb"][1][0] is None
         assert data["error_grids"]["q_erb"][1][1] is not None
@@ -134,7 +136,7 @@ class TestSweep:
 
 class TestFigureReport:
     def test_desired_column_reference_values(self, spec_sharp6):
-        desired = json.loads(figure_report(spec_sharp6, out_format="json"))["desired"]
+        desired = figure_report(spec_sharp6)["desired"]
         assert desired["q_erb"] == pytest.approx(25.9, abs=0.05)
         assert desired["q_10"] == pytest.approx(14.6, abs=0.05)
         assert desired["erb_beta"] == pytest.approx(0.039, abs=5e-4)
@@ -144,13 +146,13 @@ class TestFigureReport:
         assert desired["q_erb_over_q_10"] == pytest.approx(1.77, abs=0.01)
 
     def test_wide_case_ratio_values(self, spec_wide7):
-        desired = json.loads(figure_report(spec_wide7, out_format="json"))["desired"]
+        desired = figure_report(spec_wide7)["desired"]
         assert desired["q_erb_over_n"] == pytest.approx(1.27, abs=0.01)
         assert desired["q_10_over_n"] == pytest.approx(0.72, abs=0.01)
         assert desired["q_erb_over_q_10"] == pytest.approx(1.76, abs=0.01)
 
     def test_errors_are_the_evaluate_case_errors(self, spec_sharp6, records_sharp6):
-        table = json.loads(figure_report(spec_sharp6, out_format="json"))
+        table = figure_report(spec_sharp6)
         desired = table["desired"]
         for record in records_sharp6:
             errors = table["errors"][record.target]
@@ -159,22 +161,33 @@ class TestFigureReport:
             for key in ("q_erb_over_n", "q_10_over_n", "q_erb_over_q_10"):
                 assert errors[key] == (desired[key] - achieved[key]) / desired[key]
 
-    def test_csv_tables_round_trip(self, spec_sharp6):
-        errors = list(csv.DictReader(io.StringIO(figure_report(spec_sharp6, out_format="csv"))))
-        by_name = {row["characteristic"]: row for row in errors}
-        assert float(by_name["q_erb"]["desired"]) == pytest.approx(25.869, abs=1e-3)
-        for target in ("p_sharp", "p", "v"):
-            value = float(by_name["q_erb"][f"{target}_error"])
-            assert abs(value) < 0.02
-        response = list(csv.DictReader(io.StringIO(response_table(spec_sharp6, out_format="csv"))))
-        assert {"beta", "p_level_db", "p_sharp_level_db", "v_level_db"} <= set(response[0])
-        # peak-normalized: maxima at 0 dB
-        levels = np.array([float(r["p_level_db"]) for r in response])
-        assert levels.max() == pytest.approx(0.0, abs=1e-12)
-        # phase referenced to zero at beta -> 0
-        phases = np.array([float(r["p_phase_rad"]) for r in response])
-        assert abs(phases[0]) < 1e-2
+    def test_targets_in_order(self, spec_sharp6):
+        table = figure_report(spec_sharp6)
+        assert list(table) == ["desired", "achieved", "errors"]
+        assert list(table["achieved"]) == list(table["errors"]) == ["p_sharp", "p", "v"]
+        assert table["desired"]["q_erb"] == pytest.approx(25.869, abs=1e-3)
+        for errors in table["errors"].values():
+            assert abs(errors["q_erb"]) < 0.02
 
-    def test_byte_identical_reruns(self, spec_sharp6):
-        for table in (figure_report, response_table):
-            assert table(spec_sharp6, out_format="csv") == table(spec_sharp6, out_format="csv")
+    def test_response_table_columns(self, spec_sharp6):
+        columns = response_table(spec_sharp6)
+        assert list(columns) == [
+            "beta", "p_sharp_level_db", "p_sharp_phase_rad", "p_level_db", "p_phase_rad",
+            "v_level_db", "v_phase_rad",
+        ]
+        assert {column.shape for column in columns.values()} == {columns["beta"].shape}
+        # peak-normalized: maxima at 0 dB
+        assert columns["p_level_db"].max() == pytest.approx(0.0, abs=1e-12)
+        # phase referenced to zero at beta -> 0
+        assert abs(columns["p_phase_rad"][0]) < 1e-2
+
+    def test_byte_identical_reruns(self, tmp_path):
+        spec = {"row": "II.1", "beta_peak": 1.0, "n_cycles": N_SHARP6, "phi_accum": 3.0}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        outputs = []
+        for k in range(2):
+            errors, response = tmp_path / f"errors{k}.csv", tmp_path / f"response{k}.csv"
+            assert run(["evaluate", "--spec", str(tmp_path / "spec.json"),
+                        "--errors-out", str(errors), "--response-out", str(response)]) == 0
+            outputs.append((errors.read_bytes(), response.read_bytes()))
+        assert outputs[0] == outputs[1]
