@@ -405,7 +405,9 @@ def extract_numeric(
     def level_at(beta):
         return DB_PER_LOG * math.log(mag_at(beta))
 
-    beta_pk = _golden_max(mag_at, betas[i_pk - 1], betas[i_pk + 1], tol=1e-10)
+    # the scalar probes take Python floats, so Brent's method and the golden
+    # section do float arithmetic and the response takes its math path
+    beta_pk = _golden_max(mag_at, float(betas[i_pk - 1]), float(betas[i_pk + 1]), tol=1e-10)
     peak_mag = mag_at(beta_pk)
     peak_level = DB_PER_LOG * math.log(peak_mag)
 
@@ -414,20 +416,17 @@ def extract_numeric(
     bw, q_n = {}, {}
     for n in sorted(float(n) for n in n_levels):
         target = peak_level - n
-        upper = None
-        for j in range(i_pk + 1, betas.size):
-            if levels[j] < target:
-                upper = _level_crossing(level_at, target, betas[j - 1], betas[j])
-                break
-        if upper is None:
+        # the first sample below the target above the peak, the last below it
+        above = np.flatnonzero(levels[i_pk + 1:] < target)
+        if above.size == 0:
             raise LevelNotReached(n, "high-frequency")
-        lower = None
-        for j in range(i_pk - 1, -1, -1):
-            if levels[j] < target:
-                lower = _level_crossing(level_at, target, betas[j], betas[j + 1])
-                break
-        if lower is None:
+        j = i_pk + 1 + int(above[0])
+        upper = _level_crossing(level_at, target, float(betas[j - 1]), float(betas[j]))
+        below = np.flatnonzero(levels[:i_pk] < target)
+        if below.size == 0:
             raise LevelNotReached(n, "low-frequency")
+        j = int(below[-1])
+        lower = _level_crossing(level_at, target, float(betas[j]), float(betas[j + 1]))
         width = upper - lower
         bw[n] = width
         q_n[n] = beta_pk / width

@@ -60,12 +60,15 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _lines(rows) -> str:
+    """One line per row, its cells joined by commas; floats at 12 significant
+    digits, None as an empty cell."""
+    return "".join([",".join(map(_cell, row)) + "\n" for row in rows])
+
+
 def _csv(header, rows) -> str:
-    """A header line, then one line per row; floats at 12 significant digits,
-    None as an empty cell."""
-    lines = [",".join(header)]
-    lines += [",".join(map(_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """A header line, then one line per row."""
+    return _lines([header]) + _lines(rows)
 
 
 def _emit(text: str, out_path) -> None:
@@ -171,12 +174,13 @@ def _read_signal(path, rate):
 
 
 def _write_signal(path, signal) -> None:
-    from .digital import write_signal_csv, write_wav
+    """A WAV file, or headerless CSV with one sample a line."""
+    from .digital import write_wav
 
     if str(path).lower().endswith(".wav"):
         write_wav(path, signal)
     else:
-        write_signal_csv(path, signal)
+        _emit(_lines([x] for x in signal.samples.tolist()), path)
 
 
 def _report_csv(reports: dict) -> str:

@@ -15,6 +15,14 @@ per-pole logarithms, so they stay finite and continuous for exponents where
 the linear magnitude would overflow.  Because the real part of both pole
 factors is a_p > 0, the per-factor arctangent angle is already continuous
 in beta and no branch unwrapping is needed, even for non-integer b_u.
+
+A beta given as one Python float (or int) is a one-element array: it gives
+what that array gives.  Its value is computed on ``math`` with Python
+complex numbers, in the operations of the array path, so the single-point
+probes of numeric extraction skip numpy's per-call overhead.  Where those
+operations would not reproduce numpy (a log argument that is 0 or not
+finite, or an exponential at the edge of overflow), it goes through numpy
+as a one-element array.
 """
 
 from __future__ import annotations
@@ -30,6 +38,21 @@ def _as_beta_array(beta):
     return np.asarray(beta, dtype=float)
 
 
+def _is_number(beta) -> bool:
+    return isinstance(beta, (float, int))
+
+
+def _points(beta):
+    """beta as a float array; a Python number becomes a one-element array."""
+    return np.array([beta], dtype=float) if _is_number(beta) else _as_beta_array(beta)
+
+
+def _values(values, beta):
+    """Response values shaped as beta was given: a Python complex for a
+    Python number or a 0-d array, an array otherwise."""
+    return complex(values[0]) if _is_number(beta) else _maybe_scalar(values)
+
+
 def _maybe_scalar(values):
     arr = np.asarray(values)
     if arr.ndim == 0:
@@ -37,14 +60,13 @@ def _maybe_scalar(values):
     return values
 
 
-def _log_pole_factors(theta: FilterConstants, beta):
+def _log_pole_factors(theta: FilterConstants, beta: np.ndarray):
     """Complex logs of (s - p) and (s - conj(p)) at s = i*beta.
 
     Both factors have real part a_p > 0, so arctan(imag/real) is the
     continuous angle for any real beta; exponentiating -b_u times the sum
     therefore evaluates the complex power without branch jumps.
     """
-    beta = _as_beta_array(beta)
     a = theta.a_p
     u = beta - theta.b_p
     v = beta + theta.b_p
@@ -53,14 +75,53 @@ def _log_pole_factors(theta: FilterConstants, beta):
     return log_p, log_c
 
 
+# largest real part for which numpy's complex exp is exp(x) * (cos y +
+# i sin y) in floats; above it (glibc's cexp from 709, numpy's own from
+# 710.48) it rescales to put off overflow
+_EXP_UNSCALED_MAX = 709.0
+
+
+def _power_on_math(theta: FilterConstants, beta, conjugate: bool):
+    """exp(-b_u * (log(s - p) + log(s - conj(p)))) at s = i*beta, without
+    the conjugate factor when conjugate is False, as a Python complex for a
+    Python number beta, in the operations of the array path.  None for any
+    other beta, and where math would not reproduce numpy: a squared modulus
+    that is 0 or not finite (numpy's log gives -inf or inf and warns), or
+    an exponent whose real part exceeds _EXP_UNSCALED_MAX or whose imaginary
+    part overflows."""
+    if not _is_number(beta):
+        return None
+    a = theta.a_p
+    beta = float(beta)
+    u = beta - theta.b_p
+    mod = a * a + u * u
+    if not 0.0 < mod < math.inf:
+        return None
+    log = complex(0.5 * math.log(mod), math.atan(u / a))
+    if conjugate:
+        v = beta + theta.b_p
+        mod = a * a + v * v
+        if not 0.0 < mod < math.inf:
+            return None
+        log = log + complex(0.5 * math.log(mod), math.atan(v / a))
+    z = -theta.b_u * log
+    if not (z.real <= _EXP_UNSCALED_MAX and abs(z.imag) < math.inf):
+        return None
+    mag = math.exp(z.real)
+    return complex(mag * math.cos(z.imag), mag * math.sin(z.imag))
+
+
 def eval_gef(theta: FilterConstants, beta):
     """Evaluate C * ((s - p)(s - conj(p)))**(-b_u) at s = i*beta.
 
     Accepts a scalar or an array of normalized frequencies and returns
     complex values of matching shape.
     """
-    log_p, log_c = _log_pole_factors(theta, beta)
-    return _maybe_scalar(theta.gain * np.exp(-theta.b_u * (log_p + log_c)))
+    power = _power_on_math(theta, beta, conjugate=True)
+    if power is not None:
+        return theta.gain * power
+    log_p, log_c = _log_pole_factors(theta, _points(beta))
+    return _values(theta.gain * np.exp(-theta.b_u * (log_p + log_c)), beta)
 
 
 def eval_sharp(theta: FilterConstants, beta):
@@ -69,8 +130,11 @@ def eval_sharp(theta: FilterConstants, beta):
     The magnitude is exactly symmetric about b_p; the form is not
     realizable but underpins every closed-form characteristic.
     """
-    log_p, _ = _log_pole_factors(theta, beta)
-    return _maybe_scalar(np.exp(-theta.b_u * log_p))
+    power = _power_on_math(theta, beta, conjugate=False)
+    if power is not None:
+        return power
+    log_p, _ = _log_pole_factors(theta, _points(beta))
+    return _values(np.exp(-theta.b_u * log_p), beta)
 
 
 def eval_v(theta: FilterConstants, beta):
@@ -78,9 +142,12 @@ def eval_v(theta: FilterConstants, beta):
 
     The proportionality constant is taken as 1.
     """
-    beta = _as_beta_array(beta)
-    log_p, log_c = _log_pole_factors(theta, beta)
-    return _maybe_scalar((theta.a_p + 1j * beta) * np.exp(-theta.b_u * (log_p + log_c)))
+    power = _power_on_math(theta, beta, conjugate=True)
+    if power is not None:
+        return (theta.a_p + 1j * float(beta)) * power
+    points = _points(beta)
+    log_p, log_c = _log_pole_factors(theta, points)
+    return _values((theta.a_p + 1j * points) * np.exp(-theta.b_u * (log_p + log_c)), beta)
 
 
 def wavenumber(theta: FilterConstants, beta):

@@ -475,9 +475,5 @@ def read_wav(path) -> SignalBuffer:
     return SignalBuffer(sample_rate=float(rate), samples=data.astype(float))
 
 
-def write_signal_csv(path, signal: SignalBuffer) -> None:
-    np.savetxt(path, signal.samples, fmt="%.12e")
-
-
 def read_signal_csv(path, sample_rate: float) -> SignalBuffer:
     return SignalBuffer(sample_rate=sample_rate, samples=np.loadtxt(path, ndmin=1))

@@ -126,12 +126,23 @@ class MultibandSpec:
 
 def _designed_bands(spec: MultibandSpec):
     """Per-band (f_peak, theta, normalized gain): each band's own peak
-    magnitude is scaled to 1 before the user gain applies."""
+    magnitude is scaled to 1 before the user gain applies.  Raises OutOfRange
+    when a band's peak magnitude is not a finite positive float."""
     out = []
     for band in spec.bands:
         theta = design(band.spec)
-        norm = 1.0 / abs(eval_gef(theta, peak_beta(theta)))
-        out.append((band.f_peak_hz, theta, band.gain * norm))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as non-finite
+            peak = eval_gef(theta, peak_beta(theta))
+        try:
+            peak_mag = abs(peak)
+        except OverflowError:  # finite parts whose modulus passes the largest float
+            peak_mag = math.inf
+        if not 0.0 < peak_mag < math.inf:
+            raise OutOfRange(
+                f"band at {band.f_peak_hz:g} Hz has a peak magnitude of {peak_mag:g} "
+                f"({theta}); it must be finite and > 0"
+            )
+        out.append((band.f_peak_hz, theta, band.gain * (1.0 / peak_mag)))
     return out
 
 

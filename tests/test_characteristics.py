@@ -33,6 +33,7 @@ from gefdesign.errors import (
     NoInteriorPeak,
     OutOfRange,
 )
+from gefdesign.scalar import DB_PER_LOG
 
 LN10 = math.log(10.0)
 
@@ -289,6 +290,71 @@ class TestLevelCrossing:
         # both scalar levels on one side of the target: no bracket for Brent
         assert _level_crossing(lambda beta: -beta, target, 1.0, 2.0) == nearer
         assert _level_crossing(lambda beta: -beta, target, 2.0, 1.0) == nearer
+
+
+def gaussian_bumps(*bumps, floor=0.0, delay=5.0):
+    """A response whose magnitude is a sum of Gaussians h*exp(-((beta-c)/w)**2)
+    in beta plus `floor`, a callable of beta, with a linear phase so that the
+    delay characteristics are positive."""
+
+    def response(beta):
+        beta = np.asarray(beta, dtype=float)
+        mag = sum(h * np.exp(-(((beta - c) / w) ** 2)) for c, w, h in bumps)
+        mag = mag + (floor(beta) if callable(floor) else floor)
+        return mag * np.exp(-1j * delay * beta)
+
+    return response
+
+
+def gaussian_bw(w, n_db):
+    """n-dB width of exp(-(x / w)**2)."""
+    return 2.0 * w * math.sqrt(n_db / DB_PER_LOG)
+
+
+class TestCrossingSearch:
+    """The bracketing samples of each n-dB crossing: the first sample below the
+    target above the peak and the last one below it."""
+
+    GRID = FrequencyGrid(np.linspace(0.5, 1.5, 1001), 0.5, 0.001, 1.5, 0)
+
+    @pytest.mark.parametrize("sign, side", [(1.0, "high-frequency"), (-1.0, "low-frequency")])
+    def test_level_not_reached(self, sign, side):
+        # a shelf 9.5 dB below the peak on one side never falls 10 dB down
+        def shelf(beta):
+            return 0.2 * (1.0 + np.tanh(sign * (beta - 1.0) / 0.02))
+
+        response = gaussian_bumps((1.0, 0.05, 1.0), floor=shelf)
+        with pytest.raises(LevelNotReached) as info:
+            extract_numeric(response, self.GRID, n_levels=(10.0,))
+        assert (info.value.n_db, info.value.side) == (10.0, side)
+        assert extract_numeric(response, self.GRID, n_levels=(3.0,)).bw_n_beta[3.0] > 0.0
+
+    def test_crossings_next_to_the_peak_sample(self, monkeypatch):
+        # the neighbours of the peak sample are already 19.5 dB down
+        w = 0.001 / 1.5
+        brackets = []
+
+        def recording(level_fn, target, a, b):
+            brackets.append((a, b))
+            return _level_crossing(level_fn, target, a, b)
+
+        monkeypatch.setattr(characteristics, "_level_crossing", recording)
+        report = extract_numeric(gaussian_bumps((1.0, w, 1.0), floor=1e-6), self.GRID)
+        samples = self.GRID.samples
+        i_pk = int(np.argmin(np.abs(samples - 1.0)))
+        assert brackets == [(samples[i_pk], samples[i_pk + 1]),
+                            (samples[i_pk - 1], samples[i_pk])] * 2
+        assert all(type(end) is float for bracket in brackets for end in bracket)
+        for n in (3.0, 10.0):
+            assert report.bw_n_beta[n] == pytest.approx(gaussian_bw(w, n), rel=1e-6)
+
+    def test_takes_the_crossings_nearest_the_peak(self):
+        # side lobes 0.9 dB down rise back above the 3 dB target further out
+        response = gaussian_bumps(
+            (1.0, 0.05, 1.0), (0.8, 0.02, 0.9), (1.2, 0.02, 0.9), floor=1e-6
+        )
+        report = extract_numeric(response, self.GRID, n_levels=(3.0,))
+        assert report.bw_n_beta[3.0] == pytest.approx(gaussian_bw(0.05, 3.0), rel=1e-6)
 
 
 class TestGoldenMax:

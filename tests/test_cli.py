@@ -484,6 +484,24 @@ class TestDiscretizeAndFilter:
         assert y.size == 4800
         assert np.abs(y[2400:]).max() == pytest.approx(1.0, rel=0.02)
 
+    @pytest.mark.parametrize("samples", [
+        [],
+        [0.0, 1.0, -0.25, 3.5e-7],
+        [-0.0, math.nan, math.inf, -math.inf, 5e-324, -1.7976931348623157e308, 1e-300],
+        np.random.default_rng(3).standard_normal(500).tolist(),
+    ])
+    def test_signal_csv_is_savetxt_and_reads_back(self, tmp_path, samples):
+        from gefdesign.cli import _write_signal
+        from gefdesign.digital import read_signal_csv
+
+        path, reference = tmp_path / "x.csv", tmp_path / "savetxt.csv"
+        _write_signal(path, SignalBuffer(8000.0, np.array(samples, dtype=float)))
+        np.savetxt(reference, np.array(samples, dtype=float), fmt="%.12e")
+        assert path.read_bytes() == reference.read_bytes()
+        if samples:
+            loaded = read_signal_csv(path, 8000.0).samples
+            assert np.allclose(loaded, samples, rtol=1e-12, atol=0.0, equal_nan=True)
+
     def test_filter_wav_signal(self, tmp_path, sos_file):
         from gefdesign.digital import SignalBuffer, read_wav, write_wav
 

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gefdesign import (
@@ -17,6 +18,7 @@ from gefdesign import (
     sharpness_check,
     wavenumber,
 )
+from gefdesign import core
 from gefdesign.core import DB_PER_LOG, _level_phase
 from gefdesign.scalar import _brentq
 from gefdesign.errors import InfeasibleSpec, NonPositiveConstant
@@ -113,6 +115,81 @@ class TestEvalGef:
         assert np.all(np.diff(unwrapped) < 1e-3)
         # and the analytic continuous phase agrees with the unwrapped samples
         assert np.allclose(unwrapped, phase_rad(theta, betas), atol=1e-9)
+
+
+# every float FilterConstants accepts, with typical values drawn as often
+any_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _positive(lo, hi):
+    return st.one_of(st.floats(lo, hi), any_positive)
+
+
+def assert_matches_array(scalar, array, scale, prefactor):
+    """scalar == array to 4 ulp of the log-domain value where array is finite:
+    within 4 eps (1 + scale) |array| plus 4 of the smallest subnormal times
+    the prefactor, where scale bounds |b_u * (sum of the pole logs)|; the same
+    nan and inf parts elsewhere."""
+    finite = [part for part in (array.real, array.imag) if math.isfinite(part)]
+    size = math.hypot(*finite)
+    bound = 4.0 * sys.float_info.epsilon * (1.0 + scale) * size if size else 0.0
+    bound += 4.0 * math.ulp(0.0) * prefactor
+    for got, want in ((scalar.real, array.real), (scalar.imag, array.imag)):
+        if math.isnan(want):
+            assert math.isnan(got)
+        elif math.isinf(want):
+            assert got == want
+        else:
+            assert abs(got - want) <= bound
+
+
+class TestScalarPath:
+    """A float beta runs on math; it gives what a one-element array gives."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(
+        theta=st.builds(
+            FilterConstants,
+            a_p=_positive(1e-4, 2.0),
+            b_p=_positive(0.1, 10.0),
+            b_u=_positive(0.1, 50.0),
+            gain=_positive(1e-3, 1e3),
+        ),
+        beta=st.floats(0.0, 1e6),
+    )
+    @example(theta=FilterConstants(0.01, 1.0, 300.0), beta=1.0)  # exp overflows
+    @example(theta=FilterConstants(0.01, 1.0, 1e5), beta=0.5)  # exp underflows
+    @example(theta=FilterConstants(1e-170, 1.0, 2.0), beta=1.0)  # a_p**2 underflows: log(0)
+    @example(theta=FilterConstants(1e200, 1.0, 2.0), beta=1.0)  # a_p**2 overflows
+    @example(theta=FilterConstants(0.05, 1.0, 6.0, 7.0), beta=0.0)
+    def test_matches_one_element_array(self, theta, beta):
+        with np.errstate(all="ignore"):
+            logs = core._log_pole_factors(theta, np.array([beta]))
+            log_p, log_c = (complex(log[0]) for log in logs)
+            for fn, scale, prefactor in (
+                (eval_gef, theta.b_u * (abs(log_p) + abs(log_c)), theta.gain),
+                (eval_sharp, theta.b_u * abs(log_p), 1.0),
+                (eval_v, theta.b_u * (abs(log_p) + abs(log_c)), math.hypot(theta.a_p, beta)),
+            ):
+                scalar = fn(theta, beta)
+                array = complex(fn(theta, np.array([beta]))[0])
+                assert type(scalar) is complex
+                assert_matches_array(scalar, array, scale, prefactor)
+
+    def test_float_int_and_float64_beta_run_on_math(self, theta_sharp6, monkeypatch):
+        expected = [fn(theta_sharp6, 1.0) for fn in (eval_gef, eval_sharp, eval_v)]
+        beta64 = np.float64(1.0)
+        monkeypatch.setattr(core, "np", None)  # any numpy call would fail
+        for beta in (1.0, 1, beta64):
+            assert [fn(theta_sharp6, beta) for fn in (eval_gef, eval_sharp, eval_v)] == expected
+
+    def test_overflowing_peak_still_refuses_normalization(self):
+        theta = FilterConstants(0.01, 1.0, 300.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = eval_gef(theta, peak_beta(theta))
+            assert math.isnan(peak.real) and math.isnan(peak.imag)
+            with pytest.raises(NonPositiveConstant):
+                normalized_to_peak(theta)
 
 
 class TestEvalSharp:

@@ -30,7 +30,6 @@ from gefdesign.digital import (
     read_signal_csv,
     read_wav,
     save_filter,
-    write_signal_csv,
     write_wav,
 )
 from gefdesign.errors import (
@@ -453,13 +452,6 @@ class TestSignalIo:
         loaded = read_wav(path)
         assert loaded.sample_rate == 48000.0
         assert np.max(np.abs(loaded.samples - signal.samples)) < 1e-7  # float32
-
-    def test_csv_round_trip(self, tmp_path):
-        signal = SignalBuffer(8000.0, np.array([0.0, 1.0, -0.25, 3.5e-7]))
-        path = tmp_path / "x.csv"
-        write_signal_csv(path, signal)
-        loaded = read_signal_csv(path, 8000.0)
-        assert np.allclose(loaded.samples, signal.samples, rtol=1e-12, atol=1e-18)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 48000])
     @pytest.mark.parametrize("rate", [8000.0, 44100.0, 48000.4])

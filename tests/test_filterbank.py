@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -284,3 +285,22 @@ class TestCrosstalk:
     def test_needs_two_bands(self, norm_spec):
         with pytest.raises(ValueError):
             crosstalk_report(MultibandSpec(bands=(MultibandBand(1000.0, norm_spec),)))
+
+    def test_overflowing_band_peak_is_out_of_range(self):
+        # b_u = 300 and a_p = 0.01: the peak magnitude (2 a_p b_p)**(-b_u)
+        # overflows, which would make every band gain 0 and the output NaN
+        loud = CharacteristicSpec(
+            row=DesignRow.PEAK_DELAY_PHASE,
+            beta_peak=1.0,
+            values={"n_cycles": 300.0 / (2.0 * math.pi * 0.01), "phi_accum": 150.0},
+        )
+        spec = MultibandSpec(bands=(
+            MultibandBand(100.0, loud, 1.0),
+            MultibandBand(20000.0, loud, 1.0),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OutOfRange, match="peak magnitude"):
+                crosstalk_report(spec)
+            with pytest.raises(OutOfRange, match="peak magnitude"):
+                multiband_response(spec, np.array([100.0, 20000.0]))
