@@ -8,18 +8,21 @@ Two independent routes produce the same characteristic set
 * ``extract_numeric`` recomputes everything from response samples alone:
   golden-section peak refinement, Brent level crossings, Simpson
   quadrature for the ERB, and finite differences for group delay and
-  convexity.  It never consults the closed forms, so it can serve as an
-  oracle for them.
+  convexity.  It works on the log response L = log H (levels from Re L,
+  phase from Im L) and never consults the closed forms, so it can serve as
+  an oracle for them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
+from .core import LogResponse
 from .scalar import (
     CHARACTERISTIC,
     DB_PER_LOG,
@@ -41,6 +44,9 @@ from .errors import (
 )
 
 DEFAULT_LEVELS_DB = (3.0, 10.0)
+
+# Re L above this is a magnitude past the largest float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def level_label(n_db: float) -> str:
@@ -357,8 +363,24 @@ def _simpson(y: np.ndarray, x: np.ndarray):
     return result
 
 
+def _complex_log(response: Callable, betas: np.ndarray) -> LogResponse:
+    """The log response of a complex response callable: log|H| + i unwrap(angle H)
+    at the betas, and log|H| at one beta (hypot, not abs, so a modulus past the
+    largest float reads inf instead of raising)."""
+    # a zero, an overflow or a nan gives a non-finite L, which fails the grid gate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = np.asarray(response(betas), dtype=complex)
+        re, im = np.log(np.abs(values)), np.unwrap(np.angle(values))
+
+    def re_at(beta):
+        value = complex(response(beta))
+        return math.log(math.hypot(value.real, value.imag))
+
+    return LogResponse(betas, re, im, re_at)
+
+
 def extract_numeric(
-    response: Callable,
+    response,
     grid: FrequencyGrid,
     n_levels=DEFAULT_LEVELS_DB,
 ) -> CharacteristicReport:
@@ -366,52 +388,61 @@ def extract_numeric(
 
     Parameters
     ----------
-    response : callable
-        beta -> complex response; must accept both a scalar and an array of
-        betas (returning values of the same shape) and be finite on the grid.
+    response : LogResponse or callable
+        The log response L = log H sampled at ``grid.samples`` (as
+        ``core.log_response`` gives it), or beta -> complex response H, which
+        must accept both a scalar and an array of betas (returning values of
+        the same shape); its log is log|H| + i unwrap(angle H).
     grid : FrequencyGrid
         Sample locations; the magnitude maximum must be interior.
     n_levels : iterable of float
         dB levels for bandwidths and quality factors.
 
-    Procedure: peak by golden-section refinement around the best sample
-    (ties break to the smallest beta); BW_n by Brent's method between
-    bracketing samples on each side; ERB by composite Simpson quadrature of
-    the normalized power response over the full grid span; N as the maximum of
-    -(1/2 pi) d(phase)/d(beta) using centered differences of the unwrapped
-    phase; phi_accum as the unwrapped phase span over the grid divided by
-    2 pi; S by a second-order central difference of the dB level at the
-    peak with step 4 * dense_step.
+    Procedure, on L: peak by golden-section refinement of Re L around the
+    best sample (ties break to the smallest beta); BW_n by Brent's method on
+    the level (20/ln 10) Re L between bracketing samples on each side; ERB by
+    composite Simpson quadrature of the normalized power
+    exp(2 (Re L - Re L_peak)) over the full grid span; N as the maximum of
+    -(1/2 pi) d(Im L)/d(beta) using centered differences; phi_accum as the
+    span of Im L over the grid divided by 2 pi; S by a second-order central
+    difference of the level at the peak with step 4 * dense_step.
 
-    Raises OutOfRange when the response is not finite on the grid or the
-    quadrature ERB is not positive.
+    Raises OutOfRange when L is not finite on the grid, when |H| passes the
+    largest float somewhere on it, or when the quadrature ERB is not
+    positive.
     """
     betas = grid.samples
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as non-finite
-        values = np.asarray(response(betas), dtype=complex)
-    if not np.all(np.isfinite(values)):
-        raise OutOfRange("response must be finite on the whole grid")
-    mag = np.abs(values)
+    if not isinstance(response, LogResponse):
+        response = _complex_log(response, betas)
+    elif response.betas is not betas and not np.array_equal(response.betas, betas):
+        raise ValueError("the log response is not sampled at the grid's betas")
+    log_mag, phase, log_mag_at = response.re, response.im, response.re_at
+    if not (
+        np.all(np.isfinite(log_mag))
+        and np.all(np.isfinite(phase))
+        and log_mag.max() <= _LOG_FLOAT_MAX
+    ):
+        raise OutOfRange(
+            "the log response must be finite and the magnitude at most the "
+            "largest float on the whole grid"
+        )
 
-    i_pk = int(np.argmax(mag))
+    i_pk = int(np.argmax(log_mag))
     if i_pk == 0 or i_pk == betas.size - 1:
         raise NoInteriorPeak(
             f"magnitude maximum at the grid boundary (beta = {betas[i_pk]:g})"
         )
 
-    def mag_at(beta):
-        return abs(complex(response(beta)))
-
     def level_at(beta):
-        return DB_PER_LOG * math.log(mag_at(beta))
+        return DB_PER_LOG * log_mag_at(beta)
 
     # the scalar probes take Python floats, so Brent's method and the golden
-    # section do float arithmetic and the response takes its math path
-    beta_pk = _golden_max(mag_at, float(betas[i_pk - 1]), float(betas[i_pk + 1]), tol=1e-10)
-    peak_mag = mag_at(beta_pk)
-    peak_level = DB_PER_LOG * math.log(peak_mag)
+    # section do float arithmetic on math
+    beta_pk = _golden_max(log_mag_at, float(betas[i_pk - 1]), float(betas[i_pk + 1]), tol=1e-10)
+    peak_log_mag = log_mag_at(beta_pk)
+    peak_level = DB_PER_LOG * peak_log_mag
 
-    levels = DB_PER_LOG * np.log(mag)
+    levels = DB_PER_LOG * log_mag
 
     bw, q_n = {}, {}
     for n in sorted(float(n) for n in n_levels):
@@ -431,13 +462,12 @@ def extract_numeric(
         bw[n] = width
         q_n[n] = beta_pk / width
 
-    power = (mag / peak_mag) ** 2
+    power = np.exp(2.0 * (log_mag - peak_log_mag))
     erb = float(_simpson(power, betas))
     if not erb > 0.0:
         raise OutOfRange(f"Simpson quadrature gives a non-positive ERB of {erb:g}")
     q_erb = beta_pk / erb
 
-    phase = np.unwrap(np.angle(values))
     slope = np.gradient(phase, betas)
     n_beta = float(np.max(-slope)) / TWO_PI
     phi_accum = float(phase.max() - phase.min()) / TWO_PI

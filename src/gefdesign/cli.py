@@ -21,7 +21,6 @@ import json
 import math
 import struct
 import sys
-from functools import partial
 
 from . import __version__
 from .design import CharacteristicSpec, DesignRow, design
@@ -235,11 +234,12 @@ def _cmd_analyze(args) -> int:
     else:
         theta = design(CharacteristicSpec.from_dict(_load_json(args.spec)))
     from .characteristics import closed_form, default_grid, extract_numeric
-    from .core import eval_gef
+    from .core import log_response
 
+    grid = default_grid(theta)
     reports = {
         "closed_form": closed_form(theta),
-        "numeric": extract_numeric(partial(eval_gef, theta), default_grid(theta)),
+        "numeric": extract_numeric(log_response(theta, grid.samples, ("p",))["p"], grid),
     }
     if args.format == "json":
         text = _dump_json({name: report.as_dict() for name, report in reports.items()})

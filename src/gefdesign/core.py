@@ -10,11 +10,13 @@ together with two relatives: the one-sided "sharp" form (s - p)**(-b_u)
 and the single-zero variant V(beta) = (s + a_p) * P(beta) / C.  Everything
 is expressed in normalized frequency beta = omega / omega_peak, beta >= 0.
 
-Magnitude in dB and phase in radians come from closed forms built on the
-per-pole logarithms, so they stay finite and continuous for exponents where
-the linear magnitude would overflow.  Because the real part of both pole
-factors is a_p > 0, the per-factor arctangent angle is already continuous
-in beta and no branch unwrapping is needed, even for non-integer b_u.
+Magnitude in dB, phase in radians and the log response L = log H that
+numeric extraction works on come from the per-pole logarithms, so they stay
+finite and continuous for exponents where the linear magnitude would
+overflow or underflow.  Because the real part of both pole factors (and of
+the zero factor a_p + i*beta) is a_p > 0, the per-factor arctangent angle is
+already continuous in beta and no branch unwrapping is needed, even for
+non-integer b_u.
 
 A beta given as one Python float (or int) is a one-element array: it gives
 what that array gives.  Its value is computed on ``math`` with Python
@@ -28,6 +30,8 @@ as a one-element array.
 from __future__ import annotations
 
 import math
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +64,12 @@ def _maybe_scalar(values):
     return values
 
 
+def _log_parts(a: float, u: np.ndarray):
+    """Real and imaginary parts of log(a + i*u) for a > 0: the imaginary part
+    arctan(u/a) is the continuous angle for any real u."""
+    return 0.5 * np.log(a * a + u * u), np.arctan(u / a)
+
+
 def _log_pole_factors(theta: FilterConstants, beta: np.ndarray):
     """Complex logs of (s - p) and (s - conj(p)) at s = i*beta.
 
@@ -67,12 +77,73 @@ def _log_pole_factors(theta: FilterConstants, beta: np.ndarray):
     continuous angle for any real beta; exponentiating -b_u times the sum
     therefore evaluates the complex power without branch jumps.
     """
+    p_re, p_im = _log_parts(theta.a_p, beta - theta.b_p)
+    c_re, c_im = _log_parts(theta.a_p, beta + theta.b_p)
+    return p_re + 1j * p_im, c_re + 1j * c_im
+
+
+TARGETS = ("p_sharp", "p", "v")
+
+
+class LogResponse(NamedTuple):
+    """The log response L = log H of one target sampled at ``betas``: ``re``
+    (Re L, the natural log of the magnitude) and ``im`` (Im L, the continuous
+    phase) as float arrays, and ``re_at``, Re L at one float beta."""
+
+    betas: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    re_at: Callable[[float], float]
+
+
+def log_response(theta: FilterConstants, beta, targets=TARGETS) -> dict:
+    """Log responses of the targets at the betas, from one pass of pole logs.
+
+    With lp = log(s - p) and lc = log(s - conj(p)) at s = i*beta,
+
+        p_sharp:  L = -b_u lp                      (eval_sharp = exp(L))
+        p:        L = -b_u (lp + lc) + log C       (eval_gef = exp(L))
+        v:        L = -b_u (lp + lc) + log(a_p + i beta)   (eval_v = exp(L))
+
+    Returns {target: LogResponse} in the order of ``targets``.  No value is
+    exponentiated, so L is finite where the response itself overflows or
+    underflows; where a squared modulus overflows or underflows, L is not
+    finite, without a warning, and callers check for that.
+    """
+    betas = _as_beta_array(beta)
+    b_u = theta.b_u
+    parts = {}
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p_re, p_im = _log_parts(theta.a_p, betas - theta.b_p)
+        if "p_sharp" in targets:
+            parts["p_sharp"] = (-b_u * p_re, -b_u * p_im)
+        if "p" in targets or "v" in targets:
+            c_re, c_im = _log_parts(theta.a_p, betas + theta.b_p)
+            re, im = -b_u * (p_re + c_re), -b_u * (p_im + c_im)
+            parts["p"] = (re + math.log(theta.gain), im)
+            if "v" in targets:
+                z_re, z_im = _log_parts(theta.a_p, betas)
+                parts["v"] = (re + z_re, im + z_im)
+    return {
+        target: LogResponse(betas, *parts[target], partial(_log_magnitude, theta, target))
+        for target in targets
+    }
+
+
+def _log_magnitude(theta: FilterConstants, target: str, beta: float) -> float:
+    """Re L of one target (see log_response) at one float beta, on math and
+    in the operations of the array path.  It takes no exp, so it neither
+    overflows nor underflows where the response does."""
     a = theta.a_p
     u = beta - theta.b_p
+    re = 0.5 * math.log(a * a + u * u)
+    if target == "p_sharp":
+        return -theta.b_u * re
     v = beta + theta.b_p
-    log_p = 0.5 * np.log(a * a + u * u) + 1j * np.arctan(u / a)
-    log_c = 0.5 * np.log(a * a + v * v) + 1j * np.arctan(v / a)
-    return log_p, log_c
+    re = -theta.b_u * (re + 0.5 * math.log(a * a + v * v))
+    if target == "p":
+        return re + math.log(theta.gain)
+    return re + 0.5 * math.log(a * a + beta * beta)
 
 
 # largest real part for which numpy's complex exp is exp(x) * (cos y +
@@ -164,36 +235,27 @@ def wavenumber(theta: FilterConstants, beta):
 
 
 def level_db(theta: FilterConstants, beta):
-    """Magnitude of the filter in dB from the two-log closed form.
+    """Magnitude of the filter in dB from the two-log closed form, the real
+    part of its log response times 20 / ln 10:
 
     level = -(10 b_u / ln 10) * [ln(a^2 + (beta-b)^2) + ln(a^2 + (beta+b)^2)]
             + 20 log10(C)
 
     Numerically safe for large b_u where |P| itself overflows.
     """
-    beta = _as_beta_array(beta)
-    a2 = theta.a_p * theta.a_p
-    u = beta - theta.b_p
-    v = beta + theta.b_p
-    out = -0.5 * DB_PER_LOG * theta.b_u * (np.log(a2 + u * u) + np.log(a2 + v * v))
-    out = out + DB_PER_LOG * math.log(theta.gain)
-    return _maybe_scalar(out)
+    return _maybe_scalar(DB_PER_LOG * log_response(theta, beta, ("p",))["p"].re)
 
 
 def phase_rad(theta: FilterConstants, beta):
-    """Continuous phase in radians from the two-arctangent closed form.
+    """Continuous phase in radians from the two-arctangent closed form, the
+    imaginary part of the log response:
 
     phase = -b_u * [atan((beta-b)/a) + atan((beta+b)/a)]
 
     The terms cancel at beta = 0 and the total tends to -b_u*pi as
     beta -> infinity, i.e. the accumulated phase is b_u/2 cycles.
     """
-    beta = _as_beta_array(beta)
-    a = theta.a_p
-    out = -theta.b_u * (
-        np.arctan((beta - theta.b_p) / a) + np.arctan((beta + theta.b_p) / a)
-    )
-    return _maybe_scalar(out)
+    return _maybe_scalar(log_response(theta, beta, ("p",))["p"].im)
 
 
 def _level_phase(values):

@@ -16,7 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FilterConstants, _level_phase, _maybe_scalar, eval_gef, peak_beta
+from .core import (
+    DB_PER_LOG,
+    FilterConstants,
+    _level_phase,
+    _log_magnitude,
+    _maybe_scalar,
+    eval_gef,
+    peak_beta,
+)
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
 
@@ -161,14 +169,16 @@ def multiband_response(spec: MultibandSpec, f_hz):
 def crosstalk_report(spec: MultibandSpec) -> np.ndarray:
     """Matrix of dB levels: entry (i, j) is band j's level at band i's peak
     frequency, relative to band i's own peak level.  Diagonal is 0 dB by
-    the peak-normalization convention."""
+    the peak-normalization convention.  Levels come from the log magnitude,
+    so a band whose response underflows at another peak reads finite dB."""
     if len(spec.bands) < 2:
         raise ValueError("crosstalk needs at least two bands")
     designed = _designed_bands(spec)
 
     def band_level(j, f_hz):
         f_peak_j, theta_j, gain_j = designed[j]
-        return 20.0 * math.log10(gain_j * abs(eval_gef(theta_j, f_hz / f_peak_j)))
+        level = DB_PER_LOG * _log_magnitude(theta_j, "p", f_hz / f_peak_j)
+        return level + 20.0 * math.log10(gain_j)
 
     # true per-band peak frequency: the prototype peaks slightly below beta = 1
     peak_freqs = [f_peak * peak_beta(theta) for f_peak, theta, _ in designed]

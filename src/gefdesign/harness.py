@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _level_phase, eval_gef, eval_sharp, eval_v
+from .core import _level_phase, eval_gef, eval_sharp, eval_v, log_response
 from .characteristics import (
     CharacteristicReport,
     closed_form,
@@ -79,7 +79,7 @@ def evaluate_case(spec: CharacteristicSpec) -> list[ErrorRecord]:
     theta, grid = _designed(spec)
     desired = closed_form(theta)
     records = []
-    for target, response in _target_responses(theta).items():
+    for target, response in log_response(theta, grid.samples).items():
         achieved = extract_numeric(response, grid)
         records.append(
             ErrorRecord(
@@ -120,7 +120,7 @@ def sweep(q_erb_values, n_values) -> SweepResult:
                         mode="exact",
                     )
                 )
-                achieved = extract_numeric(partial(eval_gef, theta), grid)
+                achieved = extract_numeric(log_response(theta, grid.samples, ("p",))["p"], grid)
                 errors = relative_errors(closed_form(theta), achieved)
             except GefError:
                 continue

@@ -15,7 +15,7 @@ from gefdesign import (
     qerb_approx,
     relative_errors,
 )
-from gefdesign import characteristics
+from gefdesign import characteristics, core
 from gefdesign.characteristics import (
     FrequencyGrid,
     _golden_max,
@@ -278,6 +278,50 @@ class TestExtractNumeric:
         want = closed_form(theta_sharp6, n_levels=levels)
         for n in levels:
             assert abs(report.bw_n_beta[n] - want.bw_n_beta[n]) < 4.0 * grid.dense_step
+
+
+class TestLogResponseExtraction:
+    """Extraction on the log response L against the complex-callable adapter
+    (log|H| + i unwrap(angle H)) on eval_*: the grid work is the same to
+    rounding, and the scalar probes differ only in where the golden section
+    stops on the flat maximum."""
+
+    # relative bounds: grid-only characteristics, those that carry the peak
+    # location, and the curvature, whose three probes straddle the peak
+    BOUNDS = {"bw": 1e-12, "erb_beta": 1e-12, "n_beta": 1e-12, "phi_accum": 1e-12,
+              "beta_peak": 2e-8, "q": 2e-8, "s_beta": 1e-7}
+
+    def bound(self, key):
+        return self.BOUNDS[key] if key in self.BOUNDS else self.BOUNDS[key.split("_")[0]]
+
+    def test_agrees_with_the_complex_adapter(self):
+        rng = np.random.default_rng(20261018)
+        for i in range(100):
+            b_u = float(rng.integers(1, 13)) if i % 2 else float(rng.uniform(1.0, 12.0))
+            theta = FilterConstants(float(rng.uniform(0.005, 0.15)), 1.0, b_u)
+            grid = default_grid(theta)
+            logs = core.log_response(theta, grid.samples)
+            for target, fn in (("p_sharp", eval_sharp), ("p", eval_gef), ("v", core.eval_v)):
+                got = numeric_values(extract_numeric(logs[target], grid))
+                want = numeric_values(extract_numeric(partial(fn, theta), grid))
+                assert got.keys() == want.keys()
+                for key, value in want.items():
+                    bound = self.bound(key) * abs(value)
+                    assert abs(got[key] - value) <= bound, (theta, target, key)
+
+    def test_rejects_a_log_response_from_other_betas(self, theta_sharp6):
+        grid = default_grid(theta_sharp6)
+        other = core.log_response(theta_sharp6, grid.samples * 1.001)["p"]
+        with pytest.raises(ValueError):
+            extract_numeric(other, grid)
+
+    def test_magnitude_past_the_largest_float_is_out_of_range(self):
+        # the peak of |P| is about 1.8e308 though its parts stay finite
+        theta = FilterConstants(0.01, 1.0, 181.4363)
+        grid = default_grid(theta)
+        for response in (core.log_response(theta, grid.samples)["p"], partial(eval_gef, theta)):
+            with pytest.raises(OutOfRange):
+                extract_numeric(response, grid)
 
 
 class TestLevelCrossing:

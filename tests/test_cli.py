@@ -313,8 +313,10 @@ class TestBadInputFiles:
         assert error_type(capsys) == "InfeasibleSpec"
 
     @pytest.mark.parametrize("constants", [
-        # exp overflows in eval_gef on the extraction grid
+        # |P| passes the largest float on the extraction grid
         {"a_p": 0.001, "b_p": 1, "b_u": 200},
+        # ... with finite real and imaginary parts (about 1.63e308 - 7.7e307i)
+        {"a_p": 0.01, "b_p": 1, "b_u": 181.4363},
         # the non-uniform Simpson weights where the log tail meets the dense
         # window take the quadrature ERB below zero
         {"a_p": 1.3859e-4, "b_p": 103.42, "b_u": 0.886},
@@ -329,6 +331,22 @@ class TestBadInputFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+
+    @pytest.mark.filterwarnings("error")
+    def test_analyze_underflowing_response_extracts(self, tmp_path, capsys):
+        # |P| underflows to 0 on the whole extraction grid; its log does not.
+        # The full filter with a_p / b_p = 0.1 sits within 2% of the sharp
+        # closed forms
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"a_p": 1, "b_p": 10, "b_u": 1000}))
+        assert run(["analyze", "--constants", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        numeric, closed = doc["numeric"], doc["closed_form"]
+        keys = [key for key, value in closed.items() if isinstance(value, float)]
+        assert len(keys) == 10
+        for key in keys:
+            assert math.isfinite(numeric[key])
+            assert numeric[key] == pytest.approx(closed[key], rel=2e-2), key
 
     def test_analyze_peak_beyond_golden_section_resolution(self, tmp_path, capsys):
         # floats near b_p = 1e7 are coarser than the peak search's 1e-10 tolerance

@@ -321,6 +321,64 @@ class TestSampledLevelAndPhase:
         assert phase.tolist() == [0.0, 0.0, math.pi]
 
 
+class TestLogResponse:
+    """log_response gives L = log H of each target from one pass of pole logs."""
+
+    TARGETS = (("p_sharp", eval_sharp), ("p", eval_gef), ("v", eval_v))
+
+    def test_exp_is_the_response_and_im_the_unwrapped_phase(self, theta_sharp6):
+        theta = theta_sharp6.with_gain(7.0)
+        betas = np.linspace(0.01, 4.0, 2001)
+        logs = core.log_response(theta, betas)
+        assert tuple(logs) == core.TARGETS
+        for target, fn in self.TARGETS:
+            log = logs[target]
+            values = np.asarray(fn(theta, betas))
+            assert log.betas is betas
+            np.testing.assert_allclose(np.exp(log.re + 1j * log.im), values, rtol=1e-12)
+            # the same continuous phase, up to the turn the wrapped angle starts in
+            offset = log.im - np.unwrap(np.angle(values))
+            turns = round(offset[0] / (2.0 * math.pi))
+            np.testing.assert_allclose(offset, 2.0 * math.pi * turns, rtol=0.0, atol=1e-9)
+
+    def test_targets_share_the_pole_logs(self, theta_sharp6):
+        betas = np.linspace(0.5, 1.5, 11)
+        every = core.log_response(theta_sharp6, betas)
+        for target in core.TARGETS:
+            alone = core.log_response(theta_sharp6, betas, (target,))
+            assert list(alone) == [target]
+            assert np.array_equal(alone[target].re, every[target].re)
+            assert np.array_equal(alone[target].im, every[target].im)
+
+    def test_level_and_phase_are_its_parts(self, theta_sharp6):
+        betas = np.linspace(0.01, 4.0, 101)
+        log = core.log_response(theta_sharp6, betas, ("p",))["p"]
+        assert np.array_equal(level_db(theta_sharp6, betas), DB_PER_LOG * log.re)
+        assert np.array_equal(phase_rad(theta_sharp6, betas), log.im)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(theta=positive_constants, beta=st.floats(0.0, 100.0))
+    def test_scalar_probe_is_the_real_part(self, theta, beta):
+        logs = core.log_response(theta.with_gain(3.0), np.array([beta]))
+        for target, log in logs.items():
+            got = log.re_at(beta)
+            assert type(got) is float
+            # a last-bit difference of math.log and numpy's log, times b_u
+            tol = 4e-15 * theta.b_u
+            assert got == pytest.approx(float(log.re[0]), rel=tol, abs=tol)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_where_the_response_overflows_or_underflows(self):
+        loud, quiet = FilterConstants(0.01, 1.0, 300.0), FilterConstants(1.0, 10.0, 1000.0)
+        betas = np.array([0.5, 1.0, 2.0])
+        for theta in (loud, quiet):
+            for log in core.log_response(theta, betas).values():
+                assert np.all(np.isfinite(log.re)) and np.all(np.isfinite(log.im))
+                assert math.isfinite(log.re_at(1.0))
+        assert core.log_response(loud, betas)["p"].re[1] > 1000.0
+        assert core.log_response(quiet, betas)["p"].re[1] < -2000.0
+
+
 class TestSharpness:
     def test_reference_case_is_sharp(self, theta_sharp6):
         report = sharpness_check(theta_sharp6)

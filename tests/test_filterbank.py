@@ -304,3 +304,22 @@ class TestCrosstalk:
                 crosstalk_report(spec)
             with pytest.raises(OutOfRange, match="peak magnitude"):
                 multiband_response(spec, np.array([100.0, 20000.0]))
+
+    def test_underflowing_band_level_is_finite(self):
+        # b_u = 150 and a_p = 0.01: each band's |P| underflows to 0 at the other
+        # band's peak, 200x away, while its own peak stays finite
+        sharp = CharacteristicSpec(
+            row=DesignRow.PEAK_DELAY_PHASE,
+            beta_peak=1.0,
+            values={"n_cycles": 150.0 / (2.0 * math.pi * 0.01), "phi_accum": 75.0},
+        )
+        spec = MultibandSpec(bands=(
+            MultibandBand(100.0, sharp, 1.0),
+            MultibandBand(20000.0, sharp, 1.0),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            matrix = crosstalk_report(spec)
+        assert np.all(np.isfinite(matrix))
+        assert matrix[0, 0] == 0.0 and matrix[1, 1] == 0.0
+        assert matrix[0, 1] < -1000.0 and matrix[1, 0] < -1000.0
