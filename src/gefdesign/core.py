@@ -18,18 +18,17 @@ the zero factor a_p + i*beta) is a_p > 0, the per-factor arctangent angle is
 already continuous in beta and no branch unwrapping is needed, even for
 non-integer b_u.
 
-A beta given as one Python float (or int) is a one-element array: it gives
-what that array gives.  Its value is computed on ``math`` with Python
-complex numbers, in the operations of the array path, so the single-point
-probes of numeric extraction skip numpy's per-call overhead.  Where those
-operations would not reproduce numpy (a log argument that is 0 or not
-finite, or an exponential at the edge of overflow), it goes through numpy
-as a one-element array.
+A beta given as a number (a Python float or int, or a numpy scalar) becomes
+a 0-d array, which eval_gef, eval_sharp and eval_v evaluate as a one-element
+array: it gives, as a Python complex, what that array gives, bit for bit.
+(Numpy's arithmetic on 0-d operands is its scalar math, which can round a
+complex product differently from the array loops.)
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -42,26 +41,17 @@ def _as_beta_array(beta):
     return np.asarray(beta, dtype=float)
 
 
-def _is_number(beta) -> bool:
-    return isinstance(beta, (float, int))
-
-
-def _points(beta):
-    """beta as a float array; a Python number becomes a one-element array."""
-    return np.array([beta], dtype=float) if _is_number(beta) else _as_beta_array(beta)
-
-
-def _values(values, beta):
-    """Response values shaped as beta was given: a Python complex for a
-    Python number or a 0-d array, an array otherwise."""
-    return complex(values[0]) if _is_number(beta) else _maybe_scalar(values)
-
-
 def _maybe_scalar(values):
     arr = np.asarray(values)
     if arr.ndim == 0:
         return arr[()].item()
     return values
+
+
+def _shaped(values, betas):
+    """Response values at np.atleast_1d(betas), shaped as betas: a Python
+    complex for 0-d betas."""
+    return _maybe_scalar(values.reshape(betas.shape))
 
 
 def _log_parts(a: float, u: np.ndarray):
@@ -146,53 +136,15 @@ def _log_magnitude(theta: FilterConstants, target: str, beta: float) -> float:
     return re + 0.5 * math.log(a * a + beta * beta)
 
 
-# largest real part for which numpy's complex exp is exp(x) * (cos y +
-# i sin y) in floats; above it (glibc's cexp from 709, numpy's own from
-# 710.48) it rescales to put off overflow
-_EXP_UNSCALED_MAX = 709.0
-
-
-def _power_on_math(theta: FilterConstants, beta, conjugate: bool):
-    """exp(-b_u * (log(s - p) + log(s - conj(p)))) at s = i*beta, without
-    the conjugate factor when conjugate is False, as a Python complex for a
-    Python number beta, in the operations of the array path.  None for any
-    other beta, and where math would not reproduce numpy: a squared modulus
-    that is 0 or not finite (numpy's log gives -inf or inf and warns), or
-    an exponent whose real part exceeds _EXP_UNSCALED_MAX or whose imaginary
-    part overflows."""
-    if not _is_number(beta):
-        return None
-    a = theta.a_p
-    beta = float(beta)
-    u = beta - theta.b_p
-    mod = a * a + u * u
-    if not 0.0 < mod < math.inf:
-        return None
-    log = complex(0.5 * math.log(mod), math.atan(u / a))
-    if conjugate:
-        v = beta + theta.b_p
-        mod = a * a + v * v
-        if not 0.0 < mod < math.inf:
-            return None
-        log = log + complex(0.5 * math.log(mod), math.atan(v / a))
-    z = -theta.b_u * log
-    if not (z.real <= _EXP_UNSCALED_MAX and abs(z.imag) < math.inf):
-        return None
-    mag = math.exp(z.real)
-    return complex(mag * math.cos(z.imag), mag * math.sin(z.imag))
-
-
 def eval_gef(theta: FilterConstants, beta):
     """Evaluate C * ((s - p)(s - conj(p)))**(-b_u) at s = i*beta.
 
     Accepts a scalar or an array of normalized frequencies and returns
     complex values of matching shape.
     """
-    power = _power_on_math(theta, beta, conjugate=True)
-    if power is not None:
-        return theta.gain * power
-    log_p, log_c = _log_pole_factors(theta, _points(beta))
-    return _values(theta.gain * np.exp(-theta.b_u * (log_p + log_c)), beta)
+    betas = _as_beta_array(beta)
+    log_p, log_c = _log_pole_factors(theta, np.atleast_1d(betas))
+    return _shaped(theta.gain * np.exp(-theta.b_u * (log_p + log_c)), betas)
 
 
 def eval_sharp(theta: FilterConstants, beta):
@@ -201,11 +153,9 @@ def eval_sharp(theta: FilterConstants, beta):
     The magnitude is exactly symmetric about b_p; the form is not
     realizable but underpins every closed-form characteristic.
     """
-    power = _power_on_math(theta, beta, conjugate=False)
-    if power is not None:
-        return power
-    log_p, _ = _log_pole_factors(theta, _points(beta))
-    return _values(np.exp(-theta.b_u * log_p), beta)
+    betas = _as_beta_array(beta)
+    log_p, _ = _log_pole_factors(theta, np.atleast_1d(betas))
+    return _shaped(np.exp(-theta.b_u * log_p), betas)
 
 
 def eval_v(theta: FilterConstants, beta):
@@ -213,12 +163,10 @@ def eval_v(theta: FilterConstants, beta):
 
     The proportionality constant is taken as 1.
     """
-    power = _power_on_math(theta, beta, conjugate=True)
-    if power is not None:
-        return (theta.a_p + 1j * float(beta)) * power
-    points = _points(beta)
+    betas = _as_beta_array(beta)
+    points = np.atleast_1d(betas)
     log_p, log_c = _log_pole_factors(theta, points)
-    return _values((theta.a_p + 1j * points) * np.exp(-theta.b_u * (log_p + log_c)), beta)
+    return _shaped((theta.a_p + 1j * points) * np.exp(-theta.b_u * (log_p + log_c)), betas)
 
 
 def wavenumber(theta: FilterConstants, beta):
@@ -282,7 +230,28 @@ def peak_beta(theta: FilterConstants) -> float:
     return math.sqrt((b - a) * (b + a)) if b > a else 0.0
 
 
+def _unit_peak_gain(theta: FilterConstants) -> float:
+    """The gain that puts the exact peak magnitude at 1,
+
+        exp(log(gain) - Re L(peak_beta)),
+
+    from the log magnitude at the peak, so it is exact where the peak value
+    itself overflows.  A gain past the largest float reads inf; one below
+    the smallest normal float, which would carry fewer bits, reads 0."""
+    try:
+        gain = math.exp(math.log(theta.gain) - _log_magnitude(theta, "p", peak_beta(theta)))
+    except OverflowError:
+        return math.inf
+    except ValueError:  # a squared pole distance underflowed to 0: Re L is +inf
+        return 0.0
+    return gain if gain >= sys.float_info.min else 0.0
+
+
 def normalized_to_peak(theta: FilterConstants) -> FilterConstants:
-    """Return constants with gain set so the exact peak magnitude is 1."""
-    peak_mag = abs(eval_gef(theta, peak_beta(theta)))
-    return theta.with_gain(theta.gain / peak_mag)
+    """Return constants with gain set so the exact peak magnitude is 1.
+
+    The gain comes from Re L, the log magnitude, at the peak (see
+    _unit_peak_gain); where it is not a normal float, with_gain raises
+    NonPositiveConstant.
+    """
+    return theta.with_gain(_unit_peak_gain(theta))

@@ -22,6 +22,7 @@ from .core import (
     _level_phase,
     _log_magnitude,
     _maybe_scalar,
+    _unit_peak_gain,
     eval_gef,
     peak_beta,
 )
@@ -135,22 +136,18 @@ class MultibandSpec:
 def _designed_bands(spec: MultibandSpec):
     """Per-band (f_peak, theta, normalized gain): each band's own peak
     magnitude is scaled to 1 before the user gain applies.  Raises OutOfRange
-    when a band's peak magnitude is not a finite positive float."""
+    when the gain that scales a band's peak magnitude to 1 is not a normal
+    float."""
     out = []
     for band in spec.bands:
         theta = design(band.spec)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as non-finite
-            peak = eval_gef(theta, peak_beta(theta))
-        try:
-            peak_mag = abs(peak)
-        except OverflowError:  # finite parts whose modulus passes the largest float
-            peak_mag = math.inf
-        if not 0.0 < peak_mag < math.inf:
+        gain = _unit_peak_gain(theta)
+        if not 0.0 < gain < math.inf:
             raise OutOfRange(
-                f"band at {band.f_peak_hz:g} Hz has a peak magnitude of {peak_mag:g} "
-                f"({theta}); it must be finite and > 0"
+                f"band at {band.f_peak_hz:g} Hz: no normal float gain scales its "
+                f"peak magnitude to 1 ({theta})"
             )
-        out.append((band.f_peak_hz, theta, band.gain * (1.0 / peak_mag)))
+        out.append((band.f_peak_hz, theta, band.gain * gain))
     return out
 
 

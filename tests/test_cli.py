@@ -912,6 +912,8 @@ AXIS_VALUE = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 AXIS = st.lists(AXIS_VALUE, min_size=1, max_size=2).map(",".join)
+# a constants file's optional gain: absent, typical, or at the edges of a float
+GAIN = st.one_of(st.none(), LOG_UNIFORM, st.sampled_from([1e-300, 1e300, 0.0, -1.0]))
 
 
 # flag values: in the designable range half the time, else extremes
@@ -951,15 +953,23 @@ class TestCliProperties:
         return tmp_path_factory.mktemp("properties")
 
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(a_p=LOG_UNIFORM, b_p=LOG_UNIFORM, b_u=LOG_UNIFORM)
-    def test_random_constants_files(self, workdir, a_p, b_p, b_u):
+    @given(a_p=LOG_UNIFORM, b_p=LOG_UNIFORM, b_u=LOG_UNIFORM, gain=GAIN)
+    def test_random_constants_files(self, workdir, a_p, b_p, b_u, gain):
         path = workdir / "c.json"
-        path.write_text(json.dumps({"a_p": a_p, "b_p": b_p, "b_u": b_u}))
+        constants = {"a_p": a_p, "b_p": b_p, "b_u": b_u}
+        if gain is not None:
+            constants["gain"] = gain
+        path.write_text(json.dumps(constants))
+        clip = workdir / "clip.wav"
+        if not clip.exists():
+            write_wav(clip, SignalBuffer(48000.0, np.random.default_rng(5).standard_normal(256)))
         for argv in (
             ["analyze", "--constants", str(path)],
             ["discretize", "--constants", str(path), "--peak-hz", "1000", "--fs", "48000"],
             ["response", "--constants", str(path), "--peak-hz", "1000",
              "--fmin", "50", "--fmax", "5000", "--points", "16"],
+            ["filter", "--fft", "--constants", str(path), "--peak-hz", "1000",
+             str(clip), str(workdir / "out.wav")],
         ):
             code, _, errors = run_captured(argv)
             assert code in (0, 2, 3, 4), argv
@@ -977,6 +987,17 @@ class TestCliProperties:
             argv.append(f"{flag}={n_level}:{value}" if flag == "--qn" else f"{flag}={value}")
         code, out, errors = run_captured(argv)
         assert code in (0, 2, 3), argv
+        assert len(errors) == (code != 0), argv
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(cf0=AXIS_VALUE, l=AXIS_VALUE, x_max=AXIS_VALUE, channels=st.integers(1, 8))
+    def test_random_bank_flags(self, cf0, l, x_max, channels):
+        argv = ["bank", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT, "--phase-accum", "3",
+                f"--cf0={cf0}", f"--l={l}", f"--x-max={x_max}", f"--channels={channels}"]
+        code, out, errors = run_captured(argv)
+        assert code in (0, 2, 3, 4), argv
         assert len(errors) == (code != 0), argv
         if code == 0:
             json.loads(out, parse_constant=_reject_constant)

@@ -287,23 +287,25 @@ class TestCrosstalk:
             crosstalk_report(MultibandSpec(bands=(MultibandBand(1000.0, norm_spec),)))
 
     def test_overflowing_band_peak_is_out_of_range(self):
-        # b_u = 300 and a_p = 0.01: the peak magnitude (2 a_p b_p)**(-b_u)
-        # overflows, which would make every band gain 0 and the output NaN
-        loud = CharacteristicSpec(
-            row=DesignRow.PEAK_DELAY_PHASE,
-            beta_peak=1.0,
-            values={"n_cycles": 300.0 / (2.0 * math.pi * 0.01), "phi_accum": 150.0},
-        )
-        spec = MultibandSpec(bands=(
-            MultibandBand(100.0, loud, 1.0),
-            MultibandBand(20000.0, loud, 1.0),
-        ))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(OutOfRange, match="peak magnitude"):
-                crosstalk_report(spec)
-            with pytest.raises(OutOfRange, match="peak magnitude"):
-                multiband_response(spec, np.array([100.0, 20000.0]))
+        # a_p = 0.01: the peak magnitude (2 a_p b_p)**(-b_u) overflows, which
+        # would make every band gain 0 and the output NaN; at b_u = 181.4363
+        # the peak value's parts are finite but its modulus is not
+        for b_u in (300.0, 181.4363):
+            loud = CharacteristicSpec(
+                row=DesignRow.PEAK_DELAY_PHASE,
+                beta_peak=1.0,
+                values={"n_cycles": b_u / (2.0 * math.pi * 0.01), "phi_accum": b_u / 2.0},
+            )
+            spec = MultibandSpec(bands=(
+                MultibandBand(100.0, loud, 1.0),
+                MultibandBand(20000.0, loud, 1.0),
+            ))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(OutOfRange, match="peak magnitude"):
+                    crosstalk_report(spec)
+                with pytest.raises(OutOfRange, match="peak magnitude"):
+                    multiband_response(spec, np.array([100.0, 20000.0]))
 
     def test_underflowing_band_level_is_finite(self):
         # b_u = 150 and a_p = 0.01: each band's |P| underflows to 0 at the other
