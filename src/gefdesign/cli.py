@@ -337,6 +337,15 @@ def _cmd_filter(args) -> int:
         filt = _filter_from_args(args)
         signal = _read_signal(args.infile, args.rate)
         out = apply_sos(filt, signal)
+    # a filter that overflows gives samples that are not finite; a WAV file
+    # holds 32-bit floats
+    import numpy as np
+
+    is_wav = str(args.outfile).lower().endswith(".wav")
+    limit = float(np.finfo(np.float32).max) if is_wav else math.inf
+    if not np.all(np.abs(out.samples) <= limit):
+        raise OutOfRange("the filtered samples are not all finite"
+                         + (" 32-bit floats" if is_wav else ""))
     _write_signal(args.outfile, out)
     return EXIT_OK
 
@@ -357,6 +366,7 @@ def _cmd_response(args) -> int:
     if args.sos is not None:
         filt = _filter_from_args(args)
         values = np.asarray(digital_response(filt, freqs))
+        source = "the --sos cascade"
     else:
         if args.peak_hz is None:
             raise UsageError("--constants responses need --peak-hz")
@@ -365,8 +375,9 @@ def _cmd_response(args) -> int:
         theta = _constants_from_args(args)
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.asarray(eval_gef(theta, freqs / args.peak_hz))
-        if not np.all(np.isfinite(values)):
-            raise OutOfRange(f"the response of {theta} is not finite from --fmin to --fmax")
+        source = theta
+    if not np.all(np.isfinite(values)):
+        raise OutOfRange(f"the response of {source} is not finite from --fmin to --fmax")
     level, phase = _level_phase(values)
     columns = (freqs, values.real, values.imag, level, phase)
     rows = zip(*(column.tolist() for column in columns))

@@ -201,21 +201,27 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
 
 
 def digital_response(filt: DigitalFilter, f_hz):
-    """Frequency response of the section cascade at f (Hz), 0 <= f <= fs/2."""
+    """Frequency response of the section cascade at f (Hz), 0 <= f <= fs/2.
+
+    A cascade whose response overflows gives values that are not finite,
+    without a warning; callers check for that."""
     f = np.asarray(f_hz, dtype=float)
     if np.any(f < 0.0) or np.any(f > 0.5 * filt.sample_rate):
         raise OutOfRange("frequencies must lie in [0, fs/2]")
     z_inv = np.exp(-2j * math.pi * f / filt.sample_rate)
     out = np.full(f.shape, filt.gain, dtype=complex)
-    for b0, b1, b2, a1, a2 in filt.sections:
-        out = out * (b0 + b1 * z_inv + b2 * z_inv**2)
-        out = out / (1.0 + a1 * z_inv + a2 * z_inv**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0, b1, b2, a1, a2 in filt.sections:
+            out = out * (b0 + b1 * z_inv + b2 * z_inv**2)
+            out = out / (1.0 + a1 * z_inv + a2 * z_inv**2)
     return _maybe_scalar(out)
 
 
 def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:
     """Run the cascade over a signal (direct form II transposed, zero
-    initial state).  Output length equals input length."""
+    initial state).  Output length equals input length.  A cascade that
+    overflows gives samples that are not finite, without a warning; callers
+    check for that."""
     if signal.sample_rate != filt.sample_rate:
         raise SampleRateMismatch(
             f"signal at {signal.sample_rate:g} Hz, filter at {filt.sample_rate:g} Hz"
@@ -233,7 +239,9 @@ def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:
         rows = signal.samples.reshape(1, -1).copy()
         kernel(sos, rows, np.zeros((1, len(sos), 2)))
         out = rows[0]
-    return SignalBuffer(sample_rate=signal.sample_rate, samples=out * filt.gain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = out * filt.gain
+    return SignalBuffer(sample_rate=signal.sample_rate, samples=out)
 
 
 def _sosfilt_kernel():

@@ -19,11 +19,11 @@ import numpy as np
 from .core import (
     DB_PER_LOG,
     FilterConstants,
-    _level_phase,
     _log_magnitude,
     _maybe_scalar,
     _unit_peak_gain,
     eval_gef,
+    log_response,
     peak_beta,
 )
 from .design import CharacteristicSpec, design
@@ -56,12 +56,20 @@ def cf_at(cf_map: CfMap, x: float) -> float:
 
 @dataclass(frozen=True)
 class BankChannel:
-    """One filterbank channel: place, peak frequency, shared constants, gain."""
+    """One filterbank channel: place, peak frequency, shared constants, gain.
+    The peak frequency and the gain must be positive and finite."""
 
     x: float
     f_peak: float
     theta: FilterConstants
     gain: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 < self.f_peak < math.inf and 0.0 < self.gain < math.inf):
+            raise OutOfRange(
+                f"need finite f_peak > 0 and gain > 0, got f_peak = {self.f_peak!r}, "
+                f"gain = {self.gain!r}"
+            )
 
 
 def build_constant_q_bank(
@@ -222,15 +230,21 @@ def bank_response_rows(
 
     Columns are (f_hz, re, im, level_db, phase_rad, channel_id), rows
     channel-major then frequency; channel_id is the channel's index as a
-    float.  Phase is unwrapped along frequency within each channel.
+    float.  Each channel's rows come from one pass of its log response
+    L = log P(f / f_peak) + log gain: level_db is DB_PER_LOG * Re L, so it
+    stays finite where |H| underflows; phase_rad is Im L, the continuous
+    phase, 0 at f = 0; and (re, im) = exp(Re L) * (cos Im L, sin Im L).
     """
     freqs = np.asarray(freqs_hz, dtype=float)
     out = np.empty((6, len(channels), freqs.size))
+    out[0] = freqs
+    out[5] = np.arange(len(channels))[:, None]
     for idx, channel in enumerate(channels):
-        values = np.asarray(channel_response(channel, freqs))
-        out[0, idx] = freqs
-        out[1, idx] = values.real
-        out[2, idx] = values.imag
-        out[3, idx], out[4, idx] = _level_phase(values)
-        out[5, idx] = idx
+        log_h = log_response(channel.theta, freqs / channel.f_peak, ("p",))["p"]
+        level = log_h.re + math.log(channel.gain)
+        magnitude = np.exp(level)
+        out[1, idx] = magnitude * np.cos(log_h.im)
+        out[2, idx] = magnitude * np.sin(log_h.im)
+        out[3, idx] = DB_PER_LOG * level
+        out[4, idx] = log_h.im
     return out.reshape(6, -1).T

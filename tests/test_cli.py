@@ -7,11 +7,12 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gefdesign.cli import run
@@ -99,6 +100,11 @@ def sos_file(tmp_path, constants_file):
     ])
     assert rc == 0
     return path
+
+
+# a stable cascade whose numerators overflow: its response and its output
+# are not finite
+OVERFLOWING_SOS = [[1e308, 1e308, 1e308, -1.5, 0.7]] * 3
 
 
 class TestDesignCommand:
@@ -609,6 +615,24 @@ class TestDiscretizeAndFilter:
         assert error_type(capsys) == "OutOfRange"
         assert not (tmp_path / "out.wav").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sos, out", [
+        (OVERFLOWING_SOS, "out.wav"),
+        (OVERFLOWING_SOS, "out.csv"),
+        ([[1e300, 0.0, 0.0, -1.5, 0.7]], "out.wav"),  # finite, but past float32
+    ])
+    def test_sos_route_unwritable_output_exits_3(self, tmp_path, capsys, sos, out):
+        sos_path = tmp_path / "f.json"
+        sos_path.write_text(json.dumps({"sos": sos, "fs": 48000}))
+        infile = tmp_path / "in.wav"
+        write_wav(infile, SignalBuffer(48000.0, np.random.default_rng(1).standard_normal(4800)))
+        capsys.readouterr()
+        rc = run(["filter", "--sos", str(sos_path), str(infile), str(tmp_path / out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+        assert not (tmp_path / out).exists()
+
     def test_nyquist_violation_exits_3(self, constants_file):
         rc = run(["discretize", "--constants", str(constants_file),
                   "--peak-hz", "30000", "--fs", "48000"])
@@ -657,6 +681,17 @@ class TestResponseCommand:
         constants.write_text(json.dumps({"a_p": 0.001, "b_p": 1, "b_u": 200}))
         rc = run(["response", "--constants", str(constants), "--peak-hz", "1000",
                   "--fmin", "900", "--fmax", "1100", "--points", "5"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_cascade_exits_3(self, tmp_path, capsys):
+        sos_path = tmp_path / "f.json"
+        sos_path.write_text(json.dumps({"sos": OVERFLOWING_SOS, "fs": 48000}))
+        rc = run(["response", "--sos", str(sos_path), "--fmin", "0", "--fmax", "24000",
+                  "--points", "5"])
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -940,6 +975,51 @@ TRIO_FLAGS = st.one_of(
 PEAK_FLAGS = st.sampled_from([["--peak-beta"], ["--peak-hz"], [], ["--peak-beta", "--peak-hz"]])
 
 
+# response flags: typical values, edges of a float, and points up to a few
+# thousand (never a count that allocates much)
+BAND_VALUE = st.one_of(st.floats(0.0, 30000.0).map(repr), EXTREME,
+                       st.floats(allow_nan=True, allow_infinity=True).map(repr))
+POINTS_VALUE = st.one_of(st.integers(-3, 3000), st.sampled_from([-1, 0, 1, 2]))
+COEFFICIENT = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, 1e308, -1e308, 1e-308, math.nan, math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1", None, [], {}]),
+)
+
+
+def stable_sections(numerator):
+    """Sections with their poles at radius r < 1 and angle t."""
+    return st.builds(
+        lambda b, r, t: [*b, -2.0 * r * math.cos(t), r * r],
+        st.lists(numerator, min_size=3, max_size=3), st.floats(0.0, 0.999), st.floats(0.0, math.pi),
+    )
+
+
+STABLE_SECTION = stable_sections(st.floats(-10.0, 10.0))
+SECTION = st.one_of(stable_sections(st.one_of(st.floats(-10.0, 10.0),
+                                              st.sampled_from([1e308, -1e308, 1e200]))),
+                    st.lists(COEFFICIENT, min_size=5, max_size=5),
+                    st.lists(COEFFICIENT, max_size=7), COEFFICIENT)
+FILTER_FIELD = st.one_of(st.sampled_from([48000, 48000.0, 8000, 0, -1, 1e308, math.nan, "48000"]),
+                         COEFFICIENT)
+# filter files: stable sections of moderate coefficients at the rate of the
+# test clip, sections that may overflow, be unstable or not parse, and any
+# JSON value
+FILTER_DOC = st.one_of(
+    st.fixed_dictionaries(
+        {"sos": st.lists(STABLE_SECTION, min_size=1, max_size=4), "fs": st.just(48000)},
+        optional={"gain": st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e300, 0.0]))},
+    ),
+    st.fixed_dictionaries(
+        {"sos": st.lists(SECTION, min_size=1, max_size=4), "fs": FILTER_FIELD},
+        optional={"gain": FILTER_FIELD},
+    ),
+    st.dictionaries(st.sampled_from(["sos", "fs", "gain", "f_peak_hz"]), FILTER_FIELD, max_size=3),
+    COEFFICIENT,
+)
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
@@ -1010,3 +1090,59 @@ class TestCliProperties:
         assert len(errors) == (code != 0)
         if code == 0:
             json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        """Constants, a filter designed from them, and a 1000-sample clip as
+        WAV and as CSV."""
+        root = tmp_path_factory.mktemp("sources")
+        paths = {name: root / name for name in ("c.json", "sos.json", "clip.wav", "clip.csv")}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["design", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT,
+                        "--phase-accum", "3", "--out", str(paths["c.json"])]) == 0
+        assert run(["discretize", "--constants", str(paths["c.json"]), "--peak-hz", "1000",
+                    "--fs", "48000", "--out", str(paths["sos.json"])]) == 0
+        clip = np.random.default_rng(7).standard_normal(1000)
+        write_wav(paths["clip.wav"], SignalBuffer(48000.0, clip))
+        paths["clip.csv"].write_text("".join(f"{x!r}\n" for x in clip))
+        return paths
+
+    @staticmethod
+    def _run_quietly(argv):
+        """run_captured, failing on any warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_captured(argv)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(fmin=BAND_VALUE, fmax=BAND_VALUE, points=POINTS_VALUE,
+           peak=st.one_of(st.just("1000"), BAND_VALUE), route=st.sampled_from(["sos", "constants"]))
+    def test_random_response_flags(self, sources, fmin, fmax, points, peak, route):
+        source = (["--sos", str(sources["sos.json"])] if route == "sos" else
+                  ["--constants", str(sources["c.json"]), f"--peak-hz={peak}"])
+        argv = ["response", *source, f"--fmin={fmin}", f"--fmax={fmax}", f"--points={points}"]
+        code, out, errors = self._run_quietly(argv)
+        assert code in (0, 2, 3), argv
+        assert len(errors) == (code != 0), argv
+        if code == 0:
+            assert len(out.splitlines()) == points + 1, argv
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(doc=FILTER_DOC)
+    @example(doc={"sos": OVERFLOWING_SOS, "fs": 48000})
+    def test_random_filter_files(self, workdir, sources, doc):
+        path = workdir / "f.json"
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ["response", "--sos", str(path), "--fmin", "0", "--fmax", "4000", "--points", "9"],
+            ["filter", "--sos", str(path), str(sources["clip.wav"]), str(workdir / "out.wav")],
+            ["filter", "--sos", str(path), "--rate", "48000", str(sources["clip.csv"]),
+             str(workdir / "out.csv")],
+        ):
+            code, _, errors = self._run_quietly(argv)
+            assert code in (0, 2, 3, 4), argv
+            assert len(errors) == (code != 0), argv
+            if code == 0 and argv[0] == "filter":
+                out = argv[-1]
+                samples = read_wav(out).samples if out.endswith(".wav") else np.loadtxt(out)
+                assert np.all(np.isfinite(samples)), argv

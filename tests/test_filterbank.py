@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gefdesign import (
     CfMap,
@@ -20,10 +22,14 @@ from gefdesign import (
     design,
     eval_gef,
     extract_numeric,
+    level_db,
+    log_response,
     multiband_response,
     peak_beta,
+    phase_rad,
 )
 from gefdesign.characteristics import FrequencyGrid, default_grid
+from gefdesign.core import DB_PER_LOG
 from gefdesign.errors import OutOfRange
 from gefdesign.filterbank import (
     BankChannel,
@@ -93,6 +99,14 @@ class TestConstantQBank:
     def test_empty_channel_list(self, norm_spec):
         assert build_constant_q_bank(CfMap(8000.0, 1.0, 2.0), [], norm_spec) == []
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_channel_rejects_bad_peak_or_gain(self, bad):
+        theta = FilterConstants(0.05, 1.0, 6.0)
+        with pytest.raises(OutOfRange):
+            BankChannel(x=0.0, f_peak=bad, theta=theta)
+        with pytest.raises(OutOfRange):
+            BankChannel(x=0.0, f_peak=1000.0, theta=theta, gain=bad)
+
     def test_requires_normalized_spec(self):
         spec = CharacteristicSpec(
             row=DesignRow.PEAK_DELAY_PHASE,
@@ -119,17 +133,35 @@ class TestConstantQBank:
         assert level == pytest.approx(20.0 * math.log10(math.hypot(re, im)), rel=1e-9)
 
 
-def _reference_rows(channels, freqs_hz):
-    """The row-by-row export the array version must reproduce bit for bit."""
+def _log_reference_rows(channels, freqs_hz):
+    """The export from each channel's log response, row by row: the array
+    version must reproduce it bit for bit."""
     rows = []
     freqs = np.asarray(freqs_hz, dtype=float)
     for idx, channel in enumerate(channels):
+        log_h = log_response(channel.theta, freqs / channel.f_peak, ("p",))["p"]
+        re = log_h.re + math.log(channel.gain)
+        magnitude = np.exp(re)
+        for row in zip(freqs, magnitude * np.cos(log_h.im), magnitude * np.sin(log_h.im),
+                       DB_PER_LOG * re, log_h.im):
+            rows.append((*map(float, row), idx))
+    return np.array(rows).reshape(-1, 6)
+
+
+def _complex_reference_rows(channels, freqs_hz):
+    """The export from complex response values: 20 log10|H| and
+    unwrap(angle H), where the unwrapped phase starts from the wrapped one."""
+    blocks = []
+    freqs = np.asarray(freqs_hz, dtype=float)
+    for idx, channel in enumerate(channels):
         values = np.asarray(channel_response(channel, freqs))
-        levels = 20.0 * np.log10(np.abs(values))
+        with np.errstate(divide="ignore"):
+            levels = 20.0 * np.log10(np.abs(values))
         phases = np.unwrap(np.angle(values))
-        for f, v, lvl, ph in zip(freqs, values, levels, phases):
-            rows.append((float(f), float(v.real), float(v.imag), float(lvl), float(ph), idx))
-    return rows
+        blocks.append(np.column_stack(
+            (freqs, values.real, values.imag, levels, phases, np.full(freqs.size, float(idx)))
+        ))
+    return np.concatenate(blocks)
 
 
 class TestBankResponseArray:
@@ -151,7 +183,34 @@ class TestBankResponseArray:
     def test_bit_identical_to_row_loop(self, mixed_bank):
         assert len({ch.theta for ch in mixed_bank}) == 3
         rows = bank_response_rows(mixed_bank, self.FREQS)
-        assert np.array_equal(rows, np.array(_reference_rows(mixed_bank, self.FREQS)))
+        assert np.array_equal(rows, _log_reference_rows(mixed_bank, self.FREQS))
+
+    def test_close_to_complex_response_rows(self, mixed_bank):
+        rows = bank_response_rows(mixed_bank, self.FREQS)
+        reference = _complex_reference_rows(mixed_bank, self.FREQS)
+        n = self.FREQS.size
+        assert np.array_equal(rows[:, [0, 5]], reference[:, [0, 5]])
+        for idx in range(len(mixed_bank)):
+            block, ref = rows[idx * n:(idx + 1) * n], reference[idx * n:(idx + 1) * n]
+            # the unwrapped reference starts from the wrapped phase, Im L from 0
+            # at f = 0; the two agree where Im L starts inside (-pi, pi]
+            assert -math.pi < block[0, 4] <= math.pi
+            scale = np.max(np.hypot(ref[:, 1], ref[:, 2]))
+            assert np.max(np.abs(block[:, 1:3] - ref[:, 1:3])) <= 1e-14 * scale
+            assert np.max(np.abs(block[:, 3] - ref[:, 3])) <= 1e-12
+            assert np.max(np.abs(block[:, 4] - ref[:, 4])) <= 1e-12
+
+    def test_underflowing_magnitude_reads_finite_level(self):
+        # |P| at beta = 240 is about 240**-400: 0 as a float, -inf dB as 20 log10|H|
+        channel = BankChannel(x=0.0, f_peak=100.0, theta=FilterConstants(0.05, 1.0, 200.0))
+        freqs = np.linspace(0.0, 24000.0, 481)
+        rows = bank_response_rows([channel], freqs)
+        reference = _complex_reference_rows([channel], freqs)
+        assert np.any(reference[:, 3] == -math.inf)
+        assert np.all(np.isfinite(rows))
+        assert rows[-1, 1] == rows[-1, 2] == 0.0
+        assert rows[-1, 3] < -1000.0
+        assert np.array_equal(rows[:, 4], phase_rad(channel.theta, freqs / channel.f_peak))
 
     def test_phase_unwrapped_within_each_channel_only(self, mixed_bank):
         rows = bank_response_rows(mixed_bank, self.FREQS)
@@ -162,8 +221,8 @@ class TestBankResponseArray:
             assert np.array_equal(block[:, 0], self.FREQS)
             phase = block[:, 4]
             wrapped = np.angle(np.asarray(channel_response(channel, self.FREQS)))
-            # each channel starts from its own wrapped phase, not the last one's
-            assert phase[0] == wrapped[0]
+            # each channel starts from its own phase, not the last one's
+            assert abs(phase[0] - wrapped[0]) <= 1e-12
             # the wrapped phase jumps by a turn somewhere; the exported one never does
             assert np.max(np.abs(np.diff(wrapped))) > math.pi
             assert np.max(np.abs(np.diff(phase))) < math.pi
@@ -173,6 +232,37 @@ class TestBankResponseArray:
         rows = bank_response_rows(mixed_bank[:n_channels], self.FREQS)
         assert rows.dtype == np.float64
         assert rows.shape == (n_channels * self.FREQS.size, 6)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        constants=st.lists(st.tuples(st.floats(-3.0, -0.3), st.floats(0.5, 40.0)),
+                           min_size=1, max_size=4),
+        gains=st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4),
+        freqs=st.lists(st.floats(0.0, 1e5), max_size=40),
+    )
+    def test_rows_from_log_response(self, constants, gains, freqs):
+        # a_p = 10**e, b_u and gain 10**g drawn so the peak magnitude stays finite
+        channels = [
+            BankChannel(x=0.0, f_peak=1000.0 * (idx + 1), theta=FilterConstants(10.0 ** e, 1.0, b_u),
+                        gain=10.0 ** g)
+            for idx, ((e, b_u), g) in enumerate(zip(constants, gains))
+        ]
+        freqs = np.array(freqs)
+        rows = bank_response_rows(channels, freqs)
+        assert np.array_equal(rows, _log_reference_rows(channels, freqs))
+        assert np.all(np.isfinite(rows))
+        n = freqs.size
+        for idx, channel in enumerate(channels):
+            block = rows[idx * n:(idx + 1) * n]
+            betas = freqs / channel.f_peak
+            assert np.array_equal(block[:, 4], phase_rad(channel.theta, betas))
+            level = level_db(channel.theta, betas) + 20.0 * math.log10(channel.gain)
+            assert np.allclose(block[:, 3], level, rtol=1e-13, atol=1e-11)
+            # re and im reconstruct the level where the magnitude is a normal float
+            magnitude = np.hypot(block[:, 1], block[:, 2])
+            normal = magnitude > 1e-300
+            assert np.allclose(20.0 * np.log10(magnitude[normal]), block[normal, 3],
+                               rtol=0.0, atol=1e-11)
 
 
 class TestDomainConsistency:
