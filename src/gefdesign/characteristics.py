@@ -16,7 +16,6 @@ Two independent routes produce the same characteristic set
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -30,8 +29,10 @@ from .scalar import (
     QERB_FIT_B,
     TWO_PI,
     FilterConstants,
+    _LOG_FLOAT_MAX,
     _brentq,
     _erb,
+    _golden_max,
     level_factor,
 )
 from .errors import (
@@ -44,9 +45,6 @@ from .errors import (
 )
 
 DEFAULT_LEVELS_DB = (3.0, 10.0)
-
-# Re L above this is a magnitude past the largest float
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def level_label(n_db: float) -> str:
@@ -286,27 +284,6 @@ def closed_form(
         erb_beta=erb,
         method="closed_form",
     )
-
-
-def _golden_max(fn: Callable, lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for the maximizer of a unimodal function.  It
-    also stops once the interior points no longer fall strictly between the
-    ends, which happens before tol where the floats are coarser than tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol and a < c < d < b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
 
 
 def _level_crossing(level_fn, target, a, b):

@@ -36,6 +36,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals raise UsageError, one JSON error object; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _round_floats(obj):
     """Normalize every float to 12 significant digits for stable output."""
     if isinstance(obj, float):
@@ -386,7 +393,7 @@ def _cmd_response(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gefdesign",
         description="Design bandpass filters directly from frequency-domain characteristics.",
     )
@@ -465,13 +472,11 @@ def _error_json(exc: Exception) -> str:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help and --version print and exit
+        return EXIT_OK
     except UsageError as exc:
         print(_error_json(exc), file=sys.stderr)
         return EXIT_USAGE

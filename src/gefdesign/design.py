@@ -14,9 +14,10 @@ keys fixes a_p (the delay key when it has one, otherwise its other key):
     II.7  n_cycles, q_n      solve qn_over_delay               n_cycles
 
 a_p then comes from the inverse of its key in ``scalar.A_P_FROM``, and both
-keys are checked through ``scalar.CHARACTERISTIC``.  The implicit rows solve
-a one-dimensional equation by bracketed root finding.  Designing needs only
-``math``: this module imports no numpy.
+keys are checked through ``scalar.CHARACTERISTIC``.  The implicit rows find
+the maximum of a rise-then-fall function of b_u by golden section and solve
+on its falling branch by Brent's method.  Designing needs only ``math``:
+this module imports no numpy.
 All positive specifications land the pole pair strictly in the left
 half-plane, so the designs are inherently stable.
 """
@@ -37,6 +38,7 @@ from .scalar import (
     SQRT_PI,
     FilterConstants,
     _brentq,
+    _golden_max,
     gamma_ratio,
     level_factor,
     sharpness_check,
@@ -45,11 +47,10 @@ from .errors import BracketFailure, ErbRequiresBu, InfeasibleSpec, OutOfRange
 
 LN10 = math.log(10.0)
 
-# The implicit b_u solves: exponent bracket, the number of geometrically
-# spaced points its scan samples, and Brent's relative tolerance (above its
-# floor of 4 eps) and iteration cap.
+# The implicit b_u solves: exponent bracket, searched for the residual's
+# maximum to 1e-6 in b_u, and Brent's relative tolerance (above its floor of
+# 4 eps) and iteration cap.
 B_U_BRACKET = (1.0, 64.0)
-SCAN_POINTS = 257
 SOLVE_RTOL = 1e-12
 SOLVE_MAXITER = 200
 
@@ -227,26 +228,14 @@ def qerb_delay_approx_exponent(ratio: float) -> float:
         return math.inf
 
 
-def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n points from lo to hi, evenly spaced in log10, with both ends exact.
-
-    The steps of np.geomspace, but the powers come from the C library, and
-    numpy's vectorized power can differ from those in the last bit."""
-    log_lo = math.log10(lo)
-    step = (math.log10(hi) - log_lo) / (n - 1)
-    grid = [10.0 ** (k * step + log_lo) for k in range(n)]
-    grid[0], grid[-1] = lo, hi
-    return grid
-
-
 def _solve_decreasing(fn, target: float, seed: float | None = None):
     """Solve fn(b_u) == target on the decreasing branch of a rise-then-fall
-    residual, returning the largest root inside the bracket.
+    residual, returning the root beyond the residual's maximum.
 
     A seed (e.g. the power-law estimate) is tried first as a local bracket;
-    otherwise the bracket is scanned geometrically from the residual's
-    maximum outward.  Raises BracketFailure when the target is above the
-    branch maximum or below fn(b_u_max).
+    otherwise a golden-section search finds the maximum, and Brent's method
+    solves between it and b_u_max.  Raises BracketFailure when the target is
+    above the branch maximum or below fn(b_u_max).
     """
     lo, hi = B_U_BRACKET
 
@@ -265,28 +254,14 @@ def _solve_decreasing(fn, target: float, seed: float | None = None):
             if (fa > 0.0) != (fb > 0.0):
                 return _brentq(residual, a, b, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
 
-    grid = _geometric_grid(lo, hi, SCAN_POINTS)
-    vals = [fn(x) for x in grid]
-    i_max = vals.index(max(vals))
-    if vals[i_max] < target:
-        raise BracketFailure(
-            f"target {target:g} exceeds the achievable maximum "
-            f"{vals[i_max]:g} on [{lo:g}, {hi:g}]"
-        )
-    for j in range(i_max, len(grid) - 1):
-        f_a, f_b = vals[j] - target, vals[j + 1] - target
-        if f_a == 0.0:
-            return grid[j]
-        if f_b == 0.0:
-            return grid[j + 1]
-        if (f_a > 0.0) != (f_b > 0.0):
-            return _brentq(
-                residual, grid[j], grid[j + 1], rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER
-            )
-    raise BracketFailure(
-        f"target {target:g} below fn(b_u_max) = {vals[-1]:g}; "
-        f"no root on [{lo:g}, {hi:g}]"
-    )
+    # lo itself when the residual falls over the whole bracket
+    x_max = max(lo, _golden_max(fn, lo, hi, tol=1e-6), key=fn)
+    f_max, f_hi = fn(x_max), fn(hi)
+    if f_max < target:
+        raise BracketFailure(f"target {target:g} exceeds the achievable maximum {f_max:g}")
+    if f_hi > target:
+        raise BracketFailure(f"target {target:g} below fn(b_u_max) = {f_hi:g}")
+    return _brentq(residual, x_max, hi, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
 
 
 def design(spec: CharacteristicSpec, integer_snap: bool = False) -> FilterConstants:
@@ -294,10 +269,10 @@ def design(spec: CharacteristicSpec, integer_snap: bool = False) -> FilterConsta
 
     b_p = beta_peak always.  b_u comes from the row, a_p from the inverse
     of the row's a_p key.  The closed-form rows recover their trio to
-    machine precision; the implicit rows (delay + Q_erb exact, delay + Q_n)
-    solve a monotone residual by bracketed root finding and reproduce the
-    trio to the solver tolerance.  mode='approx' applies the printed
-    power-law exponent instead of the exact solve.
+    machine precision, the implicit rows (delay + Q_erb exact, delay + Q_n)
+    to the solver tolerance; any that misses by over 1e-9 relative raises
+    InfeasibleSpec.  mode='approx' applies the printed power-law exponent
+    instead of the exact solve.
 
     integer_snap rounds b_u to the nearest integer (at least 1) afterwards
     and re-derives a_p from the same key, preserving the delay (or, failing
@@ -334,11 +309,10 @@ def design(spec: CharacteristicSpec, integer_snap: bool = False) -> FilterConsta
         )
 
     if not integer_snap and spec.mode != "approx":
-        tol = 1e-6 if row.exponent in (_bu_from_qerb_delay, _bu_from_qn_delay) else 1e-9
         for key in row.keys:
             want = v[key]
             got = CHARACTERISTIC[key](a_p, b, b_u, spec.n_level)
-            if abs(got - want) > tol * abs(want):
+            if abs(got - want) > 1e-9 * abs(want):
                 raise InfeasibleSpec(
                     f"round-trip check failed for {key}: wanted {want:g}, "
                     f"designed constants give {got:g}"

@@ -28,6 +28,7 @@ from .core import (
 )
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
+from .scalar import _LOG_FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,7 @@ def bank_response_rows(
     L = log P(f / f_peak) + log gain: level_db is DB_PER_LOG * Re L, so it
     stays finite where |H| underflows; phase_rad is Im L, the continuous
     phase, 0 at f = 0; and (re, im) = exp(Re L) * (cos Im L, sin Im L).
+    Raises OutOfRange when a channel's |H| passes the largest float.
     """
     freqs = np.asarray(freqs_hz, dtype=float)
     out = np.empty((6, len(channels), freqs.size))
@@ -242,6 +244,8 @@ def bank_response_rows(
     for idx, channel in enumerate(channels):
         log_h = log_response(channel.theta, freqs / channel.f_peak, ("p",))["p"]
         level = log_h.re + math.log(channel.gain)
+        if level.max(initial=-math.inf) > _LOG_FLOAT_MAX:
+            raise OutOfRange(f"channel {idx}: |H| passes the largest float")
         magnitude = np.exp(level)
         out[1, idx] = magnitude * np.cos(log_h.im)
         out[2, idx] = magnitude * np.sin(log_h.im)

@@ -4,10 +4,10 @@ The design methods are closed-form maps between the filter constants
 (a_p, b_p, b_u) and a trio of characteristics, plus at most one scalar
 root solve.  This module holds that scalar layer: the constants and their
 sharpness check, each characteristic as a function of the constants
-(``CHARACTERISTIC``), each inverse for a_p (``A_P_FROM``), and the one
-bracketed root solver.  It imports nothing beyond the standard library, so
-designing a filter does not load numpy; ``core`` and ``characteristics``
-import these names from here.
+(``CHARACTERISTIC``), each inverse for a_p (``A_P_FROM``), the one
+bracketed root solver and the one golden-section maximizer.  It imports
+nothing beyond the standard library, so designing a filter does not load
+numpy; ``core`` and ``characteristics`` import these names from here.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .errors import InfeasibleSpec, NonPositiveConstant, OutOfRange
 
 # dB per unit natural log of magnitude: level = (20/ln 10) * ln|H|
 DB_PER_LOG = 20.0 / math.log(10.0)
+
+# a log magnitude above this is a magnitude past the largest float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
@@ -188,6 +191,27 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=10
 
 def _nan_value(x) -> ValueError:
     return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+
+
+def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
+    """Golden-section search for the maximizer of a unimodal function.  It
+    also stops once the interior points no longer fall strictly between the
+    ends, which happens before tol where the floats are coarser than tol."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > tol and a < c < d < b:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
 
 
 def gamma_ratio(b_u: float) -> float:

@@ -18,13 +18,13 @@ from gefdesign import (
 from gefdesign import characteristics, core
 from gefdesign.characteristics import (
     FrequencyGrid,
-    _golden_max,
     _level_crossing,
     _simpson,
     erb_closed_form,
     numeric_values,
     qerb_closed_form,
 )
+from gefdesign.scalar import _golden_max
 from gefdesign.errors import (
     ApproximationDomain,
     ExponentTooSmallForErb,

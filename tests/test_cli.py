@@ -107,6 +107,28 @@ def sos_file(tmp_path, constants_file):
 OVERFLOWING_SOS = [[1e308, 1e308, 1e308, -1.5, 0.7]] * 3
 
 
+class TestArgumentParsing:
+    @pytest.mark.parametrize("argv", [
+        ["response", "--constants", "{constants}", "--peak-hz", "1000", "--fmin", "50",
+         "--fmax", "1000", "--points", "nan"],
+        ["design", "--peak-beta", "abc", "--gdelay-cycles", "19.1", "--phase-accum", "3"],
+        ["frobnicate"],
+    ], ids=["bad-int", "bad-float", "unknown-subcommand"])
+    def test_parser_refusal_prints_one_json_error(self, capsys, constants_file, argv):
+        argv = [arg.format(constants=constants_file) for arg in argv]
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "UsageError"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["design", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
+
 class TestDesignCommand:
     def test_prints_reference_constants(self, capsys):
         rc = run(["design", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT,
@@ -292,7 +314,7 @@ class TestBadInputFiles:
         (["--qn", "10:14", "--phase-accum", "0.001"], "OutOfRange"),
         # b_u = 2e20: 10**(10 / (10 b_u)) rounds to 1, so the factor is 0
         (["--qn", "10:14", "--phase-accum", "1e20"], "OutOfRange"),
-        # Q_erb / N = 1e-310: the power-law seed overflows, the scan finds no root
+        # Q_erb / N = 1e-310: the power-law seed overflows, and fn(b_u_max) is above it
         (["--gdelay-cycles", "1e10", "--qerb", "1e-300"], "BracketFailure"),
         (["--gdelay-cycles", "1e10", "--qerb", "1e-300", "--mode", "approx"], "InfeasibleSpec"),
     ])
@@ -795,13 +817,14 @@ class TestEndToEndRoundTrip:
 NUMPY_FREE_DESIGNS = {
     "II.1": (["--gdelay-cycles", N_SHARP6_TEXT, "--phase-accum", "3"], 0),
     "II.2": (["--gdelay-cycles", "19.1", "--qerb", "25.9"], 0),
-    # Q_erb / N = 2.05: the power-law seed brackets no root, so this scans
+    # Q_erb / N = 2.05: the power-law seed brackets no root, so this searches
+    # for the residual's maximum
     "II.2-scan": (["--gdelay-cycles", "10", "--qerb", "20.5"], 0),
     "II.3": (["--qerb", "25.9", "--phase-accum", "3"], 0),
     "II.4": (["--qn", "10:14.620769527557067", "--phase-accum", "3"], 0),
     "II.5": (["--gdelay-cycles", N_SHARP6_TEXT, "--convexity", "20846.3"], 0),
     "II.6": (["--convexity", "20846.3", "--phase-accum", "3"], 0),
-    # II.7 has no seed for its exponent and always scans the bracket
+    # II.7 has no seed for its exponent and always searches for the maximum
     "II.7": (["--gdelay-cycles", N_SHARP6_TEXT, "--qn", "10:14.620769527557067"], 0),
     "integer-snap": (["--gdelay-cycles", "19", "--qerb", "25", "--integer-snap"], 0),
     "approx": (["--gdelay-cycles", "19.1", "--qerb", "25.9", "--mode", "approx"], 0),
@@ -979,7 +1002,8 @@ PEAK_FLAGS = st.sampled_from([["--peak-beta"], ["--peak-hz"], [], ["--peak-beta"
 # thousand (never a count that allocates much)
 BAND_VALUE = st.one_of(st.floats(0.0, 30000.0).map(repr), EXTREME,
                        st.floats(allow_nan=True, allow_infinity=True).map(repr))
-POINTS_VALUE = st.one_of(st.integers(-3, 3000), st.sampled_from([-1, 0, 1, 2]))
+POINTS_VALUE = st.one_of(st.integers(-3, 3000), st.sampled_from([-1, 0, 1, 2]),
+                         st.sampled_from(["nan", "inf", "2.5", "1e3", "ten", ""]))
 COEFFICIENT = st.one_of(
     st.floats(-2.0, 2.0),
     st.sampled_from([0.0, 1e308, -1e308, 1e-308, math.nan, math.inf]),

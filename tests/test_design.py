@@ -16,10 +16,15 @@ from gefdesign import (
     design,
 )
 from gefdesign.design import (
+    B_U_BRACKET,
+    SOLVE_MAXITER,
+    SOLVE_RTOL,
+    _solve_decreasing,
     qerb_delay_approx_exponent,
     qerb_over_delay,
     qn_over_delay,
 )
+from gefdesign.scalar import _brentq
 from gefdesign.errors import BracketFailure, ErbRequiresBu, InfeasibleSpec, OutOfRange
 
 N_SHARP6 = 6.0 / (2.0 * math.pi * 0.05)  # 19.098593...
@@ -296,6 +301,130 @@ class TestImplicitResidual:
         with pytest.raises(BracketFailure):
             design(spec_for(DesignRow.PEAK_QN_DELAY, 1.0,
                             {"q_n": 0.1, "n_cycles": 100.0}, 10.0))
+
+
+def _geometric_grid(lo, hi, n):
+    """n points from lo to hi, evenly spaced in log10, with both ends exact."""
+    log_lo = math.log10(lo)
+    step = (math.log10(hi) - log_lo) / (n - 1)
+    grid = [10.0 ** (k * step + log_lo) for k in range(n)]
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
+SCAN_GRID = _geometric_grid(*B_U_BRACKET, 257)
+
+
+def scan_solve(fn, target, seed=None):
+    """The reference solver: the seeded bracket as in _solve_decreasing, else
+    a 257-point geometric scan of the bracket from the largest sample on,
+    and Brent's method between the first two samples that bracket the root.
+    It refuses a target above the largest sample, which lies below the true
+    maximum by up to a few parts in 1e5."""
+    lo, hi = B_U_BRACKET
+
+    def residual(x):
+        return fn(x) - target
+
+    if seed is not None and math.isfinite(seed):
+        a, b = max(lo, 0.5 * seed), min(hi, 2.0 * seed)
+        if a < b:
+            fa, fb = residual(a), residual(b)
+            if fa == 0.0:
+                return a
+            if fb == 0.0:
+                return b
+            if (fa > 0.0) != (fb > 0.0):
+                return _brentq(residual, a, b, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
+    vals = [fn(x) for x in SCAN_GRID]
+    i_max = vals.index(max(vals))
+    if vals[i_max] < target:
+        raise BracketFailure("above the largest sample")
+    for j in range(i_max, len(SCAN_GRID) - 1):
+        f_a, f_b = vals[j] - target, vals[j + 1] - target
+        if f_a == 0.0:
+            return SCAN_GRID[j]
+        if f_b == 0.0:
+            return SCAN_GRID[j + 1]
+        if (f_a > 0.0) != (f_b > 0.0):
+            return _brentq(residual, SCAN_GRID[j], SCAN_GRID[j + 1], rtol=SOLVE_RTOL,
+                           maxiter=SOLVE_MAXITER)
+    raise BracketFailure("below fn(b_u_max)")
+
+
+def counting(fn):
+    """fn, and a list whose length is the number of calls made to it."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    return counted, calls
+
+
+class TestSolveDecreasing:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        log_ratio=st.floats(math.log(0.02), math.log(8.0)),
+        n_level=st.floats(1.0, 80.0),
+        erb=st.booleans(),
+    )
+    def test_agrees_with_scan(self, log_ratio, n_level, erb):
+        ratio = math.exp(log_ratio)
+        if erb:
+            fn, seed = qerb_over_delay, qerb_delay_approx_exponent(ratio)
+        else:
+            fn, seed = (lambda x: qn_over_delay(x, n_level)), None
+        try:
+            want = scan_solve(fn, ratio, seed)
+        except BracketFailure:
+            want = None
+        try:
+            got = _solve_decreasing(fn, ratio, seed)
+        except BracketFailure:
+            got = None
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-11)
+        elif got is not None:
+            # only a target between the largest scan sample and the true
+            # maximum changes feasibility, and then the root is a true root
+            assert max(fn(x) for x in SCAN_GRID) < ratio
+            assert fn(got) == pytest.approx(ratio, rel=1e-12)
+
+    def test_qerb_between_scan_and_true_maximum_designs(self):
+        # the largest scan sample of Q_erb / N is 2.1033837, the maximum 2.1034354
+        ratio = 2.1034
+        assert max(qerb_over_delay(x) for x in SCAN_GRID) < ratio
+        with pytest.raises(BracketFailure):
+            scan_solve(qerb_over_delay, ratio, qerb_delay_approx_exponent(ratio))
+        spec = spec_for(DesignRow.PEAK_DELAY_QERB, 1.0, {"n_cycles": 10.0, "q_erb": 10.0 * ratio})
+        theta = design(spec)
+        achieved = closed_form(theta)
+        assert achieved.q_erb == pytest.approx(10.0 * ratio, rel=1e-9)
+        assert achieved.n_beta == pytest.approx(10.0, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-9])
+    def test_maximum_at_lower_end(self, scale):
+        # at 1 dB, Q_n / (beta_peak N) falls over the whole bracket
+        def fn(x):
+            return qn_over_delay(x, 1.0)
+
+        assert fn(1.0) > fn(1.0 + 1e-7)
+        target = scale * fn(1.0)
+        assert _solve_decreasing(fn, target) == pytest.approx(1.0, rel=1e-8)
+        assert _solve_decreasing(fn, target) == pytest.approx(scan_solve(fn, target), rel=1e-11)
+
+    @pytest.mark.parametrize("n_level", [1.0, 3.0, 10.0, 40.0, 80.0])
+    @pytest.mark.parametrize("b_u", [14.0, 30.0, 60.0])
+    def test_unseeded_solve_evaluates_at_most_64_points(self, n_level, b_u):
+        target = qn_over_delay(b_u, n_level)
+        fn, calls = counting(lambda x: qn_over_delay(x, n_level))
+        assert _solve_decreasing(fn, target) == pytest.approx(b_u, rel=1e-11)
+        assert len(calls) <= 64
+        fn, calls = counting(lambda x: qn_over_delay(x, n_level))
+        scan_solve(fn, target)
+        assert len(calls) >= 257
 
 
 class TestIntegerSnap:

@@ -212,6 +212,14 @@ class TestBankResponseArray:
         assert rows[-1, 3] < -1000.0
         assert np.array_equal(rows[:, 4], phase_rad(channel.theta, freqs / channel.f_peak))
 
+    def test_overflowing_magnitude_raises_out_of_range(self):
+        # |P| at the peak is about (2 a_p)**-200 = 1e540: past the largest float
+        channel = BankChannel(x=0.0, f_peak=100.0, theta=FilterConstants(0.001, 1.0, 200.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange):
+                bank_response_rows([channel], np.linspace(50.0, 150.0, 101))
+
     def test_phase_unwrapped_within_each_channel_only(self, mixed_bank):
         rows = bank_response_rows(mixed_bank, self.FREQS)
         n = self.FREQS.size
