@@ -4,10 +4,11 @@ Integer exponents become a cascade of b_u identical biquad sections via the
 bilinear transform, prewarped so the digital magnitude peak lands exactly
 on the requested peak frequency.  Non-integer exponents are supported
 through FFT-domain filtering: the analog response is sampled at the bins of
-a block whose length follows the impulse response's decay, and the signal
-is filtered block by block (overlap-add), so memory stays near the signal's
-own and the output drifts from one whole-signal transform by about 1e-12
-of its peak at most.
+a probe block whose length follows the impulse response's decay, the
+kernel's support is measured from it, and the signal is filtered block by
+block (overlap-add) in hops of the block length less that support, so
+memory stays near the signal's own and the output drifts from one
+whole-signal transform by about 1e-12 of its peak at most.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:
         kernel(sos, rows, np.zeros((1, len(sos), 2)))
         out = rows[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = out * filt.gain
+        out *= filt.gain
     return SignalBuffer(sample_rate=signal.sample_rate, samples=out)
 
 
@@ -286,23 +287,35 @@ _DECAY_CONSTANTS = 40.0
 _MIN_BLOCK = 4096
 
 
-def _block_response(theta: FilterConstants, f_peak: float, fs: float, n: int):
-    """Block size nb for apply_fft on n samples, and the analog response
-    sampled on its rfft grid.
+def _sampled_response(theta: FilterConstants, f_peak: float, scale: float, freqs):
+    """The analog response at freqs (Hz), bin f mapped to beta = f * scale.
+    Raises OutOfRange when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        response = np.asarray(eval_gef(theta, freqs * scale))
+    if not np.all(np.isfinite(response)):
+        raise OutOfRange(f"the response of {theta} at f_peak = {f_peak:g} Hz is not finite")
+    return response
 
-    The kernel irfft(H, nb) holds the causal impulse response in its first
-    quarter and, in its last quarter, the pre-ringing from cutting the
-    response off at fs/2.  The response decays like t**(b_u - 1) exp(-r t)
-    with r = 2 pi a_p f_peak / (peak_beta fs) per sample, so the first guess
-    at the kernel length is that envelope's peak, (b_u - 1) / r, plus 40 time
-    constants 1 / r; nb starts at the power of two at or above four times
-    that, and at least 4096, and doubles until the middle half of the kernel
-    holds at most 1e-24 of its energy.  nb is capped at the power of two at
-    or above 2 n, where one block takes the whole signal.  A kernel that does
-    not decay (short signals, or a small b_u whose response is far from 0 at
-    fs/2) ends there, at once when a doubling cuts the middle's energy less
-    than fourfold.
-    Raises OutOfRange when the sampled response is not finite.
+
+def _block_response(theta: FilterConstants, f_peak: float, fs: float, n: int):
+    """Probe block nb0 for apply_fft on n samples, the analog response
+    sampled on its rfft grid, and the energy of its kernel irfft(H, nb0),
+    or None for the energy when nb0 is the cap.
+
+    The kernel holds the causal impulse response at its start and, at its
+    end, the pre-ringing from cutting the response off at fs/2.  The
+    response decays like t**(b_u - 1) exp(-r t) with r = 2 pi a_p f_peak /
+    (peak_beta fs) per sample, so the first guess at the kernel length is
+    that envelope's peak, (b_u - 1) / r, plus 40 time constants 1 / r; nb0
+    starts at the power of two at or above four times that, and at least
+    4096, and doubles until the middle half of the kernel holds at most
+    1e-24 of its energy.  A doubling evaluates the response on the new odd
+    bins only: the even bins of the doubled grid are the old grid's bins,
+    bit for bit.  nb0 is capped at the power of two at or above 2 n, where
+    one block takes the whole signal.  A kernel that does not decay (short
+    signals, or a small b_u whose response is far from 0 at fs/2) ends
+    there, at once when a doubling cuts the middle's energy less than
+    fourfold.  Raises OutOfRange when the sampled response is not finite.
     """
     nfft = 1 << (2 * n - 1).bit_length()
     scale = _bandpass_peak(theta) / f_peak
@@ -313,23 +326,76 @@ def _block_response(theta: FilterConstants, f_peak: float, fs: float, n: int):
     nb = min(_MIN_BLOCK, nfft)
     while nb < nfft and nb < span:
         nb *= 2
+    response = _sampled_response(theta, f_peak, scale, np.fft.rfftfreq(nb, d=1.0 / fs))
     previous = math.inf
-    while True:
-        freqs = np.fft.rfftfreq(nb, d=1.0 / fs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            response = np.asarray(eval_gef(theta, freqs * scale))
-        if not np.all(np.isfinite(response)):
-            raise OutOfRange(f"the response of {theta} at f_peak = {f_peak:g} Hz is not finite")
-        if nb == nfft:
-            return nb, response
+    while nb < nfft:
         energy = np.square(np.fft.irfft(response, nb))
         middle = energy[nb // 4:3 * nb // 4].sum()
         if middle <= _ALIAS_ENERGY * energy.sum():
-            return nb, response
-        # a middle that falls less than fourfold per doubling is the 1/nb
-        # tail of the cut at fs/2, which goes on until the cap
-        nb = 2 * nb if 4.0 * middle < previous else nfft
+            return nb, response, energy
+        if 4.0 * middle < previous:
+            odd = _sampled_response(
+                theta, f_peak, scale, np.fft.rfftfreq(2 * nb, d=1.0 / fs)[1::2])
+            doubled = np.empty(nb + 1, dtype=complex)
+            doubled[::2], doubled[1::2] = response, odd
+            nb, response = 2 * nb, doubled
+        else:
+            # a middle that falls less than fourfold per doubling is the 1/nb
+            # tail of the cut at fs/2, which goes on until the cap
+            nb = nfft
+            response = _sampled_response(theta, f_peak, scale, np.fft.rfftfreq(nb, d=1.0 / fs))
         previous = middle
+    return nb, response, None
+
+
+def _kernel_support(energy: np.ndarray):
+    """(head, tail): the shortest head energy[:head] and tail
+    energy[-tail:] of a kernel's energy that leave at most half of
+    _ALIAS_ENERGY of the total outside them on each side of the middle.
+    On a kernel that passed _block_response's test, head + tail < its
+    length: the two samples at the middle cannot both exceed half of what
+    the middle half holds."""
+    half = energy.size // 2
+    budget = 0.5 * _ALIAS_ENERGY * energy.sum()
+    head = half - np.searchsorted(np.cumsum(energy[half - 1::-1]), budget, side="right")
+    tail = half - np.searchsorted(np.cumsum(energy[half:]), budget, side="right")
+    return int(head), int(tail)
+
+
+def _block_plan(theta: FilterConstants, f_peak: float, fs: float, n: int):
+    """(nb, hop, lead, response): the block apply_fft filters n samples in,
+    the samples it takes per block and the samples of pre-ringing that come
+    before them, and the response on the block's rfft grid.
+
+    The probe block nb0 of _block_response measures the kernel's support
+    [-tail, head) (see _kernel_support).  The block is nb0 or a power-of-two
+    divisor of it, at least min(4096, nb0) and longer than L = head + tail,
+    that makes the fewest operations, ceil(n / (nb - L)) nb log2(nb); its
+    rfft bins are every (nb0 / nb)-th bin of nb0's, bit for bit, so its
+    response is the probe's taken at that stride.  A block shorter than nb0
+    folds the probe's kernel onto itself, so it is taken only when its own
+    kernel still holds at most 1e-24 of its energy outside [-tail, head);
+    else the next cheapest is tried, and nb0 passes by construction.  The
+    block takes hops of nb - L samples, and its output runs from tail
+    samples before the hop to head samples past its end.  At the cap one
+    block of nb0 takes the whole signal.
+    """
+    nb0, response, energy = _block_response(theta, f_peak, fs, n)
+    if energy is None:
+        return nb0, nb0, 0, response
+    head, tail = _kernel_support(energy)
+    support = head + tail
+    sizes = [nb for nb in (nb0 >> k for k in range(nb0.bit_length()))
+             if nb >= min(_MIN_BLOCK, nb0) and nb > support]
+    # sorted is stable: of two blocks as cheap, the longer (fewer hops) first
+    for nb in sorted(sizes, key=lambda nb: -(-n // (nb - support)) * nb * math.log2(nb)):
+        block_response = np.ascontiguousarray(response[::nb0 // nb])
+        if nb == nb0:
+            break
+        folded = np.square(np.fft.irfft(block_response, nb))
+        if folded[head:nb - tail].sum() <= _ALIAS_ENERGY * folded.sum():
+            break
+    return nb, nb - support, tail, block_response
 
 
 def apply_fft(
@@ -339,17 +405,19 @@ def apply_fft(
     block by block (overlap-add).
 
     Works for any positive exponent, including non-integer b_u.  The analog
-    response H is sampled once at the rfft bins of an nb-point block (see
-    _block_response for how nb follows the impulse response's decay).  The
-    signal goes through in hops of nb/2 samples, each zero-padded to nb,
-    multiplied by H and transformed back; the block's first three quarters
-    are added in place from the hop's start and its last quarter, the
-    pre-ringing, just before it.  The output is exactly real and as long as
-    the input.  Against one transform of the whole signal the blocks drift
-    by about 1e-12 of max|y| at most (the kernel's middle half holds at most
-    1e-24 of its energy); when nb reaches its cap, one block is that
-    transform and the output is the same bit for bit.  Memory is the output
-    plus a few blocks.
+    response H is sampled once, at the rfft bins of a probe block whose
+    length follows the impulse response's decay (see _block_response).  The
+    kernel's support [-tail, head) is measured from the probe, and the
+    signal goes through in hops of nb - (head + tail) samples, each
+    zero-padded to an nb-point block chosen to make the fewest transform
+    operations (see _block_plan), multiplied by H and transformed back; the
+    block's first nb - tail samples are added in place from the hop's start
+    and its last tail samples, the pre-ringing, just before it.  The output
+    is exactly real and as long as the input.  Against one transform of the
+    whole signal the blocks drift by about 1e-12 of max|y| at most (the
+    kernel holds at most 1e-24 of its energy outside its support); when the
+    probe reaches its cap, one block is that transform and the output is the
+    same bit for bit.  Memory is the output plus a few blocks.
 
     Bin k maps to beta = peak_beta(theta) * f_k / f_peak: the response is
     placed so its magnitude peak sits exactly at f_peak, matching the
@@ -357,7 +425,9 @@ def apply_fft(
     b_p in beta, so the naive f/f_peak mapping would misplace the filter by
     about a_p**2/2 relative).  Gain follows theta.gain; combine with
     normalized_to_peak for a unit-peak filter.  Raises OutOfRange when the
-    sampled response is not finite.
+    sampled response is not finite.  A signal that is not finite, or one
+    whose output overflows, gives samples that are not finite, without a
+    warning; callers check for that.
     """
     _check_rates(f_peak, fs)
     if signal.sample_rate != fs:
@@ -368,16 +438,16 @@ def apply_fft(
     n = x.size
     if n == 0:
         return SignalBuffer(sample_rate=fs, samples=x.copy())
-    nb, response = _block_response(theta, f_peak, fs, n)
-    hop, lead = nb // 2, nb // 4
+    nb, hop, lead, response = _block_plan(theta, f_peak, fs, n)
     # out[i] is output sample i - lead; -0.0 is the additive identity, so a
     # single block comes out bit for bit
     out = np.full(lead + n, -0.0)
-    for start in range(0, n, hop):
-        block = np.fft.irfft(np.fft.rfft(x[start:start + hop], nb) * response, nb)
-        out[start:start + lead] += block[nb - lead:]
-        stop = min(start + nb, lead + n)
-        out[start + lead:stop] += block[:stop - start - lead]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, hop):
+            block = np.fft.irfft(np.fft.rfft(x[start:start + hop], nb) * response, nb)
+            out[start:start + lead] += block[nb - lead:]
+            stop = min(start + nb, lead + n)
+            out[start + lead:stop] += block[:stop - start - lead]
     return SignalBuffer(sample_rate=fs, samples=out[lead:])
 
 
@@ -395,8 +465,12 @@ def save_filter(filt: DigitalFilter, path) -> None:
 def write_wav(path, signal: SignalBuffer) -> None:
     """Mono 32-bit float WAV, byte for byte what scipy.io.wavfile.write
     writes: an 18-byte fmt chunk (IEEE float, cbSize 0), a fact chunk with
-    the frame count, then the data chunk."""
+    the frame count, then the data chunk.  A rate that rounds to 0 Hz, or
+    whose byte rate (4 bytes a sample) a 32-bit field cannot hold, raises
+    OutOfRange."""
     rate = int(round(signal.sample_rate))
+    if not 0 < rate <= 0xFFFFFFFF // 4:
+        raise OutOfRange(f"a float WAV file cannot hold a sample rate of {signal.sample_rate:g} Hz")
     data = signal.samples.astype("<f4")
     if data.nbytes > 0xFFFFFF00:  # at the 4 GiB RIFF limit scipy writes RF64
         from scipy.io import wavfile
@@ -441,7 +515,7 @@ def _parse_plain_wav(raw: bytes):
     if pos != len(raw) or data is None:
         return None
     tag, channels, rate, byte_rate, align, bits = fmt
-    if channels == 0 or align % channels or data[1] % align:
+    if channels == 0 or align == 0 or align % channels or data[1] % align:
         return None
     width = align // channels
     if tag == 1 and width == 1 and 1 <= bits <= 8:
@@ -460,27 +534,36 @@ def read_wav(path) -> SignalBuffer:
     """A WAV file as a mono float signal: channels are averaged and integer
     PCM is scaled to [-1, 1).  Layouts _parse_plain_wav does not take (RF64,
     big-endian RIFX, 24-bit PCM, WAVE_FORMAT_EXTENSIBLE, unknown chunks or a
-    damaged file) go to scipy.io.wavfile.read and its errors.  A header
-    sample rate of 0 raises OutOfRange."""
+    damaged file) go to scipy.io.wavfile.read and its errors; the
+    TypeError or ZeroDivisionError it raises on some damaged fmt chunks
+    becomes a ValueError, as its other refusals are.  A header sample rate
+    of 0 raises OutOfRange."""
     with open(path, "rb") as fh:
         parsed = _parse_plain_wav(fh.read())
     if parsed is None:
         from scipy.io import wavfile
 
-        parsed = wavfile.read(path)
+        try:
+            parsed = wavfile.read(path)
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"damaged fmt chunk: {exc}") from None
     rate, data = parsed
     if rate <= 0:
         raise OutOfRange(f"{path} gives a sample rate of {rate} Hz")
     data = np.asarray(data)
-    if data.ndim > 1:
-        data = data.mean(axis=1)
-    if data.dtype == np.int16:
-        data = data / 32768.0
-    elif data.dtype == np.int32:
-        data = data / 2147483648.0
-    elif data.dtype == np.uint8:
-        data = (data.astype(float) - 128.0) / 128.0
-    return SignalBuffer(sample_rate=float(rate), samples=data.astype(float))
+    # samples that are not finite (or a signalling NaN) stay so, without a
+    # warning; callers check for that
+    with np.errstate(over="ignore", invalid="ignore"):
+        if data.ndim > 1:
+            data = data.mean(axis=1)
+        if data.dtype == np.int16:
+            data = data / 32768.0
+        elif data.dtype == np.int32:
+            data = data / 2147483648.0
+        elif data.dtype == np.uint8:
+            data = (data.astype(float) - 128.0) / 128.0
+        data = data.astype(float)
+    return SignalBuffer(sample_rate=float(rate), samples=data)
 
 
 def read_signal_csv(path, sample_rate: float) -> SignalBuffer:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gefdesign import FilterConstants, closed_form
 from gefdesign.cli import run
 from gefdesign.digital import DigitalFilter, SignalBuffer, apply_sos, read_wav, write_wav
 
@@ -1044,6 +1045,81 @@ FILTER_DOC = st.one_of(
 )
 
 
+# signal files: samples in range, at the edges of a float32 WAV and not
+# finite, from none to a few hundred
+SAMPLE = st.one_of(st.floats(-1.0, 1.0),
+                   st.sampled_from([0.0, math.nan, math.inf, -math.inf, 3.5e38, 1e308]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+SAMPLES = st.lists(SAMPLE, max_size=400)
+CSV_TEXT = st.one_of(SAMPLES.map(lambda xs: "".join(f"{x!r}\n" for x in xs)),
+                     st.lists(st.sampled_from(["0.5", "nan", "-inf", "1 2", "x", "", "1e999"]),
+                              max_size=8).map("\n".join),
+                     st.text(max_size=40))
+RATE_FLAG = st.one_of(st.just("48000"),
+                      st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "1e300", "1", "8000"]))
+
+
+def float32_bytes(samples):
+    with np.errstate(over="ignore"):
+        return np.asarray(samples, dtype="<f4").tobytes()
+
+
+@st.composite
+def wav_bytes(draw):
+    """A RIFF WAV file: a fmt chunk of plausible or odd fields, float32
+    samples or raw bytes, and at times one damaged byte or a cut tail."""
+    tag = draw(st.sampled_from([3, 1, 2, 0xFFFE]))
+    channels = draw(st.sampled_from([1, 2, 0]))
+    bits = draw(st.sampled_from([32, 16, 8, 24, 64, 0]))
+    rate = draw(st.sampled_from([48000, 48000, 0, 1, 8000, 2**31]))
+    align = channels * bits // 8
+    data = draw(st.one_of(SAMPLES.map(float32_bytes), st.binary(max_size=64)))
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, (rate * align) % 2**32, align, bits)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    raw = bytearray(b"RIFF" + struct.pack("<I", len(body)) + body)
+    damage = draw(st.sampled_from(["none", "none", "byte", "cut"]))
+    if damage == "byte":
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    elif damage == "cut":
+        del raw[draw(st.integers(0, len(raw) - 1)):]
+    return bytes(raw)
+
+
+ROW_FIELDS = {"II.1": ("n_cycles", "phi_accum"), "II.2": ("n_cycles", "q_erb"),
+              "II.3": ("q_erb", "phi_accum"), "II.4": ("q_n", "phi_accum"),
+              "II.5": ("n_cycles", "s_beta"), "II.6": ("s_beta", "phi_accum"),
+              "II.7": ("n_cycles", "q_n")}
+
+
+def designable_spec(row, a_p, b_u):
+    """The spec of a row whose values are the trio of (a_p, 1, b_u)."""
+    report = closed_form(FilterConstants(a_p, 1.0, b_u))
+    values = {"n_cycles": report.n_beta, "phi_accum": report.phi_accum, "q_erb": report.q_erb,
+              "q_n": report.q_n[10.0], "s_beta": report.s_beta}
+    spec = {"row": row, "beta_peak": 1.0, **{field: values[field] for field in ROW_FIELDS[row]}}
+    if "q_n" in spec:
+        spec["n_level"] = 10.0
+    return spec
+
+
+SPEC_VALUE = st.one_of(st.floats(0.5, 60.0), LOG_UNIFORM, COEFFICIENT)
+# spec files: a designable trio of a row, the fields of a row with values in
+# range or not, any fields, or any JSON value
+DESIGNABLE_SPEC = st.builds(designable_spec, st.sampled_from(sorted(ROW_FIELDS)),
+                           st.floats(0.01, 0.1), st.floats(2.0, 12.0))
+SPEC_DOC = st.booleans().flatmap(lambda designable: DESIGNABLE_SPEC if designable else st.one_of(
+    st.sampled_from(sorted(ROW_FIELDS)).flatmap(lambda row: st.fixed_dictionaries(
+        {"row": st.just(row), "beta_peak": st.one_of(st.just(1.0), SPEC_VALUE),
+         **{field: SPEC_VALUE for field in ROW_FIELDS[row]}},
+        optional={"n_level": st.one_of(st.just(10.0), SPEC_VALUE),
+                  "mode": st.sampled_from(["exact", "approx", "fast"])})),
+    st.dictionaries(st.sampled_from(["row", "beta_peak", "mode", "n_cycles", "phi_accum", "q_erb"]),
+                    st.one_of(SPEC_VALUE, st.sampled_from(["II.1", "II.7", "II.9"])), max_size=4),
+    COEFFICIENT,
+))
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
@@ -1170,3 +1246,81 @@ class TestCliProperties:
                 out = argv[-1]
                 samples = read_wav(out).samples if out.endswith(".wav") else np.loadtxt(out)
                 assert np.all(np.isfinite(samples)), argv
+
+    @staticmethod
+    def _run_recording(argv):
+        """run_captured, and the RuntimeWarnings raised in gefdesign."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_captured(argv)
+        ours = [w for w in caught if issubclass(w.category, RuntimeWarning)
+                and Path(w.filename).parent == SRC / "gefdesign"]
+        return result, ours
+
+    def _filter_signal(self, sources, workdir, infile, flags):
+        for source in (["--fft", "--constants", str(sources["c.json"]), "--peak-hz", "1000"],
+                       ["--sos", str(sources["sos.json"])]):
+            outfile = workdir / ("out" + infile.suffix)
+            outfile.unlink(missing_ok=True)
+            argv = ["filter", *source, *flags, str(infile), str(outfile)]
+            (code, _, errors), warned = self._run_recording(argv)
+            assert code in (0, 2, 3, 4), argv
+            assert len(errors) == (code != 0), argv
+            assert not warned, (argv, [str(w.message) for w in warned])
+            assert outfile.exists() == (code == 0), argv
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(text=CSV_TEXT, rate=RATE_FLAG)
+    @example(text="", rate="48000")
+    @example(text="0.5\n", rate="48000")
+    @example(text="inf\n-inf\nnan\n", rate="48000")
+    def test_random_csv_signal_files(self, workdir, sources, text, rate):
+        infile = workdir / "in.csv"
+        infile.write_text(text)
+        self._filter_signal(sources, workdir, infile, [f"--rate={rate}"])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(raw=wav_bytes())
+    def test_random_wav_signal_files(self, workdir, sources, raw):
+        infile = workdir / "in.wav"
+        infile.write_bytes(raw)
+        self._filter_signal(sources, workdir, infile, [])
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(doc=SPEC_DOC, fmt=st.sampled_from(["json", "csv"]))
+    def test_random_spec_files(self, workdir, doc, fmt):
+        path = workdir / "spec.json"
+        path.write_text(json.dumps(doc))
+        argv = ["analyze", "--spec", str(path), f"--format={fmt}"]
+        (code, out, errors), warned = self._run_recording(argv)
+        assert code in (0, 2, 3), argv
+        assert len(errors) == (code != 0), argv
+        assert not warned, (argv, [str(w.message) for w in warned])
+        if code == 0 and fmt == "json":
+            json.loads(out, parse_constant=_reject_constant)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(doc=SPEC_DOC,
+           spec=st.sampled_from(["spec", "spec", "spec", "missing", None]),
+           fmt=st.sampled_from([[], ["--format", "csv"], ["--format", "json"],
+                                ["--format", "json"], ["--format=xml"]]),
+           response_out=st.sampled_from([None, None, "response.txt", "response.txt", ".",
+                                         "missing/response.txt"]),
+           errors_out=st.sampled_from([None, None, "errors.txt", "errors.txt", ".",
+                                       "missing/errors.txt"]))
+    def test_random_evaluate_argv(self, workdir, doc, spec, fmt, response_out, errors_out):
+        path = workdir / "spec.json"
+        path.write_text(json.dumps(doc))
+        argv = ["evaluate", *fmt]
+        if spec is not None:
+            argv += ["--spec", str(path if spec == "spec" else workdir / "missing.json")]
+        if response_out is not None:
+            argv += ["--response-out", str(workdir / response_out)]
+        if errors_out is not None:
+            argv += ["--errors-out", str(workdir / errors_out)]
+        (code, out, errors), warned = self._run_recording(argv)
+        assert code in (0, 2, 3, 4), argv
+        assert len(errors) == (code != 0), argv
+        assert not warned, (argv, [str(w.message) for w in warned])
+        if code == 0 and errors_out is None and fmt[-1:] == ["json"]:
+            json.loads(out, parse_constant=_reject_constant)

@@ -1,10 +1,11 @@
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import chirp
 
@@ -26,6 +27,7 @@ from gefdesign.digital import (
     DigitalFilter,
     SignalBuffer,
     _bilinear_all_pole,
+    _block_plan,
     _block_response,
     read_signal_csv,
     read_wav,
@@ -322,6 +324,14 @@ class TestApplyFft:
             apply_fft(theta_sharp6, f_peak, fs, SignalBuffer(fs, np.zeros(16)))
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [100, 48000])
+    def test_non_finite_signal_passes_without_warning(self, theta_sharp6, n):
+        x = noise(n)
+        x[n // 2] = math.inf
+        out = apply_fft(theta_sharp6, F_PEAK, FS, SignalBuffer(FS, x))
+        assert out.samples.size == n and not np.all(np.isfinite(out.samples))
+
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_response_rejected(self):
         # |P| near the peak is about (2 a_p b_p)**(-b_u) = 0.002**-200, which
         # overflows on bins within 3 Hz of it
@@ -334,6 +344,10 @@ THETA_BLOCKS = normalized_to_peak(FilterConstants(0.05, 1.0, 6.5))
 
 
 def block_size(n, theta=THETA_BLOCKS, f_peak=F_PEAK):
+    return _block_plan(theta, f_peak, FS, n)[0]
+
+
+def probe_size(n, theta=THETA_BLOCKS, f_peak=F_PEAK):
     return _block_response(theta, f_peak, FS, n)[0]
 
 
@@ -374,18 +388,72 @@ class TestApplyFftBlocks:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_lengths_around_a_multiple_of_the_hop(self, offset):
-        hop = block_size(2**20) // 2
+        nb, hop, lead, _ = _block_plan(THETA_BLOCKS, F_PEAK, FS, 2**20)
+        # the hop is the block less the kernel's support, not half the block
+        assert nb // 2 < hop < nb
         n = 5 * hop + offset
-        assert block_size(n) == 2 * hop < cap(n)
+        assert _block_plan(THETA_BLOCKS, F_PEAK, FS, n)[:3] == (nb, hop, lead)
+        assert nb < cap(n)
         self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, noise(n))
 
     def test_lengths_around_the_cap(self):
-        nb = block_size(2**20)
+        nb = probe_size(2**20)
         n = nb // 2  # the longest signal whose cap is the kernel's own block
-        assert block_size(n) == cap(n) == nb
+        assert probe_size(n) == block_size(n) == cap(n) == nb
         self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, noise(n))
-        assert block_size(n + 1) == nb < cap(n + 1)
+        assert probe_size(n + 1) == nb < cap(n + 1)
         self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, noise(n + 1))
+
+    # kernels that decay within a block shorter than the cap
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        ratio=st.floats(0.01, 0.19),
+        b_u=st.floats(3.0, 20.0),
+        f_peak=st.floats(200.0, 0.2 * FS),
+        n=st.integers(2**15, 2**18),
+    )
+    def test_block_kernel_support(self, ratio, b_u, f_peak, n):
+        # the block's kernel holds at most _ALIAS_ENERGY of its energy
+        # outside [-lead, head), the samples one hop's output spans
+        theta = normalized_to_peak(FilterConstants(ratio, 1.0, b_u))
+        nb, hop, lead, response = _block_plan(theta, f_peak, FS, n)
+        assume(nb < cap(n))  # at the cap one block takes the whole signal
+        head = nb - hop - lead
+        assert 0 <= lead and 0 < head and hop > 0
+        energy = np.square(np.fft.irfft(response, nb))
+        assert energy[head:nb - lead].sum() <= digital._ALIAS_ENERGY * energy.sum()
+
+    @pytest.mark.parametrize("fs", [12345.678, 44100.0, 48000.0, 96000.0])
+    def test_block_response_is_every_kth_bin_of_the_probes(self, fs):
+        nb0, probe, _ = _block_response(THETA_BLOCKS, F_PEAK, fs, 2**20)
+        _, hop, _, _ = _block_plan(THETA_BLOCKS, F_PEAK, fs, 2**20)
+        # one sample past a hop of nb0: three shorter blocks cost less than two
+        n = hop + 1
+        nb, _, _, response = _block_plan(THETA_BLOCKS, F_PEAK, fs, n)
+        assert nb < nb0
+        assert response.tobytes() == probe[::nb0 // nb].tobytes()
+        freqs = np.fft.rfftfreq(nb, d=1.0 / fs)
+        fresh = np.asarray(eval_gef(THETA_BLOCKS, freqs * (peak_beta(THETA_BLOCKS) / F_PEAK)))
+        assert response.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("fs", [12345.678, 44100.0, 48000.0, 96000.0])
+    def test_doubling_probe_interleaves_new_bins(self, fs, monkeypatch):
+        # this kernel outgrows the first guess once; the doubling evaluates
+        # only the odd bins of the new grid
+        theta = normalized_to_peak(FilterConstants(0.1012, 1.0, 9.11))
+        f_peak = 897.0 * fs / 48000.0
+        sizes = []
+
+        def counted(theta, beta):
+            sizes.append(np.size(beta))
+            return eval_gef(theta, beta)
+
+        monkeypatch.setattr(digital, "eval_gef", counted)
+        nb, response, energy = _block_response(theta, f_peak, fs, 2**20)
+        assert energy is not None and sizes == [nb // 4 + 1, nb // 4]
+        freqs = np.fft.rfftfreq(nb, d=1.0 / fs)
+        fresh = np.asarray(eval_gef(theta, freqs * (peak_beta(theta) / f_peak)))
+        assert response.tobytes() == fresh.tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_decay_rate_underflow(self):
@@ -488,6 +556,32 @@ class TestSignalIo:
         assert digital._parse_plain_wav(path.read_bytes()) is None
         with pytest.warns(wavfile.WavFileWarning):
             assert read_wav(path).samples.tolist() == list(range(-3, 3))
+
+    @pytest.mark.parametrize("rate", [0.4, 2.0**30])
+    def test_wav_refuses_rates_its_header_cannot_hold(self, tmp_path, rate):
+        path = tmp_path / "x.wav"
+        with pytest.raises(OutOfRange):
+            write_wav(path, SignalBuffer(rate, np.zeros(4)))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("channels, align, bits", [(0, 0, 32), (1, 0, 32), (3, 4, 32)])
+    def test_damaged_fmt_chunk_is_a_value_error(self, tmp_path, channels, align, bits):
+        # scipy.io.wavfile.read raises ZeroDivisionError or TypeError on these
+        fmt = struct.pack("<HHIIHH", 3, channels, 8000, 8000 * align, align, bits)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 0)
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(ValueError):
+            read_wav(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_signalling_nan_read_without_warning(self, tmp_path):
+        path = tmp_path / "x.wav"
+        write_wav(path, SignalBuffer(8000.0, np.zeros(3)))
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(raw))
+        assert np.isnan(read_wav(path).samples[-1])
 
     def test_int16_wav_scaled(self, tmp_path):
         from scipy.io import wavfile
