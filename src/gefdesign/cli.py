@@ -8,7 +8,9 @@ one machine-readable JSON object to stderr.
 The library returns tables as data; this module writes every CSV and JSON
 table through one writer each, ``_csv`` and ``_dump_json``.  Both write
 floats at 12 significant digits, so identical inputs produce byte-identical
-outputs; JSON is indented, with sorted keys, and ends in a newline.
+outputs; JSON is indented, with sorted keys, and ends in a newline.  Response
+tables read L = log H: level (20/ln 10) Re L, -inf only at a zero on the unit
+circle, and phase Im L, continuous from f = 0 (for ``--sos``, its sections' logs).
 
 Each subcommand imports the numpy-backed modules it uses when it runs, so
 ``design`` and usage errors cost the standard library alone.
@@ -226,10 +228,9 @@ def _cmd_design(args) -> int:
     if f_peak_hz is not None:
         doc["f_peak_hz"] = f_peak_hz
     text = _dump_json(doc)
-    sys.stdout.write(text)
+    _emit(text, None)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _emit(text, args.out)
     return EXIT_OK
 
 
@@ -268,8 +269,7 @@ def _cmd_evaluate(args) -> int:
             response = _dump_json(columns)
         else:
             response = _csv(list(columns), zip(*columns.values()))
-        with open(args.response_out, "w") as fh:
-            fh.write(response)
+        _emit(response, args.response_out)
     _emit(errors, args.errors_out)
     return EXIT_OK
 
@@ -366,28 +366,22 @@ def _cmd_response(args) -> int:
         raise OutOfRange(f"--fmin and --fmax must be finite, got {args.fmin!r}, {args.fmax!r}")
     import numpy as np
 
-    from .core import _level_phase, eval_gef
-    from .digital import digital_response
+    from .core import _response_columns, log_response
+    from .digital import _cascade_log
 
     freqs = np.linspace(args.fmin, args.fmax, args.points)
     if args.sos is not None:
-        filt = _filter_from_args(args)
-        values = np.asarray(digital_response(filt, freqs))
-        source = "the --sos cascade"
+        log_h = _cascade_log(_filter_from_args(args), freqs)
+        columns = _response_columns(log_h.real, log_h.imag, "the --sos cascade")
     else:
         if args.peak_hz is None:
             raise UsageError("--constants responses need --peak-hz")
         if not 0.0 < args.peak_hz < math.inf:
             raise OutOfRange(f"--peak-hz must be positive and finite, got {args.peak_hz!r}")
         theta = _constants_from_args(args)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(eval_gef(theta, freqs / args.peak_hz))
-        source = theta
-    if not np.all(np.isfinite(values)):
-        raise OutOfRange(f"the response of {source} is not finite from --fmin to --fmax")
-    level, phase = _level_phase(values)
-    columns = (freqs, values.real, values.imag, level, phase)
-    rows = zip(*(column.tolist() for column in columns))
+        log_h = log_response(theta, freqs / args.peak_hz, ("p",))["p"]
+        columns = _response_columns(log_h.re, log_h.im, f"the response of {theta}")
+    rows = zip(*(column.tolist() for column in (freqs, *columns)))
     _emit(_csv(("f_hz", "re", "im", "level_db", "phase_rad"), rows), args.out)
     return EXIT_OK
 

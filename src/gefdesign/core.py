@@ -34,7 +34,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .scalar import DB_PER_LOG, FilterConstants
+from .errors import OutOfRange
+from .scalar import _LOG_FLOAT_MAX, DB_PER_LOG, FilterConstants
 
 
 def _as_beta_array(beta):
@@ -206,12 +207,15 @@ def phase_rad(theta: FilterConstants, beta):
     return _maybe_scalar(log_response(theta, beta, ("p",))["p"].im)
 
 
-def _level_phase(values):
-    """Level in dB and unwrapped phase in radians of sampled complex response
-    values; a zero value has level -inf, without a divide-by-zero warning."""
-    with np.errstate(divide="ignore"):
-        level = 20.0 * np.log10(np.abs(values))
-    return level, np.unwrap(np.angle(values))
+def _response_columns(log_re, log_im, what: str):
+    """Columns (re, im, level_db, phase_rad) of H = exp(L) from Re L and Im L:
+    |H| (cos Im L, sin Im L), DB_PER_LOG * Re L (-inf only where H is 0) and
+    Im L.  Raises OutOfRange naming ``what`` when |H| passes the largest float
+    or Re L is nan."""
+    if not log_re.max(initial=-math.inf) <= _LOG_FLOAT_MAX:
+        raise OutOfRange(f"{what}: |H| passes the largest float or is nan")
+    magnitude = np.exp(log_re)
+    return magnitude * np.cos(log_im), magnitude * np.sin(log_im), DB_PER_LOG * log_re, log_im
 
 
 def peak_beta(theta: FilterConstants) -> float:

@@ -43,8 +43,8 @@ class SignalBuffer:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be > 0")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate!r}")
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=float).ravel()
         )
@@ -201,21 +201,50 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     )
 
 
-def digital_response(filt: DigitalFilter, f_hz):
-    """Frequency response of the section cascade at f (Hz), 0 <= f <= fs/2.
+def _quadratic_log(b, z_inv, log_z_inv):
+    """The log of b0 + b1/z + b2/z^2 on the unit circle, continuous from f = 0 to
+    fs/2, -inf at a zero on it.  With b0 >= 0, |b2| <= b0 and |b1| <= b0 + b2,
+    the roots lie in the closed disk and the principal log is continuous (a
+    stable denominator, to_sos's double zero at -1); else it is factored and a
+    root outside reflected, 1 - r/z = (-r/z)(1 - z/r) (Steiglitz & Dickinson)."""
+    b0, b1, b2 = b
+    if abs(b2) <= b0 and abs(b1) <= b0 + b2:
+        return np.log(b0 + b1 * z_inv + b2 * z_inv**2)
+    try:
+        roots = np.roots(b)  # c z^-k prod (1 - r/z): np.roots drops the k leading zeros
+    except np.linalg.LinAlgError:
+        raise OutOfRange(f"a root of the section polynomial {b} passes the largest float") from None
+    k = 2 - len(roots)
+    log = np.log(complex(b[k])) + k * log_z_inv
+    for r in roots:
+        if abs(r) <= 1.0:
+            log = log + np.log(1.0 - r * z_inv)
+        else:
+            log = log + np.log(complex(-r)) + log_z_inv + np.log(1.0 - 1.0 / (r * z_inv))
+    return log
 
-    A cascade whose response overflows gives values that are not finite,
-    without a warning; callers check for that."""
+
+def _cascade_log(filt: DigitalFilter, f_hz):
+    """L = log H of the cascade at f (Hz), 0 <= f <= fs/2, the sum of its sections'
+    logs: Im L is the phase, continuous from f = 0; an overflow reads inf or nan Re L."""
     f = np.asarray(f_hz, dtype=float)
     if np.any(f < 0.0) or np.any(f > 0.5 * filt.sample_rate):
         raise OutOfRange("frequencies must lie in [0, fs/2]")
-    z_inv = np.exp(-2j * math.pi * f / filt.sample_rate)
-    out = np.full(f.shape, filt.gain, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    log_z_inv = -2j * math.pi * f / filt.sample_rate
+    z_inv = np.exp(log_z_inv)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log = np.full(f.shape, np.log(complex(filt.gain)))
         for b0, b1, b2, a1, a2 in filt.sections:
-            out = out * (b0 + b1 * z_inv + b2 * z_inv**2)
-            out = out / (1.0 + a1 * z_inv + a2 * z_inv**2)
-    return _maybe_scalar(out)
+            log = (log + _quadratic_log((b0, b1, b2), z_inv, log_z_inv)
+                   - _quadratic_log((1.0, a1, a2), z_inv, log_z_inv))
+    return log
+
+
+def digital_response(filt: DigitalFilter, f_hz):
+    """Frequency response of the section cascade at f (Hz), 0 <= f <= fs/2: exp
+    of _cascade_log, not finite where it overflows, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _maybe_scalar(np.exp(_cascade_log(filt, f_hz)))
 
 
 def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:

@@ -21,6 +21,7 @@ from .core import (
     FilterConstants,
     _log_magnitude,
     _maybe_scalar,
+    _response_columns,
     _unit_peak_gain,
     eval_gef,
     log_response,
@@ -28,7 +29,6 @@ from .core import (
 )
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
-from .scalar import _LOG_FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -110,20 +110,20 @@ def channel_response(channel: BankChannel, f_hz):
 
 @dataclass(frozen=True)
 class MultibandBand:
-    """One band of a multiband filter: peak frequency in Hz, a normalized
-    shape spec (beta_peak must be 1), and a linear gain."""
+    """One band of a multiband filter: a positive, finite peak frequency in Hz
+    and linear gain, and a normalized shape spec (beta_peak must be 1)."""
 
     f_peak_hz: float
     spec: CharacteristicSpec
     gain: float = 1.0
 
     def __post_init__(self):
-        if self.f_peak_hz <= 0.0:
-            raise ValueError("f_peak_hz must be > 0")
+        if not 0.0 < self.f_peak_hz < math.inf:
+            raise ValueError(f"f_peak_hz must be finite and > 0, got {self.f_peak_hz!r}")
         if abs(self.spec.beta_peak - 1.0) > 1e-12:
             raise ValueError("band specs must be normalized (beta_peak = 1)")
-        if self.gain <= 0.0:
-            raise ValueError("gain must be > 0")
+        if not 0.0 < self.gain < math.inf:
+            raise ValueError(f"gain must be finite and > 0, got {self.gain!r}")
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,8 @@ def bank_response_rows(
 
     Columns are (f_hz, re, im, level_db, phase_rad, channel_id), rows
     channel-major then frequency; channel_id is the channel's index as a
-    float.  Each channel's rows come from one pass of its log response
-    L = log P(f / f_peak) + log gain: level_db is DB_PER_LOG * Re L, so it
-    stays finite where |H| underflows; phase_rad is Im L, the continuous
-    phase, 0 at f = 0; and (re, im) = exp(Re L) * (cos Im L, sin Im L).
+    float.  Each channel's middle four are core._response_columns of its log
+    response L = log P(f / f_peak) + log gain: the phase is Im L, 0 at f = 0.
     Raises OutOfRange when a channel's |H| passes the largest float.
     """
     freqs = np.asarray(freqs_hz, dtype=float)
@@ -243,12 +241,6 @@ def bank_response_rows(
     out[5] = np.arange(len(channels))[:, None]
     for idx, channel in enumerate(channels):
         log_h = log_response(channel.theta, freqs / channel.f_peak, ("p",))["p"]
-        level = log_h.re + math.log(channel.gain)
-        if level.max(initial=-math.inf) > _LOG_FLOAT_MAX:
-            raise OutOfRange(f"channel {idx}: |H| passes the largest float")
-        magnitude = np.exp(level)
-        out[1, idx] = magnitude * np.cos(log_h.im)
-        out[2, idx] = magnitude * np.sin(log_h.im)
-        out[3, idx] = DB_PER_LOG * level
-        out[4, idx] = log_h.im
+        out[1, idx], out[2, idx], out[3, idx], out[4, idx] = _response_columns(
+            log_h.re + math.log(channel.gain), log_h.im, f"channel {idx}")
     return out.reshape(6, -1).T

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
-import numpy as np
-
-from .core import _level_phase, eval_gef, eval_sharp, eval_v, log_response
+from .core import DB_PER_LOG, log_response
 from .characteristics import (
     CharacteristicReport,
     closed_form,
@@ -57,14 +54,6 @@ def _designed(spec: CharacteristicSpec):
     shown once per process however many tables are built from it."""
     theta = design(spec)
     return theta, default_grid(theta)
-
-
-def _target_responses(theta):
-    return {
-        "p_sharp": partial(eval_sharp, theta),
-        "p": partial(eval_gef, theta),
-        "v": partial(eval_v, theta),
-    }
 
 
 def evaluate_case(spec: CharacteristicSpec) -> list[ErrorRecord]:
@@ -178,18 +167,15 @@ def figure_report(spec: CharacteristicSpec) -> dict:
 
 
 def response_table(spec: CharacteristicSpec) -> dict:
-    """Response table for one designed case: column name -> float array.
-
-    It holds level and phase of the three targets over the extraction grid,
-    each peak-normalized (own maximum level subtracted) and phase-referenced
-    to zero at beta -> 0.
-    """
+    """Response table for one designed case, column name -> float array: the
+    level and phase of the three targets over the extraction grid from their
+    log responses L, DB_PER_LOG * Re L less its maximum (finite where |H|
+    underflows) and Im L less its value at beta = 0."""
     theta, grid = _designed(spec)
-    betas = grid.samples
-    columns = {"beta": betas}
-    for target, response in _target_responses(theta).items():
-        level, phase = _level_phase(np.asarray(response(betas)))
-        phase_zero = np.angle(complex(response(1e-9)))
+    columns = {"beta": grid.samples}
+    at_zero = log_response(theta, 0.0)
+    for target, log_h in log_response(theta, grid.samples).items():
+        level = DB_PER_LOG * log_h.re
         columns[f"{target}_level_db"] = level - level.max()
-        columns[f"{target}_phase_rad"] = phase - phase_zero
+        columns[f"{target}_phase_rad"] = log_h.im - at_zero[target].im
     return columns

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gefdesign import FilterConstants, closed_form
+from gefdesign import (
+    CharacteristicSpec,
+    FilterConstants,
+    closed_form,
+    design,
+    digital_response,
+    eval_gef,
+    level_db,
+    phase_rad,
+    to_sos,
+)
 from gefdesign.cli import run
+from gefdesign.core import DB_PER_LOG, log_response
 from gefdesign.digital import DigitalFilter, SignalBuffer, apply_sos, read_wav, write_wav
 
 N_SHARP6_TEXT = "19.098593171027442"
@@ -31,7 +43,9 @@ DESIGN_GOLDEN = json.loads(
 # seeded inputs, captured from the commit before the CLI took over writing
 # the harness tables: "text" cases hold CSV and JSON that must not move (by
 # content, or by SHA-256 where long); "json" cases hold the documents that
-# were printed at 17 digits then, and must now be those values at 12
+# were printed at 17 digits then, and must now be those values at 12.  The
+# `response` cases and the `--response-out` hashes were captured again when
+# those tables moved to the log response (Im L phases, finite levels)
 TABLES_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "data" / "tables_golden.json").read_text()
 )
@@ -452,6 +466,30 @@ class TestEvaluateCommand:
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.count("SharpnessWarning") == 1, proc.stderr
 
+    def test_response_table_finite_where_h_underflows(self, tmp_path):
+        # b_u = 200: |H| underflows to 0 over the grid's tail, where 20 log10|H|
+        # read -inf; the table reads the log response instead
+        spec = {"row": "II.1", "beta_peak": 1, "n_cycles": 300, "phi_accum": 100}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        rc = run(["evaluate", "--spec", str(tmp_path / "spec.json"),
+                  "--errors-out", str(tmp_path / "errors.csv"),
+                  "--response-out", str(tmp_path / "response.csv")])
+        assert rc == 0
+        lines = (tmp_path / "response.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        table = dict(zip(header, np.array([line.split(",") for line in lines[1:]],
+                                          dtype=float).T))
+        assert all(np.all(np.isfinite(column)) for column in table.values())
+        theta = design(CharacteristicSpec.from_dict(spec))
+        level = level_db(theta, table["beta"])
+        assert table["p_level_db"].min() < -1000.0
+        np.testing.assert_allclose(table["p_level_db"], level - level.max(),
+                                   rtol=1e-9, atol=1e-6)
+        np.testing.assert_allclose(table["p_phase_rad"], phase_rad(theta, table["beta"]),
+                                   rtol=1e-9, atol=1e-6)
+        for target in ("p_sharp", "p", "v"):
+            assert table[f"{target}_level_db"].max() == 0.0
+
 
 class TestSweepCommand:
     def test_csv_output(self, capsys):
@@ -722,18 +760,25 @@ class TestResponseCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_zero_at_nyquist_is_minus_inf_without_warning(self, sos_file, capsys):
-        # the bilinear cascade has its double zero at fs / 2
+        # the bilinear cascade has its double zero at fs / 2, and only there
         rc = run(["response", "--sos", str(sos_file), "--fmin", "0", "--fmax", "24000",
                   "--points", "9"])
         assert rc == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out.splitlines()[-1] == (
-            "2.400000000000e+04,0.000000000000e+00,0.000000000000e+00,-inf,0.000000000000e+00"
-        )
+        rows = [[float(cell) for cell in line.split(",")] for line in captured.out.splitlines()[1:]]
+        assert [row[3] == -math.inf for row in rows] == [False] * 8 + [True]
+        assert rows[-1][:3] == [24000.0, 0.0, 0.0]
+        # Im L of the six sections' logs: continuous below fs / 2, where a dense
+        # unwrap of the section product reads the same (-18.627 rad at 3 kHz,
+        # -18.842 at 21 kHz, towards -6 pi), then a step to the log of the
+        # exact zero at fs / 2, whose angle is 0
+        assert rows[1][4] == pytest.approx(-18.62745771761, abs=1e-10)
+        assert rows[-2][4] == pytest.approx(-18.84172234817, abs=1e-10)
+        assert rows[-1][4] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_underflow_is_minus_inf_without_warning(self, tmp_path, capsys):
+    def test_underflow_reads_finite_levels_without_warning(self, tmp_path, capsys):
         constants = tmp_path / "u.json"
         constants.write_text(json.dumps({"a_p": 0.1, "b_p": 1, "b_u": 200}))
         rc = run(["response", "--constants", str(constants), "--peak-hz", "1000",
@@ -741,9 +786,17 @@ class TestResponseCommand:
         assert rc == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        levels = [line.split(",")[3] for line in captured.out.splitlines()[1:]]
-        assert levels[3:] == ["-inf", "-inf"]
-        assert all(float(level) > -math.inf for level in levels[:3])
+        rows = np.array([line.split(",") for line in captured.out.splitlines()[1:]], dtype=float)
+        # |H| underflows to 0 at 9 and 12 kHz; the level is DB_PER_LOG Re L there
+        assert rows[3:, 1:3].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        np.testing.assert_allclose(
+            rows[:, 3], [-13.06578556296, -3663.463038891, -6191.649483507,
+                         -7617.464207677, -8621.467325382], rtol=1e-11)
+        # and the phase is Im L (-623.8 and -625.0 rad there, not a wrapped -2 pi)
+        np.testing.assert_allclose(
+            rows[:, 4], phase_rad(FilterConstants(0.1, 1.0, 200.0), rows[:, 0] / 1000.0),
+            rtol=0.0, atol=1e-9)
+        assert rows[3, 4] == pytest.approx(-623.8, abs=0.05)
 
     @pytest.mark.parametrize("fs", ["NaN", "Infinity"])
     def test_filter_file_with_non_finite_rate_exits_3(self, tmp_path, sos_file, capsys, fs):
@@ -757,6 +810,103 @@ class TestResponseCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == "InfeasibleSpec"
+
+
+def section_product(filt, f_hz):
+    """The cascade's response as the product of its section ratios, as
+    digital_response computed it before it took exp of the cascade log."""
+    z_inv = np.exp(-2j * math.pi * np.asarray(f_hz, dtype=float) / filt.sample_rate)
+    out = np.full(z_inv.shape, filt.gain, dtype=complex)
+    for b0, b1, b2, a1, a2 in filt.sections:
+        out = out * (b0 + b1 * z_inv + b2 * z_inv**2)
+        out = out / (1.0 + a1 * z_inv + a2 * z_inv**2)
+    return out
+
+
+def outside_root_section(lead, r_out, r_in, radius, angle):
+    """lead (1 - r_out/z)(1 - r_in/z) over a stable pole pair at radius and angle."""
+    return (lead, -lead * (r_out + r_in), lead * r_out * r_in,
+            -2.0 * radius * math.cos(angle), radius * radius)
+
+
+# the sources of a response table: constants whose phase turns by up to
+# b_u / a_p = 300 rad per unit beta, to_sos cascades, and numerators with one
+# real root outside the unit circle; 64 times the table's points (33 or more)
+# resolve every phase of them to well under pi a step
+RESPONSE_SOURCE = st.one_of(
+    st.builds(FilterConstants, st.floats(0.05, 0.5), st.just(1.0), st.floats(0.5, 15.0)),
+    st.builds(lambda a_p, b_u, f_peak: to_sos(FilterConstants(a_p, 1.0, b_u), f_peak, 48000.0),
+              st.floats(0.05, 0.3), st.integers(1, 4), st.floats(1000.0, 8000.0)),
+    st.builds(lambda sections: DigitalFilter(48000.0, sections), st.lists(st.builds(
+        outside_root_section,
+        st.one_of(st.floats(0.1, 10.0), st.floats(-10.0, -0.1)),
+        st.one_of(st.floats(1.25, 4.0), st.floats(-4.0, -1.25)),
+        st.floats(-0.8, 0.8), st.floats(0.0, 0.9), st.floats(0.0, math.pi),
+    ), min_size=1, max_size=2)),
+)
+
+
+class TestResponseTableProperties:
+    """The `response` table is the log response: its phase is what a dense
+    unwrap reads, its level DB_PER_LOG Re L, and -inf only at an exact zero."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("response")
+
+    @staticmethod
+    def _table(workdir, source, top, points):
+        """A grid from 0 Hz 64 times denser than the table's (its points at
+        every 64th), the reference response on it, and the table's columns."""
+        path = workdir / "source.json"
+        if isinstance(source, FilterConstants):
+            fmax = 4000.0 * top
+            path.write_text(json.dumps({"a_p": source.a_p, "b_p": 1.0, "b_u": source.b_u}))
+            argv = ["--constants", str(path), "--peak-hz", "1000"]
+            reference = lambda f: np.asarray(eval_gef(source, f / 1000.0))
+        else:
+            fmax = 24000.0 * top
+            path.write_text(json.dumps(source.as_dict()))
+            argv = ["--sos", str(path)]
+            reference = partial(section_product, source)
+        code, out, errors = run_captured(["response", *argv, "--fmin", "0", "--fmax", repr(fmax),
+                                          "--points", str(points)])
+        assert (code, errors) == (0, [])
+        columns = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float).T
+        freqs = np.linspace(0.0, fmax, points)
+        dense = np.linspace(0.0, fmax, 64 * (points - 1) + 1)
+        dense[::64] = freqs
+        return dense, reference(dense), columns
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(source=RESPONSE_SOURCE, top=st.one_of(st.just(1.0), st.floats(0.125, 1.0)),
+           points=st.integers(33, 65))
+    @example(source=DigitalFilter(48000.0, [(0.0, 0.0, 0.0, -0.5, 0.25)]), top=1.0, points=33)
+    def test_table_is_the_log_response(self, workdir, source, top, points):
+        dense, values_dense, (f_hz, re, im, level, phase) = self._table(workdir, source, top,
+                                                                        points)
+        freqs, values = dense[::64], values_dense[::64]
+        assert f_hz.tolist() == round12(freqs.tolist())
+        # -inf only at an exact zero of the response on the circle
+        zero = values == 0.0
+        assert np.array_equal(level == -math.inf, zero)
+        if isinstance(source, FilterConstants):
+            assert not np.any(zero)
+            log_re = log_response(source, freqs / 1000.0, ("p",))["p"].re
+            assert level.tolist() == round12((DB_PER_LOG * log_re).tolist())
+        else:
+            np.testing.assert_allclose(level[~zero], DB_PER_LOG * np.log(np.abs(values[~zero])),
+                                       rtol=1e-10, atol=1e-9)
+            # digital_response, exp of the same cascade log, is the section product
+            nonzero = values_dense != 0.0
+            np.testing.assert_allclose(np.asarray(digital_response(source, dense))[nonzero],
+                                       values_dense[nonzero], rtol=1e-12, atol=0.0)
+        # the phase continues from 0 Hz as the dense unwrap does, up to whole turns
+        unwrapped = np.unwrap(np.angle(values_dense))[::64]
+        unwrapped += 2.0 * math.pi * round((phase[0] - unwrapped[0]) / (2.0 * math.pi))
+        np.testing.assert_allclose(phase[~zero], unwrapped[~zero], rtol=0.0, atol=1e-9)
+        scale = np.max(np.abs(values))
+        np.testing.assert_allclose(re + 1j * im, values, rtol=1e-9, atol=1e-12 * scale)
 
 
 class TestTablesGolden:

@@ -1,4 +1,7 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from gefdesign import (
     wavenumber,
 )
 from gefdesign import core
-from gefdesign.core import DB_PER_LOG, _level_phase
+from gefdesign.core import DB_PER_LOG
 from gefdesign.scalar import _brentq
 from gefdesign.errors import GefError, InfeasibleSpec, NonPositiveConstant
 
@@ -279,18 +282,29 @@ class TestLevelAndPhase:
             assert d_phase == pytest.approx(-k.real, rel=1e-5)
 
 
-class TestSampledLevelAndPhase:
-    def test_matches_closed_forms(self, theta_sharp6):
-        betas = np.linspace(0.01, 4.0, 1000)
-        level, phase = _level_phase(np.asarray(eval_gef(theta_sharp6, betas)))
-        np.testing.assert_allclose(level, level_db(theta_sharp6, betas), rtol=1e-12)
-        np.testing.assert_allclose(phase, phase_rad(theta_sharp6, betas), rtol=1e-9, atol=1e-9)
+class TestOneLevelPhaseFormula:
+    """Every level and phase column comes from the log response L = log H.
+    Sampled angles (np.angle, np.unwrap) and 20 log10|H| alias and underflow,
+    so they stay in the one adapter for complex response callables."""
 
-    @pytest.mark.filterwarnings("error")
-    def test_zero_value_is_minus_inf_without_warning(self):
-        level, phase = _level_phase(np.array([1.0 + 0.0j, 0.0j, -1.0 + 0.0j]))
-        assert level.tolist() == [0.0, -math.inf, 0.0]
-        assert phase.tolist() == [0.0, 0.0, math.pi]
+    PATTERN = re.compile(r"np\.unwrap|np\.angle|log10\(np\.abs")
+
+    def test_sampled_angles_only_in_the_callable_adapter(self):
+        offenders = []
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            adapter = [
+                (node.lineno, node.end_lineno) for node in ast.walk(ast.parse(text))
+                if path.name == "characteristics.py"
+                and isinstance(node, ast.FunctionDef) and node.name == "_complex_log"
+            ]
+            offenders += [
+                f"{path.name}:{lineno}: {line.strip()}"
+                for lineno, line in enumerate(text.splitlines(), 1)
+                if self.PATTERN.search(line)
+                and not any(first <= lineno <= last for first, last in adapter)
+            ]
+        assert offenders == []
 
 
 class TestLogResponse:

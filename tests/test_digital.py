@@ -29,6 +29,7 @@ from gefdesign.digital import (
     _bilinear_all_pole,
     _block_plan,
     _block_response,
+    _cascade_log,
     read_signal_csv,
     read_wav,
     save_filter,
@@ -196,6 +197,40 @@ class TestDigitalResponse:
         assert abs(report.q_n[10.0] - q10_analog) / q10_analog < 0.03
 
 
+class TestCascadeLog:
+    """_cascade_log sums the sections' continuous logs; digital_response is its exp."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_zero_numerator_is_minus_inf(self):
+        filt = DigitalFilter(FS, sections=((0.0, 0.0, 0.0, -0.5, 0.25),))
+        freqs = np.linspace(0.0, 0.5 * FS, 9)
+        assert np.all(_cascade_log(filt, freqs).real == -math.inf)
+        assert np.all(np.asarray(digital_response(filt, freqs)) == 0.0)
+
+    @pytest.mark.parametrize("numerator", [
+        (0.0, 1.0, 0.5),     # a leading zero: z^-1 (1 + 0.5/z)
+        (0.0, 0.0, -2.0),    # two: -2 z^-2
+        (-1.0, -2.0, -1.0),  # a negative lead with the double zero at -1
+        (1.0, -2.5, 1.0),    # roots 2 and 0.5
+    ])
+    def test_factored_numerators_match_the_section_product(self, numerator):
+        filt = DigitalFilter(FS, sections=(numerator + (-0.9, 0.4),))
+        freqs = np.linspace(0.0, 0.45 * FS, 4097)
+        z_inv = np.exp(-2j * math.pi * freqs / FS)
+        product = np.polyval(numerator[::-1], z_inv) / np.polyval((0.4, -0.9, 1.0), z_inv)
+        log_h = _cascade_log(filt, freqs)
+        np.testing.assert_allclose(np.exp(log_h), product, rtol=1e-12)
+        # continuous from f = 0: a dense unwrap, up to whole turns
+        unwrapped = np.unwrap(np.angle(product))
+        unwrapped += 2.0 * math.pi * round((log_h.imag[0] - unwrapped[0]) / (2.0 * math.pi))
+        np.testing.assert_allclose(log_h.imag, unwrapped, rtol=0.0, atol=1e-9)
+
+    def test_root_past_the_largest_float_raises_out_of_range(self):
+        filt = DigitalFilter(FS, sections=((1e-300, 1e10, 1.0, 0.0, 0.0),))
+        with pytest.raises(OutOfRange):
+            digital_response(filt, 1000.0)
+
+
 class TestApplySos:
     def test_impulse_response_matches_frequency_response(self, filt_sharp6):
         n = 2**16
@@ -320,8 +355,10 @@ class TestApplyFft:
         (F_PEAK, math.nan), (F_PEAK, math.inf), (math.nan, FS), (math.inf, FS), (0.0, FS),
     ])
     def test_non_finite_or_non_positive_rates_rejected(self, theta_sharp6, f_peak, fs):
+        # the rates are checked before the signal's own rate, which a
+        # SignalBuffer holds positive and finite
         with pytest.raises(OutOfRange):
-            apply_fft(theta_sharp6, f_peak, fs, SignalBuffer(fs, np.zeros(16)))
+            apply_fft(theta_sharp6, f_peak, fs, SignalBuffer(FS, np.zeros(16)))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [100, 48000])
@@ -509,6 +546,13 @@ class TestDigitalFilterType:
     def test_from_dict_rejects_bad_documents(self, doc):
         with pytest.raises(InfeasibleSpec):
             DigitalFilter.from_dict(doc)
+
+
+class TestSignalBuffer:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -FS])
+    def test_rejects_non_finite_or_non_positive_rate(self, rate):
+        with pytest.raises(ValueError):
+            SignalBuffer(rate, np.zeros(16))
 
 
 class TestSignalIo:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -185,6 +186,19 @@ class TestBankResponseArray:
         rows = bank_response_rows(mixed_bank, self.FREQS)
         assert np.array_equal(rows, _log_reference_rows(mixed_bank, self.FREQS))
 
+    def test_seeded_64_channel_bank_bit_identical_to_row_loop(self, norm_spec):
+        # the export goes through the same column helper as the response
+        # tables, and stays what the per-channel loop writes, bit for bit
+        rng = np.random.default_rng(64)
+        cf_map = CfMap(16000.0, 1.0, 3.0)
+        channels = [
+            dataclasses.replace(channel, gain=10.0 ** rng.uniform(-3.0, 3.0))
+            for channel in build_constant_q_bank(cf_map, uniform_places(cf_map, 64), norm_spec)
+        ]
+        freqs = np.sort(rng.uniform(0.0, 24000.0, 4096))
+        rows = bank_response_rows(channels, freqs)
+        assert rows.tobytes() == _log_reference_rows(channels, freqs).tobytes()
+
     def test_close_to_complex_response_rows(self, mixed_bank):
         rows = bank_response_rows(mixed_bank, self.FREQS)
         reference = _complex_reference_rows(mixed_bank, self.FREQS)
@@ -296,6 +310,16 @@ class TestDomainConsistency:
 
 
 class TestMultiband:
+    @pytest.mark.parametrize("f_peak_hz, gain", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1000.0, 1.0),
+        (1000.0, math.nan), (1000.0, math.inf), (1000.0, 0.0),
+    ])
+    def test_band_rejects_non_finite_or_non_positive_peak_and_gain(self, norm_spec, f_peak_hz,
+                                                                   gain):
+        # an inf peak read a nan crosstalk row, and an inf gain an inf - inf j response
+        with pytest.raises(ValueError):
+            MultibandBand(f_peak_hz, norm_spec, gain)
+
     def test_single_band_degenerates(self, norm_spec):
         band = MultibandBand(1000.0, norm_spec, 1.0)
         single = MultibandSpec(bands=(band,))
