@@ -61,18 +61,6 @@ def _log_parts(a: float, u: np.ndarray):
     return 0.5 * np.log(a * a + u * u), np.arctan(u / a)
 
 
-def _log_pole_factors(theta: FilterConstants, beta: np.ndarray):
-    """Complex logs of (s - p) and (s - conj(p)) at s = i*beta.
-
-    Both factors have real part a_p > 0, so arctan(imag/real) is the
-    continuous angle for any real beta; exponentiating -b_u times the sum
-    therefore evaluates the complex power without branch jumps.
-    """
-    p_re, p_im = _log_parts(theta.a_p, beta - theta.b_p)
-    c_re, c_im = _log_parts(theta.a_p, beta + theta.b_p)
-    return p_re + 1j * p_im, c_re + 1j * c_im
-
-
 TARGETS = ("p_sharp", "p", "v")
 
 
@@ -137,15 +125,21 @@ def _log_magnitude(theta: FilterConstants, target: str, beta: float) -> float:
     return re + 0.5 * math.log(a * a + beta * beta)
 
 
+def _evaluate(theta: FilterConstants, beta, target: str):
+    """exp(L) of one target's log response at np.atleast_1d(beta), shaped as
+    beta (see the module docstring)."""
+    betas = _as_beta_array(beta)
+    log = log_response(theta, np.atleast_1d(betas), (target,))[target]
+    return _shaped(np.exp(log.re + 1j * log.im), betas)
+
+
 def eval_gef(theta: FilterConstants, beta):
     """Evaluate C * ((s - p)(s - conj(p)))**(-b_u) at s = i*beta.
 
     Accepts a scalar or an array of normalized frequencies and returns
     complex values of matching shape.
     """
-    betas = _as_beta_array(beta)
-    log_p, log_c = _log_pole_factors(theta, np.atleast_1d(betas))
-    return _shaped(theta.gain * np.exp(-theta.b_u * (log_p + log_c)), betas)
+    return _evaluate(theta, beta, "p")
 
 
 def eval_sharp(theta: FilterConstants, beta):
@@ -154,9 +148,7 @@ def eval_sharp(theta: FilterConstants, beta):
     The magnitude is exactly symmetric about b_p; the form is not
     realizable but underpins every closed-form characteristic.
     """
-    betas = _as_beta_array(beta)
-    log_p, _ = _log_pole_factors(theta, np.atleast_1d(betas))
-    return _shaped(np.exp(-theta.b_u * log_p), betas)
+    return _evaluate(theta, beta, "p_sharp")
 
 
 def eval_v(theta: FilterConstants, beta):
@@ -164,10 +156,7 @@ def eval_v(theta: FilterConstants, beta):
 
     The proportionality constant is taken as 1.
     """
-    betas = _as_beta_array(beta)
-    points = np.atleast_1d(betas)
-    log_p, log_c = _log_pole_factors(theta, points)
-    return _shaped((theta.a_p + 1j * points) * np.exp(-theta.b_u * (log_p + log_c)), betas)
+    return _evaluate(theta, beta, "v")
 
 
 def wavenumber(theta: FilterConstants, beta):

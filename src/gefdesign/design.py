@@ -14,10 +14,10 @@ keys fixes a_p (the delay key when it has one, otherwise its other key):
     II.7  n_cycles, q_n      solve qn_over_delay               n_cycles
 
 a_p then comes from the inverse of its key in ``scalar.A_P_FROM``, and both
-keys are checked through ``scalar.CHARACTERISTIC``.  The implicit rows find
-the maximum of a rise-then-fall function of b_u by golden section and solve
-on its falling branch by Brent's method.  Designing needs only ``math``:
-this module imports no numpy.
+keys are checked through ``scalar.CHARACTERISTIC``.  The implicit rows solve
+a rise-then-fall function of b_u on its falling branch by Brent's method,
+from the branch maximum, which has a closed form.  Designing needs only
+``math``: this module imports no numpy.
 All positive specifications land the pole pair strictly in the left
 half-plane, so the designs are inherently stable.
 """
@@ -38,7 +38,6 @@ from .scalar import (
     SQRT_PI,
     FilterConstants,
     _brentq,
-    _golden_max,
     gamma_ratio,
     level_factor,
     sharpness_check,
@@ -47,12 +46,22 @@ from .errors import BracketFailure, ErbRequiresBu, InfeasibleSpec, OutOfRange
 
 LN10 = math.log(10.0)
 
-# The implicit b_u solves: exponent bracket, searched for the residual's
-# maximum to 1e-6 in b_u, and Brent's relative tolerance (above its floor of
-# 4 eps) and iteration cap.
+# The implicit b_u solves: exponent bracket, and Brent's relative tolerance
+# (above its floor of 4 eps) and iteration cap.
 B_U_BRACKET = (1.0, 64.0)
 SOLVE_RTOL = 1e-12
 SOLVE_MAXITER = 200
+
+# Each implicit residual peaks where its log derivative in b vanishes (roots
+# checked with mpmath at 30 digits).  Q_erb/(beta_p N) = 2 sqrt(pi) Gamma(b) /
+# (b Gamma(b - 1/2)) has d/db log = psi(b) - psi(b - 1/2) - 1/b, zero at
+# b* = 1.35128417348123135..., where the ratio is 2.10343537993115...
+QERB_ARGMAX = 1.3512841734812313
+# Q_n/(beta_p N) = (pi/b) (e**t - 1)**(-1/2) with t = n ln 10 / (10 b) has
+# d/db log = (t e**t / (2 (e**t - 1)) - 1) / b, zero where 2 (e**t - 1) = t e**t:
+# t* = 2 + W0(-2 e**-2) = 1.59362426004004009... (Corless et al. 1996), so
+# b* = n ln 10 / (10 t*), below b_u = 1 for n under about 6.92 dB.
+QN_ARGMAX_T = 1.59362426004004
 
 
 def _bu_from_phase(spec: "CharacteristicSpec") -> float:
@@ -80,15 +89,21 @@ def _over_delay(spec: "CharacteristicSpec", key: str) -> float:
 
 def _bu_from_qerb_delay(spec: "CharacteristicSpec") -> float:
     ratio = _over_delay(spec, "q_erb")
-    seed = qerb_delay_approx_exponent(ratio)
     if spec.mode == "approx":
-        return seed
-    return _solve_decreasing(qerb_over_delay, ratio, seed=seed)
+        return qerb_delay_approx_exponent(ratio)
+    return _solve_decreasing(qerb_over_delay, ratio, QERB_ARGMAX)
+
+
+def _qn_argmax(n_level: float) -> float:
+    """The b_u at which qn_over_delay(b_u, n_level) peaks."""
+    return n_level * LN10 / (10.0 * QN_ARGMAX_T)
 
 
 def _bu_from_qn_delay(spec: "CharacteristicSpec") -> float:
     ratio = _over_delay(spec, "q_n")
-    return _solve_decreasing(lambda x: qn_over_delay(x, spec.n_level), ratio)
+    return _solve_decreasing(
+        lambda x: qn_over_delay(x, spec.n_level), ratio, _qn_argmax(spec.n_level)
+    )
 
 
 class DesignRow(enum.Enum):
@@ -159,9 +174,10 @@ class CharacteristicSpec:
             if not (math.isfinite(value) and value > 0.0):
                 raise InfeasibleSpec(f"{key} must be > 0, got {value!r}")
         if "q_n" in self.row.keys:
-            if self.n_level is None or self.n_level <= 0.0:
+            if self.n_level is None or not (math.isfinite(self.n_level) and self.n_level > 0.0):
                 raise InfeasibleSpec(
-                    f"row {self.row.value} needs a positive n_level in dB"
+                    f"row {self.row.value} needs a positive finite n_level in dB, "
+                    f"got {self.n_level!r}"
                 )
         elif self.n_level is not None:
             raise InfeasibleSpec(f"row {self.row.value} takes no n_level")
@@ -208,7 +224,7 @@ def qerb_over_delay(b_u: float) -> float:
     """Q_erb / (beta_peak * N) as a function of b_u alone.
 
     With a_p tied to N, 2 sqrt(pi) Gamma(b_u) / (b_u Gamma(b_u - 1/2)).
-    Decreasing for b_u beyond ~1.4 and ~ 2 sqrt(pi/b_u) asymptotically.
+    Decreasing for b_u beyond QERB_ARGMAX and ~ 2 sqrt(pi/b_u) asymptotically.
     """
     return 2.0 * SQRT_PI * gamma_ratio(b_u) / b_u
 
@@ -228,40 +244,20 @@ def qerb_delay_approx_exponent(ratio: float) -> float:
         return math.inf
 
 
-def _solve_decreasing(fn, target: float, seed: float | None = None):
-    """Solve fn(b_u) == target on the decreasing branch of a rise-then-fall
-    residual, returning the root beyond the residual's maximum.
-
-    A seed (e.g. the power-law estimate) is tried first as a local bracket;
-    otherwise a golden-section search finds the maximum, and Brent's method
-    solves between it and b_u_max.  Raises BracketFailure when the target is
-    above the branch maximum or below fn(b_u_max).
+def _solve_decreasing(fn, target: float, x_max: float) -> float:
+    """Solve fn(b_u) == target on the falling branch of a rise-then-fall
+    residual that peaks at x_max: one Brent call from x_max, clipped into
+    B_U_BRACKET, to the bracket's upper end.  Raises BracketFailure when the
+    target is above fn(x_max) or below fn at the upper end.
     """
     lo, hi = B_U_BRACKET
-
-    def residual(x):
-        return fn(x) - target
-
-    if seed is not None and math.isfinite(seed):
-        a = max(lo, 0.5 * seed)
-        b = min(hi, 2.0 * seed)
-        if a < b:
-            fa, fb = residual(a), residual(b)
-            if fa == 0.0:
-                return a
-            if fb == 0.0:
-                return b
-            if (fa > 0.0) != (fb > 0.0):
-                return _brentq(residual, a, b, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
-
-    # lo itself when the residual falls over the whole bracket
-    x_max = max(lo, _golden_max(fn, lo, hi, tol=1e-6), key=fn)
+    x_max = min(hi, max(lo, x_max))
     f_max, f_hi = fn(x_max), fn(hi)
     if f_max < target:
         raise BracketFailure(f"target {target:g} exceeds the achievable maximum {f_max:g}")
     if f_hi > target:
         raise BracketFailure(f"target {target:g} below fn(b_u_max) = {f_hi:g}")
-    return _brentq(residual, x_max, hi, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
+    return _brentq(lambda x: fn(x) - target, x_max, hi, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
 
 
 def design(spec: CharacteristicSpec, integer_snap: bool = False) -> FilterConstants:

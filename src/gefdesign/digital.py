@@ -205,22 +205,28 @@ def _quadratic_log(b, z_inv, log_z_inv):
     """The log of b0 + b1/z + b2/z^2 on the unit circle, continuous from f = 0 to
     fs/2, -inf at a zero on it.  With b0 >= 0, |b2| <= b0 and |b1| <= b0 + b2,
     the roots lie in the closed disk and the principal log is continuous (a
-    stable denominator, to_sos's double zero at -1); else it is factored and a
-    root outside reflected, 1 - r/z = (-r/z)(1 - z/r) (Steiglitz & Dickinson)."""
+    stable denominator, to_sos's double zero at -1); else it is factored, a
+    root r outside the circle as x - r = (-r)(1 - x/r) (Steiglitz & Dickinson)."""
     b0, b1, b2 = b
     if abs(b2) <= b0 and abs(b1) <= b0 + b2:
         return np.log(b0 + b1 * z_inv + b2 * z_inv**2)
+    # b0 z^-2 prod (z - r) or b2 prod (1/z - r), in the variable x whose lead is
+    # the larger end coefficient, so no root passes the largest float unless
+    # both do; np.roots drops leading zero coefficients
+    if abs(b2) > abs(b0):
+        coeffs, x, x_inv, log_x, log = b[::-1], z_inv, np.conj(z_inv), log_z_inv, 0.0
+    else:
+        coeffs, x, x_inv, log_x, log = b, np.conj(z_inv), z_inv, -log_z_inv, 2.0 * log_z_inv
     try:
-        roots = np.roots(b)  # c z^-k prod (1 - r/z): np.roots drops the k leading zeros
+        roots = np.roots(coeffs)
     except np.linalg.LinAlgError:
         raise OutOfRange(f"a root of the section polynomial {b} passes the largest float") from None
-    k = 2 - len(roots)
-    log = np.log(complex(b[k])) + k * log_z_inv
+    log = log + np.log(complex(coeffs[2 - len(roots)]))
     for r in roots:
         if abs(r) <= 1.0:
-            log = log + np.log(1.0 - r * z_inv)
+            log = log + log_x + np.log(1.0 - r * x_inv)
         else:
-            log = log + np.log(complex(-r)) + log_z_inv + np.log(1.0 - 1.0 / (r * z_inv))
+            log = log + np.log(complex(-r)) + np.log(1.0 - x / r)
     return log
 
 

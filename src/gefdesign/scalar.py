@@ -5,9 +5,10 @@ The design methods are closed-form maps between the filter constants
 root solve.  This module holds that scalar layer: the constants and their
 sharpness check, each characteristic as a function of the constants
 (``CHARACTERISTIC``), each inverse for a_p (``A_P_FROM``), the one
-bracketed root solver and the one golden-section maximizer.  It imports
-nothing beyond the standard library, so designing a filter does not load
-numpy; ``core`` and ``characteristics`` import these names from here.
+bracketed root solver, and the golden-section maximizer of the extractor's
+peak search.  It imports nothing beyond the standard library, so designing a
+filter does not load numpy; ``core`` and ``characteristics`` import these
+names from here.
 """
 
 from __future__ import annotations

@@ -196,6 +196,18 @@ class TestDesignCommand:
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == "UsageError"
 
+    @pytest.mark.parametrize("level", ["nan", "inf", "-1"])
+    def test_bad_qn_level_exits_2(self, capsys, level):
+        rc = run(["design", "--peak-beta", "1", "--gdelay-cycles", "10", "--qn", f"{level}:14"])
+        assert rc == 2
+        assert error_type(capsys) == "UsageError"
+
+    def test_non_finite_qn_level_in_spec_exits_3(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"row": "II.7", "beta_peak": 1, "n_cycles": 10, "q_n": 14, "n_level": NaN}')
+        assert run(["analyze", "--spec", str(spec)]) == 3
+        assert error_type(capsys) == "InfeasibleSpec"
+
     def test_integer_snap_flag(self, capsys):
         rc = run(["design", "--peak-beta", "1", "--gdelay-cycles", "19",
                   "--qerb", "25", "--integer-snap"])
@@ -329,7 +341,7 @@ class TestBadInputFiles:
         (["--qn", "10:14", "--phase-accum", "0.001"], "OutOfRange"),
         # b_u = 2e20: 10**(10 / (10 b_u)) rounds to 1, so the factor is 0
         (["--qn", "10:14", "--phase-accum", "1e20"], "OutOfRange"),
-        # Q_erb / N = 1e-310: the power-law seed overflows, and fn(b_u_max) is above it
+        # Q_erb / N = 1e-310: fn(b_u_max) is above it
         (["--gdelay-cycles", "1e10", "--qerb", "1e-300"], "BracketFailure"),
         (["--gdelay-cycles", "1e10", "--qerb", "1e-300", "--mode", "approx"], "InfeasibleSpec"),
     ])

@@ -162,7 +162,7 @@ class TestScalarPath:
         theta = FilterConstants(0.01, 1.0, 300.0)
         with np.errstate(over="ignore", invalid="ignore"):
             peak = eval_gef(theta, peak_beta(theta))
-            assert math.isnan(peak.real) and math.isnan(peak.imag)
+            assert peak == complex(-math.inf, math.inf)
             with pytest.raises(NonPositiveConstant):
                 normalized_to_peak(theta)
 
@@ -321,7 +321,7 @@ class TestLogResponse:
             log = logs[target]
             values = np.asarray(fn(theta, betas))
             assert log.betas is betas
-            np.testing.assert_allclose(np.exp(log.re + 1j * log.im), values, rtol=1e-12)
+            assert np.array_equal(values, np.exp(log.re + 1j * log.im))
             # the same continuous phase, up to the turn the wrapped angle starts in
             offset = log.im - np.unwrap(np.angle(values))
             turns = round(offset[0] / (2.0 * math.pi))

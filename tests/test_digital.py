@@ -212,6 +212,8 @@ class TestCascadeLog:
         (0.0, 0.0, -2.0),    # two: -2 z^-2
         (-1.0, -2.0, -1.0),  # a negative lead with the double zero at -1
         (1.0, -2.5, 1.0),    # roots 2 and 0.5
+        (1e-300, 1e10, 1.0),  # a root in z past the largest float: factored in 1/z
+        (1.0, 1e10, 1e-300),  # its mirror, factored in z
     ])
     def test_factored_numerators_match_the_section_product(self, numerator):
         filt = DigitalFilter(FS, sections=(numerator + (-0.9, 0.4),))
@@ -226,7 +228,8 @@ class TestCascadeLog:
         np.testing.assert_allclose(log_h.imag, unwrapped, rtol=0.0, atol=1e-9)
 
     def test_root_past_the_largest_float_raises_out_of_range(self):
-        filt = DigitalFilter(FS, sections=((1e-300, 1e10, 1.0, 0.0, 0.0),))
+        # past the largest float in z and in 1/z alike
+        filt = DigitalFilter(FS, sections=((1e-300, 1e10, 1e-300, 0.0, 0.0),))
         with pytest.raises(OutOfRange):
             digital_response(filt, 1000.0)
 
