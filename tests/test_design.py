@@ -428,8 +428,9 @@ class TestSolveDecreasing:
         for n_level in (1.0, 3.0, 6.92):
             assert qn_over_delay(1.0, n_level) > qn_over_delay(1.0 + 1e-7, n_level)
             fn, calls = counting(lambda x: qn_over_delay(x, n_level))
-            assert _solve_decreasing(fn, fn(1.0), _qn_argmax(n_level)) == 1.0
-            assert calls[0] == 1.0
+            target = qn_over_delay(1.0, n_level)
+            assert _solve_decreasing(fn, target, _qn_argmax(n_level)) == 1.0
+            assert calls[0] == 1.0  # the solve starts at the clipped maximum
 
     @pytest.mark.parametrize("n_level, b_u", [
         *((None, b_u) for b_u in (1.5, 3.0, 14.0, 30.0, 60.0)),
