@@ -247,8 +247,9 @@ def qerb_delay_approx_exponent(ratio: float) -> float:
 def _solve_decreasing(fn, target: float, x_max: float) -> float:
     """Solve fn(b_u) == target on the falling branch of a rise-then-fall
     residual that peaks at x_max: one Brent call from x_max, clipped into
-    B_U_BRACKET, to the bracket's upper end.  Raises BracketFailure when the
-    target is above fn(x_max) or below fn at the upper end.
+    B_U_BRACKET, to the bracket's upper end, which starts from the two end
+    values the checks computed.  Raises BracketFailure when the target is
+    above fn(x_max) or below fn at the upper end.
     """
     lo, hi = B_U_BRACKET
     x_max = min(hi, max(lo, x_max))
@@ -257,7 +258,8 @@ def _solve_decreasing(fn, target: float, x_max: float) -> float:
         raise BracketFailure(f"target {target:g} exceeds the achievable maximum {f_max:g}")
     if f_hi > target:
         raise BracketFailure(f"target {target:g} below fn(b_u_max) = {f_hi:g}")
-    return _brentq(lambda x: fn(x) - target, x_max, hi, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
+    return _brentq(lambda x: fn(x) - target, x_max, hi, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER,
+                   _fa=f_max - target, _fb=f_hi - target)
 
 
 def design(spec: CharacteristicSpec, integer_snap: bool = False) -> FilterConstants:

@@ -8,7 +8,9 @@ a probe block whose length follows the impulse response's decay, the
 kernel's support is measured from it, and the signal is filtered block by
 block (overlap-add) in hops of the block length less that support, so
 memory stays near the signal's own and the output drifts from one
-whole-signal transform by about 1e-12 of its peak at most.
+whole-signal transform by about 1e-12 of its peak at most.  Batches of hops
+are transformed together, on two threads where two CPUs are usable, and
+added in hop order, so the output does not depend on the threads.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import os
 import struct
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,6 +323,11 @@ _ALIAS_ENERGY = 1e-24
 _DECAY_CONSTANTS = 40.0
 # Shortest block: below it the Python loop costs more than the transforms.
 _MIN_BLOCK = 4096
+# Longest batch of hops that apply_fft transforms in one 2-D call, in samples.
+_BATCH_SAMPLES = 1 << 17
+# Batches apply_fft's pool holds at once, transformed or not yet added; with
+# fewer batches than that in all, the pool is not started.
+_IN_FLIGHT = 4
 
 
 def _sampled_response(theta: FilterConstants, f_peak: float, scale: float, freqs):
@@ -350,7 +358,8 @@ def _block_response(theta: FilterConstants, f_peak: float, fs: float, n: int):
     one block takes the whole signal.  A kernel that does not decay (short
     signals, or a small b_u whose response is far from 0 at fs/2) ends
     there, at once when a doubling cuts the middle's energy less than
-    fourfold.  Raises OutOfRange when the sampled response is not finite.
+    fourfold; that jump too evaluates only the bins the old grid lacks.
+    Raises OutOfRange when the sampled response is not finite.
     """
     nfft = 1 << (2 * n - 1).bit_length()
     scale = _bandpass_peak(theta) / f_peak
@@ -376,9 +385,15 @@ def _block_response(theta: FilterConstants, f_peak: float, fs: float, n: int):
             nb, response = 2 * nb, doubled
         else:
             # a middle that falls less than fourfold per doubling is the 1/nb
-            # tail of the cut at fs/2, which goes on until the cap
-            nb = nfft
-            response = _sampled_response(theta, f_peak, scale, np.fft.rfftfreq(nb, d=1.0 / fs))
+            # tail of the cut at fs/2, which goes on until the cap; every
+            # (nfft // nb)-th bin of the cap grid is an old bin, bit for bit
+            freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
+            new = np.ones(freqs.size, dtype=bool)
+            new[::nfft // nb] = False
+            capped = np.empty(freqs.size, dtype=complex)
+            capped[::nfft // nb] = response
+            capped[new] = _sampled_response(theta, f_peak, scale, freqs[new])
+            nb, response = nfft, capped
         previous = middle
     return nb, response, None
 
@@ -433,6 +448,25 @@ def _block_plan(theta: FilterConstants, f_peak: float, fs: float, n: int):
     return nb, nb - support, tail, block_response
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _batch_blocks(chunks: np.ndarray, nb: int, response: np.ndarray) -> np.ndarray:
+    """irfft(rfft(chunk, nb) * response, nb) of each row of chunks, one
+    block a row.  It runs on pool threads too, which np.errstate does not
+    reach, so it sets its own: a signal that is not finite passes without a
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = np.fft.rfft(chunks, nb, axis=1)
+        spectra *= response
+        return np.fft.irfft(spectra, nb, axis=1)
+
+
 def apply_fft(
     theta: FilterConstants, f_peak: float, fs: float, signal: SignalBuffer
 ) -> SignalBuffer:
@@ -452,7 +486,17 @@ def apply_fft(
     whole signal the blocks drift by about 1e-12 of max|y| at most (the
     kernel holds at most 1e-24 of its energy outside its support); when the
     probe reaches its cap, one block is that transform and the output is the
-    same bit for bit.  Memory is the output plus a few blocks.
+    same bit for bit.
+
+    Consecutive hops go through in batches of at most 2**17 samples, one
+    2-D rfft/irfft pair a batch; a last hop cut short by the signal's end
+    is a batch of its own.  With at least four batches and two usable CPUs,
+    the batches are transformed on a pool of two threads (numpy's FFT
+    releases the GIL) with at most four in flight, while this thread adds
+    the blocks in hop order.  Each output sample is therefore the same sum,
+    in the same order, as block by block, and the output does not depend on
+    the pool, bit for bit.  Memory is the output plus at most four batches
+    in flight.  The pool ends with the call.
 
     Bin k maps to beta = peak_beta(theta) * f_k / f_peak: the response is
     placed so its magnitude peak sits exactly at f_peak, matching the
@@ -474,15 +518,41 @@ def apply_fft(
     if n == 0:
         return SignalBuffer(sample_rate=fs, samples=x.copy())
     nb, hop, lead, response = _block_plan(theta, f_peak, fs, n)
+    # (start, chunks): each batch's hops as rows of a view of x
+    full = n - n % hop
+    step = max(1, _BATCH_SAMPLES // nb) * hop
+    batches = [(start, x[start:min(start + step, full)].reshape(-1, hop))
+               for start in range(0, full, step)]
+    if full < n:
+        batches.append((full, x[full:].reshape(1, -1)))
     # out[i] is output sample i - lead; -0.0 is the additive identity, so a
     # single block comes out bit for bit
     out = np.full(lead + n, -0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, hop):
-            block = np.fft.irfft(np.fft.rfft(x[start:start + hop], nb) * response, nb)
+
+    def add(start, blocks):
+        for block in blocks:
             out[start:start + lead] += block[nb - lead:]
             stop = min(start + nb, lead + n)
             out[start + lead:stop] += block[:stop - start - lead]
+            start += hop
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(batches) < _IN_FLIGHT or _usable_cpus() < 2:
+            for start, chunks in batches:
+                add(start, _batch_blocks(chunks, nb, response))
+        else:
+            # imported here: it costs about 4 ms, which filter --sos need not pay
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(2) as pool:
+                pending = deque()
+                for start, chunks in batches:
+                    if len(pending) == _IN_FLIGHT:
+                        done, future = pending.popleft()
+                        add(done, future.result())
+                    pending.append((start, pool.submit(_batch_blocks, chunks, nb, response)))
+                for done, future in pending:
+                    add(done, future.result())
     return SignalBuffer(sample_rate=fs, samples=out[lead:])
 
 

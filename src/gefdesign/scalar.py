@@ -126,7 +126,8 @@ def sharpness_check(theta: FilterConstants) -> SharpnessReport:
     )
 
 
-def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=100):
+def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=100,
+            _fa=None, _fb=None):
     """Root of f on the bracket [xa, xb] by Brent's method.
 
     A step-for-step port of scipy.optimize.brentq (its brentq.c), with its
@@ -135,15 +136,17 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=10
     stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2.  Raises
     ValueError when f(xa) and f(xb) have the same sign or f returns NaN, and
     RuntimeError when maxiter iterations do not converge.  Returns a float.
+    A caller that already holds f(xa) or f(xb) passes it as _fa or _fb, and
+    f is not evaluated there again.
     """
     if maxiter < 0:
         raise ValueError("maxiter must be >= 0")
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
+    fpre = f(xpre) if _fa is None else _fa
     if fpre != fpre:
         raise _nan_value(xpre)
-    fcur = f(xcur)
+    fcur = f(xcur) if _fb is None else _fb
     if fcur != fcur:
         raise _nan_value(xcur)
     if fpre == 0.0:

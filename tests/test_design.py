@@ -449,6 +449,59 @@ class TestSolveDecreasing:
         assert len(calls) <= 32
 
 
+def checked_brent_solve(fn, target, x_max):
+    """_solve_decreasing as it was before Brent took the end values its checks
+    computed, so that it evaluated them again: the reference."""
+    lo, hi = B_U_BRACKET
+    x_max = min(hi, max(lo, x_max))
+    f_max, f_hi = fn(x_max), fn(hi)
+    if f_max < target or f_hi > target:
+        raise BracketFailure("outside the bracket")
+    return _brentq(lambda x: fn(x) - target, x_max, hi, rtol=SOLVE_RTOL, maxiter=SOLVE_MAXITER)
+
+
+class TestBrentReusesTheCheckedEnds:
+    @staticmethod
+    def design_counting(spec, solve, monkeypatch):
+        """(constants or the exception type, residual evaluations) of design(spec)
+        with `solve` in place of _solve_decreasing."""
+        calls = []
+
+        def counted_solve(fn, target, x_max):
+            def counted(x):
+                calls.append(x)
+                return fn(x)
+
+            return solve(counted, target, x_max)
+
+        module = importlib.import_module("gefdesign.design")
+        monkeypatch.setattr(module, "_solve_decreasing", counted_solve)
+        try:
+            return design(spec), len(calls)
+        except (BracketFailure, InfeasibleSpec, OutOfRange) as exc:
+            return type(exc), len(calls)
+
+    @pytest.mark.filterwarnings("ignore::gefdesign.design.SharpnessWarning")
+    @pytest.mark.parametrize("row", IMPLICIT_ROWS)
+    def test_same_roots_two_evaluations_fewer(self, row, monkeypatch):
+        rng = np.random.default_rng(18)
+        solved = 0
+        for _ in range(300):
+            n_cycles = rng.uniform(2.0, 100.0)
+            values = {"n_cycles": n_cycles, row.keys[1]: n_cycles * rng.uniform(0.05, 3.0)}
+            n_level = rng.uniform(1.0, 80.0) if row is DesignRow.PEAK_QN_DELAY else None
+            spec = spec_for(row, rng.uniform(0.5, 2.0), values, n_level)
+            want, want_calls = self.design_counting(spec, checked_brent_solve, monkeypatch)
+            got, got_calls = self.design_counting(spec, _solve_decreasing, monkeypatch)
+            if isinstance(want, FilterConstants):
+                assert (got.a_p.hex(), got.b_u.hex()) == (want.a_p.hex(), want.b_u.hex())
+                assert got_calls == want_calls - 2
+                solved += 1
+            else:
+                assert got is want and got_calls == want_calls
+        assert solved >= 30  # 192 of the II.2 specs design, 38 of the II.7
+
+
 class TestIntegerSnap:
     def test_snap_preserves_delay(self):
         spec = spec_for(DesignRow.PEAK_DELAY_QERB, 1.0,

@@ -1,6 +1,8 @@
+import concurrent.futures
 import json
 import math
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -495,6 +497,27 @@ class TestApplyFftBlocks:
         fresh = np.asarray(eval_gef(theta, freqs * (peak_beta(theta) / f_peak)))
         assert response.tobytes() == fresh.tobytes()
 
+    @pytest.mark.parametrize("fs", [12345.678, 44100.0, 48000.0, 96000.0])
+    def test_cap_jump_keeps_the_old_bins(self, fs, monkeypatch):
+        # this kernel doubles once from 8192, then its middle falls less than
+        # fourfold and the probe jumps to the cap; the jump evaluates only the
+        # bins the 16384-point grid lacks
+        theta = normalized_to_peak(FilterConstants(0.05, 1.0, 1.2))
+        f_peak = 5000.0 * fs / 48000.0
+        sizes = []
+
+        def counted(theta, beta):
+            sizes.append(np.size(beta))
+            return eval_gef(theta, beta)
+
+        monkeypatch.setattr(digital, "eval_gef", counted)
+        nb, response, energy = _block_response(theta, f_peak, fs, 48000)
+        assert energy is None and nb == cap(48000)
+        assert sizes == [4097, 4096, nb // 2 - 8192]
+        freqs = np.fft.rfftfreq(nb, d=1.0 / fs)
+        fresh = np.asarray(eval_gef(theta, freqs * (peak_beta(theta) / f_peak)))
+        assert response.tobytes() == fresh.tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_decay_rate_underflow(self):
         # r = 2 pi a_p f_peak / (peak_beta fs) underflows to 0
@@ -510,6 +533,116 @@ class TestApplyFftBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * x.samples.nbytes
+
+
+def block_loop(theta, f_peak, fs, x):
+    """apply_fft's overlap-add one block at a time, as it ran before the
+    blocks were batched: the reference its output equals byte for byte."""
+    n = x.size
+    nb, hop, lead, response = digital._block_plan(theta, f_peak, fs, n)
+    out = np.full(lead + n, -0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, hop):
+            block = np.fft.irfft(np.fft.rfft(x[start:start + hop], nb) * response, nb)
+            out[start:start + lead] += block[nb - lead:]
+            stop = min(start + nb, lead + n)
+            out[start + lead:stop] += block[:stop - start - lead]
+    return out[lead:]
+
+
+# a kernel with pre-ringing: 8192-point blocks, hops of 6416, a lead of 286
+THETA_LEAD = normalized_to_peak(FilterConstants(0.05, 1.0, 4.5))
+F_LEAD = 4000.0
+
+
+class CountingPool(concurrent.futures.ThreadPoolExecutor):
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+class TestApplyFftBatches:
+    """apply_fft, which transforms batches of hops on a thread pool, against
+    block_loop."""
+
+    def run(self, monkeypatch, theta, f_peak, x, cpus):
+        """apply_fft's output with `cpus` usable CPUs, and whether it made a pool."""
+        monkeypatch.setattr(digital, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        made, threads = CountingPool.made, threading.active_count()
+        y = apply_fft(theta, f_peak, FS, SignalBuffer(FS, x)).samples
+        assert threading.active_count() == threads  # no thread outlives the call
+        return y, CountingPool.made > made
+
+    def batches(self, theta, f_peak, n):
+        nb, hop, _, _ = digital._block_plan(theta, f_peak, FS, n)
+        step = max(1, digital._BATCH_SAMPLES // nb) * hop
+        return -(-(n - n % hop) // step) + (n % hop > 0)
+
+    # kernels that mostly decay within a block, so that long signals make
+    # from one batch to twenty
+    @settings(max_examples=16, derandomize=True, deadline=None)
+    @given(
+        ratio=st.floats(0.01, 0.19),
+        b_u=st.floats(3.0, 20.0),
+        f_peak=st.floats(200.0, 0.45 * FS),
+        n=st.integers(2**14, 2**21),
+    )
+    def test_bytes_equal_the_block_loop(self, ratio, b_u, f_peak, n):
+        theta = normalized_to_peak(FilterConstants(ratio, 1.0, b_u))
+        x = noise(n, seed=n)
+        want = block_loop(theta, f_peak, FS, x).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            for cpus in (1, 2):
+                y, pooled = self.run(mp, theta, f_peak, x, cpus)
+                assert y.tobytes() == want
+                assert pooled == (cpus == 2 and self.batches(theta, f_peak, n) >= 4)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    def test_lengths_around_whole_batches(self, offset, m, monkeypatch):
+        nb, hop, lead, _ = _block_plan(THETA_LEAD, F_LEAD, FS, 2**20)
+        assert lead > 0 and nb // 2 < hop
+        n = m * (digital._BATCH_SAMPLES // nb) * hop + offset
+        assert _block_plan(THETA_LEAD, F_LEAD, FS, n)[:3] == (nb, hop, lead)
+        x = noise(n)
+        y, pooled = self.run(monkeypatch, THETA_LEAD, F_LEAD, x, 2)
+        assert pooled == (m > 1)
+        assert y.tobytes() == block_loop(THETA_LEAD, F_LEAD, FS, x).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_three_blocks_on_a_sample(self, cpus, monkeypatch):
+        # a plan that hops by a third of the block adds three blocks or more
+        # to each sample, in hop order on both paths
+        nb, _, lead, response = _block_plan(THETA_LEAD, F_LEAD, FS, 2**20)
+        monkeypatch.setattr(digital, "_block_plan", lambda *args: (nb, nb // 3, lead, response))
+        x = noise(20 * nb + 5)
+        y, pooled = self.run(monkeypatch, THETA_LEAD, F_LEAD, x, cpus)
+        assert pooled == (cpus == 2)
+        assert y.tobytes() == block_loop(THETA_LEAD, F_LEAD, FS, x).tobytes()
+
+    def test_one_usable_cpu_runs_inline(self, monkeypatch):
+        x = noise(2**20)
+        y, pooled = self.run(monkeypatch, THETA_BLOCKS, F_PEAK, x, 1)
+        assert not pooled
+        assert y.tobytes() == self.run(monkeypatch, THETA_BLOCKS, F_PEAK, x, 2)[0].tobytes()
+
+    def test_usable_cpus_follows_the_affinity(self, monkeypatch):
+        assert digital._usable_cpus() >= 1
+        monkeypatch.delattr(digital.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(digital.os, "cpu_count", lambda: None)
+        assert digital._usable_cpus() == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_signal_on_the_pool_passes_without_warning(self, monkeypatch):
+        # np.errstate does not reach pool threads; the batches set their own
+        x = noise(2**20)
+        x[[1000, 400000, 900000]] = 1e308, math.inf, math.nan
+        y, pooled = self.run(monkeypatch, THETA_BLOCKS, F_PEAK, x, 2)
+        assert pooled
+        assert y.size == x.size and not np.all(np.isfinite(y))
 
 
 class TestDigitalFilterType:
