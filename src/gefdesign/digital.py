@@ -9,8 +9,7 @@ kernel's support is measured from it, and the signal is filtered block by
 block (overlap-add) in hops of the block length less that support, so
 memory stays near the signal's own and the output drifts from one
 whole-signal transform by about 1e-12 of its peak at most.  Batches of hops
-are transformed together, on two threads where two CPUs are usable, and
-added in hop order, so the output does not depend on the threads.
+are transformed together and added in hop order.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import math
 import os
 import struct
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,9 +323,6 @@ _DECAY_CONSTANTS = 40.0
 _MIN_BLOCK = 4096
 # Longest batch of hops that apply_fft transforms in one 2-D call, in samples.
 _BATCH_SAMPLES = 1 << 17
-# Batches apply_fft's pool holds at once, transformed or not yet added; with
-# fewer batches than that in all, the pool is not started.
-_IN_FLIGHT = 4
 
 
 def _sampled_response(theta: FilterConstants, f_peak: float, scale: float, freqs):
@@ -448,25 +443,6 @@ def _block_plan(theta: FilterConstants, f_peak: float, fs: float, n: int):
     return nb, nb - support, tail, block_response
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _batch_blocks(chunks: np.ndarray, nb: int, response: np.ndarray) -> np.ndarray:
-    """irfft(rfft(chunk, nb) * response, nb) of each row of chunks, one
-    block a row.  It runs on pool threads too, which np.errstate does not
-    reach, so it sets its own: a signal that is not finite passes without a
-    warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        spectra = np.fft.rfft(chunks, nb, axis=1)
-        spectra *= response
-        return np.fft.irfft(spectra, nb, axis=1)
-
-
 def apply_fft(
     theta: FilterConstants, f_peak: float, fs: float, signal: SignalBuffer
 ) -> SignalBuffer:
@@ -490,13 +466,9 @@ def apply_fft(
 
     Consecutive hops go through in batches of at most 2**17 samples, one
     2-D rfft/irfft pair a batch; a last hop cut short by the signal's end
-    is a batch of its own.  With at least four batches and two usable CPUs,
-    the batches are transformed on a pool of two threads (numpy's FFT
-    releases the GIL) with at most four in flight, while this thread adds
-    the blocks in hop order.  Each output sample is therefore the same sum,
-    in the same order, as block by block, and the output does not depend on
-    the pool, bit for bit.  Memory is the output plus at most four batches
-    in flight.  The pool ends with the call.
+    is a batch of its own.  The blocks are added in hop order, so each
+    output sample is the same sum, in the same order, as block by block,
+    bit for bit.  Memory is the output plus one batch.
 
     Bin k maps to beta = peak_beta(theta) * f_k / f_peak: the response is
     placed so its magnitude peak sits exactly at f_peak, matching the
@@ -529,30 +501,19 @@ def apply_fft(
     # single block comes out bit for bit
     out = np.full(lead + n, -0.0)
 
-    def add(start, blocks):
-        for block in blocks:
+    def add(start, chunks):
+        # a function, so that one batch's transforms are freed before the next
+        spectra = np.fft.rfft(chunks, nb, axis=1)
+        spectra *= response
+        for block in np.fft.irfft(spectra, nb, axis=1):
             out[start:start + lead] += block[nb - lead:]
             stop = min(start + nb, lead + n)
             out[start + lead:stop] += block[:stop - start - lead]
             start += hop
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(batches) < _IN_FLIGHT or _usable_cpus() < 2:
-            for start, chunks in batches:
-                add(start, _batch_blocks(chunks, nb, response))
-        else:
-            # imported here: it costs about 4 ms, which filter --sos need not pay
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(2) as pool:
-                pending = deque()
-                for start, chunks in batches:
-                    if len(pending) == _IN_FLIGHT:
-                        done, future = pending.popleft()
-                        add(done, future.result())
-                    pending.append((start, pool.submit(_batch_blocks, chunks, nb, response)))
-                for done, future in pending:
-                    add(done, future.result())
+        for start, chunks in batches:
+            add(start, chunks)
     return SignalBuffer(sample_rate=fs, samples=out[lead:])
 
 

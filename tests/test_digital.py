@@ -1,8 +1,6 @@
-import concurrent.futures
 import json
 import math
 import struct
-import threading
 import tracemalloc
 
 import numpy as np
@@ -555,31 +553,12 @@ THETA_LEAD = normalized_to_peak(FilterConstants(0.05, 1.0, 4.5))
 F_LEAD = 4000.0
 
 
-class CountingPool(concurrent.futures.ThreadPoolExecutor):
-    made = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).made += 1
-        super().__init__(*args, **kwargs)
-
-
 class TestApplyFftBatches:
-    """apply_fft, which transforms batches of hops on a thread pool, against
-    block_loop."""
+    """apply_fft, which transforms batches of hops, against block_loop."""
 
-    def run(self, monkeypatch, theta, f_peak, x, cpus):
-        """apply_fft's output with `cpus` usable CPUs, and whether it made a pool."""
-        monkeypatch.setattr(digital, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-        made, threads = CountingPool.made, threading.active_count()
+    def check(self, theta, f_peak, x):
         y = apply_fft(theta, f_peak, FS, SignalBuffer(FS, x)).samples
-        assert threading.active_count() == threads  # no thread outlives the call
-        return y, CountingPool.made > made
-
-    def batches(self, theta, f_peak, n):
-        nb, hop, _, _ = digital._block_plan(theta, f_peak, FS, n)
-        step = max(1, digital._BATCH_SAMPLES // nb) * hop
-        return -(-(n - n % hop) // step) + (n % hop > 0)
+        assert y.tobytes() == block_loop(theta, f_peak, FS, x).tobytes()
 
     # kernels that mostly decay within a block, so that long signals make
     # from one batch to twenty
@@ -593,55 +572,31 @@ class TestApplyFftBatches:
     def test_bytes_equal_the_block_loop(self, ratio, b_u, f_peak, n):
         theta = normalized_to_peak(FilterConstants(ratio, 1.0, b_u))
         x = noise(n, seed=n)
-        want = block_loop(theta, f_peak, FS, x).tobytes()
-        with pytest.MonkeyPatch.context() as mp:
-            for cpus in (1, 2):
-                y, pooled = self.run(mp, theta, f_peak, x, cpus)
-                assert y.tobytes() == want
-                assert pooled == (cpus == 2 and self.batches(theta, f_peak, n) >= 4)
+        self.check(theta, f_peak, x)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("m", [1, 4, 7])
-    def test_lengths_around_whole_batches(self, offset, m, monkeypatch):
+    def test_lengths_around_whole_batches(self, offset, m):
         nb, hop, lead, _ = _block_plan(THETA_LEAD, F_LEAD, FS, 2**20)
         assert lead > 0 and nb // 2 < hop
         n = m * (digital._BATCH_SAMPLES // nb) * hop + offset
         assert _block_plan(THETA_LEAD, F_LEAD, FS, n)[:3] == (nb, hop, lead)
         x = noise(n)
-        y, pooled = self.run(monkeypatch, THETA_LEAD, F_LEAD, x, 2)
-        assert pooled == (m > 1)
-        assert y.tobytes() == block_loop(THETA_LEAD, F_LEAD, FS, x).tobytes()
+        self.check(THETA_LEAD, F_LEAD, x)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_three_blocks_on_a_sample(self, cpus, monkeypatch):
+    def test_three_blocks_on_a_sample(self, monkeypatch):
         # a plan that hops by a third of the block adds three blocks or more
-        # to each sample, in hop order on both paths
+        # to each sample, in hop order in both
         nb, _, lead, response = _block_plan(THETA_LEAD, F_LEAD, FS, 2**20)
         monkeypatch.setattr(digital, "_block_plan", lambda *args: (nb, nb // 3, lead, response))
         x = noise(20 * nb + 5)
-        y, pooled = self.run(monkeypatch, THETA_LEAD, F_LEAD, x, cpus)
-        assert pooled == (cpus == 2)
-        assert y.tobytes() == block_loop(THETA_LEAD, F_LEAD, FS, x).tobytes()
-
-    def test_one_usable_cpu_runs_inline(self, monkeypatch):
-        x = noise(2**20)
-        y, pooled = self.run(monkeypatch, THETA_BLOCKS, F_PEAK, x, 1)
-        assert not pooled
-        assert y.tobytes() == self.run(monkeypatch, THETA_BLOCKS, F_PEAK, x, 2)[0].tobytes()
-
-    def test_usable_cpus_follows_the_affinity(self, monkeypatch):
-        assert digital._usable_cpus() >= 1
-        monkeypatch.delattr(digital.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(digital.os, "cpu_count", lambda: None)
-        assert digital._usable_cpus() == 1
+        self.check(THETA_LEAD, F_LEAD, x)
 
     @pytest.mark.filterwarnings("error")
-    def test_non_finite_signal_on_the_pool_passes_without_warning(self, monkeypatch):
-        # np.errstate does not reach pool threads; the batches set their own
+    def test_non_finite_batches_pass_without_warning(self):
         x = noise(2**20)
         x[[1000, 400000, 900000]] = 1e308, math.inf, math.nan
-        y, pooled = self.run(monkeypatch, THETA_BLOCKS, F_PEAK, x, 2)
-        assert pooled
+        y = apply_fft(THETA_BLOCKS, F_PEAK, FS, SignalBuffer(FS, x)).samples
         assert y.size == x.size and not np.all(np.isfinite(y))
 
 
