@@ -38,10 +38,6 @@ from .errors import OutOfRange
 from .scalar import _LOG_FLOAT_MAX, DB_PER_LOG, FilterConstants
 
 
-def _as_beta_array(beta):
-    return np.asarray(beta, dtype=float)
-
-
 def _maybe_scalar(values):
     arr = np.asarray(values)
     if arr.ndim == 0:
@@ -49,16 +45,21 @@ def _maybe_scalar(values):
     return values
 
 
-def _shaped(values, betas):
-    """Response values at np.atleast_1d(betas), shaped as betas: a Python
-    complex for 0-d betas."""
-    return _maybe_scalar(values.reshape(betas.shape))
-
-
 def _log_parts(a: float, u: np.ndarray):
     """Real and imaginary parts of log(a + i*u) for a > 0: the imaginary part
-    arctan(u/a) is the continuous angle for any real u."""
-    return 0.5 * np.log(a * a + u * u), np.arctan(u / a)
+    arctan(u/a) is the continuous angle for any real u.  The real part is
+    half the log of a*a + u*u, or the log of hypot(a, u) where that sum
+    overflows (a or |u| past about 1e154)."""
+    re = 0.5 * np.log(a * a + u * u)
+    if not re.max(initial=-math.inf) < math.inf:  # an overflowed sum, or a nan
+        re = np.where(re == math.inf, np.log(np.hypot(a, u)), re)
+    return re, np.arctan(u / a)
+
+
+def _log_modulus(a: float, u: float) -> float:
+    """The real part of _log_parts(a, u) at one float u, on math."""
+    squared = a * a + u * u
+    return 0.5 * math.log(squared) if squared < math.inf else math.log(math.hypot(a, u))
 
 
 TARGETS = ("p_sharp", "p", "v")
@@ -86,10 +87,10 @@ def log_response(theta: FilterConstants, beta, targets=TARGETS) -> dict:
 
     Returns {target: LogResponse} in the order of ``targets``.  No value is
     exponentiated, so L is finite where the response itself overflows or
-    underflows; where a squared modulus overflows or underflows, L is not
-    finite, without a warning, and callers check for that.
+    underflows; where a squared modulus underflows to 0, L is not finite,
+    without a warning, and callers check for that.
     """
-    betas = _as_beta_array(beta)
+    betas = np.asarray(beta, dtype=float)
     b_u = theta.b_u
     parts = {}
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -114,23 +115,21 @@ def _log_magnitude(theta: FilterConstants, target: str, beta: float) -> float:
     in the operations of the array path.  It takes no exp, so it neither
     overflows nor underflows where the response does."""
     a = theta.a_p
-    u = beta - theta.b_p
-    re = 0.5 * math.log(a * a + u * u)
+    re = _log_modulus(a, beta - theta.b_p)
     if target == "p_sharp":
         return -theta.b_u * re
-    v = beta + theta.b_p
-    re = -theta.b_u * (re + 0.5 * math.log(a * a + v * v))
+    re = -theta.b_u * (re + _log_modulus(a, beta + theta.b_p))
     if target == "p":
         return re + math.log(theta.gain)
-    return re + 0.5 * math.log(a * a + beta * beta)
+    return re + _log_modulus(a, beta)
 
 
 def _evaluate(theta: FilterConstants, beta, target: str):
     """exp(L) of one target's log response at np.atleast_1d(beta), shaped as
     beta (see the module docstring)."""
-    betas = _as_beta_array(beta)
+    betas = np.asarray(beta, dtype=float)
     log = log_response(theta, np.atleast_1d(betas), (target,))[target]
-    return _shaped(np.exp(log.re + 1j * log.im), betas)
+    return _maybe_scalar(np.exp(log.re + 1j * log.im).reshape(betas.shape))
 
 
 def eval_gef(theta: FilterConstants, beta):
@@ -166,7 +165,7 @@ def wavenumber(theta: FilterConstants, beta):
     form 2*b_u*(s + a_p)/((s-p)(s-conj(p))).  Its real part is the phase
     slope (negated) and its imaginary part the log-magnitude slope.
     """
-    beta = _as_beta_array(beta)
+    beta = np.asarray(beta, dtype=float)
     s = 1j * beta
     out = theta.b_u * (1.0 / (s - theta.pole) + 1.0 / (s - theta.pole_conjugate))
     return _maybe_scalar(out)

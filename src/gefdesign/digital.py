@@ -4,8 +4,8 @@ Integer exponents become a cascade of b_u identical biquad sections via the
 bilinear transform, prewarped so the digital magnitude peak lands exactly
 on the requested peak frequency.  Non-integer exponents are supported
 through FFT-domain filtering: the analog response is sampled at the bins of
-a probe block whose length follows the impulse response's decay, the
-kernel's support is measured from it, and the signal is filtered block by
+a block whose length follows the impulse response's decay, the kernel's
+support is measured from that block, and the signal is filtered block by
 block (overlap-add) in hops of the block length less that support, so
 memory stays near the signal's own and the output drifts from one
 whole-signal transform by about 1e-12 of its peak at most.  Batches of hops
@@ -335,26 +335,28 @@ def _sampled_response(theta: FilterConstants, f_peak: float, scale: float, freqs
     return response
 
 
-def _block_response(theta: FilterConstants, f_peak: float, fs: float, n: int):
-    """Probe block nb0 for apply_fft on n samples, the analog response
-    sampled on its rfft grid, and the energy of its kernel irfft(H, nb0),
-    or None for the energy when nb0 is the cap.
+def _block_plan(theta: FilterConstants, f_peak: float, fs: float, n: int):
+    """(nb, hop, lead, response): the block apply_fft filters n samples in,
+    the samples it takes per block, the samples of pre-ringing before them,
+    and the analog response on the block's rfft grid.
 
-    The kernel holds the causal impulse response at its start and, at its
-    end, the pre-ringing from cutting the response off at fs/2.  The
-    response decays like t**(b_u - 1) exp(-r t) with r = 2 pi a_p f_peak /
-    (peak_beta fs) per sample, so the first guess at the kernel length is
-    that envelope's peak, (b_u - 1) / r, plus 40 time constants 1 / r; nb0
-    starts at the power of two at or above four times that, and at least
-    4096, and doubles until the middle half of the kernel holds at most
-    1e-24 of its energy.  A doubling evaluates the response on the new odd
-    bins only: the even bins of the doubled grid are the old grid's bins,
-    bit for bit.  nb0 is capped at the power of two at or above 2 n, where
-    one block takes the whole signal.  A kernel that does not decay (short
-    signals, or a small b_u whose response is far from 0 at fs/2) ends
-    there, at once when a doubling cuts the middle's energy less than
-    fourfold; that jump too evaluates only the bins the old grid lacks.
-    Raises OutOfRange when the sampled response is not finite.
+    The kernel irfft(H, nb) holds the causal impulse response at its start
+    and, at its end, the pre-ringing from the cut at fs/2.  The response
+    decays like t**(b_u - 1) exp(-r t), r = 2 pi a_p f_peak / (peak_beta fs)
+    per sample, so nb starts at the power of two at or above four times
+    (b_u - 1) / r + 40 / r, and at least 4096.  It grows until the middle
+    half of the kernel holds at most 1e-24 of its energy: it doubles while a
+    doubling cuts the middle's energy at least fourfold, else it jumps to the
+    cap, the power of two at or above 2 n, where one block takes the whole
+    signal (a middle that falls slower is the 1/nb tail of the cut at fs/2,
+    which lasts until the cap).  Every (grown // nb)-th bin of a grown grid
+    is an old bin, bit for bit, so a step evaluates only the others.  The
+    support [-tail, head) is the shortest head and tail that each leave at
+    most half of 1e-24 of the energy on their side of the middle (head +
+    tail < nb: the two middle samples cannot both hold over half of what the
+    middle half holds); the hops are nb - (head + tail) samples, and a
+    block's output runs from tail samples before its hop to head samples
+    past it.  Raises OutOfRange when the sampled response is not finite.
     """
     nfft = 1 << (2 * n - 1).bit_length()
     scale = _bandpass_peak(theta) / f_peak
@@ -369,78 +371,23 @@ def _block_response(theta: FilterConstants, f_peak: float, fs: float, n: int):
     previous = math.inf
     while nb < nfft:
         energy = np.square(np.fft.irfft(response, nb))
+        total = energy.sum()
         middle = energy[nb // 4:3 * nb // 4].sum()
-        if middle <= _ALIAS_ENERGY * energy.sum():
-            return nb, response, energy
-        if 4.0 * middle < previous:
-            odd = _sampled_response(
-                theta, f_peak, scale, np.fft.rfftfreq(2 * nb, d=1.0 / fs)[1::2])
-            doubled = np.empty(nb + 1, dtype=complex)
-            doubled[::2], doubled[1::2] = response, odd
-            nb, response = 2 * nb, doubled
-        else:
-            # a middle that falls less than fourfold per doubling is the 1/nb
-            # tail of the cut at fs/2, which goes on until the cap; every
-            # (nfft // nb)-th bin of the cap grid is an old bin, bit for bit
-            freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
-            new = np.ones(freqs.size, dtype=bool)
-            new[::nfft // nb] = False
-            capped = np.empty(freqs.size, dtype=complex)
-            capped[::nfft // nb] = response
-            capped[new] = _sampled_response(theta, f_peak, scale, freqs[new])
-            nb, response = nfft, capped
-        previous = middle
-    return nb, response, None
-
-
-def _kernel_support(energy: np.ndarray):
-    """(head, tail): the shortest head energy[:head] and tail
-    energy[-tail:] of a kernel's energy that leave at most half of
-    _ALIAS_ENERGY of the total outside them on each side of the middle.
-    On a kernel that passed _block_response's test, head + tail < its
-    length: the two samples at the middle cannot both exceed half of what
-    the middle half holds."""
-    half = energy.size // 2
-    budget = 0.5 * _ALIAS_ENERGY * energy.sum()
-    head = half - np.searchsorted(np.cumsum(energy[half - 1::-1]), budget, side="right")
-    tail = half - np.searchsorted(np.cumsum(energy[half:]), budget, side="right")
-    return int(head), int(tail)
-
-
-def _block_plan(theta: FilterConstants, f_peak: float, fs: float, n: int):
-    """(nb, hop, lead, response): the block apply_fft filters n samples in,
-    the samples it takes per block and the samples of pre-ringing that come
-    before them, and the response on the block's rfft grid.
-
-    The probe block nb0 of _block_response measures the kernel's support
-    [-tail, head) (see _kernel_support).  The block is nb0 or a power-of-two
-    divisor of it, at least min(4096, nb0) and longer than L = head + tail,
-    that makes the fewest operations, ceil(n / (nb - L)) nb log2(nb); its
-    rfft bins are every (nb0 / nb)-th bin of nb0's, bit for bit, so its
-    response is the probe's taken at that stride.  A block shorter than nb0
-    folds the probe's kernel onto itself, so it is taken only when its own
-    kernel still holds at most 1e-24 of its energy outside [-tail, head);
-    else the next cheapest is tried, and nb0 passes by construction.  The
-    block takes hops of nb - L samples, and its output runs from tail
-    samples before the hop to head samples past its end.  At the cap one
-    block of nb0 takes the whole signal.
-    """
-    nb0, response, energy = _block_response(theta, f_peak, fs, n)
-    if energy is None:
-        return nb0, nb0, 0, response
-    head, tail = _kernel_support(energy)
-    support = head + tail
-    sizes = [nb for nb in (nb0 >> k for k in range(nb0.bit_length()))
-             if nb >= min(_MIN_BLOCK, nb0) and nb > support]
-    # sorted is stable: of two blocks as cheap, the longer (fewer hops) first
-    for nb in sorted(sizes, key=lambda nb: -(-n // (nb - support)) * nb * math.log2(nb)):
-        block_response = np.ascontiguousarray(response[::nb0 // nb])
-        if nb == nb0:
-            break
-        folded = np.square(np.fft.irfft(block_response, nb))
-        if folded[head:nb - tail].sum() <= _ALIAS_ENERGY * folded.sum():
-            break
-    return nb, nb - support, tail, block_response
+        if middle <= _ALIAS_ENERGY * total:
+            half = nb // 2
+            budget = 0.5 * _ALIAS_ENERGY * total
+            head = half - np.searchsorted(np.cumsum(energy[half - 1::-1]), budget, side="right")
+            tail = half - np.searchsorted(np.cumsum(energy[half:]), budget, side="right")
+            return nb, nb - int(head + tail), int(tail), response
+        grown = 2 * nb if 4.0 * middle < previous else nfft
+        freqs = np.fft.rfftfreq(grown, d=1.0 / fs)
+        new = np.ones(freqs.size, dtype=bool)
+        new[::grown // nb] = False
+        old, response = response, np.empty(freqs.size, dtype=complex)
+        response[::grown // nb] = old
+        response[new] = _sampled_response(theta, f_peak, scale, freqs[new])
+        nb, previous = grown, middle
+    return nb, nb, 0, response
 
 
 def apply_fft(
@@ -450,19 +397,18 @@ def apply_fft(
     block by block (overlap-add).
 
     Works for any positive exponent, including non-integer b_u.  The analog
-    response H is sampled once, at the rfft bins of a probe block whose
-    length follows the impulse response's decay (see _block_response).  The
-    kernel's support [-tail, head) is measured from the probe, and the
-    signal goes through in hops of nb - (head + tail) samples, each
-    zero-padded to an nb-point block chosen to make the fewest transform
-    operations (see _block_plan), multiplied by H and transformed back; the
-    block's first nb - tail samples are added in place from the hop's start
-    and its last tail samples, the pre-ringing, just before it.  The output
-    is exactly real and as long as the input.  Against one transform of the
-    whole signal the blocks drift by about 1e-12 of max|y| at most (the
-    kernel holds at most 1e-24 of its energy outside its support); when the
-    probe reaches its cap, one block is that transform and the output is the
-    same bit for bit.
+    response H is sampled once, at the rfft bins of an nb-point block whose
+    length follows the impulse response's decay, and the kernel's support
+    [-tail, head) is measured from that block (see _block_plan).  The signal
+    goes through in hops of nb - (head + tail) samples, each zero-padded to
+    nb points, multiplied by H and transformed back; the block's first
+    nb - tail samples are added in place from the hop's start and its last
+    tail samples, the pre-ringing, just before it.  The output is exactly
+    real and as long as the input.  Against one transform of the whole
+    signal the blocks drift by about 1e-12 of max|y| at most (the kernel
+    holds at most 1e-24 of its energy outside its support); when the block
+    reaches its cap, one block is that transform and the output is the same
+    bit for bit.
 
     Consecutive hops go through in batches of at most 2**17 samples, one
     2-D rfft/irfft pair a batch; a last hop cut short by the signal's end

@@ -45,7 +45,10 @@ DESIGN_GOLDEN = json.loads(
 # content, or by SHA-256 where long); "json" cases hold the documents that
 # were printed at 17 digits then, and must now be those values at 12.  The
 # `response` cases and the `--response-out` hashes were captured again when
-# those tables moved to the log response (Im L phases, finite levels)
+# those tables moved to the log response (Im L phases, finite levels).  The
+# `filter` cases hash the output of both routes on a seeded integer noise
+# (an input given as a string is written as it stands, not as JSON); the FFT
+# route takes two 8192-point blocks with a lead of 16 samples
 TABLES_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "data" / "tables_golden.json").read_text()
 )
@@ -810,6 +813,19 @@ class TestResponseCommand:
             rtol=0.0, atol=1e-9)
         assert rows[3, 4] == pytest.approx(-623.8, abs=0.05)
 
+    @pytest.mark.filterwarnings("error")
+    def test_level_finite_where_the_squared_pole_distance_overflows(self, tmp_path, capsys):
+        # beta = f / 1e-160 is past 1e154, where (beta -+ b_p)**2 overflows
+        constants = tmp_path / "c1.json"
+        constants.write_text(json.dumps({"a_p": 0.01887032608836575, "b_p": 1.0, "b_u": 5.5}))
+        rc = run(["response", "--constants", str(constants), "--peak-hz", "1e-160",
+                  "--fmin", "50", "--fmax", "100", "--points", "2"])
+        assert rc == 0
+        rows = np.array([line.split(",") for line in capsys.readouterr().out.splitlines()[1:]],
+                        dtype=float)
+        # |P| is beta**(-2 b_u) there, to the last digit printed
+        np.testing.assert_allclose(rows[:, 3], -220.0 * np.log10([5e161, 1e162]), rtol=1e-12)
+
     @pytest.mark.parametrize("fs", ["NaN", "Infinity"])
     def test_filter_file_with_non_finite_rate_exits_3(self, tmp_path, sos_file, capsys, fs):
         bad = tmp_path / "bad.json"
@@ -925,7 +941,7 @@ class TestTablesGolden:
     @pytest.fixture
     def inputs(self, tmp_path, monkeypatch):
         for name, doc in TABLES_GOLDEN["inputs"].items():
-            (tmp_path / name).write_text(json.dumps(doc))
+            (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
         monkeypatch.chdir(tmp_path)
         return tmp_path
 

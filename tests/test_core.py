@@ -364,6 +364,20 @@ class TestLogResponse:
         assert core.log_response(loud, betas)["p"].re[1] > 1000.0
         assert core.log_response(quiet, betas)["p"].re[1] < -2000.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_where_the_squared_pole_distance_overflows(self):
+        # past beta = 1e154, (beta -+ b_p)**2 overflows; |P| is about beta**(-2 b_u)
+        theta = FilterConstants(0.05, 1.0, 4.0)
+        assert level_db(theta, 1e160) == pytest.approx(-160.0 * 160.0, rel=1e-12)
+        betas = np.array([1e150, 1e160, 1e300])
+        logs = core.log_response(theta, betas)
+        for log in logs.values():
+            assert np.all(np.isfinite(log.re))
+            for beta, re in zip(betas, log.re):
+                assert log.re_at(float(beta)) == pytest.approx(re, rel=1e-14)
+        np.testing.assert_allclose(logs["p_sharp"].re, -4.0 * np.log(betas), rtol=1e-15)
+        np.testing.assert_allclose(logs["v"].re, -7.0 * np.log(betas), rtol=1e-15)
+
 
 class TestSharpness:
     def test_reference_case_is_sharp(self, theta_sharp6):

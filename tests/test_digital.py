@@ -28,7 +28,6 @@ from gefdesign.digital import (
     SignalBuffer,
     _bilinear_all_pole,
     _block_plan,
-    _block_response,
     _cascade_log,
     read_signal_csv,
     read_wav,
@@ -387,10 +386,6 @@ def block_size(n, theta=THETA_BLOCKS, f_peak=F_PEAK):
     return _block_plan(theta, f_peak, FS, n)[0]
 
 
-def probe_size(n, theta=THETA_BLOCKS, f_peak=F_PEAK):
-    return _block_response(theta, f_peak, FS, n)[0]
-
-
 def cap(n):
     """The longest block apply_fft uses on n samples: one transform of all."""
     return 1 << (2 * n - 1).bit_length()
@@ -437,11 +432,11 @@ class TestApplyFftBlocks:
         self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, noise(n))
 
     def test_lengths_around_the_cap(self):
-        nb = probe_size(2**20)
+        nb = block_size(2**20)
         n = nb // 2  # the longest signal whose cap is the kernel's own block
-        assert probe_size(n) == block_size(n) == cap(n) == nb
+        assert block_size(n) == cap(n) == nb
         self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, noise(n))
-        assert probe_size(n + 1) == nb < cap(n + 1)
+        assert block_size(n + 1) == nb < cap(n + 1)
         self.assert_matches_single_transform(THETA_BLOCKS, F_PEAK, noise(n + 1))
 
     # kernels that decay within a block shorter than the cap
@@ -464,17 +459,14 @@ class TestApplyFftBlocks:
         assert energy[head:nb - lead].sum() <= digital._ALIAS_ENERGY * energy.sum()
 
     @pytest.mark.parametrize("fs", [12345.678, 44100.0, 48000.0, 96000.0])
-    def test_block_response_is_every_kth_bin_of_the_probes(self, fs):
-        nb0, probe, _ = _block_response(THETA_BLOCKS, F_PEAK, fs, 2**20)
-        _, hop, _, _ = _block_plan(THETA_BLOCKS, F_PEAK, fs, 2**20)
-        # one sample past a hop of nb0: three shorter blocks cost less than two
-        n = hop + 1
-        nb, _, _, response = _block_plan(THETA_BLOCKS, F_PEAK, fs, n)
-        assert nb < nb0
-        assert response.tobytes() == probe[::nb0 // nb].tobytes()
-        freqs = np.fft.rfftfreq(nb, d=1.0 / fs)
-        fresh = np.asarray(eval_gef(THETA_BLOCKS, freqs * (peak_beta(THETA_BLOCKS) / F_PEAK)))
-        assert response.tobytes() == fresh.tobytes()
+    def test_block_does_not_follow_the_signal_length(self, fs):
+        # below the cap, a signal one sample past a hop gets the block of a
+        # long one: no shorter block is tried
+        plan = _block_plan(THETA_BLOCKS, F_PEAK, fs, 2**20)[:3]
+        nb, hop, _ = plan
+        for n in (hop + 1, 5 * hop):
+            assert nb < cap(n)
+            assert _block_plan(THETA_BLOCKS, F_PEAK, fs, n)[:3] == plan
 
     @pytest.mark.parametrize("fs", [12345.678, 44100.0, 48000.0, 96000.0])
     def test_doubling_probe_interleaves_new_bins(self, fs, monkeypatch):
@@ -489,8 +481,8 @@ class TestApplyFftBlocks:
             return eval_gef(theta, beta)
 
         monkeypatch.setattr(digital, "eval_gef", counted)
-        nb, response, energy = _block_response(theta, f_peak, fs, 2**20)
-        assert energy is not None and sizes == [nb // 4 + 1, nb // 4]
+        nb, _, _, response = _block_plan(theta, f_peak, fs, 2**20)
+        assert nb < cap(2**20) and sizes == [nb // 4 + 1, nb // 4]
         freqs = np.fft.rfftfreq(nb, d=1.0 / fs)
         fresh = np.asarray(eval_gef(theta, freqs * (peak_beta(theta) / f_peak)))
         assert response.tobytes() == fresh.tobytes()
@@ -498,7 +490,7 @@ class TestApplyFftBlocks:
     @pytest.mark.parametrize("fs", [12345.678, 44100.0, 48000.0, 96000.0])
     def test_cap_jump_keeps_the_old_bins(self, fs, monkeypatch):
         # this kernel doubles once from 8192, then its middle falls less than
-        # fourfold and the probe jumps to the cap; the jump evaluates only the
+        # fourfold and the block jumps to the cap; the jump evaluates only the
         # bins the 16384-point grid lacks
         theta = normalized_to_peak(FilterConstants(0.05, 1.0, 1.2))
         f_peak = 5000.0 * fs / 48000.0
@@ -509,8 +501,8 @@ class TestApplyFftBlocks:
             return eval_gef(theta, beta)
 
         monkeypatch.setattr(digital, "eval_gef", counted)
-        nb, response, energy = _block_response(theta, f_peak, fs, 48000)
-        assert energy is None and nb == cap(48000)
+        nb, hop, lead, response = _block_plan(theta, f_peak, fs, 48000)
+        assert (nb, hop, lead) == (cap(48000), nb, 0)
         assert sizes == [4097, 4096, nb // 2 - 8192]
         freqs = np.fft.rfftfreq(nb, d=1.0 / fs)
         fresh = np.asarray(eval_gef(theta, freqs * (peak_beta(theta) / f_peak)))
