@@ -7,10 +7,13 @@ designs by numerically re-extracting the characteristics.
 
 The package loads each submodule the first time one of its names is looked
 up.  ``scalar`` holds the filter constants and the scalar characteristic
-maps, and ``design`` the inverse maps; both run on the standard library
-alone, so designing a filter does not import numpy.  ``core`` (response
-evaluation), ``characteristics`` (closed forms and numeric extraction),
-``digital``, ``filterbank`` and ``harness`` need numpy.
+maps, ``design`` the inverse maps, ``biquad`` the bilinear discretization
+into biquad sections and ``bank`` the constant-Q filterbank layout; they
+run on the standard library alone, so designing, discretizing a filter or
+laying out a bank does not import numpy.  ``core`` (response evaluation),
+``characteristics`` (closed forms and numeric extraction), ``digital``
+(signal filtering and responses), ``filterbank`` (bank responses and
+multiband filters) and ``harness`` need numpy.
 """
 
 import importlib
@@ -22,17 +25,17 @@ __version__ = "0.1.0"
 
 # the public names each submodule defines
 _EXPORTS = {
-    "scalar": ("FilterConstants", "SharpnessReport", "sharpness_check"),
+    "scalar": ("FilterConstants", "SharpnessReport", "peak_beta", "sharpness_check"),
     "core": ("eval_gef", "eval_sharp", "eval_v", "level_db", "log_response",
-             "normalized_to_peak", "peak_beta", "phase_rad", "wavenumber"),
+             "normalized_to_peak", "phase_rad", "wavenumber"),
     "characteristics": ("CharacteristicReport", "FrequencyGrid", "closed_form",
                         "default_grid", "extract_numeric", "qerb_approx",
                         "relative_errors"),
     "design": ("CharacteristicSpec", "DesignRow", "SharpnessWarning"),
-    "digital": ("DigitalFilter", "SignalBuffer", "apply_fft", "apply_sos",
-                "digital_response", "to_sos"),
-    "filterbank": ("BankChannel", "CfMap", "MultibandBand", "MultibandSpec",
-                   "build_constant_q_bank", "cf_at", "channel_response",
+    "biquad": ("DigitalFilter", "to_sos"),
+    "digital": ("SignalBuffer", "apply_fft", "apply_sos", "digital_response"),
+    "bank": ("BankChannel", "CfMap", "build_constant_q_bank", "cf_at"),
+    "filterbank": ("MultibandBand", "MultibandSpec", "channel_response",
                    "crosstalk_report", "multiband_response"),
     "harness": ("ErrorRecord", "SweepResult", "evaluate_case", "figure_report", "sweep"),
 }

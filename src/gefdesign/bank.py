@@ -1,0 +1,113 @@
+"""Constant-Q filterbanks over an exponential frequency-place map, on the
+standard library.
+
+A bank places one designed, normalized prototype at each channel's
+characteristic frequency CF(x) = cf0 * e**(-x/l), so every channel shares
+the same quality factors while its bandwidth scales with CF(x).  Building a
+bank is one design and one exponential a channel, so it does not load
+numpy; ``filterbank`` evaluates and exports the channels' responses.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+from .design import CharacteristicSpec, design
+from .errors import OutOfRange
+from .scalar import FilterConstants
+
+
+@dataclass(frozen=True)
+class CfMap:
+    """Exponential characteristic-frequency map CF(x) = cf0 * e**(-x/l)."""
+
+    cf0: float
+    l: float
+    x_max: float
+
+    def __post_init__(self):
+        if not (0.0 < self.cf0 < math.inf and 0.0 < self.l < math.inf
+                and 0.0 <= self.x_max < math.inf):
+            raise OutOfRange(
+                f"need finite cf0 > 0, l > 0 and x_max >= 0, got cf0 = {self.cf0!r}, "
+                f"l = {self.l!r}, x_max = {self.x_max!r}"
+            )
+
+
+def cf_at(cf_map: CfMap, x: float) -> float:
+    """Characteristic frequency at place x (Hz)."""
+    if not 0.0 <= x <= cf_map.x_max:
+        raise OutOfRange(f"x = {x:g} outside [0, {cf_map.x_max:g}]")
+    return cf_map.cf0 * math.exp(-x / cf_map.l)
+
+
+@dataclass(frozen=True)
+class BankChannel:
+    """One filterbank channel: place, peak frequency, shared constants, gain.
+    The peak frequency and the gain must be positive and finite."""
+
+    x: float
+    f_peak: float
+    theta: FilterConstants
+    gain: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 < self.f_peak < math.inf and 0.0 < self.gain < math.inf):
+            raise OutOfRange(
+                f"need finite f_peak > 0 and gain > 0, got f_peak = {self.f_peak!r}, "
+                f"gain = {self.gain!r}"
+            )
+
+
+def build_constant_q_bank(
+    cf_map: CfMap,
+    channel_xs: Sequence[float],
+    spec: CharacteristicSpec,
+) -> list[BankChannel]:
+    """Design one normalized prototype and place it at each channel.
+
+    The spec must be normalized (beta_peak == 1); the channel peak
+    frequencies come from the map, so all channels share the same quality
+    factors while bandwidths scale with CF(x).
+    """
+    if abs(spec.beta_peak - 1.0) > 1e-12:
+        raise ValueError("constant-Q banks need a normalized spec (beta_peak = 1)")
+    theta = design(spec)
+    return [
+        BankChannel(x=float(x), f_peak=cf_at(cf_map, float(x)), theta=theta)
+        for x in channel_xs
+    ]
+
+
+def uniform_places(cf_map: CfMap, n_channels: int) -> list[float]:
+    """Channel places uniform in x, i.e. log-uniform in CF: the floats of
+    numpy.linspace(0, x_max, n_channels), bit for bit (i * step, or
+    i / (n - 1) * x_max where the step underflows to 0, and x_max last)."""
+    if n_channels < 1:
+        raise ValueError("need at least one channel")
+    if n_channels == 1:
+        return [0.0]
+    div = n_channels - 1
+    step = cf_map.x_max / div
+    if step == 0.0:
+        places = [i / div * cf_map.x_max for i in range(div)]
+    else:
+        places = [i * step for i in range(div)]
+    return places + [cf_map.x_max]
+
+
+def bank_to_dict(cf_map: CfMap, channels: Sequence[BankChannel]) -> dict:
+    return {
+        "cf_map": {"cf0": cf_map.cf0, "l": cf_map.l, "x_max": cf_map.x_max},
+        "channels": [
+            {
+                "x": ch.x,
+                "f_peak_hz": ch.f_peak,
+                "theta": ch.theta.as_dict(),
+                "gain": ch.gain,
+            }
+            for ch in channels
+        ],
+    }

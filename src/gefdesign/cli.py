@@ -13,7 +13,8 @@ tables read L = log H: level (20/ln 10) Re L, -inf only at a zero on the unit
 circle, and phase Im L, continuous from f = 0 (for ``--sos``, its sections' logs).
 
 Each subcommand imports the numpy-backed modules it uses when it runs, so
-``design`` and usage errors cost the standard library alone.
+``design``, ``discretize``, ``bank`` and usage errors cost the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import struct
 import sys
 
 from . import __version__
+from .bank import CfMap, bank_to_dict, build_constant_q_bank, uniform_places
+from .biquad import DigitalFilter, to_sos
 from .design import CharacteristicSpec, DesignRow, design
 from .errors import GefError, OutOfRange
 from .scalar import FilterConstants
@@ -159,8 +162,6 @@ def _constants_from_args(args) -> FilterConstants:
 
 
 def _filter_from_args(args):
-    from .digital import DigitalFilter
-
     return DigitalFilter.from_dict(_load_json(args.sos))
 
 
@@ -308,8 +309,6 @@ def _cmd_bank(args) -> int:
         raise UsageError("banks take a normalized trio: --peak-beta 1")
     if args.channels < 1:
         raise UsageError("--channels must be >= 1")
-    from .filterbank import CfMap, bank_to_dict, build_constant_q_bank, uniform_places
-
     cf_map = CfMap(cf0=args.cf0, l=args.l, x_max=args.x_max)
     places = uniform_places(cf_map, args.channels)
     channels = build_constant_q_bank(cf_map, places, spec)
@@ -319,8 +318,6 @@ def _cmd_bank(args) -> int:
 
 def _cmd_discretize(args) -> int:
     theta = _constants_from_args(args)
-    from .digital import to_sos
-
     filt = to_sos(theta, f_peak=args.peak_hz, fs=args.fs)
     text = _dump_json(filt.as_dict())
     _emit(text, args.out)

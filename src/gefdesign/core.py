@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import OutOfRange
-from .scalar import _LOG_FLOAT_MAX, DB_PER_LOG, FilterConstants
+from .scalar import _LOG_FLOAT_MAX, DB_PER_LOG, FilterConstants, peak_beta
 
 
 def _maybe_scalar(values):
@@ -49,7 +49,10 @@ def _log_parts(a: float, u: np.ndarray):
     """Real and imaginary parts of log(a + i*u) for a > 0: the imaginary part
     arctan(u/a) is the continuous angle for any real u.  The real part is
     half the log of a*a + u*u, or the log of hypot(a, u) where that sum
-    overflows (a or |u| past about 1e154)."""
+    overflows (a or |u| past about 1e154) or may underflow (a*a below the
+    smallest normal float, a below about 1e-154)."""
+    if a * a < sys.float_info.min:
+        return np.log(np.hypot(a, u)), np.arctan(u / a)
     re = 0.5 * np.log(a * a + u * u)
     if not re.max(initial=-math.inf) < math.inf:  # an overflowed sum, or a nan
         re = np.where(re == math.inf, np.log(np.hypot(a, u)), re)
@@ -59,7 +62,9 @@ def _log_parts(a: float, u: np.ndarray):
 def _log_modulus(a: float, u: float) -> float:
     """The real part of _log_parts(a, u) at one float u, on math."""
     squared = a * a + u * u
-    return 0.5 * math.log(squared) if squared < math.inf else math.log(math.hypot(a, u))
+    if squared < math.inf and a * a >= sys.float_info.min:
+        return 0.5 * math.log(squared)
+    return math.log(math.hypot(a, u))
 
 
 TARGETS = ("p_sharp", "p", "v")
@@ -206,22 +211,6 @@ def _response_columns(log_re, log_im, what: str):
     return magnitude * np.cos(log_im), magnitude * np.sin(log_im), DB_PER_LOG * log_re, log_im
 
 
-def peak_beta(theta: FilterConstants) -> float:
-    """Normalized frequency of the exact magnitude maximum of the filter.
-
-    |P(beta)|**2 is proportional to D(beta)**(-b_u) with
-    D = (a_p**2 + beta**2 + b_p**2)**2 - 4 b_p**2 beta**2, and
-    dD/dbeta = 4 beta (a_p**2 + beta**2 - b_p**2), so for every exponent the
-    peak is beta* = sqrt(b_p**2 - a_p**2), slightly below b_p (by about
-    a_p**2 / (2 b_p)).  The product (b_p - a_p)(b_p + a_p) avoids
-    cancellation when a_p is close to b_p.  Degenerate constants with
-    a_p >= b_p, whose magnitude decreases from beta = 0 (no bandpass peak),
-    return 0.
-    """
-    a, b = theta.a_p, theta.b_p
-    return math.sqrt((b - a) * (b + a)) if b > a else 0.0
-
-
 def _unit_peak_gain(theta: FilterConstants) -> float:
     """The gain that puts the exact peak magnitude at 1,
 
@@ -234,8 +223,6 @@ def _unit_peak_gain(theta: FilterConstants) -> float:
         gain = math.exp(math.log(theta.gain) - _log_magnitude(theta, "p", peak_beta(theta)))
     except OverflowError:
         return math.inf
-    except ValueError:  # a squared pole distance underflowed to 0: Re L is +inf
-        return 0.0
     return gain if gain >= sys.float_info.min else 0.0
 
 

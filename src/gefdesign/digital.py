@@ -1,8 +1,10 @@
-"""Discretization of designed prototypes and signal filtering.
+"""Signal filtering with discretized prototypes, and their responses.
 
 Integer exponents become a cascade of b_u identical biquad sections via the
 bilinear transform, prewarped so the digital magnitude peak lands exactly
-on the requested peak frequency.  Non-integer exponents are supported
+on the requested peak frequency; that map (``to_sos``, ``DigitalFilter``)
+needs no numpy and lives in ``biquad``, and this module re-exports it.
+Non-integer exponents are supported
 through FFT-domain filtering: the analog response is sampled at the bins of
 a block whose length follows the impulse response's decay, the kernel's
 support is measured from that block, and the signal is filtered block by
@@ -25,15 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FilterConstants, _maybe_scalar, eval_gef, peak_beta
-from .errors import (
-    InfeasibleSpec,
-    NoInteriorPeak,
-    NonIntegerExponent,
-    NyquistViolation,
-    OutOfRange,
-    SampleRateMismatch,
-)
+from .biquad import DigitalFilter, _bandpass_peak, _check_rates, to_sos
+from .core import _maybe_scalar, eval_gef
+from .errors import OutOfRange, SampleRateMismatch
+from .scalar import FilterConstants
 
 
 @dataclass(frozen=True)
@@ -49,157 +46,6 @@ class SignalBuffer:
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=float).ravel()
         )
-
-
-@dataclass(frozen=True)
-class DigitalFilter:
-    """Sample rate, cascade of biquad sections (a0 normalized to 1), gain.
-
-    sections entries are (b0, b1, b2, a1, a2).  Construction verifies every
-    section's poles sit strictly inside the unit circle.
-    """
-
-    sample_rate: float
-    sections: tuple
-    gain: float = 1.0
-    source_theta: FilterConstants | None = None
-    f_peak: float | None = None
-
-    def __post_init__(self):
-        sections = tuple(tuple(float(c) for c in sec) for sec in self.sections)
-        object.__setattr__(self, "sections", sections)
-        if not 0.0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate!r}")
-        if not sections:
-            raise ValueError("need at least one section")
-        for sec in sections:
-            if len(sec) != 5:
-                raise ValueError("each section is (b0, b1, b2, a1, a2)")
-            if not all(math.isfinite(c) for c in sec):
-                raise ValueError("section coefficients must be finite")
-        radii = self.pole_radii()
-        if np.any(radii >= 1.0):
-            raise ValueError(f"unstable section: max pole radius {radii.max():.6f}")
-
-    def pole_radii(self) -> np.ndarray:
-        radii = []
-        for _, _, _, a1, a2 in self.sections:
-            radii.extend(abs(r) for r in np.roots([1.0, a1, a2]))
-        return np.asarray(radii)
-
-    def as_dict(self) -> dict:
-        out = {
-            "fs": self.sample_rate,
-            "gain": self.gain,
-            "sos": [list(sec) for sec in self.sections],
-        }
-        if self.f_peak is not None:
-            out["f_peak_hz"] = self.f_peak
-        if self.source_theta is not None:
-            out["source_theta"] = self.source_theta.as_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data) -> "DigitalFilter":
-        """The filter of an as_dict mapping; a missing or non-numeric field,
-        or sections that do not make a stable cascade, raise InfeasibleSpec."""
-        try:
-            data = dict(data)
-            theta = data.get("source_theta")
-            return cls(
-                sample_rate=float(data["fs"]),
-                sections=tuple(tuple(row) for row in data["sos"]),
-                gain=float(data.get("gain", 1.0)),
-                source_theta=None if theta is None else FilterConstants.from_dict(theta),
-                f_peak=None if data.get("f_peak_hz") is None else float(data["f_peak_hz"]),
-            )
-        except KeyError as exc:
-            raise InfeasibleSpec(f"filter lacks the field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise InfeasibleSpec(f"bad filter: {exc}") from None
-
-
-def _bandpass_peak(theta: FilterConstants) -> float:
-    """peak_beta(theta), refusing constants whose magnitude has no bandpass
-    peak (it falls from beta = 0), which cannot be placed at f_peak."""
-    beta_star = peak_beta(theta)
-    if beta_star <= 0.0:
-        raise NoInteriorPeak(f"{theta} has no bandpass peak to place at f_peak")
-    return beta_star
-
-
-def _bilinear_all_pole(c1: float, c0: float, fs: float):
-    """Digital biquad (b, a), a[0] = 1, of the analog section
-    1 / (s**2 + c1 s + c0) under the bilinear map s = 2 fs (z - 1) / (z + 1).
-
-    Multiplying through by (z + 1)**2 gives the numerator (z + 1)**2 and the
-    denominator (z + 1)**2 c0 + (z + 1)(z - 1) 2 fs c1 + (z - 1)**2 (2 fs)**2.
-    The terms are formed as scipy.signal.bilinear forms them, with (z + 1)
-    scaled by 1 / sqrt(2 fs) and (z - 1) by sqrt(2 fs), then divided by the
-    leading denominator coefficient, so the result is bit-identical to it
-    wherever scipy keeps the whole numerator.  scipy drops leading numerator
-    coefficients below 1e-14, which near Nyquist or at very high fs would
-    remove the double zero at z = -1; here all three are kept.
-    """
-    m = math.sqrt(fs * 2.0)
-    p = 1.0 / m
-    pp = p * p
-    c1pm = c1 * p * m
-    mm = m * m
-    den = np.array([
-        (c0 * pp + c1pm) + mm,
-        c0 * (pp + pp) - (mm + mm),
-        (c0 * pp - c1pm) + mm,
-    ])
-    return np.array([pp, pp + pp, pp]) / den[0], den / den[0]
-
-
-def _check_rates(f_peak: float, fs: float) -> None:
-    """f_peak must be positive and finite, fs finite, and f_peak below fs/2
-    (which refuses fs <= 0 too)."""
-    if not (math.isfinite(f_peak) and f_peak > 0.0):
-        raise OutOfRange(f"f_peak must be positive and finite, got {f_peak!r}")
-    if not math.isfinite(fs):
-        raise OutOfRange(f"fs must be finite, got {fs!r}")
-    if f_peak >= 0.5 * fs:
-        raise NyquistViolation(f"f_peak = {f_peak:g} Hz >= fs/2 = {0.5 * fs:g} Hz")
-
-
-def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
-    """Bilinear-transform the prototype into b_u identical biquad sections.
-
-    Prewarping references the prototype's exact magnitude peak, so the
-    digital peak frequency equals f_peak up to root-finding precision (the
-    bilinear map composes the magnitude with a monotone frequency warp, so
-    the argmax maps exactly).  Each section is scaled to unit magnitude at
-    the peak, making the cascade peak magnitude 1.
-    """
-    _check_rates(f_peak, fs)
-    if not theta.is_integer_exponent:
-        raise NonIntegerExponent(
-            f"b_u = {theta.b_u:g} is not an integer; use apply_fft instead"
-        )
-    n_sections = int(round(theta.b_u))
-
-    # scale chosen so the analog peak (at beta_star) maps to f_peak
-    w = 2.0 * fs * math.tan(math.pi * f_peak / fs) / _bandpass_peak(theta)
-    bz, az = _bilinear_all_pole(
-        2.0 * theta.a_p * w, (theta.a_p**2 + theta.b_p**2) * w * w, fs
-    )
-    theta_pk = 2.0 * math.pi * f_peak / fs
-    z = np.exp(1j * theta_pk)
-    zv = np.array([1.0, 1.0 / z, 1.0 / z**2])
-    section_peak = abs(np.dot(bz, zv) / np.dot(az, zv))
-    bz = bz / section_peak
-
-    section = (bz[0], bz[1], bz[2], az[1], az[2])
-    return DigitalFilter(
-        sample_rate=float(fs),
-        sections=(section,) * n_sections,
-        gain=1.0,
-        source_theta=theta,
-        f_peak=float(f_peak),
-    )
 
 
 def _quadratic_log(b, z_inv, log_z_inv):

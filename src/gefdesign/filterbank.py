@@ -1,9 +1,11 @@
-"""Filterbanks over an exponential frequency-place map, and multiband
-filters built by parallel summation of designed single-band filters.
+"""Filterbank responses, and multiband filters built by parallel summation
+of designed single-band filters.
 
 A channel at place x evaluates the shared normalized prototype at
 beta = f / CF(x), so a constant-Q bank needs one design for all channels.
-Multiband responses are complex sums of per-band responses, each
+Laying out the bank (``CfMap``, ``build_constant_q_bank``, ``uniform_places``,
+``bank_to_dict``) needs no numpy and lives in ``bank``; this module
+re-exports it.  Multiband responses are complex sums of per-band responses, each
 peak-normalized to 1 before its user gain is applied; that convention makes
 the crosstalk matrix have an exactly zero diagonal.
 """
@@ -16,90 +18,19 @@ from typing import Sequence
 
 import numpy as np
 
+from .bank import BankChannel, CfMap, bank_to_dict, build_constant_q_bank, cf_at, uniform_places
 from .core import (
     DB_PER_LOG,
-    FilterConstants,
     _log_magnitude,
     _maybe_scalar,
     _response_columns,
     _unit_peak_gain,
     eval_gef,
     log_response,
-    peak_beta,
 )
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
-
-
-@dataclass(frozen=True)
-class CfMap:
-    """Exponential characteristic-frequency map CF(x) = cf0 * e**(-x/l)."""
-
-    cf0: float
-    l: float
-    x_max: float
-
-    def __post_init__(self):
-        if not (0.0 < self.cf0 < math.inf and 0.0 < self.l < math.inf
-                and 0.0 <= self.x_max < math.inf):
-            raise OutOfRange(
-                f"need finite cf0 > 0, l > 0 and x_max >= 0, got cf0 = {self.cf0!r}, "
-                f"l = {self.l!r}, x_max = {self.x_max!r}"
-            )
-
-
-def cf_at(cf_map: CfMap, x: float) -> float:
-    """Characteristic frequency at place x (Hz)."""
-    if not 0.0 <= x <= cf_map.x_max:
-        raise OutOfRange(f"x = {x:g} outside [0, {cf_map.x_max:g}]")
-    return cf_map.cf0 * math.exp(-x / cf_map.l)
-
-
-@dataclass(frozen=True)
-class BankChannel:
-    """One filterbank channel: place, peak frequency, shared constants, gain.
-    The peak frequency and the gain must be positive and finite."""
-
-    x: float
-    f_peak: float
-    theta: FilterConstants
-    gain: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.f_peak < math.inf and 0.0 < self.gain < math.inf):
-            raise OutOfRange(
-                f"need finite f_peak > 0 and gain > 0, got f_peak = {self.f_peak!r}, "
-                f"gain = {self.gain!r}"
-            )
-
-
-def build_constant_q_bank(
-    cf_map: CfMap,
-    channel_xs: Sequence[float],
-    spec: CharacteristicSpec,
-) -> list[BankChannel]:
-    """Design one normalized prototype and place it at each channel.
-
-    The spec must be normalized (beta_peak == 1); the channel peak
-    frequencies come from the map, so all channels share the same quality
-    factors while bandwidths scale with CF(x).
-    """
-    if abs(spec.beta_peak - 1.0) > 1e-12:
-        raise ValueError("constant-Q banks need a normalized spec (beta_peak = 1)")
-    theta = design(spec)
-    return [
-        BankChannel(x=float(x), f_peak=cf_at(cf_map, float(x)), theta=theta)
-        for x in channel_xs
-    ]
-
-
-def uniform_places(cf_map: CfMap, n_channels: int) -> np.ndarray:
-    """Channel places uniform in x, i.e. log-uniform in CF."""
-    if n_channels < 1:
-        raise ValueError("need at least one channel")
-    if n_channels == 1:
-        return np.array([0.0])
-    return np.linspace(0.0, cf_map.x_max, n_channels)
+from .scalar import peak_beta
 
 
 def channel_response(channel: BankChannel, f_hz):
@@ -195,21 +126,6 @@ def crosstalk_report(spec: MultibandSpec) -> np.ndarray:
         for j in range(n):
             out[i, j] = band_level(j, peak_freqs[i]) - own_level
     return out
-
-
-def bank_to_dict(cf_map: CfMap, channels: Sequence[BankChannel]) -> dict:
-    return {
-        "cf_map": {"cf0": cf_map.cf0, "l": cf_map.l, "x_max": cf_map.x_max},
-        "channels": [
-            {
-                "x": ch.x,
-                "f_peak_hz": ch.f_peak,
-                "theta": ch.theta.as_dict(),
-                "gain": ch.gain,
-            }
-            for ch in channels
-        ],
-    }
 
 
 def multiband_from_dict(data: dict) -> MultibandSpec:

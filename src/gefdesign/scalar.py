@@ -2,13 +2,13 @@
 
 The design methods are closed-form maps between the filter constants
 (a_p, b_p, b_u) and a trio of characteristics, plus at most one scalar
-root solve.  This module holds that scalar layer: the constants and their
-sharpness check, each characteristic as a function of the constants
-(``CHARACTERISTIC``), each inverse for a_p (``A_P_FROM``), the one
-bracketed root solver, and the golden-section maximizer of the extractor's
-peak search.  It imports nothing beyond the standard library, so designing a
-filter does not load numpy; ``core`` and ``characteristics`` import these
-names from here.
+root solve.  This module holds that scalar layer: the constants, their
+sharpness check and their exact peak frequency (``peak_beta``), each
+characteristic as a function of the constants (``CHARACTERISTIC``), each
+inverse for a_p (``A_P_FROM``), the one bracketed root solver, and the
+golden-section maximizer of the extractor's peak search.  It imports nothing
+beyond the standard library, so designing a filter does not load numpy;
+the other modules import these names from here.
 """
 
 from __future__ import annotations
@@ -98,6 +98,22 @@ class FilterConstants:
                 f"missing {sorted(missing)}, unknown {sorted(unknown)}"
             )
         return cls(**fields)
+
+
+def peak_beta(theta: FilterConstants) -> float:
+    """Normalized frequency of the exact magnitude maximum of the filter.
+
+    |P(beta)|**2 is proportional to D(beta)**(-b_u) with
+    D = (a_p**2 + beta**2 + b_p**2)**2 - 4 b_p**2 beta**2, and
+    dD/dbeta = 4 beta (a_p**2 + beta**2 - b_p**2), so for every exponent the
+    peak is beta* = sqrt(b_p**2 - a_p**2), slightly below b_p (by about
+    a_p**2 / (2 b_p)).  The product (b_p - a_p)(b_p + a_p) avoids
+    cancellation when a_p is close to b_p.  Degenerate constants with
+    a_p >= b_p, whose magnitude decreases from beta = 0 (no bandpass peak),
+    return 0.
+    """
+    a, b = theta.a_p, theta.b_p
+    return math.sqrt((b - a) * (b + a)) if b > a else 0.0
 
 
 @dataclass(frozen=True)

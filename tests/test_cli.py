@@ -636,6 +636,14 @@ class TestDiscretizeAndFilter:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "NonIntegerExponent"
 
+    @pytest.mark.parametrize("peak_hz, fs", [("1000", "48000"), ("1e-300", "1")])
+    def test_poles_rounded_onto_the_circle_exit_3(self, tmp_path, capsys, peak_hz, fs):
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps({"a_p": 1e-17, "b_p": 1.0, "b_u": 2.0}))
+        rc = run(["discretize", "--constants", str(constants), "--peak-hz", peak_hz, "--fs", fs])
+        assert rc == 3
+        assert error_type(capsys) == "OutOfRange"
+
     @pytest.mark.parametrize("fs", ["nan", "inf"])
     def test_non_finite_fs_exits_3(self, constants_file, capsys, fs):
         rc = run(["discretize", "--constants", str(constants_file),
@@ -1014,7 +1022,8 @@ NUMPY_FREE_DESIGNS = {
 
 class TestImportPath:
     """Only `filter` needs scipy, for its compiled cascade loop alone; `design`,
-    `--version` and usage errors need neither numpy nor scipy."""
+    `discretize`, `bank`, `--version` and usage errors need neither numpy nor
+    scipy."""
 
     def _python(self, code, cwd):
         env = dict(os.environ)
@@ -1053,6 +1062,30 @@ class TestImportPath:
         flags, want = NUMPY_FREE_DESIGNS[case]
         code, modules = self._run_module(["design", "--peak-beta", "1", *flags], tmp_path)
         assert (code, "numpy" in modules) == (want, False)
+
+    @pytest.mark.parametrize("argv, want", [
+        (["discretize", "--constants", "c.json", "--peak-hz", "1000", "--fs", "48000"], 0),
+        (["discretize", "--constants", "c55.json", "--peak-hz", "1000", "--fs", "48000"], 3),
+        (["bank", "--peak-beta", "1", "--gdelay-cycles", "19.1", "--qerb", "25.9",
+          "--cf0", "8000", "--l", "1.5", "--channels", "7", "--x-max", "3.3"], 0),
+    ], ids=["discretize", "discretize-non-integer", "bank"])
+    def test_discretize_and_bank_load_no_numpy(self, tmp_path, argv, want):
+        (tmp_path / "c.json").write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 6}))
+        (tmp_path / "c55.json").write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 5.5}))
+        code, modules = self._run_module(argv, tmp_path)
+        assert (code, "numpy" in modules) == (want, False)
+
+    def test_stdlib_names_load_no_numpy(self, tmp_path):
+        proc = self._python(
+            "import sys, gefdesign\n"
+            "for name in ('to_sos', 'DigitalFilter', 'CfMap', 'build_constant_q_bank',\n"
+            "             'peak_beta'):\n"
+            "    getattr(gefdesign, name)\n"
+            "print('numpy' in sys.modules)",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("argv, unused", [
         (["response", "--sos", "sos.json", "--fmin", "50", "--fmax", "12000", "--points", "9"],

@@ -378,6 +378,21 @@ class TestLogResponse:
         np.testing.assert_allclose(logs["p_sharp"].re, -4.0 * np.log(betas), rtol=1e-15)
         np.testing.assert_allclose(logs["v"].re, -7.0 * np.log(betas), rtol=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_where_the_squared_pole_distance_underflows(self):
+        # below a_p = 1e-162, a_p**2 + (beta - b_p)**2 underflows to 0 at the
+        # pole: Re L = -b_u (log a_p + log hypot(a_p, 2 b_p)) there
+        theta = FilterConstants(1e-170, 1.0, 4.0)
+        want = -4.0 * (math.log(1e-170) + math.log(2.0))
+        assert level_db(theta, 1.0) == pytest.approx(DB_PER_LOG * want, rel=1e-14)
+        assert level_db(theta, 1.0) == pytest.approx(13576.0, abs=1.0)
+        assert core._log_magnitude(theta, "p", 1.0) == pytest.approx(want, rel=1e-14)
+        betas = np.array([0.0, 1.0 - 1e-160, 1.0, 1.0 + 1e-170, 3.0])
+        for log in core.log_response(theta, betas).values():
+            assert np.all(np.isfinite(log.re))
+            for beta, re in zip(betas, log.re):
+                assert log.re_at(float(beta)) == re
+
 
 class TestSharpness:
     def test_reference_case_is_sharp(self, theta_sharp6):

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from gefdesign import (
     peak_beta,
     to_sos,
 )
-from gefdesign import digital
+from gefdesign import biquad, digital
+from gefdesign.biquad import _bilinear_all_pole
 from gefdesign.characteristics import FrequencyGrid, default_grid
 from gefdesign.digital import (
     DigitalFilter,
     SignalBuffer,
-    _bilinear_all_pole,
     _block_plan,
     _cascade_log,
     read_signal_csv,
@@ -120,6 +121,16 @@ class TestToSos:
         out = apply_fft(theta, F_PEAK, FS, SignalBuffer(FS, np.ones(64)))
         assert np.all(np.isfinite(out.samples))
 
+    @pytest.mark.parametrize("theta, f_peak, fs", [
+        (FilterConstants(1e-17, 1.0, 2.0), F_PEAK, FS),  # a2 rounds to 1: poles on the circle
+        (FilterConstants(0.05, 1e150, 2.0), F_PEAK, FS),
+        (FilterConstants(0.05, 1.0, 4.0), 23999.9999, FS),  # a double pole at -1
+        (FilterConstants(0.05, 1.0, 4.0), 1e-300, 1.0),
+    ])
+    def test_poles_rounded_onto_the_circle_rejected(self, theta, f_peak, fs):
+        with pytest.raises(OutOfRange):
+            to_sos(theta, f_peak, fs)
+
     @pytest.mark.parametrize("a_p,b_u", [(0.02, 3.0), (0.05, 6.0), (0.1, 7.0), (0.2, 2.0)])
     @pytest.mark.parametrize("f_peak", [200.0, 1000.0, 8000.0])
     def test_stability_preserved(self, a_p, b_u, f_peak):
@@ -128,7 +139,7 @@ class TestToSos:
 
 
 class TestBilinearPort:
-    """digital._bilinear_all_pole against scipy.signal.bilinear, which stays
+    """biquad._bilinear_all_pole against scipy.signal.bilinear, which stays
     a test-only oracle."""
 
     def test_matches_scipy_bit_for_bit(self):
@@ -160,6 +171,124 @@ class TestBilinearPort:
         assert b1 == 2.0 * b0 and b2 == b0 > 0.0
         assert abs(digital_response(filt, f_peak)) == pytest.approx(1.0, abs=1e-6)
         assert abs(digital_response(filt, 0.5 * fs)) < 1e-12
+
+
+def schur_cohn_exact(a1, a2):
+    """Both roots of z**2 + a1 z + a2 strictly inside the unit circle, in
+    rational arithmetic."""
+    a1, a2 = Fraction(a1), Fraction(a2)
+    return abs(a2) < 1 and abs(a1) < 1 + a2
+
+
+def near_circle_sections(seed, n):
+    """(kind, a1, a2): complex pairs, real roots at +-1 beside a root inside,
+    double roots at +-1 (each 1e-16 to 1e-12 from the circle, either side),
+    and sections of generic coefficients."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        kind = rng.choice(["complex", "real", "double", "generic"])
+        eps = 10.0 ** rng.uniform(-16.0, -12.0) * rng.choice([-1.0, 1.0])
+        sign = rng.choice([-1.0, 1.0])
+        if kind == "complex":
+            r, angle = 1.0 + eps, rng.uniform(1e-3, math.pi - 1e-3)
+            a1, a2 = -2.0 * r * math.cos(angle), r * r
+        elif kind == "real":
+            r1, r2 = sign * (1.0 + eps), rng.uniform(-0.99, 0.99)
+            a1, a2 = -(r1 + r2), r1 * r2
+        elif kind == "double":
+            r = sign * (1.0 + eps)
+            a1, a2 = -2.0 * r, r * r
+        else:
+            a1, a2 = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+        out.append((str(kind), float(a1), float(a2)))
+    return out
+
+
+def accepts(a1, a2):
+    try:
+        DigitalFilter(FS, sections=((1.0, 0.0, 0.0, a1, a2),))
+    except ValueError:
+        return False
+    return True
+
+
+def dot_normalized(theta, f_peak, fs):
+    """to_sos as it normalized its section when it ran on numpy: by the
+    magnitude of the bilinear section at the peak from numpy dot products,
+    kept as the reference."""
+    w = 2.0 * fs * math.tan(math.pi * f_peak / fs) / peak_beta(theta)
+    bz, az = _bilinear_all_pole(2.0 * theta.a_p * w, (theta.a_p**2 + theta.b_p**2) * w * w, fs)
+    bz, az = np.array(bz), np.array(az)
+    z = np.exp(1j * 2.0 * math.pi * f_peak / fs)
+    zv = np.array([1.0, 1.0 / z, 1.0 / z**2])
+    bz = bz / abs(np.dot(bz, zv) / np.dot(az, zv))
+    section = (bz[0], bz[1], bz[2], az[1], az[2])
+    return DigitalFilter(fs, sections=(section,) * int(round(theta.b_u)))
+
+
+def exact_peak_error(section, f_peak, fs):
+    """|H|**2 - 1 of one section, in rational arithmetic, at the angle whose
+    squared half-angle sine is the float sin(pi f_peak / fs)**2 (the
+    magnitude is stationary at the peak, so that angle's own rounding does
+    not show)."""
+    b0, b1, b2, a1, a2 = map(Fraction, section)
+    t = Fraction(math.sin(math.pi * f_peak / fs) ** 2)
+    cos1, sin1_sq = 1 - 2 * t, 4 * t * (1 - t)
+    cos2 = 1 - 2 * sin1_sq
+
+    def modulus_sq(c0, c1, c2):
+        return (c0 + c1 * cos1 + c2 * cos2) ** 2 + sin1_sq * (c1 + 2 * c2 * cos1) ** 2
+
+    return float(modulus_sq(b0, b1, b2) / modulus_sq(1, a1, a2) - 1)
+
+
+class TestBiquadNumerics:
+    """The stdlib stability test, pole radii and peak normalization of
+    gefdesign.biquad against exact arithmetic, np.roots and the np.dot
+    normalization they replaced."""
+
+    def test_stability_decision_is_exact(self):
+        for kind, a1, a2 in near_circle_sections(20, 4000):
+            assert accepts(a1, a2) == schur_cohn_exact(a1, a2), (kind, a1.hex(), a2.hex())
+
+    def test_radii_decide_as_np_roots_off_a_double_root(self):
+        # a double root on the circle is ill-conditioned: there neither the
+        # closed-form radii nor np.roots decide reliably, and the test above
+        # holds the exact decision; elsewhere both agree with it
+        for kind, a1, a2 in near_circle_sections(21, 4000):
+            if kind == "double":
+                continue
+            radii = biquad._quadratic_radii(a1, a2)
+            np_radii = np.abs(np.roots([1.0, a1, a2]))
+            np.testing.assert_allclose(sorted(radii), sorted(np_radii), rtol=1e-12)
+            if kind == "generic" or abs(max(np_radii) - 1.0) > 1e-14:
+                assert (max(radii) < 1.0) == bool(max(np_radii) < 1.0) == schur_cohn_exact(a1, a2)
+
+    def test_pole_radii_is_an_array_of_both_roots(self, filt_sharp6):
+        radii = filt_sharp6.pole_radii()
+        assert isinstance(radii, np.ndarray) and radii.shape == (12,)
+        _, _, _, a1, a2 = filt_sharp6.sections[0]
+        np.testing.assert_allclose(radii[:2], np.abs(np.roots([1.0, a1, a2])), rtol=1e-14)
+
+    def test_peak_normalization_no_worse_than_the_dot_reference(self):
+        rng = np.random.default_rng(22)
+        worst = {"ours": 0.0, "dot": 0.0}
+        worst_exact = {"ours": 0.0, "dot": 0.0}
+        for _ in range(1500):
+            fs = float(rng.choice([8000.0, 16000.0, 22050.0, 44100.0, 48000.0, 96000.0]))
+            theta = FilterConstants(rng.uniform(0.002, 0.6), 1.0, float(rng.integers(1, 9)))
+            f_peak = float(rng.uniform(10.0, 0.499 * fs))
+            filters = {"ours": to_sos(theta, f_peak, fs), "dot": dot_normalized(theta, f_peak, fs)}
+            assert filters["ours"].sections[0][3:] == filters["dot"].sections[0][3:]
+            for name, filt in filters.items():
+                error = abs(abs(digital_response(filt, f_peak)) - 1.0)
+                worst[name] = max(worst[name], error)
+                exact = abs(exact_peak_error(filt.sections[0], f_peak, fs))
+                worst_exact[name] = max(worst_exact[name], exact)
+        assert worst["ours"] <= worst["dot"]
+        # what remains is the rounding of the stored a1 and a2
+        assert worst_exact["ours"] < 1e-12 < worst_exact["dot"]
 
 
 class TestDigitalResponse:

@@ -117,6 +117,17 @@ class TestConstantQBank:
         with pytest.raises(ValueError):
             build_constant_q_bank(CfMap(8000.0, 1.0, 2.0), [0.0], spec)
 
+    def test_uniform_places_is_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        x_maxes = [0.0, 5e-324, 1e-320, 2.2e-308, 1.0, 3.3, 1e300,
+                   *rng.uniform(0.0, 10.0, 40), *(10.0 ** rng.uniform(-300.0, 300.0, 40))]
+        for x_max in x_maxes:
+            for n in (1, 2, 3, 7, 64, int(rng.integers(4, 500))):
+                places = uniform_places(CfMap(1000.0, 1.0, float(x_max)), n)
+                assert type(places) is list
+                want = np.linspace(0.0, x_max, n).tolist()
+                assert [x.hex() for x in places] == [x.hex() for x in want], (x_max, n)
+
     def test_uniform_places_log_uniform_in_cf(self):
         cf_map = CfMap(16000.0, 1.0, 3.0)
         places = uniform_places(cf_map, 4)
