@@ -5,7 +5,7 @@ A prototype with integer exponent b_u is a cascade of b_u identical
 all-pole analog sections.  ``to_sos`` maps one through the bilinear
 transform, prewarped so the digital magnitude peak lands exactly on the
 requested peak frequency, and scales it to unit magnitude there; every step
-is a closed form on scalars, so discretizing a filter does not load numpy.
+is arithmetic on scalars, so discretizing a filter does not load numpy.
 ``digital`` filters signals with the cascade and holds the numpy-backed
 responses.
 """
@@ -15,7 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleSpec, NoInteriorPeak, NonIntegerExponent, NyquistViolation, OutOfRange
+from .errors import (
+    InfeasibleSpec,
+    NoInteriorPeak,
+    NonIntegerExponent,
+    NyquistViolation,
+    OutOfRange,
+)
 from .scalar import FilterConstants, peak_beta
 
 
@@ -29,9 +35,9 @@ def _is_stable(a1: float, a2: float) -> bool:
 
 def _quadratic_radii(a1: float, a2: float) -> tuple:
     """The moduli of the roots of z**2 + a1 z + a2: sqrt(a2) for a complex
-    pair; for real roots |q| and |a2 / q|, q = -(a1 + sign(a1) sqrt(a1**2 - 4 a2)) / 2,
-    which adds two numbers of one sign, so neither root loses bits to
-    cancellation."""
+    pair; for real roots |q| and |a2 / q| with
+    q = -(a1 + sign(a1) sqrt(a1**2 - 4 a2)) / 2, which adds two numbers of
+    one sign, so neither root loses bits to cancellation."""
     disc = a1 * a1 - 4.0 * a2
     if disc < 0.0:
         radius = math.sqrt(a2)

@@ -3,11 +3,12 @@ of designed single-band filters.
 
 A channel at place x evaluates the shared normalized prototype at
 beta = f / CF(x), so a constant-Q bank needs one design for all channels.
-Laying out the bank (``CfMap``, ``build_constant_q_bank``, ``uniform_places``,
-``bank_to_dict``) needs no numpy and lives in ``bank``; this module
-re-exports it.  Multiband responses are complex sums of per-band responses, each
-peak-normalized to 1 before its user gain is applied; that convention makes
-the crosstalk matrix have an exactly zero diagonal.
+Laying out the bank (``CfMap``, ``build_constant_q_bank``,
+``uniform_places``, ``bank_to_dict``) needs no numpy and lives in ``bank``;
+this module re-exports it.  Multiband responses are complex sums of
+per-band responses, each peak-normalized to 1 before its user gain is
+applied; that convention makes the crosstalk matrix have an exactly zero
+diagonal.
 """
 
 from __future__ import annotations
