@@ -191,7 +191,8 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     the argmax maps exactly).  Each section is scaled to unit magnitude at
     the peak, making the cascade peak magnitude 1.  Raises OutOfRange when
     the rounded denominator has a pole on or outside the unit circle, as
-    for a_p / b_p near the float epsilon or f_peak a hair below fs/2.
+    for a_p / b_p near the float epsilon or f_peak a hair below fs/2, or
+    is not finite, as where a_p**2 + b_p**2 overflows.
     """
     _check_rates(f_peak, fs)
     if not theta.is_integer_exponent:
@@ -202,11 +203,10 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
 
     # scale chosen so the analog peak (at beta_star) maps to f_peak
     w = 2.0 * fs * math.tan(math.pi * f_peak / fs) / _bandpass_peak(theta)
-    _, (_, a1, a2) = _bilinear_all_pole(
-        2.0 * theta.a_p * w, (theta.a_p**2 + theta.b_p**2) * w * w, fs
-    )
+    a_p, b_p = theta.a_p, theta.b_p
+    _, (_, a1, a2) = _bilinear_all_pole(2.0 * a_p * w, (a_p * a_p + b_p * b_p) * w * w, fs)
     if not _is_stable(a1, a2):
-        raise OutOfRange(f"{theta} at f_peak = {f_peak:g} Hz and fs = {fs:g} Hz has no "
+        raise OutOfRange(f"{theta} at f_peak = {f_peak:g} Hz and fs = {fs:g} Hz has no finite "
                          "biquad with poles strictly inside the unit circle in floating point")
     # the numerator is b0 (1, 2, 1), with b0 set for unit magnitude at f_peak
     b0 = _unit_peak_b0(a1, a2, f_peak, fs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -64,7 +65,9 @@ class FrequencyGrid:
     tail_points: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        # a read-only copy, so the cached weights stay those of the samples
+        samples = np.array(self.samples, dtype=float)
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size < 16:
             raise ValueError("grid needs a 1-D vector of at least 16 samples")
@@ -72,6 +75,13 @@ class FrequencyGrid:
             raise ValueError("grid samples must be positive")
         if np.any(np.diff(samples) <= 0.0):
             raise ValueError("grid samples must be strictly increasing")
+
+    @cached_property
+    def _weights(self) -> tuple:
+        """The finite-difference and Simpson coefficients of the samples
+        (``_Gradient``, ``_Simpson``), computed on first use, so that every
+        extraction on this grid shares them."""
+        return _Gradient(self.samples), _Simpson(self.samples)
 
     def meta(self) -> dict:
         return {
@@ -251,7 +261,8 @@ def closed_form(
     ERB  = sqrt(pi) a_p Gamma(b_u - 1/2)/Gamma(b_u)   Q_erb = b_p / ERB
 
     The ERB pair is omitted (None) when b_u <= 1/2.  Raises OutOfRange when
-    a characteristic of the constants is not a finite float.
+    a characteristic of the constants is not a finite positive float (one
+    overflows, or S underflows to 0 for a_p past about 1e155).
     """
     a, b, bu = theta.a_p, theta.b_p, theta.b_u
     q_n, bw = {}, {}
@@ -269,10 +280,10 @@ def closed_form(
     n_beta, phi_accum, s_beta = (
         CHARACTERISTIC[key](a, b, bu, None) for key in ("n_cycles", "phi_accum", "s_beta")
     )
-    values = [n_beta, s_beta, *q_n.values(), *bw.values()]
+    values = [n_beta, phi_accum, s_beta, *q_n.values(), *bw.values()]
     values += [value for value in (erb, q_erb) if value is not None]
-    if not all(math.isfinite(value) for value in values):
-        raise OutOfRange(f"characteristics of {theta} are not all finite")
+    if not all(math.isfinite(value) and value > 0.0 for value in values):
+        raise OutOfRange(f"characteristics of {theta} are not all finite and > 0")
     return CharacteristicReport(
         beta_peak=b,
         n_beta=n_beta,
@@ -305,39 +316,100 @@ def _divide_or_zero(num, den):
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
 
 
-def _simpson(y: np.ndarray, x: np.ndarray):
-    """Composite Simpson integral of samples y at increasing points x.
+class _Gradient:
+    """Centered differences at increasing points x, with the coefficients
+    that depend on x alone computed once; calling it with samples f gives
+    the slope of f at every point.
+
+    A port of numpy.gradient (2.4) for 1-D samples and edge_order 1 that
+    keeps its operations and their order, so the slope is bit-identical:
+    the three-point non-uniform rule a f[:-2] + b f[1:-1] + c f[2:] inside,
+    (f[2:] - f[:-2]) / (2 dx) instead where every step is equal, and
+    one-sided differences at the two ends.
+    """
+
+    def __init__(self, x: np.ndarray):
+        dx = np.diff(x)
+        self.first, self.last = dx[0], dx[-1]
+        if (dx == dx[0]).all():
+            self.two_dx, self.coefficients = 2.0 * dx[0], None
+        else:
+            dx1, dx2 = dx[0:-1], dx[1:]
+            self.coefficients = (
+                -dx2 / (dx1 * (dx1 + dx2)),
+                (dx2 - dx1) / (dx1 * dx2),
+                dx1 / (dx2 * (dx1 + dx2)),
+            )
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        out = np.empty_like(f)
+        if self.coefficients is None:
+            out[1:-1] = (f[2:] - f[:-2]) / self.two_dx
+        else:
+            a, b, c = self.coefficients
+            out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
+        out[0] = (f[1] - f[0]) / self.first
+        out[-1] = (f[-1] - f[-2]) / self.last
+        return out
+
+
+class _Simpson:
+    """Composite Simpson weights of increasing points x; calling it with
+    samples y gives their integral.
 
     A port of scipy.integrate.simpson (1.17) for 1-D samples that keeps its
     operations and their order, so the result is bit-identical: the
-    non-uniform three-point rule over consecutive interval pairs and, for an
-    even sample count, Cartwright's correction for the last interval (the
-    trapezoid rule when there are only two samples).
+    non-uniform three-point rule over consecutive interval pairs, the sum of
+    (hsum / 6) (y0 A + y1 B + y2 C) with A, B, C factors of the interval
+    pair, and, for an even sample count, Cartwright's correction for the
+    last interval (the trapezoid rule when there are only two samples).
     """
-    n = y.size
-    if n == 2:
-        return 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
-    stop = n - 2 if n % 2 else n - 3
-    h = np.diff(x)
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = _divide_or_zero(h0, h1)
-    result = np.sum(
-        hsum / 6.0 * (
-            y[0:stop:2] * (2.0 - _divide_or_zero(1.0, h0divh1))
-            + y[1:stop + 1:2] * (hsum * _divide_or_zero(hsum, hprod))
-            + y[2:stop + 2:2] * (2.0 - h0divh1)
+
+    def __init__(self, x: np.ndarray):
+        n = x.size
+        self.n = n
+        if n == 2:
+            self.half_h = 0.5 * (x[-1] - x[-2])
+            return
+        self.stop = stop = n - 2 if n % 2 else n - 3
+        h = np.diff(x)
+        h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+        hsum = h0 + h1
+        hprod = h0 * h1
+        h0divh1 = _divide_or_zero(h0, h1)
+        self.hsum6 = hsum / 6.0
+        self.factors = (
+            2.0 - _divide_or_zero(1.0, h0divh1),
+            hsum * _divide_or_zero(hsum, hprod),
+            2.0 - h0divh1,
         )
-    )
-    if n % 2 == 0:
-        # 0-d arrays, as in scipy, so that h1 ** 3 takes numpy's power loop
-        h0, h1 = h[-2:-1].reshape(()), h[-1:].reshape(())
-        alpha = _divide_or_zero(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
-        beta = _divide_or_zero(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
-        eta = _divide_or_zero(h1 ** 3, 6 * h0 * (h0 + h1))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result
+        self.correction = None
+        if n % 2 == 0:
+            # 0-d arrays, as in scipy, so that h1 ** 3 takes numpy's power loop
+            h0, h1 = h[-2:-1].reshape(()), h[-1:].reshape(())
+            self.correction = (
+                _divide_or_zero(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0)),
+                _divide_or_zero(h1 ** 2 + 3.0 * h0 * h1, 6 * h0),
+                _divide_or_zero(h1 ** 3, 6 * h0 * (h0 + h1)),
+            )
+
+    def __call__(self, y: np.ndarray):
+        if self.n == 2:
+            return self.half_h * (y[-1] + y[-2])
+        stop = self.stop
+        a, b, c = self.factors
+        result = np.sum(
+            self.hsum6 * (y[0:stop:2] * a + y[1:stop + 1:2] * b + y[2:stop + 2:2] * c)
+        )
+        if self.correction is not None:
+            alpha, beta, eta = self.correction
+            result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+        return result
+
+
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson integral of samples y at increasing points x."""
+    return _Simpson(x)(y)
 
 
 def _complex_log(response: Callable, betas: np.ndarray) -> LogResponse:
@@ -384,9 +456,12 @@ def extract_numeric(
     span of Im L over the grid divided by 2 pi; S by a second-order central
     difference of the level at the peak with step 4 * dense_step.
 
+    The difference and quadrature coefficients depend on the grid alone;
+    the grid computes them once and every extraction on it shares them.
+
     Raises OutOfRange when L is not finite on the grid, when |H| passes the
-    largest float somewhere on it, or when the quadrature ERB is not
-    positive.
+    largest float somewhere on it, or when the quadrature ERB or the
+    difference S is not finite and positive.
     """
     betas = grid.samples
     if not isinstance(response, LogResponse):
@@ -439,13 +514,14 @@ def extract_numeric(
         bw[n] = width
         q_n[n] = beta_pk / width
 
+    gradient, integral = grid._weights
     power = np.exp(2.0 * (log_mag - peak_log_mag))
-    erb = float(_simpson(power, betas))
+    erb = float(integral(power))
     if not erb > 0.0:
         raise OutOfRange(f"Simpson quadrature gives a non-positive ERB of {erb:g}")
     q_erb = beta_pk / erb
 
-    slope = np.gradient(phase, betas)
+    slope = gradient(phase)
     n_beta = float(np.max(-slope)) / TWO_PI
     phi_accum = float(phase.max() - phase.min()) / TWO_PI
 
@@ -453,6 +529,12 @@ def extract_numeric(
     s_beta = -(level_at(beta_pk + h) - 2.0 * peak_level + level_at(beta_pk - h)) / (
         h * h
     )
+    if not (math.isfinite(s_beta) and s_beta > 0.0):
+        # as where the step is below the spacing of floats at the peak
+        raise OutOfRange(
+            f"the level's second difference at beta_peak = {beta_pk:g} with step "
+            f"{h:g} gives S = {s_beta:g}, not a finite positive value"
+        )
 
     return CharacteristicReport(
         beta_peak=beta_pk,

@@ -18,6 +18,8 @@ from gefdesign import (
 from gefdesign import characteristics, core
 from gefdesign.characteristics import (
     FrequencyGrid,
+    _Gradient,
+    _Simpson,
     _level_crossing,
     _simpson,
     erb_closed_form,
@@ -55,6 +57,11 @@ class TestClosedForm:
         assert report.q_n[10.0] == pytest.approx(14.6, abs=0.03)
         assert report.s_beta == pytest.approx((20.0 / LN10) * 6.0 / 0.0025, rel=1e-12)
         assert report.s_beta == pytest.approx(2.08e4, rel=5e-3)
+
+    def test_underflowing_s_raises(self):
+        # S = (20/ln 10) b_u / a_p**2 underflows to 0 past a_p of about 1e155
+        with pytest.raises(OutOfRange, match="finite and > 0"):
+            closed_form(FilterConstants(1e160, 1e161, 2.0))
 
     def test_wide_case_values(self, theta_wide7):
         report = closed_form(theta_wide7)
@@ -180,6 +187,15 @@ class TestDefaultGrid:
 
 
 class TestExtractNumeric:
+    def test_s_step_below_float_spacing_raises(self):
+        # 4 * dense_step = 2e-22 is below the spacing of floats at beta = 0.05
+        # (about 7e-18), so the second difference of the level reads -0.0
+        theta = FilterConstants(1e-20, 0.05, 2.0)
+        grid = default_grid(theta)
+        assert 4.0 * grid.dense_step < math.ulp(0.05)
+        with pytest.raises(OutOfRange, match="second difference"):
+            extract_numeric(core.log_response(theta, grid.samples, ("p",))["p"], grid)
+
     def test_sharp_form_reproduces_closed_forms(self, theta_sharp6):
         # the closed forms are exact for the one-sided response
         report = extract_numeric(partial(eval_sharp, theta_sharp6), default_grid(theta_sharp6))
@@ -515,3 +531,68 @@ class TestSimpsonPort:
             assert _simpson(y, x) == simpson(y, x=x), size
             x, y = betas[:size], power[:size]
             assert _simpson(y, x) == simpson(y, x=x), size
+
+
+def weight_grids():
+    """Sample vectors for the weight tests: default grids of seeded
+    constants, exactly uniform spacing, odd and even counts, the minimum."""
+    rng = np.random.default_rng(21)
+    grids = {}
+    for k in range(4):
+        a_p = float(rng.uniform(0.005, 0.19))
+        theta = FilterConstants(a_p, float(rng.uniform(0.5, 3.0)), float(rng.uniform(1.0, 12.0)))
+        grids[f"default_{k}"] = default_grid(theta).samples
+    for n in (16, 17, 1000, 1001):
+        grids[f"uniform_{n}"] = 0.5 + 0.375 * np.arange(n)  # every step exactly 3/8
+        grids[f"geometric_{n}"] = np.geomspace(1e-3, 10.0, n)
+    grids["min_jittered"] = np.sort(rng.uniform(0.1, 2.0, 16))
+    return grids
+
+
+class TestExtractionWeights:
+    """The difference and Simpson coefficients computed once per grid, applied
+    to samples, against numpy.gradient and scipy.integrate.simpson."""
+
+    GRIDS = weight_grids()
+
+    def test_grids_cover_both_spacings_and_parities(self):
+        uniform = [np.all(np.diff(x) == np.diff(x)[0]) for x in self.GRIDS.values()]
+        assert any(uniform) and not all(uniform)
+        assert {x.size % 2 for x in self.GRIDS.values()} == {0, 1}
+        assert min(x.size for x in self.GRIDS.values()) == 16
+        assert {x.size % 2 for name, x in self.GRIDS.items() if name.startswith("default")} == {0, 1}
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_gradient_matches_numpy_bit_for_bit(self, name):
+        x = self.GRIDS[name]
+        gradient = FrequencyGrid(x, 1.0, 0.01, float(x[-1]), 0)._weights[0]
+        rng = np.random.default_rng(x.size)
+        for f in (np.sin(3.0 * x) - x * x, rng.standard_normal(x.size), -7.0 * np.log(x)):
+            assert np.array_equal(gradient(f), np.gradient(f, x)), name
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_simpson_matches_scipy_bit_for_bit(self, name):
+        from scipy.integrate import simpson
+
+        x = self.GRIDS[name]
+        integral = FrequencyGrid(x, 1.0, 0.01, float(x[-1]), 0)._weights[1]
+        rng = np.random.default_rng(x.size)
+        for y in (np.exp(-((x - 1.0) ** 2)), rng.uniform(0.0, 1.0, x.size), x ** -1.5):
+            assert integral(y) == simpson(y, x=x), name
+            assert _simpson(y, x) == simpson(y, x=x), name
+
+    def test_grid_computes_its_weights_once(self, theta_sharp6):
+        grid = default_grid(theta_sharp6)
+        assert grid._weights is grid._weights
+        gradient, integral = grid._weights
+        assert isinstance(gradient, _Gradient) and isinstance(integral, _Simpson)
+        assert gradient.coefficients is not None  # the default grid is non-uniform
+
+    def test_samples_are_a_read_only_copy(self):
+        x = 0.5 + 0.125 * np.arange(16)
+        grid = FrequencyGrid(x, 1.0, 0.125, 2.375, 0)
+        assert grid.samples is not x and np.array_equal(grid.samples, x)
+        with pytest.raises(ValueError):
+            grid.samples[0] = 0.25
+        x[0] = 0.25  # the caller's array stays its own
+        assert grid.samples[0] == 0.5

@@ -20,9 +20,11 @@ from gefdesign import (
     CharacteristicSpec,
     FilterConstants,
     closed_form,
+    default_grid,
     design,
     digital_response,
     eval_gef,
+    extract_numeric,
     level_db,
     phase_rad,
     to_sos,
@@ -30,6 +32,7 @@ from gefdesign import (
 from gefdesign.cli import run
 from gefdesign.core import DB_PER_LOG, log_response
 from gefdesign.digital import DigitalFilter, SignalBuffer, apply_sos, read_wav, write_wav
+from gefdesign.errors import GefError
 
 N_SHARP6_TEXT = "19.098593171027442"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -72,6 +75,11 @@ def run_captured(argv):
     errors = [json.loads(line) for line in err.getvalue().splitlines()
               if line.startswith('{"error"')]
     return code, out.getvalue(), errors
+
+
+def extract_numeric_p(theta, grid):
+    """What `analyze` extracts: the full filter's log response on the grid."""
+    return extract_numeric(log_response(theta, grid.samples, ("p",))["p"], grid)
 
 
 def round12(obj):
@@ -362,6 +370,33 @@ class TestBadInputFiles:
     def test_design_overflow_exits_3(self, capsys, argv):
         assert run(["design", *argv]) == 3
         assert error_type(capsys) == "OutOfRange"
+
+    @pytest.mark.parametrize("argv, constants, call", [
+        # S's step 4 * dense_step is below the spacing of floats at beta_peak
+        (["analyze"], {"a_p": 1e-20, "b_p": 0.05, "b_u": 2},
+         lambda theta: extract_numeric_p(theta, default_grid(theta))),
+        # S = (20/ln 10) b_u / a_p**2 underflows to 0
+        (["analyze"], {"a_p": 1e160, "b_p": 1e161, "b_u": 2}, closed_form),
+        # a_p**2 + b_p**2 overflows in the analog section
+        (["discretize", "--peak-hz", "1000", "--fs", "48000"],
+         {"a_p": 1e-300, "b_p": 1e155, "b_u": 1},
+         lambda theta: to_sos(theta, 1000.0, 48000.0)),
+    ])
+    def test_extreme_constants_exit_3_without_traceback(self, tmp_path, argv, constants, call):
+        (tmp_path / "c.json").write_text(json.dumps(constants))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gefdesign.cli", *argv, "--constants", "c.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "OutOfRange"
+        with pytest.raises(GefError):
+            call(FilterConstants.from_dict(constants))
 
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '"constants"', '{"constants": 5}'])
     def test_non_object_constants_exits_3(self, tmp_path, capsys, text):

@@ -131,6 +131,15 @@ class TestToSos:
         with pytest.raises(OutOfRange):
             to_sos(theta, f_peak, fs)
 
+    @pytest.mark.parametrize("theta", [
+        FilterConstants(1e-300, 1e155, 1.0),  # b_p * b_p overflows, a_p * a_p underflows
+        FilterConstants(1e200, 1e201, 2.0),
+    ])
+    def test_overflowing_section_rejected(self, theta):
+        # a_p**2 + b_p**2 passes the largest float: the section is not finite
+        with pytest.raises(OutOfRange, match="no finite biquad"):
+            to_sos(theta, F_PEAK, FS)
+
     @pytest.mark.parametrize("a_p,b_u", [(0.02, 3.0), (0.05, 6.0), (0.1, 7.0), (0.2, 2.0)])
     @pytest.mark.parametrize("f_peak", [200.0, 1000.0, 8000.0])
     def test_stability_preserved(self, a_p, b_u, f_peak):
