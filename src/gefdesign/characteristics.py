@@ -11,6 +11,9 @@ Two independent routes produce the same characteristic set
   convexity.  It works on the log response L = log H (levels from Re L,
   phase from Im L) and never consults the closed forms, so it can serve as
   an oracle for them.
+
+``default_grid`` samples a uniform window around the peak, then steps that
+grow by GRID_GROWTH per sample out to both ends, at any sharpness.
 """
 
 from __future__ import annotations
@@ -53,10 +56,16 @@ def level_label(n_db: float) -> str:
     return f"{n_db:g}".replace(".", "_").replace("-", "m")
 
 
+GRID_FLOOR = 1e-3
+GRID_GROWTH = 1.02
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Nonuniform beta sampling: a dense linear window around the peak plus
-    logarithmic tails covering [beta_min, tail_max]."""
+    """Increasing beta samples: a uniform window of half-width
+    ``dense_halfwidth`` and step ``dense_step`` around the peak, and graded
+    tails out to ``tail_max`` above it and down to the floor below it;
+    ``tail_points`` counts the tail samples, those outside the window."""
 
     samples: np.ndarray
     dense_halfwidth: float
@@ -95,43 +104,47 @@ class FrequencyGrid:
         }
 
 
-def default_grid(
-    theta: FilterConstants,
-    tail_max: float | None = None,
-    beta_min: float = 1e-3,
-    tail_points: int = 2048,
-) -> FrequencyGrid:
+def _graded_offsets(step: float, span: float) -> np.ndarray:
+    """Running sums of the steps step * GRID_GROWTH**j, j >= 1, to one or two past span."""
+    g = GRID_GROWTH
+    count = (math.log(max(span, 0.0) * (g - 1.0) / g + step) - math.log(step)) / math.log(g)
+    return step * np.cumsum(g ** np.arange(1, int(count) + 3))
+
+
+def default_grid(theta: FilterConstants, tail_max: float | None = None) -> FrequencyGrid:
     """Build the standard extraction grid for a filter.
 
-    Dense window [b_p - 12 a_p, b_p + 12 a_p] at step a_p / 200 (clipped to
-    positive beta and always containing b_p exactly), log-spaced tails from
-    beta_min out to tail_max = b_p + max(8, 60 a_p) unless overridden.
-    Raises OutOfRange when b_p does not sit above beta_min.
+    A uniform window [b_p - 12 a_p, b_p + 12 a_p] at step a_p / 200 (kept
+    more than half a step above GRID_FLOOR, so that no sample sits next to
+    the floor, and always containing b_p exactly).  Out of it each step
+    is GRID_GROWTH times the last, up to tail_max = b_p + max(8, 60 a_p)
+    unless given, and down to GRID_FLOOR, where no step passes 2% of beta,
+    so the low tail ends geometric.  tail_max and GRID_FLOOR are the ends.
+    Raises OutOfRange when b_p does not sit half a step above GRID_FLOOR, or
+    tail_max is not finite and above it.
     """
     a, b = theta.a_p, theta.b_p
-    step = a / 200.0
-    halfwidth = 12.0 * a
-    if tail_max is None:
-        tail_max = b + max(8.0, 60.0 * a)
-    if tail_max <= beta_min:
-        raise ValueError("tail_max must exceed beta_min")
+    step, halfwidth = a / 200.0, 12.0 * a
+    tail_max = b + max(8.0, 60.0 * a) if tail_max is None else tail_max
+    if not GRID_FLOOR < tail_max < math.inf:
+        raise OutOfRange(f"tail_max = {tail_max:g} must be finite and above {GRID_FLOOR:g}")
     k = int(round(halfwidth / step))
     dense = b + step * np.arange(-k, k + 1)
-    dense = dense[dense > beta_min]
+    dense = dense[dense > GRID_FLOOR + 0.5 * step]
     if dense.size == 0 or dense[0] > b:
-        raise OutOfRange(f"peak b_p = {b:g} must sit above beta_min = {beta_min:g}")
-    tails = np.geomspace(beta_min, float(tail_max), int(tail_points))
-    samples = np.concatenate(
-        [tails[tails < dense[0]], dense, tails[tails > dense[-1]]]
-    )
-    keep = np.concatenate([[True], np.diff(samples) > 0.0])
-    return FrequencyGrid(
-        samples=samples[keep],
-        dense_halfwidth=halfwidth,
-        dense_step=step,
-        tail_max=float(tail_max),
-        tail_points=int(tail_points),
-    )
+        raise OutOfRange(f"peak b_p = {b:g} must sit half a step above {GRID_FLOOR:g}")
+    high = dense[-1] + _graded_offsets(step, tail_max - dense[-1])
+    low = dense[0] - np.append(0.0, _graded_offsets(step, dense[0]))
+    # from the first sample whose next step would pass 2% of it, each step is 2%
+    j = int(np.argmax(low[:-1] - low[1:] > 0.02 * low[:-1]))
+    n = int(math.log(low[j] / GRID_FLOOR) / -math.log(0.98)) + 2
+    low = np.append(low[1:j + 1], low[j] * 0.98 ** np.arange(1, n))
+    samples = np.concatenate([[GRID_FLOOR], low[low > GRID_FLOOR][::-1], dense,
+                              high[high < tail_max], [tail_max]])
+    samples = samples[np.concatenate([[True], np.diff(samples) > 0.0])]
+    tail_points = np.count_nonzero((samples < dense[0]) | (samples > dense[-1]))
+    return FrequencyGrid(samples=samples, dense_halfwidth=halfwidth, dense_step=step,
+                         tail_max=float(tail_max), tail_points=int(tail_points))
 
 
 @dataclass(frozen=True)
@@ -354,23 +367,19 @@ class _Gradient:
 
 
 class _Simpson:
-    """Composite Simpson weights of increasing points x; calling it with
-    samples y gives their integral.
+    """Composite Simpson weights of three or more increasing points x;
+    calling it with samples y gives their integral.
 
     A port of scipy.integrate.simpson (1.17) for 1-D samples that keeps its
     operations and their order, so the result is bit-identical: the
     non-uniform three-point rule over consecutive interval pairs, the sum of
     (hsum / 6) (y0 A + y1 B + y2 C) with A, B, C factors of the interval
     pair, and, for an even sample count, Cartwright's correction for the
-    last interval (the trapezoid rule when there are only two samples).
+    last interval.
     """
 
     def __init__(self, x: np.ndarray):
         n = x.size
-        self.n = n
-        if n == 2:
-            self.half_h = 0.5 * (x[-1] - x[-2])
-            return
         self.stop = stop = n - 2 if n % 2 else n - 3
         h = np.diff(x)
         h0, h1 = h[0:stop:2], h[1:stop + 1:2]
@@ -394,8 +403,6 @@ class _Simpson:
             )
 
     def __call__(self, y: np.ndarray):
-        if self.n == 2:
-            return self.half_h * (y[-1] + y[-2])
         stop = self.stop
         a, b, c = self.factors
         result = np.sum(
@@ -405,11 +412,6 @@ class _Simpson:
             alpha, beta, eta = self.correction
             result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
         return result
-
-
-def _simpson(y: np.ndarray, x: np.ndarray):
-    """Composite Simpson integral of samples y at increasing points x."""
-    return _Simpson(x)(y)
 
 
 def _complex_log(response: Callable, betas: np.ndarray) -> LogResponse:
@@ -448,7 +450,8 @@ def extract_numeric(
         dB levels for bandwidths and quality factors.
 
     Procedure, on L: peak by golden-section refinement of Re L around the
-    best sample (ties break to the smallest beta); BW_n by Brent's method on
+    best sample (ties break to the smallest beta) to within
+    min(1e-10, dense_step / 100); BW_n by Brent's method on
     the level (20/ln 10) Re L between bracketing samples on each side; ERB by
     composite Simpson quadrature of the normalized power
     exp(2 (Re L - Re L_peak)) over the full grid span; N as the maximum of
@@ -460,8 +463,9 @@ def extract_numeric(
     the grid computes them once and every extraction on it shares them.
 
     Raises OutOfRange when L is not finite on the grid, when |H| passes the
-    largest float somewhere on it, or when the quadrature ERB or the
-    difference S is not finite and positive.
+    largest float somewhere on it, when the quadrature ERB or the
+    difference S is not finite and positive, or when the two crossings of a
+    level give no positive width.
     """
     betas = grid.samples
     if not isinstance(response, LogResponse):
@@ -490,9 +494,19 @@ def extract_numeric(
 
     # the scalar probes take Python floats, so Brent's method and the golden
     # section do float arithmetic on math
-    beta_pk = _golden_max(log_mag_at, float(betas[i_pk - 1]), float(betas[i_pk + 1]), tol=1e-10)
+    beta_pk = _golden_max(log_mag_at, float(betas[i_pk - 1]), float(betas[i_pk + 1]),
+                          tol=min(1e-10, 0.01 * grid.dense_step))
     peak_log_mag = log_mag_at(beta_pk)
     peak_level = DB_PER_LOG * peak_log_mag
+
+    h = 4.0 * grid.dense_step
+    s_beta = -(level_at(beta_pk + h) - 2.0 * peak_level + level_at(beta_pk - h)) / (h * h)
+    if not (math.isfinite(s_beta) and s_beta > 0.0):
+        # as where the step is below the spacing of floats at the peak
+        raise OutOfRange(
+            f"the level's second difference at beta_peak = {beta_pk:g} with step "
+            f"{h:g} gives S = {s_beta:g}, not a finite positive value"
+        )
 
     levels = DB_PER_LOG * log_mag
 
@@ -511,6 +525,9 @@ def extract_numeric(
         j = int(below[-1])
         lower = _level_crossing(level_at, target, float(betas[j]), float(betas[j + 1]))
         width = upper - lower
+        if not width > 0.0:
+            # both crossings round to one float where the width is below its spacing
+            raise OutOfRange(f"the {n:g} dB crossings at beta = {lower:g} give no width")
         bw[n] = width
         q_n[n] = beta_pk / width
 
@@ -521,20 +538,8 @@ def extract_numeric(
         raise OutOfRange(f"Simpson quadrature gives a non-positive ERB of {erb:g}")
     q_erb = beta_pk / erb
 
-    slope = gradient(phase)
-    n_beta = float(np.max(-slope)) / TWO_PI
+    n_beta = float(np.max(-gradient(phase))) / TWO_PI
     phi_accum = float(phase.max() - phase.min()) / TWO_PI
-
-    h = 4.0 * grid.dense_step
-    s_beta = -(level_at(beta_pk + h) - 2.0 * peak_level + level_at(beta_pk - h)) / (
-        h * h
-    )
-    if not (math.isfinite(s_beta) and s_beta > 0.0):
-        # as where the step is below the spacing of floats at the peak
-        raise OutOfRange(
-            f"the level's second difference at beta_peak = {beta_pk:g} with step "
-            f"{h:g} gives S = {s_beta:g}, not a finite positive value"
-        )
 
     return CharacteristicReport(
         beta_peak=beta_pk,

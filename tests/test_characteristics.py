@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -17,11 +19,12 @@ from gefdesign import (
 )
 from gefdesign import characteristics, core
 from gefdesign.characteristics import (
+    GRID_FLOOR,
+    GRID_GROWTH,
     FrequencyGrid,
     _Gradient,
     _Simpson,
     _level_crossing,
-    _simpson,
     erb_closed_form,
     numeric_values,
     qerb_closed_form,
@@ -35,7 +38,7 @@ from gefdesign.errors import (
     NoInteriorPeak,
     OutOfRange,
 )
-from gefdesign.scalar import DB_PER_LOG
+from gefdesign.scalar import DB_PER_LOG, TWO_PI
 
 LN10 = math.log(10.0)
 
@@ -185,6 +188,65 @@ class TestDefaultGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(np.array([0.1, 0.1, 0.2] * 10), 0.1, 0.01, 1.0, 10)
 
+    def test_theta_and_tail_max_are_the_only_parameters(self):
+        assert list(inspect.signature(default_grid).parameters) == ["theta", "tail_max"]
+
+    @pytest.mark.parametrize("a_p, b_p", [(0.05, 1.0), (1e-5, 1.0), (0.013, 0.7),
+                                          (2.0, 40.0), (1e-9, 0.02)])
+    def test_window_then_graded_tails(self, a_p, b_p):
+        grid = default_grid(FilterConstants(a_p, b_p, 2.0))
+        x, step = grid.samples, grid.dense_step
+        window = b_p + step * np.arange(-2400, 2401)
+        assert x[0] == GRID_FLOOR and x[-1] == grid.tail_max == b_p + max(8.0, 60.0 * a_p)
+        i = int(np.searchsorted(x, window[0]))
+        assert np.array_equal(x[i:i + window.size], window)
+        assert grid.tail_points == x.size - window.size
+        # above the window each step is 1.02 times the last, up to tail_max;
+        # the samples are rounded sums, so a step is exact to two ulps
+        above = x[i + window.size - 1:]
+        h, ulps = np.diff(above), 2.0 * np.spacing(above[1:])
+        grown = step * GRID_GROWTH ** np.arange(1, h.size + 1)
+        np.testing.assert_allclose(h[:-1], grown[:-1], rtol=1e-9, atol=ulps.max())
+        assert 0.0 < h[-1] <= grown[-1] + ulps[-1]
+        # below it, 1.02 times the last until a step would pass 2% of beta,
+        # then 2% of beta, down to the floor
+        below = x[:i + 1][::-1]
+        h, ulps = -np.diff(below), 2.0 * np.spacing(below[:-1])
+        grown = step * GRID_GROWTH ** np.arange(1, h.size + 1)
+        capped = np.minimum(grown, 0.02 * below[:-1])
+        np.testing.assert_allclose(h[:-1], capped[:-1], rtol=1e-9, atol=ulps.max())
+        assert 0.0 < h[-1] <= capped[-1] + ulps[-1]
+        assert np.any(grown > 0.02 * below[:-1])  # the cap binds on every case
+
+    def test_clipped_window_keeps_half_a_step_above_the_floor(self):
+        # b_p - 12 a_p is 1 - 1998 * step; the window's sample there would sit
+        # 8.7e-19 above the floor sample, and the Simpson weights of so short
+        # an interval cancel to a relative ERB error of 9.5e-8
+        grid = default_grid(FilterConstants(0.1, 1.0, 1.0))
+        step = grid.dense_step
+        assert 1.0 - 1998 * step - GRID_FLOOR < 1e-18
+        assert 1.0 - 1997 * step in grid.samples
+        assert 1.0 - 1998 * step not in grid.samples
+
+    @pytest.mark.parametrize("tail_max", [GRID_FLOOR, 0.0, math.inf, math.nan])
+    def test_tail_max_must_be_finite_and_above_the_floor(self, theta_sharp6, tail_max):
+        with pytest.raises(OutOfRange):
+            default_grid(theta_sharp6, tail_max=tail_max)
+
+    def test_peak_at_the_floor_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="must sit half a step above"):
+            default_grid(FilterConstants(1e-6, GRID_FLOOR, 2.0))
+
+    def test_overflowing_tail_max_is_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            default_grid(FilterConstants(1e307, 1e308, 2.0))
+
+    def test_sub_ulp_steps_collapse_to_distinct_samples(self):
+        # a_p / 200 is 5e-27, far below the spacing of floats at b_p = 1e6
+        grid = default_grid(FilterConstants(1e-24, 1e6, 2.0))
+        assert np.all(np.diff(grid.samples) > 0.0)
+        assert np.count_nonzero(grid.samples == 1e6) == 1
+
 
 class TestExtractNumeric:
     def test_s_step_below_float_spacing_raises(self):
@@ -194,6 +256,15 @@ class TestExtractNumeric:
         grid = default_grid(theta)
         assert 4.0 * grid.dense_step < math.ulp(0.05)
         with pytest.raises(OutOfRange, match="second difference"):
+            extract_numeric(core.log_response(theta, grid.samples, ("p",))["p"], grid)
+
+    def test_crossings_within_one_float_raise(self):
+        # BW_3 = 0.1 is below the spacing of floats at 2**52 (1.0), so both
+        # 3 dB crossings round to one float, though S's step 1.28 resolves
+        theta = FilterConstants(64.0, 2.0**52, 1e6)
+        grid = default_grid(theta)
+        assert closed_form(theta).bw_n_beta[3.0] < math.ulp(2.0**52) < 4.0 * grid.dense_step
+        with pytest.raises(OutOfRange, match="3 dB crossings .* give no width"):
             extract_numeric(core.log_response(theta, grid.samples, ("p",))["p"], grid)
 
     def test_sharp_form_reproduces_closed_forms(self, theta_sharp6):
@@ -294,6 +365,71 @@ class TestExtractNumeric:
         want = closed_form(theta_sharp6, n_levels=levels)
         for n in levels:
             assert abs(report.bw_n_beta[n] - want.bw_n_beta[n]) < 4.0 * grid.dense_step
+
+
+class TestSharpEnd:
+    """The oracle on the sharp form, whose closed forms are exact, from
+    a_p / b_p = 0.19 down to 1e-12 and b_u from 1 to 20.  The grid spans
+    [GRID_FLOOR, tail_max], so the extracted ERB and phi_accum fall short of
+    the closed forms by the cut tails (0.358 a_p / b_p at b_p = 1 and b_u = 1,
+    less for larger b_u).  Each is held against its exact value over that
+    span; each bound is stated with its measured worst case."""
+
+    RATIOS = (0.19, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12)
+    EXPONENTS = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0, 13.0, 20.0)
+
+    @staticmethod
+    def span_values(theta, grid):
+        """Exact ERB and phi_accum of the sharp form over the grid's span: the
+        power is (1 + x**2)**-b_u in x = (beta - b_p) / a_p, a Student t density
+        with 2 b_u - 1 degrees of freedom, and the phase is -b_u atan(x)."""
+        from scipy.special import betainc
+
+        a, b, b_u = theta.a_p, theta.b_p, theta.b_u
+        ends = ((b - grid.samples[0]) / a, (grid.samples[-1] - b) / a)
+        cut = sum(0.5 * betainc(b_u - 0.5, 0.5, 1.0 / (1.0 + x * x)) for x in ends)
+        phi = b_u * sum(math.atan(x) for x in ends) / TWO_PI
+        return erb_closed_form(theta) * (1.0 - cut), phi
+
+    @pytest.mark.parametrize("b_p", [0.05, 1.0, 37.0, 2000.0])
+    def test_erb_phi_and_crossings(self, b_p):
+        worst = {"erb": 0.0, "erb_sub_ulp": 0.0, "phi": 0.0, "bw": 0.0}
+        for ratio in self.RATIOS:
+            for b_u in self.EXPONENTS:
+                theta = FilterConstants(ratio * b_p, b_p, b_u)
+                grid = default_grid(theta)
+                got = extract_numeric(
+                    core.log_response(theta, grid.samples, ("p_sharp",))["p_sharp"], grid
+                )
+                erb, phi = self.span_values(theta, grid)
+                key = "erb" if ratio >= 1e-9 else "erb_sub_ulp"
+                worst[key] = max(worst[key], abs(got.erb_beta / erb - 1.0))
+                worst["phi"] = max(worst["phi"], abs(got.phi_accum / phi - 1.0))
+                # each crossing is within Brent's tolerance xtol + rtol beta
+                tol = 1e-15 * max(1.0, b_p) + 4.0 * sys.float_info.epsilon * b_p
+                want = closed_form(theta)
+                for n in (3.0, 10.0):
+                    error = abs(got.bw_n_beta[n] - want.bw_n_beta[n]) / (2.0 * tol)
+                    worst["bw"] = max(worst["bw"], error)
+        # measured worst over the four b_p: ERB 1.7e-9 (b_u 1) down to a_p / b_p
+        # 1e-9, and 7.9e-9 below it (b_p 37, a_p / b_p 1e-12, b_u 20), where
+        # the peak's level is off by the spacing of floats at b_p; phi_accum
+        # 3.3e-16; the bandwidth 0.50 of the two crossings' tolerances
+        assert worst["erb"] <= 2e-9, worst
+        assert worst["erb_sub_ulp"] <= 1e-8, worst
+        assert worst["phi"] <= 1e-15, worst
+        assert worst["bw"] <= 1.0, worst
+
+    @pytest.mark.parametrize("b_u", [4.0, 20.0])
+    def test_peak_tolerance_scales_with_the_grid(self, b_u):
+        # a fixed tolerance of 1e-10 is 1% of a_p here: it leaves the peak
+        # 1.9e-11 off b_p and the ERB off by -1.5e-5 (b_u 4) and -7.3e-5
+        # (b_u 20); measured with the scaled one, -2.7e-14 and -2.9e-13
+        theta = FilterConstants(1e-8, 1.0, b_u)
+        grid = default_grid(theta)
+        got = extract_numeric(core.log_response(theta, grid.samples, ("p_sharp",))["p_sharp"], grid)
+        assert got.beta_peak == 1.0
+        assert abs(got.erb_beta / erb_closed_form(theta) - 1.0) <= 5e-13
 
 
 class TestLogResponseExtraction:
@@ -510,7 +646,7 @@ class TestRelativeErrors:
 
 
 class TestSimpsonPort:
-    """characteristics._simpson against scipy.integrate.simpson, which stays
+    """characteristics._Simpson against scipy.integrate.simpson, which stays
     a test-only oracle, on default_grid samples of the power response."""
 
     @pytest.mark.parametrize("theta", [
@@ -524,13 +660,13 @@ class TestSimpsonPort:
 
         betas = default_grid(theta).samples
         power = np.abs(np.asarray(eval_gef(theta, betas))) ** 2
-        sizes = {betas.size, betas.size - 1, 2, 3, 4, 5, 16, 17}
+        sizes = {betas.size, betas.size - 1, 3, 4, 5, 16, 17}
         assert {size % 2 for size in sizes} == {0, 1}
         for size in sorted(sizes):
             x, y = betas[-size:], power[-size:]
-            assert _simpson(y, x) == simpson(y, x=x), size
+            assert _Simpson(x)(y) == simpson(y, x=x), size
             x, y = betas[:size], power[:size]
-            assert _simpson(y, x) == simpson(y, x=x), size
+            assert _Simpson(x)(y) == simpson(y, x=x), size
 
 
 def weight_grids():
@@ -542,6 +678,7 @@ def weight_grids():
         a_p = float(rng.uniform(0.005, 0.19))
         theta = FilterConstants(a_p, float(rng.uniform(0.5, 3.0)), float(rng.uniform(1.0, 12.0)))
         grids[f"default_{k}"] = default_grid(theta).samples
+    grids["default_sharp"] = default_grid(FilterConstants(1e-5, 1.0, 2.0)).samples
     for n in (16, 17, 1000, 1001):
         grids[f"uniform_{n}"] = 0.5 + 0.375 * np.arange(n)  # every step exactly 3/8
         grids[f"geometric_{n}"] = np.geomspace(1e-3, 10.0, n)
@@ -579,7 +716,6 @@ class TestExtractionWeights:
         rng = np.random.default_rng(x.size)
         for y in (np.exp(-((x - 1.0) ** 2)), rng.uniform(0.0, 1.0, x.size), x ** -1.5):
             assert integral(y) == simpson(y, x=x), name
-            assert _simpson(y, x) == simpson(y, x=x), name
 
     def test_grid_computes_its_weights_once(self, theta_sharp6):
         grid = default_grid(theta_sharp6)

@@ -375,6 +375,12 @@ class TestBadInputFiles:
         # S's step 4 * dense_step is below the spacing of floats at beta_peak
         (["analyze"], {"a_p": 1e-20, "b_p": 0.05, "b_u": 2},
          lambda theta: extract_numeric_p(theta, default_grid(theta))),
+        # ... where the two 3 dB crossings also round to one float
+        (["analyze"], {"a_p": 1e-24, "b_p": 1e6, "b_u": 0.03162277660168379},
+         lambda theta: extract_numeric_p(theta, default_grid(theta))),
+        # S resolves, but BW_3 = 0.1 is below the spacing of floats at 2**52
+        (["analyze"], {"a_p": 64, "b_p": 2.0**52, "b_u": 1e6},
+         lambda theta: extract_numeric_p(theta, default_grid(theta))),
         # S = (20/ln 10) b_u / a_p**2 underflows to 0
         (["analyze"], {"a_p": 1e160, "b_p": 1e161, "b_u": 2}, closed_form),
         # a_p**2 + b_p**2 overflows in the analog section
@@ -410,10 +416,7 @@ class TestBadInputFiles:
         {"a_p": 0.001, "b_p": 1, "b_u": 200},
         # ... with finite real and imaginary parts (about 1.63e308 - 7.7e307i)
         {"a_p": 0.01, "b_p": 1, "b_u": 181.4363},
-        # the non-uniform Simpson weights where the log tail meets the dense
-        # window take the quadrature ERB below zero
-        {"a_p": 1.3859e-4, "b_p": 103.42, "b_u": 0.886},
-        # the peak sits below the grid's beta_min of 1e-3
+        # the peak sits below the grid's floor of 1e-3
         {"a_p": 0.05, "b_p": 5e-4, "b_u": 6},
     ])
     @pytest.mark.filterwarnings("error")
@@ -424,6 +427,19 @@ class TestBadInputFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+
+    @pytest.mark.filterwarnings("error")
+    def test_analyze_sharp_low_exponent_extracts(self, tmp_path, capsys):
+        # a_p / b_p = 1.3e-6; the ERB falls short by 6.3e-5, the tails beyond
+        # the grid of a response that decays as beta**-1.77
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"a_p": 1.3859e-4, "b_p": 103.42, "b_u": 0.886}))
+        assert run(["analyze", "--constants", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        numeric, closed = doc["numeric"], doc["closed_form"]
+        assert 0.0 < 1.0 - numeric["erb_beta"] / closed["erb_beta"] < 1e-4
+        for n in ("3", "10"):
+            assert numeric[f"bw_{n}_beta"] == pytest.approx(closed[f"bw_{n}_beta"], rel=1e-10)
 
     @pytest.mark.filterwarnings("error")
     def test_analyze_underflowing_response_extracts(self, tmp_path, capsys):
@@ -497,6 +513,17 @@ class TestEvaluateCommand:
         errors_path = tmp_path / "errors.csv"
         assert run(["evaluate", "--spec", str(spec_path), "--errors-out", str(errors_path)]) == 0
         assert errors_path.read_text().startswith("characteristic,desired,")
+
+    def test_sharp_design_audits_exactly(self, tmp_path, capsys):
+        # designs as a_p = 1e-5, b_u = 2, and the closed forms are exact on
+        # p_sharp; a grid whose step jumps 1e5-fold at the window's edges gives
+        # the Simpson ERB a 61% error here
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"row": "II.2", "beta_peak": 1, "q_erb": 63662, "n_cycles": 31831}))
+        assert run(["evaluate", "--spec", str(tmp_path / "spec.json"), "--format", "json"]) == 0
+        errors = json.loads(capsys.readouterr().out)["errors"]
+        assert abs(errors["p_sharp"]["erb_beta"]) <= 1e-9
+        assert max(abs(errors[target]["erb_beta"]) for target in errors) <= 1e-9
 
     @pytest.mark.parametrize("n_cycles, response_out, code", [
         (1.5, False, 3),  # a_p = 1 / pi: no 10 dB crossing below the peak
