@@ -24,6 +24,9 @@ from .errors import (
 )
 from .scalar import FilterConstants, peak_beta
 
+# The most sections to_sos builds: one per unit of the exponent b_u.
+MAX_SECTIONS = 4096
+
 
 def _is_stable(a1: float, a2: float) -> bool:
     """Whether both roots of z**2 + a1 z + a2 lie strictly inside the unit
@@ -190,8 +193,9 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     bilinear map composes the magnitude with a monotone frequency warp, so
     the argmax maps exactly).  Each section is scaled to unit magnitude at
     the peak, making the cascade peak magnitude 1.  Raises OutOfRange when
-    the rounded denominator has a pole on or outside the unit circle, as
-    for a_p / b_p near the float epsilon or f_peak a hair below fs/2, or
+    round(b_u), the section count, is below 1 or above MAX_SECTIONS, and
+    when the rounded denominator has a pole on or outside the unit circle,
+    as for a_p / b_p near the float epsilon or f_peak a hair below fs/2, or
     is not finite, as where a_p**2 + b_p**2 overflows.
     """
     _check_rates(f_peak, fs)
@@ -199,7 +203,10 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
         raise NonIntegerExponent(
             f"b_u = {theta.b_u:g} is not an integer; use apply_fft instead"
         )
-    n_sections = int(round(theta.b_u))
+    n_sections = round(theta.b_u)
+    if not 1 <= n_sections <= MAX_SECTIONS:
+        raise OutOfRange(f"b_u = {theta.b_u:g} rounds to {n_sections:g} sections, "
+                         f"not 1 to {MAX_SECTIONS}")
 
     # scale chosen so the analog peak (at beta_star) maps to f_peak
     w = 2.0 * fs * math.tan(math.pi * f_peak / fs) / _bandpass_peak(theta)

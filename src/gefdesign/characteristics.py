@@ -89,8 +89,15 @@ class FrequencyGrid:
     def _weights(self) -> tuple:
         """The finite-difference and Simpson coefficients of the samples
         (``_Gradient``, ``_Simpson``), computed on first use, so that every
-        extraction on this grid shares them."""
-        return _Gradient(self.samples), _Simpson(self.samples)
+        extraction on this grid shares them.  Raises OutOfRange where a
+        product of steps in them passes the largest float (a cube of steps
+        past about 5e102, a square of steps past about 1e154)."""
+        try:
+            with np.errstate(over="raise"):
+                return _Gradient(self.samples), _Simpson(self.samples)
+        except FloatingPointError:
+            raise OutOfRange("the grid's steps overflow its difference and quadrature "
+                             "weights") from None
 
     def meta(self) -> dict:
         return {
@@ -105,10 +112,15 @@ class FrequencyGrid:
 
 
 def _graded_offsets(step: float, span: float) -> np.ndarray:
-    """Running sums of the steps step * GRID_GROWTH**j, j >= 1, to one or two past span."""
+    """Running sums of the steps step * GRID_GROWTH**j, j >= 1, to one or two
+    past span.  Raises OutOfRange when they pass the largest float first."""
     g = GRID_GROWTH
     count = (math.log(max(span, 0.0) * (g - 1.0) / g + step) - math.log(step)) / math.log(g)
-    return step * np.cumsum(g ** np.arange(1, int(count) + 3))
+    with np.errstate(over="ignore"):
+        offsets = step * np.cumsum(g ** np.arange(1, int(count) + 3))
+    if not offsets[-1] < math.inf:
+        raise OutOfRange(f"steps growing from {step:g} pass the largest float before {span:g}")
+    return offsets
 
 
 def default_grid(theta: FilterConstants, tail_max: float | None = None) -> FrequencyGrid:
@@ -120,14 +132,17 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
     is GRID_GROWTH times the last, up to tail_max = b_p + max(8, 60 a_p)
     unless given, and down to GRID_FLOOR, where no step passes 2% of beta,
     so the low tail ends geometric.  tail_max and GRID_FLOOR are the ends.
-    Raises OutOfRange when b_p does not sit half a step above GRID_FLOOR, or
-    tail_max is not finite and above it.
+    Raises OutOfRange when b_p does not sit half a step above GRID_FLOOR,
+    tail_max is not finite and above it, the step underflows to 0, or the
+    graded steps pass the largest float before they reach an end.
     """
     a, b = theta.a_p, theta.b_p
     step, halfwidth = a / 200.0, 12.0 * a
     tail_max = b + max(8.0, 60.0 * a) if tail_max is None else tail_max
     if not GRID_FLOOR < tail_max < math.inf:
         raise OutOfRange(f"tail_max = {tail_max:g} must be finite and above {GRID_FLOOR:g}")
+    if step == 0.0:
+        raise OutOfRange(f"the window step a_p / 200 of a_p = {a:g} underflows to 0")
     k = int(round(halfwidth / step))
     dense = b + step * np.arange(-k, k + 1)
     dense = dense[dense > GRID_FLOOR + 0.5 * step]
@@ -151,27 +166,23 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
 class CharacteristicReport:
     """Full characteristic set with provenance.
 
-    q_n / bw_n_beta are keyed by the level in dB.  q_erb / erb_beta are
-    None when the exponent is too small for the ERB to exist
-    (b_u <= 1/2 in the closed-form route).
+    Each fact is stored once.  bw_n_beta is keyed by the level in dB, and
+    erb_beta is None when the exponent is too small for the ERB to exist
+    (b_u <= 1/2 in the closed-form route).  The quality factors derive from
+    them, Q = beta_peak / width (q_n, q_erb), and ``method`` from the grid:
+    "numeric" when grid_meta is set, "closed_form" otherwise.
     """
 
     beta_peak: float
     n_beta: float
     phi_accum: float
     s_beta: float
-    q_n: Mapping[float, float]
     bw_n_beta: Mapping[float, float]
-    q_erb: float | None = None
     erb_beta: float | None = None
-    method: str = "closed_form"
     grid_meta: dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q_n", dict(self.q_n))
         object.__setattr__(self, "bw_n_beta", dict(self.bw_n_beta))
-        if self.method not in ("closed_form", "numeric"):
-            raise ValueError(f"unknown method {self.method!r}")
         scalars = {
             "beta_peak": self.beta_peak,
             "n_beta": self.n_beta,
@@ -181,54 +192,49 @@ class CharacteristicReport:
         for name, value in scalars.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if set(self.q_n) != set(self.bw_n_beta):
-            raise ValueError("q_n and bw_n_beta must share their level keys")
-        for n, q in self.q_n.items():
-            bw = self.bw_n_beta[n]
-            if q <= 0.0 or bw <= 0.0:
-                raise ValueError(f"non-positive Q/BW at {n:g} dB")
-            if abs(q * bw - self.beta_peak) > 1e-9 * self.beta_peak:
-                raise ValueError(f"Q_n * BW_n != beta_peak at {n:g} dB")
-        levels = sorted(self.bw_n_beta)
-        widths = [self.bw_n_beta[n] for n in levels]
-        if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])):
-            raise ValueError("bw_n_beta must increase with the level n")
-        if (self.q_erb is None) != (self.erb_beta is None):
-            raise ValueError("q_erb and erb_beta must be set together")
-        if self.q_erb is not None:
-            if self.q_erb <= 0.0 or self.erb_beta <= 0.0:
-                raise ValueError("q_erb and erb_beta must be > 0")
-            if abs(self.q_erb * self.erb_beta - self.beta_peak) > 1e-9 * self.beta_peak:
-                raise ValueError("q_erb * erb_beta != beta_peak")
+        widths = [self.bw_n_beta[n] for n in sorted(self.bw_n_beta)]
+        if not all(w2 > w1 for w1, w2 in zip([0.0, *widths], widths)):
+            raise ValueError("bw_n_beta must be > 0 and increase with the level n")
+        if not (self.erb_beta is None or self.erb_beta > 0.0):
+            raise ValueError("erb_beta must be > 0")
 
-    def as_dict(self) -> dict:
-        """Flat snake_case mapping; dB levels become q_3, bw_10_beta, ..."""
+    @property
+    def q_n(self) -> dict:
+        """Q_n = beta_peak / BW_n, keyed by the level in dB."""
+        return {n: self.beta_peak / bw for n, bw in self.bw_n_beta.items()}
+
+    @property
+    def q_erb(self) -> float | None:
+        """Q_erb = beta_peak / ERB, or None without an ERB."""
+        return None if self.erb_beta is None else self.beta_peak / self.erb_beta
+
+    @property
+    def method(self) -> str:
+        return "closed_form" if self.grid_meta is None else "numeric"
+
+    def characteristics(self) -> dict:
+        """The characteristics as a flat map: beta_peak, ..., q_3, bw_10_beta."""
         out = {
             "beta_peak": self.beta_peak,
             "n_beta": self.n_beta,
             "phi_accum": self.phi_accum,
             "s_beta": self.s_beta,
         }
-        if self.q_erb is not None:
+        if self.erb_beta is not None:
             out["q_erb"] = self.q_erb
             out["erb_beta"] = self.erb_beta
-        for n in sorted(self.q_n):
-            out[f"q_{level_label(n)}"] = self.q_n[n]
+        for n, q in sorted(self.q_n.items()):
+            out[f"q_{level_label(n)}"] = q
             out[f"bw_{level_label(n)}_beta"] = self.bw_n_beta[n]
-        out["method"] = self.method
-        if self.grid_meta is not None:
-            for key, value in self.grid_meta.items():
-                out[f"grid_{key}"] = value
         return out
 
-
-def numeric_values(report: CharacteristicReport) -> dict:
-    """The numeric characteristic entries of a report as a flat map."""
-    return {
-        key: value
-        for key, value in report.as_dict().items()
-        if isinstance(value, float) and not key.startswith("grid_")
-    }
+    def as_dict(self) -> dict:
+        """characteristics() with the method and the grid_* provenance."""
+        out = self.characteristics()
+        out["method"] = self.method
+        if self.grid_meta is not None:
+            out.update((f"grid_{key}", value) for key, value in self.grid_meta.items())
+        return out
 
 
 def erb_closed_form(theta: FilterConstants) -> float:
@@ -273,41 +279,37 @@ def closed_form(
     BW_n = 2 a_p sqrt(10**(n/(10 b_u)) - 1)      Q_n = b_p / BW_n
     ERB  = sqrt(pi) a_p Gamma(b_u - 1/2)/Gamma(b_u)   Q_erb = b_p / ERB
 
-    The ERB pair is omitted (None) when b_u <= 1/2.  Raises OutOfRange when
-    a characteristic of the constants is not a finite positive float (one
-    overflows, or S underflows to 0 for a_p past about 1e155).
+    Only the widths are computed here; the report derives each Q from them.
+    The ERB is omitted (None) when b_u <= 1/2.  Raises OutOfRange when a
+    characteristic is not a finite positive float: first N, phi_accum, S or
+    a width (S underflows to 0 for a_p past about 1e155, the ERB near the
+    smallest float), then a quality factor.
     """
     a, b, bu = theta.a_p, theta.b_p, theta.b_u
-    q_n, bw = {}, {}
+    bw = {}
     for n in n_levels:
         n = float(n)
         if n <= 0.0:
             raise ValueError(f"dB levels must be > 0, got {n:g}")
         bw[n] = 2.0 * a * level_factor(n, bu)
-        q_n[n] = CHARACTERISTIC["q_n"](a, b, bu, n)
     try:
         erb = erb_closed_form(theta)
-        q_erb = CHARACTERISTIC["q_erb"](a, b, bu, None)
     except ExponentTooSmallForErb:
-        erb = q_erb = None
+        erb = None
     n_beta, phi_accum, s_beta = (
         CHARACTERISTIC[key](a, b, bu, None) for key in ("n_cycles", "phi_accum", "s_beta")
     )
-    values = [n_beta, phi_accum, s_beta, *q_n.values(), *bw.values()]
-    values += [value for value in (erb, q_erb) if value is not None]
+    values = [n_beta, phi_accum, s_beta, *bw.values()] + ([] if erb is None else [erb])
     if not all(math.isfinite(value) and value > 0.0 for value in values):
         raise OutOfRange(f"characteristics of {theta} are not all finite and > 0")
-    return CharacteristicReport(
-        beta_peak=b,
-        n_beta=n_beta,
-        phi_accum=phi_accum,
-        s_beta=s_beta,
-        q_n=q_n,
-        bw_n_beta=bw,
-        q_erb=q_erb,
-        erb_beta=erb,
-        method="closed_form",
+    report = CharacteristicReport(
+        beta_peak=b, n_beta=n_beta, phi_accum=phi_accum, s_beta=s_beta,
+        bw_n_beta=bw, erb_beta=erb,
     )
+    values = report.characteristics().values()
+    if not all(math.isfinite(value) and value > 0.0 for value in values):
+        raise OutOfRange(f"quality factors of {theta} are not all finite and > 0")
+    return report
 
 
 def _level_crossing(level_fn, target, a, b):
@@ -465,7 +467,7 @@ def extract_numeric(
     Raises OutOfRange when L is not finite on the grid, when |H| passes the
     largest float somewhere on it, when the quadrature ERB or the
     difference S is not finite and positive, or when the two crossings of a
-    level give no positive width.
+    level give no width above the last (smaller) level's.
     """
     betas = grid.samples
     if not isinstance(response, LogResponse):
@@ -500,7 +502,9 @@ def extract_numeric(
     peak_level = DB_PER_LOG * peak_log_mag
 
     h = 4.0 * grid.dense_step
-    s_beta = -(level_at(beta_pk + h) - 2.0 * peak_level + level_at(beta_pk - h)) / (h * h)
+    # h * h underflows to 0 for h below about 1e-162, which leaves no S
+    s_beta = (-(level_at(beta_pk + h) - 2.0 * peak_level + level_at(beta_pk - h)) / (h * h)
+              if h * h > 0.0 else math.nan)
     if not (math.isfinite(s_beta) and s_beta > 0.0):
         # as where the step is below the spacing of floats at the peak
         raise OutOfRange(
@@ -510,7 +514,7 @@ def extract_numeric(
 
     levels = DB_PER_LOG * log_mag
 
-    bw, q_n = {}, {}
+    bw = {}
     for n in sorted(float(n) for n in n_levels):
         target = peak_level - n
         # the first sample below the target above the peak, the last below it
@@ -524,19 +528,19 @@ def extract_numeric(
             raise LevelNotReached(n, "low-frequency")
         j = int(below[-1])
         lower = _level_crossing(level_at, target, float(betas[j]), float(betas[j + 1]))
-        width = upper - lower
-        if not width > 0.0:
-            # both crossings round to one float where the width is below its spacing
-            raise OutOfRange(f"the {n:g} dB crossings at beta = {lower:g} give no width")
+        width, last = upper - lower, max(bw.values(), default=0.0)
+        if not width > last:
+            # both crossings round to one float, or to those of the level below,
+            # where the widths are below the spacing of floats
+            raise OutOfRange(f"the {n:g} dB crossings at beta = {lower:g} give no width "
+                             f"above {last:g}")
         bw[n] = width
-        q_n[n] = beta_pk / width
 
     gradient, integral = grid._weights
     power = np.exp(2.0 * (log_mag - peak_log_mag))
     erb = float(integral(power))
     if not erb > 0.0:
         raise OutOfRange(f"Simpson quadrature gives a non-positive ERB of {erb:g}")
-    q_erb = beta_pk / erb
 
     n_beta = float(np.max(-gradient(phase))) / TWO_PI
     phi_accum = float(phase.max() - phase.min()) / TWO_PI
@@ -546,11 +550,8 @@ def extract_numeric(
         n_beta=n_beta,
         phi_accum=phi_accum,
         s_beta=s_beta,
-        q_n=q_n,
         bw_n_beta=bw,
-        q_erb=q_erb,
         erb_beta=erb,
-        method="numeric",
         grid_meta=grid.meta(),
     )
 
@@ -563,11 +564,15 @@ def relative_errors(
     Raises MissingCharacteristic if the achieved report lacks a field the
     desired report carries.
     """
-    desired_map = numeric_values(desired)
-    achieved_map = numeric_values(achieved)
+    return _flat_errors(desired.characteristics(), achieved.characteristics())
+
+
+def _flat_errors(desired: Mapping[str, float], achieved: Mapping[str, float]) -> dict:
+    """(desired - achieved) / desired for each key of the flat map desired;
+    raises MissingCharacteristic for a key that achieved lacks."""
     out = {}
-    for key, want in desired_map.items():
-        if key not in achieved_map:
+    for key, want in desired.items():
+        if key not in achieved:
             raise MissingCharacteristic(key)
-        out[key] = (want - achieved_map[key]) / want
+        out[key] = (want - achieved[key]) / want
     return out

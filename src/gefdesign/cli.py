@@ -193,9 +193,7 @@ def _write_signal(path, signal) -> None:
 
 
 def _report_csv(reports: dict) -> str:
-    from .characteristics import numeric_values
-
-    columns = [numeric_values(report) for report in reports.values()]
+    columns = [report.characteristics() for report in reports.values()]
     keys = sorted({key for column in columns for key in column})
     rows = [(key, *(column.get(key) for column in columns)) for key in keys]
     return _csv(("characteristic", *reports), rows)

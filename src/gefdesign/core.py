@@ -131,17 +131,20 @@ def _log_magnitude(theta: FilterConstants, target: str, beta: float) -> float:
 
 def _evaluate(theta: FilterConstants, beta, target: str):
     """exp(L) of one target's log response at np.atleast_1d(beta), shaped as
-    beta (see the module docstring)."""
+    beta (see the module docstring); not finite where |H| passes the largest
+    float, without a warning."""
     betas = np.asarray(beta, dtype=float)
     log = log_response(theta, np.atleast_1d(betas), (target,))[target]
-    return _maybe_scalar(np.exp(log.re + 1j * log.im).reshape(betas.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _maybe_scalar(np.exp(log.re + 1j * log.im).reshape(betas.shape))
 
 
 def eval_gef(theta: FilterConstants, beta):
     """Evaluate C * ((s - p)(s - conj(p)))**(-b_u) at s = i*beta.
 
     Accepts a scalar or an array of normalized frequencies and returns
-    complex values of matching shape.
+    complex values of matching shape.  Where |P| passes the largest float
+    the value is not finite, without a RuntimeWarning.
     """
     return _evaluate(theta, beta, "p")
 
@@ -150,7 +153,9 @@ def eval_sharp(theta: FilterConstants, beta):
     """Evaluate the one-sided form (s - p)**(-b_u) at s = i*beta.
 
     The magnitude is exactly symmetric about b_p; the form is not
-    realizable but underpins every closed-form characteristic.
+    realizable but underpins every closed-form characteristic.  Where the
+    magnitude passes the largest float the value is not finite, without a
+    RuntimeWarning.
     """
     return _evaluate(theta, beta, "p_sharp")
 
@@ -158,7 +163,8 @@ def eval_sharp(theta: FilterConstants, beta):
 def eval_v(theta: FilterConstants, beta):
     """Evaluate the single-zero variant (s + a_p) * ((s-p)(s-conj(p)))**(-b_u).
 
-    The proportionality constant is taken as 1.
+    The proportionality constant is taken as 1.  Where |V| passes the
+    largest float the value is not finite, without a RuntimeWarning.
     """
     return _evaluate(theta, beta, "v")
 
@@ -168,11 +174,14 @@ def wavenumber(theta: FilterConstants, beta):
 
     Evaluates b_u * (1/(s-p) + 1/(s-conj(p))), identical to the single-term
     form 2*b_u*(s + a_p)/((s-p)(s-conj(p))).  Its real part is the phase
-    slope (negated) and its imaginary part the log-magnitude slope.
+    slope (negated) and its imaginary part the log-magnitude slope.  Where
+    it passes the largest float (a_p near the smallest float, or b_u large)
+    the value is not finite, without a RuntimeWarning.
     """
     beta = np.asarray(beta, dtype=float)
     s = 1j * beta
-    out = theta.b_u * (1.0 / (s - theta.pole) + 1.0 / (s - theta.pole_conjugate))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = theta.b_u * (1.0 / (s - theta.pole) + 1.0 / (s - theta.pole_conjugate))
     return _maybe_scalar(out)
 
 

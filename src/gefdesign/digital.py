@@ -172,10 +172,12 @@ _BATCH_SAMPLES = 1 << 17
 
 
 def _sampled_response(theta: FilterConstants, f_peak: float, scale: float, freqs):
-    """The analog response at freqs (Hz), bin f mapped to beta = f * scale.
+    """The analog response at freqs (Hz), bin f mapped to beta = f * scale
+    (inf where that passes the largest float; the response there is 0).
     Raises OutOfRange when it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        response = np.asarray(eval_gef(theta, freqs * scale))
+    with np.errstate(over="ignore"):
+        betas = freqs * scale
+    response = np.asarray(eval_gef(theta, betas))
     if not np.all(np.isfinite(response)):
         raise OutOfRange(f"the response of {theta} at f_peak = {f_peak:g} Hz is not finite")
     return response

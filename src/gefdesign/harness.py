@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from .core import DB_PER_LOG, log_response
 from .characteristics import (
     CharacteristicReport,
+    _flat_errors,
     closed_form,
     default_grid,
     extract_numeric,
-    numeric_values,
     relative_errors,
 )
 from .design import CharacteristicSpec, DesignRow, design
@@ -150,19 +150,13 @@ def figure_report(spec: CharacteristicSpec) -> dict:
     values.
     """
     records = evaluate_case(spec)
-    desired = numeric_values(records[0].desired)
+    desired = records[0].desired.characteristics()
     desired.update(_ratios(desired))
     achieved, errors = {}, {}
     for record in records:
-        flat = numeric_values(record.achieved)
-        ratios = _ratios(flat)
-        achieved[record.target] = {**flat, **ratios}
-        errors[record.target] = dict(record.errors)
-        errors[record.target].update(
-            (key, (desired[key] - value) / desired[key])
-            for key, value in ratios.items()
-            if key in desired
-        )
+        flat = record.achieved.characteristics()
+        achieved[record.target] = {**flat, **_ratios(flat)}
+        errors[record.target] = _flat_errors(desired, achieved[record.target])
     return {"desired": desired, "achieved": achieved, "errors": errors}
 
 

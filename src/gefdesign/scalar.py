@@ -108,12 +108,20 @@ def peak_beta(theta: FilterConstants) -> float:
     dD/dbeta = 4 beta (a_p**2 + beta**2 - b_p**2), so for every exponent the
     peak is beta* = sqrt(b_p**2 - a_p**2), slightly below b_p (by about
     a_p**2 / (2 b_p)).  The product (b_p - a_p)(b_p + a_p) avoids
-    cancellation when a_p is close to b_p.  Degenerate constants with
-    a_p >= b_p, whose magnitude decreases from beta = 0 (no bandpass peak),
-    return 0.
+    cancellation when a_p is close to b_p; where it overflows or falls
+    below the normal floats (b_p past about 1e154 or below about 1e-154),
+    b_p sqrt((1 - r)(1 + r)) with r = a_p / b_p is taken instead.
+    Degenerate constants with a_p >= b_p, whose magnitude decreases from
+    beta = 0 (no bandpass peak), return 0.
     """
     a, b = theta.a_p, theta.b_p
-    return math.sqrt((b - a) * (b + a)) if b > a else 0.0
+    if b <= a:
+        return 0.0
+    squared = (b - a) * (b + a)
+    if sys.float_info.min <= squared < math.inf:
+        return math.sqrt(squared)
+    r = a / b
+    return b * math.sqrt((1.0 - r) * (1.0 + r))
 
 
 @dataclass(frozen=True)

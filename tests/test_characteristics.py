@@ -26,7 +26,6 @@ from gefdesign.characteristics import (
     _Simpson,
     _level_crossing,
     erb_closed_form,
-    numeric_values,
     qerb_closed_form,
 )
 from gefdesign.scalar import _golden_max
@@ -454,8 +453,8 @@ class TestLogResponseExtraction:
             grid = default_grid(theta)
             logs = core.log_response(theta, grid.samples)
             for target, fn in (("p_sharp", eval_sharp), ("p", eval_gef), ("v", core.eval_v)):
-                got = numeric_values(extract_numeric(logs[target], grid))
-                want = numeric_values(extract_numeric(partial(fn, theta), grid))
+                got = extract_numeric(logs[target], grid).characteristics()
+                want = extract_numeric(partial(fn, theta), grid).characteristics()
                 assert got.keys() == want.keys()
                 for key, value in want.items():
                     bound = self.bound(key) * abs(value)
@@ -581,33 +580,13 @@ class TestSecondOrderReduction:
 
 
 class TestReportInvariants:
-    def test_q_bw_duality_enforced(self):
-        from gefdesign.characteristics import CharacteristicReport
-
-        with pytest.raises(ValueError):
-            CharacteristicReport(
-                beta_peak=1.0, n_beta=19.1, phi_accum=3.0, s_beta=2.08e4,
-                q_n={10.0: 15.0}, bw_n_beta={10.0: 0.08},  # product != 1
-            )
-
     def test_bw_monotonicity_enforced(self):
         from gefdesign.characteristics import CharacteristicReport
 
         with pytest.raises(ValueError):
             CharacteristicReport(
                 beta_peak=1.0, n_beta=19.1, phi_accum=3.0, s_beta=2.08e4,
-                q_n={3.0: 10.0, 10.0: 20.0},
                 bw_n_beta={3.0: 0.1, 10.0: 0.05},
-            )
-
-    def test_erb_pair_must_come_together(self):
-        from gefdesign.characteristics import CharacteristicReport
-
-        with pytest.raises(ValueError):
-            CharacteristicReport(
-                beta_peak=1.0, n_beta=19.1, phi_accum=3.0, s_beta=2.08e4,
-                q_n={10.0: 14.62}, bw_n_beta={10.0: 1.0 / 14.62},
-                q_erb=25.9, erb_beta=None,
             )
 
     def test_numeric_report_exposes_grid_keys(self, theta_sharp6):
@@ -637,9 +616,9 @@ class TestRelativeErrors:
         with pytest.raises(MissingCharacteristic):
             relative_errors(desired, achieved)
 
-    def test_numeric_values_skips_grid_meta(self, theta_sharp6):
+    def test_characteristics_skip_grid_meta(self, theta_sharp6):
         report = extract_numeric(partial(eval_gef, theta_sharp6), default_grid(theta_sharp6))
-        values = numeric_values(report)
+        values = report.characteristics()
         assert "beta_peak" in values
         assert not any(key.startswith("grid_") for key in values)
         assert "method" not in values

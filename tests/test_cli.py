@@ -29,6 +29,7 @@ from gefdesign import (
     phase_rad,
     to_sos,
 )
+from gefdesign import biquad
 from gefdesign.cli import run
 from gefdesign.core import DB_PER_LOG, log_response
 from gefdesign.digital import DigitalFilter, SignalBuffer, apply_sos, read_wav, write_wav
@@ -387,6 +388,21 @@ class TestBadInputFiles:
         (["discretize", "--peak-hz", "1000", "--fs", "48000"],
          {"a_p": 1e-300, "b_p": 1e155, "b_u": 1},
          lambda theta: to_sos(theta, 1000.0, 48000.0)),
+        # b_u rounds to no section, or to more than to_sos builds
+        (["discretize", "--peak-hz", "1000", "--fs", "48000"],
+         {"a_p": 0.05, "b_p": 1, "b_u": 1e-13},
+         lambda theta: to_sos(theta, 1000.0, 48000.0)),
+        (["discretize", "--peak-hz", "1000", "--fs", "48000"],
+         {"a_p": 1.0, "b_p": 3.7, "b_u": 1e60},
+         lambda theta: to_sos(theta, 1000.0, 48000.0)),
+        # the window step a_p / 200 underflows to 0
+        (["analyze"], {"a_p": 5e-324, "b_p": 1, "b_u": 2}, default_grid),
+        # the graded tails' steps pass the largest float before the floor
+        (["analyze"], {"a_p": 2.0689598579217e-244, "b_p": 2.8778115542256177e+201, "b_u": 2},
+         default_grid),
+        # the square of S's step underflows to 0
+        (["analyze"], {"a_p": 7.013041613054649e-164, "b_p": 2610008.743437733, "b_u": 0.05},
+         lambda theta: extract_numeric_p(theta, default_grid(theta))),
     ])
     def test_extreme_constants_exit_3_without_traceback(self, tmp_path, argv, constants, call):
         (tmp_path / "c.json").write_text(json.dumps(constants))
@@ -403,6 +419,17 @@ class TestBadInputFiles:
         assert json.loads(lines[0])["error"]["type"] == "OutOfRange"
         with pytest.raises(GefError):
             call(FilterConstants.from_dict(constants))
+
+    def test_discretize_refuses_more_sections_than_the_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(biquad, "MAX_SECTIONS", 3)
+        path = tmp_path / "c.json"
+        argv = ["discretize", "--constants", str(path), "--peak-hz", "1000", "--fs", "48000"]
+        path.write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 3}))
+        assert run(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["sos"]) == 3
+        path.write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 4}))
+        assert run(argv) == 3
+        assert error_type(capsys) == "OutOfRange"
 
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '"constants"', '{"constants": 5}'])
     def test_non_object_constants_exits_3(self, tmp_path, capsys, text):
@@ -1244,6 +1271,11 @@ AXIS_VALUE = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 AXIS = st.lists(AXIS_VALUE, min_size=1, max_size=2).map(",".join)
+# a constant in a constants file: log-uniform over [1e-300, 1e300], or subnormal
+CONSTANT = st.one_of(
+    st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent),
+    st.sampled_from([5e-324, 1e-320, 1e-310]),
+)
 # a constants file's optional gain: absent, typical, or at the edges of a float
 GAIN = st.one_of(st.none(), LOG_UNIFORM, st.sampled_from([1e-300, 1e300, 0.0, -1.0]))
 
@@ -1406,7 +1438,7 @@ class TestCliProperties:
         return tmp_path_factory.mktemp("properties")
 
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(a_p=LOG_UNIFORM, b_p=LOG_UNIFORM, b_u=LOG_UNIFORM, gain=GAIN)
+    @given(a_p=CONSTANT, b_p=CONSTANT, b_u=CONSTANT, gain=GAIN)
     def test_random_constants_files(self, workdir, a_p, b_p, b_u, gain):
         path = workdir / "c.json"
         constants = {"a_p": a_p, "b_p": b_p, "b_u": b_u}

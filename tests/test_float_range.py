@@ -1,0 +1,145 @@
+"""The library over the whole float range: each public call returns values or
+raises a GefError, and none emits a RuntimeWarning."""
+
+import math
+import warnings
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gefdesign import (
+    FilterConstants,
+    closed_form,
+    default_grid,
+    eval_gef,
+    eval_sharp,
+    extract_numeric,
+    level_db,
+    phase_rad,
+    wavenumber,
+)
+from gefdesign.biquad import to_sos
+from gefdesign.core import eval_v, log_response
+from gefdesign.digital import SignalBuffer, apply_fft
+from gefdesign.errors import GefError, OutOfRange
+from gefdesign.scalar import peak_beta
+
+# log-uniform over [1e-300, 1e300], and three subnormals
+FULL_RANGE = st.one_of(
+    st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent),
+    st.sampled_from([5e-324, 1e-320, 1e-310]),
+)
+
+
+def _extract(theta):
+    grid = default_grid(theta)
+    return extract_numeric(log_response(theta, grid.samples, ("p",))["p"], grid)
+
+
+def _calls(theta):
+    """Every call the property makes on one set of constants."""
+    calls = [partial(closed_form, theta), partial(_extract, theta)]
+    for fn in (eval_gef, eval_sharp, eval_v, wavenumber, level_db, phase_rad):
+        calls.append(partial(fn, theta, np.array([0.0, theta.b_p, 2.0 * theta.b_p])))
+        calls += [partial(fn, theta, beta) for beta in (0.0, theta.b_p, 2.0 * theta.b_p)]
+    integer = FilterConstants(theta.a_p, theta.b_p, float(math.ceil(theta.b_u)))
+    calls.append(partial(to_sos, integer, 1000.0, 48000.0))
+    return calls
+
+
+def _returns_or_refuses(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except GefError:
+            pass
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(a_p=FULL_RANGE, b_p=FULL_RANGE, b_u=FULL_RANGE)
+@example(a_p=100.0, b_p=1e-320, b_u=1.0)
+@example(a_p=5e-324, b_p=1e-300, b_u=40.0)
+@example(a_p=1e-3, b_p=1.0, b_u=200.0)
+@example(a_p=5e-324, b_p=1.0, b_u=2.0)
+@example(a_p=2.0689598579217e-244, b_p=2.8778115542256177e+201, b_u=2.0)
+@example(a_p=7.013041613054649e-164, b_p=2610008.743437733, b_u=0.05)
+@example(a_p=1e100, b_p=1e100, b_u=1e75)
+def test_every_call_returns_or_raises_a_gef_error(a_p, b_p, b_u):
+    for call in _calls(FilterConstants(a_p, b_p, b_u)):
+        _returns_or_refuses(call)
+
+
+class TestReproducers:
+    def test_closed_form_forms_q_from_the_widths(self):
+        # Q_n = 1e-320 / BW_n is a subnormal; it once failed Q_n * BW_n == b_p
+        report = closed_form(FilterConstants(100.0, 1e-320, 1.0))
+        assert report.q_n == {n: 1e-320 / bw for n, bw in report.bw_n_beta.items()}
+
+    def test_closed_form_refuses_an_erb_that_underflows(self):
+        # the ERB underflows to 0, which once divided b_p by zero
+        with pytest.raises(OutOfRange, match="not all finite and > 0"):
+            closed_form(FilterConstants(5e-324, 1e-300, 40.0))
+
+    @pytest.mark.parametrize("a_p, b_p", [(10.0, 5e-324), (1e-10, 1e300)])
+    def test_closed_form_refuses_a_q_that_underflows_or_overflows(self, a_p, b_p):
+        with pytest.raises(OutOfRange, match="quality factors"):
+            closed_form(FilterConstants(a_p, b_p, 2.0))
+
+    @pytest.mark.parametrize("fn", [eval_gef, eval_sharp, eval_v])
+    def test_evaluators_overflow_silently(self, fn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(fn(FilterConstants(1e-3, 1.0, 200.0), 1.0))
+
+    def test_wavenumber_overflows_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(wavenumber(FilterConstants(1e-310, 1.0, 2.0), 1.0))
+
+    def test_grid_refuses_a_step_that_underflows(self):
+        with pytest.raises(OutOfRange, match="underflows to 0"):
+            default_grid(FilterConstants(5e-324, 1.0, 2.0))
+
+    def test_grid_refuses_steps_that_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="pass the largest float"):
+                default_grid(FilterConstants(2.0689598579217e-244, 2.8778115542256177e+201, 2.0))
+
+    def test_s_refuses_a_step_whose_square_underflows(self):
+        theta = FilterConstants(7.013041613054649e-164, 2610008.743437733, 0.05)
+        assert (4.0 * default_grid(theta).dense_step) ** 2 == 0.0
+        with pytest.raises(OutOfRange, match="second difference"):
+            _extract(theta)
+
+    @pytest.mark.parametrize("a_p, b_p, b_u", [
+        # an even sample count: the cube of the last step in Simpson's correction
+        (2.1983747288592392e+103, 1.3070480441826393e+110, 18962.324811781902),
+        # squares of steps in the gradient and Simpson coefficients
+        (6.226171169108189e+154, 6.05868326189651e+166, 483114.8738570269),
+    ])
+    def test_weights_that_overflow_are_refused(self, a_p, b_p, b_u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="overflow its difference and quadrature"):
+                _extract(FilterConstants(a_p, b_p, b_u))
+
+    def test_widths_that_do_not_grow_with_the_level_are_refused(self):
+        # the 3 and 10 dB crossings round to the same floats
+        with pytest.raises(OutOfRange, match="10 dB crossings .* give no width above"):
+            _extract(FilterConstants(1e100, 1e100, 1e75))
+
+    @pytest.mark.parametrize("a_p, b_p", [(1e153, 1e160), (1e-176, 2e-175)])
+    def test_peak_beta_where_its_square_leaves_the_normal_floats(self, a_p, b_p):
+        want = b_p * math.sqrt(1.0 - (a_p / b_p) ** 2)
+        assert peak_beta(FilterConstants(a_p, b_p, 2.0)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_fft_bins_of_a_peak_past_1e154(self):
+        # peak_beta once overflowed to inf here, and the bins' betas read nan
+        theta = FilterConstants(305334852.0290356, 1.97372189973695e+173, 1e-310)
+        signal = SignalBuffer(48000.0, np.random.default_rng(5).standard_normal(256))
+        _returns_or_refuses(partial(apply_fft, theta, 1000.0, 48000.0, signal))
