@@ -10,10 +10,13 @@ up.  ``scalar`` holds the filter constants and the scalar characteristic
 maps, ``design`` the inverse maps, ``biquad`` the bilinear discretization
 into biquad sections and ``bank`` the constant-Q filterbank layout; they
 run on the standard library alone, so designing, discretizing a filter or
-laying out a bank does not import numpy.  ``core`` (response evaluation),
-``characteristics`` (closed forms and numeric extraction), ``digital``
-(signal filtering and responses), ``filterbank`` (bank responses and
-multiband filters) and ``harness`` need numpy.
+laying out a bank does not import numpy.  The value classes are frozen
+records on one small base, ``scalar._Record``, so importing the package
+loads no introspection modules either (``inspect``, ``ast``, ``dis``).
+``core`` (response evaluation), ``characteristics`` (closed forms and
+numeric extraction), ``digital`` (signal filtering and responses),
+``filterbank`` (bank responses and multiband filters) and ``harness`` need
+numpy.
 """
 
 import importlib

@@ -11,29 +11,25 @@ numpy; ``filterbank`` evaluates and exports the channels' responses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
-from .scalar import FilterConstants
+from .scalar import FilterConstants, _Record
 
 
-@dataclass(frozen=True)
-class CfMap:
+class CfMap(_Record):
     """Exponential characteristic-frequency map CF(x) = cf0 * e**(-x/l)."""
 
-    cf0: float
-    l: float
-    x_max: float
+    _fields = ("cf0", "l", "x_max")
 
-    def __post_init__(self):
-        if not (0.0 < self.cf0 < math.inf and 0.0 < self.l < math.inf
-                and 0.0 <= self.x_max < math.inf):
+    def __init__(self, cf0: float, l: float, x_max: float):
+        if not (0.0 < cf0 < math.inf and 0.0 < l < math.inf and 0.0 <= x_max < math.inf):
             raise OutOfRange(
-                f"need finite cf0 > 0, l > 0 and x_max >= 0, got cf0 = {self.cf0!r}, "
-                f"l = {self.l!r}, x_max = {self.x_max!r}"
+                f"need finite cf0 > 0, l > 0 and x_max >= 0, got cf0 = {cf0!r}, "
+                f"l = {l!r}, x_max = {x_max!r}"
             )
+        self.__dict__.update(cf0=cf0, l=l, x_max=x_max)
 
 
 def cf_at(cf_map: CfMap, x: float) -> float:
@@ -43,22 +39,19 @@ def cf_at(cf_map: CfMap, x: float) -> float:
     return cf_map.cf0 * math.exp(-x / cf_map.l)
 
 
-@dataclass(frozen=True)
-class BankChannel:
+class BankChannel(_Record):
     """One filterbank channel: place, peak frequency, shared constants, gain.
     The peak frequency and the gain must be positive and finite."""
 
-    x: float
-    f_peak: float
-    theta: FilterConstants
-    gain: float = 1.0
+    _fields = ("x", "f_peak", "theta", "gain")
 
-    def __post_init__(self):
-        if not (0.0 < self.f_peak < math.inf and 0.0 < self.gain < math.inf):
+    def __init__(self, x: float, f_peak: float, theta: FilterConstants, gain: float = 1.0):
+        if not (0.0 < f_peak < math.inf and 0.0 < gain < math.inf):
             raise OutOfRange(
-                f"need finite f_peak > 0 and gain > 0, got f_peak = {self.f_peak!r}, "
-                f"gain = {self.gain!r}"
+                f"need finite f_peak > 0 and gain > 0, got f_peak = {f_peak!r}, "
+                f"gain = {gain!r}"
             )
+        self.__dict__.update(x=x, f_peak=f_peak, theta=theta, gain=gain)
 
 
 def build_constant_q_bank(

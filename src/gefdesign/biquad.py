@@ -13,7 +13,6 @@ responses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     InfeasibleSpec,
@@ -22,7 +21,7 @@ from .errors import (
     NyquistViolation,
     OutOfRange,
 )
-from .scalar import FilterConstants, peak_beta
+from .scalar import FilterConstants, _Record, peak_beta
 
 # The most sections to_sos builds: one per unit of the exponent b_u.
 MAX_SECTIONS = 4096
@@ -51,25 +50,20 @@ def _quadratic_radii(a1: float, a2: float) -> tuple:
     return abs(q), abs(a2 / q)
 
 
-@dataclass(frozen=True)
-class DigitalFilter:
+class DigitalFilter(_Record):
     """Sample rate, cascade of biquad sections (a0 normalized to 1), gain.
 
     sections entries are (b0, b1, b2, a1, a2).  Construction verifies every
     section's poles sit strictly inside the unit circle.
     """
 
-    sample_rate: float
-    sections: tuple
-    gain: float = 1.0
-    source_theta: FilterConstants | None = None
-    f_peak: float | None = None
+    _fields = ("sample_rate", "sections", "gain", "source_theta", "f_peak")
 
-    def __post_init__(self):
-        sections = tuple(tuple(float(c) for c in sec) for sec in self.sections)
-        object.__setattr__(self, "sections", sections)
-        if not 0.0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate!r}")
+    def __init__(self, sample_rate: float, sections: tuple, gain: float = 1.0,
+                 source_theta: FilterConstants | None = None, f_peak: float | None = None):
+        sections = tuple(tuple(float(c) for c in sec) for sec in sections)
+        if not 0.0 < sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate!r}")
         if not sections:
             raise ValueError("need at least one section")
         for sec in sections:
@@ -80,6 +74,8 @@ class DigitalFilter:
         if not all(_is_stable(a1, a2) for _, _, _, a1, a2 in sections):
             radius = max(max(_quadratic_radii(a1, a2)) for _, _, _, a1, a2 in sections)
             raise ValueError(f"unstable section: max pole radius {radius:.6f}")
+        self.__dict__.update(sample_rate=sample_rate, sections=sections, gain=gain,
+                             source_theta=source_theta, f_peak=f_peak)
 
     def pole_radii(self):
         """The pole moduli, two per section, as a float ndarray."""

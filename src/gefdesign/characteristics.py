@@ -19,7 +19,6 @@ grow by GRID_GROWTH per sample out to both ends, at any sharpness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -34,6 +33,7 @@ from .scalar import (
     TWO_PI,
     FilterConstants,
     _LOG_FLOAT_MAX,
+    _Record,
     _brentq,
     _erb,
     _golden_max,
@@ -60,38 +60,35 @@ GRID_FLOOR = 1e-3
 GRID_GROWTH = 1.02
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(_Record):
     """Increasing beta samples: a uniform window of half-width
     ``dense_halfwidth`` and step ``dense_step`` around the peak, and graded
     tails out to ``tail_max`` above it and down to the floor below it;
     ``tail_points`` counts the tail samples, those outside the window."""
 
-    samples: np.ndarray
-    dense_halfwidth: float
-    dense_step: float
-    tail_max: float
-    tail_points: int
+    _fields = ("samples", "dense_halfwidth", "dense_step", "tail_max", "tail_points")
 
-    def __post_init__(self):
+    def __init__(self, samples: np.ndarray, dense_halfwidth: float, dense_step: float,
+                 tail_max: float, tail_points: int):
         # a read-only copy, so the cached weights stay those of the samples
-        samples = np.array(self.samples, dtype=float)
+        samples = np.array(samples, dtype=float)
         samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size < 16:
             raise ValueError("grid needs a 1-D vector of at least 16 samples")
         if samples[0] <= 0.0:
             raise ValueError("grid samples must be positive")
         if np.any(np.diff(samples) <= 0.0):
             raise ValueError("grid samples must be strictly increasing")
+        self.__dict__.update(samples=samples, dense_halfwidth=dense_halfwidth,
+                             dense_step=dense_step, tail_max=tail_max, tail_points=tail_points)
 
     @cached_property
     def _weights(self) -> tuple:
         """The finite-difference and Simpson coefficients of the samples
         (``_Gradient``, ``_Simpson``), computed on first use, so that every
         extraction on this grid shares them.  Raises OutOfRange where a
-        product of steps in them passes the largest float (a cube of steps
-        past about 5e102, a square of steps past about 1e154)."""
+        product of steps in them passes the largest float (steps past about
+        1e154)."""
         try:
             with np.errstate(over="raise"):
                 return _Gradient(self.samples), _Simpson(self.samples)
@@ -162,8 +159,7 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
                          tail_max=float(tail_max), tail_points=int(tail_points))
 
 
-@dataclass(frozen=True)
-class CharacteristicReport:
+class CharacteristicReport(_Record):
     """Full characteristic set with provenance.
 
     Each fact is stored once.  bw_n_beta is keyed by the level in dB, and
@@ -173,30 +169,29 @@ class CharacteristicReport:
     "numeric" when grid_meta is set, "closed_form" otherwise.
     """
 
-    beta_peak: float
-    n_beta: float
-    phi_accum: float
-    s_beta: float
-    bw_n_beta: Mapping[float, float]
-    erb_beta: float | None = None
-    grid_meta: dict | None = None
+    _fields = ("beta_peak", "n_beta", "phi_accum", "s_beta", "bw_n_beta", "erb_beta",
+               "grid_meta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bw_n_beta", dict(self.bw_n_beta))
+    def __init__(self, beta_peak: float, n_beta: float, phi_accum: float, s_beta: float,
+                 bw_n_beta: Mapping[float, float], erb_beta: float | None = None,
+                 grid_meta: dict | None = None):
+        bw_n_beta = dict(bw_n_beta)
         scalars = {
-            "beta_peak": self.beta_peak,
-            "n_beta": self.n_beta,
-            "phi_accum": self.phi_accum,
-            "s_beta": self.s_beta,
+            "beta_peak": beta_peak,
+            "n_beta": n_beta,
+            "phi_accum": phi_accum,
+            "s_beta": s_beta,
         }
         for name, value in scalars.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        widths = [self.bw_n_beta[n] for n in sorted(self.bw_n_beta)]
+        widths = [bw_n_beta[n] for n in sorted(bw_n_beta)]
         if not all(w2 > w1 for w1, w2 in zip([0.0, *widths], widths)):
             raise ValueError("bw_n_beta must be > 0 and increase with the level n")
-        if not (self.erb_beta is None or self.erb_beta > 0.0):
+        if not (erb_beta is None or erb_beta > 0.0):
             raise ValueError("erb_beta must be > 0")
+        self.__dict__.update(scalars, bw_n_beta=bw_n_beta, erb_beta=erb_beta,
+                             grid_meta=grid_meta)
 
     @property
     def q_n(self) -> dict:
@@ -377,7 +372,9 @@ class _Simpson:
     non-uniform three-point rule over consecutive interval pairs, the sum of
     (hsum / 6) (y0 A + y1 B + y2 C) with A, B, C factors of the interval
     pair, and, for an even sample count, Cartwright's correction for the
-    last interval.
+    last interval.  Only where the last step's cube passes the largest float
+    (steps past about 5e102) does the correction's h1**3 / (6 h0 (h0 + h1))
+    depart from scipy, formed as h1 (h1 / h0) (h1 / (h0 + h1)) / 6.
     """
 
     def __init__(self, x: np.ndarray):
@@ -398,10 +395,16 @@ class _Simpson:
         if n % 2 == 0:
             # 0-d arrays, as in scipy, so that h1 ** 3 takes numpy's power loop
             h0, h1 = h[-2:-1].reshape(()), h[-1:].reshape(())
+            with np.errstate(over="ignore"):
+                cube = h1 ** 3
+            if cube < math.inf:
+                eta = _divide_or_zero(cube, 6 * h0 * (h0 + h1))
+            else:
+                eta = h1 * (h1 / h0) * (h1 / (h0 + h1)) / 6
             self.correction = (
                 _divide_or_zero(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0)),
                 _divide_or_zero(h1 ** 2 + 3.0 * h0 * h1, 6 * h0),
-                _divide_or_zero(h1 ** 3, 6 * h0 * (h0 + h1)),
+                eta,
             )
 
     def __call__(self, y: np.ndarray):

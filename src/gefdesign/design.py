@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Mapping
 
 from .scalar import (
@@ -37,6 +36,7 @@ from .scalar import (
     QERB_FIT_B,
     SQRT_PI,
     FilterConstants,
+    _Record,
     _brentq,
     gamma_ratio,
     level_factor,
@@ -144,8 +144,7 @@ class SharpnessWarning(UserWarning):
     """Designed constants violate the sharp-approximation condition."""
 
 
-@dataclass(frozen=True)
-class CharacteristicSpec:
+class CharacteristicSpec(_Record):
     """A design request: which trio, and the desired values.
 
     values holds exactly the two non-peak characteristics of the chosen
@@ -154,39 +153,38 @@ class CharacteristicSpec:
     the printed power-law approximation (delay+Q_erb row only).
     """
 
-    row: DesignRow
-    beta_peak: float
-    values: Mapping[str, float]
-    n_level: float | None = None
-    mode: str = "exact"
+    _fields = ("row", "beta_peak", "values", "n_level", "mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
-        if not (math.isfinite(self.beta_peak) and self.beta_peak > 0.0):
-            raise InfeasibleSpec(f"beta_peak must be > 0, got {self.beta_peak!r}")
-        required = self.row.keys
-        if set(self.values) != set(required):
+    def __init__(self, row: DesignRow, beta_peak: float, values: Mapping[str, float],
+                 n_level: float | None = None, mode: str = "exact"):
+        values = dict(values)
+        if not (math.isfinite(beta_peak) and beta_peak > 0.0):
+            raise InfeasibleSpec(f"beta_peak must be > 0, got {beta_peak!r}")
+        required = row.keys
+        if set(values) != set(required):
             raise InfeasibleSpec(
-                f"row {self.row.value} needs exactly {sorted(required)}, "
-                f"got {sorted(self.values)}"
+                f"row {row.value} needs exactly {sorted(required)}, "
+                f"got {sorted(values)}"
             )
-        for key, value in self.values.items():
+        for key, value in values.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise InfeasibleSpec(f"{key} must be > 0, got {value!r}")
-        if "q_n" in self.row.keys:
-            if self.n_level is None or not (math.isfinite(self.n_level) and self.n_level > 0.0):
+        if "q_n" in row.keys:
+            if n_level is None or not (math.isfinite(n_level) and n_level > 0.0):
                 raise InfeasibleSpec(
-                    f"row {self.row.value} needs a positive finite n_level in dB, "
-                    f"got {self.n_level!r}"
+                    f"row {row.value} needs a positive finite n_level in dB, "
+                    f"got {n_level!r}"
                 )
-        elif self.n_level is not None:
-            raise InfeasibleSpec(f"row {self.row.value} takes no n_level")
-        if self.mode not in ("exact", "approx"):
-            raise InfeasibleSpec(f"mode must be 'exact' or 'approx', got {self.mode!r}")
-        if self.mode == "approx" and not self.row.has_approx:
+        elif n_level is not None:
+            raise InfeasibleSpec(f"row {row.value} takes no n_level")
+        if mode not in ("exact", "approx"):
+            raise InfeasibleSpec(f"mode must be 'exact' or 'approx', got {mode!r}")
+        if mode == "approx" and not row.has_approx:
             raise InfeasibleSpec(
-                f"row {self.row.value} has no printed approximation; use mode='exact'"
+                f"row {row.value} has no printed approximation; use mode='exact'"
             )
+        self.__dict__.update(row=row, beta_peak=beta_peak, values=values, n_level=n_level,
+                             mode=mode)
 
     def as_dict(self) -> dict:
         out = {"row": self.row.value, "beta_peak": self.beta_peak}

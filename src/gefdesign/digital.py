@@ -23,29 +23,25 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .biquad import DigitalFilter, _bandpass_peak, _check_rates, to_sos
 from .core import _maybe_scalar, eval_gef
 from .errors import OutOfRange, SampleRateMismatch
-from .scalar import FilterConstants
+from .scalar import FilterConstants, _Record
 
 
-@dataclass(frozen=True)
-class SignalBuffer:
+class SignalBuffer(_Record):
     """A sampled real signal."""
 
-    sample_rate: float
-    samples: np.ndarray
+    _fields = ("sample_rate", "samples")
 
-    def __post_init__(self):
-        if not 0.0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate!r}")
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=float).ravel()
-        )
+    def __init__(self, sample_rate: float, samples: np.ndarray):
+        if not 0.0 < sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate!r}")
+        self.__dict__.update(sample_rate=sample_rate,
+                             samples=np.asarray(samples, dtype=float).ravel())
 
 
 def _quadratic_log(b, z_inv, log_z_inv):

@@ -14,7 +14,6 @@ diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .core import (
 )
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
-from .scalar import peak_beta
+from .scalar import _Record, peak_beta
 
 
 def channel_response(channel: BankChannel, f_hz):
@@ -40,38 +39,35 @@ def channel_response(channel: BankChannel, f_hz):
     return channel.gain * eval_gef(channel.theta, beta)
 
 
-@dataclass(frozen=True)
-class MultibandBand:
+class MultibandBand(_Record):
     """One band of a multiband filter: a positive, finite peak frequency in Hz
     and linear gain, and a normalized shape spec (beta_peak must be 1)."""
 
-    f_peak_hz: float
-    spec: CharacteristicSpec
-    gain: float = 1.0
+    _fields = ("f_peak_hz", "spec", "gain")
 
-    def __post_init__(self):
-        if not 0.0 < self.f_peak_hz < math.inf:
-            raise ValueError(f"f_peak_hz must be finite and > 0, got {self.f_peak_hz!r}")
-        if abs(self.spec.beta_peak - 1.0) > 1e-12:
+    def __init__(self, f_peak_hz: float, spec: CharacteristicSpec, gain: float = 1.0):
+        if not 0.0 < f_peak_hz < math.inf:
+            raise ValueError(f"f_peak_hz must be finite and > 0, got {f_peak_hz!r}")
+        if abs(spec.beta_peak - 1.0) > 1e-12:
             raise ValueError("band specs must be normalized (beta_peak = 1)")
-        if not 0.0 < self.gain < math.inf:
-            raise ValueError(f"gain must be finite and > 0, got {self.gain!r}")
+        if not 0.0 < gain < math.inf:
+            raise ValueError(f"gain must be finite and > 0, got {gain!r}")
+        self.__dict__.update(f_peak_hz=f_peak_hz, spec=spec, gain=gain)
 
 
-@dataclass(frozen=True)
-class MultibandSpec:
+class MultibandSpec(_Record):
     """Bands with strictly increasing peak frequencies."""
 
-    bands: tuple
+    _fields = ("bands",)
 
-    def __post_init__(self):
-        bands = tuple(self.bands)
-        object.__setattr__(self, "bands", bands)
+    def __init__(self, bands: tuple):
+        bands = tuple(bands)
         if len(bands) < 1:
             raise ValueError("need at least one band")
         peaks = [band.f_peak_hz for band in bands]
         if any(f2 <= f1 for f1, f2 in zip(peaks, peaks[1:])):
             raise ValueError("band peak frequencies must be strictly increasing")
+        self.__dict__.update(bands=bands)
 
 
 def _designed_bands(spec: MultibandSpec):

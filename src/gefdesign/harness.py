@@ -8,7 +8,6 @@ Error convention: (desired - achieved) / desired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import DB_PER_LOG, log_response
 from .characteristics import (
@@ -21,6 +20,7 @@ from .characteristics import (
 )
 from .design import CharacteristicSpec, DesignRow, design
 from .errors import GefError, OutOfRange
+from .scalar import _Record
 
 RATIO_KEYS = (
     ("q_erb_over_n", "q_erb", "n_beta"),
@@ -29,23 +29,23 @@ RATIO_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
+class ErrorRecord(_Record):
     """Errors of one extraction target against the desired characteristics."""
 
-    target: str
-    desired: CharacteristicReport
-    achieved: CharacteristicReport
-    errors: dict
+    _fields = ("target", "desired", "achieved", "errors")
+
+    def __init__(self, target: str, desired: CharacteristicReport,
+                 achieved: CharacteristicReport, errors: dict):
+        self.__dict__.update(target=target, desired=desired, achieved=achieved, errors=errors)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """Relative-error grids over a (Q_erb, N) plane; infeasible cells None."""
 
-    q_erb_axis: tuple
-    n_axis: tuple
-    error_grids: dict
+    _fields = ("q_erb_axis", "n_axis", "error_grids")
+
+    def __init__(self, q_erb_axis: tuple, n_axis: tuple, error_grids: dict):
+        self.__dict__.update(q_erb_axis=q_erb_axis, n_axis=n_axis, error_grids=error_grids)
 
 
 def _designed(spec: CharacteristicSpec):

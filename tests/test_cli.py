@@ -11,6 +11,7 @@ import warnings
 from functools import partial
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -419,6 +420,29 @@ class TestBadInputFiles:
         assert json.loads(lines[0])["error"]["type"] == "OutOfRange"
         with pytest.raises(GefError):
             call(FilterConstants.from_dict(constants))
+
+    @pytest.mark.parametrize("phase", ["5e14", "1e306", "1e308"])
+    def test_design_at_huge_exponents_exits_0_or_3(self, tmp_path, phase):
+        # Gamma(b_u) / Gamma(b_u - 1/2) once read 14x too large at b_u = 1e15,
+        # and overflowed in lgamma past about 1e305
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gefdesign.cli", "design", "--peak-beta", "1", "--qerb", "10",
+             "--phase-accum", phase],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            b_u = 2.0 * float(phase)
+            with mpmath.workdps(330):
+                ratio = mpmath.gamma(mpmath.mpf(b_u)) / mpmath.gamma(mpmath.mpf(b_u) - 0.5)
+            want = float(ratio / (mpmath.sqrt(mpmath.pi) * 10))
+            assert json.loads(proc.stdout)["constants"]["a_p"] == pytest.approx(want, rel=1e-12)
+        else:
+            assert proc.returncode == 3
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]["type"] == "InfeasibleSpec"
 
     def test_discretize_refuses_more_sections_than_the_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(biquad, "MAX_SECTIONS", 3)
@@ -1109,10 +1133,16 @@ NUMPY_FREE_DESIGNS = {
 }
 
 
+# modules a cold call on the standard-library path does not load: numpy, and
+# the introspection modules behind the standard library's generated classes
+STDLIB_PATH_UNUSED = {"numpy", "dataclasses", "inspect"}
+
+
 class TestImportPath:
     """Only `filter` needs scipy, for its compiled cascade loop alone; `design`,
     `discretize`, `bank`, `--version` and usage errors need neither numpy nor
-    scipy."""
+    scipy, nor `dataclasses` and `inspect`; `design` and usage errors load
+    neither the bank layout nor the biquad discretization."""
 
     def _python(self, code, cwd):
         env = dict(os.environ)
@@ -1144,13 +1174,27 @@ class TestImportPath:
 
     def test_version_loads_no_numpy(self, tmp_path):
         code, modules = self._run_module(["--version"], tmp_path)
-        assert (code, "numpy" in modules) == (0, False)
+        assert code == 0
+        assert not STDLIB_PATH_UNUSED & modules
 
     @pytest.mark.parametrize("case", NUMPY_FREE_DESIGNS)
     def test_design_loads_no_numpy(self, tmp_path, case):
         flags, want = NUMPY_FREE_DESIGNS[case]
         code, modules = self._run_module(["design", "--peak-beta", "1", *flags], tmp_path)
-        assert (code, "numpy" in modules) == (want, False)
+        assert code == want
+        assert not (STDLIB_PATH_UNUSED | {"gefdesign.bank", "gefdesign.biquad"}) & modules
+
+    @pytest.mark.parametrize("argv", [
+        ["nosuch"],
+        ["design", "--peak-beta", "1"],
+        ["discretize", "--constants", "c.json"],
+        ["bank", "--peak-beta", "1", "--gdelay-cycles", "19.1", "--qerb", "25.9",
+         "--cf0", "8000", "--l", "1.5", "--channels", "0", "--x-max", "3.3"],
+    ], ids=["command", "design", "discretize", "bank"])
+    def test_usage_errors_load_only_the_parser_and_design(self, tmp_path, argv):
+        code, modules = self._run_module(argv, tmp_path)
+        assert code == 2
+        assert not (STDLIB_PATH_UNUSED | {"gefdesign.bank", "gefdesign.biquad"}) & modules
 
     @pytest.mark.parametrize("argv, want", [
         (["discretize", "--constants", "c.json", "--peak-hz", "1000", "--fs", "48000"], 0),
@@ -1162,7 +1206,8 @@ class TestImportPath:
         (tmp_path / "c.json").write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 6}))
         (tmp_path / "c55.json").write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 5.5}))
         code, modules = self._run_module(argv, tmp_path)
-        assert (code, "numpy" in modules) == (want, False)
+        assert code == want
+        assert not STDLIB_PATH_UNUSED & modules
 
     def test_stdlib_names_load_no_numpy(self, tmp_path):
         proc = self._python(
@@ -1182,7 +1227,8 @@ class TestImportPath:
         (["response", "--constants", "c.json", "--peak-hz", "1000", "--fmin", "50",
           "--fmax", "12000", "--points", "9"],
          {"gefdesign.harness", "gefdesign.characteristics"}),
-        (["analyze", "--constants", "c.json", "--format", "csv"], {"gefdesign.harness"}),
+        (["analyze", "--constants", "c.json", "--format", "csv"],
+         {"gefdesign.harness", "dataclasses"}),
     ], ids=["response-sos", "response-constants", "analyze-csv"])
     def test_tables_load_no_audit_code(self, tmp_path, argv, unused):
         (tmp_path / "c.json").write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 6}))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import warnings
@@ -203,7 +202,8 @@ class TestBankResponseArray:
         rng = np.random.default_rng(64)
         cf_map = CfMap(16000.0, 1.0, 3.0)
         channels = [
-            dataclasses.replace(channel, gain=10.0 ** rng.uniform(-3.0, 3.0))
+            BankChannel(channel.x, channel.f_peak, channel.theta,
+                        gain=10.0 ** rng.uniform(-3.0, 3.0))
             for channel in build_constant_q_bank(cf_map, uniform_places(cf_map, 64), norm_spec)
         ]
         freqs = np.sort(rng.uniform(0.0, 24000.0, 4096))

@@ -2,9 +2,11 @@
 raises a GefError, and none emits a RuntimeWarning."""
 
 import math
+import sys
 import warnings
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,10 +24,11 @@ from gefdesign import (
     wavenumber,
 )
 from gefdesign.biquad import to_sos
+from gefdesign.characteristics import _Simpson
 from gefdesign.core import eval_v, log_response
 from gefdesign.digital import SignalBuffer, apply_fft
 from gefdesign.errors import GefError, OutOfRange
-from gefdesign.scalar import peak_beta
+from gefdesign.scalar import GAMMA_SERIES_FROM, gamma_ratio, peak_beta
 
 # log-uniform over [1e-300, 1e300], and three subnormals
 FULL_RANGE = st.one_of(
@@ -116,17 +119,35 @@ class TestReproducers:
         with pytest.raises(OutOfRange, match="second difference"):
             _extract(theta)
 
-    @pytest.mark.parametrize("a_p, b_p, b_u", [
-        # an even sample count: the cube of the last step in Simpson's correction
-        (2.1983747288592392e+103, 1.3070480441826393e+110, 18962.324811781902),
+    def test_weights_that_overflow_are_refused(self):
         # squares of steps in the gradient and Simpson coefficients
-        (6.226171169108189e+154, 6.05868326189651e+166, 483114.8738570269),
-    ])
-    def test_weights_that_overflow_are_refused(self, a_p, b_p, b_u):
+        theta = FilterConstants(6.226171169108189e+154, 6.05868326189651e+166, 483114.8738570269)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OutOfRange, match="overflow its difference and quadrature"):
-                _extract(FilterConstants(a_p, b_p, b_u))
+                _extract(theta)
+
+    @pytest.mark.parametrize("a_p, b_p, b_u", [
+        (2.1983747288592392e+103, 1.3070480441826393e+110, 18962.324811781902),  # even count
+        (1e100, 1e105, 2.0),  # odd count
+    ])
+    def test_a_last_step_whose_cube_overflows_extracts_at_either_parity(self, a_p, b_p, b_u):
+        theta = FilterConstants(a_p, b_p, b_u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = _extract(theta)
+        assert report.beta_peak == pytest.approx(peak_beta(theta), rel=1e-10)
+        assert report.erb_beta == pytest.approx(closed_form(theta).erb_beta, rel=1e-2)
+
+    def test_simpson_correction_past_the_cube_agrees_with_the_scaled_grid(self):
+        # an even count, last step past 5e102: the factored correction against
+        # scipy's h1 ** 3 on the same grid scaled by 2**-300
+        theta = FilterConstants(2.2e103, 1.3e110, 18962.0)
+        x = default_grid(theta).samples
+        assert x.size % 2 == 0 and x[-1] - x[-2] > sys.float_info.max ** (1.0 / 3.0)
+        y = np.exp(-((x - theta.b_p) / (50.0 * theta.a_p)) ** 2)
+        scale = 2.0 ** -300
+        assert _Simpson(x)(y) * scale == pytest.approx(_Simpson(x * scale)(y), rel=1e-14)
 
     def test_widths_that_do_not_grow_with_the_level_are_refused(self):
         # the 3 and 10 dB crossings round to the same floats
@@ -143,3 +164,31 @@ class TestReproducers:
         theta = FilterConstants(305334852.0290356, 1.97372189973695e+173, 1e-310)
         signal = SignalBuffer(48000.0, np.random.default_rng(5).standard_normal(256))
         _returns_or_refuses(partial(apply_fft, theta, 1000.0, 48000.0, signal))
+
+
+class TestGammaRatio:
+    """Gamma(b) / Gamma(b - 1/2): log-gamma below GAMMA_SERIES_FROM, its
+    asymptotic series from there on."""
+
+    @staticmethod
+    def _exact(b):
+        # enough digits that b - 1/2 is exact
+        with mpmath.workdps(int(math.log10(b)) + 30):
+            b = mpmath.mpf(b)
+            return mpmath.gamma(b) / mpmath.gamma(b - mpmath.mpf(0.5))
+
+    @pytest.mark.parametrize("b", [
+        *(10.0 ** k for k in np.linspace(3.0, 300.0, 67)),
+        GAMMA_SERIES_FROM, 1e15, 2e306, sys.float_info.max,
+    ])
+    def test_matches_mpmath_at_large_exponents(self, b):
+        assert abs(gamma_ratio(b) / self._exact(b) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("b", [0.5000001, 1.5, 6.0, 63.9, 200.0,
+                                   math.nextafter(GAMMA_SERIES_FROM, 0.0)])
+    def test_log_gamma_below_the_series(self, b):
+        assert gamma_ratio(b) == math.exp(math.lgamma(b) - math.lgamma(b - 0.5))
+
+    def test_the_two_paths_meet(self):
+        below = math.nextafter(GAMMA_SERIES_FROM, 0.0)
+        assert gamma_ratio(below) == pytest.approx(gamma_ratio(GAMMA_SERIES_FROM), rel=1e-12)

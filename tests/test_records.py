@@ -1,0 +1,174 @@
+"""The frozen value classes: repr, equality, hashing, immutability and
+construction, the same for each of them."""
+
+import math
+
+import numpy as np
+import pytest
+
+from gefdesign import (
+    BankChannel,
+    CfMap,
+    CharacteristicReport,
+    CharacteristicSpec,
+    DesignRow,
+    DigitalFilter,
+    ErrorRecord,
+    FilterConstants,
+    FrequencyGrid,
+    MultibandBand,
+    MultibandSpec,
+    SharpnessReport,
+    SignalBuffer,
+    SweepResult,
+)
+from gefdesign.errors import NonPositiveConstant
+
+THETA = FilterConstants(0.05, 1.0, 6.0)
+SPEC = CharacteristicSpec(DesignRow.PEAK_QERB_PHASE, 1.0, {"q_erb": 25.9, "phi_accum": 3.0})
+REPORT = CharacteristicReport(1.0, 19.1, 3.0, 20846.3, {3.0: 0.05, 10.0: 0.1}, 0.04)
+BAND = MultibandBand(1000.0, SPEC)
+SAMPLES = np.linspace(0.5, 2.0, 16)
+SIGNAL = np.array([0.0, 0.5, -0.25])
+
+# name: (class, (field, value) pairs in order, how many have no default,
+#        the literal repr)
+RECORDS = {
+    "FilterConstants": (
+        FilterConstants, [("a_p", 0.05), ("b_p", 1.0), ("b_u", 6.0), ("gain", 1.0)], 3,
+        "FilterConstants(a_p=0.05, b_p=1.0, b_u=6.0, gain=1.0)"),
+    "SharpnessReport": (
+        SharpnessReport, [("a_p", 0.05), ("alpha_at_peak", 0.025), ("satisfied", True)], 3,
+        "SharpnessReport(a_p=0.05, alpha_at_peak=0.025, satisfied=True)"),
+    "CharacteristicSpec": (
+        CharacteristicSpec,
+        [("row", DesignRow.PEAK_QERB_PHASE), ("beta_peak", 1.0),
+         ("values", {"q_erb": 25.9, "phi_accum": 3.0}), ("n_level", None), ("mode", "exact")], 3,
+        "CharacteristicSpec(row=<DesignRow.PEAK_QERB_PHASE: 'II.3'>, beta_peak=1.0, "
+        "values={'q_erb': 25.9, 'phi_accum': 3.0}, n_level=None, mode='exact')"),
+    "DigitalFilter": (
+        DigitalFilter,
+        [("sample_rate", 48000.0), ("sections", ((0.25, 0.5, 0.25, -1.5, 0.75),)), ("gain", 1.0),
+         ("source_theta", None), ("f_peak", None)], 2,
+        "DigitalFilter(sample_rate=48000.0, sections=((0.25, 0.5, 0.25, -1.5, 0.75),), "
+        "gain=1.0, source_theta=None, f_peak=None)"),
+    "CfMap": (
+        CfMap, [("cf0", 8000.0), ("l", 1.5), ("x_max", 3.3)], 3,
+        "CfMap(cf0=8000.0, l=1.5, x_max=3.3)"),
+    "BankChannel": (
+        BankChannel, [("x", 0.5), ("f_peak", 1000.0), ("theta", THETA), ("gain", 1.0)], 3,
+        "BankChannel(x=0.5, f_peak=1000.0, theta=FilterConstants(a_p=0.05, b_p=1.0, b_u=6.0, "
+        "gain=1.0), gain=1.0)"),
+    "FrequencyGrid": (
+        FrequencyGrid,
+        [("samples", SAMPLES), ("dense_halfwidth", 0.6), ("dense_step", 0.1), ("tail_max", 2.0),
+         ("tail_points", 4)], 5,
+        "FrequencyGrid(samples=array([0.5, 0.6, 0.7, 0.8, 0.9, 1. , 1.1, 1.2, 1.3, 1.4, 1.5, "
+        "1.6, 1.7,\n       1.8, 1.9, 2. ]), dense_halfwidth=0.6, dense_step=0.1, tail_max=2.0, "
+        "tail_points=4)"),
+    "CharacteristicReport": (
+        CharacteristicReport,
+        [("beta_peak", 1.0), ("n_beta", 19.1), ("phi_accum", 3.0), ("s_beta", 20846.3),
+         ("bw_n_beta", {3.0: 0.05, 10.0: 0.1}), ("erb_beta", None), ("grid_meta", None)], 5,
+        "CharacteristicReport(beta_peak=1.0, n_beta=19.1, phi_accum=3.0, s_beta=20846.3, "
+        "bw_n_beta={3.0: 0.05, 10.0: 0.1}, erb_beta=None, grid_meta=None)"),
+    "ErrorRecord": (
+        ErrorRecord,
+        [("target", "p"), ("desired", REPORT), ("achieved", REPORT), ("errors", {"n_beta": 0.0})],
+        4,
+        "ErrorRecord(target='p', desired={r}, achieved={r}, errors={{'n_beta': 0.0}})".format(
+            r=repr(REPORT))),
+    "SweepResult": (
+        SweepResult,
+        [("q_erb_axis", (10.0,)), ("n_axis", (5.0,)), ("error_grids", {"n_beta": [[0.0]]})], 3,
+        "SweepResult(q_erb_axis=(10.0,), n_axis=(5.0,), error_grids={'n_beta': [[0.0]]})"),
+    "SignalBuffer": (
+        SignalBuffer, [("sample_rate", 48000.0), ("samples", SIGNAL)], 2,
+        "SignalBuffer(sample_rate=48000.0, samples=array([ 0.  ,  0.5 , -0.25]))"),
+    "MultibandBand": (
+        MultibandBand, [("f_peak_hz", 1000.0), ("spec", SPEC), ("gain", 1.0)], 2,
+        f"MultibandBand(f_peak_hz=1000.0, spec={SPEC!r}, gain=1.0)"),
+    "MultibandSpec": (
+        MultibandSpec, [("bands", (BAND,))], 1,
+        f"MultibandSpec(bands=({BAND!r},))"),
+}
+# the records whose fields hold no mutable container
+HASHABLE = {"FilterConstants", "SharpnessReport", "DigitalFilter", "CfMap", "BankChannel"}
+
+
+def _build(name):
+    cls, pairs, _, _ = RECORDS[name]
+    return cls(*(value for _, value in pairs))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecords:
+    def test_repr_is_the_literal(self, name):
+        assert repr(_build(name)) == RECORDS[name][3]
+
+    def test_keyword_construction_matches_positional(self, name):
+        cls, pairs, _, _ = RECORDS[name]
+        record = cls(**dict(pairs))
+        assert repr(record) == repr(_build(name))
+        for field, value in pairs:
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(record, field), value)
+            else:
+                assert getattr(record, field) == value
+
+    def test_defaults(self, name):
+        cls, pairs, required, _ = RECORDS[name]
+        record = cls(*(value for _, value in pairs[:required]))
+        assert repr(record) == repr(_build(name))
+
+    def test_equality_by_type_and_fields(self, name):
+        record = _build(name)
+        assert record == record
+        if name not in ("FrequencyGrid", "SignalBuffer"):  # new arrays compare elementwise
+            assert record == _build(name)
+        assert record.__eq__(tuple(vars(record).values())) is NotImplemented
+        assert record != object()
+
+    def test_hash_is_that_of_the_field_tuple(self, name):
+        cls, pairs, _, _ = RECORDS[name]
+        record = _build(name)
+        if name in HASHABLE:
+            assert hash(record) == hash(tuple(getattr(record, field) for field, _ in pairs))
+            assert hash(record) == hash(_build(name))
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+
+    def test_fields_cannot_be_set_or_deleted(self, name):
+        record = _build(name)
+        field = RECORDS[name][1][0][0]
+        before = repr(record)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, 1.0)
+        with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
+            record.other = 1.0
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        assert repr(record) == before
+
+
+def test_records_differ_by_a_field_and_by_type():
+    assert FilterConstants(0.05, 1.0, 6.0) != FilterConstants(0.05, 1.0, 7.0)
+    assert FilterConstants(0.05, 1.0, 6.0) != FilterConstants(0.05, 1.0, 6.0, gain=2.0)
+    assert len({THETA, FilterConstants(0.05, 1.0, 6.0), FilterConstants(0.05, 1.0, 7.0)}) == 2
+    # equal field tuples of two record types are not equal records
+    assert CfMap(1.0, 2.0, 3.0) != SharpnessReport(1.0, 2.0, 3.0)
+
+
+def test_with_gain_builds_new_constants():
+    theta = THETA.with_gain(2.5)
+    assert theta == FilterConstants(0.05, 1.0, 6.0, 2.5)
+    assert THETA.gain == 1.0
+    with pytest.raises(NonPositiveConstant, match="gain must be finite and > 0"):
+        THETA.with_gain(math.inf)
+
+
+def test_grid_weights_are_cached_on_a_frozen_grid():
+    grid = _build("FrequencyGrid")
+    assert grid._weights is grid._weights
+    assert repr(grid) == RECORDS["FrequencyGrid"][3]
