@@ -13,6 +13,7 @@ responses.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import (
     InfeasibleSpec,
@@ -192,7 +193,10 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     round(b_u), the section count, is below 1 or above MAX_SECTIONS, and
     when the rounded denominator has a pole on or outside the unit circle,
     as for a_p / b_p near the float epsilon or f_peak a hair below fs/2, or
-    is not finite, as where a_p**2 + b_p**2 overflows.
+    is not finite.  The analog section's constant (a_p**2 + b_p**2) w**2 is
+    formed as (a_p w)**2 + (b_p w)**2 where a_p**2 + b_p**2 is not a normal
+    float, so the sections depend on a_p / b_p alone over the whole float
+    range.
     """
     _check_rates(f_peak, fs)
     if not theta.is_integer_exponent:
@@ -205,9 +209,18 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
                          f"not 1 to {MAX_SECTIONS}")
 
     # scale chosen so the analog peak (at beta_star) maps to f_peak
-    w = 2.0 * fs * math.tan(math.pi * f_peak / fs) / _bandpass_peak(theta)
+    warped, beta_star = 2.0 * fs * math.tan(math.pi * f_peak / fs), _bandpass_peak(theta)
+    w = warped / beta_star
     a_p, b_p = theta.a_p, theta.b_p
-    _, (_, a1, a2) = _bilinear_all_pole(2.0 * a_p * w, (a_p * a_p + b_p * b_p) * w * w, fs)
+    squared = a_p * a_p + b_p * b_p
+    if sys.float_info.min <= squared < math.inf:
+        c1, c0 = 2.0 * a_p * w, squared * w * w
+    else:
+        # the sum overflows or loses bits below the normal floats, and w may
+        # overflow with it: scale a_p and b_p by warped / beta_star first
+        a_w, b_w = a_p / beta_star * warped, b_p / beta_star * warped
+        c1, c0 = 2.0 * a_w, a_w * a_w + b_w * b_w
+    _, (_, a1, a2) = _bilinear_all_pole(c1, c0, fs)
     if not _is_stable(a1, a2):
         raise OutOfRange(f"{theta} at f_peak = {f_peak:g} Hz and fs = {fs:g} Hz has no finite "
                          "biquad with poles strictly inside the unit circle in floating point")

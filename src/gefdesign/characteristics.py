@@ -77,7 +77,7 @@ class FrequencyGrid(_Record):
             raise ValueError("grid needs a 1-D vector of at least 16 samples")
         if samples[0] <= 0.0:
             raise ValueError("grid samples must be positive")
-        if np.any(np.diff(samples) <= 0.0):
+        if (np.diff(samples) <= 0.0).any():
             raise ValueError("grid samples must be strictly increasing")
         self.__dict__.update(samples=samples, dense_halfwidth=dense_halfwidth,
                              dense_step=dense_step, tail_max=tail_max, tail_points=tail_points)
@@ -108,13 +108,30 @@ class FrequencyGrid(_Record):
         }
 
 
+_growth_sums = np.empty(0)
+
+
+def _growth_prefix(count: int) -> np.ndarray:
+    """cumsum(GRID_GROWTH ** arange(1, count + 1)), read-only: a prefix of
+    one array kept here and rebuilt longer when a count passes its length.
+    The power is elementwise and the running sum sequential, so every prefix
+    is bit-identical to the sums computed at that count alone."""
+    global _growth_sums
+    if _growth_sums.size < count:
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(GRID_GROWTH ** np.arange(1, max(count, 2 * _growth_sums.size) + 1))
+        sums.flags.writeable = False
+        _growth_sums = sums
+    return _growth_sums[:count]
+
+
 def _graded_offsets(step: float, span: float) -> np.ndarray:
     """Running sums of the steps step * GRID_GROWTH**j, j >= 1, to one or two
     past span.  Raises OutOfRange when they pass the largest float first."""
     g = GRID_GROWTH
     count = (math.log(max(span, 0.0) * (g - 1.0) / g + step) - math.log(step)) / math.log(g)
     with np.errstate(over="ignore"):
-        offsets = step * np.cumsum(g ** np.arange(1, int(count) + 3))
+        offsets = step * _growth_prefix(int(count) + 2)
     if not offsets[-1] < math.inf:
         raise OutOfRange(f"steps growing from {step:g} pass the largest float before {span:g}")
     return offsets
@@ -142,7 +159,8 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
         raise OutOfRange(f"the window step a_p / 200 of a_p = {a:g} underflows to 0")
     k = int(round(halfwidth / step))
     dense = b + step * np.arange(-k, k + 1)
-    dense = dense[dense > GRID_FLOOR + 0.5 * step]
+    if not dense[0] > GRID_FLOOR + 0.5 * step:  # dense does not decrease
+        dense = dense[dense > GRID_FLOOR + 0.5 * step]
     if dense.size == 0 or dense[0] > b:
         raise OutOfRange(f"peak b_p = {b:g} must sit half a step above {GRID_FLOOR:g}")
     high = dense[-1] + _graded_offsets(step, tail_max - dense[-1])
@@ -153,8 +171,13 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
     low = np.append(low[1:j + 1], low[j] * 0.98 ** np.arange(1, n))
     samples = np.concatenate([[GRID_FLOOR], low[low > GRID_FLOOR][::-1], dense,
                               high[high < tail_max], [tail_max]])
-    samples = samples[np.concatenate([[True], np.diff(samples) > 0.0])]
-    tail_points = np.count_nonzero((samples < dense[0]) | (samples > dense[-1]))
+    # every sample is finite, so a step is positive exactly where the sample rises
+    rising = samples[1:] > samples[:-1]
+    if not rising.all():
+        samples = samples[np.concatenate([[True], rising])]
+    # the samples increase, so those below and above the window are counted by bisection
+    tail_points = (np.searchsorted(samples, dense[0])
+                   + samples.size - np.searchsorted(samples, dense[-1], side="right"))
     return FrequencyGrid(samples=samples, dense_halfwidth=halfwidth, dense_step=step,
                          tail_max=float(tail_max), tail_points=int(tail_points))
 
@@ -323,6 +346,8 @@ def _level_crossing(level_fn, target, a, b):
 
 def _divide_or_zero(num, den):
     """num / den, and 0 where den is 0."""
+    if den.all():
+        return np.true_divide(num, den)
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
 
 
@@ -331,11 +356,13 @@ class _Gradient:
     that depend on x alone computed once; calling it with samples f gives
     the slope of f at every point.
 
-    A port of numpy.gradient (2.4) for 1-D samples and edge_order 1 that
-    keeps its operations and their order, so the slope is bit-identical:
-    the three-point non-uniform rule a f[:-2] + b f[1:-1] + c f[2:] inside,
-    (f[2:] - f[:-2]) / (2 dx) instead where every step is equal, and
-    one-sided differences at the two ends.
+    The operations of numpy.gradient (2.4) for 1-D samples and edge_order 1,
+    in their order, so the slope is bit-identical to it: the three-point
+    non-uniform rule a f[:-2] + b f[1:-1] + c f[2:] inside, (f[2:] - f[:-2])
+    / (2 dx) instead where every step is equal, and one-sided differences
+    at the two ends.  Each rule runs in place in its output array, and
+    dx1 + dx2 is formed once for a and c; a = -dx2 / (dx1 (dx1 + dx2)) is
+    taken as the negated quotient, which is the same float.
     """
 
     def __init__(self, x: np.ndarray):
@@ -345,19 +372,29 @@ class _Gradient:
             self.two_dx, self.coefficients = 2.0 * dx[0], None
         else:
             dx1, dx2 = dx[0:-1], dx[1:]
-            self.coefficients = (
-                -dx2 / (dx1 * (dx1 + dx2)),
-                (dx2 - dx1) / (dx1 * dx2),
-                dx1 / (dx2 * (dx1 + dx2)),
-            )
+            dx12 = dx1 + dx2
+            a = np.multiply(dx1, dx12)
+            np.divide(dx2, a, out=a)
+            np.negative(a, out=a)
+            b = np.subtract(dx2, dx1)
+            b /= dx1 * dx2
+            c = np.multiply(dx2, dx12)
+            np.divide(dx1, c, out=c)
+            self.coefficients = a, b, c
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         out = np.empty_like(f)
+        inner = out[1:-1]
         if self.coefficients is None:
-            out[1:-1] = (f[2:] - f[:-2]) / self.two_dx
+            np.subtract(f[2:], f[:-2], out=inner)
+            inner /= self.two_dx
         else:
             a, b, c = self.coefficients
-            out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
+            np.multiply(a, f[:-2], out=inner)
+            term = np.multiply(b, f[1:-1])
+            inner += term
+            np.multiply(c, f[2:], out=term)
+            inner += term
         out[0] = (f[1] - f[0]) / self.first
         out[-1] = (f[-1] - f[-2]) / self.last
         return out
@@ -367,12 +404,12 @@ class _Simpson:
     """Composite Simpson weights of three or more increasing points x;
     calling it with samples y gives their integral.
 
-    A port of scipy.integrate.simpson (1.17) for 1-D samples that keeps its
-    operations and their order, so the result is bit-identical: the
-    non-uniform three-point rule over consecutive interval pairs, the sum of
+    The operations of scipy.integrate.simpson (1.17) for 1-D samples, in
+    their order, so the result is bit-identical to it: the non-uniform
+    three-point rule over consecutive interval pairs, the sum of
     (hsum / 6) (y0 A + y1 B + y2 C) with A, B, C factors of the interval
     pair, and, for an even sample count, Cartwright's correction for the
-    last interval.  Only where the last step's cube passes the largest float
+    last interval.  The terms of the sum are formed in place in one array.  Only where the last step's cube passes the largest float
     (steps past about 5e102) does the correction's h1**3 / (6 h0 (h0 + h1))
     depart from scipy, formed as h1 (h1 / h0) (h1 / (h0 + h1)) / 6.
     """
@@ -386,11 +423,11 @@ class _Simpson:
         hprod = h0 * h1
         h0divh1 = _divide_or_zero(h0, h1)
         self.hsum6 = hsum / 6.0
-        self.factors = (
-            2.0 - _divide_or_zero(1.0, h0divh1),
-            hsum * _divide_or_zero(hsum, hprod),
-            2.0 - h0divh1,
-        )
+        a = _divide_or_zero(1.0, h0divh1)
+        np.subtract(2.0, a, out=a)
+        b = _divide_or_zero(hsum, hprod)
+        b *= hsum
+        self.factors = a, b, np.subtract(2.0, h0divh1, out=h0divh1)
         self.correction = None
         if n % 2 == 0:
             # 0-d arrays, as in scipy, so that h1 ** 3 takes numpy's power loop
@@ -410,9 +447,13 @@ class _Simpson:
     def __call__(self, y: np.ndarray):
         stop = self.stop
         a, b, c = self.factors
-        result = np.sum(
-            self.hsum6 * (y[0:stop:2] * a + y[1:stop + 1:2] * b + y[2:stop + 2:2] * c)
-        )
+        terms = np.multiply(y[0:stop:2], a)
+        term = np.multiply(y[1:stop + 1:2], b)
+        terms += term
+        np.multiply(y[2:stop + 2:2], c, out=term)
+        terms += term
+        terms *= self.hsum6
+        result = np.sum(terms)
         if self.correction is not None:
             alpha, beta, eta = self.correction
             result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
@@ -478,17 +519,20 @@ def extract_numeric(
     elif response.betas is not betas and not np.array_equal(response.betas, betas):
         raise ValueError("the log response is not sampled at the grid's betas")
     log_mag, phase, log_mag_at = response.re, response.im, response.re_at
+    # a nan makes its array's extremes nan, and fails every comparison here
+    i_pk = int(np.argmax(log_mag))
+    phase_min, phase_max = phase.min(), phase.max()
     if not (
-        np.all(np.isfinite(log_mag))
-        and np.all(np.isfinite(phase))
-        and log_mag.max() <= _LOG_FLOAT_MAX
+        -math.inf < log_mag.min()
+        and log_mag[i_pk] <= _LOG_FLOAT_MAX
+        and -math.inf < phase_min
+        and phase_max < math.inf
     ):
         raise OutOfRange(
             "the log response must be finite and the magnitude at most the "
             "largest float on the whole grid"
         )
 
-    i_pk = int(np.argmax(log_mag))
     if i_pk == 0 or i_pk == betas.size - 1:
         raise NoInteriorPeak(
             f"magnitude maximum at the grid boundary (beta = {betas[i_pk]:g})"
@@ -516,20 +560,24 @@ def extract_numeric(
         )
 
     levels = DB_PER_LOG * log_mag
+    # the levels above the peak, and those below it from the peak down
+    high, low = levels[i_pk + 1:], levels[i_pk - 1::-1]
 
     bw = {}
     for n in sorted(float(n) for n in n_levels):
         target = peak_level - n
         # the first sample below the target above the peak, the last below it
-        above = np.flatnonzero(levels[i_pk + 1:] < target)
-        if above.size == 0:
+        side = high < target
+        k = int(side.argmax())
+        if not side[k]:
             raise LevelNotReached(n, "high-frequency")
-        j = i_pk + 1 + int(above[0])
+        j = i_pk + 1 + k
         upper = _level_crossing(level_at, target, float(betas[j - 1]), float(betas[j]))
-        below = np.flatnonzero(levels[:i_pk] < target)
-        if below.size == 0:
+        side = low < target
+        k = int(side.argmax())
+        if not side[k]:
             raise LevelNotReached(n, "low-frequency")
-        j = int(below[-1])
+        j = i_pk - 1 - k
         lower = _level_crossing(level_at, target, float(betas[j]), float(betas[j + 1]))
         width, last = upper - lower, max(bw.values(), default=0.0)
         if not width > last:
@@ -540,13 +588,15 @@ def extract_numeric(
         bw[n] = width
 
     gradient, integral = grid._weights
-    power = np.exp(2.0 * (log_mag - peak_log_mag))
-    erb = float(integral(power))
+    power = np.subtract(log_mag, peak_log_mag)
+    power *= 2.0
+    erb = float(integral(np.exp(power, out=power)))
     if not erb > 0.0:
         raise OutOfRange(f"Simpson quadrature gives a non-positive ERB of {erb:g}")
 
-    n_beta = float(np.max(-gradient(phase))) / TWO_PI
-    phi_accum = float(phase.max() - phase.min()) / TWO_PI
+    slope = gradient(phase)
+    n_beta = float(np.negative(slope, out=slope).max()) / TWO_PI
+    phi_accum = float(phase_max - phase_min) / TWO_PI
 
     return CharacteristicReport(
         beta_peak=beta_pk,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,25 +45,25 @@ def _maybe_scalar(values):
 
 
 def _log_parts(a: float, u: np.ndarray):
-    """Real and imaginary parts of log(a + i*u) for a > 0: the imaginary part
-    arctan(u/a) is the continuous angle for any real u.  The real part is
-    half the log of a*a + u*u, or the log of hypot(a, u) where that sum
-    overflows (a or |u| past about 1e154) or may underflow (a*a below the
-    smallest normal float, a below about 1e-154)."""
-    if a * a < sys.float_info.min:
-        return np.log(np.hypot(a, u)), np.arctan(u / a)
-    re = 0.5 * np.log(a * a + u * u)
-    if not re.max(initial=-math.inf) < math.inf:  # an overflowed sum, or a nan
-        re = np.where(re == math.inf, np.log(np.hypot(a, u)), re)
-    return re, np.arctan(u / a)
-
-
-def _log_modulus(a: float, u: float) -> float:
-    """The real part of _log_parts(a, u) at one float u, on math."""
-    squared = a * a + u * u
-    if squared < math.inf and a * a >= sys.float_info.min:
-        return 0.5 * math.log(squared)
-    return math.log(math.hypot(a, u))
+    """Real and imaginary parts of log(a + i*u) for a > 0 and an array u of
+    one or more dimensions, as new arrays: the imaginary part arctan(u/a) is
+    the continuous angle for any real u.  The real part is half the log of
+    a*a + u*u, or the log of hypot(a, u) where that sum overflows (a or |u|
+    past about 1e154) or may underflow (a*a below the smallest normal float,
+    a below about 1e-154).  Each chain runs in place in its output array."""
+    a2 = a * a
+    if a2 < sys.float_info.min:
+        re = np.log(np.hypot(a, u))
+    else:
+        re = np.multiply(u, u)
+        re += a2
+        np.log(re, out=re)
+        re *= 0.5
+        if not re.max(initial=-math.inf) < math.inf:  # an overflowed sum, or a nan
+            re = np.where(re == math.inf, np.log(np.hypot(a, u)), re)
+    im = np.divide(u, a)
+    np.arctan(im, out=im)
+    return re, im
 
 
 TARGETS = ("p_sharp", "p", "v")
@@ -96,37 +95,65 @@ def log_response(theta: FilterConstants, beta, targets=TARGETS) -> dict:
     without a warning, and callers check for that.
     """
     betas = np.asarray(beta, dtype=float)
+    x = np.atleast_1d(betas)  # a 0-d beta as one element, so the parts run in place
     b_u = theta.b_u
     parts = {}
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p_re, p_im = _log_parts(theta.a_p, betas - theta.b_p)
+        p_re, p_im = _log_parts(theta.a_p, x - theta.b_p)
         if "p_sharp" in targets:
-            parts["p_sharp"] = (-b_u * p_re, -b_u * p_im)
+            parts["p_sharp"] = (np.multiply(p_re, -b_u), np.multiply(p_im, -b_u))
         if "p" in targets or "v" in targets:
-            c_re, c_im = _log_parts(theta.a_p, betas + theta.b_p)
-            re, im = -b_u * (p_re + c_re), -b_u * (p_im + c_im)
-            parts["p"] = (re + math.log(theta.gain), im)
+            # from here on the pole parts are overwritten with the sums
+            re, im = p_re, p_im
+            c_re, c_im = _log_parts(theta.a_p, x + theta.b_p)
+            re += c_re
+            re *= -b_u
+            im += c_im
+            im *= -b_u
             if "v" in targets:
-                z_re, z_im = _log_parts(theta.a_p, betas)
-                parts["v"] = (re + z_re, im + z_im)
+                z_re, z_im = _log_parts(theta.a_p, x)
+                z_re += re
+                z_im += im
+                parts["v"] = (z_re, z_im)
+            re += math.log(theta.gain)
+            parts["p"] = (re, im)
+    shape = betas.shape
     return {
-        target: LogResponse(betas, *parts[target], partial(_log_magnitude, theta, target))
+        target: LogResponse(betas, parts[target][0].reshape(shape),
+                            parts[target][1].reshape(shape), _re_at(theta, target))
         for target in targets
     }
 
 
-def _log_magnitude(theta: FilterConstants, target: str, beta: float) -> float:
+def _re_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
     """Re L of one target (see log_response) at one float beta, on math and
-    in the operations of the array path.  It takes no exp, so it neither
+    in the operations of the array path, as a function bound once to the
+    constants: a*a, the test of it against the smallest normal float and
+    log C are taken here, not at each call.  It takes no exp, so it neither
     overflows nor underflows where the response does."""
-    a = theta.a_p
-    re = _log_modulus(a, beta - theta.b_p)
+    a, b, b_u = theta.a_p, theta.b_p, theta.b_u
+    a2 = a * a
+    # a sum a*a + u*u at or past this takes hypot: every sum where a*a is
+    # below the normal floats, or else an overflowed one
+    limit = math.inf if a2 >= sys.float_info.min else 0.0
+    log_gain = math.log(theta.gain)
+    log, hypot = math.log, math.hypot
+
+    def log_modulus(u):
+        squared = a2 + u * u
+        return 0.5 * log(squared) if squared < limit else log(hypot(a, u))
+
     if target == "p_sharp":
-        return -theta.b_u * re
-    re = -theta.b_u * (re + _log_modulus(a, beta + theta.b_p))
+        return lambda beta: -b_u * log_modulus(beta - b)
     if target == "p":
-        return re + math.log(theta.gain)
-    return re + _log_modulus(a, beta)
+        return lambda beta: -b_u * (log_modulus(beta - b) + log_modulus(beta + b)) + log_gain
+    return lambda beta: (-b_u * (log_modulus(beta - b) + log_modulus(beta + b))
+                         + log_modulus(beta))
+
+
+def _log_magnitude(theta: FilterConstants, target: str, beta: float) -> float:
+    """Re L of one target at one float beta: _re_at(theta, target)(beta)."""
+    return _re_at(theta, target)(beta)
 
 
 def _evaluate(theta: FilterConstants, beta, target: str):

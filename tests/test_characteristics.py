@@ -37,7 +37,7 @@ from gefdesign.errors import (
     NoInteriorPeak,
     OutOfRange,
 )
-from gefdesign.scalar import DB_PER_LOG, TWO_PI
+from gefdesign.scalar import _LOG_FLOAT_MAX, DB_PER_LOG, TWO_PI
 
 LN10 = math.log(10.0)
 
@@ -245,6 +245,14 @@ class TestDefaultGrid:
         grid = default_grid(FilterConstants(1e-24, 1e6, 2.0))
         assert np.all(np.diff(grid.samples) > 0.0)
         assert np.count_nonzero(grid.samples == 1e6) == 1
+
+    def test_growth_sums_are_bit_identical_at_every_cached_length(self):
+        # the tails' running sums are prefixes of one cached array, which a
+        # longer count rebuilds; the largest count here passes the largest float
+        for count in (5, 50000, 7, 3000, 50001, 2):
+            with np.errstate(over="ignore"):
+                want = np.cumsum(GRID_GROWTH ** np.arange(1, count + 1))
+            assert np.array_equal(characteristics._growth_prefix(count), want), count
 
 
 class TestExtractNumeric:
@@ -465,6 +473,41 @@ class TestLogResponseExtraction:
         other = core.log_response(theta_sharp6, grid.samples * 1.001)["p"]
         with pytest.raises(ValueError):
             extract_numeric(other, grid)
+
+    GATE_SPOTS = ("peak", "low_tail", "high_tail", "first", "last")
+
+    def gated(self, theta, part, value, where):
+        """extract_numeric on theta's log response with one sample of Re L or
+        Im L set to value, at the peak, in a tail outside the window, or at
+        an end of the grid."""
+        grid = default_grid(theta)
+        log = core.log_response(theta, grid.samples)["p"]
+        index = {"peak": int(np.argmax(log.re)), "low_tail": 10, "high_tail": -10,
+                 "first": 0, "last": -1}[where]
+        if where.endswith("tail"):
+            assert abs(grid.samples[index] - theta.b_p) > grid.dense_halfwidth
+        arrays = {"re": log.re.copy(), "im": log.im.copy()}
+        arrays[part][index] = value
+        return extract_numeric(core.LogResponse(grid.samples, arrays["re"], arrays["im"],
+                                                log.re_at), grid)
+
+    @pytest.mark.parametrize("where", GATE_SPOTS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_a_non_finite_sample_is_out_of_range(self, theta_sharp6, part, value, where):
+        with pytest.raises(OutOfRange, match="log response must be finite"):
+            self.gated(theta_sharp6, part, value, where)
+
+    @pytest.mark.parametrize("where", GATE_SPOTS)
+    def test_a_magnitude_sample_past_the_largest_float_is_out_of_range(self, theta_sharp6,
+                                                                       where):
+        with pytest.raises(OutOfRange, match="log response must be finite"):
+            self.gated(theta_sharp6, "re", math.nextafter(_LOG_FLOAT_MAX, math.inf), where)
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_a_finite_tail_sample_passes_the_gate(self, theta_sharp6, part):
+        report = self.gated(theta_sharp6, part, -1e300, "high_tail")
+        assert report.method == "numeric"
 
     def test_magnitude_past_the_largest_float_is_out_of_range(self):
         # the peak of |P| is about 1.8e308 though its parts stay finite

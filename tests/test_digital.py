@@ -126,19 +126,31 @@ class TestToSos:
         (FilterConstants(0.05, 1e150, 2.0), F_PEAK, FS),
         (FilterConstants(0.05, 1.0, 4.0), 23999.9999, FS),  # a double pole at -1
         (FilterConstants(0.05, 1.0, 4.0), 1e-300, 1.0),
+        # b_p * b_p overflows and a_p / b_p = 1e-455 scales 2 a_p w to 0
+        (FilterConstants(1e-300, 1e155, 1.0), F_PEAK, FS),
     ])
     def test_poles_rounded_onto_the_circle_rejected(self, theta, f_peak, fs):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match="no finite biquad"):
             to_sos(theta, f_peak, fs)
 
-    @pytest.mark.parametrize("theta", [
-        FilterConstants(1e-300, 1e155, 1.0),  # b_p * b_p overflows, a_p * a_p underflows
-        FilterConstants(1e200, 1e201, 2.0),
-    ])
-    def test_overflowing_section_rejected(self, theta):
-        # a_p**2 + b_p**2 passes the largest float: the section is not finite
-        with pytest.raises(OutOfRange, match="no finite biquad"):
-            to_sos(theta, F_PEAK, FS)
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_constants_whose_squares_leave_the_normal_floats_discretize(self, scale):
+        # a_p**2 + b_p**2 overflows at 1e200 and underflows to 0 at 1e-200
+        want = to_sos(FilterConstants(0.1, 1.0, 2.0), F_PEAK, FS).sections
+        got = to_sos(FilterConstants(0.1 * scale, scale, 2.0), F_PEAK, FS).sections
+        for section, reference in zip(got, want, strict=True):
+            assert section == pytest.approx(reference, rel=1e-14)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(ratio=st.floats(1e-3, 0.95), k=st.integers(-300, 300),
+           f_peak=st.floats(20.0, 20000.0))
+    def test_sections_depend_on_the_ratio_of_the_constants_alone(self, ratio, k, f_peak):
+        # the section maps a_p w and b_p w, w = warped / peak_beta, so scaling
+        # a_p and b_p together leaves it unchanged over the whole float range
+        want = to_sos(FilterConstants(ratio, 1.0, 2.0), f_peak, FS).sections[0]
+        scale = 10.0 ** k
+        got = to_sos(FilterConstants(ratio * scale, scale, 2.0), f_peak, FS).sections[0]
+        assert got == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("a_p,b_u", [(0.02, 3.0), (0.05, 6.0), (0.1, 7.0), (0.2, 2.0)])
     @pytest.mark.parametrize("f_peak", [200.0, 1000.0, 8000.0])
