@@ -115,7 +115,8 @@ def _growth_prefix(count: int) -> np.ndarray:
     """cumsum(GRID_GROWTH ** arange(1, count + 1)), read-only: a prefix of
     one array kept here and rebuilt longer when a count passes its length.
     The power is elementwise and the running sum sequential, so every prefix
-    is bit-identical to the sums computed at that count alone."""
+    is bit-identical to the sums computed at that count alone, whatever
+    earlier calls left here."""
     global _growth_sums
     if _growth_sums.size < count:
         with np.errstate(over="ignore"):
@@ -159,7 +160,7 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
         raise OutOfRange(f"the window step a_p / 200 of a_p = {a:g} underflows to 0")
     k = int(round(halfwidth / step))
     dense = b + step * np.arange(-k, k + 1)
-    if not dense[0] > GRID_FLOOR + 0.5 * step:  # dense does not decrease
+    if not dense[0] > GRID_FLOOR + 0.5 * step:  # else all pass: dense does not decrease
         dense = dense[dense > GRID_FLOOR + 0.5 * step]
     if dense.size == 0 or dense[0] > b:
         raise OutOfRange(f"peak b_p = {b:g} must sit half a step above {GRID_FLOOR:g}")
@@ -360,9 +361,11 @@ class _Gradient:
     in their order, so the slope is bit-identical to it: the three-point
     non-uniform rule a f[:-2] + b f[1:-1] + c f[2:] inside, (f[2:] - f[:-2])
     / (2 dx) instead where every step is equal, and one-sided differences
-    at the two ends.  Each rule runs in place in its output array, and
-    dx1 + dx2 is formed once for a and c; a = -dx2 / (dx1 (dx1 + dx2)) is
-    taken as the negated quotient, which is the same float.
+    at the two ends.  Each rule runs in place in its output array, a
+    product or a sum may take its two operands the other way round, and
+    dx1 + dx2 is formed once for a and c; all of these give the same
+    floats, as does a = -dx2 / (dx1 (dx1 + dx2)) taken as the negated
+    quotient.
     """
 
     def __init__(self, x: np.ndarray):
@@ -409,9 +412,12 @@ class _Simpson:
     three-point rule over consecutive interval pairs, the sum of
     (hsum / 6) (y0 A + y1 B + y2 C) with A, B, C factors of the interval
     pair, and, for an even sample count, Cartwright's correction for the
-    last interval.  The terms of the sum are formed in place in one array.  Only where the last step's cube passes the largest float
-    (steps past about 5e102) does the correction's h1**3 / (6 h0 (h0 + h1))
-    depart from scipy, formed as h1 (h1 / h0) (h1 / (h0 + h1)) / 6.
+    last interval.  The factors and the terms of the sum are formed in place
+    with scipy's operations in scipy's order; a product or a sum may take its
+    two operands the other way round, which gives the same float.  Only where
+    the last step's cube passes the largest float (steps past about 5e102)
+    does the correction's h1**3 / (6 h0 (h0 + h1)) depart from scipy, formed
+    as h1 (h1 / h0) (h1 / (h0 + h1)) / 6.
     """
 
     def __init__(self, x: np.ndarray):
