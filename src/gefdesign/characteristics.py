@@ -77,8 +77,9 @@ class FrequencyGrid(_Record):
             raise ValueError("grid needs a 1-D vector of at least 16 samples")
         if samples[0] <= 0.0:
             raise ValueError("grid samples must be positive")
-        if (np.diff(samples) <= 0.0).any():
-            raise ValueError("grid samples must be strictly increasing")
+        # a nan fails every comparison; rising samples below a finite last are finite
+        if not ((samples[1:] > samples[:-1]).all() and samples[-1] < math.inf):
+            raise ValueError("grid samples must be finite and strictly increasing")
         self.__dict__.update(samples=samples, dense_halfwidth=dense_halfwidth,
                              dense_step=dense_step, tail_max=tail_max, tail_points=tail_points)
 
@@ -159,17 +160,19 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
     if step == 0.0:
         raise OutOfRange(f"the window step a_p / 200 of a_p = {a:g} underflows to 0")
     k = int(round(halfwidth / step))
-    dense = b + step * np.arange(-k, k + 1)
+    dense = np.arange(-k, k + 1, dtype=float)  # whole numbers, exact below 2**53
+    dense *= step
+    dense += b
     if not dense[0] > GRID_FLOOR + 0.5 * step:  # else all pass: dense does not decrease
         dense = dense[dense > GRID_FLOOR + 0.5 * step]
     if dense.size == 0 or dense[0] > b:
         raise OutOfRange(f"peak b_p = {b:g} must sit half a step above {GRID_FLOOR:g}")
     high = dense[-1] + _graded_offsets(step, tail_max - dense[-1])
-    low = dense[0] - np.append(0.0, _graded_offsets(step, dense[0]))
+    low = dense[0] - np.concatenate(([0.0], _graded_offsets(step, dense[0])))
     # from the first sample whose next step would pass 2% of it, each step is 2%
-    j = int(np.argmax(low[:-1] - low[1:] > 0.02 * low[:-1]))
+    j = int((low[:-1] - low[1:] > 0.02 * low[:-1]).argmax())
     n = int(math.log(low[j] / GRID_FLOOR) / -math.log(0.98)) + 2
-    low = np.append(low[1:j + 1], low[j] * 0.98 ** np.arange(1, n))
+    low = np.concatenate((low[1:j + 1], low[j] * 0.98 ** np.arange(1, n)))
     samples = np.concatenate([[GRID_FLOOR], low[low > GRID_FLOOR][::-1], dense,
                               high[high < tail_max], [tail_max]])
     # every sample is finite, so a step is positive exactly where the sample rises

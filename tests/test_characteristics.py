@@ -187,6 +187,12 @@ class TestDefaultGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(np.array([0.1, 0.1, 0.2] * 10), 0.1, 0.01, 1.0, 10)
 
+    @pytest.mark.parametrize("tail", [[math.inf], [math.inf, math.inf], [math.nan, 3.0]])
+    def test_rejects_non_finite_samples(self, tail):
+        samples = np.append(np.linspace(0.1, 2.0, 16), tail)
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            FrequencyGrid(samples, 0.1, 0.01, 2.0, 0)
+
     def test_theta_and_tail_max_are_the_only_parameters(self):
         assert list(inspect.signature(default_grid).parameters) == ["theta", "tail_max"]
 
