@@ -38,8 +38,8 @@ _EXPORTS = {
     "biquad": ("DigitalFilter", "to_sos"),
     "digital": ("SignalBuffer", "apply_fft", "apply_sos", "digital_response"),
     "bank": ("BankChannel", "CfMap", "build_constant_q_bank", "cf_at"),
-    "filterbank": ("MultibandBand", "MultibandSpec", "channel_response",
-                   "crosstalk_report", "multiband_response"),
+    "filterbank": ("MultibandBand", "MultibandSpec", "crosstalk_report",
+                   "multiband_response"),
     "harness": ("ErrorRecord", "SweepResult", "evaluate_case", "figure_report", "sweep"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

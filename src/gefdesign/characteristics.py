@@ -7,8 +7,9 @@ Two independent routes produce the same characteristic set
   constants (exact for the one-sided sharp form).
 * ``extract_numeric`` recomputes everything from response samples alone:
   golden-section peak refinement, Brent level crossings, Simpson
-  quadrature for the ERB, and finite differences for group delay and
-  convexity.  It works on the log response L = log H (levels from Re L,
+  quadrature for the ERB, a Richardson-extrapolated difference of the phase
+  with a parabolic vertex for the group delay, and a second difference for
+  the convexity.  It works on the log response L = log H (levels from Re L,
   phase from Im L) and never consults the closed forms, so it can serve as
   an oracle for them.
 
@@ -84,18 +85,16 @@ class FrequencyGrid(_Record):
                              dense_step=dense_step, tail_max=tail_max, tail_points=tail_points)
 
     @cached_property
-    def _weights(self) -> tuple:
-        """The finite-difference and Simpson coefficients of the samples
-        (``_Gradient``, ``_Simpson``), computed on first use, so that every
-        extraction on this grid shares them.  Raises OutOfRange where a
+    def _weights(self) -> _Simpson:
+        """The Simpson weights of the samples, computed on first use, so that
+        every extraction on this grid shares them.  Raises OutOfRange where a
         product of steps in them passes the largest float (steps past about
         1e154)."""
         try:
             with np.errstate(over="raise"):
-                return _Gradient(self.samples), _Simpson(self.samples)
+                return _Simpson(self.samples)
         except FloatingPointError:
-            raise OutOfRange("the grid's steps overflow its difference and quadrature "
-                             "weights") from None
+            raise OutOfRange("the grid's steps overflow its quadrature weights") from None
 
     def meta(self) -> dict:
         return {
@@ -355,55 +354,32 @@ def _divide_or_zero(num, den):
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
 
 
-class _Gradient:
-    """Centered differences at increasing points x, with the coefficients
-    that depend on x alone computed once; calling it with samples f gives
-    the slope of f at every point.
+def _max_falling_slope(x: np.ndarray, f: np.ndarray) -> float:
+    """The maximum of -df/dx over samples f at increasing points x.
 
-    The operations of numpy.gradient (2.4) for 1-D samples and edge_order 1,
-    in their order, so the slope is bit-identical to it: the three-point
-    non-uniform rule a f[:-2] + b f[1:-1] + c f[2:] inside, (f[2:] - f[:-2])
-    / (2 dx) instead where every step is equal, and one-sided differences
-    at the two ends.  Each rule runs in place in its output array, a
-    product or a sum may take its two operands the other way round, and
-    dx1 + dx2 is formed once for a and c; all of these give the same
-    floats, as does a = -dx2 / (dx1 (dx1 + dx2)) taken as the negated
-    quotient.
+    Richardson's (4 D_1 - D_2) / 3 of the centered differences over one
+    sample and over two, D_k = (f[i+k] - f[i-k]) / (x[i+k] - x[i-k]), at
+    every point two or more inside the ends: on equal steps their h**2 error
+    terms cancel.  Its largest value is raised to the vertex of the parabola
+    through it and the two beside it, taken as equally spaced, where those
+    bend down.  The vertex's y1 + (y2 - y0)**2 / (8 curve) is formed as a
+    product of y2 - y0 and a quotient of at most 1, so it does not overflow.
     """
-
-    def __init__(self, x: np.ndarray):
-        dx = np.diff(x)
-        self.first, self.last = dx[0], dx[-1]
-        if (dx == dx[0]).all():
-            self.two_dx, self.coefficients = 2.0 * dx[0], None
-        else:
-            dx1, dx2 = dx[0:-1], dx[1:]
-            dx12 = dx1 + dx2
-            a = np.multiply(dx1, dx12)
-            np.divide(dx2, a, out=a)
-            np.negative(a, out=a)
-            b = np.subtract(dx2, dx1)
-            b /= dx1 * dx2
-            c = np.multiply(dx2, dx12)
-            np.divide(dx1, c, out=c)
-            self.coefficients = a, b, c
-
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        out = np.empty_like(f)
-        inner = out[1:-1]
-        if self.coefficients is None:
-            np.subtract(f[2:], f[:-2], out=inner)
-            inner /= self.two_dx
-        else:
-            a, b, c = self.coefficients
-            np.multiply(a, f[:-2], out=inner)
-            term = np.multiply(b, f[1:-1])
-            inner += term
-            np.multiply(c, f[2:], out=term)
-            inner += term
-        out[0] = (f[1] - f[0]) / self.first
-        out[-1] = (f[-1] - f[-2]) / self.last
-        return out
+    d1 = np.subtract(f[2:], f[:-2])
+    d1 /= x[2:] - x[:-2]
+    d2 = np.subtract(f[4:], f[:-4])
+    d2 /= x[4:] - x[:-4]
+    # three times the falling slope; the vertex scales with it, so 1/3 is taken last
+    falls = np.multiply(d1[1:-1], -4.0)
+    falls += d2
+    k = int(falls.argmax())
+    y1 = float(falls[k])
+    if 0 < k < falls.size - 1:
+        y0, y2 = float(falls[k - 1]), float(falls[k + 1])
+        curve = 2.0 * y1 - y0 - y2
+        if curve > 0.0:
+            y1 += 0.125 * (y2 - y0) * ((y2 - y0) / curve)
+    return y1 / 3.0
 
 
 class _Simpson:
@@ -510,12 +486,14 @@ def extract_numeric(
     the level (20/ln 10) Re L between bracketing samples on each side; ERB by
     composite Simpson quadrature of the normalized power
     exp(2 (Re L - Re L_peak)) over the full grid span; N as the maximum of
-    -(1/2 pi) d(Im L)/d(beta) using centered differences; phi_accum as the
-    span of Im L over the grid divided by 2 pi; S by a second-order central
-    difference of the level at the peak with step 4 * dense_step.
+    -(1/2 pi) d(Im L)/d(beta), by Richardson's (4 D_1 - D_2) / 3 of the
+    centered differences over one sample and over two and the vertex of a
+    parabola through its largest value and the two beside it; phi_accum as
+    the span of Im L over the grid divided by 2 pi; S by a second-order
+    central difference of the level at the peak with step 4 * dense_step.
 
-    The difference and quadrature coefficients depend on the grid alone;
-    the grid computes them once and every extraction on it shares them.
+    The quadrature weights depend on the grid alone; the grid computes them
+    once and every extraction on it shares them.
 
     Raises OutOfRange when L is not finite on the grid, when |H| passes the
     largest float somewhere on it, when the quadrature ERB or the
@@ -596,15 +574,13 @@ def extract_numeric(
                              f"above {last:g}")
         bw[n] = width
 
-    gradient, integral = grid._weights
     power = np.subtract(log_mag, peak_log_mag)
     power *= 2.0
-    erb = float(integral(np.exp(power, out=power)))
+    erb = float(grid._weights(np.exp(power, out=power)))
     if not erb > 0.0:
         raise OutOfRange(f"Simpson quadrature gives a non-positive ERB of {erb:g}")
 
-    slope = gradient(phase)
-    n_beta = float(np.negative(slope, out=slope).max()) / TWO_PI
+    n_beta = _max_falling_slope(betas, phase) / TWO_PI
     phi_accum = float(phase_max - phase_min) / TWO_PI
 
     return CharacteristicReport(

@@ -151,11 +151,6 @@ def _re_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
                          + log_modulus(beta))
 
 
-def _log_magnitude(theta: FilterConstants, target: str, beta: float) -> float:
-    """Re L of one target at one float beta: _re_at(theta, target)(beta)."""
-    return _re_at(theta, target)(beta)
-
-
 def _evaluate(theta: FilterConstants, beta, target: str):
     """exp(L) of one target's log response at np.atleast_1d(beta), shaped as
     beta (see the module docstring); not finite where |H| passes the largest
@@ -256,7 +251,7 @@ def _unit_peak_gain(theta: FilterConstants) -> float:
     itself overflows.  A gain past the largest float reads inf; one below
     the smallest normal float, which would carry fewer bits, reads 0."""
     try:
-        gain = math.exp(math.log(theta.gain) - _log_magnitude(theta, "p", peak_beta(theta)))
+        gain = math.exp(math.log(theta.gain) - _re_at(theta, "p")(peak_beta(theta)))
     except OverflowError:
         return math.inf
     return gain if gain >= sys.float_info.min else 0.0

@@ -21,8 +21,8 @@ import numpy as np
 from .bank import BankChannel, CfMap, bank_to_dict, build_constant_q_bank, cf_at, uniform_places
 from .core import (
     DB_PER_LOG,
-    _log_magnitude,
     _maybe_scalar,
+    _re_at,
     _response_columns,
     _unit_peak_gain,
     eval_gef,
@@ -31,12 +31,6 @@ from .core import (
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
 from .scalar import _Record, peak_beta
-
-
-def channel_response(channel: BankChannel, f_hz):
-    """Channel output for input frequency f (Hz): gain * P(f / f_peak)."""
-    beta = np.asarray(f_hz, dtype=float) / channel.f_peak
-    return channel.gain * eval_gef(channel.theta, beta)
 
 
 class MultibandBand(_Record):
@@ -109,9 +103,11 @@ def crosstalk_report(spec: MultibandSpec) -> np.ndarray:
         raise ValueError("crosstalk needs at least two bands")
     designed = _designed_bands(spec)
 
+    log_magnitudes = [_re_at(theta, "p") for _, theta, _ in designed]
+
     def band_level(j, f_hz):
-        f_peak_j, theta_j, gain_j = designed[j]
-        level = DB_PER_LOG * _log_magnitude(theta_j, "p", f_hz / f_peak_j)
+        f_peak_j, _, gain_j = designed[j]
+        level = DB_PER_LOG * log_magnitudes[j](f_hz / f_peak_j)
         return level + 20.0 * math.log10(gain_j)
 
     # true per-band peak frequency: the prototype peaks slightly below beta = 1

@@ -67,6 +67,7 @@ def evaluate_case(spec: CharacteristicSpec) -> list[ErrorRecord]:
     """
     theta, grid = _designed(spec)
     desired = closed_form(theta)
+    flat = desired.characteristics()
     records = []
     for target, response in log_response(theta, grid.samples).items():
         achieved = extract_numeric(response, grid)
@@ -75,7 +76,7 @@ def evaluate_case(spec: CharacteristicSpec) -> list[ErrorRecord]:
                 target=target,
                 desired=desired,
                 achieved=achieved,
-                errors=relative_errors(desired, achieved),
+                errors=_flat_errors(flat, achieved.characteristics()),
             )
         )
     return records

@@ -191,7 +191,9 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=10
     A step-for-step port of scipy.optimize.brentq (its brentq.c), with its
     defaults, so the iterates, and the root, are bit-identical: the same
     inverse quadratic extrapolation, secant and bisection steps, and the same
-    stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2.  Raises
+    stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2; where the
+    inverse quadratic step divides by a 0 that underflowed (brackets past
+    about 1e154), it bisects, as C's inf or nan step does.  Raises
     ValueError when f(xa) and f(xb) have the same sign or f returns NaN, and
     RuntimeError when maxiter iterations do not converge.  Returns a float.
     A caller that already holds f(xa) or f(xb) passes it as _fa or _fb, and
@@ -232,7 +234,9 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=10
             else:
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # a 0 that underflowed gives C an inf or a nan, which fails the test below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

@@ -22,9 +22,9 @@ from gefdesign.characteristics import (
     GRID_FLOOR,
     GRID_GROWTH,
     FrequencyGrid,
-    _Gradient,
     _Simpson,
     _level_crossing,
+    _max_falling_slope,
     erb_closed_form,
     qerb_closed_form,
 )
@@ -38,6 +38,8 @@ from gefdesign.errors import (
     OutOfRange,
 )
 from gefdesign.scalar import _LOG_FLOAT_MAX, DB_PER_LOG, TWO_PI
+
+import reference
 
 LN10 = math.log(10.0)
 
@@ -609,6 +611,44 @@ class TestGoldenMax:
         assert peak == pytest.approx(1e7, abs=1e-8)
 
 
+def reference_constants(count=120, seed=26):
+    """Seeded sharp constants: b_p log-uniform over [0.1, 100], a_p / b_p
+    log-uniform over [1e-4, 0.19], b_u uniform over [1, 20]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        b_p = float(10.0 ** rng.uniform(-1.0, 2.0))
+        ratio = float(10.0 ** rng.uniform(-4.0, math.log10(0.19)))
+        out.append(FilterConstants(ratio * b_p, b_p, float(rng.uniform(1.0, 20.0))))
+    return out
+
+
+class TestAgainstReference:
+    """extract_numeric against the analytic values of tests/reference.py."""
+
+    THETAS = reference_constants()
+
+    @pytest.mark.parametrize("target", core.TARGETS)
+    def test_reference_delay_is_the_falling_phase_slope(self, target):
+        for theta in self.THETAS[:10]:
+            h = 1e-4 * theta.a_p
+            betas = theta.b_p + theta.a_p * np.array([-2.0, -0.5, 0.0, 0.3, 3.0])
+            log = core.log_response(theta, np.concatenate((betas - h, betas + h)), (target,))
+            lower, upper = np.split(log[target].im, 2)
+            for beta, slope in zip(betas, (lower - upper) / (2.0 * h)):
+                delay = reference.group_delay(theta, target, float(beta))[0]
+                assert delay == pytest.approx(slope, rel=1e-6), theta
+
+    @pytest.mark.parametrize("target", core.TARGETS)
+    def test_n_beta(self, target):
+        assert len(self.THETAS) >= 100
+        for theta in self.THETAS:
+            grid = default_grid(theta)
+            log = core.log_response(theta, grid.samples, (target,))[target]
+            want = reference.n_beta(theta, target)
+            assert extract_numeric(log, grid).n_beta == pytest.approx(want, rel=2e-9), theta
+
+
 class TestErbQuadratureAgainstGammaRatio:
     @pytest.mark.parametrize("a_p", [0.02, 0.05, 0.1, 0.2])
     @pytest.mark.parametrize("b_u", [2.0, 5.0, 9.0, 12.0])
@@ -715,8 +755,8 @@ def weight_grids():
 
 
 class TestExtractionWeights:
-    """The difference and Simpson coefficients computed once per grid, applied
-    to samples, against numpy.gradient and scipy.integrate.simpson."""
+    """The Simpson weights computed once per grid, applied to samples,
+    against scipy.integrate.simpson."""
 
     GRIDS = weight_grids()
 
@@ -728,29 +768,40 @@ class TestExtractionWeights:
         assert {x.size % 2 for name, x in self.GRIDS.items() if name.startswith("default")} == {0, 1}
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
-    def test_gradient_matches_numpy_bit_for_bit(self, name):
-        x = self.GRIDS[name]
-        gradient = FrequencyGrid(x, 1.0, 0.01, float(x[-1]), 0)._weights[0]
-        rng = np.random.default_rng(x.size)
-        for f in (np.sin(3.0 * x) - x * x, rng.standard_normal(x.size), -7.0 * np.log(x)):
-            assert np.array_equal(gradient(f), np.gradient(f, x)), name
-
-    @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_simpson_matches_scipy_bit_for_bit(self, name):
         from scipy.integrate import simpson
 
         x = self.GRIDS[name]
-        integral = FrequencyGrid(x, 1.0, 0.01, float(x[-1]), 0)._weights[1]
+        integral = FrequencyGrid(x, 1.0, 0.01, float(x[-1]), 0)._weights
         rng = np.random.default_rng(x.size)
         for y in (np.exp(-((x - 1.0) ** 2)), rng.uniform(0.0, 1.0, x.size), x ** -1.5):
             assert integral(y) == simpson(y, x=x), name
 
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_falling_slope_follows_its_definition(self, name):
+        x = self.GRIDS[name]
+        rng = np.random.default_rng(x.size)
+        for f in (np.sin(3.0 * x) - x * x, rng.standard_normal(x.size), -7.0 * np.log(x)):
+            falls = [-(4.0 * (f[i + 1] - f[i - 1]) / (x[i + 1] - x[i - 1])
+                       - (f[i + 2] - f[i - 2]) / (x[i + 2] - x[i - 2])) / 3.0
+                     for i in range(2, x.size - 2)]
+            k = int(np.argmax(falls))
+            expected = falls[k]
+            if 0 < k < len(falls) - 1:
+                y0, y1, y2 = falls[k - 1:k + 2]
+                if 2.0 * y1 - y0 - y2 > 0.0:
+                    expected = y1 + (y2 - y0) ** 2 / (8.0 * (2.0 * y1 - y0 - y2))
+            assert math.isclose(_max_falling_slope(x, f), expected, rel_tol=1e-12), name
+        if name.startswith("uniform"):
+            # on equal steps the h**2 terms cancel: a cubic's slope is exact up to
+            # rounding, and falls fastest at the last point two inside the end
+            assert math.isclose(_max_falling_slope(x, -x ** 3), 3.0 * x[-3] ** 2,
+                                rel_tol=1e-12), name
+
     def test_grid_computes_its_weights_once(self, theta_sharp6):
         grid = default_grid(theta_sharp6)
         assert grid._weights is grid._weights
-        gradient, integral = grid._weights
-        assert isinstance(gradient, _Gradient) and isinstance(integral, _Simpson)
-        assert gradient.coefficients is not None  # the default grid is non-uniform
+        assert isinstance(grid._weights, _Simpson)
 
     def test_samples_are_a_read_only_copy(self):
         x = 0.5 + 0.125 * np.arange(16)

@@ -17,7 +17,6 @@ from gefdesign import (
     MultibandSpec,
     build_constant_q_bank,
     cf_at,
-    channel_response,
     crosstalk_report,
     design,
     eval_gef,
@@ -92,8 +91,9 @@ class TestConstantQBank:
     def test_peak_substitution(self, norm_spec):
         cf_map = CfMap(8000.0, 1.0, 2.0)
         channel = build_constant_q_bank(cf_map, [1.2], norm_spec)[0]
-        assert channel_response(channel, channel.f_peak) == pytest.approx(
-            eval_gef(channel.theta, 1.0), rel=1e-12
+        row = bank_response_rows([channel], [channel.f_peak])[0]
+        assert complex(row[1], row[2]) == pytest.approx(
+            channel.gain * eval_gef(channel.theta, 1.0), rel=1e-12
         )
 
     def test_empty_channel_list(self, norm_spec):
@@ -159,13 +159,18 @@ def _log_reference_rows(channels, freqs_hz):
     return np.array(rows).reshape(-1, 6)
 
 
+def _channel_values(channel, freqs_hz):
+    """gain * P(f / f_peak) of one channel at the frequencies f in Hz."""
+    return channel.gain * np.asarray(eval_gef(channel.theta, freqs_hz / channel.f_peak))
+
+
 def _complex_reference_rows(channels, freqs_hz):
     """The export from complex response values: 20 log10|H| and
     unwrap(angle H), where the unwrapped phase starts from the wrapped one."""
     blocks = []
     freqs = np.asarray(freqs_hz, dtype=float)
     for idx, channel in enumerate(channels):
-        values = np.asarray(channel_response(channel, freqs))
+        values = _channel_values(channel, freqs)
         with np.errstate(divide="ignore"):
             levels = 20.0 * np.log10(np.abs(values))
         phases = np.unwrap(np.angle(values))
@@ -253,7 +258,7 @@ class TestBankResponseArray:
             assert np.all(block[:, 5] == idx)
             assert np.array_equal(block[:, 0], self.FREQS)
             phase = block[:, 4]
-            wrapped = np.angle(np.asarray(channel_response(channel, self.FREQS)))
+            wrapped = np.angle(_channel_values(channel, self.FREQS))
             # each channel starts from its own phase, not the last one's
             assert abs(phase[0] - wrapped[0]) <= 1e-12
             # the wrapped phase jumps by a turn somewhere; the exported one never does

@@ -120,11 +120,11 @@ class TestReproducers:
             _extract(theta)
 
     def test_weights_that_overflow_are_refused(self):
-        # squares of steps in the gradient and Simpson coefficients
+        # products of steps in the Simpson coefficients
         theta = FilterConstants(6.226171169108189e+154, 6.05868326189651e+166, 483114.8738570269)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfRange, match="overflow its difference and quadrature"):
+            with pytest.raises(OutOfRange, match="overflow its quadrature weights"):
                 _extract(theta)
 
     @pytest.mark.parametrize("a_p, b_p, b_u", [

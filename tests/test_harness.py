@@ -72,7 +72,7 @@ class TestEvaluateCase:
     def test_three_extractions_share_one_weights_object(self, spec_sharp6, monkeypatch):
         built, seen = [], []
 
-        class CountingGradient(characteristics._Gradient):
+        class CountingSimpson(characteristics._Simpson):
             def __init__(self, x):
                 built.append(self)
                 super().__init__(x)
@@ -82,12 +82,12 @@ class TestEvaluateCase:
             return extract(response, grid, *args)
 
         extract = harness.extract_numeric
-        monkeypatch.setattr(characteristics, "_Gradient", CountingGradient)
+        monkeypatch.setattr(characteristics, "_Simpson", CountingSimpson)
         monkeypatch.setattr(harness, "extract_numeric", spy)
         records = evaluate_case(spec_sharp6)
         assert len(records) == len(seen) == 3
         assert len(built) == 1
-        assert seen[0] is seen[1] is seen[2] and seen[0][0] is built[0]
+        assert seen[0] is seen[1] is seen[2] is built[0]
 
     def test_sharper_case_beats_wider_case(self, records_sharp6, spec_wide7):
         sharp_errors = next(r for r in records_sharp6 if r.target == "p").errors
