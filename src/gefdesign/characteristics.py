@@ -6,12 +6,12 @@ Two independent routes produce the same characteristic set
 * ``closed_form`` evaluates the analytic expressions in terms of the filter
   constants (exact for the one-sided sharp form).
 * ``extract_numeric`` recomputes everything from response samples alone:
-  golden-section peak refinement, Brent level crossings, Simpson
-  quadrature for the ERB, a Richardson-extrapolated difference of the phase
-  with a parabolic vertex for the group delay, and a second difference for
-  the convexity.  It works on the log response L = log H (levels from Re L,
-  phase from Im L) and never consults the closed forms, so it can serve as
-  an oracle for them.
+  parabolic vertex steps for the peak and a Richardson-extrapolated second
+  difference there for the convexity, Brent level crossings, Simpson
+  quadrature for the ERB, and a Richardson-extrapolated difference of the
+  phase with a parabolic vertex for the group delay.  It works on the log
+  response L = log H (levels from Re L, phase from Im L) and never consults
+  the closed forms, so it can serve as an oracle for them.
 
 ``default_grid`` samples a uniform window around the peak, then steps that
 grow by GRID_GROWTH per sample out to both ends, at any sharpness.
@@ -37,7 +37,6 @@ from .scalar import (
     _Record,
     _brentq,
     _erb,
-    _golden_max,
     level_factor,
 )
 from .errors import (
@@ -342,7 +341,7 @@ def _level_crossing(level_fn, target, a, b):
         return level_fn(beta) - target
 
     try:
-        return _brentq(gap, a, b, xtol=1e-15 * max(1.0, a, b))
+        return _brentq(gap, a, b, xtol=1e-15 * max(a, b))
     except ValueError:
         return min(a, b, key=lambda beta: abs(gap(beta)))
 
@@ -380,6 +379,42 @@ def _max_falling_slope(x: np.ndarray, f: np.ndarray) -> float:
         if curve > 0.0:
             y1 += 0.125 * (y2 - y0) * ((y2 - y0) / curve)
     return y1 / 3.0
+
+
+def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, float]:
+    """The maximizer of Re L from beta, Re L there and S there, from at most
+    14 scalar probes: three steps to the vertex of the parabola through Re L
+    at beta and beta +- h, h = step, step / 16, step / 256 (a fixed h leaves
+    the vertex off by order h**2), that stop where it does not bend down or a
+    step rounds to nothing; then S by Richardson's (4 D(h) - D(2 h)) / 3 of
+    the level's second differences, h = 2 step.  Each takes the offsets
+    actually probed, (beta +- h) - beta.  Raises OutOfRange where a step of S
+    rounds to 0 or S is not finite and positive."""
+    def stencil(h):
+        """The offsets of beta - h and beta + h from beta and the slopes of
+        Re L over them, all nan where an offset rounds to 0."""
+        lo, hi = beta - h, beta + h
+        d0, d2 = beta - lo, hi - beta
+        if not (d0 > 0.0 and d2 > 0.0):
+            return (math.nan,) * 4
+        return d0, d2, (y - re_at(lo)) / d0, (re_at(hi) - y) / d2
+
+    y = re_at(beta)
+    for h in (step, step / 16.0, step / 256.0):
+        d0, d2, s0, s2 = stencil(h)
+        vertex = beta + 0.5 * (s0 * d2 + s2 * d0) / (s0 - s2) if s0 > s2 else beta
+        if vertex == beta or not math.isfinite(vertex):  # nan where a slope overflows
+            break
+        beta, y = vertex, re_at(vertex)
+    # D = -2 (s0 - s2) / (d0 + d2) over the probed offsets
+    (d0, d2, s0, s2), (e0, e2, t0, t2) = stencil(2.0 * step), stencil(4.0 * step)
+    s_beta = DB_PER_LOG * (8.0 * (s0 - s2) / (d0 + d2) - 2.0 * (t0 - t2) / (e0 + e2)) / 3.0
+    if not (math.isfinite(s_beta) and s_beta > 0.0):
+        raise OutOfRange(
+            f"the level's second difference at beta_peak = {beta:g} with step "
+            f"{4.0 * step:g} gives S = {s_beta:g}, not a finite positive value"
+        )
+    return beta, y, s_beta
 
 
 class _Simpson:
@@ -480,25 +515,24 @@ def extract_numeric(
     n_levels : iterable of float
         dB levels for bandwidths and quality factors.
 
-    Procedure, on L: peak by golden-section refinement of Re L around the
-    best sample (ties break to the smallest beta) to within
-    min(1e-10, dense_step / 100); BW_n by Brent's method on
-    the level (20/ln 10) Re L between bracketing samples on each side; ERB by
-    composite Simpson quadrature of the normalized power
+    Procedure, on L: peak and S by _peak_and_convexity from the best sample
+    (ties break to the smallest beta) with step dense_step; BW_n by Brent's
+    method on the level (20/ln 10) Re L between bracketing samples on each
+    side; ERB by composite Simpson quadrature of the normalized power
     exp(2 (Re L - Re L_peak)) over the full grid span; N as the maximum of
     -(1/2 pi) d(Im L)/d(beta), by Richardson's (4 D_1 - D_2) / 3 of the
     centered differences over one sample and over two and the vertex of a
     parabola through its largest value and the two beside it; phi_accum as
-    the span of Im L over the grid divided by 2 pi; S by a second-order
-    central difference of the level at the peak with step 4 * dense_step.
+    the span of Im L over the grid divided by 2 pi.
 
     The quadrature weights depend on the grid alone; the grid computes them
     once and every extraction on it shares them.
 
     Raises OutOfRange when L is not finite on the grid, when |H| passes the
     largest float somewhere on it, when the quadrature ERB or the
-    difference S is not finite and positive, or when the two crossings of a
-    level give no width above the last (smaller) level's.
+    difference S is not finite and positive (as where a step of S rounds to
+    0), or when the two crossings of a level give no width above the last
+    (smaller) level's.
     """
     betas = grid.samples
     if not isinstance(response, LogResponse):
@@ -528,23 +562,10 @@ def extract_numeric(
     def level_at(beta):
         return DB_PER_LOG * log_mag_at(beta)
 
-    # the scalar probes take Python floats, so Brent's method and the golden
-    # section do float arithmetic on math
-    beta_pk = _golden_max(log_mag_at, float(betas[i_pk - 1]), float(betas[i_pk + 1]),
-                          tol=min(1e-10, 0.01 * grid.dense_step))
-    peak_log_mag = log_mag_at(beta_pk)
+    # Python floats, so that Brent's method and the stencil do float arithmetic
+    beta_pk, peak_log_mag, s_beta = _peak_and_convexity(log_mag_at, float(betas[i_pk]),
+                                                        grid.dense_step)
     peak_level = DB_PER_LOG * peak_log_mag
-
-    h = 4.0 * grid.dense_step
-    # h * h underflows to 0 for h below about 1e-162, which leaves no S
-    s_beta = (-(level_at(beta_pk + h) - 2.0 * peak_level + level_at(beta_pk - h)) / (h * h)
-              if h * h > 0.0 else math.nan)
-    if not (math.isfinite(s_beta) and s_beta > 0.0):
-        # as where the step is below the spacing of floats at the peak
-        raise OutOfRange(
-            f"the level's second difference at beta_peak = {beta_pk:g} with step "
-            f"{h:g} gives S = {s_beta:g}, not a finite positive value"
-        )
 
     levels = DB_PER_LOG * log_mag
     # the levels above the peak, and those below it from the peak down

@@ -5,10 +5,9 @@ The design methods are closed-form maps between the filter constants
 root solve.  This module holds that scalar layer: the constants, their
 sharpness check and their exact peak frequency (``peak_beta``), each
 characteristic as a function of the constants (``CHARACTERISTIC``), each
-inverse for a_p (``A_P_FROM``), the one bracketed root solver, and the
-golden-section maximizer of the extractor's peak search.  It imports nothing
-beyond the standard library, so designing a filter does not load numpy;
-the other modules import these names from here.
+inverse for a_p (``A_P_FROM``), and the one bracketed root solver.  It
+imports nothing beyond the standard library, so designing a filter does not
+load numpy; the other modules import these names from here.
 """
 
 from __future__ import annotations
@@ -259,33 +258,12 @@ def _nan_value(x) -> ValueError:
     return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for the maximizer of a unimodal function.  It
-    also stops once the interior points no longer fall strictly between the
-    ends, which happens before tol where the floats are coarser than tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol and a < c < d < b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 # From this exponent on gamma_ratio sums an asymptotic series, where the
-# log-gamma difference has lost bits (relative error 2e-13 at b_u = 300, 1e-7
-# at 1e8) or overflows (b_u past about 1e305).
-GAMMA_SERIES_FROM = 256.0
+# log-gamma difference has lost bits (relative error 4e-14 at b_u = 80 and
+# 200, 3e-13 at 256, 1e-7 at 1e8) or overflows (b_u past about 1e305).
+GAMMA_SERIES_FROM = 80.0
 # Gamma(b) / Gamma(b - 1/2) = sqrt(b) (1 + sum_k c_k / b**k), c_1 ... c_5; the
-# first omitted term is below 2e-18 of the sum from GAMMA_SERIES_FROM on
+# first omitted term, -5.5e-4 / b**6, is below 2.2e-15 of the sum from there on
 _GAMMA_SERIES = (-3 / 8, -7 / 128, -9 / 1024, 59 / 32768, 483 / 262144)
 
 

@@ -25,10 +25,10 @@ from gefdesign.characteristics import (
     _Simpson,
     _level_crossing,
     _max_falling_slope,
+    _peak_and_convexity,
     erb_closed_form,
     qerb_closed_form,
 )
-from gefdesign.scalar import _golden_max
 from gefdesign.errors import (
     ApproximationDomain,
     ExponentTooSmallForErb,
@@ -339,8 +339,8 @@ class TestExtractNumeric:
         assert report.beta_peak < 1.0  # true peak is below b_p
 
     def test_sharp_form_bandwidths_match_closed_form(self):
-        # q_n = beta_peak / bw_n also carries the golden-section peak error
-        # (about 1e-9), so the bandwidth is what the crossings pin down
+        # q_n = beta_peak / bw_n also carries the peak's error, so the
+        # bandwidth is what the crossings pin down
         rng = np.random.default_rng(20261018)
         for _ in range(30):
             b_p = float(rng.uniform(0.2, 4.0))
@@ -421,7 +421,7 @@ class TestSharpEnd:
                 worst[key] = max(worst[key], abs(got.erb_beta / erb - 1.0))
                 worst["phi"] = max(worst["phi"], abs(got.phi_accum / phi - 1.0))
                 # each crossing is within Brent's tolerance xtol + rtol beta
-                tol = 1e-15 * max(1.0, b_p) + 4.0 * sys.float_info.epsilon * b_p
+                tol = 1e-15 * b_p + 4.0 * sys.float_info.epsilon * b_p
                 want = closed_form(theta)
                 for n in (3.0, 10.0):
                     error = abs(got.bw_n_beta[n] - want.bw_n_beta[n]) / (2.0 * tol)
@@ -437,9 +437,9 @@ class TestSharpEnd:
 
     @pytest.mark.parametrize("b_u", [4.0, 20.0])
     def test_peak_tolerance_scales_with_the_grid(self, b_u):
-        # a fixed tolerance of 1e-10 is 1% of a_p here: it leaves the peak
-        # 1.9e-11 off b_p and the ERB off by -1.5e-5 (b_u 4) and -7.3e-5
-        # (b_u 20); measured with the scaled one, -2.7e-14 and -2.9e-13
+        # 1e-10 is 1% of a_p here, so a fixed peak tolerance of that size
+        # leaves the peak 1.9e-11 off b_p and the ERB off by -1.5e-5 (b_u 4)
+        # and -7.3e-5 (b_u 20); the stencil's steps scale with the grid's step
         theta = FilterConstants(1e-8, 1.0, b_u)
         grid = default_grid(theta)
         got = extract_numeric(core.log_response(theta, grid.samples, ("p_sharp",))["p_sharp"], grid)
@@ -450,13 +450,14 @@ class TestSharpEnd:
 class TestLogResponseExtraction:
     """Extraction on the log response L against the complex-callable adapter
     (log|H| + i unwrap(angle H)) on eval_*: the grid work is the same to
-    rounding, and the scalar probes differ only in where the golden section
-    stops on the flat maximum."""
+    rounding, and the scalar probes differ by rounding, which the peak
+    stencil's vertex steps and second differences magnify."""
 
     # relative bounds: grid-only characteristics, those that carry the peak
-    # location, and the curvature, whose three probes straddle the peak
+    # location, and the curvature, whose probes straddle the peak (measured
+    # worst: 1.6e-12 on the peak and the q, 1.3e-11 on S)
     BOUNDS = {"bw": 1e-12, "erb_beta": 1e-12, "n_beta": 1e-12, "phi_accum": 1e-12,
-              "beta_peak": 2e-8, "q": 2e-8, "s_beta": 1e-7}
+              "beta_peak": 2e-11, "q": 2e-11, "s_beta": 1e-10}
 
     def bound(self, key):
         return self.BOUNDS[key] if key in self.BOUNDS else self.BOUNDS[key.split("_")[0]]
@@ -531,6 +532,15 @@ class TestLevelCrossing:
         crossing = _level_crossing(lambda beta: -beta * beta, -2.0, 1.0, 2.0)
         assert crossing == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
+    def test_tolerance_is_relative_below_beta_1(self):
+        # BW_3 is 3.7e-12 wide at b_p = 0.01: an absolute floor of 1e-15 on
+        # Brent's tolerance left it 8.3e-5 off; measured now, 3.7e-7
+        theta = FilterConstants(1e-11, 0.01, 20.0)
+        grid = default_grid(theta)
+        got = extract_numeric(core.log_response(theta, grid.samples, ("p_sharp",))["p_sharp"],
+                              grid).bw_n_beta[3.0]
+        assert got == pytest.approx(closed_form(theta).bw_n_beta[3.0], rel=1e-6, abs=0.0)
+
     @pytest.mark.parametrize("target, nearer", [(-2.5, 2.0), (-0.5, 1.0)])
     def test_same_sign_ends_give_the_nearer_sample(self, target, nearer):
         # both scalar levels on one side of the target: no bracket for Brent
@@ -603,12 +613,63 @@ class TestCrossingSearch:
         assert report.bw_n_beta[3.0] == pytest.approx(gaussian_bw(0.05, 3.0), rel=1e-6)
 
 
-class TestGoldenMax:
-    def test_stops_where_floats_are_coarser_than_tol(self):
-        # near 1e7 adjacent floats are 1.9e-9 apart, so the bracket can never
-        # narrow to 1e-10
-        peak = _golden_max(lambda beta: -(beta - 1e7) ** 2, 1e7 - 10.0, 1e7 + 10.0, tol=1e-10)
-        assert peak == pytest.approx(1e7, abs=1e-8)
+class TestPeakStencil:
+    """characteristics._peak_and_convexity: parabolic vertex steps at
+    h = step, step / 16 and step / 256, then Richardson's second difference."""
+
+    def test_peak_where_floats_are_coarse(self):
+        # near 1e7 adjacent floats are 1.9e-9 apart: the second step's probes
+        # round to a few floats off the peak, and the third's to the peak itself
+        theta = FilterConstants(2e-5, 1e7, 4.0)
+        step = default_grid(theta).dense_step
+        assert step / 256.0 < 0.5 * math.ulp(1e7) < step / 16.0
+        re_at = core.log_response(theta, np.array([1e7]), ("p",))["p"].re_at
+        start = 1e7 + 40.0 * math.ulp(1e7)
+        peak, log_mag, s_beta = _peak_and_convexity(re_at, start, step)
+        assert abs(peak - 1e7) <= math.ulp(1e7)
+        assert log_mag == re_at(peak)
+        # S's probes sit about 107 floats out, so the offsets that are probed
+        # miss the ratio 2 of the nominal ones by up to 0.5%, which leaves part
+        # of the h**2 term that Richardson's difference cancels: 6.1e-7 here
+        assert s_beta == pytest.approx(closed_form(theta).s_beta, rel=2e-6)
+
+    @pytest.mark.parametrize("step", [1e-20, 3e-17])
+    def test_a_step_rounding_to_zero_is_out_of_range(self, step):
+        # 1e-20: every probe rounds to 1.0; 3e-17: 1 - 2 step rounds to the
+        # float below 1, and 1 + 2 step to 1.0, so one offset is 0
+        def re_at(beta):
+            return -((beta - 1.0) ** 2)
+
+        with pytest.raises(OutOfRange, match="second difference"):
+            _peak_and_convexity(re_at, 1.0, step)
+
+    def test_probe_counts(self, monkeypatch):
+        # the peak and S probe at most 14 times and the crossings the rest,
+        # a median below 58 in all
+        stencil = characteristics._peak_and_convexity
+        stencil_counts, totals = [], []
+        probes = [0]
+
+        def counted_stencil(re_at, beta, step):
+            before = probes[0]
+            out = stencil(re_at, beta, step)
+            stencil_counts.append(probes[0] - before)
+            return out
+
+        monkeypatch.setattr(characteristics, "_peak_and_convexity", counted_stencil)
+        for theta in reference_constants(count=40, seed=27):
+            grid = default_grid(theta)
+            for log in core.log_response(theta, grid.samples).values():
+                def counted(beta, re_at=log.re_at):
+                    probes[0] += 1
+                    return re_at(beta)
+
+                probes[0] = 0
+                extract_numeric(log._replace(re_at=counted), grid)
+                totals.append(probes[0])
+        assert len(totals) == 120
+        assert max(stencil_counts) <= 14
+        assert float(np.median(totals)) < 58
 
 
 def reference_constants(count=120, seed=26):
@@ -647,6 +708,26 @@ class TestAgainstReference:
             log = core.log_response(theta, grid.samples, (target,))[target]
             want = reference.n_beta(theta, target)
             assert extract_numeric(log, grid).n_beta == pytest.approx(want, rel=2e-9), theta
+
+    # measured worst over THETAS: beta_peak 7.6e-12 relative (v), S 1.34e-8,
+    # the h**4 term of Richardson's difference at h = 2 dense_step
+    @pytest.mark.parametrize("target", core.TARGETS)
+    def test_beta_peak(self, target):
+        for theta in self.THETAS:
+            grid = default_grid(theta)
+            log = core.log_response(theta, grid.samples, (target,))[target]
+            want = reference.beta_peak(theta, target)
+            got = extract_numeric(log, grid).beta_peak
+            assert got == pytest.approx(want, rel=5e-11, abs=0.0), theta
+
+    @pytest.mark.parametrize("target", core.TARGETS)
+    def test_s_beta(self, target):
+        for theta in self.THETAS:
+            grid = default_grid(theta)
+            log = core.log_response(theta, grid.samples, (target,))[target]
+            want = reference.s_beta(theta, target)
+            got = extract_numeric(log, grid).s_beta
+            assert got == pytest.approx(want, rel=3e-8, abs=0.0), theta
 
 
 class TestErbQuadratureAgainstGammaRatio:

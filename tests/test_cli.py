@@ -508,8 +508,9 @@ class TestBadInputFiles:
             assert math.isfinite(numeric[key])
             assert numeric[key] == pytest.approx(closed[key], rel=2e-2), key
 
-    def test_analyze_peak_beyond_golden_section_resolution(self, tmp_path, capsys):
-        # floats near b_p = 1e7 are coarser than the peak search's 1e-10 tolerance
+    def test_analyze_peak_where_floats_are_coarse(self, tmp_path, capsys):
+        # floats near b_p = 1e7 are 1.9e-9 apart, coarser than a fixed peak
+        # tolerance of 1e-10
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"a_p": 1000, "b_p": 1e7, "b_u": 4}))
         assert run(["analyze", "--constants", str(path)]) == 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from gefdesign import (
     CharacteristicSpec,
@@ -29,7 +30,7 @@ from gefdesign.design import (
     qerb_over_delay,
     qn_over_delay,
 )
-from gefdesign.scalar import _brentq, _golden_max
+from gefdesign.scalar import _brentq
 from gefdesign.errors import BracketFailure, ErbRequiresBu, InfeasibleSpec, OutOfRange
 
 N_SHARP6 = 6.0 / (2.0 * math.pi * 0.05)  # 19.098593...
@@ -421,7 +422,9 @@ class TestSolveDecreasing:
         # relative neighbours: Q_n / N is a function of b_u / n over n, so its
         # peak widens in proportion to n
         assert fn(x_max) >= max(fn(x_max * (1.0 - 1e-7)), fn(x_max * (1.0 + 1e-7)))
-        assert x_max == pytest.approx(_golden_max(fn, *B_U_BRACKET, tol=1e-9), abs=1e-6)
+        found = minimize_scalar(lambda x: -fn(x), bounds=B_U_BRACKET, method="bounded",
+                                options={"xatol": 1e-9})
+        assert x_max == pytest.approx(found.x, abs=1e-6)
 
     def test_qn_maximum_clips_to_the_lower_end_below_6_92_db(self):
         assert _qn_argmax(6.92) < 1.0 < _qn_argmax(6.93)
