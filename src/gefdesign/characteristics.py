@@ -431,7 +431,10 @@ class _Simpson:
     two operands the other way round, which gives the same float.  Only where
     the last step's cube passes the largest float (steps past about 5e102)
     does the correction's h1**3 / (6 h0 (h0 + h1)) depart from scipy, formed
-    as h1 (h1 / h0) (h1 / (h0 + h1)) / 6.
+    as h1 (h1 / h0) (h1 / (h0 + h1)) / 6.  The correction's three
+    coefficients are formed on Python floats, which cost less than numpy's
+    0-d operations; where one of their steps overflows it raises
+    FloatingPointError, as numpy does under errstate(over="raise").
     """
 
     def __init__(self, x: np.ndarray):
@@ -450,19 +453,23 @@ class _Simpson:
         self.factors = a, b, np.subtract(2.0, h0divh1, out=h0divh1)
         self.correction = None
         if n % 2 == 0:
-            # 0-d arrays, as in scipy, so that h1 ** 3 takes numpy's power loop
-            h0, h1 = h[-2:-1].reshape(()), h[-1:].reshape(())
+            # on Python floats, in scipy's order (its h ** 2 is h * h); only
+            # h1 ** 3 takes numpy's power loop, as scipy's does, since
+            # Python's pow rounds some cubes otherwise
+            h0, h1 = h[-2:].tolist()
             with np.errstate(over="ignore"):
-                cube = h1 ** 3
+                cube = np.power(h[-1:], 3).item()
             if cube < math.inf:
-                eta = _divide_or_zero(cube, 6 * h0 * (h0 + h1))
+                eta = (cube, 6 * h0 * (h0 + h1))
             else:
-                eta = h1 * (h1 / h0) * (h1 / (h0 + h1)) / 6
-            self.correction = (
-                _divide_or_zero(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0)),
-                _divide_or_zero(h1 ** 2 + 3.0 * h0 * h1, 6 * h0),
-                eta,
-            )
+                eta = (h1 * (h1 / h0) * (h1 / (h0 + h1)), 6)
+            quotients = ((2 * (h1 * h1) + 3 * h0 * h1, 6 * (h1 + h0)),
+                         (h1 * h1 + 3.0 * h0 * h1, 6 * h0), eta)
+            self.correction = tuple(num / den if den else 0.0 for num, den in quotients)
+            # Python floats overflow to inf without raising; every step feeds
+            # a numerator, a denominator or a quotient
+            if not all(map(math.isfinite, (*sum(quotients, ()), *self.correction))):
+                raise FloatingPointError("overflow in the last interval's correction")
 
     def __call__(self, y: np.ndarray):
         stop = self.stop

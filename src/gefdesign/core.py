@@ -231,15 +231,33 @@ def phase_rad(theta: FilterConstants, beta):
     return _maybe_scalar(log_response(theta, beta, ("p",))["p"].im)
 
 
-def _response_columns(log_re, log_im, what: str):
+def _response_columns(log_re, log_im, what, out=None):
     """Columns (re, im, level_db, phase_rad) of H = exp(L) from Re L and Im L:
     |H| (cos Im L, sin Im L), DB_PER_LOG * Re L (-inf only where H is 0) and
-    Im L.  Raises OutOfRange naming ``what`` when |H| passes the largest float
-    or Re L is nan."""
+    Im L, written into ``out``, a float array of shape (4,) + log_re.shape
+    (a new one where None), which is returned.  Every column is one
+    elementwise pass, with no temporary: the level slot holds cos Im L until
+    the level is written.
+
+    Raises OutOfRange when |H| passes the largest float or Re L is nan,
+    naming ``what``: a string, or for rows of responses a function of the
+    index of the first failing row that gives its name."""
     if not log_re.max(initial=-math.inf) <= _LOG_FLOAT_MAX:
+        if not isinstance(what, str):
+            failing = ~(log_re.max(axis=-1, initial=-math.inf) <= _LOG_FLOAT_MAX)
+            what = what(int(np.argmax(failing)))
         raise OutOfRange(f"{what}: |H| passes the largest float or is nan")
-    magnitude = np.exp(log_re)
-    return magnitude * np.cos(log_im), magnitude * np.sin(log_im), DB_PER_LOG * log_re, log_im
+    if out is None:
+        out = np.empty((4,) + log_re.shape)
+    re, im, level, phase = out
+    np.cos(log_im, out=level)
+    np.exp(log_re, out=re)
+    np.sin(log_im, out=im)
+    im *= re
+    re *= level
+    np.multiply(log_re, DB_PER_LOG, out=level)
+    np.copyto(phase, log_im)
+    return out
 
 
 def _unit_peak_gain(theta: FilterConstants) -> float:

@@ -49,28 +49,32 @@ def _quadratic_log(b, z_inv, log_z_inv):
     fs/2, -inf at a zero on it.  With b0 >= 0, |b2| <= b0 and |b1| <= b0 + b2,
     the roots lie in the closed disk and the principal log is continuous (a
     stable denominator, to_sos's double zero at -1); else it is factored, a
-    root r outside the circle as x - r = (-r)(1 - x/r) (Steiglitz & Dickinson)."""
+    root r outside the circle as x - r = (-r)(1 - x/r) (Steiglitz & Dickinson),
+    carried as its reciprocal, so no value passes the largest float."""
     b0, b1, b2 = b
     if abs(b2) <= b0 and abs(b1) <= b0 + b2:
         return np.log(b0 + b1 * z_inv + b2 * z_inv**2)
-    # b0 z^-2 prod (z - r) or b2 prod (1/z - r), in the variable x whose lead is
-    # the larger end coefficient, so no root passes the largest float unless
-    # both do; np.roots drops leading zero coefficients
+    # c0 + c1 v + c2 v^2 with |c2| <= |c0|: b in v = 1/z, or b reversed in
+    # v = z times z^-2
     if abs(b2) > abs(b0):
-        coeffs, x, x_inv, log_x, log = b[::-1], z_inv, np.conj(z_inv), log_z_inv, 0.0
+        coeffs, v, log_v, log = (b2, b1, b0), np.conj(z_inv), -log_z_inv, 2.0 * log_z_inv
     else:
-        coeffs, x, x_inv, log_x, log = b, np.conj(z_inv), z_inv, -log_z_inv, 2.0 * log_z_inv
-    try:
-        roots = np.roots(coeffs)
-    except np.linalg.LinAlgError:
-        raise OutOfRange(f"a root of the section polynomial {b} passes the largest float") from None
-    log = log + np.log(complex(coeffs[2 - len(roots)]))
-    for r in roots:
-        if abs(r) <= 1.0:
-            log = log + log_x + np.log(1.0 - r * x_inv)
-        else:
-            log = log + np.log(complex(-r)) + np.log(1.0 - x / r)
-    return log
+        coeffs, v, log_v, log = b, z_inv, log_z_inv, 0.0
+    # scaled by a power of two, exactly but for subnormals, so c1 * c1 cannot overflow
+    exponent = math.frexp(max(abs(coeffs[0]), abs(coeffs[1])))[1]
+    c0, c1, c2 = (math.ldexp(c, -exponent) for c in coeffs)
+    # = (c0 - q v)(1 - (c2 / q) v) with q the larger root of t^2 + c1 t + c0 c2,
+    # without cancellation; |c2 / q| <= sqrt(|c2 / c0|) <= 1
+    disc = c1 * c1 - 4.0 * c0 * c2
+    q = -0.5 * (c1 + math.copysign(1.0, c1) * (math.sqrt(disc) if disc >= 0.0
+                                               else 1j * math.sqrt(-disc)))
+    if c2:
+        log = log + np.log(1.0 - (c2 / q) * v)
+    if abs(q) <= abs(c0):
+        return log + np.log(complex(coeffs[0])) + np.log(1.0 - (q / c0) * v)
+    # the root c0 / q in 1/v lies inside the circle
+    return (log + np.log(complex(-q)) + exponent * math.log(2.0) + log_v
+            + np.log(1.0 - (c0 / q) * np.conj(v)))
 
 
 def _cascade_log(filt: DigitalFilter, f_hz):

@@ -379,6 +379,31 @@ class TestLogResponse:
         np.testing.assert_allclose(logs["v"].re, -7.0 * np.log(betas), rtol=1e-15)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", [
+        FilterConstants(0.05, 1.0, 6.0, gain=3.0),
+        FilterConstants(1e-170, 1.0, 4.0),  # a_p * a_p below the normal floats: hypot
+        FilterConstants(1.5e-154, 2.0, 2.5),  # a_p * a_p just above them: no hypot
+        FilterConstants(0.3, 1e155, 1.5),   # a_p**2 + u**2 overflows in every row
+    ])
+    def test_rows_of_a_2d_beta_are_row_calls_bit_for_bit(self, theta):
+        # the bank exports blocks of channels through one 2-D call; a sum
+        # a*a + u*u that overflows in one row must not move the others
+        rng = np.random.default_rng(7)
+        rows = [
+            np.linspace(0.0, 4.0, 33),
+            np.sort(rng.uniform(0.0, 3.0, 33)) * theta.b_p,
+            np.r_[rng.uniform(0.5, 1.5, 30) * theta.b_p, 1e150, 1e160, 1e300],
+            np.full(33, theta.b_p),
+            np.geomspace(1e-300, 1e300, 33),
+        ]
+        block = core.log_response(theta, np.array(rows))
+        for target in core.TARGETS:
+            for k, betas in enumerate(rows):
+                alone = core.log_response(theta, betas, (target,))[target]
+                assert block[target].re[k].tobytes() == alone.re.tobytes(), (target, k)
+                assert block[target].im[k].tobytes() == alone.im.tobytes(), (target, k)
+
+    @pytest.mark.filterwarnings("error")
     def test_finite_where_the_squared_pole_distance_underflows(self):
         # below a_p = 1e-162, a_p**2 + (beta - b_p)**2 underflows to 0 at the
         # pole: Re L = -b_u (log a_p + log hypot(a_p, 2 b_p)) there

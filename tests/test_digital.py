@@ -363,6 +363,11 @@ class TestCascadeLog:
         (1.0, -2.5, 1.0),    # roots 2 and 0.5
         (1e-300, 1e10, 1.0),  # a root in z past the largest float: factored in 1/z
         (1.0, 1e10, 1e-300),  # its mirror, factored in z
+        (1e-300, 1e10, 1e-300),  # roots past the largest float in z and in 1/z alike
+        (1e300, -2.5e300, 1e300),  # b1 * b1 and b0 * b2 past the largest float
+        (1.0, 0.5, 4.0),      # a complex pair outside the circle
+        (-3.0, 0.5, 1.0),     # a negative lead, a real pair either side
+        (1.0, -1e10, 1.0),    # roots 1e10 and 1e-10: the small one from b0 b2 / q
     ])
     def test_factored_numerators_match_the_section_product(self, numerator):
         filt = DigitalFilter(FS, sections=(numerator + (-0.9, 0.4),))
@@ -376,11 +381,18 @@ class TestCascadeLog:
         unwrapped += 2.0 * math.pi * round((log_h.imag[0] - unwrapped[0]) / (2.0 * math.pi))
         np.testing.assert_allclose(log_h.imag, unwrapped, rtol=0.0, atol=1e-9)
 
-    def test_root_past_the_largest_float_raises_out_of_range(self):
-        # past the largest float in z and in 1/z alike
+    @pytest.mark.filterwarnings("error")
+    def test_roots_past_the_largest_float_give_the_finite_log(self):
+        # roots near -1e-310 and -1e310 in z: the log is that of 1e10 / z to
+        # within 1e-300 relative, and continuous from f = 0
         filt = DigitalFilter(FS, sections=((1e-300, 1e10, 1e-300, 0.0, 0.0),))
-        with pytest.raises(OutOfRange):
-            digital_response(filt, 1000.0)
+        freqs = np.linspace(0.0, 0.5 * FS, 4097)
+        log_z_inv = -2j * math.pi * freqs / FS
+        log_h = _cascade_log(filt, freqs)
+        np.testing.assert_allclose(log_h, math.log(1e10) + log_z_inv, rtol=1e-15, atol=1e-14)
+        np.testing.assert_allclose(np.exp(log_h), np.polyval((1e-300, 1e10, 1e-300),
+                                                             np.exp(log_z_inv)), rtol=1e-12)
+        assert np.max(np.abs(np.diff(log_h.imag))) < 1e-3
 
 
 class TestApplySos:

@@ -27,6 +27,7 @@ from gefdesign import (
     peak_beta,
     phase_rad,
 )
+from gefdesign import filterbank
 from gefdesign.characteristics import FrequencyGrid, default_grid
 from gefdesign.core import DB_PER_LOG
 from gefdesign.errors import OutOfRange
@@ -301,6 +302,100 @@ class TestBankResponseArray:
             normal = magnitude > 1e-300
             assert np.allclose(20.0 * np.log10(magnitude[normal]), block[normal, 3],
                                rtol=0.0, atol=1e-11)
+
+
+class TestBankBlocks:
+    """bank_response_rows evaluates runs of channels that share constants as
+    blocks of at most filterbank._BLOCK_POINTS points; the rows stay those of
+    one channel at a time."""
+
+    @staticmethod
+    def _runs_bank(rng, n_channels):
+        """Runs of shared constants of lengths 1-5, each run's constants
+        distinct from the last, with gains over 1e-3..1e3."""
+        channels, run = [], []
+        while len(channels) < n_channels:
+            if not run:
+                theta = FilterConstants(rng.uniform(0.03, 0.2), 1.0, rng.uniform(1.5, 8.0),
+                                        gain=rng.uniform(0.5, 2.0))
+                run = [theta] * int(rng.integers(1, 6))
+            f_peak = 20000.0 * math.exp(-3.0 * len(channels) / n_channels)
+            channels.append(BankChannel(x=0.0, f_peak=f_peak, theta=run.pop(),
+                                        gain=10.0 ** rng.uniform(-3.0, 3.0)))
+        return channels
+
+    @pytest.mark.parametrize("block, n_channels, n_freqs", [
+        (64, 23, 20),   # three channels a block: 23 is not a multiple
+        (64, 7, 100),   # more frequencies than a block: each channel split
+        (64, 5, 64),    # one channel fills a block exactly
+        (1000, 17, 1),  # a single frequency
+    ])
+    def test_blocks_bit_identical_to_row_loop(self, monkeypatch, block, n_channels, n_freqs):
+        monkeypatch.setattr(filterbank, "_BLOCK_POINTS", block)
+        rng = np.random.default_rng(n_channels)
+        channels = self._runs_bank(rng, n_channels)
+        pairs = list(zip(channels, channels[1:]))
+        assert any(a.theta == b.theta for a, b in pairs)
+        assert any(a.theta != b.theta for a, b in pairs)
+        freqs = np.sort(rng.uniform(0.0, 24000.0, n_freqs))
+        rows = bank_response_rows(channels, freqs)
+        assert rows.tobytes() == _log_reference_rows(channels, freqs).tobytes()
+
+    def test_more_frequencies_than_the_block_bit_identical(self, monkeypatch):
+        sizes = []
+
+        def counting(theta, betas, targets):
+            sizes.append(betas.size)
+            return log_response(theta, betas, targets)
+
+        monkeypatch.setattr(filterbank, "log_response", counting)
+        rng = np.random.default_rng(5)
+        channels = self._runs_bank(rng, 3)
+        freqs = np.geomspace(10.0, 24000.0, filterbank._BLOCK_POINTS + 1001)
+        rows = bank_response_rows(channels, freqs)
+        assert rows.tobytes() == _log_reference_rows(channels, freqs).tobytes()
+        # each channel's frequencies split in two blocks, none past the cap
+        assert sizes == [filterbank._BLOCK_POINTS, 1001] * 3
+
+    @pytest.mark.parametrize("loud", [0, 4, 9])
+    def test_overflow_inside_a_block_names_its_channel(self, loud):
+        # |P| peaks near (2 a_p)**-6 = 1e6; a gain of 1e303 puts one channel past
+        # the largest float, inside a block of ten that share constants
+        theta = FilterConstants(0.05, 1.0, 6.0)
+        channels = [BankChannel(x=0.0, f_peak=1000.0, theta=theta,
+                                gain=1e303 if idx == loud else 1.0) for idx in range(10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match=rf"^channel {loud}: "):
+                bank_response_rows(channels, np.linspace(500.0, 1500.0, 101))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_frequency_raises_out_of_range(self, bad):
+        channel = BankChannel(x=0.0, f_peak=1000.0, theta=FilterConstants(0.05, 1.0, 4.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="finite"):
+                bank_response_rows([channel], [bad])
+            with pytest.raises(OutOfRange, match="finite"):
+                bank_response_rows([channel] * 3, [100.0, bad, 2000.0])
+
+    def test_one_log_response_a_block(self, monkeypatch, norm_spec):
+        # a count, not a timing: the export must not fall back to one call a channel
+        calls = []
+
+        def counting(theta, betas, targets):
+            calls.append(betas.shape)
+            return log_response(theta, betas, targets)
+
+        monkeypatch.setattr(filterbank, "log_response", counting)
+        rng = np.random.default_rng(64)
+        cf_map = CfMap(16000.0, 1.0, rng.uniform(3.0, 4.0))
+        channels = build_constant_q_bank(cf_map, uniform_places(cf_map, 64), norm_spec)
+        freqs = np.geomspace(20.0, 24000.0, 4096)
+        rows = bank_response_rows(channels, freqs)
+        assert rows.shape == (64 * 4096, 6)
+        assert 1 <= len(calls) <= math.ceil(64 * 4096 / filterbank._BLOCK_POINTS)
+        assert sum(math.prod(shape) for shape in calls) == 64 * 4096
 
 
 class TestDomainConsistency:

@@ -24,7 +24,7 @@ from gefdesign import (
     wavenumber,
 )
 from gefdesign.biquad import to_sos
-from gefdesign.characteristics import _Simpson
+from gefdesign.characteristics import FrequencyGrid, _Simpson
 from gefdesign.core import eval_v, log_response
 from gefdesign.digital import SignalBuffer, apply_fft
 from gefdesign.errors import GefError, OutOfRange
@@ -148,6 +148,20 @@ class TestReproducers:
         y = np.exp(-((x - theta.b_p) / (50.0 * theta.a_p)) ** 2)
         scale = 2.0 ** -300
         assert _Simpson(x)(y) * scale == pytest.approx(_Simpson(x * scale)(y), rel=1e-14)
+
+    @pytest.mark.parametrize("head, steps", [
+        (np.arange(1.0, 16.0), (1e200,)),                  # h1 * h1 past the largest float
+        (1e-300 * np.arange(1.0, 15.0), (1e-310, 1e100)),  # h1**2 / (6 h0) past it
+    ])
+    def test_a_last_interval_correction_that_overflows_is_refused(self, head, steps):
+        # 16 samples: only the last two steps enter the correction, and the
+        # Simpson pairs before them stay finite
+        x = np.concatenate((head, head[-1] + np.cumsum(steps)))
+        assert x.size == 16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="overflow its quadrature weights"):
+                FrequencyGrid(x, 1.0, 1.0, float(x[-1]), 0)._weights
 
     def test_widths_that_do_not_grow_with_the_level_are_refused(self):
         # the 3 and 10 dB crossings round to the same floats
