@@ -8,13 +8,18 @@ Two independent routes produce the same characteristic set
 * ``extract_numeric`` recomputes everything from response samples alone:
   parabolic vertex steps for the peak and a Richardson-extrapolated second
   difference there for the convexity, Brent level crossings, Simpson
-  quadrature for the ERB, and a Richardson-extrapolated difference of the
-  phase with a parabolic vertex for the group delay.  It works on the log
-  response L = log H (levels from Re L, phase from Im L) and never consults
-  the closed forms, so it can serve as an oracle for them.
+  quadrature for the ERB, a Richardson-extrapolated difference of the
+  phase with a parabolic vertex for the group delay, and the span of the
+  phase with a parabolic vertex at an interior extremum for phi_accum.  It
+  works on the log response L = log H (levels from Re L, phase from Im L)
+  and never consults the closed forms, so it can serve as an oracle for
+  them.
 
-``default_grid`` samples a uniform window around the peak, then steps that
-grow by GRID_GROWTH per sample out to both ends, at any sharpness.
+``default_grid`` samples a uniform window of +-4 a_p around the peak, then
+steps that grow by GRID_GROWTH = 1.01 per sample out to both ends, at any
+sharpness.  The peak, N, S and, for b_u >= 1, the n-dB crossings read only
+the window; the ERB and an interior phase extremum read the graded steps
+too, whose slow growth keeps the quadrature accurate.
 """
 
 from __future__ import annotations
@@ -57,13 +62,14 @@ def level_label(n_db: float) -> str:
 
 
 GRID_FLOOR = 1e-3
-GRID_GROWTH = 1.02
+GRID_GROWTH = 1.01
 
 
 class FrequencyGrid(_Record):
     """Increasing beta samples: a uniform window of half-width
-    ``dense_halfwidth`` and step ``dense_step`` around the peak, and graded
-    tails out to ``tail_max`` above it and down to the floor below it;
+    ``dense_halfwidth`` (4 a_p in ``default_grid``) and step ``dense_step``
+    around the peak, and graded tails, each step GRID_GROWTH times the last,
+    out to ``tail_max`` above it and down to the floor below it;
     ``tail_points`` counts the tail samples, those outside the window."""
 
     _fields = ("samples", "dense_halfwidth", "dense_step", "tail_max", "tail_points")
@@ -140,18 +146,22 @@ def _graded_offsets(step: float, span: float) -> np.ndarray:
 def default_grid(theta: FilterConstants, tail_max: float | None = None) -> FrequencyGrid:
     """Build the standard extraction grid for a filter.
 
-    A uniform window [b_p - 12 a_p, b_p + 12 a_p] at step a_p / 200 (kept
+    A uniform window [b_p - 4 a_p, b_p + 4 a_p] at step a_p / 200 (kept
     more than half a step above GRID_FLOOR, so that no sample sits next to
-    the floor, and always containing b_p exactly).  Out of it each step
-    is GRID_GROWTH times the last, up to tail_max = b_p + max(8, 60 a_p)
-    unless given, and down to GRID_FLOOR, where no step passes 2% of beta,
-    so the low tail ends geometric.  tail_max and GRID_FLOOR are the ends.
+    the floor, and always containing b_p exactly), which holds every
+    sample the peak, N, S and, for b_u >= 1, the crossings read.  Out of
+    it each step is GRID_GROWTH = 1.01 times the last, slow enough that
+    Simpson's rule on the tails keeps the ERB accurate, up to tail_max =
+    b_p + max(8, 60 a_p) unless given, and down to GRID_FLOOR, where no
+    step passes 2% of beta, so the low tail ends geometric.  tail_max and
+    GRID_FLOOR are the ends.
     Raises OutOfRange when b_p does not sit half a step above GRID_FLOOR,
-    tail_max is not finite and above it, the step underflows to 0, or the
-    graded steps pass the largest float before they reach an end.
+    tail_max is not finite and above it, the step underflows to 0, the
+    graded steps pass the largest float before they reach an end, or
+    tail_max is not above the window's top sample.
     """
     a, b = theta.a_p, theta.b_p
-    step, halfwidth = a / 200.0, 12.0 * a
+    step, halfwidth = a / 200.0, 4.0 * a
     tail_max = b + max(8.0, 60.0 * a) if tail_max is None else tail_max
     if not GRID_FLOOR < tail_max < math.inf:
         raise OutOfRange(f"tail_max = {tail_max:g} must be finite and above {GRID_FLOOR:g}")
@@ -167,6 +177,10 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
         raise OutOfRange(f"peak b_p = {b:g} must sit half a step above {GRID_FLOOR:g}")
     high = dense[-1] + _graded_offsets(step, tail_max - dense[-1])
     low = dense[0] - np.concatenate(([0.0], _graded_offsets(step, dense[0])))
+    # checked after the offsets, which refuse steps that pass the largest float first
+    if not tail_max > dense[-1]:
+        raise OutOfRange(f"tail_max = {tail_max:g} must lie above the window's top sample "
+                         f"{dense[-1]:g}")
     # from the first sample whose next step would pass 2% of it, each step is 2%
     j = int((low[:-1] - low[1:] > 0.02 * low[:-1]).argmax())
     n = int(math.log(low[j] / GRID_FLOOR) / -math.log(0.98)) + 2
@@ -381,6 +395,27 @@ def _max_falling_slope(x: np.ndarray, f: np.ndarray) -> float:
     return y1 / 3.0
 
 
+def _vertex_value(x: np.ndarray, y: np.ndarray, k: int) -> float:
+    """y[k], an extreme sample, moved to the vertex of the parabola through
+    it and the samples beside it where k is interior.  With s0 and s2 the
+    slopes over the steps d0 and d2 beside it, the parabola's slope at x[k]
+    is c1 = w / (d0 + d2) and the vertex lies t = w / (2 (s0 - s2)) from
+    it, w = s0 d2 + s2 d0; the vertex value is y[k] + c1 t / 2.  t lies
+    within the two steps, so the product stays within the samples' rise;
+    where a slope overflows, y[k] as it stands."""
+    y1 = float(y[k])
+    if not 0 < k < y.size - 1:
+        return y1
+    (x0, x1, x2), (y0, _, y2) = x[k - 1:k + 2].tolist(), y[k - 1:k + 2].tolist()
+    d0, d2 = x1 - x0, x2 - x1
+    s0, s2 = (y1 - y0) / d0, (y2 - y1) / d2
+    if s0 == s2:  # both 0: three equal samples
+        return y1
+    w = s0 * d2 + s2 * d0
+    value = y1 + 0.25 * (w / (d0 + d2)) * (w / (s0 - s2))
+    return value if math.isfinite(value) else y1
+
+
 def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, float]:
     """The maximizer of Re L from beta, Re L there and S there, from at most
     14 scalar probes: three steps to the vertex of the parabola through Re L
@@ -530,7 +565,9 @@ def extract_numeric(
     -(1/2 pi) d(Im L)/d(beta), by Richardson's (4 D_1 - D_2) / 3 of the
     centered differences over one sample and over two and the vertex of a
     parabola through its largest value and the two beside it; phi_accum as
-    the span of Im L over the grid divided by 2 pi.
+    the span of Im L over the grid divided by 2 pi, an extremum inside the
+    grid (as v's phase maximum) read at the vertex of the parabola through
+    its sample and the two beside it.
 
     The quadrature weights depend on the grid alone; the grid computes them
     once and every extraction on it shares them.
@@ -549,7 +586,8 @@ def extract_numeric(
     log_mag, phase, log_mag_at = response.re, response.im, response.re_at
     # a nan makes its array's extremes nan, and fails every comparison here
     i_pk = int(np.argmax(log_mag))
-    phase_min, phase_max = phase.min(), phase.max()
+    k_min, k_max = int(phase.argmin()), int(phase.argmax())
+    phase_min, phase_max = phase[k_min], phase[k_max]
     if not (
         -math.inf < log_mag.min()
         and log_mag[i_pk] <= _LOG_FLOAT_MAX
@@ -609,7 +647,7 @@ def extract_numeric(
         raise OutOfRange(f"Simpson quadrature gives a non-positive ERB of {erb:g}")
 
     n_beta = _max_falling_slope(betas, phase) / TWO_PI
-    phi_accum = float(phase_max - phase_min) / TWO_PI
+    phi_accum = (_vertex_value(betas, phase, k_max) - _vertex_value(betas, phase, k_min)) / TWO_PI
 
     return CharacteristicReport(
         beta_peak=beta_pk,

@@ -167,7 +167,7 @@ class TestDefaultGrid:
     def test_sharp_case_geometry(self, theta_sharp6):
         grid = default_grid(theta_sharp6)
         assert grid.dense_step == pytest.approx(2.5e-4)
-        assert grid.dense_halfwidth == pytest.approx(0.6)
+        assert grid.dense_halfwidth == pytest.approx(0.2)
         assert grid.samples[0] == pytest.approx(1e-3)
         assert grid.tail_max == pytest.approx(9.0)
         assert np.any(grid.samples == 1.0)  # contains b_p exactly
@@ -181,7 +181,7 @@ class TestDefaultGrid:
         assert grid.tail_max == pytest.approx(13.0)
 
     def test_dense_window_clipped_to_positive(self):
-        grid = default_grid(FilterConstants(0.2, 0.5, 2.0))  # b_p - 12 a_p < 0
+        grid = default_grid(FilterConstants(0.2, 0.5, 2.0))  # b_p - 4 a_p < 0
         assert grid.samples[0] > 0.0
         assert np.any(grid.samples == 0.5)
 
@@ -203,19 +203,19 @@ class TestDefaultGrid:
     def test_window_then_graded_tails(self, a_p, b_p):
         grid = default_grid(FilterConstants(a_p, b_p, 2.0))
         x, step = grid.samples, grid.dense_step
-        window = b_p + step * np.arange(-2400, 2401)
+        window = b_p + step * np.arange(-800, 801)
         assert x[0] == GRID_FLOOR and x[-1] == grid.tail_max == b_p + max(8.0, 60.0 * a_p)
         i = int(np.searchsorted(x, window[0]))
         assert np.array_equal(x[i:i + window.size], window)
         assert grid.tail_points == x.size - window.size
-        # above the window each step is 1.02 times the last, up to tail_max;
+        # above the window each step is GRID_GROWTH times the last, up to tail_max;
         # the samples are rounded sums, so a step is exact to two ulps
         above = x[i + window.size - 1:]
         h, ulps = np.diff(above), 2.0 * np.spacing(above[1:])
         grown = step * GRID_GROWTH ** np.arange(1, h.size + 1)
         np.testing.assert_allclose(h[:-1], grown[:-1], rtol=1e-9, atol=ulps.max())
         assert 0.0 < h[-1] <= grown[-1] + ulps[-1]
-        # below it, 1.02 times the last until a step would pass 2% of beta,
+        # below it, GRID_GROWTH times the last until a step would pass 2% of beta,
         # then 2% of beta, down to the floor
         below = x[:i + 1][::-1]
         h, ulps = -np.diff(below), 2.0 * np.spacing(below[:-1])
@@ -226,16 +226,17 @@ class TestDefaultGrid:
         assert np.any(grown > 0.02 * below[:-1])  # the cap binds on every case
 
     def test_clipped_window_keeps_half_a_step_above_the_floor(self):
-        # b_p - 12 a_p is 1 - 1998 * step; the window's sample there would sit
-        # 8.7e-19 above the floor sample, and the Simpson weights of so short
-        # an interval cancel to a relative ERB error of 9.5e-8
-        grid = default_grid(FilterConstants(0.1, 1.0, 1.0))
+        # the window's sample 0.4 - 798 * step would sit 8.7e-19 above the
+        # floor sample, and the Simpson weights of so short an interval cancel
+        grid = default_grid(FilterConstants(0.1, 0.4, 1.0))
         step = grid.dense_step
-        assert 1.0 - 1998 * step - GRID_FLOOR < 1e-18
-        assert 1.0 - 1997 * step in grid.samples
-        assert 1.0 - 1998 * step not in grid.samples
+        assert 0.4 - 798 * step - GRID_FLOOR < 1e-18
+        assert 0.4 - 797 * step in grid.samples
+        assert 0.4 - 798 * step not in grid.samples
 
-    @pytest.mark.parametrize("tail_max", [GRID_FLOOR, 0.0, math.inf, math.nan])
+    # the last three lie below the peak, inside the window, and on its top sample
+    @pytest.mark.parametrize("tail_max", [GRID_FLOOR, 0.0, math.inf, math.nan,
+                                          0.5, 1.1, 1.0 + 800 * (0.05 / 200.0)])
     def test_tail_max_must_be_finite_and_above_the_floor(self, theta_sharp6, tail_max):
         with pytest.raises(OutOfRange):
             default_grid(theta_sharp6, tail_max=tail_max)
@@ -257,7 +258,7 @@ class TestDefaultGrid:
     def test_growth_sums_are_bit_identical_at_every_cached_length(self):
         # the tails' running sums are prefixes of one cached array, which a
         # longer count rebuilds; the largest count here passes the largest float
-        for count in (5, 50000, 7, 3000, 50001, 2):
+        for count in (5, 80000, 7, 3000, 80001, 2):
             with np.errstate(over="ignore"):
                 want = np.cumsum(GRID_GROWTH ** np.arange(1, count + 1))
             assert np.array_equal(characteristics._growth_prefix(count), want), count
@@ -729,6 +730,41 @@ class TestAgainstReference:
             got = extract_numeric(log, grid).s_beta
             assert got == pytest.approx(want, rel=3e-8, abs=0.0), theta
 
+    # the ERB over the grid's span, worst 2.0e-10 and p90 1.1e-12 on every
+    # target (the window of +-12 a_p and 2% growth gave 6.5e-10 and 1.1e-12)
+    @pytest.mark.parametrize("target", core.TARGETS)
+    def test_erb_over_grid_span(self, target):
+        errors = []
+        for theta in self.THETAS:
+            grid = default_grid(theta)
+            log = core.log_response(theta, grid.samples, (target,))[target]
+            want = reference.erb_beta(theta, target, grid.samples[0], grid.samples[-1])
+            errors.append(abs(extract_numeric(log, grid).erb_beta / want - 1.0))
+        assert max(errors) <= 7e-10
+        assert np.percentile(errors, 90) <= 2e-12
+
+    # the widths, worst 6.3e-12 (v), near the reference's own Brent tolerance
+    @pytest.mark.parametrize("target", core.TARGETS)
+    def test_bw(self, target):
+        for theta in self.THETAS:
+            grid = default_grid(theta)
+            log = core.log_response(theta, grid.samples, (target,))[target]
+            got = extract_numeric(log, grid).bw_n_beta
+            for n in (3.0, 10.0):
+                want = reference.bw_beta(theta, target, n)
+                assert got[n] == pytest.approx(want, rel=1e-11, abs=0.0), (theta, n)
+
+    def test_v_phi_accum_interior_maximum(self):
+        # v's phase peaks inside the grid, on its graded steps, and falls to
+        # the last sample; worst 2.4e-8 (4.4e-7 read at the highest sample)
+        for theta in self.THETAS:
+            grid = default_grid(theta)
+            log = core.log_response(theta, grid.samples, ("v",))["v"]
+            top, end = reference.v_phase_maximum(theta), float(grid.samples[-1])
+            want = (reference.phase(theta, "v", top) - reference.phase(theta, "v", end)) / TWO_PI
+            got = extract_numeric(log, grid).phi_accum
+            assert got == pytest.approx(want, rel=5e-8, abs=0.0), theta
+
 
 class TestErbQuadratureAgainstGammaRatio:
     @pytest.mark.parametrize("a_p", [0.02, 0.05, 0.1, 0.2])
@@ -878,6 +914,17 @@ class TestExtractionWeights:
             # rounding, and falls fastest at the last point two inside the end
             assert math.isclose(_max_falling_slope(x, -x ** 3), 3.0 * x[-3] ** 2,
                                 rel_tol=1e-12), name
+
+    def test_vertex_value_of_an_extreme_sample(self):
+        # a parabola on unequal steps is exact at its vertex; an end sample,
+        # and a sample whose slopes overflow, stay as they are
+        x = np.array([0.5, 1.0, 1.3, 2.5])
+        y = 4.0 - 3.0 * (x - 1.2) ** 2
+        assert characteristics._vertex_value(x, y, 2) == pytest.approx(4.0, rel=1e-15)
+        assert characteristics._vertex_value(x, y, 0) == y[0]
+        x = np.array([1e-310, 2e-310, 3e-310])
+        y = np.array([0.0, 1.0, 0.5])
+        assert characteristics._vertex_value(x, y, 1) == 1.0
 
     def test_grid_computes_its_weights_once(self, theta_sharp6):
         grid = default_grid(theta_sharp6)

@@ -127,12 +127,15 @@ class TestReproducers:
             with pytest.raises(OutOfRange, match="overflow its quadrature weights"):
                 _extract(theta)
 
-    @pytest.mark.parametrize("a_p, b_p, b_u", [
-        (2.1983747288592392e+103, 1.3070480441826393e+110, 18962.324811781902),  # even count
-        (1e100, 1e105, 2.0),  # odd count
+    @pytest.mark.parametrize("a_p, b_p, b_u, parity", [
+        (1e104, 3e110, 18962.324811781902, 0),
+        (2e104, 1.3e110, 2.0, 1),
     ])
-    def test_a_last_step_whose_cube_overflows_extracts_at_either_parity(self, a_p, b_p, b_u):
+    def test_a_last_step_whose_cube_overflows_extracts_at_either_parity(self, a_p, b_p, b_u,
+                                                                        parity):
         theta = FilterConstants(a_p, b_p, b_u)
+        x = default_grid(theta).samples
+        assert x.size % 2 == parity and x[-1] - x[-2] > sys.float_info.max ** (1.0 / 3.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = _extract(theta)
@@ -142,7 +145,7 @@ class TestReproducers:
     def test_simpson_correction_past_the_cube_agrees_with_the_scaled_grid(self):
         # an even count, last step past 5e102: the factored correction against
         # scipy's h1 ** 3 on the same grid scaled by 2**-300
-        theta = FilterConstants(2.2e103, 1.3e110, 18962.0)
+        theta = FilterConstants(1e105, 1e111, 18962.0)
         x = default_grid(theta).samples
         assert x.size % 2 == 0 and x[-1] - x[-2] > sys.float_info.max ** (1.0 / 3.0)
         y = np.exp(-((x - theta.b_p) / (50.0 * theta.a_p)) ** 2)
