@@ -346,18 +346,23 @@ def closed_form(
     return report
 
 
-def _level_crossing(level_fn, target, a, b):
-    """Brent root of level(beta) == target between two samples bracketing
-    the crossing.  The samples bracket it by their vectorized levels; when a
-    target within rounding of a sample's level leaves the scalar levels on
-    one side, the sample whose level is nearer the target is the crossing."""
+def _level_crossing(re_at, target, a, b):
+    """Brent root of the level (20/ln 10) re_at(beta) == target between two
+    samples bracketing the crossing.  The samples bracket it by their
+    vectorized levels; when a target within rounding of a sample's level
+    leaves the scalar levels on one side, the sample whose level is nearer
+    the target is the crossing.  Raises OutOfRange where the level is nan
+    at a probe."""
     def gap(beta):
-        return level_fn(beta) - target
+        return DB_PER_LOG * re_at(beta) - target
 
     try:
         return _brentq(gap, a, b, xtol=1e-15 * max(a, b))
-    except ValueError:
-        return min(a, b, key=lambda beta: abs(gap(beta)))
+    except ValueError:  # the ends on one side of the target, or a nan level
+        gap_a, gap_b = gap(a), gap(b)
+        if (gap_a < 0.0) != (gap_b < 0.0) or gap_a != gap_a or gap_b != gap_b:
+            raise OutOfRange(f"the level is nan between beta = {a:g} and {b:g}") from None
+        return a if abs(gap_a) <= abs(gap_b) else b
 
 
 def _divide_or_zero(num, den):
@@ -424,15 +429,20 @@ def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, 
     step rounds to nothing; then S by Richardson's (4 D(h) - D(2 h)) / 3 of
     the level's second differences, h = 2 step.  Each takes the offsets
     actually probed, (beta +- h) - beta.  Raises OutOfRange where a step of S
-    rounds to 0 or S is not finite and positive."""
+    rounds to 0, Re L at a probe or S is not finite, or S is not positive."""
     def stencil(h):
         """The offsets of beta - h and beta + h from beta and the slopes of
-        Re L over them, all nan where an offset rounds to 0."""
+        Re L over them, all nan where an offset rounds to 0; Re L there that
+        is not finite raises OutOfRange."""
         lo, hi = beta - h, beta + h
         d0, d2 = beta - lo, hi - beta
         if not (d0 > 0.0 and d2 > 0.0):
             return (math.nan,) * 4
-        return d0, d2, (y - re_at(lo)) / d0, (re_at(hi) - y) / d2
+        y0, y2 = re_at(lo), re_at(hi)
+        if not (-math.inf < y0 < math.inf and -math.inf < y2 < math.inf):
+            value = y2 if -math.inf < y0 < math.inf else y0
+            raise OutOfRange(f"Re L within {h:g} of beta = {beta:g} is {value}")
+        return d0, d2, (y - y0) / d0, (y2 - y) / d2
 
     y = re_at(beta)
     for h in (step, step / 16.0, step / 256.0):
@@ -525,7 +535,7 @@ class _Simpson:
 def _complex_log(response: Callable, betas: np.ndarray) -> LogResponse:
     """The log response of a complex response callable: log|H| + i unwrap(angle H)
     at the betas, and log|H| at one beta (hypot, not abs, so a modulus past the
-    largest float reads inf instead of raising)."""
+    largest float reads inf instead of raising, and a zero reads -inf)."""
     # a zero, an overflow or a nan gives a non-finite L, which fails the grid gate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = np.asarray(response(betas), dtype=complex)
@@ -533,7 +543,8 @@ def _complex_log(response: Callable, betas: np.ndarray) -> LogResponse:
 
     def re_at(beta):
         value = complex(response(beta))
-        return math.log(math.hypot(value.real, value.imag))
+        modulus = math.hypot(value.real, value.imag)
+        return math.log(modulus) if modulus else -math.inf
 
     return LogResponse(betas, re, im, re_at)
 
@@ -575,8 +586,9 @@ def extract_numeric(
     Raises OutOfRange when L is not finite on the grid, when |H| passes the
     largest float somewhere on it, when the quadrature ERB or the
     difference S is not finite and positive (as where a step of S rounds to
-    0), or when the two crossings of a level give no width above the last
-    (smaller) level's.
+    0), when Re L is not finite at a probe of the peak or nan at a probe of
+    a crossing, or when the two crossings of a level give no width above
+    the last (smaller) level's.
     """
     betas = grid.samples
     if not isinstance(response, LogResponse):
@@ -604,9 +616,6 @@ def extract_numeric(
             f"magnitude maximum at the grid boundary (beta = {betas[i_pk]:g})"
         )
 
-    def level_at(beta):
-        return DB_PER_LOG * log_mag_at(beta)
-
     # Python floats, so that Brent's method and the stencil do float arithmetic
     beta_pk, peak_log_mag, s_beta = _peak_and_convexity(log_mag_at, float(betas[i_pk]),
                                                         grid.dense_step)
@@ -625,13 +634,13 @@ def extract_numeric(
         if not side[k]:
             raise LevelNotReached(n, "high-frequency")
         j = i_pk + 1 + k
-        upper = _level_crossing(level_at, target, float(betas[j - 1]), float(betas[j]))
+        upper = _level_crossing(log_mag_at, target, float(betas[j - 1]), float(betas[j]))
         side = low < target
         k = int(side.argmax())
         if not side[k]:
             raise LevelNotReached(n, "low-frequency")
         j = i_pk - 1 - k
-        lower = _level_crossing(level_at, target, float(betas[j]), float(betas[j + 1]))
+        lower = _level_crossing(log_mag_at, target, float(betas[j]), float(betas[j + 1]))
         width, last = upper - lower, max(bw.values(), default=0.0)
         if not width > last:
             # both crossings round to one float, or to those of the level below,

@@ -129,8 +129,11 @@ def _re_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
     """Re L of one target (see log_response) at one float beta, on math and
     in the operations of the array path, as a function bound once to the
     constants: a*a, the test of it against the smallest normal float and
-    log C are taken here, not at each call.  It takes no exp, so it neither
-    overflows nor underflows where the response does."""
+    log C are taken here, not at each call.  Each log modulus of a factor
+    a + i u is 0.5 log(a*a + u*u), or log hypot(a, u) where that sum is at
+    or past ``limit``, written out in the function so that a call is one
+    frame.  It takes no exp, so it neither overflows nor underflows where
+    the response does."""
     a, b, b_u = theta.a_p, theta.b_p, theta.b_u
     a2 = a * a
     # a sum a*a + u*u at or past this takes hypot: every sum where a*a is
@@ -139,16 +142,25 @@ def _re_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
     log_gain = math.log(theta.gain)
     log, hypot = math.log, math.hypot
 
-    def log_modulus(u):
-        squared = a2 + u * u
-        return 0.5 * log(squared) if squared < limit else log(hypot(a, u))
-
     if target == "p_sharp":
-        return lambda beta: -b_u * log_modulus(beta - b)
-    if target == "p":
-        return lambda beta: -b_u * (log_modulus(beta - b) + log_modulus(beta + b)) + log_gain
-    return lambda beta: (-b_u * (log_modulus(beta - b) + log_modulus(beta + b))
-                         + log_modulus(beta))
+        def re_at(beta):
+            u = beta - b
+            s = a2 + u * u
+            return -b_u * (0.5 * log(s) if s < limit else log(hypot(a, u)))
+    elif target == "p":
+        def re_at(beta):
+            u, w = beta - b, beta + b
+            s, t = a2 + u * u, a2 + w * w
+            return -b_u * ((0.5 * log(s) if s < limit else log(hypot(a, u)))
+                           + (0.5 * log(t) if t < limit else log(hypot(a, w)))) + log_gain
+    else:
+        def re_at(beta):
+            u, w = beta - b, beta + b
+            s, t, z = a2 + u * u, a2 + w * w, a2 + beta * beta
+            return (-b_u * ((0.5 * log(s) if s < limit else log(hypot(a, u)))
+                            + (0.5 * log(t) if t < limit else log(hypot(a, w))))
+                    + (0.5 * log(z) if z < limit else log(hypot(a, beta))))
+    return re_at
 
 
 def _evaluate(theta: FilterConstants, beta, target: str):

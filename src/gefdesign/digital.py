@@ -16,20 +16,16 @@ are transformed together and added in hop order.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import json
 import math
-import os
 import struct
-import sys
 
 import numpy as np
 
 from .biquad import DigitalFilter, _bandpass_peak, _check_rates, to_sos
 from .core import _maybe_scalar, eval_gef
 from .errors import OutOfRange, SampleRateMismatch
-from .scalar import FilterConstants, _Record
+from .scalar import FilterConstants, _Record, _scipy_extension
 
 
 class SignalBuffer(_Record):
@@ -132,31 +128,11 @@ def _sosfilt_kernel():
     the rows of x in place, or None when it cannot be found.
 
     `from scipy.signal import sosfilt` loads all of scipy.signal: about 1.3 s
-    on a 2-core Xeon and 60 MB, most of a cold `filter` call.  The extension module needs only
-    numpy and the scipy package, so it is loaded from its file under its own
-    name; a later `import scipy.signal` finds it in sys.modules and reuses it.
+    on a 2-core Xeon and 60 MB, most of a cold `filter` call.  The extension
+    module needs only numpy and the scipy package, so it is loaded from its
+    file under its own name (see scalar._scipy_extension).
     """
-    name = "scipy.signal._sosfilt"
-    module = sys.modules.get(name)
-    if module is None:
-        scipy_spec = importlib.util.find_spec("scipy")
-        if scipy_spec is None:
-            return None
-        paths = [os.path.join(d, "signal", "_sosfilt" + suffix)
-                 for d in scipy_spec.submodule_search_locations or ()
-                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        path = next((p for p in paths if os.path.isfile(p)), None)
-        if path is None:
-            return None
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        try:
-            spec.loader.exec_module(module)
-        except ImportError:
-            sys.modules.pop(name, None)
-            return None
-        sys.modules[name] = module
-    return getattr(module, "_sosfilt", None)
+    return getattr(_scipy_extension("signal", "_sosfilt"), "_sosfilt", None)
 
 
 # The kernel of an nb-point block passes when the middle half of

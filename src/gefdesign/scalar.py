@@ -8,11 +8,19 @@ characteristic as a function of the constants (``CHARACTERISTIC``), each
 inverse for a_p (``A_P_FROM``), and the one bracketed root solver.  It
 imports nothing beyond the standard library, so designing a filter does not
 load numpy; the other modules import these names from here.
+
+The root solver, ``_brentq``, runs scipy's compiled Brent loop where scipy is
+installed.  Its extension module, ``scipy.optimize._zeros``, is loaded from
+its file under its own name on the first solve (``_scipy_extension``), which
+imports neither numpy nor the ``scipy`` package; where it cannot be found,
+the solver runs an in-tree port of the same loop, with the same roots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import sys
 
 from .errors import InfeasibleSpec, NonPositiveConstant, OutOfRange
@@ -183,23 +191,99 @@ def sharpness_check(theta: FilterConstants) -> SharpnessReport:
     )
 
 
+def _scipy_extension(package: str, name: str):
+    """scipy's compiled module ``scipy.<package>.<name>``, or None where scipy
+    or the module's file cannot be found or the module does not load.
+
+    The module is loaded from its file under its own name, without importing
+    ``scipy.<package>``, nor the ``scipy`` package unless the module itself
+    does; a later import of those finds it in sys.modules and reuses it.
+    """
+    full_name = f"scipy.{package}.{name}"
+    module = sys.modules.get(full_name)
+    if module is not None:
+        return module
+    import importlib.machinery
+    import importlib.util
+
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        return None
+    paths = [os.path.join(directory, package, name + suffix)
+             for directory in scipy_spec.submodule_search_locations or ()
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        return None
+    spec = importlib.util.spec_from_file_location(full_name, path)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(full_name, None)
+        return None
+    sys.modules[full_name] = module
+    return module
+
+
+@functools.cache
+def _brent_loop():
+    """scipy's compiled Brent loop, ``_brentq(f, xa, xb, xtol, rtol, maxiter,
+    args, full_output, disp)`` of ``scipy.optimize._zeros``, or None where it
+    cannot be loaded; looked up once, on the first call."""
+    return getattr(_scipy_extension("optimize", "_zeros"), "_brentq", None)
+
+
 def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=100,
             _fa=None, _fb=None):
-    """Root of f on the bracket [xa, xb] by Brent's method.
+    """Root of f on the bracket [xa, xb] by Brent's method, as
+    scipy.optimize.brentq finds it, with its defaults.
 
-    A step-for-step port of scipy.optimize.brentq (its brentq.c), with its
-    defaults, so the iterates, and the root, are bit-identical: the same
-    inverse quadratic extrapolation, secant and bisection steps, and the same
-    stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2; where the
-    inverse quadratic step divides by a 0 that underflowed (brackets past
-    about 1e154), it bisects, as C's inf or nan step does.  Raises
+    Runs scipy's compiled loop (``_brent_loop``) where it loads, with
+    scipy's check that f is not NaN, and otherwise ``_brentq_port``; both
+    evaluate f at the same points and return the same float.  Raises
     ValueError when f(xa) and f(xb) have the same sign or f returns NaN, and
-    RuntimeError when maxiter iterations do not converge.  Returns a float.
-    A caller that already holds f(xa) or f(xb) passes it as _fa or _fb, and
-    f is not evaluated there again.
+    RuntimeError when maxiter iterations do not converge.  A caller that
+    already holds f(xa) or f(xb) passes it as _fa or _fb, and f is not
+    evaluated there again.
     """
     if maxiter < 0:
         raise ValueError("maxiter must be >= 0")
+    loop = _brent_loop()
+    if loop is None:
+        return _brentq_port(f, xa, xb, xtol, rtol, maxiter, _fa, _fb)
+    xa, xb = float(xa), float(xb)
+    fa = f(xa) if _fa is None else _fa
+    if fa != fa:
+        raise _nan_value(xa)
+    fb = f(xb) if _fb is None else _fb
+    if fb != fb:
+        raise _nan_value(xb)
+    # the loop's first two probes are xa and xb: they pop the values above
+    ends = [fb, fa]
+
+    def probe(x):
+        if ends:
+            return ends.pop()
+        fx = f(x)
+        if fx != fx:
+            raise _nan_value(x)
+        return fx
+
+    return loop(probe, xa, xb, xtol, rtol, maxiter, (), 0, True)
+
+
+def _brentq_port(f, xa, xb, xtol, rtol, maxiter, _fa, _fb):
+    """Brent's method in Python: a step-for-step port of scipy's compiled
+    loop (its brentq.c), which ``_brentq`` runs where scipy cannot be found.
+
+    The iterates, and the root, are bit-identical: the same inverse
+    quadratic extrapolation, secant and bisection steps, and the same
+    stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2; where the
+    inverse quadratic step divides by a 0 that underflowed (brackets past
+    about 1e154), it bisects, as C's inf or nan step does.  Arguments,
+    result and exceptions as ``_brentq``'s, which checks maxiter >= 0.
+    """
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
     fpre = f(xpre) if _fa is None else _fa

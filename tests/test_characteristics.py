@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -529,8 +530,11 @@ class TestLogResponseExtraction:
 
 
 class TestLevelCrossing:
+    """_level_crossing takes Re L, the log magnitude; these levels in dB are
+    (20/ln 10) Re L."""
+
     def test_root_between_the_samples(self):
-        crossing = _level_crossing(lambda beta: -beta * beta, -2.0, 1.0, 2.0)
+        crossing = _level_crossing(lambda beta: -beta * beta / DB_PER_LOG, -2.0, 1.0, 2.0)
         assert crossing == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_tolerance_is_relative_below_beta_1(self):
@@ -545,8 +549,8 @@ class TestLevelCrossing:
     @pytest.mark.parametrize("target, nearer", [(-2.5, 2.0), (-0.5, 1.0)])
     def test_same_sign_ends_give_the_nearer_sample(self, target, nearer):
         # both scalar levels on one side of the target: no bracket for Brent
-        assert _level_crossing(lambda beta: -beta, target, 1.0, 2.0) == nearer
-        assert _level_crossing(lambda beta: -beta, target, 2.0, 1.0) == nearer
+        assert _level_crossing(lambda beta: -beta / DB_PER_LOG, target, 1.0, 2.0) == nearer
+        assert _level_crossing(lambda beta: -beta / DB_PER_LOG, target, 2.0, 1.0) == nearer
 
 
 def gaussian_bumps(*bumps, floor=0.0, delay=5.0):
@@ -566,6 +570,74 @@ def gaussian_bumps(*bumps, floor=0.0, delay=5.0):
 def gaussian_bw(w, n_db):
     """n-dB width of exp(-(x / w)**2)."""
     return 2.0 * w * math.sqrt(n_db / DB_PER_LOG)
+
+
+class TestNanBetweenSamples:
+    """A response callable that is nan (or 0) only on an open interval
+    between two grid samples: the grid's samples are finite, and only a
+    scalar probe there can see it."""
+
+    THETA = FilterConstants(0.05, 1.0, 6.0)
+
+    @classmethod
+    def holed(cls, lo, hi, fill=complex(math.nan, math.nan)):
+        def response(beta):
+            beta = np.asarray(beta, dtype=float)
+            values = np.asarray(eval_gef(cls.THETA, beta), dtype=complex)
+            values = np.where((lo < beta) & (beta < hi), fill, values)
+            return values[()] if values.ndim == 0 else values
+
+        return response
+
+    @classmethod
+    def samples_around(cls, where):
+        """The two samples of the default grid that enclose the probes of the
+        peak stencil, of the upper 3 dB or lower 10 dB crossing, or none."""
+        samples = default_grid(cls.THETA).samples
+        levels = core.level_db(cls.THETA, samples)
+        i_pk = int(np.argmax(levels))
+        if where == "peak":
+            return samples[i_pk], samples[i_pk + 1]
+        if where == "upper 3 dB":
+            j = i_pk + 1 + int(np.argmax(levels[i_pk + 1:] < levels[i_pk] - 3.0))
+            return samples[j - 1], samples[j]
+        if where == "lower 10 dB":
+            j = i_pk - 1 - int(np.argmax(levels[i_pk - 1::-1] < levels[i_pk] - 10.0))
+            return samples[j], samples[j + 1]
+        return samples[-3], samples[-2]
+
+    @pytest.mark.parametrize("where", ["peak", "upper 3 dB", "lower 10 dB"])
+    def test_a_probe_on_the_nan_is_out_of_range(self, where, brent_path):
+        grid = default_grid(self.THETA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="nan"):
+                extract_numeric(self.holed(*self.samples_around(where)), grid)
+
+    def test_a_zero_at_the_peak_stencil_is_out_of_range(self, brent_path):
+        # log|H| of 0 is -inf, not a math domain error
+        grid = default_grid(self.THETA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="is -inf"):
+                extract_numeric(self.holed(*self.samples_around("peak"), fill=0j), grid)
+
+    def test_a_zero_in_a_crossing_bracket_is_where_the_level_falls(self, brent_path):
+        lo, hi = self.samples_around("upper 3 dB")
+        grid = default_grid(self.THETA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = extract_numeric(self.holed(lo, hi, fill=0j), grid).bw_n_beta[3.0]
+        want = extract_numeric(partial(eval_gef, self.THETA), grid).bw_n_beta[3.0]
+        # the upper crossing moves from inside the bracket to the hole's edge
+        assert want - (hi - lo) < got < want
+
+    def test_a_nan_no_probe_sees_leaves_the_report(self, brent_path):
+        grid = default_grid(self.THETA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = extract_numeric(self.holed(*self.samples_around("tail")), grid)
+        assert got == extract_numeric(partial(eval_gef, self.THETA), grid)
 
 
 class TestCrossingSearch:
@@ -591,9 +663,9 @@ class TestCrossingSearch:
         w = 0.001 / 1.5
         brackets = []
 
-        def recording(level_fn, target, a, b):
+        def recording(re_at, target, a, b):
             brackets.append((a, b))
-            return _level_crossing(level_fn, target, a, b)
+            return _level_crossing(re_at, target, a, b)
 
         monkeypatch.setattr(characteristics, "_level_crossing", recording)
         report = extract_numeric(gaussian_bumps((1.0, w, 1.0), floor=1e-6), self.GRID)

@@ -1143,7 +1143,9 @@ class TestImportPath:
     """Only `filter` needs scipy, for its compiled cascade loop alone; `design`,
     `discretize`, `bank`, `--version` and usage errors need neither numpy nor
     scipy, nor `dataclasses` and `inspect`; `design` and usage errors load
-    neither the bank layout nor the biquad discretization."""
+    neither the bank layout nor the biquad discretization.  Where scipy is
+    installed, Brent's method runs its compiled loop, loaded on the first
+    solve without the scipy package."""
 
     def _python(self, code, cwd):
         env = dict(os.environ)
@@ -1254,6 +1256,41 @@ class TestImportPath:
         proc = self._python(
             "import sys, gefdesign.cli\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_brent_runs_scipys_compiled_loop(self):
+        from scipy.optimize import _zeros
+
+        from gefdesign import scalar
+
+        assert scalar._brent_loop() is _zeros._brentq
+
+    def test_no_extension_without_scipy_or_its_file(self, monkeypatch):
+        from gefdesign import scalar
+
+        assert scalar._scipy_extension("optimize", "_no_such_module") is None
+        monkeypatch.delitem(sys.modules, "scipy.optimize._zeros", raising=False)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        assert scalar._scipy_extension("optimize", "_zeros") is None
+
+    def test_implicit_design_loads_only_the_brent_extension(self, tmp_path):
+        code, modules = self._run_module(["design", "--peak-beta", "1", "--gdelay-cycles",
+                                          "19.1", "--qerb", "25.9"], tmp_path)
+        assert code == 0
+        assert "scipy.optimize._zeros" in modules
+        assert not {"numpy", "scipy", "scipy.optimize"} & modules
+
+    def test_closed_form_design_loads_nothing_new(self, tmp_path):
+        proc = self._python(
+            "import sys\n"
+            "from gefdesign.design import CharacteristicSpec, DesignRow, design\n"
+            "before = set(sys.modules)\n"
+            "design(CharacteristicSpec(DesignRow('II.1'), 1.0,\n"
+            f"                          {{'n_cycles': {N_SHARP6_TEXT}, 'phi_accum': 3.0}}))\n"
+            "print(sorted(set(sys.modules) - before))",
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr

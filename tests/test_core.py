@@ -1,6 +1,9 @@
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -522,9 +525,11 @@ def _bracketed_peak(theta):
     return 0.0
 
 
+@pytest.mark.usefixtures("brent_path")
 class TestBrentqPort:
-    """scalar._brentq against scipy.optimize.brentq, which stays a test-only
-    oracle: the same iterates, root and exceptions."""
+    """scalar._brentq, on scipy's compiled loop and on the in-tree port,
+    against scipy.optimize.brentq, which stays a test-only oracle: the same
+    iterates, root and exceptions."""
 
     @staticmethod
     def _logged(fn):
@@ -573,9 +578,14 @@ class TestBrentqPort:
         (lambda x: x * x + 1.0, -1.0, 1.0, 100, ValueError),
         (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 100, ValueError),
         (lambda x: math.nan, 0.0, 1.0, 100, ValueError),
+        # the first step lands on the nan at 0.5
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 100, ValueError),
         (lambda x: x - 0.3, 0.0, 1.0, 1, RuntimeError),
         (lambda x: x - 0.3, 0.0, 1.0, 0, RuntimeError),
         (lambda x: x - 0.3, 0.0, 1.0, -1, ValueError),
+        (lambda x: math.nan, 0.0, 1.0, -1, ValueError),
+        # the inverse quadratic step's denominator underflows to 0
+        (lambda x: (x / 1e250) ** 3 - 2.0, 1e250, 2e250, 5, RuntimeError),
     ])
     def test_raises_what_scipy_raises(self, fn, lo, hi, maxiter, error):
         from scipy.optimize import brentq
@@ -589,3 +599,48 @@ class TestBrentqPort:
     def test_endpoint_roots_returned_as_is(self):
         assert _brentq(lambda x: x - 0.25, 0.25, 1.0) == 0.25
         assert _brentq(lambda x: x - 1.0, 0.25, 1.0) == 1.0
+
+    def test_given_end_values_are_not_evaluated_again(self):
+        def fn(x):
+            return math.cos(x) - 0.5 * x
+
+        both, calls_both = self._logged(fn)
+        root = _brentq(both, 0.0, 2.0)
+        for fa, fb in ((fn(0.0), None), (None, fn(2.0)), (fn(0.0), fn(2.0))):
+            logged, calls = self._logged(fn)
+            assert _brentq(logged, 0.0, 2.0, _fa=fa, _fb=fb) == root
+            skipped = [x for x, given in ((0.0, fa), (2.0, fb)) if given is not None]
+            assert calls == [x for x in calls_both if x not in skipped]
+
+    def test_a_nan_end_value_raises(self):
+        with pytest.raises(ValueError, match="x=2.0 is NaN"):
+            _brentq(lambda x: x - 1.0, 0.0, 2.0, _fb=math.nan)
+
+
+def test_pins_and_goldens_hold_on_the_port(tmp_path):
+    """tests/test_audit_pin.py and the design and table goldens, run again in
+    a fresh interpreter with scipy's compiled Brent loop taken away: the port
+    gives the same bits."""
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import sys, pytest\n"
+        "from gefdesign import scalar\n"
+        "port, solves = scalar._brentq_port, []\n"
+        "scalar._brentq_port = lambda *args: solves.append(1) or port(*args)\n"
+        "scalar._brent_loop = lambda: None\n"
+        "status = pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1],\n"
+        "                      sys.argv[2] + '::TestDesignCommand::test_golden_stdout',\n"
+        "                      sys.argv[2] + '::TestTablesGolden'])\n"
+        "print('port solves', len(solves))\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ)
+    src = str(tests.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tests / "test_audit_pin.py"), str(tests / "test_cli.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    solves = int(re.search(r"port solves (\d+)", proc.stdout).group(1))
+    assert solves > 100

@@ -31,7 +31,7 @@ from gefdesign.design import (
     qn_over_delay,
 )
 from gefdesign.scalar import _brentq
-from gefdesign.errors import BracketFailure, ErbRequiresBu, InfeasibleSpec, OutOfRange
+from gefdesign.errors import BracketFailure, ErbRequiresBu, GefError, InfeasibleSpec, OutOfRange
 
 N_SHARP6 = 6.0 / (2.0 * math.pi * 0.05)  # 19.098593...
 
@@ -503,6 +503,43 @@ class TestBrentReusesTheCheckedEnds:
             else:
                 assert got is want and got_calls == want_calls
         assert solved >= 30  # 192 of the II.2 specs design, 38 of the II.7
+
+
+EXTREME_VALUES = (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e300)
+
+
+def extreme_specs(row):
+    """Spec fields of an implicit row, feasible at beta_peak 1 and N 19.1,
+    with one field at each extreme value; and with beta_peak or N at it and
+    the quality factor scaled along, which keeps the delay ratio, so that
+    the finite ones reach the solve."""
+    q_key = row.keys[1]
+    ratio, n_level = (1.3, None) if q_key == "q_erb" else (0.5, 10.0)
+    base = {"beta_peak": 1.0, "n_cycles": 19.1, q_key: 19.1 * ratio, "n_level": n_level}
+    for x in EXTREME_VALUES:
+        for key in base:
+            yield {**base, key: x}
+        yield {**base, "beta_peak": x, q_key: ratio * x * 19.1}
+        yield {**base, "n_cycles": x, q_key: ratio * x}
+
+
+class TestImplicitRowsAtExtremeValues:
+    @pytest.mark.parametrize("row", IMPLICIT_ROWS)
+    def test_finite_constants_or_a_gef_error(self, row, brent_path):
+        designed = 0
+        for fields in extreme_specs(row):
+            values = {key: fields[key] for key in row.keys}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SharpnessWarning)
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    theta = design(spec_for(row, fields["beta_peak"], values,
+                                            fields["n_level"]))
+                except GefError:
+                    continue
+            assert all(math.isfinite(value) for value in theta.as_dict().values()), fields
+            designed += 1
+        assert designed >= 4  # beta_peak and N at 1e-300 and at 1e300 reach the solve
 
 
 class TestIntegerSnap:
