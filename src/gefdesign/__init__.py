@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 # the public names each submodule defines
 _EXPORTS = {
     "scalar": ("FilterConstants", "SharpnessReport", "peak_beta", "sharpness_check"),
-    "core": ("eval_gef", "eval_sharp", "eval_v", "level_db", "log_response",
-             "normalized_to_peak", "phase_rad", "wavenumber"),
+    "core": ("LogProbe", "eval_gef", "eval_sharp", "eval_v", "level_db", "log_probe",
+             "log_response", "normalized_to_peak", "phase_rad", "wavenumber"),
     "characteristics": ("CharacteristicReport", "FrequencyGrid", "closed_form",
                         "default_grid", "extract_numeric", "qerb_approx",
                         "relative_errors"),

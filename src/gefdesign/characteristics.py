@@ -5,32 +5,37 @@ Two independent routes produce the same characteristic set
 
 * ``closed_form`` evaluates the analytic expressions in terms of the filter
   constants (exact for the one-sided sharp form).
-* ``extract_numeric`` recomputes everything from response samples alone:
+* ``extract_numeric`` recomputes everything from probes of the response:
   parabolic vertex steps for the peak and a Richardson-extrapolated second
-  difference there for the convexity, Brent level crossings, Simpson
-  quadrature for the ERB, a Richardson-extrapolated difference of the
-  phase with a parabolic vertex for the group delay, and the span of the
-  phase with a parabolic vertex at an interior extremum for phi_accum.  It
-  works on the log response L = log H (levels from Re L, phase from Im L)
-  and never consults the closed forms, so it can serve as an oracle for
-  them.
+  difference there for the convexity, Brent level crossings bracketed by
+  doubling steps from the peak (or by the samples of a callable's grid),
+  Gauss quadrature for the ERB, a Richardson-extrapolated difference of the
+  phase with parabolic vertex steps for the group delay, and the phase's
+  limits at the ends of the span with the Brent root of its delay at an
+  interior extremum for phi_accum.
+  It works on the log response L = log H (levels from Re L, phase from
+  Im L) and never consults the closed forms, so it can serve as an oracle
+  for them.
 
-``default_grid`` samples a uniform window of +-4 a_p around the peak, then
-steps that grow by GRID_GROWTH = 1.01 per sample out to both ends, at any
-sharpness.  The peak, N, S and, for b_u >= 1, the n-dB crossings read only
-the window; the ERB and an interior phase extremum read the graded steps
-too, whose slow growth keeps the quadrature accurate.
+From the constants, ``core.log_probe`` gives the probes over [0, inf): Re L
+and Im L at one float, Re L at an array of nodes at exact offsets from the
+peak, and Im L's exact limits at 0 and inf; no grid is sampled.  A complex
+response callable is probed the same way inside the span of a grid from
+``default_grid``, whose one array call unwraps its phase and brackets its
+level crossings.  ``default_grid`` samples a uniform window of +-4 a_p
+around the peak, then steps that grow by GRID_GROWTH = 1.01 per sample out
+to both ends, at any sharpness; it also serves response tables.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import LogResponse
+from .core import LogProbe
 from .scalar import (
     CHARACTERISTIC,
     DB_PER_LOG,
@@ -76,7 +81,7 @@ class FrequencyGrid(_Record):
 
     def __init__(self, samples: np.ndarray, dense_halfwidth: float, dense_step: float,
                  tail_max: float, tail_points: int):
-        # a read-only copy, so the cached weights stay those of the samples
+        # a read-only copy, so the samples stay those that were checked
         samples = np.array(samples, dtype=float)
         samples.flags.writeable = False
         if samples.ndim != 1 or samples.size < 16:
@@ -88,18 +93,6 @@ class FrequencyGrid(_Record):
             raise ValueError("grid samples must be finite and strictly increasing")
         self.__dict__.update(samples=samples, dense_halfwidth=dense_halfwidth,
                              dense_step=dense_step, tail_max=tail_max, tail_points=tail_points)
-
-    @cached_property
-    def _weights(self) -> _Simpson:
-        """The Simpson weights of the samples, computed on first use, so that
-        every extraction on this grid shares them.  Raises OutOfRange where a
-        product of steps in them passes the largest float (steps past about
-        1e154)."""
-        try:
-            with np.errstate(over="raise"):
-                return _Simpson(self.samples)
-        except FloatingPointError:
-            raise OutOfRange("the grid's steps overflow its quadrature weights") from None
 
     def meta(self) -> dict:
         return {
@@ -133,11 +126,21 @@ def _growth_prefix(count: int) -> np.ndarray:
 
 def _graded_offsets(step: float, span: float) -> np.ndarray:
     """Running sums of the steps step * GRID_GROWTH**j, j >= 1, to one or two
-    past span.  Raises OutOfRange when they pass the largest float first."""
+    past span.  Where the bare sums of GRID_GROWTH**j pass the largest float
+    before the step scales them back (steps below about 1e-200 before a span
+    past 1e100), the steps are formed as exp(j log GRID_GROWTH + log step)
+    and summed; other grids keep their bits.  Raises OutOfRange when the
+    sums of the steps themselves pass the largest float first."""
     g = GRID_GROWTH
-    count = (math.log(max(span, 0.0) * (g - 1.0) / g + step) - math.log(step)) / math.log(g)
+    count = int((math.log(max(span, 0.0) * (g - 1.0) / g + step) - math.log(step))
+                / math.log(g)) + 2
     with np.errstate(over="ignore"):
-        offsets = step * _growth_prefix(int(count) + 2)
+        offsets = step * _growth_prefix(count)
+        if not offsets[-1] < math.inf:
+            exponents = np.arange(1, count + 1, dtype=float)
+            exponents *= math.log(g)
+            exponents += math.log(step)
+            offsets = np.cumsum(np.exp(exponents))
     if not offsets[-1] < math.inf:
         raise OutOfRange(f"steps growing from {step:g} pass the largest float before {span:g}")
     return offsets
@@ -151,10 +154,10 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
     the floor, and always containing b_p exactly), which holds every
     sample the peak, N, S and, for b_u >= 1, the crossings read.  Out of
     it each step is GRID_GROWTH = 1.01 times the last, slow enough that
-    Simpson's rule on the tails keeps the ERB accurate, up to tail_max =
-    b_p + max(8, 60 a_p) unless given, and down to GRID_FLOOR, where no
-    step passes 2% of beta, so the low tail ends geometric.  tail_max and
-    GRID_FLOOR are the ends.
+    a response table reads the tails smoothly, up to tail_max =
+    b_p + max(8, 60 a_p) unless given (9 b_p where that sum rounds to b_p),
+    and down to GRID_FLOOR, where no step passes 2% of beta, so the low tail
+    ends geometric.  tail_max and GRID_FLOOR are the ends.
     Raises OutOfRange when b_p does not sit half a step above GRID_FLOOR,
     tail_max is not finite and above it, the step underflows to 0, the
     graded steps pass the largest float before they reach an end, or
@@ -162,7 +165,10 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
     """
     a, b = theta.a_p, theta.b_p
     step, halfwidth = a / 200.0, 4.0 * a
-    tail_max = b + max(8.0, 60.0 * a) if tail_max is None else tail_max
+    if tail_max is None:
+        tail_max = b + max(8.0, 60.0 * a)
+        if tail_max == b:  # b_p past about 7e16, where 8 and 60 a_p round away
+            tail_max = 9.0 * b
     if not GRID_FLOOR < tail_max < math.inf:
         raise OutOfRange(f"tail_max = {tail_max:g} must be finite and above {GRID_FLOOR:g}")
     if step == 0.0:
@@ -202,18 +208,20 @@ class CharacteristicReport(_Record):
     """Full characteristic set with provenance.
 
     Each fact is stored once.  bw_n_beta is keyed by the level in dB, and
-    erb_beta is None when the exponent is too small for the ERB to exist
-    (b_u <= 1/2 in the closed-form route).  The quality factors derive from
-    them, Q = beta_peak / width (q_n, q_erb), and ``method`` from the grid:
-    "numeric" when grid_meta is set, "closed_form" otherwise.
+    erb_beta is None when the ERB does not exist (b_u <= 1/2 in the
+    closed-form route, a power whose tail does not decay in the numeric
+    one).  The quality factors derive from them, Q = beta_peak / width
+    (q_n, q_erb), and ``method`` from the provenance: "numeric" when it is
+    set (a flat map of how the oracle read the response), "closed_form"
+    otherwise.  The flat map of the characteristics is built once, here.
     """
 
     _fields = ("beta_peak", "n_beta", "phi_accum", "s_beta", "bw_n_beta", "erb_beta",
-               "grid_meta")
+               "provenance")
 
     def __init__(self, beta_peak: float, n_beta: float, phi_accum: float, s_beta: float,
                  bw_n_beta: Mapping[float, float], erb_beta: float | None = None,
-                 grid_meta: dict | None = None):
+                 provenance: dict | None = None):
         bw_n_beta = dict(bw_n_beta)
         scalars = {
             "beta_peak": beta_peak,
@@ -224,13 +232,22 @@ class CharacteristicReport(_Record):
         for name, value in scalars.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        widths = [bw_n_beta[n] for n in sorted(bw_n_beta)]
+        levels = sorted(bw_n_beta)
+        widths = [bw_n_beta[n] for n in levels]
         if not all(w2 > w1 for w1, w2 in zip([0.0, *widths], widths)):
             raise ValueError("bw_n_beta must be > 0 and increase with the level n")
         if not (erb_beta is None or erb_beta > 0.0):
             raise ValueError("erb_beta must be > 0")
+        flat = dict(scalars)
+        if erb_beta is not None:
+            flat["q_erb"] = beta_peak / erb_beta
+            flat["erb_beta"] = erb_beta
+        for n, width in zip(levels, widths):
+            label = level_label(n)
+            flat[f"q_{label}"] = beta_peak / width
+            flat[f"bw_{label}_beta"] = width
         self.__dict__.update(scalars, bw_n_beta=bw_n_beta, erb_beta=erb_beta,
-                             grid_meta=grid_meta)
+                             provenance=provenance, _flat=flat)
 
     @property
     def q_n(self) -> dict:
@@ -244,30 +261,19 @@ class CharacteristicReport(_Record):
 
     @property
     def method(self) -> str:
-        return "closed_form" if self.grid_meta is None else "numeric"
+        return "closed_form" if self.provenance is None else "numeric"
 
     def characteristics(self) -> dict:
-        """The characteristics as a flat map: beta_peak, ..., q_3, bw_10_beta."""
-        out = {
-            "beta_peak": self.beta_peak,
-            "n_beta": self.n_beta,
-            "phi_accum": self.phi_accum,
-            "s_beta": self.s_beta,
-        }
-        if self.erb_beta is not None:
-            out["q_erb"] = self.q_erb
-            out["erb_beta"] = self.erb_beta
-        for n, q in sorted(self.q_n.items()):
-            out[f"q_{level_label(n)}"] = q
-            out[f"bw_{level_label(n)}_beta"] = self.bw_n_beta[n]
-        return out
+        """The characteristics as a flat map: beta_peak, ..., q_3, bw_10_beta.
+        It is the report's own map, built once: copy it before changing it."""
+        return self._flat
 
     def as_dict(self) -> dict:
-        """characteristics() with the method and the grid_* provenance."""
-        out = self.characteristics()
+        """characteristics() with the method and the provenance, a new map."""
+        out = dict(self._flat)
         out["method"] = self.method
-        if self.grid_meta is not None:
-            out.update((f"grid_{key}", value) for key, value in self.grid_meta.items())
+        if self.provenance is not None:
+            out.update(self.provenance)
         return out
 
 
@@ -346,18 +352,87 @@ def closed_form(
     return report
 
 
-def _level_crossing(re_at, target, a, b):
-    """Brent root of the level (20/ln 10) re_at(beta) == target between two
-    samples bracketing the crossing.  The samples bracket it by their
-    vectorized levels; when a target within rounding of a sample's level
-    leaves the scalar levels on one side, the sample whose level is nearer
-    the target is the crossing.  Raises OutOfRange where the level is nan
-    at a probe."""
+# Gauss-Legendre nodes of the 16-point rule on [-1, 1] in (0, 1), whose
+# negatives are the other eight, with their weights; and the nodes and weights
+# of the 12-point Gauss-Laguerre rule: numpy.polynomial.legendre.leggauss(16)
+# and numpy.polynomial.laguerre.laggauss(12), written out so that importing
+# this module loads neither numpy.polynomial nor scipy.
+_LEGENDRE_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_LEGENDRE_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+_LAGUERRE_NODES = (
+    0.1157221173580205, 0.6117574845151308, 1.512610269776419, 2.833751337743507,
+    4.5992276394183484, 6.844525453115177, 9.621316842456867, 13.006054993306348,
+    17.116855187462257, 22.151090379397004, 28.487967250984, 37.09912104446692,
+)
+_LAGUERRE_WEIGHTS = (
+    0.26473137105543654, 0.3777592758731421, 0.24408201131987906, 0.09044922221168182,
+    0.020102381154634218, 0.0026639735418653335, 0.0002032315926630013,
+    8.365055856819926e-06, 1.6684938765409212e-07, 1.342391030515004e-09,
+    3.0616016350351023e-12, 8.148077467426094e-16,
+)
+_GL_X = np.array([-x for x in _LEGENDRE_NODES[::-1]] + list(_LEGENDRE_NODES))
+_GL_W = np.array(_LEGENDRE_WEIGHTS[::-1] + _LEGENDRE_WEIGHTS)
+_LAG_X = np.array(_LAGUERRE_NODES)
+_LAG_WE = np.array(_LAGUERRE_WEIGHTS) * np.exp(_LAG_X)  # each weight times e**node
+# the ERB's panels about the peak, in units of a_p
+_WINDOW_EDGES = (-4.0, -1.0, 0.0, 1.0, 4.0)
+# the upper tail's Legendre panel reaches this many times the peak's distance
+# from the span's lower end, past which the far decay is taken by its rate
+_TAIL_REACH = 8.0
+# the longest stretch of log distance one Legendre panel takes
+_LOG_PANEL_SPAN = 6.0
+# below this decay rate the Laguerre rule gives way to Legendre panels that
+# carry the tail e**_FAR_SPAN further out (six panels), past which the power
+# is a pure power of the distance to rounding
+_LAGUERRE_MIN_RATE = 2.0
+_FAR_SPAN = 35.5
+# the step of N's Richardson differences of Im L, in units of a_p
+_DELAY_STEP = 1.0 / 1024.0
+_CLIMB_STEPS = 64
+
+
+def _climb(re_at, beta: float, step: float, lo: float) -> float:
+    """The start of the peak's vertex steps: beta moved by steps of ``step``
+    while Re L rises, up the frequency axis first, then down it, where a
+    step that would reach lo goes halfway there instead.  Raises
+    NoInteriorPeak where Re L still rises after _CLIMB_STEPS steps."""
+    y = re_at(beta)
+    for h in (step, -step):
+        moved = False
+        for _ in range(_CLIMB_STEPS):
+            x = beta + h
+            if not x > lo:
+                x = 0.5 * (beta + lo)
+                h = x - beta
+            y_x = re_at(x)
+            if not y_x > y:
+                break
+            beta, y, moved = x, y_x, True
+        else:
+            raise NoInteriorPeak(f"the magnitude still rises {_CLIMB_STEPS} steps from the "
+                                 f"peak's guess, at beta = {beta:g}")
+        if moved:
+            break
+    return beta
+
+
+def _level_crossing(re_at, target, a, b, gap_a=None, gap_b=None):
+    """Brent root of the level (20/ln 10) re_at(beta) == target between a and
+    b, whose gaps to the target (level - target), where already probed, are
+    gap_a and gap_b.  When a target within rounding of an end's level
+    leaves the ends on one side, the end whose level is nearer the target
+    is the crossing.  Raises OutOfRange where the level is nan at a probe."""
     def gap(beta):
         return DB_PER_LOG * re_at(beta) - target
 
     try:
-        return _brentq(gap, a, b, xtol=1e-15 * max(a, b))
+        return _brentq(gap, a, b, xtol=1e-15 * max(a, b), _fa=gap_a, _fb=gap_b)
     except ValueError:  # the ends on one side of the target, or a nan level
         gap_a, gap_b = gap(a), gap(b)
         if (gap_a < 0.0) != (gap_b < 0.0) or gap_a != gap_a or gap_b != gap_b:
@@ -365,60 +440,34 @@ def _level_crossing(re_at, target, a, b):
         return a if abs(gap_a) <= abs(gap_b) else b
 
 
-def _divide_or_zero(num, den):
-    """num / den, and 0 where den is 0."""
-    if den.all():
-        return np.true_divide(num, den)
-    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
-
-
-def _max_falling_slope(x: np.ndarray, f: np.ndarray) -> float:
-    """The maximum of -df/dx over samples f at increasing points x.
-
-    Richardson's (4 D_1 - D_2) / 3 of the centered differences over one
-    sample and over two, D_k = (f[i+k] - f[i-k]) / (x[i+k] - x[i-k]), at
-    every point two or more inside the ends: on equal steps their h**2 error
-    terms cancel.  Its largest value is raised to the vertex of the parabola
-    through it and the two beside it, taken as equally spaced, where those
-    bend down.  The vertex's y1 + (y2 - y0)**2 / (8 curve) is formed as a
-    product of y2 - y0 and a quotient of at most 1, so it does not overflow.
-    """
-    d1 = np.subtract(f[2:], f[:-2])
-    d1 /= x[2:] - x[:-2]
-    d2 = np.subtract(f[4:], f[:-4])
-    d2 /= x[4:] - x[:-4]
-    # three times the falling slope; the vertex scales with it, so 1/3 is taken last
-    falls = np.multiply(d1[1:-1], -4.0)
-    falls += d2
-    k = int(falls.argmax())
-    y1 = float(falls[k])
-    if 0 < k < falls.size - 1:
-        y0, y2 = float(falls[k - 1]), float(falls[k + 1])
-        curve = 2.0 * y1 - y0 - y2
-        if curve > 0.0:
-            y1 += 0.125 * (y2 - y0) * ((y2 - y0) / curve)
-    return y1 / 3.0
-
-
-def _vertex_value(x: np.ndarray, y: np.ndarray, k: int) -> float:
-    """y[k], an extreme sample, moved to the vertex of the parabola through
-    it and the samples beside it where k is interior.  With s0 and s2 the
-    slopes over the steps d0 and d2 beside it, the parabola's slope at x[k]
-    is c1 = w / (d0 + d2) and the vertex lies t = w / (2 (s0 - s2)) from
-    it, w = s0 d2 + s2 d0; the vertex value is y[k] + c1 t / 2.  t lies
-    within the two steps, so the product stays within the samples' rise;
-    where a slope overflows, y[k] as it stands."""
-    y1 = float(y[k])
-    if not 0 < k < y.size - 1:
-        return y1
-    (x0, x1, x2), (y0, _, y2) = x[k - 1:k + 2].tolist(), y[k - 1:k + 2].tolist()
-    d0, d2 = x1 - x0, x2 - x1
-    s0, s2 = (y1 - y0) / d0, (y2 - y1) / d2
-    if s0 == s2:  # both 0: three equal samples
-        return y1
-    w = s0 * d2 + s2 * d0
-    value = y1 + 0.25 * (w / (d0 + d2)) * (w / (s0 - s2))
-    return value if math.isfinite(value) else y1
+def _crossing(re_at, target: float, peak: float, gap_peak: float, step: float, edge: float,
+              n_db: float) -> float:
+    """The crossing of the level target nearest the peak on the side of
+    ``step``'s sign, for a LogProbe: bracketed by probes at steps of step,
+    2 step, 4 step, ... from the peak, the last one at ``edge``, then found
+    by _level_crossing.
+    Raises LevelNotReached where the level stays above the target up to the
+    edge or the largest float, and OutOfRange where it is nan at a probe."""
+    side = "high-frequency" if step > 0.0 else "low-frequency"
+    inner, gap_inner = peak, gap_peak
+    while True:
+        x = peak + step
+        last = not (x < edge if step > 0.0 else x > edge)
+        if last:
+            x = edge
+        if not -math.inf < x < math.inf:
+            raise LevelNotReached(n_db, side)
+        gap = DB_PER_LOG * re_at(x) - target
+        if gap != gap:
+            raise OutOfRange(f"the level is nan at beta = {x:g}")
+        if gap <= 0.0:
+            break
+        if last:
+            raise LevelNotReached(n_db, side)
+        inner, gap_inner, step = x, gap, 2.0 * step
+    if step > 0.0:
+        return _level_crossing(re_at, target, inner, x, gap_inner, gap)
+    return _level_crossing(re_at, target, x, inner, gap, gap_inner)
 
 
 def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, float]:
@@ -426,10 +475,12 @@ def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, 
     14 scalar probes: three steps to the vertex of the parabola through Re L
     at beta and beta +- h, h = step, step / 16, step / 256 (a fixed h leaves
     the vertex off by order h**2), that stop where it does not bend down or a
-    step rounds to nothing; then S by Richardson's (4 D(h) - D(2 h)) / 3 of
-    the level's second differences, h = 2 step.  Each takes the offsets
-    actually probed, (beta +- h) - beta.  Raises OutOfRange where a step of S
-    rounds to 0, Re L at a probe or S is not finite, or S is not positive."""
+    step rounds to nothing; then S by Richardson's
+    (r**2 D(2 step) - D(4 step)) / (r**2 - 1) of the level's second
+    differences, where r is the ratio of the two spans actually probed, 2
+    where the floats resolve the steps.  Each takes the offsets actually
+    probed, (beta +- h) - beta.  Raises OutOfRange where a step of S rounds
+    to 0, Re L at a probe or S is not finite, or S is not positive."""
     def stencil(h):
         """The offsets of beta - h and beta + h from beta and the slopes of
         Re L over them, all nan where an offset rounds to 0; Re L there that
@@ -451,9 +502,12 @@ def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, 
         if vertex == beta or not math.isfinite(vertex):  # nan where a slope overflows
             break
         beta, y = vertex, re_at(vertex)
-    # D = -2 (s0 - s2) / (d0 + d2) over the probed offsets
+    # D = -2 (s0 - s2) / (d0 + d2) over the probed offsets; r = 2 gives (4 D - D') / 3
     (d0, d2, s0, s2), (e0, e2, t0, t2) = stencil(2.0 * step), stencil(4.0 * step)
-    s_beta = DB_PER_LOG * (8.0 * (s0 - s2) / (d0 + d2) - 2.0 * (t0 - t2) / (e0 + e2)) / 3.0
+    # nan where the spans are nan or round to one width, which no ratio extrapolates
+    r2 = ((e0 + e2) / (d0 + d2)) ** 2
+    s_beta = DB_PER_LOG * ((2.0 * r2) * (s0 - s2) / (d0 + d2)
+                           - 2.0 * (t0 - t2) / (e0 + e2)) / (r2 - 1.0) if r2 > 1.0 else math.nan
     if not (math.isfinite(s_beta) and s_beta > 0.0):
         raise OutOfRange(
             f"the level's second difference at beta_peak = {beta:g} with step "
@@ -462,185 +516,330 @@ def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, 
     return beta, y, s_beta
 
 
-class _Simpson:
-    """Composite Simpson weights of three or more increasing points x;
-    calling it with samples y gives their integral.
+def _log_panel(d0: float, d1: float):
+    """Distances from d0 to d1 and their weights: the 16-point Legendre rule
+    in the log of the distance, on as many equal panels as it takes to keep
+    each within _LOG_PANEL_SPAN of that log.  A power law whose exponent is
+    as steep as 40 is then integrated on a panel to rounding: one 12.5 long
+    (a_p / b_p = 1e-6) left it 7e-8 off."""
+    t0, t1 = math.log(d0), math.log(d1)
+    count = max(1, math.ceil((t1 - t0) / _LOG_PANEL_SPAN))
+    half = 0.5 * (t1 - t0) / count
+    if count == 1:
+        d = np.exp(0.5 * (t0 + t1) + half * _GL_X)
+        w = half * _GL_W
+    else:
+        d = np.exp(np.add.outer(t0 + half * np.arange(1, 2 * count, 2), half * _GL_X).ravel())
+        w = np.tile(half * _GL_W, count)
+    w *= d
+    return d, w
 
-    The operations of scipy.integrate.simpson (1.17) for 1-D samples, in
-    their order, so the result is bit-identical to it: the non-uniform
-    three-point rule over consecutive interval pairs, the sum of
-    (hsum / 6) (y0 A + y1 B + y2 C) with A, B, C factors of the interval
-    pair, and, for an even sample count, Cartwright's correction for the
-    last interval.  The factors and the terms of the sum are formed in place
-    with scipy's operations in scipy's order; a product or a sum may take its
-    two operands the other way round, which gives the same float.  Only where
-    the last step's cube passes the largest float (steps past about 5e102)
-    does the correction's h1**3 / (6 h0 (h0 + h1)) depart from scipy, formed
-    as h1 (h1 / h0) (h1 / (h0 + h1)) / 6.  The correction's three
-    coefficients are formed on Python floats, which cost less than numpy's
-    0-d operations; where one of their steps overflows it raises
-    FloatingPointError, as numpy does under errstate(over="raise").
-    """
 
-    def __init__(self, x: np.ndarray):
-        n = x.size
-        self.stop = stop = n - 2 if n % 2 else n - 3
-        h = np.diff(x)
-        h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-        hsum = h0 + h1
-        hprod = h0 * h1
-        h0divh1 = _divide_or_zero(h0, h1)
-        self.hsum6 = hsum / 6.0
-        a = _divide_or_zero(1.0, h0divh1)
-        np.subtract(2.0, a, out=a)
-        b = _divide_or_zero(hsum, hprod)
-        b *= hsum
-        self.factors = a, b, np.subtract(2.0, h0divh1, out=h0divh1)
-        self.correction = None
-        if n % 2 == 0:
-            # on Python floats, in scipy's order (its h ** 2 is h * h); only
-            # h1 ** 3 takes numpy's power loop, as scipy's does, since
-            # Python's pow rounds some cubes otherwise
-            h0, h1 = h[-2:].tolist()
-            with np.errstate(over="ignore"):
-                cube = np.power(h[-1:], 3).item()
-            if cube < math.inf:
-                eta = (cube, 6 * h0 * (h0 + h1))
+def _window_panels(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the 16-point Legendre rule on the ERB's
+    panels about the peak, between _WINDOW_EDGES clipped to [lo, hi], in
+    units of the panels' unit (lo < 0 < hi)."""
+    edges = [min(max(e, lo), hi) for e in _WINDOW_EDGES]
+    x, w = [], []
+    for e0, e1 in zip(edges, edges[1:]):
+        if e1 > e0:
+            half = 0.5 * (e1 - e0)
+            x.append(0.5 * (e0 + e1) + half * _GL_X)
+            w.append(half * _GL_W)
+    return np.concatenate(x), np.concatenate(w)
+
+
+# the panels where the span clips none of them, built once: building them
+# per extraction cost about 16 us, a tenth of the audit's time a case
+_WINDOW = _window_panels(-math.inf, math.inf)
+
+
+def _decay_rate(re_at, peak: float, re_peak: float, start: float) -> tuple[float, float]:
+    """The rate at which the ERB's integrand, in s = log(distance / start)
+    from the peak, decays past ``start``, taken as exponential between Re L
+    at the distances start e and start e**3; and the rounding of that rate,
+    eight spacings of the floats at the sum of the two logs it differences."""
+    g1, g3 = (2.0 * (re_at(peak + start * math.exp(s)) - re_peak) + s for s in (1.0, 3.0))
+    return 0.5 * (g1 - g3), 8.0 * math.ulp(abs(g1) + abs(g3))
+
+
+def _erb_quadrature(probe: LogProbe, peak: float, re_peak: float,
+                    a: float) -> tuple[float | None, int]:
+    """The ERB, the integral of the power exp(2 (Re L - Re L_peak)) over the
+    probe's span, and the number of nodes it took; None where the power's
+    tail does not decay and the integral diverges.
+
+    About the peak, 16-point Legendre panels between the offsets 0, +-a and
+    +-4 a, a the panels' unit; past them, 16-point Legendre panels in the
+    log of the distance from the peak (_log_panel): below, down to the
+    span's lower end; above, to its upper end, or where that is infinite,
+    out to _TAIL_REACH times the peak's distance from the lower end.  From
+    there the integrand in that log decays as exp(-rate s), the rate from
+    two probes (_decay_rate).  At a rate of _LAGUERRE_MIN_RATE or more the
+    12-point Laguerre rule takes the rest.  A slower decay departs from the
+    exponential by order e**-s over the first units of s, which that rule
+    spreads over too few nodes; its nodes may also pass the largest float.
+    There Legendre panels carry the tail e**_FAR_SPAN further out, where the
+    power is a pure power of the distance to rounding, and the rest is its
+    integral in closed form, (distance) (power) / rate, with the rate
+    probed there; a rate within its rounding of 0 or below is no decay.
+    Every node is evaluated in one re_near call.  Raises OutOfRange where the
+    reach or a node passes the largest float, the rate is nan, or the sum is
+    not finite and positive."""
+    lo, hi = probe.lo, probe.hi
+    down, up, near = peak - lo, hi - peak, 4.0 * a
+    x, w = _WINDOW if down >= near and up >= near else _window_panels(-down / a, up / a)
+    offsets, weights = [a * x], [a * w]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if down > near:
+            d, w = _log_panel(near, down)
+            offsets.append(-d)
+            weights.append(w)
+        reach = up if up < math.inf else _TAIL_REACH * down
+        if not reach < math.inf:
+            raise OutOfRange(f"the ERB's tail from beta = {peak:g} passes the largest float")
+        if reach > near:
+            d, w = _log_panel(near, reach)
+            offsets.append(d)
+            weights.append(w)
+            near = reach
+        if up == math.inf:
+            rate = _decay_rate(probe.re_at, peak, re_peak, near)[0]
+            if rate >= _LAGUERRE_MIN_RATE:
+                d = near * np.exp(_LAG_X / rate)
+                if not d[-1] < math.inf:
+                    raise OutOfRange(f"the ERB's tail at decay rate {rate:g} passes the "
+                                     "largest float")
+                offsets.append(d)
+                weights.append(_LAG_WE / rate * d)
             else:
-                eta = (h1 * (h1 / h0) * (h1 / (h0 + h1)), 6)
-            quotients = ((2 * (h1 * h1) + 3 * h0 * h1, 6 * (h1 + h0)),
-                         (h1 * h1 + 3.0 * h0 * h1, 6 * h0), eta)
-            self.correction = tuple(num / den if den else 0.0 for num, den in quotients)
-            # Python floats overflow to inf without raising; every step feeds
-            # a numerator, a denominator or a quotient
-            if not all(map(math.isfinite, (*sum(quotients, ()), *self.correction))):
-                raise FloatingPointError("overflow in the last interval's correction")
-
-    def __call__(self, y: np.ndarray):
-        stop = self.stop
-        a, b, c = self.factors
-        terms = np.multiply(y[0:stop:2], a)
-        term = np.multiply(y[1:stop + 1:2], b)
-        terms += term
-        np.multiply(y[2:stop + 2:2], c, out=term)
-        terms += term
-        terms *= self.hsum6
-        result = np.sum(terms)
-        if self.correction is not None:
-            alpha, beta, eta = self.correction
-            result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-        return result
+                far = near * math.exp(_FAR_SPAN)
+                if not far * math.exp(3.0) < math.inf:
+                    raise OutOfRange(f"the ERB's tail from beta = {peak:g} passes the "
+                                     "largest float")
+                rate, rounding = _decay_rate(probe.re_at, peak, re_peak, far)
+                if not rate > rounding:
+                    if rate <= rounding:
+                        return None, 0
+                    raise OutOfRange(f"the power's decay past beta = {peak + far:g} is {rate}")
+                d, w = _log_panel(near, far)
+                offsets += [d, np.array([far])]
+                weights += [w, np.array([far / rate])]
+        offsets, weights = np.concatenate(offsets), np.concatenate(weights)
+        power = probe.re_near(peak, offsets)
+        power -= re_peak
+        power *= 2.0
+        np.exp(power, out=power)
+        erb = float(np.dot(weights, power))
+    if not 0.0 < erb < math.inf:
+        raise OutOfRange(f"the quadrature gives an ERB of {erb:g}, not a finite positive value")
+    return erb, int(offsets.size)
 
 
-def _complex_log(response: Callable, betas: np.ndarray) -> LogResponse:
-    """The log response of a complex response callable: log|H| + i unwrap(angle H)
-    at the betas, and log|H| at one beta (hypot, not abs, so a modulus past the
-    largest float reads inf instead of raising, and a zero reads -inf)."""
-    # a zero, an overflow or a nan gives a non-finite L, which fails the grid gate
+def _max_delay(im_at, beta: float, a: float) -> float:
+    """The maximum of the group delay -d(Im L)/d(beta), 2 pi N, from 40
+    scalar probes of Im L: the delay at x as Richardson's
+    (r**2 D_1 - D_2) / (r**2 - 1) of the centered differences over
+    x +- h and x +- 2 h, h = a_p / 1024, where r is the ratio of the spans
+    actually probed (2 where the floats resolve h, which gives
+    (4 D_1 - D_2) / 3); from beta, three steps to the vertex of the parabola
+    through the delay at x and x +- s, s = a_p / 8, a_p / 64, a_p / 512, that
+    stop where it does not bend down or a step rounds to nothing.  Raises
+    OutOfRange where h or 2 h rounds to no wider span."""
+    h = a * _DELAY_STEP
+
+    def delay(x):
+        lo1, hi1, lo2, hi2 = x - h, x + h, x - 2.0 * h, x + 2.0 * h
+        w1, w2 = hi1 - lo1, hi2 - lo2
+        if not 0.0 < w1 < w2:
+            raise OutOfRange(f"the phase's steps {h:g} and {2.0 * h:g} at beta = {x:g} "
+                             "round to no wider spans")
+        r2 = (w2 / w1) ** 2
+        return (r2 * (im_at(lo1) - im_at(hi1)) / w1 - (im_at(lo2) - im_at(hi2)) / w2) / (r2 - 1.0)
+
+    x, y = beta, delay(beta)
+    for s in (a / 8.0, a / 64.0, a / 512.0):
+        lo, hi = x - s, x + s
+        d0, d2 = x - lo, hi - x
+        if not (d0 > 0.0 and d2 > 0.0):
+            break
+        s0, s2 = (y - delay(lo)) / d0, (delay(hi) - y) / d2
+        vertex = x + 0.5 * (s0 * d2 + s2 * d0) / (s0 - s2) if s0 > s2 else x
+        if vertex == x or not math.isfinite(vertex):
+            break
+        x, y = vertex, delay(vertex)
+    return y
+
+
+def _phase_turn(im_at, lo: float, hi: float) -> float | None:
+    """Im L where its group delay changes sign between lo and hi, the delay
+    a centered difference over +-h, h = hi / 1024, at its Brent root; None
+    where the delay has one sign at both ends or is nan.  An error d in the
+    root moves Im L by order d**2 there, so neither h nor Brent's tolerance
+    need be fine."""
+    h = hi / 1024.0
+
+    def fall(x):
+        return im_at(x - h) - im_at(x + h)
+
+    try:
+        root = _brentq(fall, lo, hi, xtol=1e-7 * hi)
+    except (ValueError, RuntimeError):
+        return None
+    return im_at(root)
+
+
+def _complex_log(response: Callable, grid: FrequencyGrid):
+    """The probes of a complex response callable over the grid's span, from
+    log H = log|H| + i unwrap(angle H) (hypot, not abs, at one beta, so a
+    modulus past the largest float reads inf instead of raising, and a zero
+    reads -inf), the brackets of its phase's interior extremes, and its
+    crossings: (target, n_db, up) -> the crossing of the level target
+    nearest the best sample, above it where up is true, below it otherwise.
+
+    The grid serves twice: its ends stand in for 0 and infinity, and its
+    samples' one array call gives the peak's start, the best sample (ties
+    to the smallest beta), the extremes of the unwrapped phase, the turn at
+    the nearest sample that im_at unwraps its angle by, and each crossing's
+    bracket: the first sample past the best one on its side whose level is
+    below the target, and the sample before it, so that a side lobe farther
+    out never hides the nearest crossing.  The scale is a quarter of the
+    window's half-width, a_p on a default_grid.  Raises OutOfRange where
+    log H is not finite or |H| passes the largest float on the grid, and
+    NoInteriorPeak where the best sample is an end."""
+    betas = grid.samples
+    # a zero, an overflow or a nan gives a non-finite L, which fails the gate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = np.asarray(response(betas), dtype=complex)
-        re, im = np.log(np.abs(values)), np.unwrap(np.angle(values))
+        log_mag, phase = np.log(np.abs(values)), np.unwrap(np.angle(values))
+    k_pk, k_min, k_max = int(np.argmax(log_mag)), int(phase.argmin()), int(phase.argmax())
+    # a nan makes its array's extremes nan, and fails every comparison here
+    if not (-math.inf < log_mag.min() and log_mag[k_pk] <= _LOG_FLOAT_MAX
+            and -math.inf < phase[k_min] and phase[k_max] < math.inf):
+        raise OutOfRange("the log response must be finite and the magnitude at most the "
+                         "largest float on the whole grid")
+    samples, turns = betas.tolist(), phase.tolist()
+    last = len(samples) - 1
+    if k_pk == 0 or k_pk == last:
+        raise NoInteriorPeak(f"magnitude maximum at the grid boundary (beta = {samples[k_pk]:g})")
 
     def re_at(beta):
         value = complex(response(beta))
         modulus = math.hypot(value.real, value.imag)
         return math.log(modulus) if modulus else -math.inf
 
-    return LogResponse(betas, re, im, re_at)
+    def im_at(beta):
+        k = bisect.bisect(samples, beta)
+        if k > last or (k > 0 and beta - samples[k - 1] <= samples[k] - beta):
+            k -= 1
+        value = complex(response(beta))
+        return turns[k] + math.remainder(math.atan2(value.imag, value.real) - turns[k], TWO_PI)
+
+    def re_near(center, offsets):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.log(np.abs(np.asarray(response(center + offsets), dtype=complex)))
+
+    levels = DB_PER_LOG * log_mag
+    # the levels above the best sample, and those below it from it down
+    high, low = levels[k_pk + 1:], levels[k_pk - 1::-1]
+
+    def crossing(target, n_db, up):
+        side = (high if up else low) < target
+        k = int(side.argmax())
+        if not side[k]:
+            raise LevelNotReached(n_db, "high-frequency" if up else "low-frequency")
+        if up:
+            j = k_pk + 1 + k
+            return _level_crossing(re_at, target, samples[j - 1], samples[j])
+        j = k_pk - 1 - k
+        return _level_crossing(re_at, target, samples[j], samples[j + 1])
+
+    extremes = [(samples[k - 1], samples[k + 1], turns[k]) for k in (k_max, k_min)
+                if 0 < k < last]
+    probe = LogProbe(re_at, im_at, re_near, 0.25 * grid.dense_halfwidth, samples[k_pk],
+                     samples[0], samples[-1])
+    return probe, extremes, crossing
 
 
-def extract_numeric(
-    response,
-    grid: FrequencyGrid,
-    n_levels=DEFAULT_LEVELS_DB,
-) -> CharacteristicReport:
-    """Recompute the characteristic set from a sampled frequency response.
+def extract_numeric(response, grid: FrequencyGrid | None = None,
+                    n_levels=DEFAULT_LEVELS_DB) -> CharacteristicReport:
+    """Recompute the characteristic set of a response from probes of it.
 
     Parameters
     ----------
-    response : LogResponse or callable
-        The log response L = log H sampled at ``grid.samples`` (as
-        ``core.log_response`` gives it), or beta -> complex response H, which
-        must accept both a scalar and an array of betas (returning values of
-        the same shape); its log is log|H| + i unwrap(angle H).
+    response : core.LogProbe or callable
+        The probes of a target's log response L = log H over [0, inf) (as
+        ``core.log_probe`` gives them from the constants), or beta -> complex
+        response H, which must accept both a scalar and an array of betas
+        (returning values of the same shape), read over the grid's span.
     grid : FrequencyGrid
-        Sample locations; the magnitude maximum must be interior.
+        With a callable only: its span, and its samples for the one array
+        call that unwraps the phase (see _complex_log).
     n_levels : iterable of float
         dB levels for bandwidths and quality factors.
 
-    Procedure, on L: peak and S by _peak_and_convexity from the best sample
-    (ties break to the smallest beta) with step dense_step; BW_n by Brent's
-    method on the level (20/ln 10) Re L between bracketing samples on each
-    side; ERB by composite Simpson quadrature of the normalized power
-    exp(2 (Re L - Re L_peak)) over the full grid span; N as the maximum of
-    -(1/2 pi) d(Im L)/d(beta), by Richardson's (4 D_1 - D_2) / 3 of the
-    centered differences over one sample and over two and the vertex of a
-    parabola through its largest value and the two beside it; phi_accum as
-    the span of Im L over the grid divided by 2 pi, an extremum inside the
-    grid (as v's phase maximum) read at the vertex of the parabola through
-    its sample and the two beside it.
+    Procedure, on L, with a_p the probe's scale: the peak and S by
+    _peak_and_convexity, at step a_p / 200, from the best sample of a
+    callable, or from the climb of a LogProbe's Re L from its start in steps
+    of a_p / 2; BW_n by Brent's method on the level (20/ln 10) Re L between
+    probes that bracket each crossing: for a LogProbe at steps of a_p, 2 a_p,
+    4 a_p, ... from the peak, for a callable the first grid sample on each
+    side of the best one whose level is below the target and the sample
+    before it; the ERB by Gauss quadrature of the normalized power over
+    the span (_erb_quadrature, on panels of a_p, or of four of the power's
+    standard widths where S makes that narrower); N as the maximum of the
+    delay, by Richardson's differences of Im L and parabolic vertex steps (_max_delay), over 2 pi;
+    phi_accum as the span of Im L over 2 pi: its values at the span's ends
+    (the exact limits at 0 and inf for a LogProbe) and at an interior
+    extremum, the Brent root of its delay (v's phase maximum).
 
-    The quadrature weights depend on the grid alone; the grid computes them
-    once and every extraction on it shares them.
+    The report's provenance is the grid's geometry (grid_*) for a callable,
+    and for a LogProbe the probes' scale and the ERB's node count
+    (probe_scale, probe_erb_nodes).
 
-    Raises OutOfRange when L is not finite on the grid, when |H| passes the
-    largest float somewhere on it, when the quadrature ERB or the
-    difference S is not finite and positive (as where a step of S rounds to
-    0), when Re L is not finite at a probe of the peak or nan at a probe of
-    a crossing, or when the two crossings of a level give no width above
-    the last (smaller) level's.
+    Raises OutOfRange when |H| at the peak passes the largest float (and for
+    a callable when L is not finite on its grid, or |H| passes the largest
+    float there), when the ERB or S is not finite and positive (as where a
+    step of S rounds to 0), when Re L is not finite at a probe of the peak or
+    nan at a probe of a crossing, when the two crossings of a level give no
+    width above the last (smaller) level's, or when N or phi_accum is not
+    finite and positive; NoInteriorPeak when the peak is not inside the
+    span; LevelNotReached when a level is not crossed on one side.
     """
-    betas = grid.samples
-    if not isinstance(response, LogResponse):
-        response = _complex_log(response, betas)
-    elif response.betas is not betas and not np.array_equal(response.betas, betas):
-        raise ValueError("the log response is not sampled at the grid's betas")
-    log_mag, phase, log_mag_at = response.re, response.im, response.re_at
-    # a nan makes its array's extremes nan, and fails every comparison here
-    i_pk = int(np.argmax(log_mag))
-    k_min, k_max = int(phase.argmin()), int(phase.argmax())
-    phase_min, phase_max = phase[k_min], phase[k_max]
-    if not (
-        -math.inf < log_mag.min()
-        and log_mag[i_pk] <= _LOG_FLOAT_MAX
-        and -math.inf < phase_min
-        and phase_max < math.inf
-    ):
-        raise OutOfRange(
-            "the log response must be finite and the magnitude at most the "
-            "largest float on the whole grid"
-        )
+    if isinstance(response, LogProbe):
+        if grid is not None:
+            raise ValueError("a LogProbe is read over its own span; give no grid")
+        probe = response
+        start = _climb(probe.re_at, probe.start, 0.5 * probe.scale, probe.lo)
+        extremes = sampled_crossing = None
+    else:
+        if grid is None:
+            raise ValueError("a response callable is read over a grid; give one")
+        probe, extremes, sampled_crossing = _complex_log(response, grid)
+        start = probe.start
+    re_at, im_at, a, lo, hi = probe.re_at, probe.im_at, probe.scale, probe.lo, probe.hi
+    step = a / 200.0
+    if step == 0.0:
+        raise OutOfRange(f"the peak's step a_p / 200 of a_p = {a:g} underflows to 0")
 
-    if i_pk == 0 or i_pk == betas.size - 1:
-        raise NoInteriorPeak(
-            f"magnitude maximum at the grid boundary (beta = {betas[i_pk]:g})"
-        )
+    beta_pk, re_pk, s_beta = _peak_and_convexity(re_at, start, step)
+    # S's stencil reaches 4 steps to either side, and must stay in the span
+    if not lo + 4.0 * step < beta_pk < hi - 4.0 * step:
+        raise NoInteriorPeak(f"the magnitude maximum at beta = {beta_pk:g} is not inside "
+                             f"[{lo:g}, {hi:g}] by S's stencil, 4 a_p / 200")
+    if not re_pk <= _LOG_FLOAT_MAX:
+        raise OutOfRange(f"the magnitude at the peak, beta = {beta_pk:g}, passes the largest "
+                         "float")
 
-    # Python floats, so that Brent's method and the stencil do float arithmetic
-    beta_pk, peak_log_mag, s_beta = _peak_and_convexity(log_mag_at, float(betas[i_pk]),
-                                                        grid.dense_step)
-    peak_level = DB_PER_LOG * peak_log_mag
-
-    levels = DB_PER_LOG * log_mag
-    # the levels above the peak, and those below it from the peak down
-    high, low = levels[i_pk + 1:], levels[i_pk - 1::-1]
-
+    peak_level = DB_PER_LOG * re_pk
     bw = {}
     for n in sorted(float(n) for n in n_levels):
         target = peak_level - n
-        # the first sample below the target above the peak, the last below it
-        side = high < target
-        k = int(side.argmax())
-        if not side[k]:
-            raise LevelNotReached(n, "high-frequency")
-        j = i_pk + 1 + k
-        upper = _level_crossing(log_mag_at, target, float(betas[j - 1]), float(betas[j]))
-        side = low < target
-        k = int(side.argmax())
-        if not side[k]:
-            raise LevelNotReached(n, "low-frequency")
-        j = i_pk - 1 - k
-        lower = _level_crossing(log_mag_at, target, float(betas[j]), float(betas[j + 1]))
+        if sampled_crossing is None:
+            upper = _crossing(re_at, target, beta_pk, n, a, hi, n)
+            lower = _crossing(re_at, target, beta_pk, n, -a, lo, n)
+        else:
+            upper, lower = sampled_crossing(target, n, True), sampled_crossing(target, n, False)
         width, last = upper - lower, max(bw.values(), default=0.0)
         if not width > last:
             # both crossings round to one float, or to those of the level below,
@@ -649,15 +848,29 @@ def extract_numeric(
                              f"above {last:g}")
         bw[n] = width
 
-    power = np.subtract(log_mag, peak_log_mag)
-    power *= 2.0
-    erb = float(grid._weights(np.exp(power, out=power)))
-    if not erb > 0.0:
-        raise OutOfRange(f"Simpson quadrature gives a non-positive ERB of {erb:g}")
+    # the power's bell narrows below a_p where b_u passes 16 on p_sharp: the
+    # panels then take four of its standard widths, sqrt((20/ln 10) / S), as unit
+    erb, nodes = _erb_quadrature(probe, beta_pk, re_pk,
+                                 min(a, 4.0 * math.sqrt(DB_PER_LOG / s_beta)))
+    n_beta = _max_delay(im_at, beta_pk, a) / TWO_PI
 
-    n_beta = _max_falling_slope(betas, phase) / TWO_PI
-    phi_accum = (_vertex_value(betas, phase, k_max) - _vertex_value(betas, phase, k_min)) / TWO_PI
+    top, bottom = im_at(lo), im_at(hi)
+    if extremes is None:
+        extremes = [(lo, beta_pk, None)]
+    for x0, x1, sample in extremes:
+        turn = _phase_turn(im_at, x0, x1)
+        value = sample if turn is None else turn
+        if value is not None:
+            top, bottom = max(top, value), min(bottom, value)
+    phi_accum = (top - bottom) / TWO_PI
+    if not (0.0 < n_beta < math.inf and 0.0 < phi_accum < math.inf):
+        raise OutOfRange(f"the phase gives N = {n_beta:g} and phi_accum = {phi_accum:g}, "
+                         "not both finite and positive")
 
+    if grid is None:
+        provenance = {"probe_scale": a, "probe_erb_nodes": nodes}
+    else:
+        provenance = {f"grid_{key}": value for key, value in grid.meta().items()}
     return CharacteristicReport(
         beta_peak=beta_pk,
         n_beta=n_beta,
@@ -665,7 +878,7 @@ def extract_numeric(
         s_beta=s_beta,
         bw_n_beta=bw,
         erb_beta=erb,
-        grid_meta=grid.meta(),
+        provenance=provenance,
     )
 
 

@@ -243,13 +243,12 @@ def _cmd_analyze(args) -> int:
         theta = _constants_from_args(args)
     else:
         theta = design(CharacteristicSpec.from_dict(_load_json(args.spec)))
-    from .characteristics import closed_form, default_grid, extract_numeric
-    from .core import log_response
+    from .characteristics import closed_form, extract_numeric
+    from .core import log_probe
 
-    grid = default_grid(theta)
     reports = {
         "closed_form": closed_form(theta),
-        "numeric": extract_numeric(log_response(theta, grid.samples, ("p",))["p"], grid),
+        "numeric": extract_numeric(log_probe(theta, "p")),
     }
     if args.format == "json":
         text = _dump_json({name: report.as_dict() for name, report in reports.items()})

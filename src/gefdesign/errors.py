@@ -18,7 +18,8 @@ class ApproximationDomain(GefError):
 
 
 class NoInteriorPeak(GefError):
-    """The sampled magnitude maximum sits on the grid boundary."""
+    """The magnitude maximum is not inside the span it is read over: on a
+    grid's boundary, or within the peak stencil of beta = 0."""
 
 
 class LevelNotReached(GefError):

@@ -22,7 +22,9 @@ Each term atan(u / a) of Im L gives the phase.
 
 The ERB integrates the power relative to the peak, exp(2 (Re L - Re L_peak)),
 by adaptive quadrature; the n-dB widths are the two roots of the level
-n dB below the peak, by Brent's method at a relative tolerance.
+n dB below the peak, by Brent's method at a relative tolerance.  Both work
+on the offset from the peak, which is never added to it, so that they stay
+exact where the floats near the peak are coarser than a_p.
 """
 
 from __future__ import annotations
@@ -115,65 +117,85 @@ def v_phase_maximum(theta: FilterConstants) -> float:
 
 
 def _relative_log(theta: FilterConstants, target: str, peak: float):
-    """beta -> Re L(beta) - Re L(peak), each term taken as
-    (1/2) log1p(d (u + u_pk) / (a**2 + u_pk**2)), d = beta - peak, so that
-    the difference keeps its relative accuracy near the peak."""
-    a2 = theta.a_p * theta.a_p
+    """d -> Re L(peak + d) - Re L(peak), for an offset d from the peak, each
+    term taken as (1/2) log1p(d (2 u_pk + d) / (a**2 + u_pk**2)), with
+    u_pk = peak - c the peak's distance from the term's pole or zero c.  The
+    offset is never added to the peak, so it keeps its relative accuracy
+    where the floats near the peak are coarser than a_p."""
+    a2, b, b_u = theta.a_p * theta.a_p, theta.b_p, theta.b_u
 
-    def rel(beta):
-        d = beta - peak
-        return _log_terms(theta, target, beta,
-                          lambda u: 0.5 * math.log1p(d * (2.0 * u - d) / (a2 + (u - d) ** 2)))
+    def rel(d):
+        def term(c):
+            u_pk = peak - c
+            x = d * (2.0 * u_pk + d) / (a2 + u_pk * u_pk)
+            # -1, log1p's pole, at v's zero, d = -peak, where rounding may pass it
+            return 0.5 * math.log1p(x) if x > -1.0 else -math.inf
+
+        total = -b_u * term(b)
+        if target != "p_sharp":
+            total -= b_u * term(-b)
+        if target == "v":
+            total += term(0.0)
+        return total
 
     return rel
 
 
 def erb_beta(theta: FilterConstants, target: str, lo: float = 0.0, hi: float = math.inf) -> float:
     """The ERB of one target over [lo, hi]: the integral of the power relative
-    to the peak, by scipy's quad at epsrel 1e-13 on pieces split at the peak
-    and at +-1, +-4 and +-20 a_p from it.  Past 20 a_p the power falls as a
-    power of the distance from the peak, so those two pieces are integrated
-    in the log of that distance, where the integrand decays exponentially;
-    an infinite hi is left to quad's own map of the half line."""
+    to the peak over the offset d from the peak, by scipy's quad at epsrel
+    1e-13 on pieces split at d = 0, +-1, +-4 and +-20 a_p.  Past 20 a_p the
+    power falls as a power of |d|, so those two pieces are integrated in
+    log |d|, where the integrand decays exponentially, and held to 1e-15 of
+    the pieces within 20 a_p (their rounding can miss a relative tolerance
+    of their own where they are that small).  Past d = 1e150 the power is
+    the pure power C d**-(1 + rate) to far below rounding, rate = -1 - 2 w
+    with w the sum of the terms' weights (2 b_u - 1 on p_sharp, 4 b_u - 1 on
+    p, 4 b_u - 3 on v), so an infinite hi adds its integral there in closed
+    form, d power(d) / rate, and gives inf where rate <= 0 and the integral
+    diverges."""
     a, peak = theta.a_p, beta_peak(theta, target)
     rel = _relative_log(theta, target, peak)
+    below, above = lo - peak, hi - peak
 
-    def power(beta):
-        return math.exp(2.0 * rel(beta))
+    def power(d):
+        return math.exp(2.0 * rel(d))
 
-    def piece(f, x0, x1):
-        return quad(f, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0] if x1 > x0 else 0.0
+    def piece(f, x0, x1, epsabs=0.0):
+        return quad(f, x0, x1, epsabs=epsabs, epsrel=1e-13, limit=200)[0] if x1 > x0 else 0.0
 
-    inner = [min(max(peak + k * a, lo), hi) for k in (-20, -4, -1, 0, 1, 4, 20)]
+    inner = [min(max(k * a, below), above) for k in (-20, -4, -1, 0, 1, 4, 20)]
     total = sum(piece(power, x0, x1) for x0, x1 in zip(inner, inner[1:]))
-    # beta = peak -+ e**t, d beta = e**t dt
+    floor = 1e-15 * total
+    # d = -+ e**t, dd = e**t dt
     far = math.log(20.0 * a)
-    if lo < inner[0]:
-        total += piece(lambda t: power(peak - math.exp(t)) * math.exp(t), far,
-                       math.log(peak - lo))
-    if hi == math.inf:
-        total += piece(power, inner[-1], hi)
-    elif hi > inner[-1]:
-        total += piece(lambda t: power(peak + math.exp(t)) * math.exp(t), far,
-                       math.log(hi - peak))
+    if below < inner[0]:
+        total += piece(lambda t: power(-math.exp(t)) * math.exp(t), far, math.log(-below), floor)
+    if above > inner[-1]:
+        top = min(above, 1e150)
+        total += piece(lambda t: power(math.exp(t)) * math.exp(t), far, math.log(top), floor)
+        if above == math.inf:
+            rate = -1.0 - 2.0 * _log_terms(theta, target, 0.0, lambda u: 1.0)
+            total = total + top * power(top) / rate if rate > 0.0 else math.inf
     return total
 
 
 def bw_beta(theta: FilterConstants, target: str, n_db: float) -> float:
     """The n-dB width of one target: the distance between the roots of the
-    level n dB below the peak on either side of it, by Brent's method at a
-    relative xtol; the upper root is bracketed by doubling steps of a_p, the
-    lower by [0, peak], so it raises ValueError where the level at beta = 0
-    is less than n dB below the peak (wide filters of p at small b_u)."""
+    level n dB below the peak on either side of it, by Brent's method on the
+    offset from the peak at a relative xtol; the upper root is bracketed by
+    doubling steps of a_p, the lower by [-peak, 0], so it raises ValueError
+    where the level at beta = 0 is less than n dB below the peak (wide
+    filters of p at small b_u)."""
     a, peak = theta.a_p, beta_peak(theta, target)
     rel = _relative_log(theta, target, peak)
 
-    def gap(beta):
-        return DB_PER_LOG * rel(beta) + n_db
+    def gap(d):
+        return DB_PER_LOG * rel(d) + n_db
 
     step = a
-    while gap(peak + step) > 0.0:
+    while gap(step) > 0.0:
         step *= 2.0
-    hi = peak + step
-    tol = {"xtol": 1e-15 * hi, "rtol": 4.0 * sys.float_info.epsilon}
-    return brentq(gap, peak, hi, **tol) - brentq(gap, 0.0, peak, **tol)
+    upper = brentq(gap, 0.0, step, xtol=1e-15 * step, rtol=4.0 * sys.float_info.epsilon)
+    lower = brentq(gap, -peak, 0.0, xtol=1e-15 * a, rtol=4.0 * sys.float_info.epsilon)
+    return upper - lower

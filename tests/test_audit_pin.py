@@ -22,7 +22,7 @@ import pytest
 
 from gefdesign import CharacteristicSpec, FilterConstants, evaluate_case, sweep
 from gefdesign.characteristics import default_grid
-from gefdesign.core import _unit_peak_gain, log_response
+from gefdesign.core import TARGETS, _re_at, _unit_peak_gain, log_response
 from gefdesign.design import DesignRow, design
 from gefdesign.scalar import CHARACTERISTIC
 
@@ -109,9 +109,8 @@ def build_pin() -> dict:
                          "im": _hex(np.ravel(log.im).tolist())}
                 for target, log in log_response(theta, betas).items()
             }
-        probes = log_response(theta, 1.0)
-        entry["re_at"] = {target: [log.re_at(beta).hex() for beta in PROBE_BETAS]
-                          for target, log in probes.items()}
+        entry["re_at"] = {target: [_re_at(theta, target)(beta).hex() for beta in PROBE_BETAS]
+                          for target in TARGETS}
         entry["unit_peak_gain"] = _unit_peak_gain(theta).hex()
         logs.append(entry)
     return {

@@ -21,7 +21,6 @@ from gefdesign import (
     CharacteristicSpec,
     FilterConstants,
     closed_form,
-    default_grid,
     design,
     digital_response,
     eval_gef,
@@ -32,7 +31,7 @@ from gefdesign import (
 )
 from gefdesign import biquad
 from gefdesign.cli import run
-from gefdesign.core import DB_PER_LOG, log_response
+from gefdesign.core import DB_PER_LOG, log_probe, log_response
 from gefdesign.digital import DigitalFilter, SignalBuffer, apply_sos, read_wav, write_wav
 from gefdesign.errors import GefError
 
@@ -79,9 +78,9 @@ def run_captured(argv):
     return code, out.getvalue(), errors
 
 
-def extract_numeric_p(theta, grid):
-    """What `analyze` extracts: the full filter's log response on the grid."""
-    return extract_numeric(log_response(theta, grid.samples, ("p",))["p"], grid)
+def extract_numeric_p(theta):
+    """What `analyze` extracts: the probes of the full filter's log response."""
+    return extract_numeric(log_probe(theta, "p"))
 
 
 def round12(obj):
@@ -376,13 +375,13 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("argv, constants, call", [
         # S's step 4 * dense_step is below the spacing of floats at beta_peak
         (["analyze"], {"a_p": 1e-20, "b_p": 0.05, "b_u": 2},
-         lambda theta: extract_numeric_p(theta, default_grid(theta))),
+         extract_numeric_p),
         # ... where the two 3 dB crossings also round to one float
         (["analyze"], {"a_p": 1e-24, "b_p": 1e6, "b_u": 0.03162277660168379},
-         lambda theta: extract_numeric_p(theta, default_grid(theta))),
+         extract_numeric_p),
         # S resolves, but BW_3 = 0.1 is below the spacing of floats at 2**52
         (["analyze"], {"a_p": 64, "b_p": 2.0**52, "b_u": 1e6},
-         lambda theta: extract_numeric_p(theta, default_grid(theta))),
+         extract_numeric_p),
         # S = (20/ln 10) b_u / a_p**2 underflows to 0
         (["analyze"], {"a_p": 1e160, "b_p": 1e161, "b_u": 2}, closed_form),
         # a_p**2 + b_p**2 overflows in the analog section
@@ -396,14 +395,15 @@ class TestBadInputFiles:
         (["discretize", "--peak-hz", "1000", "--fs", "48000"],
          {"a_p": 1.0, "b_p": 3.7, "b_u": 1e60},
          lambda theta: to_sos(theta, 1000.0, 48000.0)),
-        # the window step a_p / 200 underflows to 0
-        (["analyze"], {"a_p": 5e-324, "b_p": 1, "b_u": 2}, default_grid),
-        # the graded tails' steps pass the largest float before the floor
+        # the peak's step a_p / 200 underflows to 0
+        (["analyze"], {"a_p": 5e-324, "b_p": 1, "b_u": 2}, extract_numeric_p),
+        # S's steps round to nothing beside b_p (they once passed the largest
+        # float in the grid's graded tails first)
         (["analyze"], {"a_p": 2.0689598579217e-244, "b_p": 2.8778115542256177e+201, "b_u": 2},
-         default_grid),
+         extract_numeric_p),
         # the square of S's step underflows to 0
         (["analyze"], {"a_p": 7.013041613054649e-164, "b_p": 2610008.743437733, "b_u": 0.05},
-         lambda theta: extract_numeric_p(theta, default_grid(theta))),
+         extract_numeric_p),
     ])
     def test_extreme_constants_exit_3_without_traceback(self, tmp_path, argv, constants, call):
         (tmp_path / "c.json").write_text(json.dumps(constants))
@@ -462,33 +462,36 @@ class TestBadInputFiles:
         assert run(["analyze", "--constants", str(constants)]) == 3
         assert error_type(capsys) == "InfeasibleSpec"
 
-    @pytest.mark.parametrize("constants", [
-        # |P| passes the largest float on the extraction grid
-        {"a_p": 0.001, "b_p": 1, "b_u": 200},
+    @pytest.mark.parametrize("constants, error", [
+        # |P| passes the largest float at the peak
+        ({"a_p": 0.001, "b_p": 1, "b_u": 200}, "OutOfRange"),
         # ... with finite real and imaginary parts (about 1.63e308 - 7.7e307i)
-        {"a_p": 0.01, "b_p": 1, "b_u": 181.4363},
-        # the peak sits below the grid's floor of 1e-3
-        {"a_p": 0.05, "b_p": 5e-4, "b_u": 6},
+        ({"a_p": 0.01, "b_p": 1, "b_u": 181.4363}, "OutOfRange"),
+        # a_p > b_p: the magnitude falls from beta = 0 on (the grid once
+        # refused these constants, whose b_p sits below its floor of 1e-3)
+        ({"a_p": 0.05, "b_p": 5e-4, "b_u": 6}, "NoInteriorPeak"),
     ])
     @pytest.mark.filterwarnings("error")
-    def test_analyze_unextractable_constants_exits_3(self, tmp_path, capsys, constants):
+    def test_analyze_unextractable_constants_exits_3(self, tmp_path, capsys, constants, error):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(constants))
         assert run(["analyze", "--constants", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err)["error"]["type"] == "OutOfRange"
+        assert json.loads(captured.err)["error"]["type"] == error
 
     @pytest.mark.filterwarnings("error")
     def test_analyze_sharp_low_exponent_extracts(self, tmp_path, capsys):
-        # a_p / b_p = 1.3e-6; the ERB falls short by 6.3e-5, the tails beyond
-        # the grid of a response that decays as beta**-1.77
+        # a_p / b_p = 1.3e-6, and a response that decays as beta**-1.77: the
+        # ERB over [0, inf) falls short of the closed form, an integral over
+        # the whole line, by 8.6e-6, near the sharp form's power below beta = 0
+        # (1.0e-5); the grid's span, which cut the tails, left it 6.3e-5 short
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"a_p": 1.3859e-4, "b_p": 103.42, "b_u": 0.886}))
         assert run(["analyze", "--constants", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         numeric, closed = doc["numeric"], doc["closed_form"]
-        assert 0.0 < 1.0 - numeric["erb_beta"] / closed["erb_beta"] < 1e-4
+        assert 8e-6 < 1.0 - numeric["erb_beta"] / closed["erb_beta"] < 9e-6
         for n in ("3", "10"):
             assert numeric[f"bw_{n}_beta"] == pytest.approx(closed[f"bw_{n}_beta"], rel=1e-10)
 

@@ -350,7 +350,7 @@ class TestLogResponse:
     def test_scalar_probe_is_the_real_part(self, theta, beta):
         logs = core.log_response(theta.with_gain(3.0), np.array([beta]))
         for target, log in logs.items():
-            got = log.re_at(beta)
+            got = core._re_at(theta.with_gain(3.0), target)(beta)
             assert type(got) is float
             # a last-bit difference of math.log and numpy's log, times b_u
             tol = 4e-15 * theta.b_u
@@ -361,9 +361,9 @@ class TestLogResponse:
         loud, quiet = FilterConstants(0.01, 1.0, 300.0), FilterConstants(1.0, 10.0, 1000.0)
         betas = np.array([0.5, 1.0, 2.0])
         for theta in (loud, quiet):
-            for log in core.log_response(theta, betas).values():
+            for target, log in core.log_response(theta, betas).items():
                 assert np.all(np.isfinite(log.re)) and np.all(np.isfinite(log.im))
-                assert math.isfinite(log.re_at(1.0))
+                assert math.isfinite(core._re_at(theta, target)(1.0))
         assert core.log_response(loud, betas)["p"].re[1] > 1000.0
         assert core.log_response(quiet, betas)["p"].re[1] < -2000.0
 
@@ -374,10 +374,10 @@ class TestLogResponse:
         assert level_db(theta, 1e160) == pytest.approx(-160.0 * 160.0, rel=1e-12)
         betas = np.array([1e150, 1e160, 1e300])
         logs = core.log_response(theta, betas)
-        for log in logs.values():
+        for target, log in logs.items():
             assert np.all(np.isfinite(log.re))
             for beta, re in zip(betas, log.re):
-                assert log.re_at(float(beta)) == pytest.approx(re, rel=1e-14)
+                assert core._re_at(theta, target)(float(beta)) == pytest.approx(re, rel=1e-14)
         np.testing.assert_allclose(logs["p_sharp"].re, -4.0 * np.log(betas), rtol=1e-15)
         np.testing.assert_allclose(logs["v"].re, -7.0 * np.log(betas), rtol=1e-15)
 
@@ -416,10 +416,57 @@ class TestLogResponse:
         assert level_db(theta, 1.0) == pytest.approx(13576.0, abs=1.0)
         assert core._re_at(theta, "p")(1.0) == pytest.approx(want, rel=1e-14)
         betas = np.array([0.0, 1.0 - 1e-160, 1.0, 1.0 + 1e-170, 3.0])
-        for log in core.log_response(theta, betas).values():
+        for target, log in core.log_response(theta, betas).items():
             assert np.all(np.isfinite(log.re))
             for beta, re in zip(betas, log.re):
-                assert log.re_at(float(beta)) == re
+                assert core._re_at(theta, target)(float(beta)) == re
+
+
+class TestLogProbe:
+    """log_probe: Re L and Im L at one float, Re L at offsets from a center,
+    and the limits of Im L, for extract_numeric."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(theta=positive_constants, beta=st.floats(0.0, 100.0))
+    def test_scalar_phase_is_the_imaginary_part(self, theta, beta):
+        logs = core.log_response(theta, np.array([beta]))
+        for target, log in logs.items():
+            got = core._im_at(theta, target)(beta)
+            assert type(got) is float
+            # a last-bit difference of math.atan and numpy's arctan, times b_u
+            tol = 4e-15 * theta.b_u
+            assert got == pytest.approx(float(log.im[0]), rel=tol, abs=tol)
+
+    @pytest.mark.parametrize("target, at_zero, at_inf", [
+        ("p_sharp", lambda a, b, b_u: b_u * math.atan(b / a), lambda b_u: -b_u * math.pi / 2),
+        ("p", lambda a, b, b_u: 0.0, lambda b_u: -b_u * math.pi),
+        ("v", lambda a, b, b_u: 0.0, lambda b_u: -b_u * math.pi + math.pi / 2),
+    ])
+    def test_phase_limits(self, target, at_zero, at_inf):
+        for theta in (FilterConstants(0.05, 1.0, 6.0), FilterConstants(1e-9, 3.0, 0.8),
+                      FilterConstants(2.0, 1e5, 19.5)):
+            im_at = core.log_probe(theta, target).im_at
+            a, b, b_u = theta.a_p, theta.b_p, theta.b_u
+            assert im_at(0.0) == pytest.approx(at_zero(a, b, b_u), rel=1e-15, abs=1e-300)
+            assert im_at(math.inf) == pytest.approx(at_inf(b_u), rel=1e-15)
+
+    @pytest.mark.parametrize("target", core.TARGETS)
+    def test_offsets_give_the_log_response(self, target):
+        # where center + offsets is exact, the offsets give log_response's floats
+        theta = FilterConstants(0.05, 1.0, 6.0, gain=3.0)
+        offsets = np.array([-0.75, -0.125, 0.0, 0.0625, 0.5, 3.0])
+        got = core.log_probe(theta, target).re_near(1.0, offsets)
+        want = core.log_response(theta, 1.0 + offsets, (target,))[target].re
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("target", core.TARGETS)
+    def test_offsets_below_the_spacing_of_floats_stay_apart(self, target):
+        # near b_p = 1e6 floats are 1.2e-10 apart; the offsets from it are not
+        # rounded to them, so Re L falls as the sharp form's (1 + x**2)**-b_u
+        theta = FilterConstants(1e-12, 1e6, 2.0)
+        x = np.array([0.0, 0.5, 1.0, 2.0])
+        got = core.log_probe(theta, target).re_near(1e6, 1e-12 * x)
+        np.testing.assert_allclose(got - got[0], -np.log1p(x * x), rtol=1e-9, atol=1e-15)
 
 
 class TestSharpness:

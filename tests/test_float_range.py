@@ -24,8 +24,7 @@ from gefdesign import (
     wavenumber,
 )
 from gefdesign.biquad import to_sos
-from gefdesign.characteristics import FrequencyGrid, _Simpson
-from gefdesign.core import eval_v, log_response
+from gefdesign.core import eval_v, log_probe
 from gefdesign.digital import SignalBuffer, apply_fft
 from gefdesign.errors import GefError, OutOfRange
 from gefdesign.scalar import GAMMA_SERIES_FROM, gamma_ratio, peak_beta
@@ -38,13 +37,12 @@ FULL_RANGE = st.one_of(
 
 
 def _extract(theta):
-    grid = default_grid(theta)
-    return extract_numeric(log_response(theta, grid.samples, ("p",))["p"], grid)
+    return extract_numeric(log_probe(theta, "p"))
 
 
 def _calls(theta):
     """Every call the property makes on one set of constants."""
-    calls = [partial(closed_form, theta), partial(_extract, theta)]
+    calls = [partial(closed_form, theta), partial(_extract, theta), partial(default_grid, theta)]
     for fn in (eval_gef, eval_sharp, eval_v, wavenumber, level_db, phase_rad):
         calls.append(partial(fn, theta, np.array([0.0, theta.b_p, 2.0 * theta.b_p])))
         calls += [partial(fn, theta, beta) for beta in (0.0, theta.b_p, 2.0 * theta.b_p)]
@@ -74,6 +72,43 @@ def _returns_or_refuses(call):
 def test_every_call_returns_or_raises_a_gef_error(a_p, b_p, b_u):
     for call in _calls(FilterConstants(a_p, b_p, b_u)):
         _returns_or_refuses(call)
+
+
+# constants at the edges of the probe oracle: the examples above, S's spans
+# that round to one width (b_p = 5e13), N's steps below the spacing of floats,
+# exponents so large or small that the level barely moves or plunges, and
+# tails that do not decay (b_u = 0.3)
+PROBE_EXTREMES = [
+    (100.0, 1e-320, 1.0),
+    (5e-324, 1e-300, 40.0),
+    (1e-3, 1.0, 200.0),
+    (5e-324, 1.0, 2.0),
+    (2.0689598579217e-244, 2.8778115542256177e+201, 2.0),
+    (7.013041613054649e-164, 2610008.743437733, 0.05),
+    (1e100, 1e100, 1e75),
+    (1e-200, 1e110, 2.0),
+    (0.43282198205288996, 49671044904899.08, 2.1588319082153147),
+    (4.913178490736144e-13, 61.712606145670826, 25.805813114359527),
+    (6.183308152283391e-11, 5308.191658754751, 625117.0691053509),
+    (4.118567766065827e-07, 39229722.53960182, 0.0011750180160528215),
+    (0.05, 1.0, 0.3),
+    (0.05, 1.0, 1e-9),
+    (1.0, 1.0, 0.51),
+]
+
+
+@pytest.mark.parametrize("target", ["p_sharp", "p", "v"])
+@pytest.mark.parametrize("a_p, b_p, b_u", PROBE_EXTREMES)
+def test_probes_return_or_refuse(a_p, b_p, b_u, target):
+    probe = log_probe(FilterConstants(a_p, b_p, b_u), target)
+    _returns_or_refuses(partial(extract_numeric, probe))
+
+
+def test_spans_of_one_width_refuse_s():
+    # near 5e13 floats are 0.0078 apart: both of S's spans round to 0.0156
+    theta = FilterConstants(0.43282198205288996, 49671044904899.08, 2.1588319082153147)
+    with pytest.raises(OutOfRange, match="second difference"):
+        _extract(theta)
 
 
 class TestReproducers:
@@ -107,69 +142,26 @@ class TestReproducers:
         with pytest.raises(OutOfRange, match="underflows to 0"):
             default_grid(FilterConstants(5e-324, 1.0, 2.0))
 
-    def test_grid_refuses_steps_that_overflow(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(OutOfRange, match="pass the largest float"):
-                default_grid(FilterConstants(2.0689598579217e-244, 2.8778115542256177e+201, 2.0))
-
     def test_s_refuses_a_step_whose_square_underflows(self):
         theta = FilterConstants(7.013041613054649e-164, 2610008.743437733, 0.05)
-        assert (4.0 * default_grid(theta).dense_step) ** 2 == 0.0
+        assert (4.0 * theta.a_p / 200.0) ** 2 == 0.0
         with pytest.raises(OutOfRange, match="second difference"):
             _extract(theta)
 
-    def test_weights_that_overflow_are_refused(self):
-        # products of steps in the Simpson coefficients
-        theta = FilterConstants(6.226171169108189e+154, 6.05868326189651e+166, 483114.8738570269)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(OutOfRange, match="overflow its quadrature weights"):
-                _extract(theta)
-
-    @pytest.mark.parametrize("a_p, b_p, b_u, parity", [
-        (1e104, 3e110, 18962.324811781902, 0),
-        (2e104, 1.3e110, 2.0, 1),
+    @pytest.mark.parametrize("a_p, b_p, b_u", [
+        (1e104, 3e110, 18962.324811781902),
+        (2e104, 1.3e110, 2.0),
     ])
-    def test_a_last_step_whose_cube_overflows_extracts_at_either_parity(self, a_p, b_p, b_u,
-                                                                        parity):
+    def test_constants_past_1e100_extract(self, a_p, b_p, b_u):
+        # the probes and nodes sit at offsets from the peak, whatever its size
         theta = FilterConstants(a_p, b_p, b_u)
-        x = default_grid(theta).samples
-        assert x.size % 2 == parity and x[-1] - x[-2] > sys.float_info.max ** (1.0 / 3.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = _extract(theta)
+        want = closed_form(theta)
         assert report.beta_peak == pytest.approx(peak_beta(theta), rel=1e-10)
-        assert report.erb_beta == pytest.approx(closed_form(theta).erb_beta, rel=1e-2)
-
-    def test_simpson_correction_past_the_cube_agrees_with_the_scaled_grid(self):
-        # an even count, last step past 5e102: the factored correction against
-        # scipy's h1 ** 3 on the same grid scaled by 2**-300
-        theta = FilterConstants(1e105, 1e111, 18962.0)
-        x = default_grid(theta).samples
-        assert x.size % 2 == 0 and x[-1] - x[-2] > sys.float_info.max ** (1.0 / 3.0)
-        y = np.exp(-((x - theta.b_p) / (50.0 * theta.a_p)) ** 2)
-        scale = 2.0 ** -300
-        assert _Simpson(x)(y) * scale == pytest.approx(_Simpson(x * scale)(y), rel=1e-14)
-
-    @pytest.mark.parametrize("head, steps", [
-        (np.arange(1.0, 16.0), (1e200,)),                  # h1 * h1 past the largest float
-        (1e-300 * np.arange(1.0, 15.0), (1e-310, 1e100)),  # h1**2 / (6 h0) past it
-    ])
-    def test_a_last_interval_correction_that_overflows_is_refused(self, head, steps):
-        # 16 samples: only the last two steps enter the correction, and the
-        # Simpson pairs before them stay finite
-        x = np.concatenate((head, head[-1] + np.cumsum(steps)))
-        assert x.size == 16
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(OutOfRange, match="overflow its quadrature weights"):
-                FrequencyGrid(x, 1.0, 1.0, float(x[-1]), 0)._weights
-
-    def test_widths_that_do_not_grow_with_the_level_are_refused(self):
-        # the 3 and 10 dB crossings round to the same floats
-        with pytest.raises(OutOfRange, match="10 dB crossings .* give no width above"):
-            _extract(FilterConstants(1e100, 1e100, 1e75))
+        assert report.erb_beta == pytest.approx(want.erb_beta, rel=1e-2)
+        assert report.n_beta == pytest.approx(want.n_beta, rel=1e-2)
 
     @pytest.mark.parametrize("a_p, b_p", [(1e153, 1e160), (1e-176, 2e-175)])
     def test_peak_beta_where_its_square_leaves_the_normal_floats(self, a_p, b_p):

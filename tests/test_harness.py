@@ -13,8 +13,11 @@ from gefdesign import (
 )
 from gefdesign import characteristics, harness
 from gefdesign.cli import run
+from gefdesign.design import design
 from gefdesign.errors import OutOfRange
 from gefdesign.harness import response_table
+
+import reference
 
 N_SHARP6 = 6.0 / (2.0 * math.pi * 0.05)
 N_WIDE7 = 7.0 / (2.0 * math.pi * 0.1)
@@ -69,25 +72,59 @@ class TestEvaluateCase:
         assert set(MAGNITUDE_KEYS) <= set(errors)
         assert all(np.isfinite(list(errors.values())))
 
-    def test_three_extractions_share_one_weights_object(self, spec_sharp6, monkeypatch):
-        built, seen = [], []
+    def test_evaluate_case_sweep_and_analyze_build_no_grid(self, spec_sharp6, monkeypatch,
+                                                           tmp_path, capsys):
+        # every target is read from probes of the constants; no grid is sampled
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
 
-        class CountingSimpson(characteristics._Simpson):
-            def __init__(self, x):
-                built.append(self)
-                super().__init__(x)
+        monkeypatch.setattr(characteristics, "default_grid", refuse)
+        monkeypatch.setattr(characteristics, "FrequencyGrid", refuse)
+        monkeypatch.setattr(harness, "default_grid", refuse)
+        assert len(evaluate_case(spec_sharp6)) == 3
+        result = sweep([20.0, 25.0], [15.0, 19.0])
+        assert any(cell is not None for row in result.error_grids["q_erb"] for cell in row)
+        assert figure_report(spec_sharp6)["desired"]
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps({"a_p": 0.05, "b_p": 1.0, "b_u": 6.0}))
+        assert run(["analyze", "--constants", str(constants)]) == 0
 
-        def spy(response, grid, *args):
-            seen.append(grid._weights)
-            return extract(response, grid, *args)
-
-        extract = harness.extract_numeric
-        monkeypatch.setattr(characteristics, "_Simpson", CountingSimpson)
-        monkeypatch.setattr(harness, "extract_numeric", spy)
+    def test_figure_report_leaves_the_desired_report_as_it_was(self, spec_sharp6,
+                                                               monkeypatch):
+        # the report's flat map is built once and shared; the table adds the
+        # ratios to a copy of it
         records = evaluate_case(spec_sharp6)
-        assert len(records) == len(seen) == 3
-        assert len(built) == 1
-        assert seen[0] is seen[1] is seen[2] is built[0]
+        monkeypatch.setattr(harness, "evaluate_case", lambda spec: records)
+        keys = list(records[0].desired.characteristics())
+        table = figure_report(spec_sharp6)
+        assert "q_erb_over_n" in table["desired"]
+        assert list(records[0].desired.characteristics()) == keys
+
+    def test_a_diverging_erb_is_left_out_of_its_target(self):
+        # b_u = 0.7: v's power falls as beta**-1.2 far out, so its ERB does
+        # not exist; the other characteristics and targets are reported
+        spec = CharacteristicSpec(row=DesignRow.PEAK_DELAY_PHASE, beta_peak=1.0,
+                                  values={"n_cycles": 2.0, "phi_accum": 0.35})
+        records = {record.target: record for record in evaluate_case(spec)}
+        assert records["v"].achieved.erb_beta is None
+        assert not set(harness.ERB_KEYS) & set(records["v"].errors)
+        assert "n_beta" in records["v"].errors and "erb_beta" in records["p"].errors
+        table = figure_report(spec)
+        assert "q_erb_over_n" in table["errors"]["p"]
+        assert "q_erb_over_n" not in table["errors"]["v"]
+
+    # b_u 0.52 and 0.76: p_sharp's and v's power decay at rate 0.04 in the log
+    # of the distance from the peak, so far out that the Laguerre rule's
+    # nodes would pass the largest float
+    @pytest.mark.parametrize("phi_accum, target", [(0.26, "p_sharp"), (0.38, "v")])
+    def test_a_slowly_decaying_erb_is_reported(self, phi_accum, target):
+        spec = CharacteristicSpec(row=DesignRow.PEAK_DELAY_PHASE, beta_peak=1.0,
+                                  values={"n_cycles": 2.0, "phi_accum": phi_accum})
+        records = {record.target: record for record in evaluate_case(spec)}
+        want = reference.erb_beta(design(spec), target)
+        assert records[target].achieved.erb_beta == pytest.approx(want, rel=1e-12)
+        assert "erb_beta" in records[target].errors
+        assert "q_erb_over_n" in figure_report(spec)["errors"][target]
 
     def test_sharper_case_beats_wider_case(self, records_sharp6, spec_wide7):
         sharp_errors = next(r for r in records_sharp6 if r.target == "p").errors

@@ -69,9 +69,9 @@ RECORDS = {
     "CharacteristicReport": (
         CharacteristicReport,
         [("beta_peak", 1.0), ("n_beta", 19.1), ("phi_accum", 3.0), ("s_beta", 20846.3),
-         ("bw_n_beta", {3.0: 0.05, 10.0: 0.1}), ("erb_beta", None), ("grid_meta", None)], 5,
+         ("bw_n_beta", {3.0: 0.05, 10.0: 0.1}), ("erb_beta", None), ("provenance", None)], 5,
         "CharacteristicReport(beta_peak=1.0, n_beta=19.1, phi_accum=3.0, s_beta=20846.3, "
-        "bw_n_beta={3.0: 0.05, 10.0: 0.1}, erb_beta=None, grid_meta=None)"),
+        "bw_n_beta={3.0: 0.05, 10.0: 0.1}, erb_beta=None, provenance=None)"),
     "ErrorRecord": (
         ErrorRecord,
         [("target", "p"), ("desired", REPORT), ("achieved", REPORT), ("errors", {"n_beta": 0.0})],
@@ -168,7 +168,8 @@ def test_with_gain_builds_new_constants():
         THETA.with_gain(math.inf)
 
 
-def test_grid_weights_are_cached_on_a_frozen_grid():
-    grid = _build("FrequencyGrid")
-    assert grid._weights is grid._weights
-    assert repr(grid) == RECORDS["FrequencyGrid"][3]
+def test_flat_map_is_built_once_on_a_frozen_report():
+    report = _build("CharacteristicReport")
+    assert report.characteristics() is report.characteristics()
+    assert report.as_dict() is not report.as_dict()
+    assert repr(report) == RECORDS["CharacteristicReport"][3]
