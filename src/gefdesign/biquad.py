@@ -6,12 +6,14 @@ all-pole analog sections.  ``to_sos`` maps one through the bilinear
 transform, prewarped so the digital magnitude peak lands exactly on the
 requested peak frequency, and scales it to unit magnitude there; every step
 is arithmetic on scalars, so discretizing a filter does not load numpy.
+``filter_json`` is the one writer of filter documents, at full precision.
 ``digital`` filters signals with the cascade and holds the numpy-backed
 responses.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -115,6 +117,13 @@ class DigitalFilter(_Record):
             raise InfeasibleSpec(f"filter lacks the field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise InfeasibleSpec(f"bad filter: {exc}") from None
+
+
+def filter_json(filt: DigitalFilter) -> str:
+    """The filter's document: its as_dict with every float at full precision
+    (its repr), so that DigitalFilter.from_dict reads back the same sections
+    bit for bit; indented, with sorted keys, ending in a newline."""
+    return json.dumps(filt.as_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _bandpass_peak(theta: FilterConstants) -> float:

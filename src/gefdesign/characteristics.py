@@ -66,6 +66,16 @@ def level_label(n_db: float) -> str:
     return f"{n_db:g}".replace(".", "_").replace("-", "m")
 
 
+def _levels(n_levels) -> list[float]:
+    """The dB levels of the widths, as floats, sorted and without duplicates;
+    raises OutOfRange unless each is finite and > 0."""
+    levels = sorted(set(map(float, n_levels)))
+    for n in levels:
+        if not 0.0 < n < math.inf:
+            raise OutOfRange(f"dB levels must be finite and > 0, got {levels}")
+    return levels
+
+
 GRID_FLOOR = 1e-3
 GRID_GROWTH = 1.01
 
@@ -106,24 +116,6 @@ class FrequencyGrid(_Record):
         }
 
 
-_growth_sums = np.empty(0)
-
-
-def _growth_prefix(count: int) -> np.ndarray:
-    """cumsum(GRID_GROWTH ** arange(1, count + 1)), read-only: a prefix of
-    one array kept here and rebuilt longer when a count passes its length.
-    The power is elementwise and the running sum sequential, so every prefix
-    is bit-identical to the sums computed at that count alone, whatever
-    earlier calls left here."""
-    global _growth_sums
-    if _growth_sums.size < count:
-        with np.errstate(over="ignore"):
-            sums = np.cumsum(GRID_GROWTH ** np.arange(1, max(count, 2 * _growth_sums.size) + 1))
-        sums.flags.writeable = False
-        _growth_sums = sums
-    return _growth_sums[:count]
-
-
 def _graded_offsets(step: float, span: float) -> np.ndarray:
     """Running sums of the steps step * GRID_GROWTH**j, j >= 1, to one or two
     past span.  Where the bare sums of GRID_GROWTH**j pass the largest float
@@ -135,7 +127,7 @@ def _graded_offsets(step: float, span: float) -> np.ndarray:
     count = int((math.log(max(span, 0.0) * (g - 1.0) / g + step) - math.log(step))
                 / math.log(g)) + 2
     with np.errstate(over="ignore"):
-        offsets = step * _growth_prefix(count)
+        offsets = step * np.cumsum(g ** np.arange(1, count + 1))
         if not offsets[-1] < math.inf:
             exponents = np.arange(1, count + 1, dtype=float)
             exponents *= math.log(g)
@@ -320,18 +312,14 @@ def closed_form(
     ERB  = sqrt(pi) a_p Gamma(b_u - 1/2)/Gamma(b_u)   Q_erb = b_p / ERB
 
     Only the widths are computed here; the report derives each Q from them.
-    The ERB is omitted (None) when b_u <= 1/2.  Raises OutOfRange when a
+    The ERB is omitted (None) when b_u <= 1/2.  Raises OutOfRange when a dB
+    level is not finite and > 0 (duplicates count once), and when a
     characteristic is not a finite positive float: first N, phi_accum, S or
     a width (S underflows to 0 for a_p past about 1e155, the ERB near the
     smallest float), then a quality factor.
     """
     a, b, bu = theta.a_p, theta.b_p, theta.b_u
-    bw = {}
-    for n in n_levels:
-        n = float(n)
-        if n <= 0.0:
-            raise ValueError(f"dB levels must be > 0, got {n:g}")
-        bw[n] = 2.0 * a * level_factor(n, bu)
+    bw = {n: 2.0 * a * level_factor(n, bu) for n in _levels(n_levels)}
     try:
         erb = erb_closed_form(theta)
     except ExponentTooSmallForErb:
@@ -470,40 +458,54 @@ def _crossing(re_at, target: float, peak: float, gap_peak: float, step: float, e
     return _level_crossing(re_at, target, x, inner, gap, gap_inner)
 
 
+def _slopes(f, x: float, y: float, h: float, name: str) -> tuple[float, float, float, float]:
+    """The offsets of x - h and x + h from x and the slopes of f over them,
+    f being y at x; all nan where an offset rounds to 0.  Raises OutOfRange
+    where f at a probe is not finite; ``name`` names f in the message."""
+    lo, hi = x - h, x + h
+    d0, d2 = x - lo, hi - x
+    if not (d0 > 0.0 and d2 > 0.0):
+        return (math.nan,) * 4
+    y0, y2 = f(lo), f(hi)
+    if not (-math.inf < y0 < math.inf and -math.inf < y2 < math.inf):
+        value = y2 if -math.inf < y0 < math.inf else y0
+        raise OutOfRange(f"{name} within {h:g} of beta = {x:g} is {value}")
+    return d0, d2, (y - y0) / d0, (y2 - y) / d2
+
+
+def _vertex_search(f, x: float, steps, name: str) -> tuple[float, float]:
+    """The maximizer of f from x and f there: for each step s in turn, a
+    move to the vertex of the parabola through f at x and x +- s (over the
+    offsets actually probed, (x +- s) - x), stopping where it does not bend
+    down or a step rounds to nothing.  A fixed step leaves the vertex off by
+    order s**2, so the steps shrink.  Raises OutOfRange where f at a probe
+    is not finite; ``name`` names f in the message."""
+    y = f(x)
+    for s in steps:
+        if not -math.inf < y < math.inf:
+            break
+        d0, d2, s0, s2 = _slopes(f, x, y, s, name)
+        vertex = x + 0.5 * (s0 * d2 + s2 * d0) / (s0 - s2) if s0 > s2 else x
+        if vertex == x or not math.isfinite(vertex):  # nan where a slope overflows
+            break
+        x, y = vertex, f(vertex)
+    if not -math.inf < y < math.inf:
+        raise OutOfRange(f"{name} at beta = {x:g} is {y}")
+    return x, y
+
+
 def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, float]:
     """The maximizer of Re L from beta, Re L there and S there, from at most
-    14 scalar probes: three steps to the vertex of the parabola through Re L
-    at beta and beta +- h, h = step, step / 16, step / 256 (a fixed h leaves
-    the vertex off by order h**2), that stop where it does not bend down or a
-    step rounds to nothing; then S by Richardson's
-    (r**2 D(2 step) - D(4 step)) / (r**2 - 1) of the level's second
-    differences, where r is the ratio of the two spans actually probed, 2
-    where the floats resolve the steps.  Each takes the offsets actually
-    probed, (beta +- h) - beta.  Raises OutOfRange where a step of S rounds
-    to 0, Re L at a probe or S is not finite, or S is not positive."""
-    def stencil(h):
-        """The offsets of beta - h and beta + h from beta and the slopes of
-        Re L over them, all nan where an offset rounds to 0; Re L there that
-        is not finite raises OutOfRange."""
-        lo, hi = beta - h, beta + h
-        d0, d2 = beta - lo, hi - beta
-        if not (d0 > 0.0 and d2 > 0.0):
-            return (math.nan,) * 4
-        y0, y2 = re_at(lo), re_at(hi)
-        if not (-math.inf < y0 < math.inf and -math.inf < y2 < math.inf):
-            value = y2 if -math.inf < y0 < math.inf else y0
-            raise OutOfRange(f"Re L within {h:g} of beta = {beta:g} is {value}")
-        return d0, d2, (y - y0) / d0, (y2 - y) / d2
-
-    y = re_at(beta)
-    for h in (step, step / 16.0, step / 256.0):
-        d0, d2, s0, s2 = stencil(h)
-        vertex = beta + 0.5 * (s0 * d2 + s2 * d0) / (s0 - s2) if s0 > s2 else beta
-        if vertex == beta or not math.isfinite(vertex):  # nan where a slope overflows
-            break
-        beta, y = vertex, re_at(vertex)
+    14 scalar probes: _vertex_search with the steps step, step / 16 and
+    step / 256; then S by Richardson's (r**2 D(2 step) - D(4 step)) / (r**2 - 1)
+    of the level's second differences, where r is the ratio of the two spans
+    actually probed, 2 where the floats resolve the steps.  Raises OutOfRange
+    where a step of S rounds to 0, Re L at a probe or S is not finite, or S
+    is not positive."""
+    beta, y = _vertex_search(re_at, beta, (step, step / 16.0, step / 256.0), "Re L")
     # D = -2 (s0 - s2) / (d0 + d2) over the probed offsets; r = 2 gives (4 D - D') / 3
-    (d0, d2, s0, s2), (e0, e2, t0, t2) = stencil(2.0 * step), stencil(4.0 * step)
+    d0, d2, s0, s2 = _slopes(re_at, beta, y, 2.0 * step, "Re L")
+    e0, e2, t0, t2 = _slopes(re_at, beta, y, 4.0 * step, "Re L")
     # nan where the spans are nan or round to one width, which no ratio extrapolates
     r2 = ((e0 + e2) / (d0 + d2)) ** 2
     s_beta = DB_PER_LOG * ((2.0 * r2) * (s0 - s2) / (d0 + d2)
@@ -642,10 +644,9 @@ def _max_delay(im_at, beta: float, a: float) -> float:
     (r**2 D_1 - D_2) / (r**2 - 1) of the centered differences over
     x +- h and x +- 2 h, h = a_p / 1024, where r is the ratio of the spans
     actually probed (2 where the floats resolve h, which gives
-    (4 D_1 - D_2) / 3); from beta, three steps to the vertex of the parabola
-    through the delay at x and x +- s, s = a_p / 8, a_p / 64, a_p / 512, that
-    stop where it does not bend down or a step rounds to nothing.  Raises
-    OutOfRange where h or 2 h rounds to no wider span."""
+    (4 D_1 - D_2) / 3); from beta, _vertex_search with the steps a_p / 8,
+    a_p / 64 and a_p / 512.  Raises OutOfRange where h or 2 h rounds to no
+    wider span, or the delay at a probe is not finite."""
     h = a * _DELAY_STEP
 
     def delay(x):
@@ -657,18 +658,7 @@ def _max_delay(im_at, beta: float, a: float) -> float:
         r2 = (w2 / w1) ** 2
         return (r2 * (im_at(lo1) - im_at(hi1)) / w1 - (im_at(lo2) - im_at(hi2)) / w2) / (r2 - 1.0)
 
-    x, y = beta, delay(beta)
-    for s in (a / 8.0, a / 64.0, a / 512.0):
-        lo, hi = x - s, x + s
-        d0, d2 = x - lo, hi - x
-        if not (d0 > 0.0 and d2 > 0.0):
-            break
-        s0, s2 = (y - delay(lo)) / d0, (delay(hi) - y) / d2
-        vertex = x + 0.5 * (s0 * d2 + s2 * d0) / (s0 - s2) if s0 > s2 else x
-        if vertex == x or not math.isfinite(vertex):
-            break
-        x, y = vertex, delay(vertex)
-    return y
+    return _vertex_search(delay, beta, (a / 8.0, a / 64.0, a / 512.0), "the group delay")[1]
 
 
 def _phase_turn(im_at, lo: float, hi: float) -> float | None:
@@ -776,7 +766,8 @@ def extract_numeric(response, grid: FrequencyGrid | None = None,
         With a callable only: its span, and its samples for the one array
         call that unwraps the phase (see _complex_log).
     n_levels : iterable of float
-        dB levels for bandwidths and quality factors.
+        dB levels for bandwidths and quality factors, each finite and > 0
+        (duplicates count once), as ``closed_form`` takes them.
 
     Procedure, on L, with a_p the probe's scale: the peak and S by
     _peak_and_convexity, at step a_p / 200, from the best sample of a
@@ -797,14 +788,15 @@ def extract_numeric(response, grid: FrequencyGrid | None = None,
     and for a LogProbe the probes' scale and the ERB's node count
     (probe_scale, probe_erb_nodes).
 
-    Raises OutOfRange when |H| at the peak passes the largest float (and for
-    a callable when L is not finite on its grid, or |H| passes the largest
-    float there), when the ERB or S is not finite and positive (as where a
-    step of S rounds to 0), when Re L is not finite at a probe of the peak or
-    nan at a probe of a crossing, when the two crossings of a level give no
-    width above the last (smaller) level's, or when N or phi_accum is not
-    finite and positive; NoInteriorPeak when the peak is not inside the
-    span; LevelNotReached when a level is not crossed on one side.
+    Raises OutOfRange when a level is not finite and > 0, when |H| at the
+    peak passes the largest float (and for a callable when L is not finite
+    on its grid, or |H| passes the largest float there), when the ERB or S
+    is not finite and positive (as where a step of S rounds to 0), when Re L
+    at a probe of the peak or the delay at a probe of N is not finite, or Re
+    L is nan at a probe of a crossing, when the two crossings of a level
+    give no width above the last (smaller) level's, or when N or phi_accum
+    is not finite and positive; NoInteriorPeak when the peak is not inside
+    the span; LevelNotReached when a level is not crossed on one side.
     """
     if isinstance(response, LogProbe):
         if grid is not None:
@@ -833,7 +825,7 @@ def extract_numeric(response, grid: FrequencyGrid | None = None,
 
     peak_level = DB_PER_LOG * re_pk
     bw = {}
-    for n in sorted(float(n) for n in n_levels):
+    for n in _levels(n_levels):
         target = peak_level - n
         if sampled_crossing is None:
             upper = _crossing(re_at, target, beta_pk, n, a, hi, n)

@@ -2,22 +2,24 @@
 discretization, and signal filtering.
 
 Exit codes: 0 success, 2 flag validation or an input file that does not
-parse, 3 infeasible design / domain errors, 4 I/O failures.  Errors print
-one machine-readable JSON object to stderr.
+parse, 3 infeasible design / domain errors, 4 I/O failures, scipy that
+cannot be imported where a call needs it included (``filter --sos``, a WAV
+layout left to ``scipy.io.wavfile``).  Errors print one machine-readable
+JSON object to stderr, without a traceback.
 
 The library returns tables as data; this module writes every CSV and JSON
 table through one writer each, ``_csv`` and ``_dump_json``.  Both write
 floats at 12 significant digits, so identical inputs produce byte-identical
-outputs; JSON is indented, with sorted keys, and ends in a newline.  Response
-tables read L = log H: level (20/ln 10) Re L, -inf only at a zero on the unit
-circle, and phase Im L, continuous from f = 0 (for ``--sos``, its sections' logs).
+outputs; JSON is indented, with sorted keys, and ends in a newline.  Filter
+documents (``discretize``) are the one exception: ``biquad.filter_json``
+writes them at full precision, so ``filter --sos`` and ``response --sos``
+read back the very sections that ``to_sos`` built.  Response tables read
+L = log H: level (20/ln 10) Re L, -inf only at a zero on the unit circle,
+and phase Im L, continuous from f = 0 (for ``--sos``, its sections' logs).
 
 Each subcommand imports the modules it uses when it runs.  So ``design``,
 ``discretize``, ``bank``, ``--version`` and usage errors load no numpy, and
-``design`` and usage errors load neither ``bank`` nor ``biquad``.  A cold
-call of one of these takes about 20 ms over the bare interpreter's start
-(57-60 ms against 38 ms, one CPU of a 2-core Xeon, no ``__pycache__``);
-``analyze`` takes about 136 ms, most of it importing numpy.
+``design`` and usage errors load neither ``bank`` nor ``biquad``.
 """
 
 from __future__ import annotations
@@ -320,11 +322,9 @@ def _cmd_bank(args) -> int:
 
 def _cmd_discretize(args) -> int:
     theta = _constants_from_args(args)
-    from .biquad import to_sos
+    from .biquad import filter_json, to_sos
 
-    filt = to_sos(theta, f_peak=args.peak_hz, fs=args.fs)
-    text = _dump_json(filt.as_dict())
-    _emit(text, args.out)
+    _emit(filter_json(to_sos(theta, f_peak=args.peak_hz, fs=args.fs)), args.out)
     return EXIT_OK
 
 
@@ -478,7 +478,7 @@ def run(argv=None) -> int:
     except GefError as exc:
         print(_error_json(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OSError as exc:
+    except (OSError, ImportError) as exc:  # a file, or scipy, that cannot be read
         print(_error_json(exc), file=sys.stderr)
         return EXIT_IO
 

@@ -3,8 +3,12 @@
 Integer exponents become a cascade of b_u identical biquad sections via the
 bilinear transform, prewarped so the digital magnitude peak lands exactly
 on the requested peak frequency; that map (``to_sos``, ``DigitalFilter``)
-needs no numpy and lives in ``biquad``, and this module re-exports it.
-Non-integer exponents are supported
+and the one writer of filter documents (``filter_json``, which
+``save_filter`` writes to a file) need no numpy and live in ``biquad``, and
+this module re-exports them.  ``apply_sos`` runs the cascade in scipy's
+compiled loop alone, loaded from its file by ``scalar._scipy_extension``
+without ``scipy.signal``; where scipy cannot be imported it raises
+ImportError.  Non-integer exponents are supported
 through FFT-domain filtering: the analog response is sampled at the bins of
 a block whose length follows the impulse response's decay, the kernel's
 support is measured from that block, and the signal is filtered block by
@@ -16,13 +20,12 @@ are transformed together and added in hop order.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 
 import numpy as np
 
-from .biquad import DigitalFilter, _bandpass_peak, _check_rates, to_sos
+from .biquad import DigitalFilter, _bandpass_peak, _check_rates, filter_json, to_sos
 from .core import _maybe_scalar, eval_gef
 from .errors import OutOfRange, SampleRateMismatch
 from .scalar import FilterConstants, _Record, _scipy_extension
@@ -98,9 +101,10 @@ def digital_response(filt: DigitalFilter, f_hz):
 
 def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:
     """Run the cascade over a signal (direct form II transposed, zero
-    initial state).  Output length equals input length.  A cascade that
-    overflows gives samples that are not finite, without a warning; callers
-    check for that."""
+    initial state) in scipy's compiled loop.  Output length equals input
+    length.  A cascade that overflows gives samples that are not finite,
+    without a warning; callers check for that.  Raises ImportError where
+    scipy cannot be imported."""
     if signal.sample_rate != filt.sample_rate:
         raise SampleRateMismatch(
             f"signal at {signal.sample_rate:g} Hz, filter at {filt.sample_rate:g} Hz"
@@ -108,16 +112,10 @@ def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:
     sos = np.array(
         [[b0, b1, b2, 1.0, a1, a2] for b0, b1, b2, a1, a2 in filt.sections]
     )
-    kernel = _sosfilt_kernel()
-    if kernel is None:
-        from scipy.signal import sosfilt
-
-        out = sosfilt(sos, signal.samples)
-    else:
-        # what scipy.signal.sosfilt does for one float64 signal at rest
-        rows = signal.samples.reshape(1, -1).copy()
-        kernel(sos, rows, np.zeros((1, len(sos), 2)))
-        out = rows[0]
+    # what scipy.signal.sosfilt does for one float64 signal at rest
+    rows = signal.samples.reshape(1, -1).copy()
+    _sosfilt_kernel()(sos, rows, np.zeros((1, len(sos), 2)))
+    out = rows[0]
     with np.errstate(over="ignore", invalid="ignore"):
         out *= filt.gain
     return SignalBuffer(sample_rate=signal.sample_rate, samples=out)
@@ -125,14 +123,14 @@ def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:
 
 def _sosfilt_kernel():
     """scipy's compiled cascade loop `_sosfilt(sos, x, zi)`, which filters
-    the rows of x in place, or None when it cannot be found.
+    the rows of x in place; ImportError where scipy cannot be imported.
 
     `from scipy.signal import sosfilt` loads all of scipy.signal: about 1.3 s
     on a 2-core Xeon and 60 MB, most of a cold `filter` call.  The extension
     module needs only numpy and the scipy package, so it is loaded from its
     file under its own name (see scalar._scipy_extension).
     """
-    return getattr(_scipy_extension("signal", "_sosfilt"), "_sosfilt", None)
+    return _scipy_extension("signal", "_sosfilt")._sosfilt
 
 
 # The kernel of an nb-point block passes when the middle half of
@@ -293,9 +291,9 @@ def apply_fft(
 
 
 def save_filter(filt: DigitalFilter, path) -> None:
+    """Write the filter's document (biquad.filter_json) to path."""
     with open(path, "w") as fh:
-        json.dump(filt.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(filter_json(filt))
 
 
 def write_wav(path, signal: SignalBuffer) -> None:

@@ -9,11 +9,13 @@ inverse for a_p (``A_P_FROM``), and the one bracketed root solver.  It
 imports nothing beyond the standard library, so designing a filter does not
 load numpy; the other modules import these names from here.
 
-The root solver, ``_brentq``, runs scipy's compiled Brent loop where scipy is
-installed.  Its extension module, ``scipy.optimize._zeros``, is loaded from
-its file under its own name on the first solve (``_scipy_extension``), which
-imports neither numpy nor the ``scipy`` package; where it cannot be found,
-the solver runs an in-tree port of the same loop, with the same roots.
+The root solver, ``_brentq``, checks f for NaN and runs one Brent loop
+(``_brent_loop``): scipy's compiled one where scipy is installed, or else an
+in-tree port of it that takes the same arguments and finds the same roots.
+The loop's extension module, ``scipy.optimize._zeros``, is loaded from its
+file under its own name on the first solve by ``_scipy_extension``, which
+imports neither numpy nor the ``scipy`` package; ``digital`` loads scipy's
+compiled cascade loop through it too.
 """
 
 from __future__ import annotations
@@ -192,46 +194,53 @@ def sharpness_check(theta: FilterConstants) -> SharpnessReport:
 
 
 def _scipy_extension(package: str, name: str):
-    """scipy's compiled module ``scipy.<package>.<name>``, or None where scipy
-    or the module's file cannot be found or the module does not load.
+    """scipy's compiled module ``scipy.<package>.<name>``.
 
     The module is loaded from its file under its own name, without importing
     ``scipy.<package>``, nor the ``scipy`` package unless the module itself
     does; a later import of those finds it in sys.modules and reuses it.
+    Where its file cannot be found or does not load, it is imported the usual
+    way.  Raises ImportError where scipy cannot be found or the module cannot
+    be imported.
     """
     full_name = f"scipy.{package}.{name}"
     module = sys.modules.get(full_name)
     if module is not None:
         return module
+    import importlib
     import importlib.machinery
     import importlib.util
 
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:
-        return None
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
     paths = [os.path.join(directory, package, name + suffix)
              for directory in scipy_spec.submodule_search_locations or ()
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None:
-        return None
-    spec = importlib.util.spec_from_file_location(full_name, path)
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    except ImportError:
-        sys.modules.pop(full_name, None)
-        return None
-    sys.modules[full_name] = module
-    return module
+    if path is not None:
+        spec = importlib.util.spec_from_file_location(full_name, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            sys.modules.pop(full_name, None)
+        else:
+            sys.modules[full_name] = module
+            return module
+    return importlib.import_module(full_name)
 
 
 @functools.cache
 def _brent_loop():
     """scipy's compiled Brent loop, ``_brentq(f, xa, xb, xtol, rtol, maxiter,
-    args, full_output, disp)`` of ``scipy.optimize._zeros``, or None where it
-    cannot be loaded; looked up once, on the first call."""
-    return getattr(_scipy_extension("optimize", "_zeros"), "_brentq", None)
+    args, full_output, disp)`` of ``scipy.optimize._zeros``, or
+    ``_brentq_port`` where it cannot be imported; looked up once, on the
+    first call."""
+    try:
+        return getattr(_scipy_extension("optimize", "_zeros"), "_brentq", _brentq_port)
+    except ImportError:
+        return _brentq_port
 
 
 def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=100,
@@ -239,19 +248,15 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=10
     """Root of f on the bracket [xa, xb] by Brent's method, as
     scipy.optimize.brentq finds it, with its defaults.
 
-    Runs scipy's compiled loop (``_brent_loop``) where it loads, with
-    scipy's check that f is not NaN, and otherwise ``_brentq_port``; both
-    evaluate f at the same points and return the same float.  Raises
-    ValueError when f(xa) and f(xb) have the same sign or f returns NaN, and
-    RuntimeError when maxiter iterations do not converge.  A caller that
-    already holds f(xa) or f(xb) passes it as _fa or _fb, and f is not
-    evaluated there again.
+    Runs the loop of ``_brent_loop``, scipy's compiled one or its port, on f
+    with scipy's check that f is not NaN; both evaluate f at the same points
+    and return the same float.  Raises ValueError when f(xa) and f(xb) have
+    the same sign or f returns NaN, and RuntimeError when maxiter iterations
+    do not converge.  A caller that already holds f(xa) or f(xb) passes it as
+    _fa or _fb, and f is not evaluated there again.
     """
     if maxiter < 0:
         raise ValueError("maxiter must be >= 0")
-    loop = _brent_loop()
-    if loop is None:
-        return _brentq_port(f, xa, xb, xtol, rtol, maxiter, _fa, _fb)
     xa, xb = float(xa), float(xb)
     fa = f(xa) if _fa is None else _fa
     if fa != fa:
@@ -270,28 +275,27 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=10
             raise _nan_value(x)
         return fx
 
-    return loop(probe, xa, xb, xtol, rtol, maxiter, (), 0, True)
+    return _brent_loop()(probe, xa, xb, xtol, rtol, maxiter, (), 0, True)
 
 
-def _brentq_port(f, xa, xb, xtol, rtol, maxiter, _fa, _fb):
+def _brentq_port(f, xa, xb, xtol, rtol, maxiter, args, full_output, disp):
     """Brent's method in Python: a step-for-step port of scipy's compiled
-    loop (its brentq.c), which ``_brentq`` runs where scipy cannot be found.
+    loop (its brentq.c), which ``_brent_loop`` gives where scipy cannot be
+    imported, with the loop's arguments.  It returns the root, as the loop
+    does with full_output 0 and disp true, which is how ``_brentq`` calls
+    it; f is called as f(x, *args).
 
     The iterates, and the root, are bit-identical: the same inverse
     quadratic extrapolation, secant and bisection steps, and the same
     stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2; where the
     inverse quadratic step divides by a 0 that underflowed (brackets past
-    about 1e154), it bisects, as C's inf or nan step does.  Arguments,
-    result and exceptions as ``_brentq``'s, which checks maxiter >= 0.
+    about 1e154), it bisects, as C's inf or nan step does.  Raises
+    ValueError when f(xa) and f(xb) have the same sign, and RuntimeError
+    when maxiter iterations do not converge.
     """
-    xpre, xcur = float(xa), float(xb)
+    xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre) if _fa is None else _fa
-    if fpre != fpre:
-        raise _nan_value(xpre)
-    fcur = f(xcur) if _fb is None else _fb
-    if fcur != fcur:
-        raise _nan_value(xcur)
+    fpre, fcur = f(xpre, *args), f(xcur, *args)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -332,9 +336,7 @@ def _brentq_port(f, xa, xb, xtol, rtol, maxiter, _fa, _fb):
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise _nan_value(xcur)
+        fcur = f(xcur, *args)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 

@@ -20,5 +20,5 @@ def brent_path(request, monkeypatch):
     """Runs a test once on scipy's compiled Brent loop and once on the
     in-tree port, which scalar._brentq takes where the loop cannot be loaded."""
     if request.param == "port":
-        monkeypatch.setattr(scalar, "_brent_loop", lambda: None)
+        monkeypatch.setattr(scalar, "_brent_loop", lambda: scalar._brentq_port)
     return request.param

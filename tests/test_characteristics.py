@@ -276,13 +276,12 @@ class TestDefaultGrid:
         assert np.all(np.diff(below) <= 0.02 * below[1:] * (1.0 + 1e-12))
         assert x.size < 40000
 
-    def test_growth_sums_are_bit_identical_at_every_cached_length(self):
-        # the tails' running sums are prefixes of one cached array, which a
-        # longer count rebuilds; the largest count here passes the largest float
-        for count in (5, 80000, 7, 3000, 80001, 2):
-            with np.errstate(over="ignore"):
-                want = np.cumsum(GRID_GROWTH ** np.arange(1, count + 1))
-            assert np.array_equal(characteristics._growth_prefix(count), want), count
+
+# the two routes to a report, each taking the constants and the dB levels
+LEVEL_ROUTES = {
+    "closed_form": lambda theta, levels: closed_form(theta, n_levels=levels),
+    "numeric": lambda theta, levels: extract_numeric(log_probe(theta, "p"), n_levels=levels),
+}
 
 
 class TestExtractNumeric:
@@ -312,6 +311,20 @@ class TestExtractNumeric:
         probe = core.LogProbe(re_at, re_at, None, 0.05, 1.0)
         with pytest.raises(OutOfRange, match="10 dB crossings .* give no width above"):
             extract_numeric(probe)
+
+    @pytest.mark.parametrize("route", LEVEL_ROUTES)
+    @pytest.mark.parametrize("levels", [[0], [-3], [3.0, math.nan], [math.inf]])
+    def test_levels_must_be_finite_and_positive(self, theta_sharp6, route, levels):
+        with pytest.raises(OutOfRange, match="dB levels must be finite and > 0"):
+            LEVEL_ROUTES[route](theta_sharp6, levels)
+
+    @pytest.mark.parametrize("route", LEVEL_ROUTES)
+    def test_levels_are_sorted_and_counted_once(self, theta_sharp6, route):
+        # [3, 3] once gave the numeric route a second 3 dB width, refused as
+        # no wider than the first, while closed_form took it
+        report = LEVEL_ROUTES[route](theta_sharp6, [10, 3, 3])
+        assert report == LEVEL_ROUTES[route](theta_sharp6, (3.0, 10.0))
+        assert LEVEL_ROUTES[route](theta_sharp6, [3, 3]).bw_n_beta == {3.0: report.bw_n_beta[3.0]}
 
     def test_a_probe_takes_no_grid_and_a_callable_needs_one(self, theta_sharp6):
         with pytest.raises(ValueError, match="give no grid"):
@@ -656,6 +669,22 @@ class TestNanBetweenSamples:
             warnings.simplefilter("error")
             with pytest.raises(OutOfRange, match="is -inf"):
                 extract_numeric(self.holed(*self.samples_around("peak"), fill=0j), grid)
+
+    def test_a_nan_at_a_probe_of_the_delay_is_out_of_range(self):
+        # N's first vertex step probes the delay at beta_peak - a_p / 8, from
+        # Im L a_p / 1024 to either side; a nan at the first of those once
+        # ended the steps there and left N 6.2e-4 off, without an error
+        grid = default_grid(self.THETA)
+        a_p = self.THETA.a_p
+        start = extract_numeric(partial(eval_gef, self.THETA), grid).beta_peak
+        hole = (start - a_p / 8.0) - a_p * characteristics._DELAY_STEP
+
+        def response(beta):
+            values = eval_gef(self.THETA, beta)
+            return complex(math.nan, math.nan) if np.ndim(beta) == 0 and beta == hole else values
+
+        with pytest.raises(OutOfRange, match="group delay within .* is nan"):
+            extract_numeric(response, grid)
 
     def test_a_zero_in_a_crossing_bracket_is_where_the_level_falls(self, brent_path):
         lo, hi = self.samples_around("upper 3 dB")

@@ -753,6 +753,20 @@ class TestDiscretizeAndFilter:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "NonIntegerExponent"
 
+    @pytest.mark.parametrize("a_p", [1e-12, 1e-8, 0.05])
+    def test_the_document_reads_back_bit_for_bit(self, tmp_path, a_p):
+        # at 12 digits, a_p = 1e-12 read back as an unstable section, and
+        # 1e-8 as a cascade whose Q_10 was 9e-6 off
+        theta = FilterConstants(a_p, 1.0, 2.0)
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps(theta.as_dict()))
+        out = tmp_path / "sos.json"
+        assert run(["discretize", "--constants", str(constants), "--peak-hz", "100",
+                    "--fs", "48000", "--out", str(out)]) == 0
+        assert DigitalFilter.from_dict(read_json(out)) == to_sos(theta, 100.0, 48000.0)
+        assert run(["response", "--sos", str(out), "--fmin", "50", "--fmax", "150",
+                    "--points", "3", "--out", str(tmp_path / "r.csv")]) == 0
+
     @pytest.mark.parametrize("peak_hz, fs", [("1000", "48000"), ("1e-300", "1")])
     def test_poles_rounded_onto_the_circle_exit_3(self, tmp_path, capsys, peak_hz, fs):
         constants = tmp_path / "c.json"
@@ -1272,12 +1286,26 @@ class TestImportPath:
         assert scalar._brent_loop() is _zeros._brentq
 
     def test_no_extension_without_scipy_or_its_file(self, monkeypatch):
+        import importlib
+
         from gefdesign import scalar
 
-        assert scalar._scipy_extension("optimize", "_no_such_module") is None
+        # without its file, the module is imported the usual way
+        module, names = object(), []
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib, "import_module", lambda name: names.append(name) or module)
+            assert scalar._scipy_extension("optimize", "_no_such_module") is module
+        assert names == ["scipy.optimize._no_such_module"]
+        # without scipy, ImportError, and Brent's method runs the port
         monkeypatch.delitem(sys.modules, "scipy.optimize._zeros", raising=False)
         monkeypatch.setitem(sys.modules, "scipy", None)
-        assert scalar._scipy_extension("optimize", "_zeros") is None
+        with pytest.raises(ImportError):
+            scalar._scipy_extension("optimize", "_zeros")
+        scalar._brent_loop.cache_clear()
+        try:
+            assert scalar._brent_loop() is scalar._brentq_port
+        finally:
+            scalar._brent_loop.cache_clear()
 
     def test_implicit_design_loads_only_the_brent_extension(self, tmp_path):
         code, modules = self._run_module(["design", "--peak-beta", "1", "--gdelay-cycles",
@@ -1324,6 +1352,8 @@ class TestImportPath:
     def test_subcommands_run_without_scipy(self, tmp_path):
         spec = {"row": "II.2", "beta_peak": 1.0, "n_cycles": 19.1, "q_erb": 25.9}
         (tmp_path / "spec.json").write_text(json.dumps(spec))
+        rng = np.random.default_rng(5)
+        write_wav(tmp_path / "in.wav", SignalBuffer(48000.0, rng.standard_normal(4800)))
         calls = [
             ["design", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT,
              "--phase-accum", "3", "--out", "c.json"],
@@ -1334,6 +1364,9 @@ class TestImportPath:
             ["response", "--sos", "sos.json", "--fmin", "500", "--fmax", "1500", "--points", "11"],
             ["bank", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT, "--phase-accum", "3",
              "--cf0", "20000", "--l", "1", "--channels", "4", "--x-max", "3"],
+            ["sweep", "--qerb", "20,30", "--n", "16"],
+            ["filter", "--fft", "--constants", "c.json", "--peak-hz", "1000", "in.wav",
+             "out.wav"],
         ]
         proc = self._python(
             "import contextlib, io, json, sys\n"
@@ -1348,6 +1381,24 @@ class TestImportPath:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0] * len(calls), proc.stderr
+
+    def test_filter_sos_without_scipy_is_an_io_error(self, tmp_path):
+        # the cascade runs in scipy's compiled loop alone
+        filt = to_sos(FilterConstants(0.05, 1.0, 6.0), 1000.0, 48000.0)
+        (tmp_path / "sos.json").write_text(biquad.filter_json(filt))
+        write_wav(tmp_path / "in.wav", SignalBuffer(48000.0, np.zeros(480)))
+        proc = self._python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gefdesign.cli import run\n"
+            "print(run(['filter', '--sos', 'sos.json', 'in.wav', 'out.wav']))",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "4"
+        error = json.loads(proc.stderr)["error"]  # one JSON object, no traceback
+        assert error["type"] == "ModuleNotFoundError" and "scipy" in error["message"]
+        assert not (tmp_path / "out.wav").exists()
 
 
 LOG_UNIFORM = st.floats(-6.0, 6.0).map(lambda exponent: 10.0 ** exponent)

@@ -674,7 +674,7 @@ def test_pins_and_goldens_hold_on_the_port(tmp_path):
         "from gefdesign import scalar\n"
         "port, solves = scalar._brentq_port, []\n"
         "scalar._brentq_port = lambda *args: solves.append(1) or port(*args)\n"
-        "scalar._brent_loop = lambda: None\n"
+        "scalar._brent_loop = lambda: scalar._brentq_port\n"
         "status = pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1],\n"
         "                      sys.argv[2] + '::TestDesignCommand::test_golden_stdout',\n"
         "                      sys.argv[2] + '::TestTablesGolden'])\n"

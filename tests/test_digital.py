@@ -468,13 +468,6 @@ class TestSosfiltKernel:
         # scipy.signal.sosfilt raises ValueError on an empty signal
         assert apply_sos(filt_sharp6, SignalBuffer(FS, np.zeros(0))).samples.size == 0
 
-    def test_without_the_kernel_scipy_sosfilt_runs(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        filt, x = self._random_filter(rng), SignalBuffer(FS, rng.standard_normal(500))
-        expected = apply_sos(filt, x).samples
-        monkeypatch.setattr(digital, "_sosfilt_kernel", lambda: None)
-        assert np.array_equal(apply_sos(filt, x).samples, expected)
-
     def test_kernel_is_scipy_signals_own(self):
         from scipy.signal import _signaltools
 
