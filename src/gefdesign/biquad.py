@@ -57,7 +57,8 @@ class DigitalFilter(_Record):
     """Sample rate, cascade of biquad sections (a0 normalized to 1), gain.
 
     sections entries are (b0, b1, b2, a1, a2).  Construction verifies every
-    section's poles sit strictly inside the unit circle.
+    section's poles sit strictly inside the unit circle, and that the gain
+    is a finite float > 0.
     """
 
     _fields = ("sample_rate", "sections", "gain", "source_theta", "f_peak")
@@ -65,8 +66,11 @@ class DigitalFilter(_Record):
     def __init__(self, sample_rate: float, sections: tuple, gain: float = 1.0,
                  source_theta: FilterConstants | None = None, f_peak: float | None = None):
         sections = tuple(tuple(float(c) for c in sec) for sec in sections)
+        gain = float(gain)
         if not 0.0 < sample_rate < math.inf:
             raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate!r}")
+        if not 0.0 < gain < math.inf:
+            raise ValueError(f"gain must be finite and > 0, got {gain!r}")
         if not sections:
             raise ValueError("need at least one section")
         for sec in sections:
@@ -109,7 +113,7 @@ class DigitalFilter(_Record):
             return cls(
                 sample_rate=float(data["fs"]),
                 sections=tuple(tuple(row) for row in data["sos"]),
-                gain=float(data.get("gain", 1.0)),
+                gain=data.get("gain", 1.0),
                 source_theta=None if theta is None else FilterConstants.from_dict(theta),
                 f_peak=None if data.get("f_peak_hz") is None else float(data["f_peak_hz"]),
             )

@@ -62,8 +62,13 @@ DEFAULT_LEVELS_DB = (3.0, 10.0)
 
 
 def level_label(n_db: float) -> str:
-    """Flat-key label for an n-dB characteristic: 3 -> "3", 7.5 -> "7_5"."""
-    return f"{n_db:g}".replace(".", "_").replace("-", "m")
+    """Flat-key label for an n-dB characteristic: 3 -> "3", 7.5 -> "7_5".
+    Six significant digits where they read back as n_db, all of its digits
+    (repr) otherwise, so two levels never share a label."""
+    text = f"{n_db:g}"
+    if float(text) != n_db:
+        text = repr(n_db)
+    return text.replace(".", "_").replace("-", "m")
 
 
 def _levels(n_levels) -> list[float]:

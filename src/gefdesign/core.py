@@ -72,6 +72,13 @@ def _log_parts(a: float, u: np.ndarray, phase: bool = True):
 TARGETS = ("p_sharp", "p", "v")
 
 
+def _check_targets(targets) -> None:
+    """Raises ValueError naming TARGETS unless each target is one of them."""
+    unknown = [target for target in targets if target not in TARGETS]
+    if unknown:
+        raise ValueError(f"unknown targets {unknown}: each must be one of {TARGETS}")
+
+
 class LogResponse(NamedTuple):
     """The log response L = log H of one target sampled at ``betas``: ``re``
     (Re L, the natural log of the magnitude) and ``im`` (Im L, the continuous
@@ -94,8 +101,10 @@ def log_response(theta: FilterConstants, beta, targets=TARGETS) -> dict:
     Returns {target: LogResponse} in the order of ``targets``.  No value is
     exponentiated, so L is finite where the response itself overflows or
     underflows; where a squared modulus underflows to 0, L is not finite,
-    without a warning, and callers check for that.
+    without a warning, and callers check for that.  A target outside TARGETS
+    raises ValueError.
     """
+    _check_targets(targets)
     betas = np.asarray(beta, dtype=float)
     x = np.atleast_1d(betas)  # a 0-d beta as one element, so the parts run in place
     parts = _log_parts_of(theta, x, x - theta.b_p, targets)
@@ -231,7 +240,9 @@ class LogProbe(NamedTuple):
 
 def log_probe(theta: FilterConstants, target: str) -> LogProbe:
     """The probes of one target's log response over [0, inf): exact, from
-    the constants, with no sampled grid."""
+    the constants, with no sampled grid.  A target outside TARGETS raises
+    ValueError."""
+    _check_targets((target,))
     return LogProbe(_re_at(theta, target), _im_at(theta, target), _re_near(theta, target),
                     theta.a_p, theta.b_p)
 

@@ -9,13 +9,12 @@ inverse for a_p (``A_P_FROM``), and the one bracketed root solver.  It
 imports nothing beyond the standard library, so designing a filter does not
 load numpy; the other modules import these names from here.
 
-The root solver, ``_brentq``, checks f for NaN and runs one Brent loop
-(``_brent_loop``): scipy's compiled one where scipy is installed, or else an
-in-tree port of it that takes the same arguments and finds the same roots.
-The loop's extension module, ``scipy.optimize._zeros``, is loaded from its
-file under its own name on the first solve by ``_scipy_extension``, which
-imports neither numpy nor the ``scipy`` package; ``digital`` loads scipy's
-compiled cascade loop through it too.
+The root solver, ``_brentq``, checks f for NaN and runs scipy's compiled
+Brent loop (``_brent_loop``); where scipy cannot be imported it raises
+ImportError.  The loop's extension module, ``scipy.optimize._zeros``, is
+loaded from its file under its own name on the first solve by
+``_scipy_extension``, which imports neither numpy nor the ``scipy`` package;
+``digital`` loads scipy's compiled cascade loop through it too.
 """
 
 from __future__ import annotations
@@ -234,13 +233,9 @@ def _scipy_extension(package: str, name: str):
 @functools.cache
 def _brent_loop():
     """scipy's compiled Brent loop, ``_brentq(f, xa, xb, xtol, rtol, maxiter,
-    args, full_output, disp)`` of ``scipy.optimize._zeros``, or
-    ``_brentq_port`` where it cannot be imported; looked up once, on the
-    first call."""
-    try:
-        return getattr(_scipy_extension("optimize", "_zeros"), "_brentq", _brentq_port)
-    except ImportError:
-        return _brentq_port
+    args, full_output, disp)`` of ``scipy.optimize._zeros``, looked up once,
+    on the first call; raises ImportError where scipy cannot be imported."""
+    return _scipy_extension("optimize", "_zeros")._brentq
 
 
 def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=100,
@@ -248,12 +243,13 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=10
     """Root of f on the bracket [xa, xb] by Brent's method, as
     scipy.optimize.brentq finds it, with its defaults.
 
-    Runs the loop of ``_brent_loop``, scipy's compiled one or its port, on f
-    with scipy's check that f is not NaN; both evaluate f at the same points
-    and return the same float.  Raises ValueError when f(xa) and f(xb) have
-    the same sign or f returns NaN, and RuntimeError when maxiter iterations
-    do not converge.  A caller that already holds f(xa) or f(xb) passes it as
-    _fa or _fb, and f is not evaluated there again.
+    Runs scipy's compiled loop (``_brent_loop``) on f with scipy's check that
+    f is not NaN, so it evaluates f at the same points and returns the same
+    float.  Raises ValueError when f(xa) and f(xb) have the same sign or f
+    returns NaN, RuntimeError when maxiter iterations do not converge, and
+    ImportError where scipy cannot be imported.  A caller that already holds
+    f(xa) or f(xb) passes it as _fa or _fb, and f is not evaluated there
+    again.
     """
     if maxiter < 0:
         raise ValueError("maxiter must be >= 0")
@@ -276,68 +272,6 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=10
         return fx
 
     return _brent_loop()(probe, xa, xb, xtol, rtol, maxiter, (), 0, True)
-
-
-def _brentq_port(f, xa, xb, xtol, rtol, maxiter, args, full_output, disp):
-    """Brent's method in Python: a step-for-step port of scipy's compiled
-    loop (its brentq.c), which ``_brent_loop`` gives where scipy cannot be
-    imported, with the loop's arguments.  It returns the root, as the loop
-    does with full_output 0 and disp true, which is how ``_brentq`` calls
-    it; f is called as f(x, *args).
-
-    The iterates, and the root, are bit-identical: the same inverse
-    quadratic extrapolation, secant and bisection steps, and the same
-    stopping test |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2; where the
-    inverse quadratic step divides by a 0 that underflowed (brackets past
-    about 1e154), it bisects, as C's inf or nan step does.  Raises
-    ValueError when f(xa) and f(xb) have the same sign, and RuntimeError
-    when maxiter iterations do not converge.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre, *args), f(xcur, *args)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # a 0 that underflowed gives C an inf or a nan, which fails the test below
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur, *args)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _nan_value(x) -> ValueError:

@@ -1,6 +1,6 @@
 import pytest
 
-from gefdesign import FilterConstants, scalar
+from gefdesign import FilterConstants
 
 
 @pytest.fixture
@@ -13,12 +13,3 @@ def theta_sharp6():
 def theta_wide7():
     """The less-sharp comparison case: a_p = 0.1, b_p = 1, b_u = 7."""
     return FilterConstants(0.1, 1.0, 7.0)
-
-
-@pytest.fixture(params=["compiled", "port"])
-def brent_path(request, monkeypatch):
-    """Runs a test once on scipy's compiled Brent loop and once on the
-    in-tree port, which scalar._brentq takes where the loop cannot be loaded."""
-    if request.param == "port":
-        monkeypatch.setattr(scalar, "_brent_loop", lambda: scalar._brentq_port)
-    return request.param

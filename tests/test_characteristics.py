@@ -326,6 +326,25 @@ class TestExtractNumeric:
         assert report == LEVEL_ROUTES[route](theta_sharp6, (3.0, 10.0))
         assert LEVEL_ROUTES[route](theta_sharp6, [3, 3]).bw_n_beta == {3.0: report.bw_n_beta[3.0]}
 
+    @pytest.mark.parametrize("route", LEVEL_ROUTES)
+    def test_levels_equal_to_six_digits_keep_their_own_keys(self, theta_sharp6, route):
+        # at six digits both levels were labelled 3, and the flat map held
+        # one q_3 and bw_3_beta, the second level's width
+        report = LEVEL_ROUTES[route](theta_sharp6, [3.0, 3.0000001])
+        flat = report.characteristics()
+        for n, label in ((3.0, "3"), (3.0000001, "3_0000001")):
+            assert flat[f"bw_{label}_beta"] == report.bw_n_beta[n]
+            assert flat[f"q_{label}"] == report.q_n[n]
+        assert len([key for key in flat if key.startswith("bw_")]) == 2
+
+    @pytest.mark.parametrize("n, label", [
+        (3.0, "3"), (10.0, "10"), (7.5, "7_5"),  # the labels in use keep their text
+        (3.0000001, "3_0000001"), (1234567.0, "1234567_0"), (1e-7, "1em07"),
+    ])
+    def test_a_level_label_reads_back_as_its_level(self, n, label):
+        assert characteristics.level_label(n) == label
+        assert float(label.replace("_", ".").replace("m", "-")) == n
+
     def test_a_probe_takes_no_grid_and_a_callable_needs_one(self, theta_sharp6):
         with pytest.raises(ValueError, match="give no grid"):
             extract_numeric(log_probe(theta_sharp6, "p"), default_grid(theta_sharp6))
@@ -655,14 +674,14 @@ class TestNanBetweenSamples:
         return samples[-3], samples[-2]
 
     @pytest.mark.parametrize("where", ["peak", "upper 3 dB", "lower 10 dB"])
-    def test_a_probe_on_the_nan_is_out_of_range(self, where, brent_path):
+    def test_a_probe_on_the_nan_is_out_of_range(self, where):
         grid = default_grid(self.THETA)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OutOfRange, match="nan"):
                 extract_numeric(self.holed(*self.samples_around(where)), grid)
 
-    def test_a_zero_at_the_peak_stencil_is_out_of_range(self, brent_path):
+    def test_a_zero_at_the_peak_stencil_is_out_of_range(self):
         # log|H| of 0 is -inf, not a math domain error
         grid = default_grid(self.THETA)
         with warnings.catch_warnings():
@@ -686,7 +705,7 @@ class TestNanBetweenSamples:
         with pytest.raises(OutOfRange, match="group delay within .* is nan"):
             extract_numeric(response, grid)
 
-    def test_a_zero_in_a_crossing_bracket_is_where_the_level_falls(self, brent_path):
+    def test_a_zero_in_a_crossing_bracket_is_where_the_level_falls(self):
         lo, hi = self.samples_around("upper 3 dB")
         grid = default_grid(self.THETA)
         with warnings.catch_warnings():
@@ -696,7 +715,7 @@ class TestNanBetweenSamples:
         # the upper crossing moves from inside the bracket to the hole's edge
         assert want - (hi - lo) < got < want
 
-    def test_a_nan_no_probe_sees_leaves_the_report(self, brent_path):
+    def test_a_nan_no_probe_sees_leaves_the_report(self):
         grid = default_grid(self.THETA)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

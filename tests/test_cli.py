@@ -535,6 +535,9 @@ class TestBadInputFiles:
         ('{"fs": 48000}', 3, "InfeasibleSpec"),
         ('{"fs": 48000, "sos": [["one", 0, 0, 0, 0]]}', 3, "InfeasibleSpec"),
         ('{"fs": 48000, "sos": [[1, 0, 0, -2, 1.01]]}', 3, "InfeasibleSpec"),
+        # a gain of 0 once read as a level of -inf at every frequency
+        ('{"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "gain": 0}', 3, "InfeasibleSpec"),
+        ('{"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "gain": NaN}', 3, "InfeasibleSpec"),
     ])
     def test_bad_filter_file(self, tmp_path, monkeypatch, capsys, command, text, code, error):
         monkeypatch.chdir(tmp_path)
@@ -1296,14 +1299,15 @@ class TestImportPath:
             patch.setattr(importlib, "import_module", lambda name: names.append(name) or module)
             assert scalar._scipy_extension("optimize", "_no_such_module") is module
         assert names == ["scipy.optimize._no_such_module"]
-        # without scipy, ImportError, and Brent's method runs the port
+        # without scipy, ImportError, also from Brent's method
         monkeypatch.delitem(sys.modules, "scipy.optimize._zeros", raising=False)
         monkeypatch.setitem(sys.modules, "scipy", None)
         with pytest.raises(ImportError):
             scalar._scipy_extension("optimize", "_zeros")
         scalar._brent_loop.cache_clear()
         try:
-            assert scalar._brent_loop() is scalar._brentq_port
+            with pytest.raises(ImportError):
+                scalar._brentq(lambda x: x - 0.5, 0.0, 1.0)
         finally:
             scalar._brent_loop.cache_clear()
 
@@ -1349,56 +1353,49 @@ class TestImportPath:
         written = read_wav(tmp_path / "out.wav").samples
         assert np.array_equal(written, expected.samples.astype(np.float32))
 
-    def test_subcommands_run_without_scipy(self, tmp_path):
+    def test_without_scipy_root_solves_and_the_cascade_are_io_errors(self, tmp_path):
         spec = {"row": "II.2", "beta_peak": 1.0, "n_cycles": 19.1, "q_erb": 25.9}
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         rng = np.random.default_rng(5)
         write_wav(tmp_path / "in.wav", SignalBuffer(48000.0, rng.standard_normal(4800)))
-        calls = [
+        runs = [
             ["design", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT,
              "--phase-accum", "3", "--out", "c.json"],
-            ["analyze", "--constants", "c.json"],
-            ["evaluate", "--spec", "spec.json"],
             ["discretize", "--constants", "c.json", "--peak-hz", "1000", "--fs", "48000",
              "--out", "sos.json"],
             ["response", "--sos", "sos.json", "--fmin", "500", "--fmax", "1500", "--points", "11"],
             ["bank", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT, "--phase-accum", "3",
              "--cf0", "20000", "--l", "1", "--channels", "4", "--x-max", "3"],
-            ["sweep", "--qerb", "20,30", "--n", "16"],
             ["filter", "--fft", "--constants", "c.json", "--peak-hz", "1000", "in.wav",
              "out.wav"],
+        ]
+        # Brent's method and the biquad cascade run in scipy's compiled loops alone
+        refused = [
+            ["design", "--peak-beta", "1", "--gdelay-cycles", "19.1", "--qerb", "25.9"],
+            ["analyze", "--constants", "c.json"],
+            ["evaluate", "--spec", "spec.json"],
+            ["sweep", "--qerb", "20,30", "--n", "16"],
+            ["filter", "--sos", "sos.json", "in.wav", "sos.wav"],
         ]
         proc = self._python(
             "import contextlib, io, json, sys\n"
             "sys.modules['scipy'] = None\n"
             "from gefdesign.cli import run\n"
-            "codes = []\n"
-            f"for argv in {calls!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        codes.append(run(argv))\n"
-            "print(json.dumps(codes))",
+            "results = []\n"
+            f"for argv in {runs + refused!r}:\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "        results.append([run(argv), err.getvalue()])\n"
+            "print(json.dumps(results))",
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0] * len(calls), proc.stderr
-
-    def test_filter_sos_without_scipy_is_an_io_error(self, tmp_path):
-        # the cascade runs in scipy's compiled loop alone
-        filt = to_sos(FilterConstants(0.05, 1.0, 6.0), 1000.0, 48000.0)
-        (tmp_path / "sos.json").write_text(biquad.filter_json(filt))
-        write_wav(tmp_path / "in.wav", SignalBuffer(48000.0, np.zeros(480)))
-        proc = self._python(
-            "import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from gefdesign.cli import run\n"
-            "print(run(['filter', '--sos', 'sos.json', 'in.wav', 'out.wav']))",
-            tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "4"
-        error = json.loads(proc.stderr)["error"]  # one JSON object, no traceback
-        assert error["type"] == "ModuleNotFoundError" and "scipy" in error["message"]
-        assert not (tmp_path / "out.wav").exists()
+        results = json.loads(proc.stdout)
+        assert [code for code, _ in results] == [0] * len(runs) + [4] * len(refused), results
+        for _, stderr in results[len(runs):]:
+            error = json.loads(stderr)["error"]  # one JSON object, no traceback
+            assert error["type"] == "ModuleNotFoundError" and "scipy" in error["message"]
+        assert (tmp_path / "out.wav").exists() and not (tmp_path / "sos.wav").exists()
 
 
 LOG_UNIFORM = st.floats(-6.0, 6.0).map(lambda exponent: 10.0 ** exponent)

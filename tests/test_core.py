@@ -1,9 +1,6 @@
 import ast
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +447,16 @@ class TestLogProbe:
             assert im_at(0.0) == pytest.approx(at_zero(a, b, b_u), rel=1e-15, abs=1e-300)
             assert im_at(math.inf) == pytest.approx(at_inf(b_u), rel=1e-15)
 
+    @pytest.mark.parametrize("make", [
+        lambda theta: core.log_probe(theta, "P"),
+        lambda theta: core.log_response(theta, [1.0], ("P",)),
+        lambda theta: core.log_response(theta, [1.0], ("p", "vv")),
+    ])
+    def test_an_unknown_target_is_refused(self, theta_sharp6, make):
+        # log_probe once built v's probes for "P", and log_response raised a bare KeyError
+        with pytest.raises(ValueError, match=r"one of \('p_sharp', 'p', 'v'\)"):
+            make(theta_sharp6)
+
     @pytest.mark.parametrize("target", core.TARGETS)
     def test_offsets_give_the_log_response(self, target):
         # where center + offsets is exact, the offsets give log_response's floats
@@ -572,11 +579,9 @@ def _bracketed_peak(theta):
     return 0.0
 
 
-@pytest.mark.usefixtures("brent_path")
-class TestBrentqPort:
-    """scalar._brentq, on scipy's compiled loop and on the in-tree port,
-    against scipy.optimize.brentq, which stays a test-only oracle: the same
-    iterates, root and exceptions."""
+class TestBrentq:
+    """scalar._brentq against scipy.optimize.brentq, which stays a test-only
+    oracle: the same iterates, root and exceptions."""
 
     @staticmethod
     def _logged(fn):
@@ -662,32 +667,3 @@ class TestBrentqPort:
     def test_a_nan_end_value_raises(self):
         with pytest.raises(ValueError, match="x=2.0 is NaN"):
             _brentq(lambda x: x - 1.0, 0.0, 2.0, _fb=math.nan)
-
-
-def test_pins_and_goldens_hold_on_the_port(tmp_path):
-    """tests/test_audit_pin.py and the design and table goldens, run again in
-    a fresh interpreter with scipy's compiled Brent loop taken away: the port
-    gives the same bits."""
-    tests = Path(__file__).resolve().parent
-    code = (
-        "import sys, pytest\n"
-        "from gefdesign import scalar\n"
-        "port, solves = scalar._brentq_port, []\n"
-        "scalar._brentq_port = lambda *args: solves.append(1) or port(*args)\n"
-        "scalar._brent_loop = lambda: scalar._brentq_port\n"
-        "status = pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1],\n"
-        "                      sys.argv[2] + '::TestDesignCommand::test_golden_stdout',\n"
-        "                      sys.argv[2] + '::TestTablesGolden'])\n"
-        "print('port solves', len(solves))\n"
-        "sys.exit(status)\n"
-    )
-    env = dict(os.environ)
-    src = str(tests.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(tests / "test_audit_pin.py"), str(tests / "test_cli.py")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    solves = int(re.search(r"port solves (\d+)", proc.stdout).group(1))
-    assert solves > 100

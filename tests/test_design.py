@@ -525,7 +525,7 @@ def extreme_specs(row):
 
 class TestImplicitRowsAtExtremeValues:
     @pytest.mark.parametrize("row", IMPLICIT_ROWS)
-    def test_finite_constants_or_a_gef_error(self, row, brent_path):
+    def test_finite_constants_or_a_gef_error(self, row):
         designed = 0
         for fields in extreme_specs(row):
             values = {key: fields[key] for key in row.keys}

@@ -757,6 +757,16 @@ class TestDigitalFilterType:
         with pytest.raises(ValueError):
             DigitalFilter(fs, sections=((1.0, 0.0, 0.0, 0.0, 0.0),))
 
+    @pytest.mark.parametrize("gain", ["abc", math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_gain_that_is_not_finite_and_positive(self, gain):
+        with pytest.raises(ValueError):
+            DigitalFilter(FS, sections=((1.0, 0.0, 0.0, 0.0, 0.0),), gain=gain)
+
+    @pytest.mark.parametrize("gain", [2, "0.5", np.float32(0.25)])
+    def test_takes_the_gain_as_a_float(self, gain):
+        filt = DigitalFilter(FS, sections=((1.0, 0.0, 0.0, 0.0, 0.0),), gain=gain)
+        assert type(filt.gain) is float and filt.gain == float(gain)
+
     def test_json_round_trip(self, filt_sharp6, tmp_path):
         path = tmp_path / "filter.json"
         save_filter(filt_sharp6, path)
@@ -779,6 +789,11 @@ class TestDigitalFilterType:
         {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, -2.0, 1.01]]},
         {"fs": math.nan, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]]},
         {"fs": math.inf, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]]},
+        # a gain that is not a finite float > 0
+        {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]], "gain": 0},
+        {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]], "gain": -1.0},
+        {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]], "gain": math.nan},
+        {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]], "gain": math.inf},
         [1.0, 2.0],
     ])
     def test_from_dict_rejects_bad_documents(self, doc):
