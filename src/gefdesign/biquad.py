@@ -53,12 +53,24 @@ def _quadratic_radii(a1: float, a2: float) -> tuple:
     return abs(q), abs(a2 / q)
 
 
+def _finite_positive(name: str, value) -> float:
+    """value as a float; raises ValueError unless it is one, finite and > 0."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not 0.0 < number < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return number
+
+
 class DigitalFilter(_Record):
     """Sample rate, cascade of biquad sections (a0 normalized to 1), gain.
 
     sections entries are (b0, b1, b2, a1, a2).  Construction verifies every
-    section's poles sit strictly inside the unit circle, and that the gain
-    is a finite float > 0.
+    section's poles sit strictly inside the unit circle, and takes the
+    sample rate, the gain and f_peak (unless None) as floats, each finite
+    and > 0; anything else raises ValueError.
     """
 
     _fields = ("sample_rate", "sections", "gain", "source_theta", "f_peak")
@@ -66,11 +78,10 @@ class DigitalFilter(_Record):
     def __init__(self, sample_rate: float, sections: tuple, gain: float = 1.0,
                  source_theta: FilterConstants | None = None, f_peak: float | None = None):
         sections = tuple(tuple(float(c) for c in sec) for sec in sections)
-        gain = float(gain)
-        if not 0.0 < sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate!r}")
-        if not 0.0 < gain < math.inf:
-            raise ValueError(f"gain must be finite and > 0, got {gain!r}")
+        sample_rate = _finite_positive("sample_rate", sample_rate)
+        gain = _finite_positive("gain", gain)
+        if f_peak is not None:
+            f_peak = _finite_positive("f_peak", f_peak)
         if not sections:
             raise ValueError("need at least one section")
         for sec in sections:
@@ -105,17 +116,18 @@ class DigitalFilter(_Record):
 
     @classmethod
     def from_dict(cls, data) -> "DigitalFilter":
-        """The filter of an as_dict mapping; a missing or non-numeric field,
-        or sections that do not make a stable cascade, raise InfeasibleSpec."""
+        """The filter of an as_dict mapping; a missing or non-numeric field, a
+        rate, gain or f_peak_hz that is not finite and > 0, or sections that
+        do not make a stable cascade, raise InfeasibleSpec."""
         try:
             data = dict(data)
             theta = data.get("source_theta")
             return cls(
-                sample_rate=float(data["fs"]),
+                sample_rate=data["fs"],
                 sections=tuple(tuple(row) for row in data["sos"]),
                 gain=data.get("gain", 1.0),
                 source_theta=None if theta is None else FilterConstants.from_dict(theta),
-                f_peak=None if data.get("f_peak_hz") is None else float(data["f_peak_hz"]),
+                f_peak=data.get("f_peak_hz"),
             )
         except KeyError as exc:
             raise InfeasibleSpec(f"filter lacks the field {exc}") from None
@@ -241,9 +253,9 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     b0 = _unit_peak_b0(a1, a2, f_peak, fs)
     section = (b0, b0 + b0, b0, a1, a2)
     return DigitalFilter(
-        sample_rate=float(fs),
+        sample_rate=fs,
         sections=(section,) * n_sections,
         gain=1.0,
         source_theta=theta,
-        f_peak=float(f_peak),
+        f_peak=f_peak,
     )

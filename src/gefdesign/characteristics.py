@@ -23,14 +23,17 @@ peak, and Im L's exact limits at 0 and inf; no grid is sampled.  A complex
 response callable is probed the same way inside the span of a grid from
 ``default_grid``, whose one array call unwraps its phase and brackets its
 level crossings.  ``default_grid`` samples a uniform window of +-4 a_p
-around the peak, then steps that grow by GRID_GROWTH = 1.01 per sample out
-to both ends, at any sharpness; it also serves response tables.
+around the peak, then distances from it that grow by GRID_GROWTH = 1.01 a
+sample out to ends in units of b_p, so that it scales with the constants;
+it also serves response tables.  The oracle reads levels from Re L, so a
+filter whose |H| passes the largest float extracts like any other.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from typing import Callable, Mapping
 
 import numpy as np
@@ -43,7 +46,6 @@ from .scalar import (
     QERB_FIT_B,
     TWO_PI,
     FilterConstants,
-    _LOG_FLOAT_MAX,
     _Record,
     _brentq,
     _erb,
@@ -81,6 +83,7 @@ def _levels(n_levels) -> list[float]:
     return levels
 
 
+# the floor, in units of b_p, and the growth of the distances from b_p
 GRID_FLOOR = 1e-3
 GRID_GROWTH = 1.01
 
@@ -88,9 +91,11 @@ GRID_GROWTH = 1.01
 class FrequencyGrid(_Record):
     """Increasing beta samples: a uniform window of half-width
     ``dense_halfwidth`` (4 a_p in ``default_grid``) and step ``dense_step``
-    around the peak, and graded tails, each step GRID_GROWTH times the last,
-    out to ``tail_max`` above it and down to the floor below it;
-    ``tail_points`` counts the tail samples, those outside the window."""
+    around the peak, and tails out to ``tail_max`` above it and down to the
+    floor below it; ``tail_points`` counts the tail samples, those outside
+    the window.  A quarter of the half-width is the scale a callable is
+    probed by.  Raises ValueError unless the samples are positive, finite
+    and strictly increasing, and the half-width and the step finite and > 0."""
 
     _fields = ("samples", "dense_halfwidth", "dense_step", "tail_max", "tail_points")
 
@@ -106,6 +111,9 @@ class FrequencyGrid(_Record):
         # a nan fails every comparison; rising samples below a finite last are finite
         if not ((samples[1:] > samples[:-1]).all() and samples[-1] < math.inf):
             raise ValueError("grid samples must be finite and strictly increasing")
+        if not (0.0 < dense_halfwidth < math.inf and 0.0 < dense_step < math.inf):
+            raise ValueError(f"the window's half-width {dense_halfwidth!r} and step "
+                             f"{dense_step!r} must be finite and > 0")
         self.__dict__.update(samples=samples, dense_halfwidth=dense_halfwidth,
                              dense_step=dense_step, tail_max=tail_max, tail_points=tail_points)
 
@@ -121,74 +129,49 @@ class FrequencyGrid(_Record):
         }
 
 
-def _graded_offsets(step: float, span: float) -> np.ndarray:
-    """Running sums of the steps step * GRID_GROWTH**j, j >= 1, to one or two
-    past span.  Where the bare sums of GRID_GROWTH**j pass the largest float
-    before the step scales them back (steps below about 1e-200 before a span
-    past 1e100), the steps are formed as exp(j log GRID_GROWTH + log step)
-    and summed; other grids keep their bits.  Raises OutOfRange when the
-    sums of the steps themselves pass the largest float first."""
-    g = GRID_GROWTH
-    count = int((math.log(max(span, 0.0) * (g - 1.0) / g + step) - math.log(step))
-                / math.log(g)) + 2
-    with np.errstate(over="ignore"):
-        offsets = step * np.cumsum(g ** np.arange(1, count + 1))
-        if not offsets[-1] < math.inf:
-            exponents = np.arange(1, count + 1, dtype=float)
-            exponents *= math.log(g)
-            exponents += math.log(step)
-            offsets = np.cumsum(np.exp(exponents))
-    if not offsets[-1] < math.inf:
-        raise OutOfRange(f"steps growing from {step:g} pass the largest float before {span:g}")
-    return offsets
-
-
 def default_grid(theta: FilterConstants, tail_max: float | None = None) -> FrequencyGrid:
-    """Build the standard extraction grid for a filter.
+    """The grid of response tables and of a callable's span.
 
-    A uniform window [b_p - 4 a_p, b_p + 4 a_p] at step a_p / 200 (kept
-    more than half a step above GRID_FLOOR, so that no sample sits next to
-    the floor, and always containing b_p exactly), which holds every
-    sample the peak, N, S and, for b_u >= 1, the crossings read.  Out of
-    it each step is GRID_GROWTH = 1.01 times the last, slow enough that
-    a response table reads the tails smoothly, up to tail_max =
-    b_p + max(8, 60 a_p) unless given (9 b_p where that sum rounds to b_p),
-    and down to GRID_FLOOR, where no step passes 2% of beta, so the low tail
-    ends geometric.  tail_max and GRID_FLOOR are the ends.
-    Raises OutOfRange when b_p does not sit half a step above GRID_FLOOR,
-    tail_max is not finite and above it, the step underflows to 0, the
-    graded steps pass the largest float before they reach an end, or
-    tail_max is not above the window's top sample.
+    A uniform window b_p + (a_p / 200) k, k = -800 ... 800, cut at the floor
+    GRID_FLOOR b_p.  Outside it the distances from b_p are 4 a_p
+    GRID_GROWTH**j, j = 1, 2, ..., formed in log space, so that each step is
+    1% of the distance, up to tail_max = b_p + max(8 b_p, 60 a_p) unless
+    given (the largest float where that sum overflows), and down to the
+    floor, where from the first sample whose next step would pass 2% of
+    beta (below about b_p / 3) each step is 2% of beta.  The floor and
+    tail_max are the ends, so the grid scales with the constants.
+    Raises OutOfRange when the floor or the step a_p / 200 underflows to 0,
+    or tail_max is not finite and above the window's top sample.
     """
     a, b = theta.a_p, theta.b_p
-    step, halfwidth = a / 200.0, 4.0 * a
+    step, floor = a / 200.0, GRID_FLOOR * b
     if tail_max is None:
-        tail_max = b + max(8.0, 60.0 * a)
-        if tail_max == b:  # b_p past about 7e16, where 8 and 60 a_p round away
-            tail_max = 9.0 * b
-    if not GRID_FLOOR < tail_max < math.inf:
-        raise OutOfRange(f"tail_max = {tail_max:g} must be finite and above {GRID_FLOOR:g}")
+        tail_max = min(b + max(8.0 * b, 60.0 * a), sys.float_info.max)
+    if floor == 0.0:
+        raise OutOfRange(f"the floor {GRID_FLOOR:g} b_p of b_p = {b:g} underflows to 0")
     if step == 0.0:
         raise OutOfRange(f"the window step a_p / 200 of a_p = {a:g} underflows to 0")
-    k = int(round(halfwidth / step))
-    dense = np.arange(-k, k + 1, dtype=float)  # whole numbers, exact below 2**53
-    dense *= step
-    dense += b
-    if not dense[0] > GRID_FLOOR + 0.5 * step:  # else all pass: dense does not decrease
-        dense = dense[dense > GRID_FLOOR + 0.5 * step]
-    if dense.size == 0 or dense[0] > b:
-        raise OutOfRange(f"peak b_p = {b:g} must sit half a step above {GRID_FLOOR:g}")
-    high = dense[-1] + _graded_offsets(step, tail_max - dense[-1])
-    low = dense[0] - np.concatenate(([0.0], _graded_offsets(step, dense[0])))
-    # checked after the offsets, which refuse steps that pass the largest float first
-    if not tail_max > dense[-1]:
-        raise OutOfRange(f"tail_max = {tail_max:g} must lie above the window's top sample "
-                         f"{dense[-1]:g}")
-    # from the first sample whose next step would pass 2% of it, each step is 2%
+    # a sample past the largest float reads inf, above tail_max: the window's
+    # top is refused, a tail sample dropped
+    with np.errstate(over="ignore"):
+        dense = np.arange(-800, 801, dtype=float)  # whole numbers, exact
+        dense *= step
+        dense += b
+        dense = dense[dense > floor]
+        if not dense[-1] < tail_max < math.inf:
+            raise OutOfRange(f"tail_max = {tail_max:g} must be finite and above the window's "
+                             f"top sample {dense[-1]:g}")
+        # the distances run one or two past tail_max above and past b_p below
+        start, log_g = math.log(4.0) + math.log(a), math.log(GRID_GROWTH)
+        count = int((math.log(max(tail_max - b, b)) - start) / log_g) + 2
+        d = np.exp(np.arange(1, count + 1) * log_g + start)
+        high = b + d
+    # the closing 0 is a sample whose step passes 2% of the one before it
+    low = np.concatenate(([dense[0]], b - d[d < b], [0.0]))
     j = int((low[:-1] - low[1:] > 0.02 * low[:-1]).argmax())
-    n = int(math.log(low[j] / GRID_FLOOR) / -math.log(0.98)) + 2
+    n = int(math.log(low[j] / floor) / -math.log(0.98)) + 2
     low = np.concatenate((low[1:j + 1], low[j] * 0.98 ** np.arange(1, n)))
-    samples = np.concatenate([[GRID_FLOOR], low[low > GRID_FLOOR][::-1], dense,
+    samples = np.concatenate([[floor], low[low > floor][::-1], dense,
                               high[high < tail_max], [tail_max]])
     # every sample is finite, so a step is positive exactly where the sample rises
     rising = samples[1:] > samples[:-1]
@@ -197,7 +180,7 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
     # the samples increase, so those below and above the window are counted by bisection
     tail_points = (np.searchsorted(samples, dense[0])
                    + samples.size - np.searchsorted(samples, dense[-1], side="right"))
-    return FrequencyGrid(samples=samples, dense_halfwidth=halfwidth, dense_step=step,
+    return FrequencyGrid(samples=samples, dense_halfwidth=4.0 * a, dense_step=step,
                          tail_max=float(tail_max), tail_points=int(tail_points))
 
 
@@ -700,19 +683,18 @@ def _complex_log(response: Callable, grid: FrequencyGrid):
     below the target, and the sample before it, so that a side lobe farther
     out never hides the nearest crossing.  The scale is a quarter of the
     window's half-width, a_p on a default_grid.  Raises OutOfRange where
-    log H is not finite or |H| passes the largest float on the grid, and
-    NoInteriorPeak where the best sample is an end."""
+    log H is not finite on the grid (where |H| passes the largest float,
+    log |H| reads inf), and NoInteriorPeak where the best sample is an end."""
     betas = grid.samples
-    # a zero, an overflow or a nan gives a non-finite L, which fails the gate
+    # a zero, an overflow (of |H| too) or a nan gives a non-finite L, which fails the gate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = np.asarray(response(betas), dtype=complex)
         log_mag, phase = np.log(np.abs(values)), np.unwrap(np.angle(values))
     k_pk, k_min, k_max = int(np.argmax(log_mag)), int(phase.argmin()), int(phase.argmax())
     # a nan makes its array's extremes nan, and fails every comparison here
-    if not (-math.inf < log_mag.min() and log_mag[k_pk] <= _LOG_FLOAT_MAX
+    if not (-math.inf < log_mag.min() and log_mag[k_pk] < math.inf
             and -math.inf < phase[k_min] and phase[k_max] < math.inf):
-        raise OutOfRange("the log response must be finite and the magnitude at most the "
-                         "largest float on the whole grid")
+        raise OutOfRange("the log response must be finite on the whole grid")
     samples, turns = betas.tolist(), phase.tolist()
     last = len(samples) - 1
     if k_pk == 0 or k_pk == last:
@@ -793,15 +775,18 @@ def extract_numeric(response, grid: FrequencyGrid | None = None,
     and for a LogProbe the probes' scale and the ERB's node count
     (probe_scale, probe_erb_nodes).
 
-    Raises OutOfRange when a level is not finite and > 0, when |H| at the
-    peak passes the largest float (and for a callable when L is not finite
-    on its grid, or |H| passes the largest float there), when the ERB or S
-    is not finite and positive (as where a step of S rounds to 0), when Re L
-    at a probe of the peak or the delay at a probe of N is not finite, or Re
-    L is nan at a probe of a crossing, when the two crossings of a level
-    give no width above the last (smaller) level's, or when N or phi_accum
-    is not finite and positive; NoInteriorPeak when the peak is not inside
-    the span; LevelNotReached when a level is not crossed on one side.
+    The levels are read from Re L, never from |H|, so a LogProbe whose |H|
+    passes the largest float at the peak extracts like any other.
+
+    Raises OutOfRange when a level is not finite and > 0, for a callable
+    when L is not finite on its grid (as where |H| passes the largest
+    float), when the ERB or S is not finite and positive (as where a step
+    of S rounds to 0), when Re L at a probe of the peak or the delay at a
+    probe of N is not finite, or Re L is nan at a probe of a crossing, when
+    the two crossings of a level give no width above the last (smaller)
+    level's, or when N or phi_accum is not finite and positive;
+    NoInteriorPeak when the peak is not inside the span; LevelNotReached
+    when a level is not crossed on one side.
     """
     if isinstance(response, LogProbe):
         if grid is not None:
@@ -824,9 +809,6 @@ def extract_numeric(response, grid: FrequencyGrid | None = None,
     if not lo + 4.0 * step < beta_pk < hi - 4.0 * step:
         raise NoInteriorPeak(f"the magnitude maximum at beta = {beta_pk:g} is not inside "
                              f"[{lo:g}, {hi:g}] by S's stencil, 4 a_p / 200")
-    if not re_pk <= _LOG_FLOAT_MAX:
-        raise OutOfRange(f"the magnitude at the peak, beta = {beta_pk:g}, passes the largest "
-                         "float")
 
     peak_level = DB_PER_LOG * re_pk
     bw = {}

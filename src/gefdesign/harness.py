@@ -176,9 +176,10 @@ def figure_report(spec: CharacteristicSpec) -> dict:
 
 def response_table(spec: CharacteristicSpec) -> dict:
     """Response table for one designed case, column name -> float array: the
-    level and phase of the three targets over the default grid from their
-    log responses L, DB_PER_LOG * Re L less its maximum (finite where |H|
-    underflows) and Im L less its value at beta = 0."""
+    level and phase of the three targets over the default grid (from
+    GRID_FLOOR b_p to b_p + max(8 b_p, 60 a_p)) from their log responses L,
+    DB_PER_LOG * Re L less its maximum (finite where |H| underflows or
+    overflows) and Im L less its value at beta = 0."""
     theta = _designed(spec)
     grid = default_grid(theta)
     columns = {"beta": grid.samples}

@@ -2,9 +2,11 @@
 
 Every float that evaluate_case and sweep return, and the log responses and
 scalar probes they are built from, is stored as float.hex in
-data/audit_pin.json, with sha256 digests for the arrays too long to list
-(grid samples, log responses on a grid).  The CLI goldens print 12 digits,
-so a drift in the last bit shows only here.
+data/audit_pin.json.  The default grid of each case's constants and the log
+responses on it, which response tables print and which the audit does not
+read, are pinned apart, by sha256 digests, so that a change of the grid
+leaves the records' pin as it is.  The CLI goldens print 12 digits, so a
+drift in the last bit shows only here.
 
 Regenerate the pin, after a change that is meant to move the numbers, with
 
@@ -78,24 +80,26 @@ def _specs():
 
 
 def build_pin() -> dict:
-    cases = []
+    cases, grids = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in _specs():
             theta = design(spec)
-            grid = default_grid(theta)
             records = evaluate_case(spec)
-            logs = log_response(theta, grid.samples)
             cases.append({
                 "spec": _hex(spec.as_dict()),
                 "theta": _hex(theta.as_dict()),
-                "grid_samples_sha256": _digest(grid.samples),
-                "log_sha256": {target: [_digest(log.re), _digest(log.im)]
-                               for target, log in logs.items()},
                 "desired": _hex(records[0].desired.characteristics()),
                 "records": [{"target": record.target,
                              "achieved": _hex(record.achieved.as_dict()),
                              "errors": _hex(record.errors)} for record in records],
+            })
+            grid = default_grid(theta)
+            grids.append({
+                "theta": _hex(theta.as_dict()),
+                "grid_samples_sha256": _digest(grid.samples),
+                "log_sha256": {target: [_digest(log.re), _digest(log.im)]
+                               for target, log in log_response(theta, grid.samples).items()},
             })
         result = sweep(SWEEP_Q, SWEEP_N)
     logs = []
@@ -115,6 +119,7 @@ def build_pin() -> dict:
         logs.append(entry)
     return {
         "cases": cases,
+        "grids": grids,
         "sweep": {"q_erb_axis": _hex(result.q_erb_axis), "n_axis": _hex(result.n_axis),
                   "error_grids": _hex(dict(sorted(result.error_grids.items())))},
         "log_response": logs,
@@ -131,6 +136,13 @@ def test_every_evaluate_case_record_is_bit_identical(pins):
     assert len(built["cases"]) == len(stored["cases"]) == 15
     for want, got in zip(stored["cases"], built["cases"]):
         assert got == want, want["spec"]
+
+
+def test_default_grids_and_their_log_responses_are_bit_identical(pins):
+    stored, built = pins
+    assert len(built["grids"]) == len(stored["grids"]) == 15
+    for want, got in zip(stored["grids"], built["grids"]):
+        assert got == want, want["theta"]
 
 
 def test_sweep_grid_is_bit_identical_with_its_infeasible_cells(pins):

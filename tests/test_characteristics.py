@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -183,11 +184,6 @@ class TestDefaultGrid:
         grid = default_grid(FilterConstants(0.2, 1.0, 2.0))
         assert grid.tail_max == pytest.approx(13.0)
 
-    def test_dense_window_clipped_to_positive(self):
-        grid = default_grid(FilterConstants(0.2, 0.5, 2.0))  # b_p - 4 a_p < 0
-        assert grid.samples[0] > 0.0
-        assert np.any(grid.samples == 0.5)
-
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):
             FrequencyGrid(np.array([0.1, 0.1, 0.2] * 10), 0.1, 0.01, 1.0, 10)
@@ -198,59 +194,101 @@ class TestDefaultGrid:
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             FrequencyGrid(samples, 0.1, 0.01, 2.0, 0)
 
+    # a quarter of the half-width is a callable's probe scale: nan once came
+    # back as "S = nan", and 0 as "a_p / 200 of a_p = 0 underflows"
+    @pytest.mark.parametrize("halfwidth, step", [(math.nan, 0.01), (0.0, 0.01), (-0.1, 0.01),
+                                                 (math.inf, 0.01), (0.1, math.nan),
+                                                 (0.1, 0.0), (0.1, math.inf)])
+    def test_rejects_a_window_that_is_not_finite_and_positive(self, halfwidth, step):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FrequencyGrid(np.linspace(0.1, 2.0, 16), halfwidth, step, 2.0, 0)
+
     def test_theta_and_tail_max_are_the_only_parameters(self):
         assert list(inspect.signature(default_grid).parameters) == ["theta", "tail_max"]
 
-    @pytest.mark.parametrize("a_p, b_p", [(0.05, 1.0), (1e-5, 1.0), (0.013, 0.7),
-                                          (2.0, 40.0), (1e-9, 0.02)])
-    def test_window_then_graded_tails(self, a_p, b_p):
+    # b_p = 1e-5 sat below the absolute floor of 1e-3 that the ends once had
+    @pytest.mark.parametrize("a_p, b_p", [(0.05, 1.0), (1e-5, 1.0), (0.013, 0.7), (0.19, 1.0),
+                                          (2.0, 40.0), (1e-9, 0.02), (1e-8, 1e-5)])
+    def test_window_then_geometric_tails(self, a_p, b_p):
         grid = default_grid(FilterConstants(a_p, b_p, 2.0))
         x, step = grid.samples, grid.dense_step
+        assert x[0] == GRID_FLOOR * b_p
+        assert x[-1] == grid.tail_max == b_p + max(8.0 * b_p, 60.0 * a_p)
+        # the window, bit for bit
         window = b_p + step * np.arange(-800, 801)
-        assert x[0] == GRID_FLOOR and x[-1] == grid.tail_max == b_p + max(8.0, 60.0 * a_p)
         i = int(np.searchsorted(x, window[0]))
         assert np.array_equal(x[i:i + window.size], window)
         assert grid.tail_points == x.size - window.size
-        # above the window each step is GRID_GROWTH times the last, up to tail_max;
-        # the samples are rounded sums, so a step is exact to two ulps
-        above = x[i + window.size - 1:]
-        h, ulps = np.diff(above), 2.0 * np.spacing(above[1:])
-        grown = step * GRID_GROWTH ** np.arange(1, h.size + 1)
-        np.testing.assert_allclose(h[:-1], grown[:-1], rtol=1e-9, atol=ulps.max())
-        assert 0.0 < h[-1] <= grown[-1] + ulps[-1]
-        # below it, GRID_GROWTH times the last until a step would pass 2% of beta,
-        # then 2% of beta, down to the floor
-        below = x[:i + 1][::-1]
-        h, ulps = -np.diff(below), 2.0 * np.spacing(below[:-1])
-        grown = step * GRID_GROWTH ** np.arange(1, h.size + 1)
-        capped = np.minimum(grown, 0.02 * below[:-1])
-        np.testing.assert_allclose(h[:-1], capped[:-1], rtol=1e-9, atol=ulps.max())
-        assert 0.0 < h[-1] <= capped[-1] + ulps[-1]
-        assert np.any(grown > 0.02 * below[:-1])  # the cap binds on every case
+        # outside it, each distance from b_p is at most GRID_GROWTH times the
+        # one before, to the rounding of a log and of the samples (two ulps)
+        above, below = x[i + window.size - 1:], x[:i + 1][::-1]
+        for samples in (above, below):
+            side, ulps = np.abs(samples - b_p), 2.0 * np.spacing(samples[1:])
+            assert np.all(side[1:] <= GRID_GROWTH * side[:-1] * (1.0 + 1e-12) + ulps)
+        # above, just that up to tail_max
+        side, ulps = above - b_p, 2.0 * np.spacing(above[1:])
+        np.testing.assert_allclose(side[1:-1], GRID_GROWTH * side[:-2], rtol=1e-12,
+                                   atol=ulps.max())
+        # below, just that until a step would pass 2% of beta, then steps of
+        # 2% of beta down to the floor, the last one shorter
+        side, steps = b_p - below, below[:-1] - below[1:]
+        capped = np.isclose(steps, 0.02 * below[:-1], rtol=1e-12, atol=0.0)
+        k = int(capped.argmax())
+        assert capped[k] and capped[k:-1].all() and steps[-1] <= 0.02 * below[-2]
+        np.testing.assert_allclose(side[1:k + 1], GRID_GROWTH * side[:k], rtol=1e-12,
+                                   atol=2.0 * np.spacing(b_p))
 
-    def test_clipped_window_keeps_half_a_step_above_the_floor(self):
-        # the window's sample 0.4 - 798 * step would sit 8.7e-19 above the
-        # floor sample, and the Simpson weights of so short an interval cancel
-        grid = default_grid(FilterConstants(0.1, 0.4, 1.0))
-        step = grid.dense_step
-        assert 0.4 - 798 * step - GRID_FLOOR < 1e-18
-        assert 0.4 - 797 * step in grid.samples
-        assert 0.4 - 798 * step not in grid.samples
+    def test_dense_window_clipped_to_positive(self):
+        # b_p - 4 a_p < 0: the window keeps its samples above the floor, b_p
+        # among them, and below them no step passes 2% of beta
+        grid = default_grid(FilterConstants(0.2, 0.5, 2.0))
+        x, step = grid.samples, grid.dense_step
+        window = 0.5 + step * np.arange(-800, 801)
+        window = window[window > GRID_FLOOR * 0.5]
+        i = int(np.searchsorted(x, window[0]))
+        assert np.array_equal(x[i:i + window.size], window) and 0.5 in window
+        assert x[0] == GRID_FLOOR * 0.5 and i > 0
+        assert np.all(np.diff(x[:i + 1]) <= 0.02 * x[1:i + 1] * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("b_u", [1.0, 8.0, 64.0])
+    @pytest.mark.parametrize("ratio", [0.19, 1e-2, 1e-4, 1e-6, 1e-9])
+    def test_phase_moves_less_than_half_a_radian_a_sample(self, ratio, b_u):
+        # measured worst 0.32 rad, at b_u = 64, in the window, whose step sets it
+        theta = FilterConstants(ratio, 1.0, b_u)
+        phase = core.log_response(theta, default_grid(theta).samples, ("p",))["p"].im
+        assert np.abs(np.diff(phase)).max() < 0.5
+
+    @pytest.mark.parametrize("a_p, b_p", [(0.05, 1.0), (1e-9, 1.0), (0.3, 0.2)])
+    def test_scaling_the_constants_scales_the_samples(self, a_p, b_p):
+        # the window scales bit for bit; the tails' distances are exponentials
+        # of logs, whose rounding moves them by 2.3e-13 at most (measured)
+        base = default_grid(FilterConstants(a_p, b_p, 2.0)).samples
+        for m in range(-900, 901, 7):
+            x = default_grid(FilterConstants(math.ldexp(a_p, m), math.ldexp(b_p, m), 2.0)).samples
+            assert x.size == base.size, m
+            np.testing.assert_allclose(np.ldexp(x, -m), base, rtol=1e-12, atol=0.0)
 
     # the last three lie below the peak, inside the window, and on its top sample
     @pytest.mark.parametrize("tail_max", [GRID_FLOOR, 0.0, math.inf, math.nan,
                                           0.5, 1.1, 1.0 + 800 * (0.05 / 200.0)])
-    def test_tail_max_must_be_finite_and_above_the_floor(self, theta_sharp6, tail_max):
-        with pytest.raises(OutOfRange):
+    def test_tail_max_must_be_finite_and_above_the_window(self, theta_sharp6, tail_max):
+        with pytest.raises(OutOfRange, match="tail_max"):
             default_grid(theta_sharp6, tail_max=tail_max)
 
-    def test_peak_at_the_floor_is_out_of_range(self):
-        with pytest.raises(OutOfRange, match="must sit half a step above"):
-            default_grid(FilterConstants(1e-6, GRID_FLOOR, 2.0))
+    def test_floor_that_underflows_is_out_of_range(self):
+        # GRID_FLOOR b_p is below half the smallest subnormal
+        with pytest.raises(OutOfRange, match="floor"):
+            default_grid(FilterConstants(1e-322, 1e-321, 2.0))
 
-    def test_overflowing_tail_max_is_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            default_grid(FilterConstants(1e307, 1e308, 2.0))
+    def test_default_tail_stops_at_the_largest_float(self):
+        # b_p + 60 a_p overflows; the window does not
+        grid = default_grid(FilterConstants(1e307, 1e308, 2.0))
+        assert grid.samples[-1] == grid.tail_max == sys.float_info.max
+        assert np.all(np.diff(grid.samples) > 0.0)
+
+    def test_window_past_the_largest_float_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="tail_max"):
+            default_grid(FilterConstants(1e307, 1.7e308, 2.0))
 
     def test_sub_ulp_steps_collapse_to_distinct_samples(self):
         # a_p / 200 is 5e-27, far below the spacing of floats at b_p = 1e6
@@ -261,20 +299,19 @@ class TestDefaultGrid:
     @pytest.mark.parametrize("a_p, b_p", [(2.0689598579217e-244, 2.8778115542256177e+201),
                                           (1e-200, 1e110)])
     def test_steps_that_stay_finite_build_a_grid(self, a_p, b_p):
-        # the bare sums of GRID_GROWTH**j pass the largest float long before
-        # the tiny step scales them back; b_p + 8 rounds to b_p, so the tail
-        # reaches 9 b_p
+        # GRID_GROWTH**j passes the largest float long before the tiny a_p
+        # scales it back, so the distances are formed in log space
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = default_grid(FilterConstants(a_p, b_p, 2.0))
         x = grid.samples
-        assert x[0] == GRID_FLOOR and x[-1] == grid.tail_max == 9.0 * b_p
+        assert x[0] == GRID_FLOOR * b_p and x[-1] == grid.tail_max == 9.0 * b_p
         assert np.all(np.diff(x) > 0.0) and np.count_nonzero(x == b_p) == 1
         # the steps below the peak stay within 2% of beta; the window and the
-        # first graded steps round to the floats next to b_p, and collapse
+        # first distances round to the floats next to b_p, and collapse
         below = x[x <= b_p]
         assert np.all(np.diff(below) <= 0.02 * below[1:] * (1.0 + 1e-12))
-        assert x.size < 40000
+        assert x.size < 10000
 
 
 # the two routes to a report, each taking the constants and the dB levels
@@ -524,6 +561,59 @@ class TestSharpEnd:
         assert abs(got.erb_beta / erb_closed_form(theta) - 1.0) <= 5e-13
 
 
+class TestScaleFree:
+    """The characteristics scale with b_p (the widths and the ERB with it, N
+    with 1/b_p, S with 1/b_p**2, phi_accum not at all), and so does the
+    oracle: every filter that closed_form accepts extracts, at any b_p."""
+
+    @staticmethod
+    def draws():
+        """600 seeded constants: b_p log-uniform over [1e-300, 1e300], a_p / b_p
+        log-uniform over [1e-9, 0.19], b_u uniform over [1, 100]; those that
+        closed_form accepts, with its report."""
+        rng = random.Random(8)
+        accepted = []
+        for _ in range(600):
+            b_p = 10.0 ** rng.uniform(-300.0, 300.0)
+            ratio = 10.0 ** rng.uniform(-9.0, math.log10(0.19))
+            theta = FilterConstants(ratio * b_p, b_p, rng.uniform(1.0, 100.0))
+            try:
+                accepted.append((theta, closed_form(theta)))
+            except OutOfRange:
+                pass
+        return accepted
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_accepted_draw_extracts(self):
+        accepted = self.draws()
+        # a gate on |H| at the peak once refused 140 of them on p_sharp, 146 on p
+        assert len(accepted) == 321
+        worst = {"n_beta": 0.0, "s_beta": 0.0, "bw": 0.0}
+        for theta, want in accepted:
+            for target in ("p", "v"):
+                extract_numeric(log_probe(theta, target))
+            probe = log_probe(theta, "p_sharp")
+            got = extract_numeric(probe)
+            for key in ("n_beta", "s_beta"):
+                worst[key] = max(worst[key], abs(getattr(got, key) / getattr(want, key) - 1.0))
+            # each crossing is within Brent's tolerance, xtol + rtol beta, as in
+            # TestSharpEnd, and the rounding of Re L, which the level's slope
+            # turns into about eps |Re L| of the width where Re L is large
+            tol = (1e-15 + 4.0 * sys.float_info.epsilon) * theta.b_p
+            rounding = 4.0 * sys.float_info.epsilon * abs(probe.re_at(theta.b_p))
+            for n in (3.0, 10.0):
+                width = want.bw_n_beta[n]
+                error = abs(got.bw_n_beta[n] - width) / (2.0 * tol + rounding * width)
+                worst["bw"] = max(worst["bw"], error)
+        # measured worst: N 7.3e-13, S 1.6e-8 (the h**4 term), and the widths
+        # 0.37 of their bound (2.4e-6 relative at a_p / b_p near 1e-9, where
+        # Brent's tolerance is that wide; 5e-12 at b_u near 100, where Re L
+        # at the peak is about -3e4)
+        assert worst["n_beta"] <= 1e-12, worst
+        assert worst["s_beta"] <= 3e-8, worst
+        assert worst["bw"] <= 1.0, worst
+
+
 class TestCallableAdapter:
     """A response callable on its grid against the probes of the same
     constants: the peak, the widths, N and S read one response either way, to
@@ -589,11 +679,13 @@ class TestCallableAdapter:
         report = self.gated(theta_sharp6, 1e-300j, "high_tail")
         assert report.method == "numeric"
 
-    def test_magnitude_past_the_largest_float_is_out_of_range(self):
-        # the peak of |P| is about 1.8e308 though its parts stay finite
+    @pytest.mark.filterwarnings("error")
+    def test_magnitude_past_the_largest_float_extracts_from_the_probes_only(self):
+        # the peak of |P| is about 1.8e308 though its parts stay finite: the
+        # probes read Re L, which stays finite; the callable's |H| reads inf
         theta = FilterConstants(0.01, 1.0, 181.4363)
-        with pytest.raises(OutOfRange, match="at the peak"):
-            extract_numeric(log_probe(theta, "p"))
+        report = extract_numeric(log_probe(theta, "p"))
+        assert report.n_beta == pytest.approx(closed_form(theta).n_beta, rel=1e-4)
         with pytest.raises(OutOfRange, match="log response must be finite"):
             extract_numeric(partial(eval_gef, theta), default_grid(theta))
 

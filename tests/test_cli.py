@@ -49,7 +49,9 @@ DESIGN_GOLDEN = json.loads(
 # content, or by SHA-256 where long); "json" cases hold the documents that
 # were printed at 17 digits then, and must now be those values at 12.  The
 # `response` cases and the `--response-out` hashes were captured again when
-# those tables moved to the log response (Im L phases, finite levels).  The
+# those tables moved to the log response (Im L phases, finite levels), and
+# the `--response-out` hashes once more when the default grid's tails were
+# laid out in units of b_p (its window's rows kept their bytes).  The
 # `filter` cases hash the output of both routes on a seeded integer noise
 # (an input given as a string is written as it stands, not as JSON); the FFT
 # route takes two 8192-point blocks with a lead of 16 samples
@@ -463,12 +465,8 @@ class TestBadInputFiles:
         assert error_type(capsys) == "InfeasibleSpec"
 
     @pytest.mark.parametrize("constants, error", [
-        # |P| passes the largest float at the peak
-        ({"a_p": 0.001, "b_p": 1, "b_u": 200}, "OutOfRange"),
-        # ... with finite real and imaginary parts (about 1.63e308 - 7.7e307i)
-        ({"a_p": 0.01, "b_p": 1, "b_u": 181.4363}, "OutOfRange"),
         # a_p > b_p: the magnitude falls from beta = 0 on (the grid once
-        # refused these constants, whose b_p sits below its floor of 1e-3)
+        # refused these constants, whose b_p sat below its floor of 1e-3)
         ({"a_p": 0.05, "b_p": 5e-4, "b_u": 6}, "NoInteriorPeak"),
     ])
     @pytest.mark.filterwarnings("error")
@@ -479,6 +477,28 @@ class TestBadInputFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == error
+
+    @pytest.mark.parametrize("constants", [
+        # |P| passes the largest float at the peak
+        {"a_p": 0.001, "b_p": 1, "b_u": 200},
+        # ... with finite real and imaginary parts (about 1.63e308 - 7.7e307i)
+        {"a_p": 0.01, "b_p": 1, "b_u": 181.4363},
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_analyze_overflowing_magnitude_extracts(self, tmp_path, capsys, constants):
+        # the oracle reads Re L, which stays finite where |P| overflows; the
+        # full filter sits about (a_p / b_p)**2 from the sharp form's closed
+        # forms, as elsewhere (measured 1.013 and 1.006 times it)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(constants))
+        assert run(["analyze", "--constants", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        numeric, closed = doc["numeric"], doc["closed_form"]
+        bound = 1.1 * (constants["a_p"] / constants["b_p"]) ** 2
+        for key, want in closed.items():
+            if key != "method":
+                assert math.isfinite(numeric[key])
+                assert abs(numeric[key] / want - 1.0) < bound, key
 
     @pytest.mark.filterwarnings("error")
     def test_analyze_sharp_low_exponent_extracts(self, tmp_path, capsys):
@@ -538,6 +558,9 @@ class TestBadInputFiles:
         # a gain of 0 once read as a level of -inf at every frequency
         ('{"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "gain": 0}', 3, "InfeasibleSpec"),
         ('{"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "gain": NaN}', 3, "InfeasibleSpec"),
+        # an f_peak_hz of nan was once kept, and written back as a bare NaN
+        ('{"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "f_peak_hz": NaN}', 3, "InfeasibleSpec"),
+        ('{"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "f_peak_hz": -1000}', 3, "InfeasibleSpec"),
     ])
     def test_bad_filter_file(self, tmp_path, monkeypatch, capsys, command, text, code, error):
         monkeypatch.chdir(tmp_path)

@@ -752,10 +752,24 @@ class TestDigitalFilterType:
         with pytest.raises(ValueError):
             DigitalFilter(FS, sections=((1.0, 0.0, 0.0, -2.0, 1.01),))
 
-    @pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -FS])
+    # "abc" and None once raised a bare TypeError
+    @pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -FS, "abc", None, [FS]])
     def test_rejects_non_finite_or_non_positive_rate(self, fs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
             DigitalFilter(fs, sections=((1.0, 0.0, 0.0, 0.0, 0.0),))
+
+    # a nan f_peak was once kept, and filter_json wrote it as a bare NaN
+    @pytest.mark.parametrize("f_peak", [math.nan, math.inf, 0.0, -1000.0, "abc", [1000.0]])
+    def test_rejects_an_f_peak_that_is_not_finite_and_positive(self, f_peak):
+        with pytest.raises(ValueError, match="f_peak must be finite and > 0"):
+            DigitalFilter(FS, sections=((1.0, 0.0, 0.0, 0.0, 0.0),), f_peak=f_peak)
+
+    @pytest.mark.parametrize("value", [48000, "48000", np.float32(48000.0)])
+    def test_takes_the_rate_and_f_peak_as_floats(self, value):
+        filt = DigitalFilter(value, sections=((1.0, 0.0, 0.0, 0.0, 0.0),), f_peak=value)
+        assert type(filt.sample_rate) is float and filt.sample_rate == 48000.0
+        assert type(filt.f_peak) is float and filt.f_peak == 48000.0
+        assert DigitalFilter(FS, sections=((1.0, 0.0, 0.0, 0.0, 0.0),)).f_peak is None
 
     @pytest.mark.parametrize("gain", ["abc", math.nan, math.inf, 0.0, -1.0])
     def test_rejects_a_gain_that_is_not_finite_and_positive(self, gain):
@@ -794,6 +808,12 @@ class TestDigitalFilterType:
         {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]], "gain": -1.0},
         {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]], "gain": math.nan},
         {"fs": 48000.0, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]], "gain": math.inf},
+        # an f_peak_hz that is not a finite float > 0
+        {"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "f_peak_hz": math.nan},
+        {"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "f_peak_hz": math.inf},
+        {"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "f_peak_hz": 0},
+        {"fs": 48000, "sos": [[1, 0, 0, 0, 0]], "f_peak_hz": "abc"},
+        {"fs": None, "sos": [[1.0, 0.0, 0.0, 0.0, 0.0]]},
         [1.0, 2.0],
     ])
     def test_from_dict_rejects_bad_documents(self, doc):
