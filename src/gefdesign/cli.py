@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 flag validation or an input file that does not
 parse, 3 infeasible design / domain errors, 4 I/O failures, scipy that
 cannot be imported where a call needs it included (a root solve:
 ``design`` of row II.2 or II.7, ``analyze``, ``evaluate``, ``sweep``;
-``filter --sos``; a WAV layout left to ``scipy.io.wavfile``).  Errors print
+``filter --sos``; reading or writing a WAV file).  Errors print
 one machine-readable JSON object to stderr, without a traceback.
 
 The library returns tables as data; this module writes every CSV and JSON

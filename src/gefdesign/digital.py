@@ -7,8 +7,9 @@ and the one writer of filter documents (``filter_json``, which
 ``save_filter`` writes to a file) need no numpy and live in ``biquad``, and
 this module re-exports them.  ``apply_sos`` runs the cascade in scipy's
 compiled loop alone, loaded from its file by ``scalar._scipy_extension``
-without ``scipy.signal``; where scipy cannot be imported it raises
-ImportError.  Non-integer exponents are supported
+without ``scipy.signal``, and ``read_wav`` and ``write_wav`` call
+``scipy.io.wavfile``, loaded the same way without ``scipy.io``; where scipy
+cannot be imported they raise ImportError.  Non-integer exponents are supported
 through FFT-domain filtering: the analog response is sampled at the bins of
 a block whose length follows the impulse response's decay, the kernel's
 support is measured from that block, and the signal is filtered block by
@@ -21,11 +22,11 @@ are transformed together and added in hop order.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
-from .biquad import DigitalFilter, _bandpass_peak, _check_rates, filter_json, to_sos
+from .biquad import (DigitalFilter, _bandpass_peak, _check_rates, _finite_positive,
+                     filter_json, to_sos)
 from .core import _maybe_scalar, eval_gef
 from .errors import OutOfRange, SampleRateMismatch
 from .scalar import FilterConstants, _Record, _scipy_extension
@@ -37,9 +38,7 @@ class SignalBuffer(_Record):
     _fields = ("sample_rate", "samples")
 
     def __init__(self, sample_rate: float, samples: np.ndarray):
-        if not 0.0 < sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate!r}")
-        self.__dict__.update(sample_rate=sample_rate,
+        self.__dict__.update(sample_rate=_finite_positive("sample_rate", sample_rate),
                              samples=np.asarray(samples, dtype=float).ravel())
 
 
@@ -297,99 +296,30 @@ def save_filter(filt: DigitalFilter, path) -> None:
 
 
 def write_wav(path, signal: SignalBuffer) -> None:
-    """Mono 32-bit float WAV, byte for byte what scipy.io.wavfile.write
-    writes: an 18-byte fmt chunk (IEEE float, cbSize 0), a fact chunk with
-    the frame count, then the data chunk.  A rate that rounds to 0 Hz, or
-    whose byte rate (4 bytes a sample) a 32-bit field cannot hold, raises
-    OutOfRange."""
+    """Mono 32-bit float WAV, written by scipy.io.wavfile.write.  A rate that
+    rounds to 0 Hz, or whose byte rate (4 bytes a sample) a 32-bit field
+    cannot hold, raises OutOfRange and writes no file."""
     rate = int(round(signal.sample_rate))
     if not 0 < rate <= 0xFFFFFFFF // 4:
         raise OutOfRange(f"a float WAV file cannot hold a sample rate of {signal.sample_rate:g} Hz")
-    data = signal.samples.astype("<f4")
-    if data.nbytes > 0xFFFFFF00:  # at the 4 GiB RIFF limit scipy writes RF64
-        from scipy.io import wavfile
-
-        wavfile.write(path, rate, data)
-        return
-    fmt = struct.pack("<HHIIHHH", 3, 1, rate, 4 * rate, 4, 32, 0)
-    header = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-              + b"fact" + struct.pack("<II", 4, data.size)
-              + b"data" + struct.pack("<I", data.nbytes))
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes) + header)
-        fh.write(data.tobytes())
-
-
-# (format tag, bytes per sample) -> the dtype scipy.io.wavfile.read gives
-_WAV_DTYPES = {(1, 2): "<i2", (1, 4): "<i4", (3, 4): "<f4", (3, 8): "<f8"}
-_WAV_SKIPPED_CHUNKS = (b"fact", b"LIST", b"JUNK", b"Fake")
-
-
-def _parse_plain_wav(raw: bytes):
-    """(rate, samples) of a little-endian RIFF WAV of 8, 16 or 32-bit PCM or
-    32 or 64-bit float, with one fmt and one data chunk, as
-    scipy.io.wavfile.read returns them; None for any other file."""
-    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        return None
-    if struct.unpack_from("<I", raw, 4)[0] + 8 != len(raw):
-        return None
-    fmt = data = None
-    pos = 12
-    while pos + 8 <= len(raw):
-        chunk, (size,) = raw[pos:pos + 4], struct.unpack_from("<I", raw, pos + 4)
-        body, pos = pos + 8, pos + 8 + size + size % 2
-        if pos > len(raw):
-            return None
-        if chunk == b"fmt " and fmt is None and size >= 16:
-            fmt = struct.unpack_from("<HHIIHH", raw, body)
-        elif chunk == b"data" and fmt is not None and data is None:
-            data = (body, size)
-        elif chunk not in _WAV_SKIPPED_CHUNKS:
-            return None
-    if pos != len(raw) or data is None:
-        return None
-    tag, channels, rate, byte_rate, align, bits = fmt
-    if channels == 0 or align == 0 or align % channels or data[1] % align:
-        return None
-    width = align // channels
-    if tag == 1 and width == 1 and 1 <= bits <= 8:
-        dtype = "u1"
-    elif (tag == 1 and 8 < bits <= 8 * width) or (tag == 3 and bits == 8 * width):
-        dtype = _WAV_DTYPES.get((tag, width))
-    else:
-        dtype = None
-    if dtype is None or (tag == 1 and byte_rate != rate * align):
-        return None
-    samples = np.frombuffer(raw, dtype, count=data[1] // width, offset=data[0])
-    return rate, samples.reshape(-1, channels) if channels > 1 else samples
+    _scipy_extension("io", "wavfile").write(path, rate, signal.samples.astype("<f4"))
 
 
 def read_wav(path) -> SignalBuffer:
-    """A WAV file as a mono float signal: channels are averaged and integer
-    PCM is scaled to [-1, 1).  Layouts _parse_plain_wav does not take (RF64,
-    big-endian RIFX, 24-bit PCM, WAVE_FORMAT_EXTENSIBLE, unknown chunks or a
-    damaged file) go to scipy.io.wavfile.read and its errors; the
-    TypeError or ZeroDivisionError it raises on some damaged fmt chunks
-    becomes a ValueError, as its other refusals are.  A header sample rate
-    of 0 raises OutOfRange."""
-    with open(path, "rb") as fh:
-        parsed = _parse_plain_wav(fh.read())
-    if parsed is None:
-        from scipy.io import wavfile
-
-        try:
-            parsed = wavfile.read(path)
-        except (TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"damaged fmt chunk: {exc}") from None
-    rate, data = parsed
+    """A WAV file as a mono float signal, read by scipy.io.wavfile.read:
+    integer PCM is scaled to [-1, 1), then channels are averaged.  A damaged
+    file raises ValueError, the TypeError, ZeroDivisionError or
+    UnboundLocalError that scipy raises on some (a damaged fmt chunk, no
+    data chunk) included.  A header sample rate of 0 raises OutOfRange."""
+    try:
+        rate, data = _scipy_extension("io", "wavfile").read(path)
+    except (TypeError, ZeroDivisionError, UnboundLocalError) as exc:
+        raise ValueError(f"damaged WAV file: {exc}") from None
     if rate <= 0:
         raise OutOfRange(f"{path} gives a sample rate of {rate} Hz")
-    data = np.asarray(data)
     # samples that are not finite (or a signalling NaN) stay so, without a
     # warning; callers check for that
     with np.errstate(over="ignore", invalid="ignore"):
-        if data.ndim > 1:
-            data = data.mean(axis=1)
         if data.dtype == np.int16:
             data = data / 32768.0
         elif data.dtype == np.int32:
@@ -397,6 +327,8 @@ def read_wav(path) -> SignalBuffer:
         elif data.dtype == np.uint8:
             data = (data.astype(float) - 128.0) / 128.0
         data = data.astype(float)
+        if data.ndim > 1:
+            data = data.mean(axis=1)
     return SignalBuffer(sample_rate=float(rate), samples=data)
 
 

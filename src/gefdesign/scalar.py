@@ -14,7 +14,8 @@ Brent loop (``_brent_loop``); where scipy cannot be imported it raises
 ImportError.  The loop's extension module, ``scipy.optimize._zeros``, is
 loaded from its file under its own name on the first solve by
 ``_scipy_extension``, which imports neither numpy nor the ``scipy`` package;
-``digital`` loads scipy's compiled cascade loop through it too.
+``digital`` loads scipy's compiled cascade loop and its WAV module,
+``scipy.io.wavfile``, through it too.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def sharpness_check(theta: FilterConstants) -> SharpnessReport:
 
 
 def _scipy_extension(package: str, name: str):
-    """scipy's compiled module ``scipy.<package>.<name>``.
+    """scipy's module ``scipy.<package>.<name>``, compiled or Python source.
 
     The module is loaded from its file under its own name, without importing
     ``scipy.<package>``, nor the ``scipy`` package unless the module itself
@@ -215,7 +216,7 @@ def _scipy_extension(package: str, name: str):
         raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
     paths = [os.path.join(directory, package, name + suffix)
              for directory in scipy_spec.submodule_search_locations or ()
-             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+             for suffix in importlib.machinery.all_suffixes()]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is not None:
         spec = importlib.util.spec_from_file_location(full_name, path)

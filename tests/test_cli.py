@@ -310,6 +310,10 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("name, content, argv", [
         ("bad.csv", b"0.5\nnot a number\n0.25\n", ["--rate", "48000"]),
         ("bad.wav", b"RIFF\0\0", []),
+        # no data chunk, on which scipy.io.wavfile.read raises UnboundLocalError
+        ("nodata.wav", b"RIFF" + struct.pack("<I", 48) + b"WAVEfmt "
+         + struct.pack("<IHHIIHH", 16, 3, 1, 48000, 192000, 4, 32)
+         + b"dat_" + struct.pack("<I", 12) + bytes(12), []),
     ])
     def test_damaged_signal_exits_2(self, tmp_path, sos_file, name, content, argv):
         infile = tmp_path / name
@@ -1183,9 +1187,10 @@ STDLIB_PATH_UNUSED = {"numpy", "dataclasses", "inspect"}
 
 
 class TestImportPath:
-    """Only `filter` needs scipy, for its compiled cascade loop alone; `design`,
-    `discretize`, `bank`, `--version` and usage errors need neither numpy nor
-    scipy, nor `dataclasses` and `inspect`; `design` and usage errors load
+    """Only `filter` needs scipy, for its compiled cascade loop and its WAV
+    module alone, each loaded from its file; `design`, `discretize`, `bank`,
+    `--version` and usage errors need neither numpy nor scipy, nor
+    `dataclasses` and `inspect`; `design` and usage errors load
     neither the bank layout nor the biquad discretization.  Where scipy is
     installed, Brent's method runs its compiled loop, loaded on the first
     solve without the scipy package."""
@@ -1369,8 +1374,9 @@ class TestImportPath:
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout)  # the packages, not the kernel's own module
+        loaded = json.loads(proc.stdout)  # the packages, not the modules loaded from their files
         assert "scipy.signal" not in loaded and "scipy.io" not in loaded
+        assert "scipy.io.wavfile" in loaded
         expected = apply_sos(DigitalFilter.from_dict(read_json(tmp_path / "sos.json")),
                              read_wav(tmp_path / "in.wav"))
         written = read_wav(tmp_path / "out.wav").samples
@@ -1381,6 +1387,7 @@ class TestImportPath:
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         rng = np.random.default_rng(5)
         write_wav(tmp_path / "in.wav", SignalBuffer(48000.0, rng.standard_normal(4800)))
+        np.savetxt(tmp_path / "in.csv", rng.standard_normal(4800), fmt="%.12e")
         runs = [
             ["design", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT,
              "--phase-accum", "3", "--out", "c.json"],
@@ -1389,16 +1396,19 @@ class TestImportPath:
             ["response", "--sos", "sos.json", "--fmin", "500", "--fmax", "1500", "--points", "11"],
             ["bank", "--peak-beta", "1", "--gdelay-cycles", N_SHARP6_TEXT, "--phase-accum", "3",
              "--cf0", "20000", "--l", "1", "--channels", "4", "--x-max", "3"],
-            ["filter", "--fft", "--constants", "c.json", "--peak-hz", "1000", "in.wav",
-             "out.wav"],
+            ["filter", "--fft", "--constants", "c.json", "--peak-hz", "1000", "--rate", "48000",
+             "in.csv", "out.csv"],
         ]
-        # Brent's method and the biquad cascade run in scipy's compiled loops alone
+        # Brent's method and the biquad cascade run in scipy's compiled loops
+        # alone, and WAV files are read and written by scipy.io.wavfile
         refused = [
             ["design", "--peak-beta", "1", "--gdelay-cycles", "19.1", "--qerb", "25.9"],
             ["analyze", "--constants", "c.json"],
             ["evaluate", "--spec", "spec.json"],
             ["sweep", "--qerb", "20,30", "--n", "16"],
             ["filter", "--sos", "sos.json", "in.wav", "sos.wav"],
+            ["filter", "--fft", "--constants", "c.json", "--peak-hz", "1000", "in.wav",
+             "out.wav"],
         ]
         proc = self._python(
             "import contextlib, io, json, sys\n"
@@ -1418,7 +1428,8 @@ class TestImportPath:
         for _, stderr in results[len(runs):]:
             error = json.loads(stderr)["error"]  # one JSON object, no traceback
             assert error["type"] == "ModuleNotFoundError" and "scipy" in error["message"]
-        assert (tmp_path / "out.wav").exists() and not (tmp_path / "sos.wav").exists()
+        assert (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "sos.wav").exists() and not (tmp_path / "out.wav").exists()
 
 
 LOG_UNIFORM = st.floats(-6.0, 6.0).map(lambda exponent: 10.0 ** exponent)
@@ -1748,6 +1759,36 @@ class TestCliProperties:
         infile = workdir / "in.wav"
         infile.write_bytes(raw)
         self._filter_signal(sources, workdir, infile, [])
+
+    def test_damaged_wav_headers(self, workdir, sources):
+        # the first 400 bytes of a 1 s clip: cut to under 120 bytes, 1-3 bytes
+        # flipped, or 4 bytes overwritten in the header
+        rng = np.random.default_rng(35)
+        clip = workdir / "clip_1s.wav"
+        write_wav(clip, SignalBuffer(48000.0, rng.standard_normal(48000)))
+        head = clip.read_bytes()[:400]
+        infile, outfile = workdir / "in.wav", workdir / "out.wav"
+        codes = []
+        for case in range(600):
+            raw = bytearray(head)
+            if case % 3 == 0:
+                del raw[rng.integers(0, 120):]
+            elif case % 3 == 1:
+                for pos in rng.integers(0, len(raw), rng.integers(1, 4)):
+                    raw[pos] ^= int(rng.integers(1, 256))
+            else:
+                pos = rng.integers(0, 57)
+                raw[pos:pos + 4] = rng.bytes(4)
+            infile.write_bytes(bytes(raw))
+            outfile.unlink(missing_ok=True)
+            argv = ["filter", "--sos", str(sources["sos.json"]), str(infile), str(outfile)]
+            (code, _, errors), warned = self._run_recording(argv)
+            assert code in (0, 2, 3), (case, bytes(raw))
+            assert len(errors) == (code != 0), (case, bytes(raw))
+            assert not warned, (case, [str(w.message) for w in warned])
+            assert outfile.exists() == (code == 0), case
+            codes.append(code)
+        assert set(codes) == {0, 2, 3}
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(doc=SPEC_DOC, fmt=st.sampled_from(["json", "csv"]))

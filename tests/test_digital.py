@@ -822,7 +822,7 @@ class TestDigitalFilterType:
 
 
 class TestSignalBuffer:
-    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -FS])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -FS, "abc", None])
     def test_rejects_non_finite_or_non_positive_rate(self, rate):
         with pytest.raises(ValueError):
             SignalBuffer(rate, np.zeros(16))
@@ -850,27 +850,27 @@ class TestSignalIo:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64", "int16", "int32", "uint8"])
     @pytest.mark.parametrize("channels", [1, 2, 3])
-    def test_plain_wav_parsed_as_scipy_reads_it(self, tmp_path, dtype, channels):
+    def test_wav_read_as_a_mono_float_signal(self, tmp_path, dtype, channels):
         from scipy.io import wavfile
 
         x = np.random.default_rng(channels).standard_normal((100, channels)).squeeze()
         x = (x * 100).astype(dtype) if np.dtype(dtype).kind in "iu" else x.astype(dtype)
         path = tmp_path / "x.wav"
         wavfile.write(path, 16000, x)
-        rate, data = digital._parse_plain_wav(path.read_bytes())
-        expected_rate, expected = wavfile.read(path)
-        assert rate == expected_rate
-        assert data.dtype == expected.dtype and np.array_equal(data, expected)
+        scaled = {"int16": x / 32768.0, "int32": x / 2.0**31,
+                  "uint8": (x.astype(float) - 128.0) / 128.0}.get(dtype, x.astype(float))
+        expected = scaled.mean(axis=1) if channels > 1 else scaled
+        loaded = read_wav(path)
+        assert loaded.sample_rate == 16000.0
+        assert np.array_equal(loaded.samples, expected)
 
-    def test_other_layouts_go_to_scipy(self, tmp_path):
+    def test_other_layouts_read_as_scipy_reads_them(self, tmp_path):
         from scipy.io import wavfile
 
         path = tmp_path / "x.wav"
         wavfile.write(path, 8000, np.arange(-3, 4, dtype=np.int64))  # 64-bit PCM
-        assert digital._parse_plain_wav(path.read_bytes()) is None
         assert read_wav(path).samples.tolist() == list(range(-3, 4))
         path.write_bytes(path.read_bytes()[:-3])  # a truncated last sample
-        assert digital._parse_plain_wav(path.read_bytes()) is None
         with pytest.warns(wavfile.WavFileWarning):
             assert read_wav(path).samples.tolist() == list(range(-3, 3))
 
@@ -889,6 +889,16 @@ class TestSignalIo:
         path = tmp_path / "x.wav"
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
         with pytest.raises(ValueError):
+            read_wav(path)
+
+    def test_no_data_chunk_is_a_value_error(self, tmp_path):
+        # scipy.io.wavfile.read raises UnboundLocalError on this
+        from scipy.io import wavfile
+
+        path = tmp_path / "x.wav"
+        write_wav(path, SignalBuffer(8000.0, np.zeros(3)))
+        path.write_bytes(path.read_bytes().replace(b"data", b"dat_"))
+        with pytest.warns(wavfile.WavFileWarning), pytest.raises(ValueError):
             read_wav(path)
 
     @pytest.mark.filterwarnings("error")
