@@ -15,20 +15,20 @@ from typing import Sequence
 
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
-from .scalar import FilterConstants, _Record
+from .scalar import FilterConstants, _finite_positive, _Record
 
 
 class CfMap(_Record):
-    """Exponential characteristic-frequency map CF(x) = cf0 * e**(-x/l)."""
+    """Exponential characteristic-frequency map CF(x) = cf0 * e**(-x/l).
+    cf0 and l must be finite and > 0, x_max finite and >= 0."""
 
     _fields = ("cf0", "l", "x_max")
 
     def __init__(self, cf0: float, l: float, x_max: float):
-        if not (0.0 < cf0 < math.inf and 0.0 < l < math.inf and 0.0 <= x_max < math.inf):
-            raise OutOfRange(
-                f"need finite cf0 > 0, l > 0 and x_max >= 0, got cf0 = {cf0!r}, "
-                f"l = {l!r}, x_max = {x_max!r}"
-            )
+        cf0 = _finite_positive("cf0", cf0, OutOfRange)
+        l = _finite_positive("l", l, OutOfRange)
+        if not 0.0 <= x_max < math.inf:
+            raise OutOfRange(f"x_max must be finite and >= 0, got {x_max!r}")
         self.__dict__.update(cf0=cf0, l=l, x_max=x_max)
 
 
@@ -41,17 +41,13 @@ def cf_at(cf_map: CfMap, x: float) -> float:
 
 class BankChannel(_Record):
     """One filterbank channel: place, peak frequency, shared constants, gain.
-    The peak frequency and the gain must be positive and finite."""
+    The peak frequency and the gain must be finite and > 0."""
 
     _fields = ("x", "f_peak", "theta", "gain")
 
     def __init__(self, x: float, f_peak: float, theta: FilterConstants, gain: float = 1.0):
-        if not (0.0 < f_peak < math.inf and 0.0 < gain < math.inf):
-            raise OutOfRange(
-                f"need finite f_peak > 0 and gain > 0, got f_peak = {f_peak!r}, "
-                f"gain = {gain!r}"
-            )
-        self.__dict__.update(x=x, f_peak=f_peak, theta=theta, gain=gain)
+        self.__dict__.update(x=x, f_peak=_finite_positive("f_peak", f_peak, OutOfRange),
+                             theta=theta, gain=_finite_positive("gain", gain, OutOfRange))
 
 
 def build_constant_q_bank(

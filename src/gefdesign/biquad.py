@@ -24,7 +24,7 @@ from .errors import (
     NyquistViolation,
     OutOfRange,
 )
-from .scalar import FilterConstants, _Record, peak_beta
+from .scalar import FilterConstants, _finite_positive, _Record, peak_beta
 
 # The most sections to_sos builds: one per unit of the exponent b_u.
 MAX_SECTIONS = 4096
@@ -51,17 +51,6 @@ def _quadratic_radii(a1: float, a2: float) -> tuple:
     if q == 0.0:  # a1 = a2 = 0: a double root at 0
         return 0.0, 0.0
     return abs(q), abs(a2 / q)
-
-
-def _finite_positive(name: str, value) -> float:
-    """value as a float; raises ValueError unless it is one, finite and > 0."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not 0.0 < number < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return number
 
 
 class DigitalFilter(_Record):
@@ -175,10 +164,9 @@ def _bilinear_all_pole(c1: float, c0: float, fs: float):
 
 
 def _check_rates(f_peak: float, fs: float) -> None:
-    """f_peak must be positive and finite, fs finite, and f_peak below fs/2
+    """f_peak must be finite and > 0, fs finite, and f_peak below fs/2
     (which refuses fs <= 0 too)."""
-    if not (math.isfinite(f_peak) and f_peak > 0.0):
-        raise OutOfRange(f"f_peak must be positive and finite, got {f_peak!r}")
+    f_peak = _finite_positive("f_peak", f_peak, OutOfRange)
     if not math.isfinite(fs):
         raise OutOfRange(f"fs must be finite, got {fs!r}")
     if f_peak >= 0.5 * fs:

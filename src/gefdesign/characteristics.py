@@ -49,6 +49,7 @@ from .scalar import (
     _Record,
     _brentq,
     _erb,
+    _finite_positive,
     level_factor,
 )
 from .errors import (
@@ -76,11 +77,7 @@ def level_label(n_db: float) -> str:
 def _levels(n_levels) -> list[float]:
     """The dB levels of the widths, as floats, sorted and without duplicates;
     raises OutOfRange unless each is finite and > 0."""
-    levels = sorted(set(map(float, n_levels)))
-    for n in levels:
-        if not 0.0 < n < math.inf:
-            raise OutOfRange(f"dB levels must be finite and > 0, got {levels}")
-    return levels
+    return sorted({_finite_positive("dB levels", n, OutOfRange) for n in n_levels})
 
 
 # the floor, in units of b_p, and the growth of the distances from b_p
@@ -111,11 +108,10 @@ class FrequencyGrid(_Record):
         # a nan fails every comparison; rising samples below a finite last are finite
         if not ((samples[1:] > samples[:-1]).all() and samples[-1] < math.inf):
             raise ValueError("grid samples must be finite and strictly increasing")
-        if not (0.0 < dense_halfwidth < math.inf and 0.0 < dense_step < math.inf):
-            raise ValueError(f"the window's half-width {dense_halfwidth!r} and step "
-                             f"{dense_step!r} must be finite and > 0")
-        self.__dict__.update(samples=samples, dense_halfwidth=dense_halfwidth,
-                             dense_step=dense_step, tail_max=tail_max, tail_points=tail_points)
+        self.__dict__.update(samples=samples,
+                             dense_halfwidth=_finite_positive("dense_halfwidth", dense_halfwidth),
+                             dense_step=_finite_positive("dense_step", dense_step),
+                             tail_max=tail_max, tail_points=tail_points)
 
     def meta(self) -> dict:
         return {
@@ -203,15 +199,9 @@ class CharacteristicReport(_Record):
                  bw_n_beta: Mapping[float, float], erb_beta: float | None = None,
                  provenance: dict | None = None):
         bw_n_beta = dict(bw_n_beta)
-        scalars = {
-            "beta_peak": beta_peak,
-            "n_beta": n_beta,
-            "phi_accum": phi_accum,
-            "s_beta": s_beta,
-        }
-        for name, value in scalars.items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        scalars = {name: _finite_positive(name, value)
+                   for name, value in zip(self._fields, (beta_peak, n_beta, phi_accum, s_beta))}
+        beta_peak = scalars["beta_peak"]
         levels = sorted(bw_n_beta)
         widths = [bw_n_beta[n] for n in levels]
         if not all(w2 > w1 for w1, w2 in zip([0.0, *widths], widths)):

@@ -6,7 +6,9 @@ parse, 3 infeasible design / domain errors, 4 I/O failures, scipy that
 cannot be imported where a call needs it included (a root solve:
 ``design`` of row II.2 or II.7, ``analyze``, ``evaluate``, ``sweep``;
 ``filter --sos``; reading or writing a WAV file).  Errors print
-one machine-readable JSON object to stderr, without a traceback.
+one machine-readable JSON object to stderr, without a traceback, and the
+warnings the CLI owns (``design.SharpnessWarning``, scipy's
+``WavFileWarning``) one JSON line each before it.
 
 The library returns tables as data; this module writes every CSV and JSON
 table through one writer each, ``_csv`` and ``_dump_json``.  Both write
@@ -30,11 +32,12 @@ import json
 import math
 import struct
 import sys
+import warnings
 
 from . import __version__
 from .design import CharacteristicSpec, DesignRow, design
 from .errors import GefError, OutOfRange
-from .scalar import FilterConstants
+from .scalar import FilterConstants, _finite_positive
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -110,11 +113,9 @@ def _spec_from_flags(args) -> tuple[CharacteristicSpec, float | None]:
     if (args.peak_beta is None) == (args.peak_hz is None):
         raise UsageError("give exactly one of --peak-beta or --peak-hz")
     beta_peak = 1.0 if args.peak_hz is not None else args.peak_beta
-    if beta_peak is None or beta_peak <= 0.0:
-        raise UsageError("peak frequency must be positive")
     f_peak_hz = args.peak_hz
-    if f_peak_hz is not None and not 0.0 < f_peak_hz < math.inf:
-        raise UsageError("--peak-hz must be positive and finite")
+    if f_peak_hz is not None:
+        _finite_positive("--peak-hz", f_peak_hz, UsageError)
 
     values: dict[str, float] = {}
     n_level = None
@@ -180,8 +181,7 @@ def _read_signal(path, rate):
     if not is_wav:
         if rate is None:
             raise UsageError("CSV signal input needs --rate")
-        if not 0.0 < rate < math.inf:
-            raise OutOfRange(f"--rate must be positive and finite, got {rate!r}")
+        _finite_positive("--rate", rate, OutOfRange)
     try:
         return read_wav(path) if is_wav else read_signal_csv(path, rate)
     except (ValueError, struct.error) as exc:
@@ -279,15 +279,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        q_values = [float(v) for v in args.qerb.split(",") if v]
-        n_values = [float(v) for v in args.n.split(",") if v]
-    except ValueError:
-        raise UsageError("--qerb and --n expect comma-separated numbers") from None
+    q_values = [_finite_positive("--qerb", v, UsageError) for v in args.qerb.split(",") if v]
+    n_values = [_finite_positive("--n", v, UsageError) for v in args.n.split(",") if v]
     if not q_values or not n_values:
         raise UsageError("--qerb and --n must be non-empty")
-    if not all(0.0 < value < math.inf for value in q_values + n_values):
-        raise UsageError("--qerb and --n values must be positive and finite")
     from .harness import sweep
 
     result = sweep(q_values, n_values)
@@ -378,8 +373,7 @@ def _cmd_response(args) -> int:
     else:
         if args.peak_hz is None:
             raise UsageError("--constants responses need --peak-hz")
-        if not 0.0 < args.peak_hz < math.inf:
-            raise OutOfRange(f"--peak-hz must be positive and finite, got {args.peak_hz!r}")
+        _finite_positive("--peak-hz", args.peak_hz, OutOfRange)
         theta = _constants_from_args(args)
         log_h = log_response(theta, freqs / args.peak_hz, ("p",))["p"]
         columns = _response_columns(log_h.re, log_h.im, f"the response of {theta}")
@@ -467,7 +461,25 @@ def _error_json(exc: Exception) -> str:
     )
 
 
+# The warning categories the CLI owns, by class name, so that matching scipy's
+# needs no scipy import: run writes each as one JSON line on stderr.
+_JSON_WARNINGS = ("SharpnessWarning", "WavFileWarning")
+
+
 def run(argv=None) -> int:
+    """The CLI on argv: its exit code.  Warnings of _JSON_WARNINGS's categories
+    print as {"warning": {"type", "message"}} lines, the error as one
+    {"error": ...} line after them; other warnings go to warnings.showwarning,
+    so that warning filters still see them."""
+    show = warnings.showwarning
+
+    def show_json(message, category, filename, lineno, file=None, line=None):
+        if category.__name__ not in _JSON_WARNINGS:
+            return show(message, category, filename, lineno, file, line)
+        print(json.dumps({"warning": {"type": category.__name__, "message": str(message)}}),
+              file=sys.stderr)
+
+    warnings.showwarning = show_json
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -482,6 +494,8 @@ def run(argv=None) -> int:
     except (OSError, ImportError) as exc:  # a file, or scipy, that cannot be read
         print(_error_json(exc), file=sys.stderr)
         return EXIT_IO
+    finally:
+        warnings.showwarning = show
 
 
 def main() -> None:

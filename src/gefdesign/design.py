@@ -38,6 +38,7 @@ from .scalar import (
     FilterConstants,
     _Record,
     _brentq,
+    _finite_positive,
     gamma_ratio,
     level_factor,
     sharpness_check,
@@ -158,23 +159,17 @@ class CharacteristicSpec(_Record):
     def __init__(self, row: DesignRow, beta_peak: float, values: Mapping[str, float],
                  n_level: float | None = None, mode: str = "exact"):
         values = dict(values)
-        if not (math.isfinite(beta_peak) and beta_peak > 0.0):
-            raise InfeasibleSpec(f"beta_peak must be > 0, got {beta_peak!r}")
+        beta_peak = _finite_positive("beta_peak", beta_peak, InfeasibleSpec)
         required = row.keys
         if set(values) != set(required):
             raise InfeasibleSpec(
                 f"row {row.value} needs exactly {sorted(required)}, "
                 f"got {sorted(values)}"
             )
-        for key, value in values.items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise InfeasibleSpec(f"{key} must be > 0, got {value!r}")
+        values = {key: _finite_positive(key, value, InfeasibleSpec)
+                  for key, value in values.items()}
         if "q_n" in row.keys:
-            if n_level is None or not (math.isfinite(n_level) and n_level > 0.0):
-                raise InfeasibleSpec(
-                    f"row {row.value} needs a positive finite n_level in dB, "
-                    f"got {n_level!r}"
-                )
+            n_level = _finite_positive("n_level", n_level, InfeasibleSpec)
         elif n_level is not None:
             raise InfeasibleSpec(f"row {row.value} takes no n_level")
         if mode not in ("exact", "approx"):

@@ -25,11 +25,10 @@ import math
 
 import numpy as np
 
-from .biquad import (DigitalFilter, _bandpass_peak, _check_rates, _finite_positive,
-                     filter_json, to_sos)
+from .biquad import DigitalFilter, _bandpass_peak, _check_rates, filter_json, to_sos
 from .core import _maybe_scalar, eval_gef
 from .errors import OutOfRange, SampleRateMismatch
-from .scalar import FilterConstants, _Record, _scipy_extension
+from .scalar import FilterConstants, _finite_positive, _Record, _scipy_extension
 
 
 class SignalBuffer(_Record):

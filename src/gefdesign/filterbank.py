@@ -31,8 +31,8 @@ from .core import (
     log_response,
 )
 from .design import CharacteristicSpec, design
-from .errors import OutOfRange
-from .scalar import _Record, peak_beta
+from .errors import InfeasibleSpec, OutOfRange
+from .scalar import _finite_positive, _Record, peak_beta
 
 
 class MultibandBand(_Record):
@@ -42,13 +42,10 @@ class MultibandBand(_Record):
     _fields = ("f_peak_hz", "spec", "gain")
 
     def __init__(self, f_peak_hz: float, spec: CharacteristicSpec, gain: float = 1.0):
-        if not 0.0 < f_peak_hz < math.inf:
-            raise ValueError(f"f_peak_hz must be finite and > 0, got {f_peak_hz!r}")
+        f_peak_hz = _finite_positive("f_peak_hz", f_peak_hz)
         if abs(spec.beta_peak - 1.0) > 1e-12:
             raise ValueError("band specs must be normalized (beta_peak = 1)")
-        if not 0.0 < gain < math.inf:
-            raise ValueError(f"gain must be finite and > 0, got {gain!r}")
-        self.__dict__.update(f_peak_hz=f_peak_hz, spec=spec, gain=gain)
+        self.__dict__.update(f_peak_hz=f_peak_hz, spec=spec, gain=_finite_positive("gain", gain))
 
 
 class MultibandSpec(_Record):
@@ -124,15 +121,22 @@ def crosstalk_report(spec: MultibandSpec) -> np.ndarray:
 
 
 def multiband_from_dict(data: dict) -> MultibandSpec:
-    bands = tuple(
-        MultibandBand(
-            f_peak_hz=float(entry["f_peak_hz"]),
-            spec=CharacteristicSpec.from_dict(entry["spec"]),
-            gain=float(entry.get("gain", 1.0)),
-        )
-        for entry in data["bands"]
-    )
-    return MultibandSpec(bands=bands)
+    """The spec of a mapping whose "bands" list holds mappings of f_peak_hz,
+    spec and optionally gain; a missing field, or one of the wrong type or
+    value, raises InfeasibleSpec."""
+    try:
+        return MultibandSpec(bands=[
+            MultibandBand(
+                f_peak_hz=entry["f_peak_hz"],
+                spec=CharacteristicSpec.from_dict(entry["spec"]),
+                gain=entry.get("gain", 1.0),
+            )
+            for entry in data["bands"]
+        ])
+    except KeyError as exc:
+        raise InfeasibleSpec(f"multiband spec lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InfeasibleSpec(f"bad multiband spec: {exc}") from None
 
 
 # Points in one block of bank_response_rows: the block's arrays, some

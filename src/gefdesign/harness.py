@@ -7,8 +7,6 @@ Error convention: (desired - achieved) / desired.
 
 from __future__ import annotations
 
-import math
-
 from .core import DB_PER_LOG, TARGETS, log_probe, log_response
 from .characteristics import (
     CharacteristicReport,
@@ -20,7 +18,7 @@ from .characteristics import (
 )
 from .design import CharacteristicSpec, DesignRow, design
 from .errors import GefError, OutOfRange
-from .scalar import _Record
+from .scalar import _finite_positive, _Record
 
 RATIO_KEYS = (
     ("q_erb_over_n", "q_erb", "n_beta"),
@@ -101,14 +99,10 @@ def sweep(q_erb_values, n_values) -> SweepResult:
     Each cell designs through the exact delay+Q_erb solve and extracts from
     the full filter.  Cells whose implicit solve has no solution inside the
     exponent bracket are recorded as None, never as zero.  Raises OutOfRange
-    when an axis value is not positive and finite.
+    when an axis value is not finite and > 0.
     """
-    q_axis = tuple(float(q) for q in q_erb_values)
-    n_axis = tuple(float(n) for n in n_values)
-    if not all(0.0 < value < math.inf for value in q_axis + n_axis):
-        raise OutOfRange(
-            f"sweep axes must be positive and finite, got Q_erb {q_axis} and N {n_axis}"
-        )
+    q_axis = tuple(_finite_positive("Q_erb", q, OutOfRange) for q in q_erb_values)
+    n_axis = tuple(_finite_positive("N", n, OutOfRange) for n in n_values)
 
     cells: dict[tuple[int, int], dict] = {}
     keys: set[str] = set()

@@ -16,6 +16,10 @@ loaded from its file under its own name on the first solve by
 ``_scipy_extension``, which imports neither numpy nor the ``scipy`` package;
 ``digital`` loads scipy's compiled cascade loop and its WAV module,
 ``scipy.io.wavfile``, through it too.
+
+``_finite_positive`` is the one check of a float field that must be finite
+and > 0: every record and entry point calls it with the exception class it
+refuses with.
 """
 
 from __future__ import annotations
@@ -39,6 +43,17 @@ SQRT_PI = math.sqrt(math.pi)
 # empirical power-law fit constants for Q_erb, valid for b_u >= 3/2
 QERB_FIT_A = 0.418
 QERB_FIT_B = 1.02
+
+
+def _finite_positive(name: str, value, error=ValueError) -> float:
+    """value as a float; raises error unless it is one, finite and > 0."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not 0.0 < number < math.inf:
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+    return number
 
 
 class _Record:
@@ -100,12 +115,7 @@ class FilterConstants(_Record):
     def __init__(self, a_p: float, b_p: float, b_u: float, gain: float = 1.0):
         fields = self.__dict__
         for name, value in zip(self._fields, (a_p, b_p, b_u, gain)):
-            value = float(value)
-            if not math.isfinite(value) or value <= 0.0:
-                raise NonPositiveConstant(
-                    f"{name} must be finite and > 0, got {value!r}"
-                )
-            fields[name] = value
+            fields[name] = _finite_positive(name, value, NonPositiveConstant)
 
     @property
     def pole(self) -> complex:

@@ -71,13 +71,20 @@ def error_type(capsys):
 
 def run_captured(argv):
     """run(argv) with stdout and stderr captured: the exit code, stdout, and
-    the JSON error lines on stderr."""
+    the JSON error objects on stderr; every stderr line must parse as JSON."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    errors = [json.loads(line) for line in err.getvalue().splitlines()
-              if line.startswith('{"error"')]
-    return code, out.getvalue(), errors
+    lines = [json.loads(line) for line in err.getvalue().splitlines()]
+    return code, out.getvalue(), [line for line in lines if "error" in line]
+
+
+def run_process(argv, cwd):
+    """`python -m gefdesign.cli *argv` in a fresh interpreter, in cwd."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gefdesign.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def extract_numeric_p(theta):
@@ -168,6 +175,17 @@ class TestDesignCommand:
         assert doc["constants"]["b_p"] == 1.0
         assert doc["constants"]["b_u"] == pytest.approx(6.0, rel=1e-9)
         assert doc["spec"]["row"] == "II.1"
+
+    def test_non_sharp_design_warns_in_one_json_line(self, tmp_path):
+        # the warning once printed as text with cli.py's path and line, and
+        # the source line after it
+        proc = run_process(["design", "--peak-beta", "1", "--qerb", "2", "--gdelay-cycles", "1"],
+                           tmp_path)
+        assert proc.returncode == 0
+        [line] = proc.stderr.splitlines()
+        warning = json.loads(line)["warning"]
+        assert warning["type"] == "SharpnessWarning"
+        assert warning["message"].startswith("designed a_p = 0.31831 is not sharp")
 
     def test_qn_flag_parsing(self, capsys):
         rc = run(["design", "--peak-beta", "1", "--qn", "10:14.620769527557067",
@@ -277,6 +295,13 @@ class TestAnalyzeCommand:
         assert run(["analyze", "--constants", "/nonexistent/c.json"]) == 4
 
 
+# a WAV file with no data chunk, on which scipy.io.wavfile.read warns that it
+# skips the chunk "dat_", then raises UnboundLocalError
+NO_DATA_WAV = (b"RIFF" + struct.pack("<I", 48) + b"WAVEfmt "
+               + struct.pack("<IHHIIHH", 16, 3, 1, 48000, 192000, 4, 32)
+               + b"dat_" + struct.pack("<I", 12) + bytes(12))
+
+
 class TestBadInputFiles:
     @pytest.mark.parametrize("text", [
         '{"beta_peak": 1}',
@@ -310,10 +335,7 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("name, content, argv", [
         ("bad.csv", b"0.5\nnot a number\n0.25\n", ["--rate", "48000"]),
         ("bad.wav", b"RIFF\0\0", []),
-        # no data chunk, on which scipy.io.wavfile.read raises UnboundLocalError
-        ("nodata.wav", b"RIFF" + struct.pack("<I", 48) + b"WAVEfmt "
-         + struct.pack("<IHHIIHH", 16, 3, 1, 48000, 192000, 4, 32)
-         + b"dat_" + struct.pack("<I", 12) + bytes(12), []),
+        ("nodata.wav", NO_DATA_WAV, []),
     ])
     def test_damaged_signal_exits_2(self, tmp_path, sos_file, name, content, argv):
         infile = tmp_path / name
@@ -326,6 +348,35 @@ class TestBadInputFiles:
         assert [error["error"]["type"] for error in errors] == ["UsageError"]
         assert str(infile) in errors[0]["error"]["message"]
         assert not outfile.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["design", "--peak-beta", "1", "--gdelay-cycles", "12.5"], 2),
+        (["design", "--peak-beta", "1", "--gdelay-cycles", "12.5", "--qn", "ten"], 2),
+        # Q_erb / N above its reachable maximum of about 2.1
+        (["design", "--peak-beta", "1", "--gdelay-cycles", "12.5", "--qerb", "37.5"], 3),
+        (["discretize", "--constants", "nonint.json", "--peak-hz", "1000", "--fs", "48000"], 3),
+    ])
+    def test_refusal_is_the_one_stderr_line(self, tmp_path, capsys, monkeypatch, argv, code):
+        # the benchmark's refusals, each read as exactly one line of stderr
+        (tmp_path / "nonint.json").write_text(json.dumps(
+            {"constants": {"a_p": 0.03, "b_p": 1.0, "b_u": 6.5}}))
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert run(argv) == code
+        [line] = capsys.readouterr().err.splitlines()
+        assert list(json.loads(line)) == ["error"]
+
+    def test_wav_warning_is_a_json_line(self, tmp_path, sos_file):
+        # scipy's WavFileWarning once printed as two text lines, its source
+        # line included, before the JSON error
+        (tmp_path / "nodata.wav").write_bytes(NO_DATA_WAV)
+        proc = run_process(["filter", "--sos", str(sos_file), "nodata.wav", "out.wav"], tmp_path)
+        assert proc.returncode == 2
+        lines = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert [list(line) for line in lines] == [["warning"], ["error"]]
+        assert lines[0]["warning"]["type"] == "WavFileWarning"
+        assert "not understood, skipping it" in lines[0]["warning"]["message"]
 
     @pytest.mark.parametrize("argv", [
         ["analyze"],
@@ -1762,7 +1813,8 @@ class TestCliProperties:
 
     def test_damaged_wav_headers(self, workdir, sources):
         # the first 400 bytes of a 1 s clip: cut to under 120 bytes, 1-3 bytes
-        # flipped, or 4 bytes overwritten in the header
+        # flipped, or 4 bytes overwritten in the header; run_captured parses
+        # every stderr line as JSON, scipy's warnings included
         rng = np.random.default_rng(35)
         clip = workdir / "clip_1s.wav"
         write_wav(clip, SignalBuffer(48000.0, rng.standard_normal(48000)))

@@ -30,7 +30,7 @@ from gefdesign import (
 from gefdesign import filterbank
 from gefdesign.characteristics import FrequencyGrid, default_grid
 from gefdesign.core import DB_PER_LOG
-from gefdesign.errors import OutOfRange
+from gefdesign.errors import InfeasibleSpec, OutOfRange
 from gefdesign.filterbank import (
     BankChannel,
     bank_response_rows,
@@ -490,6 +490,17 @@ class TestMultiband:
             for band in spec.bands
         ]}
         assert multiband_from_dict(json.loads(json.dumps(data))) == spec
+
+    @pytest.mark.parametrize("data, message", [
+        ({}, "lacks the field 'bands'"),  # a bare KeyError once
+        ({"bands": [1]}, "not subscriptable"),  # a bare TypeError once
+        ({"bands": [{"f_peak_hz": "abc",  # a bare ValueError once
+                     "spec": {"row": "II.1", "beta_peak": 1, "n_cycles": 19.1, "phi_accum": 3}}]},
+         "f_peak_hz must be finite and > 0"),
+    ])
+    def test_bad_multiband_document_is_infeasible(self, data, message):
+        with pytest.raises(InfeasibleSpec, match=message):
+            multiband_from_dict(data)
 
 
 class TestCrosstalk:

@@ -1,6 +1,8 @@
 """The frozen value classes: repr, equality, hashing, immutability and
-construction, the same for each of them."""
+construction, the same for each of them; and the one finite-positive check
+behind their float fields, the functions' arguments and the CLI's flags."""
 
+import json
 import math
 
 import numpy as np
@@ -21,8 +23,13 @@ from gefdesign import (
     SharpnessReport,
     SignalBuffer,
     SweepResult,
+    apply_fft,
+    closed_form,
+    sweep,
+    to_sos,
 )
-from gefdesign.errors import NonPositiveConstant
+from gefdesign.cli import run
+from gefdesign.errors import InfeasibleSpec, NonPositiveConstant, OutOfRange
 
 THETA = FilterConstants(0.05, 1.0, 6.0)
 SPEC = CharacteristicSpec(DesignRow.PEAK_QERB_PHASE, 1.0, {"q_erb": 25.9, "phi_accum": 3.0})
@@ -173,3 +180,130 @@ def test_flat_map_is_built_once_on_a_frozen_report():
     assert report.characteristics() is report.characteristics()
     assert report.as_dict() is not report.as_dict()
     assert repr(report) == RECORDS["CharacteristicReport"][3]
+
+
+# what a finite-positive field refuses, and two spellings of 2.5 it takes
+NOT_FINITE_POSITIVE = [0, -0.0, -1, math.nan, math.inf, -math.inf, None, "abc", [1.0]]
+TAKEN_AS_2_5 = ["2.5", np.float64(2.5)]
+
+
+def _record_field(name, field):
+    """The RECORDS build of name with field set to a value, and its reader."""
+    cls, pairs, _, _ = RECORDS[name]
+    return (lambda value: cls(**{**dict(pairs), field: value}),
+            lambda record: getattr(record, field))
+
+
+# "Record.field": how to build the record with that field, how to read it
+# back, and the exception its check raises
+GUARDED_FIELDS = {
+    f"{name}.{field}": (*_record_field(name, field), error)
+    for name, fields, error in [
+        ("FilterConstants", ("a_p", "b_p", "b_u", "gain"), NonPositiveConstant),
+        ("CharacteristicSpec", ("beta_peak",), InfeasibleSpec),
+        ("CharacteristicReport", ("beta_peak", "n_beta", "phi_accum", "s_beta"), ValueError),
+        ("FrequencyGrid", ("dense_halfwidth", "dense_step"), ValueError),
+        ("CfMap", ("cf0", "l"), OutOfRange),
+        ("BankChannel", ("f_peak", "gain"), OutOfRange),
+        ("MultibandBand", ("f_peak_hz", "gain"), ValueError),
+        ("DigitalFilter", ("sample_rate", "gain"), ValueError),
+        ("SignalBuffer", ("sample_rate",), ValueError),
+    ]
+    for field in fields
+}
+GUARDED_FIELDS["CharacteristicSpec.values"] = (
+    lambda value: CharacteristicSpec(DesignRow.PEAK_QERB_PHASE, 1.0,
+                                     {"q_erb": value, "phi_accum": 3.0}),
+    lambda spec: spec.values["q_erb"], InfeasibleSpec)
+GUARDED_FIELDS["CharacteristicSpec.n_level"] = (
+    lambda value: CharacteristicSpec(DesignRow.PEAK_QN_PHASE, 1.0,
+                                     {"q_n": 14.6, "phi_accum": 3.0}, value),
+    lambda spec: spec.n_level, InfeasibleSpec)
+
+# "function argument": a call with that argument, and the exception it raises
+GUARDED_ARGUMENTS = {
+    "closed_form n_levels": (lambda value: closed_form(THETA, [3.0, value]), OutOfRange),
+    "to_sos f_peak": (lambda value: to_sos(THETA, value, 48000.0), OutOfRange),
+    "apply_fft f_peak": (
+        lambda value: apply_fft(THETA, value, 48000.0, SignalBuffer(48000.0, SIGNAL)),
+        OutOfRange),
+    "sweep q_erb_values": (lambda value: sweep([value], [5.0]), OutOfRange),
+    "sweep n_values": (lambda value: sweep([10.0], [value]), OutOfRange),
+}
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_POSITIVE, ids=repr)
+@pytest.mark.parametrize("guard", GUARDED_FIELDS)
+def test_field_refuses_what_is_not_finite_and_positive(guard, value):
+    build, _, error = GUARDED_FIELDS[guard]
+    with pytest.raises(error, match="must be finite and > 0, got"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", TAKEN_AS_2_5, ids=repr)
+@pytest.mark.parametrize("guard", GUARDED_FIELDS)
+def test_field_stores_a_number_as_a_float(guard, value):
+    build, read, _ = GUARDED_FIELDS[guard]
+    stored = read(build(value))
+    assert type(stored) is float and stored == 2.5
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_POSITIVE, ids=repr)
+@pytest.mark.parametrize("guard", GUARDED_ARGUMENTS)
+def test_argument_refuses_what_is_not_finite_and_positive(guard, value):
+    call, error = GUARDED_ARGUMENTS[guard]
+    with pytest.raises(error, match="must be finite and > 0, got"):
+        call(value)
+
+
+def test_levels_are_taken_as_floats():
+    levels = list(closed_form(THETA, ["2.5", np.float64(3.0)]).bw_n_beta)
+    assert levels == [2.5, 3.0] and all(type(n) is float for n in levels)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: CfMap("x", 1, 1), OutOfRange),
+    (lambda: BankChannel(0, "x", THETA), OutOfRange),
+    (lambda: MultibandBand("x", SPEC), ValueError),
+    (lambda: CharacteristicSpec(DesignRow.PEAK_QERB_PHASE, None,
+                                {"q_erb": 25.9, "phi_accum": 3.0}), InfeasibleSpec),
+    (lambda: CharacteristicSpec(DesignRow.PEAK_QERB_PHASE, 1.0,
+                                {"q_erb": None, "phi_accum": 3.0}), InfeasibleSpec),
+    (lambda: FilterConstants("x", 1, 1), NonPositiveConstant),
+])
+def test_non_numbers_raise_the_class_refusal(build, error):
+    # each once escaped as a bare TypeError, or as a ValueError from float()
+    with pytest.raises(error, match="must be finite and > 0"):
+        build()
+
+
+# CLI flags whose value must be finite and > 0: the argv with the value's
+# place, and the exit code of the check's refusal
+GUARDED_FLAGS = {
+    "design --peak-hz": (["design", "--peak-hz={}", "--gdelay-cycles", "19.1",
+                          "--phase-accum", "3"], 2),
+    "filter --rate": (["filter", "--fft", "--constants", "{c}", "--peak-hz", "1000",
+                       "--rate={}", "in.csv", "out.csv"], 3),
+    "response --peak-hz": (["response", "--constants", "{c}", "--peak-hz={}", "--fmin", "0",
+                            "--fmax", "4000", "--points", "3"], 3),
+    "sweep --qerb": (["sweep", "--qerb={}", "--n", "5"], 2),
+    "sweep --n": (["sweep", "--qerb", "10", "--n={}"], 2),
+}
+
+
+@pytest.mark.parametrize("text", ["0", "-0.0", "-1", "nan", "inf", "-inf", "abc", "[1.0]"])
+@pytest.mark.parametrize("guard", GUARDED_FLAGS)
+def test_flag_refuses_what_is_not_finite_and_positive(tmp_path, capsys, guard, text):
+    constants = tmp_path / "c.json"
+    constants.write_text(json.dumps(THETA.as_dict()))
+    template, code = GUARDED_FLAGS[guard]
+    argv = [arg.replace("{c}", str(constants)).replace("{}", text) for arg in template]
+    is_number = text not in ("abc", "[1.0]")
+    # argparse refuses a float flag's non-number as bad usage first
+    takes_text = guard.startswith("sweep")
+    assert run(argv) == (code if is_number or takes_text else 2)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    if is_number or takes_text:
+        assert message.startswith(f"{guard.split()[1]} must be finite and > 0, got ")
