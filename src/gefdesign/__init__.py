@@ -13,10 +13,13 @@ run on the standard library alone, so designing, discretizing a filter or
 laying out a bank does not import numpy.  The value classes are frozen
 records on one small base, ``scalar._Record``, so importing the package
 loads no introspection modules either (``inspect``, ``ast``, ``dis``).
-``core`` (response evaluation), ``characteristics`` (closed forms and
-numeric extraction), ``digital`` (signal filtering and responses),
-``filterbank`` (bank responses and multiband filters) and ``harness`` need
-numpy.
+``probe`` (the scalar probes of the log response), ``characteristics``
+(closed forms and numeric extraction) and ``harness`` (the audit) run on the
+standard library too, so the audit from the constants does not import numpy.
+``core`` (response evaluation), ``grid`` (the sampled frequency grid and
+response callables), ``digital`` (signal filtering and responses) and
+``filterbank`` (bank responses and multiband filters) need numpy, and so
+does ``harness.response_table``.
 """
 
 import importlib
@@ -29,11 +32,12 @@ __version__ = "0.1.0"
 # the public names each submodule defines
 _EXPORTS = {
     "scalar": ("FilterConstants", "SharpnessReport", "peak_beta", "sharpness_check"),
-    "core": ("LogProbe", "eval_gef", "eval_sharp", "eval_v", "level_db", "log_probe",
-             "log_response", "normalized_to_peak", "phase_rad", "wavenumber"),
-    "characteristics": ("CharacteristicReport", "FrequencyGrid", "closed_form",
-                        "default_grid", "extract_numeric", "qerb_approx",
-                        "relative_errors"),
+    "probe": ("LogProbe", "log_probe"),
+    "core": ("eval_gef", "eval_sharp", "eval_v", "level_db", "log_response",
+             "normalized_to_peak", "phase_rad", "wavenumber"),
+    "characteristics": ("CharacteristicReport", "closed_form", "extract_numeric",
+                        "qerb_approx", "relative_errors"),
+    "grid": ("FrequencyGrid", "default_grid"),
     "design": ("CharacteristicSpec", "DesignRow", "SharpnessWarning"),
     "biquad": ("DigitalFilter", "to_sos"),
     "digital": ("SignalBuffer", "apply_fft", "apply_sos", "digital_response"),

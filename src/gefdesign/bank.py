@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
-from .scalar import FilterConstants, _finite_positive, _Record
+from .scalar import FilterConstants, _as_float, _finite_positive, _Record
 
 
 class CfMap(_Record):
@@ -27,9 +27,9 @@ class CfMap(_Record):
     def __init__(self, cf0: float, l: float, x_max: float):
         cf0 = _finite_positive("cf0", cf0, OutOfRange)
         l = _finite_positive("l", l, OutOfRange)
-        if not 0.0 <= x_max < math.inf:
+        if not 0.0 <= _as_float(x_max) < math.inf:
             raise OutOfRange(f"x_max must be finite and >= 0, got {x_max!r}")
-        self.__dict__.update(cf0=cf0, l=l, x_max=x_max)
+        self.__dict__.update(cf0=cf0, l=l, x_max=float(x_max))
 
 
 def cf_at(cf_map: CfMap, x: float) -> float:

@@ -24,7 +24,7 @@ from .errors import (
     NyquistViolation,
     OutOfRange,
 )
-from .scalar import FilterConstants, _finite_positive, _Record, peak_beta
+from .scalar import FilterConstants, _as_float, _finite_positive, _Record, peak_beta
 
 # The most sections to_sos builds: one per unit of the exponent b_u.
 MAX_SECTIONS = 4096
@@ -163,14 +163,17 @@ def _bilinear_all_pole(c1: float, c0: float, fs: float):
     return (pp / lead, (pp + pp) / lead, pp / lead), tuple(d / lead for d in den)
 
 
-def _check_rates(f_peak: float, fs: float) -> None:
-    """f_peak must be finite and > 0, fs finite, and f_peak below fs/2
+def _check_rates(f_peak: float, fs: float) -> tuple[float, float]:
+    """(f_peak, fs) as floats: f_peak must be finite and > 0, fs finite (a
+    non-number is refused as nan is, with OutOfRange), and f_peak below fs/2
     (which refuses fs <= 0 too)."""
     f_peak = _finite_positive("f_peak", f_peak, OutOfRange)
-    if not math.isfinite(fs):
+    rate = _as_float(fs)
+    if not math.isfinite(rate):
         raise OutOfRange(f"fs must be finite, got {fs!r}")
-    if f_peak >= 0.5 * fs:
-        raise NyquistViolation(f"f_peak = {f_peak:g} Hz >= fs/2 = {0.5 * fs:g} Hz")
+    if f_peak >= 0.5 * rate:
+        raise NyquistViolation(f"f_peak = {f_peak:g} Hz >= fs/2 = {0.5 * rate:g} Hz")
+    return f_peak, rate
 
 
 def _unit_peak_b0(a1: float, a2: float, f_peak: float, fs: float) -> float:
@@ -211,7 +214,7 @@ def to_sos(theta: FilterConstants, f_peak: float, fs: float) -> DigitalFilter:
     float, so the sections depend on a_p / b_p alone over the whole float
     range.
     """
-    _check_rates(f_peak, fs)
+    f_peak, fs = _check_rates(f_peak, fs)
     if not theta.is_integer_exponent:
         raise NonIntegerExponent(
             f"b_u = {theta.b_u:g} is not an integer; use apply_fft instead"

@@ -17,28 +17,25 @@ Two independent routes produce the same characteristic set
   Im L) and never consults the closed forms, so it can serve as an oracle
   for them.
 
-From the constants, ``core.log_probe`` gives the probes over [0, inf): Re L
-and Im L at one float, Re L at an array of nodes at exact offsets from the
-peak, and Im L's exact limits at 0 and inf; no grid is sampled.  A complex
-response callable is probed the same way inside the span of a grid from
-``default_grid``, whose one array call unwraps its phase and brackets its
-level crossings.  ``default_grid`` samples a uniform window of +-4 a_p
-around the peak, then distances from it that grow by GRID_GROWTH = 1.01 a
-sample out to ends in units of b_p, so that it scales with the constants;
-it also serves response tables.  The oracle reads levels from Re L, so a
-filter whose |H| passes the largest float extracts like any other.
+From the constants, ``probe.log_probe`` gives the probes over [0, inf): Re L
+and Im L at one float, the power at the ERB's nodes as offsets from the peak
+in units of a_p, and Im L's exact limits at 0 and inf; no grid is sampled,
+and this module and ``probe`` run on the standard library, so the audit
+loads no numpy.  A complex response callable is probed the same way inside
+the span of a grid from ``grid.default_grid``, whose one array call unwraps
+its phase and brackets its level crossings; ``grid`` imports numpy, and
+``extract_numeric`` imports it for a callable alone.  The oracle reads
+levels from Re L, so a filter whose |H| passes the largest float extracts
+like any other.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import sys
-from typing import Callable, Mapping
+from operator import mul
+from typing import Mapping
 
-import numpy as np
-
-from .core import LogProbe
+from .probe import LogProbe
 from .scalar import (
     CHARACTERISTIC,
     DB_PER_LOG,
@@ -78,106 +75,6 @@ def _levels(n_levels) -> list[float]:
     """The dB levels of the widths, as floats, sorted and without duplicates;
     raises OutOfRange unless each is finite and > 0."""
     return sorted({_finite_positive("dB levels", n, OutOfRange) for n in n_levels})
-
-
-# the floor, in units of b_p, and the growth of the distances from b_p
-GRID_FLOOR = 1e-3
-GRID_GROWTH = 1.01
-
-
-class FrequencyGrid(_Record):
-    """Increasing beta samples: a uniform window of half-width
-    ``dense_halfwidth`` (4 a_p in ``default_grid``) and step ``dense_step``
-    around the peak, and tails out to ``tail_max`` above it and down to the
-    floor below it; ``tail_points`` counts the tail samples, those outside
-    the window.  A quarter of the half-width is the scale a callable is
-    probed by.  Raises ValueError unless the samples are positive, finite
-    and strictly increasing, and the half-width and the step finite and > 0."""
-
-    _fields = ("samples", "dense_halfwidth", "dense_step", "tail_max", "tail_points")
-
-    def __init__(self, samples: np.ndarray, dense_halfwidth: float, dense_step: float,
-                 tail_max: float, tail_points: int):
-        # a read-only copy, so the samples stay those that were checked
-        samples = np.array(samples, dtype=float)
-        samples.flags.writeable = False
-        if samples.ndim != 1 or samples.size < 16:
-            raise ValueError("grid needs a 1-D vector of at least 16 samples")
-        if samples[0] <= 0.0:
-            raise ValueError("grid samples must be positive")
-        # a nan fails every comparison; rising samples below a finite last are finite
-        if not ((samples[1:] > samples[:-1]).all() and samples[-1] < math.inf):
-            raise ValueError("grid samples must be finite and strictly increasing")
-        self.__dict__.update(samples=samples,
-                             dense_halfwidth=_finite_positive("dense_halfwidth", dense_halfwidth),
-                             dense_step=_finite_positive("dense_step", dense_step),
-                             tail_max=tail_max, tail_points=tail_points)
-
-    def meta(self) -> dict:
-        return {
-            "n_samples": int(self.samples.size),
-            "beta_min": float(self.samples[0]),
-            "beta_max": float(self.samples[-1]),
-            "dense_halfwidth": float(self.dense_halfwidth),
-            "dense_step": float(self.dense_step),
-            "tail_max": float(self.tail_max),
-            "tail_points": int(self.tail_points),
-        }
-
-
-def default_grid(theta: FilterConstants, tail_max: float | None = None) -> FrequencyGrid:
-    """The grid of response tables and of a callable's span.
-
-    A uniform window b_p + (a_p / 200) k, k = -800 ... 800, cut at the floor
-    GRID_FLOOR b_p.  Outside it the distances from b_p are 4 a_p
-    GRID_GROWTH**j, j = 1, 2, ..., formed in log space, so that each step is
-    1% of the distance, up to tail_max = b_p + max(8 b_p, 60 a_p) unless
-    given (the largest float where that sum overflows), and down to the
-    floor, where from the first sample whose next step would pass 2% of
-    beta (below about b_p / 3) each step is 2% of beta.  The floor and
-    tail_max are the ends, so the grid scales with the constants.
-    Raises OutOfRange when the floor or the step a_p / 200 underflows to 0,
-    or tail_max is not finite and above the window's top sample.
-    """
-    a, b = theta.a_p, theta.b_p
-    step, floor = a / 200.0, GRID_FLOOR * b
-    if tail_max is None:
-        tail_max = min(b + max(8.0 * b, 60.0 * a), sys.float_info.max)
-    if floor == 0.0:
-        raise OutOfRange(f"the floor {GRID_FLOOR:g} b_p of b_p = {b:g} underflows to 0")
-    if step == 0.0:
-        raise OutOfRange(f"the window step a_p / 200 of a_p = {a:g} underflows to 0")
-    # a sample past the largest float reads inf, above tail_max: the window's
-    # top is refused, a tail sample dropped
-    with np.errstate(over="ignore"):
-        dense = np.arange(-800, 801, dtype=float)  # whole numbers, exact
-        dense *= step
-        dense += b
-        dense = dense[dense > floor]
-        if not dense[-1] < tail_max < math.inf:
-            raise OutOfRange(f"tail_max = {tail_max:g} must be finite and above the window's "
-                             f"top sample {dense[-1]:g}")
-        # the distances run one or two past tail_max above and past b_p below
-        start, log_g = math.log(4.0) + math.log(a), math.log(GRID_GROWTH)
-        count = int((math.log(max(tail_max - b, b)) - start) / log_g) + 2
-        d = np.exp(np.arange(1, count + 1) * log_g + start)
-        high = b + d
-    # the closing 0 is a sample whose step passes 2% of the one before it
-    low = np.concatenate(([dense[0]], b - d[d < b], [0.0]))
-    j = int((low[:-1] - low[1:] > 0.02 * low[:-1]).argmax())
-    n = int(math.log(low[j] / floor) / -math.log(0.98)) + 2
-    low = np.concatenate((low[1:j + 1], low[j] * 0.98 ** np.arange(1, n)))
-    samples = np.concatenate([[floor], low[low > floor][::-1], dense,
-                              high[high < tail_max], [tail_max]])
-    # every sample is finite, so a step is positive exactly where the sample rises
-    rising = samples[1:] > samples[:-1]
-    if not rising.all():
-        samples = samples[np.concatenate([[True], rising])]
-    # the samples increase, so those below and above the window are counted by bisection
-    tail_points = (np.searchsorted(samples, dense[0])
-                   + samples.size - np.searchsorted(samples, dense[-1], side="right"))
-    return FrequencyGrid(samples=samples, dense_halfwidth=4.0 * a, dense_step=step,
-                         tail_max=float(tail_max), tail_points=int(tail_points))
 
 
 class CharacteristicReport(_Record):
@@ -322,7 +219,7 @@ def closed_form(
 # negatives are the other eight, with their weights; and the nodes and weights
 # of the 12-point Gauss-Laguerre rule: numpy.polynomial.legendre.leggauss(16)
 # and numpy.polynomial.laguerre.laggauss(12), written out so that importing
-# this module loads neither numpy.polynomial nor scipy.
+# this module loads neither numpy nor scipy.
 _LEGENDRE_NODES = (
     0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
@@ -342,10 +239,10 @@ _LAGUERRE_WEIGHTS = (
     8.365055856819926e-06, 1.6684938765409212e-07, 1.342391030515004e-09,
     3.0616016350351023e-12, 8.148077467426094e-16,
 )
-_GL_X = np.array([-x for x in _LEGENDRE_NODES[::-1]] + list(_LEGENDRE_NODES))
-_GL_W = np.array(_LEGENDRE_WEIGHTS[::-1] + _LEGENDRE_WEIGHTS)
-_LAG_X = np.array(_LAGUERRE_NODES)
-_LAG_WE = np.array(_LAGUERRE_WEIGHTS) * np.exp(_LAG_X)  # each weight times e**node
+_GL_X = tuple(-x for x in _LEGENDRE_NODES[::-1]) + _LEGENDRE_NODES
+_GL_W = _LEGENDRE_WEIGHTS[::-1] + _LEGENDRE_WEIGHTS
+# each Laguerre weight times e**node
+_LAG_WE = tuple(w * math.exp(x) for x, w in zip(_LAGUERRE_NODES, _LAGUERRE_WEIGHTS))
 # the ERB's panels about the peak, in units of a_p
 _WINDOW_EDGES = (-4.0, -1.0, 0.0, 1.0, 4.0)
 # the upper tail's Legendre panel reaches this many times the peak's distance
@@ -484,10 +381,12 @@ def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, 
     # D = -2 (s0 - s2) / (d0 + d2) over the probed offsets; r = 2 gives (4 D - D') / 3
     d0, d2, s0, s2 = _slopes(re_at, beta, y, 2.0 * step, "Re L")
     e0, e2, t0, t2 = _slopes(re_at, beta, y, 4.0 * step, "Re L")
-    # nan where the spans are nan or round to one width, which no ratio extrapolates
+    # nan where the spans are nan or round to one width, which no ratio extrapolates;
+    # each difference is divided before it is scaled, so S overflows only past
+    # the largest float
     r2 = ((e0 + e2) / (d0 + d2)) ** 2
-    s_beta = DB_PER_LOG * ((2.0 * r2) * (s0 - s2) / (d0 + d2)
-                           - 2.0 * (t0 - t2) / (e0 + e2)) / (r2 - 1.0) if r2 > 1.0 else math.nan
+    s_beta = (((s0 - s2) / (d0 + d2) - (t0 - t2) / (e0 + e2) / r2) * (r2 / (r2 - 1.0))
+              * (2.0 * DB_PER_LOG) if r2 > 1.0 else math.nan)
     if not (math.isfinite(s_beta) and s_beta > 0.0):
         raise OutOfRange(
             f"the level's second difference at beta_peak = {beta:g} with step "
@@ -496,7 +395,7 @@ def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, 
     return beta, y, s_beta
 
 
-def _log_panel(d0: float, d1: float):
+def _log_panel(d0: float, d1: float) -> tuple[list, list]:
     """Distances from d0 to d1 and their weights: the 16-point Legendre rule
     in the log of the distance, on as many equal panels as it takes to keep
     each within _LOG_PANEL_SPAN of that log.  A power law whose exponent is
@@ -505,17 +404,16 @@ def _log_panel(d0: float, d1: float):
     t0, t1 = math.log(d0), math.log(d1)
     count = max(1, math.ceil((t1 - t0) / _LOG_PANEL_SPAN))
     half = 0.5 * (t1 - t0) / count
-    if count == 1:
-        d = np.exp(0.5 * (t0 + t1) + half * _GL_X)
-        w = half * _GL_W
-    else:
-        d = np.exp(np.add.outer(t0 + half * np.arange(1, 2 * count, 2), half * _GL_X).ravel())
-        w = np.tile(half * _GL_W, count)
-    w *= d
+    exp, d, w = math.exp, [], []
+    for j in range(1, 2 * count, 2):
+        mid = t0 + half * j
+        nodes = [exp(mid + half * x) for x in _GL_X]
+        d += nodes
+        w += [half * c * t for c, t in zip(_GL_W, nodes)]
     return d, w
 
 
-def _window_panels(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _window_panels(lo: float, hi: float) -> tuple[list, list]:
     """The nodes and weights of the 16-point Legendre rule on the ERB's
     panels about the peak, between _WINDOW_EDGES clipped to [lo, hi], in
     units of the panels' unit (lo < 0 < hi)."""
@@ -523,14 +421,13 @@ def _window_panels(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     x, w = [], []
     for e0, e1 in zip(edges, edges[1:]):
         if e1 > e0:
-            half = 0.5 * (e1 - e0)
-            x.append(0.5 * (e0 + e1) + half * _GL_X)
-            w.append(half * _GL_W)
-    return np.concatenate(x), np.concatenate(w)
+            half, mid = 0.5 * (e1 - e0), 0.5 * (e0 + e1)
+            x += [mid + half * t for t in _GL_X]
+            w += [half * c for c in _GL_W]
+    return x, w
 
 
-# the panels where the span clips none of them, built once: building them
-# per extraction cost about 16 us, a tenth of the audit's time a case
+# the panels where the span clips none of them, built once
 _WINDOW = _window_panels(-math.inf, math.inf)
 
 
@@ -544,18 +441,20 @@ def _decay_rate(re_at, peak: float, re_peak: float, start: float) -> tuple[float
 
 
 def _erb_quadrature(probe: LogProbe, peak: float, re_peak: float,
-                    a: float) -> tuple[float | None, int]:
+                    unit: float) -> tuple[float | None, int]:
     """The ERB, the integral of the power exp(2 (Re L - Re L_peak)) over the
     probe's span, and the number of nodes it took; None where the power's
     tail does not decay and the integral diverges.
 
-    About the peak, 16-point Legendre panels between the offsets 0, +-a and
-    +-4 a, a the panels' unit; past them, 16-point Legendre panels in the
-    log of the distance from the peak (_log_panel): below, down to the
-    span's lower end; above, to its upper end, or where that is infinite,
-    out to _TAIL_REACH times the peak's distance from the lower end.  From
-    there the integrand in that log decays as exp(-rate s), the rate from
-    two probes (_decay_rate).  At a rate of _LAGUERRE_MIN_RATE or more the
+    The nodes and weights are offsets from the peak in units of a_p, the
+    probe's scale.  About the peak, 16-point Legendre panels between the
+    offsets 0, +-unit and +-4 unit (unit is a_p, or less where the caller
+    narrows it); past them, 16-point Legendre panels in the log of the
+    distance from the peak (_log_panel): below, down to the span's lower
+    end; above, to its upper end, or where that is infinite, out to
+    _TAIL_REACH times the peak's distance from the lower end.  From there
+    the integrand in that log decays as exp(-rate s), the rate from two
+    probes (_decay_rate).  At a rate of _LAGUERRE_MIN_RATE or more the
     12-point Laguerre rule takes the rest.  A slower decay departs from the
     exponential by order e**-s over the first units of s, which that rule
     spreads over too few nodes; its nodes may also pass the largest float.
@@ -563,57 +462,60 @@ def _erb_quadrature(probe: LogProbe, peak: float, re_peak: float,
     power is a pure power of the distance to rounding, and the rest is its
     integral in closed form, (distance) (power) / rate, with the rate
     probed there; a rate within its rounding of 0 or below is no decay.
-    Every node is evaluated in one re_near call.  Raises OutOfRange where the
-    reach or a node passes the largest float, the rate is nan, or the sum is
-    not finite and positive."""
-    lo, hi = probe.lo, probe.hi
-    down, up, near = peak - lo, hi - peak, 4.0 * a
-    x, w = _WINDOW if down >= near and up >= near else _window_panels(-down / a, up / a)
-    offsets, weights = [a * x], [a * w]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if down > near:
-            d, w = _log_panel(near, down)
-            offsets.append(-d)
-            weights.append(w)
-        reach = up if up < math.inf else _TAIL_REACH * down
-        if not reach < math.inf:
-            raise OutOfRange(f"the ERB's tail from beta = {peak:g} passes the largest float")
-        if reach > near:
-            d, w = _log_panel(near, reach)
-            offsets.append(d)
-            weights.append(w)
-            near = reach
-        if up == math.inf:
-            rate = _decay_rate(probe.re_at, peak, re_peak, near)[0]
-            if rate >= _LAGUERRE_MIN_RATE:
-                d = near * np.exp(_LAG_X / rate)
-                if not d[-1] < math.inf:
-                    raise OutOfRange(f"the ERB's tail at decay rate {rate:g} passes the "
-                                     "largest float")
-                offsets.append(d)
-                weights.append(_LAG_WE / rate * d)
-            else:
-                far = near * math.exp(_FAR_SPAN)
-                if not far * math.exp(3.0) < math.inf:
-                    raise OutOfRange(f"the ERB's tail from beta = {peak:g} passes the "
-                                     "largest float")
-                rate, rounding = _decay_rate(probe.re_at, peak, re_peak, far)
-                if not rate > rounding:
-                    if rate <= rounding:
-                        return None, 0
-                    raise OutOfRange(f"the power's decay past beta = {peak + far:g} is {rate}")
-                d, w = _log_panel(near, far)
-                offsets += [d, np.array([far])]
-                weights += [w, np.array([far / rate])]
-        offsets, weights = np.concatenate(offsets), np.concatenate(weights)
-        power = probe.re_near(peak, offsets)
-        power -= re_peak
-        power *= 2.0
-        np.exp(power, out=power)
-        erb = float(np.dot(weights, power))
+    Every node goes through one call of the probe's node pass, and the sum
+    of the weighted powers is multiplied by a_p once.  Raises OutOfRange
+    where the reach or a node passes the largest float, the rate is nan, the
+    power at a node passes the largest float, or the sum is not finite and
+    positive."""
+    a = probe.scale
+    down, up = (peak - probe.lo) / a, (probe.hi - peak) / a
+    k = unit / a
+    near = 4.0 * k
+    x, w = _WINDOW if down >= near and up >= near else _window_panels(-down / k, up / k)
+    x, w = ([k * t for t in x], [k * c for c in w]) if unit < a else (list(x), list(w))
+    if down > near:
+        d, dw = _log_panel(near, down)
+        x += [-t for t in d]
+        w += dw
+    reach = up if up < math.inf else _TAIL_REACH * down
+    if not reach < math.inf:
+        raise OutOfRange(f"the ERB's tail from beta = {peak:g} passes the largest float")
+    if reach > near:
+        d, dw = _log_panel(near, reach)
+        x += d
+        w += dw
+        near = reach
+    if up == math.inf:
+        rate = _decay_rate(probe.re_at, peak, re_peak, a * near)[0]
+        if rate >= _LAGUERRE_MIN_RATE:
+            d = [near * math.exp(t / rate) for t in _LAGUERRE_NODES]
+            if not d[-1] < math.inf:
+                raise OutOfRange(f"the ERB's tail at decay rate {rate:g} passes the "
+                                 "largest float")
+            x += d
+            w += [c / rate * t for c, t in zip(_LAG_WE, d)]
+        else:
+            far = near * math.exp(_FAR_SPAN)
+            # the rate is probed at the distance a_p far e**3, and the nodes reach far
+            if not max(a, 1.0) * far * math.exp(3.0) < math.inf:
+                raise OutOfRange(f"the ERB's tail from beta = {peak:g} passes the "
+                                 "largest float")
+            rate, rounding = _decay_rate(probe.re_at, peak, re_peak, a * far)
+            if not rate > rounding:
+                if rate <= rounding:
+                    return None, 0
+                raise OutOfRange(f"the power's decay past beta = {peak + a * far:g} is {rate}")
+            d, dw = _log_panel(near, far)
+            x += d + [far]
+            w += dw + [far / rate]
+    try:
+        power = probe.power(peak, x)
+    except (OverflowError, ZeroDivisionError):
+        raise OutOfRange(f"the power about beta = {peak:g} passes the largest float") from None
+    erb = a * sum(map(mul, w, power))
     if not 0.0 < erb < math.inf:
         raise OutOfRange(f"the quadrature gives an ERB of {erb:g}, not a finite positive value")
-    return erb, int(offsets.size)
+    return erb, len(x)
 
 
 def _max_delay(im_at, beta: float, a: float) -> float:
@@ -657,89 +559,18 @@ def _phase_turn(im_at, lo: float, hi: float) -> float | None:
     return im_at(root)
 
 
-def _complex_log(response: Callable, grid: FrequencyGrid):
-    """The probes of a complex response callable over the grid's span, from
-    log H = log|H| + i unwrap(angle H) (hypot, not abs, at one beta, so a
-    modulus past the largest float reads inf instead of raising, and a zero
-    reads -inf), the brackets of its phase's interior extremes, and its
-    crossings: (target, n_db, up) -> the crossing of the level target
-    nearest the best sample, above it where up is true, below it otherwise.
-
-    The grid serves twice: its ends stand in for 0 and infinity, and its
-    samples' one array call gives the peak's start, the best sample (ties
-    to the smallest beta), the extremes of the unwrapped phase, the turn at
-    the nearest sample that im_at unwraps its angle by, and each crossing's
-    bracket: the first sample past the best one on its side whose level is
-    below the target, and the sample before it, so that a side lobe farther
-    out never hides the nearest crossing.  The scale is a quarter of the
-    window's half-width, a_p on a default_grid.  Raises OutOfRange where
-    log H is not finite on the grid (where |H| passes the largest float,
-    log |H| reads inf), and NoInteriorPeak where the best sample is an end."""
-    betas = grid.samples
-    # a zero, an overflow (of |H| too) or a nan gives a non-finite L, which fails the gate
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = np.asarray(response(betas), dtype=complex)
-        log_mag, phase = np.log(np.abs(values)), np.unwrap(np.angle(values))
-    k_pk, k_min, k_max = int(np.argmax(log_mag)), int(phase.argmin()), int(phase.argmax())
-    # a nan makes its array's extremes nan, and fails every comparison here
-    if not (-math.inf < log_mag.min() and log_mag[k_pk] < math.inf
-            and -math.inf < phase[k_min] and phase[k_max] < math.inf):
-        raise OutOfRange("the log response must be finite on the whole grid")
-    samples, turns = betas.tolist(), phase.tolist()
-    last = len(samples) - 1
-    if k_pk == 0 or k_pk == last:
-        raise NoInteriorPeak(f"magnitude maximum at the grid boundary (beta = {samples[k_pk]:g})")
-
-    def re_at(beta):
-        value = complex(response(beta))
-        modulus = math.hypot(value.real, value.imag)
-        return math.log(modulus) if modulus else -math.inf
-
-    def im_at(beta):
-        k = bisect.bisect(samples, beta)
-        if k > last or (k > 0 and beta - samples[k - 1] <= samples[k] - beta):
-            k -= 1
-        value = complex(response(beta))
-        return turns[k] + math.remainder(math.atan2(value.imag, value.real) - turns[k], TWO_PI)
-
-    def re_near(center, offsets):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.log(np.abs(np.asarray(response(center + offsets), dtype=complex)))
-
-    levels = DB_PER_LOG * log_mag
-    # the levels above the best sample, and those below it from it down
-    high, low = levels[k_pk + 1:], levels[k_pk - 1::-1]
-
-    def crossing(target, n_db, up):
-        side = (high if up else low) < target
-        k = int(side.argmax())
-        if not side[k]:
-            raise LevelNotReached(n_db, "high-frequency" if up else "low-frequency")
-        if up:
-            j = k_pk + 1 + k
-            return _level_crossing(re_at, target, samples[j - 1], samples[j])
-        j = k_pk - 1 - k
-        return _level_crossing(re_at, target, samples[j], samples[j + 1])
-
-    extremes = [(samples[k - 1], samples[k + 1], turns[k]) for k in (k_max, k_min)
-                if 0 < k < last]
-    probe = LogProbe(re_at, im_at, re_near, 0.25 * grid.dense_halfwidth, samples[k_pk],
-                     samples[0], samples[-1])
-    return probe, extremes, crossing
-
-
-def extract_numeric(response, grid: FrequencyGrid | None = None,
+def extract_numeric(response, grid=None,
                     n_levels=DEFAULT_LEVELS_DB) -> CharacteristicReport:
     """Recompute the characteristic set of a response from probes of it.
 
     Parameters
     ----------
-    response : core.LogProbe or callable
+    response : probe.LogProbe or callable
         The probes of a target's log response L = log H over [0, inf) (as
-        ``core.log_probe`` gives them from the constants), or beta -> complex
+        ``probe.log_probe`` gives them from the constants), or beta -> complex
         response H, which must accept both a scalar and an array of betas
         (returning values of the same shape), read over the grid's span.
-    grid : FrequencyGrid
+    grid : grid.FrequencyGrid
         With a callable only: its span, and its samples for the one array
         call that unwraps the phase (see _complex_log).
     n_levels : iterable of float
@@ -787,6 +618,8 @@ def extract_numeric(response, grid: FrequencyGrid | None = None,
     else:
         if grid is None:
             raise ValueError("a response callable is read over a grid; give one")
+        from .grid import _complex_log
+
         probe, extremes, sampled_crossing = _complex_log(response, grid)
         start = probe.start
     re_at, im_at, a, lo, hi = probe.re_at, probe.im_at, probe.scale, probe.lo, probe.hi

@@ -21,8 +21,10 @@ L = log H: level (20/ln 10) Re L, -inf only at a zero on the unit circle,
 and phase Im L, continuous from f = 0 (for ``--sos``, its sections' logs).
 
 Each subcommand imports the modules it uses when it runs.  So ``design``,
-``discretize``, ``bank``, ``--version`` and usage errors load no numpy, and
-``design`` and usage errors load neither ``bank`` nor ``biquad``.
+``discretize``, ``bank``, ``analyze``, ``sweep``, ``evaluate`` without
+``--response-out``, ``--version`` and usage errors load no numpy (the audit
+reads its probes on ``math``), and ``design`` and usage errors load neither
+``bank`` nor ``biquad``.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def _cmd_analyze(args) -> int:
     else:
         theta = design(CharacteristicSpec.from_dict(_load_json(args.spec)))
     from .characteristics import closed_form, extract_numeric
-    from .core import log_probe
+    from .probe import log_probe
 
     reports = {
         "closed_form": closed_form(theta),

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfRange
+from .probe import TARGETS, _check_targets, _re_at, log_probe  # noqa: F401 (log_probe re-exported)
 from .scalar import _LOG_FLOAT_MAX, DB_PER_LOG, FilterConstants, peak_beta
 
 
@@ -44,14 +45,13 @@ def _maybe_scalar(values):
     return values
 
 
-def _log_parts(a: float, u: np.ndarray, phase: bool = True):
+def _log_parts(a: float, u: np.ndarray):
     """Real and imaginary parts of log(a + i*u) for a > 0 and an array u of
     one or more dimensions, as new arrays: the imaginary part arctan(u/a) is
-    the continuous angle for any real u, None where phase is false.  The real
-    part is half the log of a*a + u*u, or the log of hypot(a, u) where that
-    sum overflows (a or |u| past about 1e154) or may underflow (a*a below the
-    smallest normal float, a below about 1e-154).  Each chain runs in place
-    in its output array."""
+    the continuous angle for any real u.  The real part is half the log of
+    a*a + u*u, or the log of hypot(a, u) where that sum overflows (a or |u|
+    past about 1e154) or may underflow (a*a below the smallest normal float,
+    a below about 1e-154).  Each chain runs in place in its output array."""
     a2 = a * a
     if a2 < sys.float_info.min:
         re = np.log(np.hypot(a, u))
@@ -62,21 +62,9 @@ def _log_parts(a: float, u: np.ndarray, phase: bool = True):
         re *= 0.5
         if not re.max(initial=-math.inf) < math.inf:  # an overflowed sum, or a nan
             re = np.where(re == math.inf, np.log(np.hypot(a, u)), re)
-    if not phase:
-        return re, None
     im = np.divide(u, a)
     np.arctan(im, out=im)
     return re, im
-
-
-TARGETS = ("p_sharp", "p", "v")
-
-
-def _check_targets(targets) -> None:
-    """Raises ValueError naming TARGETS unless each target is one of them."""
-    unknown = [target for target in targets if target not in TARGETS]
-    if unknown:
-        raise ValueError(f"unknown targets {unknown}: each must be one of {TARGETS}")
 
 
 class LogResponse(NamedTuple):
@@ -107,144 +95,29 @@ def log_response(theta: FilterConstants, beta, targets=TARGETS) -> dict:
     _check_targets(targets)
     betas = np.asarray(beta, dtype=float)
     x = np.atleast_1d(betas)  # a 0-d beta as one element, so the parts run in place
-    parts = _log_parts_of(theta, x, x - theta.b_p, targets)
-    shape = betas.shape
-    return {target: LogResponse(betas, *(part.reshape(shape) for part in parts[target]))
-            for target in targets}
-
-
-def _log_parts_of(theta: FilterConstants, x: np.ndarray, u: np.ndarray, targets,
-                  phase: bool = True) -> dict:
-    """{target: (Re L, Im L)} at the betas x, given u = x - b_p, as new
-    arrays (see log_response); Im L is None where phase is false."""
     b_u = theta.b_u
     parts = {}
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p_re, p_im = _log_parts(theta.a_p, u, phase)
+        re, im = _log_parts(theta.a_p, x - theta.b_p)
         if "p_sharp" in targets:
-            parts["p_sharp"] = (np.multiply(p_re, -b_u),
-                                np.multiply(p_im, -b_u) if phase else None)
+            parts["p_sharp"] = (np.multiply(re, -b_u), np.multiply(im, -b_u))
         if "p" in targets or "v" in targets:
             # from here on the pole parts are overwritten with the sums
-            re, im = p_re, p_im
-            c_re, c_im = _log_parts(theta.a_p, x + theta.b_p, phase)
+            c_re, c_im = _log_parts(theta.a_p, x + theta.b_p)
             re += c_re
             re *= -b_u
-            if phase:
-                im += c_im
-                im *= -b_u
+            im += c_im
+            im *= -b_u
             if "v" in targets:
-                z_re, z_im = _log_parts(theta.a_p, x, phase)
+                z_re, z_im = _log_parts(theta.a_p, x)
                 z_re += re
-                if phase:
-                    z_im += im
+                z_im += im
                 parts["v"] = (z_re, z_im)
             re += math.log(theta.gain)
             parts["p"] = (re, im)
-    return parts
-
-
-def _re_near(theta: FilterConstants, target: str) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Re L of one target at center + offsets, for a float center and an
-    array of offsets, as a new array: the pass of log_response, with each
-    distance to b_p taken as offsets + (center - b_p).  That difference is
-    exact for a center within a factor 2 of b_p, so a distance keeps its
-    relative accuracy where the floats near b_p are coarse against a_p, as
-    the sum center + offsets would not (at a_p / b_p = 1e-6 it rounds to
-    1e-10 of a_p, at 1e-12 to 1e-4)."""
-    b = theta.b_p
-    targets = (target,)
-
-    def re_near(center, offsets):
-        u = offsets + (center - b)
-        return _log_parts_of(theta, u + b, u, targets, False)[target][0]
-
-    return re_near
-
-
-def _re_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
-    """Re L of one target (see log_response) at one float beta, on math and
-    in the operations of the array path, as a function bound once to the
-    constants: a*a, the test of it against the smallest normal float and
-    log C are taken here, not at each call.  Each log modulus of a factor
-    a + i u is 0.5 log(a*a + u*u), or log hypot(a, u) where that sum is at
-    or past ``limit``, written out in the function so that a call is one
-    frame.  It takes no exp, so it neither overflows nor underflows where
-    the response does."""
-    a, b, b_u = theta.a_p, theta.b_p, theta.b_u
-    a2 = a * a
-    # a sum a*a + u*u at or past this takes hypot: every sum where a*a is
-    # below the normal floats, or else an overflowed one
-    limit = math.inf if a2 >= sys.float_info.min else 0.0
-    log_gain = math.log(theta.gain)
-    log, hypot = math.log, math.hypot
-
-    if target == "p_sharp":
-        def re_at(beta):
-            u = beta - b
-            s = a2 + u * u
-            return -b_u * (0.5 * log(s) if s < limit else log(hypot(a, u)))
-    elif target == "p":
-        def re_at(beta):
-            u, w = beta - b, beta + b
-            s, t = a2 + u * u, a2 + w * w
-            return -b_u * ((0.5 * log(s) if s < limit else log(hypot(a, u)))
-                           + (0.5 * log(t) if t < limit else log(hypot(a, w)))) + log_gain
-    else:
-        def re_at(beta):
-            u, w = beta - b, beta + b
-            s, t, z = a2 + u * u, a2 + w * w, a2 + beta * beta
-            return (-b_u * ((0.5 * log(s) if s < limit else log(hypot(a, u)))
-                            + (0.5 * log(t) if t < limit else log(hypot(a, w))))
-                    + (0.5 * log(z) if z < limit else log(hypot(a, beta))))
-    return re_at
-
-
-def _im_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
-    """Im L of one target (see log_response) at one float beta, on math and
-    in the operations of the array path, as a function bound once to the
-    constants, in one frame a call, as _re_at.  Each factor a + i u gives
-    atan(u / a), which math.atan takes to pi/2 at u = inf, so the function
-    at beta = inf is the limit of Im L there."""
-    a, b, b_u = theta.a_p, theta.b_p, theta.b_u
-    atan = math.atan
-
-    if target == "p_sharp":
-        def im_at(beta):
-            return atan((beta - b) / a) * -b_u
-    elif target == "p":
-        def im_at(beta):
-            return (atan((beta - b) / a) + atan((beta + b) / a)) * -b_u
-    else:
-        def im_at(beta):
-            return atan(beta / a) + (atan((beta - b) / a) + atan((beta + b) / a)) * -b_u
-    return im_at
-
-
-class LogProbe(NamedTuple):
-    """The log response L = log H of one target as extract_numeric reads it:
-    ``re_at`` and ``im_at``, Re L and Im L at one float beta; ``re_near``,
-    Re L at a float center plus an array of offsets; ``scale`` and
-    ``start``, the width (a_p) and the guess of the peak (b_p) the probes are
-    placed by; and the span [``lo``, ``hi``] the characteristics are read
-    over, at whose ends im_at gives the limits of Im L."""
-
-    re_at: Callable[[float], float]
-    im_at: Callable[[float], float]
-    re_near: Callable[[float, np.ndarray], np.ndarray]
-    scale: float
-    start: float
-    lo: float = 0.0
-    hi: float = math.inf
-
-
-def log_probe(theta: FilterConstants, target: str) -> LogProbe:
-    """The probes of one target's log response over [0, inf): exact, from
-    the constants, with no sampled grid.  A target outside TARGETS raises
-    ValueError."""
-    _check_targets((target,))
-    return LogProbe(_re_at(theta, target), _im_at(theta, target), _re_near(theta, target),
-                    theta.a_p, theta.b_p)
+    shape = betas.shape
+    return {target: LogResponse(betas, *(part.reshape(shape) for part in parts[target]))
+            for target in targets}
 
 
 def _evaluate(theta: FilterConstants, beta, target: str):

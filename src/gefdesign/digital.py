@@ -246,7 +246,7 @@ def apply_fft(
     whose output overflows, gives samples that are not finite, without a
     warning; callers check for that.
     """
-    _check_rates(f_peak, fs)
+    f_peak, fs = _check_rates(f_peak, fs)
     if signal.sample_rate != fs:
         raise SampleRateMismatch(
             f"signal at {signal.sample_rate:g} Hz, requested fs = {fs:g} Hz"

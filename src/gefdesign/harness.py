@@ -3,22 +3,25 @@ numerically from the full filter, its sharp form, and the single-zero
 variant, and report signed relative errors per characteristic.
 
 Error convention: (desired - achieved) / desired.
+
+The audit reads each target through the scalar probes of ``probe``, so
+``evaluate_case``, ``sweep`` and ``figure_report`` load no numpy;
+``response_table`` imports ``core`` and ``grid``, which do, when it runs.
 """
 
 from __future__ import annotations
 
-from .core import DB_PER_LOG, TARGETS, log_probe, log_response
 from .characteristics import (
     CharacteristicReport,
     _flat_errors,
     closed_form,
-    default_grid,
     extract_numeric,
     relative_errors,
 )
 from .design import CharacteristicSpec, DesignRow, design
 from .errors import GefError, OutOfRange
-from .scalar import _finite_positive, _Record
+from .probe import TARGETS, log_probe
+from .scalar import DB_PER_LOG, _finite_positive, _Record
 
 RATIO_KEYS = (
     ("q_erb_over_n", "q_erb", "n_beta"),
@@ -61,7 +64,9 @@ class SweepResult(_Record):
 def _designed(spec: CharacteristicSpec):
     """The constants designed from spec.  Every design here goes through this
     one call, so a spec's SharpnessWarning is shown once per process however
-    many tables are built from it."""
+    many tables are built from it, while the warning filters stay as they
+    are: a change of them, as importing numpy makes, clears the registry
+    that holds it back."""
     return design(spec)
 
 
@@ -174,7 +179,12 @@ def response_table(spec: CharacteristicSpec) -> dict:
     GRID_FLOOR b_p to b_p + max(8 b_p, 60 a_p)) from their log responses L,
     DB_PER_LOG * Re L less its maximum (finite where |H| underflows or
     overflows) and Im L less its value at beta = 0."""
+    # designed before numpy is imported (see _designed), so that a
+    # SharpnessWarning that figure_report showed for spec is not shown again
     theta = _designed(spec)
+    from .core import log_response
+    from .grid import default_grid
+
     grid = default_grid(theta)
     columns = {"beta": grid.samples}
     at_zero = log_response(theta, 0.0)

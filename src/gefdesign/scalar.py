@@ -19,7 +19,10 @@ loaded from its file under its own name on the first solve by
 
 ``_finite_positive`` is the one check of a float field that must be finite
 and > 0: every record and entry point calls it with the exception class it
-refuses with.
+refuses with.  A field with another rule reads its value through
+``_as_float``, so a non-number meets that rule's refusal, not a TypeError.
+The scalar probes of the log response that the audit reads are in
+``probe``, which ``design`` does not import.
 """
 
 from __future__ import annotations
@@ -45,12 +48,18 @@ QERB_FIT_A = 0.418
 QERB_FIT_B = 1.02
 
 
+def _as_float(value) -> float:
+    """value as a float, nan where it is not a number, so that a range check
+    on it refuses a non-number as it refuses nan."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _finite_positive(name: str, value, error=ValueError) -> float:
     """value as a float; raises error unless it is one, finite and > 0."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
+    number = _as_float(value)
     if not 0.0 < number < math.inf:
         raise error(f"{name} must be finite and > 0, got {value!r}")
     return number

@@ -289,7 +289,7 @@ def test_criterion_9_discretization():
     assert abs(peak_bin_freq - f_peak) <= fs / nfft
 
     base_grid = default_grid(CASE1)
-    from gefdesign.characteristics import FrequencyGrid
+    from gefdesign import FrequencyGrid
 
     hz_grid = FrequencyGrid(
         samples=base_grid.samples * f_peak,

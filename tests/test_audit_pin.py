@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from gefdesign import CharacteristicSpec, FilterConstants, evaluate_case, sweep
-from gefdesign.characteristics import default_grid
+from gefdesign.grid import default_grid
 from gefdesign.core import TARGETS, _re_at, _unit_peak_gain, log_response
 from gefdesign.design import DesignRow, design
 from gefdesign.scalar import CHARACTERISTIC

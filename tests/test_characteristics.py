@@ -23,10 +23,9 @@ from gefdesign import (
     relative_errors,
 )
 from gefdesign import characteristics, core
+from gefdesign import grid as grid_module
+from gefdesign import probe as probe_module
 from gefdesign.characteristics import (
-    GRID_FLOOR,
-    GRID_GROWTH,
-    FrequencyGrid,
     _level_crossing,
     _peak_and_convexity,
     erb_closed_form,
@@ -40,7 +39,8 @@ from gefdesign.errors import (
     NoInteriorPeak,
     OutOfRange,
 )
-from gefdesign.core import log_probe
+from gefdesign.grid import GRID_FLOOR, GRID_GROWTH, FrequencyGrid
+from gefdesign.probe import TARGETS, LogProbe, log_probe
 from gefdesign.scalar import DB_PER_LOG, TWO_PI
 
 import reference
@@ -345,7 +345,7 @@ class TestExtractNumeric:
             u = beta - 1.0
             return -u * u if abs(u) < 0.1 else -30.0 / DB_PER_LOG
 
-        probe = core.LogProbe(re_at, re_at, None, 0.05, 1.0)
+        probe = LogProbe(re_at, re_at, None, 0.05, 1.0)
         with pytest.raises(OutOfRange, match="10 dB crossings .* give no width above"):
             extract_numeric(probe)
 
@@ -614,6 +614,19 @@ class TestScaleFree:
         assert worst["bw"] <= 1.0, worst
 
 
+    # S = 9.69e307, within 2x of the largest float: each difference is divided
+    # before it is scaled by (20 / ln 10) and 2 r**2, which overflowed to inf.
+    # measured: p_sharp 1.29e-8, v 0.98e-8, p 1.71e-8 (the h**4 term)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target, bound", [("p_sharp", 1.6e-8), ("p", 3e-8), ("v", 3e-8)])
+    def test_s_next_to_the_largest_float(self, target, bound):
+        theta = FilterConstants(9.888505840825821e-154, 1.111940694408765e-148, 10.91278525109475)
+        want = closed_form(theta).s_beta
+        assert want > 0.5 * sys.float_info.max
+        got = extract_numeric(log_probe(theta, target)).s_beta
+        assert got == pytest.approx(want, rel=bound, abs=0.0)
+
+
 class TestCallableAdapter:
     """A response callable on its grid against the probes of the same
     constants: the peak, the widths, N and S read one response either way, to
@@ -831,7 +844,9 @@ class TestCrossingSearch:
             brackets.append((a, b))
             return _level_crossing(re_at, target, a, b, *gaps)
 
-        monkeypatch.setattr(characteristics, "_level_crossing", recording)
+        # a LogProbe's crossings are found in characteristics, a callable's in grid
+        for module in (characteristics, grid_module):
+            monkeypatch.setattr(module, "_level_crossing", recording)
         return brackets
 
     @pytest.mark.parametrize("sign, side", [(1.0, "high-frequency"), (-1.0, "low-frequency")])
@@ -893,7 +908,7 @@ class TestPeakStencil:
         theta = FilterConstants(2e-5, 1e7, 4.0)
         step = default_grid(theta).dense_step
         assert step / 256.0 < 0.5 * math.ulp(1e7) < step / 16.0
-        re_at = core._re_at(theta, "p")
+        re_at = probe_module._re_at(theta, "p")
         start = 1e7 + 40.0 * math.ulp(1e7)
         peak, log_mag, s_beta = _peak_and_convexity(re_at, start, step)
         assert abs(peak - 1e7) <= math.ulp(1e7)
@@ -918,40 +933,40 @@ class TestPeakStencil:
 
 class TestProbeBudget:
     """What one extraction from the constants costs: scalar probes of Re L
-    and Im L, counted by wrapping core._re_at and core._im_at, and the ERB's
-    node points, counted by wrapping core._re_near, over seeded constants of
-    every target."""
+    and Im L, counted by wrapping probe._re_at and probe._im_at, and the ERB's
+    nodes, counted by wrapping its node pass probe._power_at, over seeded
+    constants of every target."""
 
     @staticmethod
     def counting(monkeypatch):
         counts = {"re": 0, "im": 0, "nodes": 0}
 
         def wrap(name, key):
-            make = getattr(core, name)
+            make = getattr(probe_module, name)
 
             def counted_make(theta, target):
                 fn = make(theta, target)
 
                 def counted(*args):
-                    counts[key] += 1 if key != "nodes" else args[1].size
+                    counts[key] += 1 if key != "nodes" else len(args[1])
                     return fn(*args)
 
                 return counted
 
-            monkeypatch.setattr(core, name, counted_make)
+            monkeypatch.setattr(probe_module, name, counted_make)
 
         wrap("_re_at", "re")
         wrap("_im_at", "im")
-        wrap("_re_near", "nodes")
+        wrap("_power_at", "nodes")
         return counts
 
     def test_probes_and_nodes_per_extraction(self, monkeypatch):
         counts = self.counting(monkeypatch)
         totals = {"re": [], "im": [], "nodes": []}
         for theta in reference_constants(count=40, seed=31):
-            for target in core.TARGETS:
+            for target in TARGETS:
                 counts.update(re=0, im=0, nodes=0)
-                extract_numeric(core.log_probe(theta, target))
+                extract_numeric(log_probe(theta, target))
                 for key, value in counts.items():
                     totals[key].append(value)
         assert len(totals["re"]) == 120
@@ -962,6 +977,8 @@ class TestProbeBudget:
         budget = {"re": (56, 64), "im": (48, 76), "nodes": (124, 244)}
         for key, (median, most) in budget.items():
             assert np.median(totals[key]) <= median and max(totals[key]) <= most, key
+        # the panels fix the nodes: these counts, exactly
+        assert (np.median(totals["nodes"]), max(totals["nodes"])) == (124, 241)
 
 
 def reference_constants(count=120, seed=26):
@@ -1003,7 +1020,7 @@ class TestAgainstReference:
     def extract(theta, target):
         return extract_numeric(log_probe(theta, target))
 
-    @pytest.mark.parametrize("target", core.TARGETS)
+    @pytest.mark.parametrize("target", TARGETS)
     def test_reference_delay_is_the_falling_phase_slope(self, target):
         for theta in self.THETAS[:10]:
             h = 1e-4 * theta.a_p
@@ -1016,7 +1033,7 @@ class TestAgainstReference:
 
     # N: worst 1.1e-12, Richardson's differences at h = a_p / 1024 (2.0e-10 at
     # a_p / 256, and 5.0e-10 from the grid's differences)
-    @pytest.mark.parametrize("target", core.TARGETS)
+    @pytest.mark.parametrize("target", TARGETS)
     def test_n_beta(self, target):
         assert len(self.THETAS) >= 100
         for theta in self.THETAS:
@@ -1024,7 +1041,7 @@ class TestAgainstReference:
             assert self.extract(theta, target).n_beta == pytest.approx(want, rel=2e-12), theta
 
     # the peak: worst 8.7e-12 (v)
-    @pytest.mark.parametrize("target", core.TARGETS)
+    @pytest.mark.parametrize("target", TARGETS)
     def test_beta_peak(self, target):
         for theta in self.THETAS:
             want = reference.beta_peak(theta, target)
@@ -1032,7 +1049,7 @@ class TestAgainstReference:
             assert got == pytest.approx(want, rel=1e-11, abs=0.0), theta
 
     # S: worst 1.34e-8, the h**4 term of Richardson's difference at h = a_p / 100
-    @pytest.mark.parametrize("target", core.TARGETS)
+    @pytest.mark.parametrize("target", TARGETS)
     def test_s_beta(self, target):
         for theta in self.THETAS:
             want = reference.s_beta(theta, target)
@@ -1042,7 +1059,7 @@ class TestAgainstReference:
     # the ERB over [0, inf): worst 1.5e-13 on every target (over the grid's
     # span it was 2.0e-10 against the span's own integral, and short of the
     # [0, inf) value by up to 2.7e-4 at b_u near 0.8)
-    @pytest.mark.parametrize("target", core.TARGETS)
+    @pytest.mark.parametrize("target", TARGETS)
     def test_erb(self, target):
         for theta in self.THETAS:
             want = reference.erb_beta(theta, target)
@@ -1053,7 +1070,7 @@ class TestAgainstReference:
     # the floats at b_p: each crossing is a float there, which is 1e-10 of
     # BW_3 at a_p / b_p = 1e-6; worst 6.0e-12 relative where a_p / b_p >= 1e-4,
     # and 5.2 spacings past 1e-11 relative below it
-    @pytest.mark.parametrize("target", core.TARGETS)
+    @pytest.mark.parametrize("target", TARGETS)
     def test_bw(self, target):
         for theta in self.THETAS:
             got = self.extract(theta, target).bw_n_beta
@@ -1112,6 +1129,17 @@ class TestSlowDecay:
         report = extract_numeric(log_probe(FilterConstants(0.05, 1.0, b_u), target),
                                  n_levels=(3.0,))
         assert report.erb_beta is None and report.provenance["probe_erb_nodes"] == 0
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_power_past_the_largest_float_is_out_of_range(self):
+        # a node pass that divides by the power 40 a_p off the peak, where it
+        # is 1601**-300 of the peak's, reads powers past the largest float
+        probe = log_probe(FilterConstants(0.05, 1.0, 300.0), "p_sharp")
+        shifted = probe._replace(
+            power=lambda peak, x: probe.power(peak + 2.0, [t - 40.0 for t in x]))
+        with pytest.raises(OutOfRange, match="power about beta = .* passes the largest float"):
+            extract_numeric(shifted)
 
 
 class TestErbQuadratureAgainstGammaRatio:

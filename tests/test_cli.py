@@ -1311,6 +1311,50 @@ class TestImportPath:
         assert code == want
         assert not STDLIB_PATH_UNUSED & modules
 
+    # the audit reads its probes on math: numpy, the array evaluation in core
+    # and the sampled grid stay unloaded
+    AUDIT_UNUSED = {"numpy", "gefdesign.core", "gefdesign.grid"}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--constants", "c.json"],
+        ["analyze", "--spec", "spec.json", "--format", "csv"],
+        ["evaluate", "--spec", "spec.json"],
+        ["evaluate", "--spec", "spec.json", "--format", "json", "--errors-out", "e.json"],
+        ["sweep", "--qerb", "20,25", "--n", "15,19"],
+    ], ids=["analyze-constants", "analyze-spec", "evaluate", "evaluate-json", "sweep"])
+    def test_audit_loads_no_numpy(self, tmp_path, argv):
+        (tmp_path / "c.json").write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 6}))
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"row": "II.2", "beta_peak": 1, "q_erb": 25.9, "n_cycles": 19.1}))
+        code, modules = self._run_module(argv, tmp_path)
+        assert code == 0
+        assert not (STDLIB_PATH_UNUSED | self.AUDIT_UNUSED) & modules
+        assert {"gefdesign.characteristics", "gefdesign.probe"} <= modules
+
+    def test_evaluate_response_out_loads_the_grid(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"row": "II.2", "beta_peak": 1, "q_erb": 25.9, "n_cycles": 19.1}))
+        code, modules = self._run_module(["evaluate", "--spec", "spec.json", "--response-out",
+                                          "r.csv", "--errors-out", "e.csv"], tmp_path)
+        assert code == 0
+        assert self.AUDIT_UNUSED <= modules
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[0] == ("beta,p_sharp_level_db,p_sharp_phase_rad,p_level_db,p_phase_rad,"
+                            "v_level_db,v_phase_rad")
+        assert len(lines) > 1000 and (tmp_path / "e.csv").read_text().startswith("characteristic,")
+
+    def test_design_loads_what_the_parser_loads(self, tmp_path):
+        # beyond `--version`'s modules (the CLI itself runs as __main__), a
+        # design loads at most Brent's extension
+        _, parser = self._run_module(["--version"], tmp_path)
+        assert {name for name in parser if name.startswith("gefdesign")} == {
+            "gefdesign", "gefdesign.design", "gefdesign.errors", "gefdesign.scalar"}
+        for case, extra in (("II.1", set()), ("II.2", {"scipy.optimize._zeros"})):
+            code, modules = self._run_module(
+                ["design", "--peak-beta", "1", *NUMPY_FREE_DESIGNS[case][0]], tmp_path)
+            assert code == 0
+            assert modules - parser == extra, case
+
     def test_stdlib_names_load_no_numpy(self, tmp_path):
         proc = self._python(
             "import sys, gefdesign\n"

@@ -20,7 +20,7 @@ from gefdesign import (
     sharpness_check,
     wavenumber,
 )
-from gefdesign import core
+from gefdesign import core, probe
 from gefdesign.core import DB_PER_LOG
 from gefdesign.scalar import _brentq
 from gefdesign.errors import GefError, InfeasibleSpec, NonPositiveConstant
@@ -295,7 +295,7 @@ class TestOneLevelPhaseFormula:
             text = path.read_text()
             adapter = [
                 (node.lineno, node.end_lineno) for node in ast.walk(ast.parse(text))
-                if path.name == "characteristics.py"
+                if path.name == "grid.py"
                 and isinstance(node, ast.FunctionDef) and node.name == "_complex_log"
             ]
             offenders += [
@@ -420,15 +420,15 @@ class TestLogResponse:
 
 
 class TestLogProbe:
-    """log_probe: Re L and Im L at one float, Re L at offsets from a center,
-    and the limits of Im L, for extract_numeric."""
+    """log_probe: Re L and Im L at one float, the power at offsets from a
+    peak (the ERB's node pass), and the limits of Im L, for extract_numeric."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(theta=positive_constants, beta=st.floats(0.0, 100.0))
     def test_scalar_phase_is_the_imaginary_part(self, theta, beta):
         logs = core.log_response(theta, np.array([beta]))
         for target, log in logs.items():
-            got = core._im_at(theta, target)(beta)
+            got = probe._im_at(theta, target)(beta)
             assert type(got) is float
             # a last-bit difference of math.atan and numpy's arctan, times b_u
             tol = 4e-15 * theta.b_u
@@ -458,22 +458,48 @@ class TestLogProbe:
             make(theta_sharp6)
 
     @pytest.mark.parametrize("target", core.TARGETS)
-    def test_offsets_give_the_log_response(self, target):
-        # where center + offsets is exact, the offsets give log_response's floats
+    def test_offsets_give_the_power_of_the_log_response(self, target):
+        # the power at peak + a_p x over the power at the peak is
+        # exp(2 (Re L(peak + a_p x) - Re L(peak))), to rounding
         theta = FilterConstants(0.05, 1.0, 6.0, gain=3.0)
-        offsets = np.array([-0.75, -0.125, 0.0, 0.0625, 0.5, 3.0])
-        got = core.log_probe(theta, target).re_near(1.0, offsets)
-        want = core.log_response(theta, 1.0 + offsets, (target,))[target].re
-        assert got.tobytes() == want.tobytes()
+        x = [-15.0, -2.5, 0.0, 1.25, 10.0, 60.0, 1e6]
+        peak = 0.9975
+        got = probe.log_probe(theta, target).power(peak, x)
+        re = core.log_response(theta, peak + theta.a_p * np.array([0.0, *x]), (target,))[target].re
+        assert type(got) is list and all(type(value) is float for value in got)
+        np.testing.assert_allclose(got, np.exp(2.0 * (re[1:] - re[0])), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("target", core.TARGETS)
     def test_offsets_below_the_spacing_of_floats_stay_apart(self, target):
-        # near b_p = 1e6 floats are 1.2e-10 apart; the offsets from it are not
-        # rounded to them, so Re L falls as the sharp form's (1 + x**2)**-b_u
+        # near b_p = 1e6 floats are 1.2e-10 apart; the offsets from it, in
+        # units of a_p = 1e-12, are not rounded to them, so Re L falls as the
+        # sharp form's (1 + x**2)**-b_u, half the log of the power
         theta = FilterConstants(1e-12, 1e6, 2.0)
         x = np.array([0.0, 0.5, 1.0, 2.0])
-        got = core.log_probe(theta, target).re_near(1e6, 1e-12 * x)
-        np.testing.assert_allclose(got - got[0], -np.log1p(x * x), rtol=1e-9, atol=1e-15)
+        got = probe.log_probe(theta, target).power(1e6, x.tolist())
+        np.testing.assert_allclose(0.5 * np.log(got), -np.log1p(x * x), rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("theta", [
+        FilterConstants(1e-150, 1e150, 3.0),  # (b_p / a_p)**2 passes the largest float
+        FilterConstants(1e150, 1e300, 3.0),
+        FilterConstants(2e-160, 1e-150, 2.5),
+    ])
+    @pytest.mark.parametrize("target", core.TARGETS)
+    def test_power_is_scale_free(self, theta, target):
+        # each factor is a ratio to its value at the peak, so the power at
+        # the same offsets is the same at any scale of the constants
+        x = [-3.0, -0.5, 0.25, 2.0, 40.0]
+        unit = FilterConstants(theta.a_p / theta.b_p, 1.0, theta.b_u)
+        got = probe.log_probe(theta, target).power(theta.b_p, x)
+        want = probe.log_probe(unit, target).power(1.0, x)
+        assert all(0.0 < value < 1.0 for value in got)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_a_power_past_the_largest_float_raises_overflow_error(self):
+        # against beta = 3, 40 a_p above b_p, the power at b_p is 1601**300
+        power = probe.log_probe(FilterConstants(0.05, 1.0, 300.0), "p_sharp").power
+        with pytest.raises(OverflowError):
+            power(3.0, [-40.0])
 
 
 class TestSharpness:

@@ -24,7 +24,7 @@ from gefdesign import (
 )
 from gefdesign import biquad, digital
 from gefdesign.biquad import _bilinear_all_pole
-from gefdesign.characteristics import FrequencyGrid, default_grid
+from gefdesign.grid import FrequencyGrid, default_grid
 from gefdesign.digital import (
     DigitalFilter,
     SignalBuffer,

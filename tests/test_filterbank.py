@@ -28,7 +28,7 @@ from gefdesign import (
     phase_rad,
 )
 from gefdesign import filterbank
-from gefdesign.characteristics import FrequencyGrid, default_grid
+from gefdesign.grid import FrequencyGrid, default_grid
 from gefdesign.core import DB_PER_LOG
 from gefdesign.errors import InfeasibleSpec, OutOfRange
 from gefdesign.filterbank import (

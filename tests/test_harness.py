@@ -11,7 +11,7 @@ from gefdesign import (
     figure_report,
     sweep,
 )
-from gefdesign import characteristics, harness
+from gefdesign import grid, harness
 from gefdesign.cli import run
 from gefdesign.design import design
 from gefdesign.errors import OutOfRange
@@ -78,9 +78,8 @@ class TestEvaluateCase:
         def refuse(*args, **kwargs):
             raise AssertionError("a grid was built")
 
-        monkeypatch.setattr(characteristics, "default_grid", refuse)
-        monkeypatch.setattr(characteristics, "FrequencyGrid", refuse)
-        monkeypatch.setattr(harness, "default_grid", refuse)
+        monkeypatch.setattr(grid, "default_grid", refuse)
+        monkeypatch.setattr(grid, "FrequencyGrid", refuse)
         assert len(evaluate_case(spec_sharp6)) == 3
         result = sweep([20.0, 25.0], [15.0, 19.0])
         assert any(cell is not None for row in result.error_grids["q_erb"] for cell in row)

@@ -29,7 +29,7 @@ from gefdesign import (
     to_sos,
 )
 from gefdesign.cli import run
-from gefdesign.errors import InfeasibleSpec, NonPositiveConstant, OutOfRange
+from gefdesign.errors import InfeasibleSpec, NonPositiveConstant, NyquistViolation, OutOfRange
 
 THETA = FilterConstants(0.05, 1.0, 6.0)
 SPEC = CharacteristicSpec(DesignRow.PEAK_QERB_PHASE, 1.0, {"q_erb": 25.9, "phi_accum": 3.0})
@@ -275,6 +275,38 @@ def test_non_numbers_raise_the_class_refusal(build, error):
     # each once escaped as a bare TypeError, or as a ValueError from float()
     with pytest.raises(error, match="must be finite and > 0"):
         build()
+
+
+# guards whose rule is not "finite and > 0": each reads a non-number as nan,
+# so it meets the rule's own refusal; what the rule takes, it stores as a float
+@pytest.mark.parametrize("value", NOT_FINITE_POSITIVE, ids=repr)
+def test_sample_rate_is_finite_and_checked_against_f_peak(value):
+    # fs <= 0 puts f_peak at or past fs/2, the Nyquist refusal
+    error = NyquistViolation if value in (0, -1) else OutOfRange
+    match = "fs/2" if error is NyquistViolation else "fs must be finite, got"
+    for call in (lambda: to_sos(THETA, 1000.0, value),
+                 lambda: apply_fft(THETA, 1000.0, value, SignalBuffer(48000.0, SIGNAL))):
+        with pytest.raises(error, match=match):
+            call()
+
+
+def test_sample_rate_as_a_numeric_string():
+    assert to_sos(THETA, 1000.0, "48000").sample_rate == 48000.0
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_POSITIVE, ids=repr)
+def test_x_max_is_finite_and_may_be_zero(value):
+    if value == 0:  # 0 and -0.0
+        assert CfMap(1.0, 1.0, value).x_max == 0.0
+        return
+    with pytest.raises(OutOfRange, match="x_max must be finite and >= 0, got"):
+        CfMap(1.0, 1.0, value)
+
+
+@pytest.mark.parametrize("value", TAKEN_AS_2_5, ids=repr)
+def test_x_max_stores_a_number_as_a_float(value):
+    stored = CfMap(1.0, 1.0, value).x_max
+    assert type(stored) is float and stored == 2.5
 
 
 # CLI flags whose value must be finite and > 0: the argv with the value's
