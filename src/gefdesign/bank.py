@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .design import CharacteristicSpec, design
 from .errors import OutOfRange
-from .scalar import FilterConstants, _as_float, _finite_positive, _Record
+from .scalar import FilterConstants, _as_float, _finite_positive, _Record, linspace
 
 
 class CfMap(_Record):
@@ -72,19 +72,10 @@ def build_constant_q_bank(
 
 def uniform_places(cf_map: CfMap, n_channels: int) -> list[float]:
     """Channel places uniform in x, i.e. log-uniform in CF: the floats of
-    numpy.linspace(0, x_max, n_channels), bit for bit (i * step, or
-    i / (n - 1) * x_max where the step underflows to 0, and x_max last)."""
+    numpy.linspace(0, x_max, n_channels), bit for bit (scalar.linspace)."""
     if n_channels < 1:
         raise ValueError("need at least one channel")
-    if n_channels == 1:
-        return [0.0]
-    div = n_channels - 1
-    step = cf_map.x_max / div
-    if step == 0.0:
-        places = [i / div * cf_map.x_max for i in range(div)]
-    else:
-        places = [i * step for i in range(div)]
-    return places + [cf_map.x_max]
+    return linspace(0.0, cf_map.x_max, n_channels)
 
 
 def bank_to_dict(cf_map: CfMap, channels: Sequence[BankChannel]) -> dict:

@@ -7,15 +7,19 @@ transform, prewarped so the digital magnitude peak lands exactly on the
 requested peak frequency, and scales it to unit magnitude there; every step
 is arithmetic on scalars, so discretizing a filter does not load numpy.
 ``filter_json`` is the one writer of filter documents, at full precision.
-``digital`` filters signals with the cascade and holds the numpy-backed
-responses.
+``_cascade_log``, the one log response of a cascade, runs on ``cmath``, so a
+``response --sos`` table does not load numpy either; ``digital`` filters
+signals with the cascade, and its ``digital_response`` is the exp of that
+log.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
+from typing import Callable
 
 from .errors import (
     InfeasibleSpec,
@@ -24,7 +28,7 @@ from .errors import (
     NyquistViolation,
     OutOfRange,
 )
-from .scalar import FilterConstants, _as_float, _finite_positive, _Record, peak_beta
+from .scalar import TWO_PI, FilterConstants, _as_float, _finite_positive, _Record, peak_beta
 
 # The most sections to_sos builds: one per unit of the exponent b_u.
 MAX_SECTIONS = 4096
@@ -122,6 +126,100 @@ class DigitalFilter(_Record):
             raise InfeasibleSpec(f"filter lacks the field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise InfeasibleSpec(f"bad filter: {exc}") from None
+
+
+def _log(z: complex) -> complex:
+    """cmath.log, but log 0 = -inf + i atan2(Im z, Re z), where cmath raises."""
+    return cmath.log(z) if z else complex(-math.inf, math.atan2(z.imag, z.real))
+
+
+def _quadratic_log(b) -> Callable[[complex, complex, complex], complex]:
+    """The log of b0 + b1/z + b2/z^2 on the unit circle, as a function of 1/z,
+    its log and 1 + 1/z, bound once to b: continuous from f = 0 to fs/2, -inf
+    at a zero on it (and everywhere for b = 0).  It is the sum of the logs of
+    a constant and of factors 1 - r v, v = 1/z or z, each root r in the
+    closed disk: their principal logs are continuous on the circle, and each
+    factor is formed from r and v alone, so a root near the circle costs no
+    more digits than its own rounding.  A root at -1 exactly, as both of
+    to_sos's double zero, takes 1 + v as given, which the caller forms
+    without cancellation.  A root r outside the circle is factored as
+    x - r = (-r)(1 - x/r) (Steiglitz & Dickinson), carried as its
+    reciprocal, so no value passes the largest float."""
+    if not any(b):
+        return lambda z_inv, log_z_inv, one_plus: complex(-math.inf, 0.0)
+    b0, b1, b2 = b
+    # c0 + c1 v + c2 v^2 with |c2| <= |c0|: b in v = 1/z, or b reversed in
+    # v = z times z^-2
+    flip = abs(b2) > abs(b0)
+    coeffs = (b2, b1, b0) if flip else b
+    # scaled by a power of two, exactly but for subnormals, so c1 * c1 cannot overflow
+    exponent = math.frexp(max(abs(coeffs[0]), abs(coeffs[1])))[1]
+    c0, c1, c2 = (math.ldexp(c, -exponent) for c in coeffs)
+    # = (c0 - q v)(1 - (c2 / q) v) with q the larger root of t^2 + c1 t + c0 c2,
+    # without cancellation; |c2 / q| <= sqrt(|c2 / c0|) <= 1
+    disc = c1 * c1 - 4.0 * c0 * c2
+    q = -0.5 * (c1 + math.copysign(1.0, c1) * (math.sqrt(disc) if disc >= 0.0
+                                               else 1j * math.sqrt(-disc)))
+    inner = abs(q) <= abs(c0)
+    if inner:  # c0 - q v = c0 (1 - (q / c0) v)
+        lead, root = _log(complex(coeffs[0])), q / c0
+    else:  # the root c0 / q in 1/v lies inside the circle
+        lead, root = _log(complex(-q)) + exponent * math.log(2.0), c0 / q
+    second = c2 / q if c2 else 0.0
+
+    def log_at(z_inv, log_z_inv, one_plus):
+        if flip:
+            v, w = z_inv.conjugate(), one_plus.conjugate()
+            log_v, log = -log_z_inv, 2.0 * log_z_inv
+        else:
+            v, w, log_v, log = z_inv, one_plus, log_z_inv, 0.0
+        if second:
+            log = log + _log(w if second == -1.0 else 1.0 - second * v)
+        if inner:
+            return log + lead + _log(w if root == -1.0 else 1.0 - root * v)
+        return log + lead + log_v + _log(1.0 - root * v.conjugate())
+    return log_at
+
+
+def _cascade_log(filt: DigitalFilter, freqs) -> list:
+    """L = log H of the cascade at each f (Hz) of a list of floats, as a list
+    of complex: Im L is the phase, continuous from f = 0; an overflow reads
+    inf or nan Re L.  L is the gain's log plus each section's numerator log
+    less its denominator's, summed in section order; each distinct section's
+    two logs are taken once a point (to_sos builds b_u identical sections).
+    1/z = exp(-2 pi i f / fs) and 1 + 1/z take their angle from the nearer of
+    0 and fs/2, from f or from the exact fs/2 - f, so they keep their digits
+    near fs/2: 1/z is -1 exactly there, where to_sos's double zero gives
+    -inf Re L.  Raises OutOfRange unless 0 <= f <= fs/2 for every f, so at a
+    nan too."""
+    fs = filt.sample_rate
+    half = 0.5 * fs
+    if not all(0.0 <= f <= half for f in freqs):
+        raise OutOfRange("frequencies must lie in [0, fs/2]")
+    index: dict = {}
+    order = [index.setdefault(section, len(index)) for section in filt.sections]
+    logs = [(_quadratic_log(section[:3]), _quadratic_log((1.0,) + section[3:]))
+            for section in index]
+    log_gain = complex(math.log(filt.gain))
+    cos, sin = math.cos, math.sin
+    out = []
+    for f in freqs:
+        if f <= 0.5 * half:
+            angle = TWO_PI * (f / fs)
+            c, s = cos(angle), sin(angle)
+            z_inv, one_plus = complex(c, -s), complex(1.0 + c, -s)
+        else:  # half - f is exact, and 1 - cos = sin**2 / (1 + cos)
+            angle = TWO_PI * ((half - f) / fs)
+            c, s = cos(angle), sin(angle)
+            z_inv, one_plus = complex(-c, -s), complex(s * s / (1.0 + c), -s)
+        point = (z_inv, complex(0.0, -TWO_PI * (f / fs)), one_plus)
+        pairs = [(num(*point), den(*point)) for num, den in logs]
+        log = log_gain
+        for k in order:
+            num, den = pairs[k]
+            log = log + num - den
+        out.append(log)
+    return out
 
 
 def filter_json(filt: DigitalFilter) -> str:

@@ -22,9 +22,10 @@ and phase Im L, continuous from f = 0 (for ``--sos``, its sections' logs).
 
 Each subcommand imports the modules it uses when it runs.  So ``design``,
 ``discretize``, ``bank``, ``analyze``, ``sweep``, ``evaluate`` without
-``--response-out``, ``--version`` and usage errors load no numpy (the audit
-reads its probes on ``math``), and ``design`` and usage errors load neither
-``bank`` nor ``biquad``.
+``--response-out``, ``response``, ``--version`` and usage errors load no
+numpy (the audit reads its probes on ``math``, ``response --constants``
+the same probes, and ``response --sos`` the cascade's log on ``cmath``), and
+``design`` and usage errors load neither ``bank`` nor ``biquad``.
 """
 
 from __future__ import annotations
@@ -363,23 +364,27 @@ def _cmd_response(args) -> int:
         raise UsageError("--points must be >= 2")
     if not (math.isfinite(args.fmin) and math.isfinite(args.fmax)):
         raise OutOfRange(f"--fmin and --fmax must be finite, got {args.fmin!r}, {args.fmax!r}")
-    import numpy as np
+    from .scalar import _response_columns, linspace
 
-    from .core import _response_columns, log_response
-    from .digital import _cascade_log
-
-    freqs = np.linspace(args.fmin, args.fmax, args.points)
+    freqs = linspace(args.fmin, args.fmax, args.points)
     if args.sos is not None:
+        from .biquad import _cascade_log
+
         log_h = _cascade_log(_filter_from_args(args), freqs)
-        columns = _response_columns(log_h.real, log_h.imag, "the --sos cascade")
+        columns = _response_columns([x.real for x in log_h], [x.imag for x in log_h],
+                                    "the --sos cascade")
     else:
         if args.peak_hz is None:
             raise UsageError("--constants responses need --peak-hz")
         _finite_positive("--peak-hz", args.peak_hz, OutOfRange)
         theta = _constants_from_args(args)
-        log_h = log_response(theta, freqs / args.peak_hz, ("p",))["p"]
-        columns = _response_columns(log_h.re, log_h.im, f"the response of {theta}")
-    rows = zip(*(column.tolist() for column in (freqs, *columns)))
+        from .probe import _im_at, _re_at
+
+        betas = [f / args.peak_hz for f in freqs]
+        columns = _response_columns(list(map(_re_at(theta, "p"), betas)),
+                                    list(map(_im_at(theta, "p"), betas)),
+                                    f"the response of {theta}")
+    rows = zip(freqs, *columns)
     _emit(_csv(("f_hz", "re", "im", "level_db", "phase_rad"), rows), args.out)
     return EXIT_OK
 

@@ -2,14 +2,16 @@
 
 Integer exponents become a cascade of b_u identical biquad sections via the
 bilinear transform, prewarped so the digital magnitude peak lands exactly
-on the requested peak frequency; that map (``to_sos``, ``DigitalFilter``)
-and the one writer of filter documents (``filter_json``, which
-``save_filter`` writes to a file) need no numpy and live in ``biquad``, and
-this module re-exports them.  ``apply_sos`` runs the cascade in scipy's
-compiled loop alone, loaded from its file by ``scalar._scipy_extension``
-without ``scipy.signal``, and ``read_wav`` and ``write_wav`` call
-``scipy.io.wavfile``, loaded the same way without ``scipy.io``; where scipy
-cannot be imported they raise ImportError.  Non-integer exponents are supported
+on the requested peak frequency; that map (``to_sos``, ``DigitalFilter``),
+the one writer of filter documents (``filter_json``, which ``save_filter``
+writes to a file) and the cascade's log response (``_cascade_log``) need no
+numpy and live in ``biquad``, and this module re-exports the first two;
+``digital_response`` is the exp of that log on arrays.  ``apply_sos`` runs
+the cascade in scipy's compiled loop alone, loaded from its file by
+``scalar._scipy_extension`` without ``scipy.signal``, and ``read_wav`` and
+``write_wav`` call ``scipy.io.wavfile``, loaded the same way without
+``scipy.io``; where scipy cannot be imported they raise ImportError.
+Non-integer exponents are supported
 through FFT-domain filtering: the analog response is sampled at the bins of
 a block whose length follows the impulse response's decay, the kernel's
 support is measured from that block, and the signal is filtered block by
@@ -25,7 +27,14 @@ import math
 
 import numpy as np
 
-from .biquad import DigitalFilter, _bandpass_peak, _check_rates, filter_json, to_sos
+from .biquad import (
+    DigitalFilter,
+    _bandpass_peak,
+    _cascade_log,
+    _check_rates,
+    filter_json,
+    to_sos,
+)
 from .core import _maybe_scalar, eval_gef
 from .errors import OutOfRange, SampleRateMismatch
 from .scalar import FilterConstants, _finite_positive, _Record, _scipy_extension
@@ -41,60 +50,15 @@ class SignalBuffer(_Record):
                              samples=np.asarray(samples, dtype=float).ravel())
 
 
-def _quadratic_log(b, z_inv, log_z_inv):
-    """The log of b0 + b1/z + b2/z^2 on the unit circle, continuous from f = 0 to
-    fs/2, -inf at a zero on it.  With b0 >= 0, |b2| <= b0 and |b1| <= b0 + b2,
-    the roots lie in the closed disk and the principal log is continuous (a
-    stable denominator, to_sos's double zero at -1); else it is factored, a
-    root r outside the circle as x - r = (-r)(1 - x/r) (Steiglitz & Dickinson),
-    carried as its reciprocal, so no value passes the largest float."""
-    b0, b1, b2 = b
-    if abs(b2) <= b0 and abs(b1) <= b0 + b2:
-        return np.log(b0 + b1 * z_inv + b2 * z_inv**2)
-    # c0 + c1 v + c2 v^2 with |c2| <= |c0|: b in v = 1/z, or b reversed in
-    # v = z times z^-2
-    if abs(b2) > abs(b0):
-        coeffs, v, log_v, log = (b2, b1, b0), np.conj(z_inv), -log_z_inv, 2.0 * log_z_inv
-    else:
-        coeffs, v, log_v, log = b, z_inv, log_z_inv, 0.0
-    # scaled by a power of two, exactly but for subnormals, so c1 * c1 cannot overflow
-    exponent = math.frexp(max(abs(coeffs[0]), abs(coeffs[1])))[1]
-    c0, c1, c2 = (math.ldexp(c, -exponent) for c in coeffs)
-    # = (c0 - q v)(1 - (c2 / q) v) with q the larger root of t^2 + c1 t + c0 c2,
-    # without cancellation; |c2 / q| <= sqrt(|c2 / c0|) <= 1
-    disc = c1 * c1 - 4.0 * c0 * c2
-    q = -0.5 * (c1 + math.copysign(1.0, c1) * (math.sqrt(disc) if disc >= 0.0
-                                               else 1j * math.sqrt(-disc)))
-    if c2:
-        log = log + np.log(1.0 - (c2 / q) * v)
-    if abs(q) <= abs(c0):
-        return log + np.log(complex(coeffs[0])) + np.log(1.0 - (q / c0) * v)
-    # the root c0 / q in 1/v lies inside the circle
-    return (log + np.log(complex(-q)) + exponent * math.log(2.0) + log_v
-            + np.log(1.0 - (c0 / q) * np.conj(v)))
-
-
-def _cascade_log(filt: DigitalFilter, f_hz):
-    """L = log H of the cascade at f (Hz), 0 <= f <= fs/2, the sum of its sections'
-    logs: Im L is the phase, continuous from f = 0; an overflow reads inf or nan Re L."""
-    f = np.asarray(f_hz, dtype=float)
-    if np.any(f < 0.0) or np.any(f > 0.5 * filt.sample_rate):
-        raise OutOfRange("frequencies must lie in [0, fs/2]")
-    log_z_inv = -2j * math.pi * f / filt.sample_rate
-    z_inv = np.exp(log_z_inv)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log = np.full(f.shape, np.log(complex(filt.gain)))
-        for b0, b1, b2, a1, a2 in filt.sections:
-            log = (log + _quadratic_log((b0, b1, b2), z_inv, log_z_inv)
-                   - _quadratic_log((1.0, a1, a2), z_inv, log_z_inv))
-    return log
-
-
 def digital_response(filt: DigitalFilter, f_hz):
-    """Frequency response of the section cascade at f (Hz), 0 <= f <= fs/2: exp
-    of _cascade_log, not finite where it overflows, without a warning."""
+    """Frequency response of the section cascade at f (Hz), a number or an
+    array, 0 <= f <= fs/2: exp of biquad._cascade_log, not finite where it
+    overflows, without a warning.  Raises OutOfRange at any other f, a nan
+    included."""
+    f = np.asarray(f_hz, dtype=float)
+    log_h = np.array(_cascade_log(filt, f.ravel().tolist()), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _maybe_scalar(np.exp(_cascade_log(filt, f_hz)))
+        return _maybe_scalar(np.exp(log_h).reshape(f.shape))
 
 
 def apply_sos(filt: DigitalFilter, signal: SignalBuffer) -> SignalBuffer:

@@ -21,7 +21,7 @@ from .characteristics import (
 from .design import CharacteristicSpec, DesignRow, design
 from .errors import GefError, OutOfRange
 from .probe import TARGETS, log_probe
-from .scalar import DB_PER_LOG, _finite_positive, _Record
+from .scalar import DB_PER_LOG, _finite_positive, _Record, sharpness_check
 
 RATIO_KEYS = (
     ("q_erb_over_n", "q_erb", "n_beta"),
@@ -61,13 +61,30 @@ class SweepResult(_Record):
         self.__dict__.update(q_erb_axis=q_erb_axis, n_axis=n_axis, error_grids=error_grids)
 
 
+# the constants of each spec whose design gave a SharpnessWarning, by _spec_key
+_NOT_SHARP: dict = {}
+
+
+def _spec_key(spec: CharacteristicSpec) -> tuple:
+    return (spec.row, spec.beta_peak, *sorted(spec.values.items()), spec.n_level, spec.mode)
+
+
 def _designed(spec: CharacteristicSpec):
     """The constants designed from spec.  Every design here goes through this
     one call, so a spec's SharpnessWarning is shown once per process however
-    many tables are built from it, while the warning filters stay as they
-    are: a change of them, as importing numpy makes, clears the registry
-    that holds it back."""
-    return design(spec)
+    many tables are built from it, whatever the warning filters do (a change
+    of them, as importing numpy makes, clears the registry that would hold it
+    back): the constants of a spec that is not sharp are kept, and returned
+    again without a design.  A sharp spec is looked up only once some spec
+    was not."""
+    if _NOT_SHARP:
+        theta = _NOT_SHARP.get(_spec_key(spec))
+        if theta is not None:
+            return theta
+    theta = design(spec)
+    if not sharpness_check(theta).satisfied:
+        _NOT_SHARP[_spec_key(spec)] = theta
+    return theta
 
 
 def evaluate_case(spec: CharacteristicSpec) -> list[ErrorRecord]:
@@ -179,8 +196,6 @@ def response_table(spec: CharacteristicSpec) -> dict:
     GRID_FLOOR b_p to b_p + max(8 b_p, 60 a_p)) from their log responses L,
     DB_PER_LOG * Re L less its maximum (finite where |H| underflows or
     overflows) and Im L less its value at beta = 0."""
-    # designed before numpy is imported (see _designed), so that a
-    # SharpnessWarning that figure_report showed for spec is not shown again
     theta = _designed(spec)
     from .core import log_response
     from .grid import default_grid

@@ -22,7 +22,9 @@ and > 0: every record and entry point calls it with the exception class it
 refuses with.  A field with another rule reads its value through
 ``_as_float``, so a non-number meets that rule's refusal, not a TypeError.
 The scalar probes of the log response that the audit reads are in
-``probe``, which ``design`` does not import.
+``probe``, which ``design`` does not import.  ``linspace`` (numpy's, bit for
+bit) and ``_response_columns`` build the ``response`` table, and
+``bank.uniform_places`` its channel places, on floats.
 """
 
 from __future__ import annotations
@@ -63,6 +65,37 @@ def _finite_positive(name: str, value, error=ValueError) -> float:
     if not 0.0 < number < math.inf:
         raise error(f"{name} must be finite and > 0, got {value!r}")
     return number
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy.linspace(lo, hi, n) as a list of floats, bit for bit: i * step +
+    lo with step = (hi - lo) / (n - 1), or i / (n - 1) * (hi - lo) + lo where
+    the step is 0 (it underflows, or lo == hi), and hi last; one point is
+    0 * (hi - lo) + lo."""
+    div, delta = n - 1, hi - lo
+    if div < 1:
+        return [0.0 * delta + lo] * n
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + lo for i in range(div)]
+    else:
+        points = [i * step + lo for i in range(div)]
+    return points + [hi]
+
+
+def _response_columns(log_re: list, log_im: list, what: str) -> tuple:
+    """The lists (re, im, level_db, phase_rad) of H = exp(L) from lists of
+    Re L and Im L, on math: |H| cos Im L, sin Im L |H|, DB_PER_LOG * Re L
+    (-inf only where H is 0) and Im L, as core._response_columns forms them
+    on arrays.  Raises OutOfRange naming ``what`` when |H| passes the
+    largest float or Re L is nan."""
+    if not all(x <= _LOG_FLOAT_MAX for x in log_re):
+        raise OutOfRange(f"{what}: |H| passes the largest float or is nan")
+    exp, cos, sin = math.exp, math.cos, math.sin
+    moduli = [exp(x) for x in log_re]
+    return ([m * cos(y) for m, y in zip(moduli, log_im)],
+            [sin(y) * m for m, y in zip(moduli, log_im)],
+            [x * DB_PER_LOG for x in log_re], list(log_im))
 
 
 class _Record:

@@ -51,8 +51,12 @@ DESIGN_GOLDEN = json.loads(
 # `response` cases and the `--response-out` hashes were captured again when
 # those tables moved to the log response (Im L phases, finite levels), and
 # the `--response-out` hashes once more when the default grid's tails were
-# laid out in units of b_p (its window's rows kept their bytes).  The
-# `filter` cases hash the output of both routes on a seeded integer noise
+# laid out in units of b_p (its window's rows kept their bytes).  The two
+# `response --sos` cases were captured again when the cascade's log moved to
+# cmath in factored form: 20 cells moved in their last digit or two, 18 of
+# them closer to a 40-digit reference, none now off it by over 5.4e-13
+# relative or 5e-13 dB; and at fs/2, where the response is 0, the phase reads
+# 0 and Im H +0.  The `filter` cases hash the output of both routes on a seeded integer noise
 # (an input given as a string is written as it stands, not as JSON); the FFT
 # route takes two 8192-point blocks with a lead of 16 samples
 TABLES_GOLDEN = json.loads(
@@ -1061,13 +1065,31 @@ class TestResponseCommand:
 
 
 def section_product(filt, f_hz):
-    """The cascade's response as the product of its section ratios, as
-    digital_response computed it before it took exp of the cascade log."""
-    z_inv = np.exp(-2j * math.pi * np.asarray(f_hz, dtype=float) / filt.sample_rate)
+    """The cascade's response as the product of its section ratios, in floats,
+    except where a section's quadratic loses over three digits to
+    cancellation there (within about 1% of fs/2 for to_sos's double zero at
+    -1, where the float product errs by up to some 4e-9): there it is taken
+    in mpmath at 40 digits, from the exact angle of f, so it is exactly 0 at
+    a zero on the circle."""
+    f_hz = np.asarray(f_hz, dtype=float)
+    z_inv = np.exp(-2j * math.pi * f_hz / filt.sample_rate)
     out = np.full(z_inv.shape, filt.gain, dtype=complex)
+    digits_lost = np.zeros(z_inv.shape)
     for b0, b1, b2, a1, a2 in filt.sections:
+        for b in ((b0, b1, b2), (1.0, a1, a2)):
+            value = b[0] + b[1] * z_inv + b[2] * z_inv**2
+            # (nan for b = 0, whose float product is exactly 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                digits_lost = np.fmax(digits_lost, np.log10(sum(map(abs, b)) / np.abs(value)))
         out = out * (b0 + b1 * z_inv + b2 * z_inv**2)
         out = out / (1.0 + a1 * z_inv + a2 * z_inv**2)
+    with mpmath.workdps(40):
+        for i in np.flatnonzero(digits_lost > 3.0):
+            z = mpmath.expjpi(-2 * mpmath.mpf(f_hz[i]) / filt.sample_rate)
+            h = mpmath.mpf(filt.gain)
+            for b0, b1, b2, a1, a2 in filt.sections:
+                h *= (b0 + b1 * z + b2 * z * z) / (1 + a1 * z + a2 * z * z)
+            out[i] = complex(h)
     return out
 
 
@@ -1145,7 +1167,8 @@ class TestResponseTableProperties:
         else:
             np.testing.assert_allclose(level[~zero], DB_PER_LOG * np.log(np.abs(values[~zero])),
                                        rtol=1e-10, atol=1e-9)
-            # digital_response, exp of the same cascade log, is the section product
+            # digital_response, exp of the same cascade log, is the section product,
+            # also where the float product cancels
             nonzero = values_dense != 0.0
             np.testing.assert_allclose(np.asarray(digital_response(source, dense))[nonzero],
                                        values_dense[nonzero], rtol=1e-12, atol=0.0)
@@ -1240,7 +1263,7 @@ STDLIB_PATH_UNUSED = {"numpy", "dataclasses", "inspect"}
 class TestImportPath:
     """Only `filter` needs scipy, for its compiled cascade loop and its WAV
     module alone, each loaded from its file; `design`, `discretize`, `bank`,
-    `--version` and usage errors need neither numpy nor scipy, nor
+    `response`, `--version` and usage errors need neither numpy nor scipy, nor
     `dataclasses` and `inspect`; `design` and usage errors load
     neither the bank layout nor the biquad discretization.  Where scipy is
     installed, Brent's method runs its compiled loop, loaded on the first
@@ -1330,6 +1353,24 @@ class TestImportPath:
         assert code == 0
         assert not (STDLIB_PATH_UNUSED | self.AUDIT_UNUSED) & modules
         assert {"gefdesign.characteristics", "gefdesign.probe"} <= modules
+
+    @pytest.mark.parametrize("argv", [
+        ["response", "--sos", "sos.json", "--fmin", "0", "--fmax", "24000", "--points", "2001",
+         "--out", "r.csv"],
+        ["response", "--constants", "c.json", "--peak-hz", "1000", "--fmin", "50",
+         "--fmax", "12000", "--points", "2001", "--out", "r.csv"],
+    ], ids=["response-sos", "response-constants"])
+    def test_response_loads_no_numpy(self, tmp_path, argv):
+        # the cascade's log on cmath, the probes on math: numpy, core, the
+        # signal module and the sampled grid stay unloaded
+        (tmp_path / "c.json").write_text(json.dumps({"a_p": 0.05, "b_p": 1, "b_u": 6}))
+        assert run(["discretize", "--constants", str(tmp_path / "c.json"), "--peak-hz", "1000",
+                    "--fs", "48000", "--out", str(tmp_path / "sos.json")]) == 0
+        code, modules = self._run_module(argv, tmp_path)
+        assert code == 0
+        assert not (STDLIB_PATH_UNUSED | self.AUDIT_UNUSED | {"gefdesign.digital"}) & modules
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[0] == "f_hz,re,im,level_db,phase_rad" and len(lines) == 2002
 
     def test_evaluate_response_out_loads_the_grid(self, tmp_path):
         (tmp_path / "spec.json").write_text(json.dumps(

@@ -29,7 +29,6 @@ from gefdesign.digital import (
     DigitalFilter,
     SignalBuffer,
     _block_plan,
-    _cascade_log,
     read_signal_csv,
     read_wav,
     save_filter,
@@ -323,6 +322,20 @@ class TestDigitalResponse:
         with pytest.raises(OutOfRange):
             digital_response(filt_sharp6, FS)
 
+    def test_nan_frequency_is_refused(self, filt_sharp6):
+        with pytest.raises(OutOfRange):
+            digital_response(filt_sharp6, math.nan)
+        with pytest.raises(OutOfRange):
+            digital_response(filt_sharp6, np.array([[100.0, 200.0], [math.nan, 300.0]]))
+
+    def test_shape_follows_the_frequencies(self, filt_sharp6):
+        freqs = np.array([[0.0, 1000.0, 2000.0], [3000.0, 12000.0, 24000.0]])
+        response = digital_response(filt_sharp6, freqs)
+        assert response.shape == (2, 3) and response.dtype == complex
+        assert response[1, 2] == 0.0  # the double zero at fs/2
+        assert isinstance(digital_response(filt_sharp6, 1000.0), complex)
+        assert digital_response(filt_sharp6, np.array([])).shape == (0,)
+
     def test_real_coefficient_symmetry(self, filt_sharp6):
         # H(e^{-i theta}) = conj(H(e^{i theta})) for real sections
         f = 1234.5
@@ -344,55 +357,6 @@ class TestDigitalResponse:
         report = extract_numeric(lambda f: digital_response(filt_sharp6, f), hz_grid)
         q10_analog = closed_form(theta_sharp6).q_n[10.0]
         assert abs(report.q_n[10.0] - q10_analog) / q10_analog < 0.03
-
-
-class TestCascadeLog:
-    """_cascade_log sums the sections' continuous logs; digital_response is its exp."""
-
-    @pytest.mark.filterwarnings("error")
-    def test_all_zero_numerator_is_minus_inf(self):
-        filt = DigitalFilter(FS, sections=((0.0, 0.0, 0.0, -0.5, 0.25),))
-        freqs = np.linspace(0.0, 0.5 * FS, 9)
-        assert np.all(_cascade_log(filt, freqs).real == -math.inf)
-        assert np.all(np.asarray(digital_response(filt, freqs)) == 0.0)
-
-    @pytest.mark.parametrize("numerator", [
-        (0.0, 1.0, 0.5),     # a leading zero: z^-1 (1 + 0.5/z)
-        (0.0, 0.0, -2.0),    # two: -2 z^-2
-        (-1.0, -2.0, -1.0),  # a negative lead with the double zero at -1
-        (1.0, -2.5, 1.0),    # roots 2 and 0.5
-        (1e-300, 1e10, 1.0),  # a root in z past the largest float: factored in 1/z
-        (1.0, 1e10, 1e-300),  # its mirror, factored in z
-        (1e-300, 1e10, 1e-300),  # roots past the largest float in z and in 1/z alike
-        (1e300, -2.5e300, 1e300),  # b1 * b1 and b0 * b2 past the largest float
-        (1.0, 0.5, 4.0),      # a complex pair outside the circle
-        (-3.0, 0.5, 1.0),     # a negative lead, a real pair either side
-        (1.0, -1e10, 1.0),    # roots 1e10 and 1e-10: the small one from b0 b2 / q
-    ])
-    def test_factored_numerators_match_the_section_product(self, numerator):
-        filt = DigitalFilter(FS, sections=(numerator + (-0.9, 0.4),))
-        freqs = np.linspace(0.0, 0.45 * FS, 4097)
-        z_inv = np.exp(-2j * math.pi * freqs / FS)
-        product = np.polyval(numerator[::-1], z_inv) / np.polyval((0.4, -0.9, 1.0), z_inv)
-        log_h = _cascade_log(filt, freqs)
-        np.testing.assert_allclose(np.exp(log_h), product, rtol=1e-12)
-        # continuous from f = 0: a dense unwrap, up to whole turns
-        unwrapped = np.unwrap(np.angle(product))
-        unwrapped += 2.0 * math.pi * round((log_h.imag[0] - unwrapped[0]) / (2.0 * math.pi))
-        np.testing.assert_allclose(log_h.imag, unwrapped, rtol=0.0, atol=1e-9)
-
-    @pytest.mark.filterwarnings("error")
-    def test_roots_past_the_largest_float_give_the_finite_log(self):
-        # roots near -1e-310 and -1e310 in z: the log is that of 1e10 / z to
-        # within 1e-300 relative, and continuous from f = 0
-        filt = DigitalFilter(FS, sections=((1e-300, 1e10, 1e-300, 0.0, 0.0),))
-        freqs = np.linspace(0.0, 0.5 * FS, 4097)
-        log_z_inv = -2j * math.pi * freqs / FS
-        log_h = _cascade_log(filt, freqs)
-        np.testing.assert_allclose(log_h, math.log(1e10) + log_z_inv, rtol=1e-15, atol=1e-14)
-        np.testing.assert_allclose(np.exp(log_h), np.polyval((1e-300, 1e10, 1e-300),
-                                                             np.exp(log_z_inv)), rtol=1e-12)
-        assert np.max(np.abs(np.diff(log_h.imag))) < 1e-3
 
 
 class TestApplySos:

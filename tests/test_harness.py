@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gefdesign import (
 )
 from gefdesign import grid, harness
 from gefdesign.cli import run
-from gefdesign.design import design
+from gefdesign.design import SharpnessWarning, design
 from gefdesign.errors import OutOfRange
 from gefdesign.harness import response_table
 
@@ -248,3 +249,38 @@ class TestFigureReport:
                         "--errors-out", str(errors), "--response-out", str(response)]) == 0
             outputs.append((errors.read_bytes(), response.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestSharpnessWarningOnce:
+    """A spec that is not sharp warns once per process, however many tables
+    are built from it and whatever the warning filters do between them."""
+
+    SPEC = CharacteristicSpec(row=DesignRow.PEAK_DELAY_PHASE, beta_peak=1.0,
+                              values={"n_cycles": 3.0, "phi_accum": 3.0})
+
+    def test_one_warning_across_tables_and_filter_changes(self, monkeypatch):
+        monkeypatch.setattr(harness, "_NOT_SHARP", {})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            response_table(self.SPEC)
+            # each change of the filters clears the registry of shown warnings
+            warnings.simplefilter("default")
+            figure_report(self.SPEC)
+            warnings.filterwarnings("default", category=SharpnessWarning)
+            evaluate_case(self.SPEC)
+            response_table(self.SPEC)
+        assert [w.category for w in caught] == [SharpnessWarning]
+
+    def test_tables_are_those_of_the_design(self, monkeypatch):
+        monkeypatch.setattr(harness, "_NOT_SHARP", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SharpnessWarning)
+            first, again = figure_report(self.SPEC), figure_report(self.SPEC)
+            theta = design(self.SPEC)
+        assert first == again
+        assert harness._NOT_SHARP == {harness._spec_key(self.SPEC): theta}
+
+    def test_sharp_specs_are_not_kept(self, monkeypatch, spec_sharp6):
+        monkeypatch.setattr(harness, "_NOT_SHARP", {})
+        evaluate_case(spec_sharp6)
+        assert harness._NOT_SHARP == {}
