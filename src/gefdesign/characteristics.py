@@ -7,8 +7,8 @@ Two independent routes produce the same characteristic set
   constants (exact for the one-sided sharp form).
 * ``extract_numeric`` recomputes everything from probes of the response:
   parabolic vertex steps for the peak and a Richardson-extrapolated second
-  difference there for the convexity, Brent level crossings bracketed by
-  doubling steps from the peak (or by the samples of a callable's grid),
+  difference there for the convexity, Brent level crossings bracketed by one
+  walk out from the peak (over doubling steps, or a callable's grid samples),
   Gauss quadrature for the ERB, a Richardson-extrapolated difference of the
   phase with parabolic vertex steps for the group delay, and the phase's
   limits at the ends of the span with the Brent root of its delay at an
@@ -22,9 +22,10 @@ and Im L at one float, the power at the ERB's nodes as offsets from the peak
 in units of a_p, and Im L's exact limits at 0 and inf; no grid is sampled,
 and this module and ``probe`` run on the standard library, so the audit
 loads no numpy.  A complex response callable is probed the same way inside
-the span of a grid from ``grid.default_grid``, whose one array call unwraps
-its phase and brackets its level crossings; ``grid`` imports numpy, and
-``extract_numeric`` imports it for a callable alone.  The oracle reads
+the span of a grid from ``grid.default_grid``, whose one array call finds
+its best sample and unwraps its phase, and whose samples out from the best
+one are the points its crossings' walk reads at one float each; ``grid``
+imports numpy, and ``extract_numeric`` imports it for a callable alone.  The oracle reads
 levels from Re L, so a filter whose |H| passes the largest float extracts
 like any other.
 """
@@ -288,49 +289,51 @@ def _climb(re_at, beta: float, step: float, lo: float) -> float:
 def _level_crossing(re_at, target, a, b, gap_a=None, gap_b=None):
     """Brent root of the level (20/ln 10) re_at(beta) == target between a and
     b, whose gaps to the target (level - target), where already probed, are
-    gap_a and gap_b.  When a target within rounding of an end's level
-    leaves the ends on one side, the end whose level is nearer the target
-    is the crossing.  Raises OutOfRange where the level is nan at a probe."""
+    gap_a and gap_b, on either side of 0.  Raises OutOfRange where the level
+    is nan at a probe."""
     def gap(beta):
         return DB_PER_LOG * re_at(beta) - target
 
     try:
         return _brentq(gap, a, b, xtol=1e-15 * max(a, b), _fa=gap_a, _fb=gap_b)
-    except ValueError:  # the ends on one side of the target, or a nan level
-        gap_a, gap_b = gap(a), gap(b)
-        if (gap_a < 0.0) != (gap_b < 0.0) or gap_a != gap_a or gap_b != gap_b:
-            raise OutOfRange(f"the level is nan between beta = {a:g} and {b:g}") from None
-        return a if abs(gap_a) <= abs(gap_b) else b
+    except ValueError:  # a nan level
+        raise OutOfRange(f"the level is nan between beta = {a:g} and {b:g}") from None
 
 
-def _crossing(re_at, target: float, peak: float, gap_peak: float, step: float, edge: float,
-              n_db: float) -> float:
-    """The crossing of the level target nearest the peak on the side of
-    ``step``'s sign, for a LogProbe: bracketed by probes at steps of step,
-    2 step, 4 step, ... from the peak, the last one at ``edge``, then found
-    by _level_crossing.
-    Raises LevelNotReached where the level stays above the target up to the
-    edge or the largest float, and OutOfRange where it is nan at a probe."""
-    side = "high-frequency" if step > 0.0 else "low-frequency"
-    inner, gap_inner = peak, gap_peak
+def _doublings(peak: float, step: float, edge: float):
+    """peak + step, peak + 2 step, peak + 4 step, ... short of edge, then
+    edge itself where it is finite: a LogProbe's points outward from the
+    peak on the side of step's sign."""
     while True:
         x = peak + step
-        last = not (x < edge if step > 0.0 else x > edge)
-        if last:
-            x = edge
-        if not -math.inf < x < math.inf:
-            raise LevelNotReached(n_db, side)
+        if not (x < edge if step > 0.0 else x > edge):
+            if math.isfinite(edge):
+                yield edge
+            return
+        yield x
+        step *= 2.0
+
+
+def _crossing(re_at, target: float, n_db: float, peak: float, points, up: bool) -> float:
+    """The crossing of the level target, n_db below the peak's, nearest the
+    peak: above it where ``up`` is true, below it otherwise.  ``points`` run
+    outward from the peak on that side (_doublings for a LogProbe, a
+    callable's grid samples from the best one); the first whose level is at
+    or below the target brackets the crossing with the point before it, the
+    peak for the first, and _level_crossing finds it there.
+    Raises LevelNotReached where the level stays above the target at every
+    point, and OutOfRange where it is nan at one."""
+    inner, gap_inner = peak, n_db
+    for x in points:
         gap = DB_PER_LOG * re_at(x) - target
         if gap != gap:
             raise OutOfRange(f"the level is nan at beta = {x:g}")
         if gap <= 0.0:
-            break
-        if last:
-            raise LevelNotReached(n_db, side)
-        inner, gap_inner, step = x, gap, 2.0 * step
-    if step > 0.0:
-        return _level_crossing(re_at, target, inner, x, gap_inner, gap)
-    return _level_crossing(re_at, target, x, inner, gap, gap_inner)
+            if up:
+                return _level_crossing(re_at, target, inner, x, gap_inner, gap)
+            return _level_crossing(re_at, target, x, inner, gap, gap_inner)
+        inner, gap_inner = x, gap
+    raise LevelNotReached(n_db, "high-frequency" if up else "low-frequency")
 
 
 def _slopes(f, x: float, y: float, h: float, name: str) -> tuple[float, float, float, float]:
@@ -578,13 +581,13 @@ def extract_numeric(response, grid=None,
         (duplicates count once), as ``closed_form`` takes them.
 
     Procedure, on L, with a_p the probe's scale: the peak and S by
-    _peak_and_convexity, at step a_p / 200, from the best sample of a
-    callable, or from the climb of a LogProbe's Re L from its start in steps
-    of a_p / 2; BW_n by Brent's method on the level (20/ln 10) Re L between
-    probes that bracket each crossing: for a LogProbe at steps of a_p, 2 a_p,
-    4 a_p, ... from the peak, for a callable the first grid sample on each
-    side of the best one whose level is below the target and the sample
-    before it; the ERB by Gauss quadrature of the normalized power over
+    _peak_and_convexity, at step a_p / 200, from the climb of Re L in steps
+    of a_p / 2 from the probe's start (a callable's best sample); BW_n by
+    Brent's method on the level (20/ln 10) Re L between the two probes that
+    bracket each crossing (_crossing): the walk out from the peak on each
+    side, for a LogProbe at steps of a_p, 2 a_p, 4 a_p, ..., for a callable
+    over its grid samples from the best one, stops at the first probe whose
+    level is at or below the target and takes the one before it; the ERB by Gauss quadrature of the normalized power over
     the span (_erb_quadrature, on panels of a_p, or of four of the power's
     standard widths where S makes that narrower); N as the maximum of the
     delay, by Richardson's differences of Im L and parabolic vertex steps (_max_delay), over 2 pi;
@@ -612,17 +615,15 @@ def extract_numeric(response, grid=None,
     if isinstance(response, LogProbe):
         if grid is not None:
             raise ValueError("a LogProbe is read over its own span; give no grid")
-        probe = response
-        start = _climb(probe.re_at, probe.start, 0.5 * probe.scale, probe.lo)
-        extremes = sampled_crossing = None
+        probe, extremes, runs = response, None, None
     else:
         if grid is None:
             raise ValueError("a response callable is read over a grid; give one")
         from .grid import _complex_log
 
-        probe, extremes, sampled_crossing = _complex_log(response, grid)
-        start = probe.start
+        probe, extremes, runs = _complex_log(response, grid)
     re_at, im_at, a, lo, hi = probe.re_at, probe.im_at, probe.scale, probe.lo, probe.hi
+    start = _climb(re_at, probe.start, 0.5 * a, lo)
     step = a / 200.0
     if step == 0.0:
         raise OutOfRange(f"the peak's step a_p / 200 of a_p = {a:g} underflows to 0")
@@ -637,11 +638,9 @@ def extract_numeric(response, grid=None,
     bw = {}
     for n in _levels(n_levels):
         target = peak_level - n
-        if sampled_crossing is None:
-            upper = _crossing(re_at, target, beta_pk, n, a, hi, n)
-            lower = _crossing(re_at, target, beta_pk, n, -a, lo, n)
-        else:
-            upper, lower = sampled_crossing(target, n, True), sampled_crossing(target, n, False)
+        high, low = runs or (_doublings(beta_pk, a, hi), _doublings(beta_pk, -a, lo))
+        upper = _crossing(re_at, target, n, beta_pk, high, True)
+        lower = _crossing(re_at, target, n, beta_pk, low, False)
         width, last = upper - lower, max(bw.values(), default=0.0)
         if not width > last:
             # both crossings round to one float, or to those of the level below,

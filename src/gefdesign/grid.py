@@ -5,8 +5,10 @@ distances from it that grow by GRID_GROWTH = 1.01 a sample out to ends in
 units of b_p, so that it scales with the constants.  It serves the response
 tables (``harness.response_table``, ``evaluate --response-out``) and the span
 of a complex response callable, which ``_complex_log`` turns into the
-probes ``characteristics.extract_numeric`` reads.  In the package only those
-two paths import this module, so the audit from the constants loads no numpy.
+probes ``characteristics.extract_numeric`` reads, and the samples its
+crossings' walk steps over.  In the package only those two paths import this
+module, which imports nothing of ``characteristics``, so the audit from the
+constants loads no numpy.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .characteristics import _level_crossing
-from .errors import LevelNotReached, NoInteriorPeak, OutOfRange
+from .errors import NoInteriorPeak, OutOfRange
 from .probe import LogProbe
-from .scalar import DB_PER_LOG, TWO_PI, FilterConstants, _finite_positive, _Record
+from .scalar import TWO_PI, FilterConstants, _finite_positive, _Record
 
 # the floor, in units of b_p, and the growth of the distances from b_p
 GRID_FLOOR = 1e-3
@@ -127,22 +128,19 @@ def _complex_log(response: Callable, grid: FrequencyGrid):
     """The probes of a complex response callable over the grid's span, from
     log H = log|H| + i unwrap(angle H) (hypot, not abs, at one beta, so a
     modulus past the largest float reads inf instead of raising, and a zero
-    reads -inf), the brackets of its phase's interior extremes, and its
-    crossings: (target, n_db, up) -> the crossing of the level target
-    nearest the best sample, above it where up is true, below it otherwise.
+    reads -inf), the brackets of its phase's interior extremes, and the two
+    runs of samples from the best one, up and down the frequency axis, that
+    each crossing's walk reads Re L at (characteristics._crossing).
 
     The grid serves twice: its ends stand in for 0 and infinity, and its
-    samples' one array call gives the peak's start, the best sample (ties
-    to the smallest beta), the extremes of the unwrapped phase, the turn at
-    the nearest sample that im_at unwraps its angle by, and each crossing's
-    bracket: the first sample past the best one on its side whose level is
-    below the target, and the sample before it, so that a side lobe farther
-    out never hides the nearest crossing.  The scale is a quarter of the
-    window's half-width, a_p on a default_grid.  The ERB's node pass is one
-    more array call, at the peak and its nodes, whose power it divides by
-    the peak's.  Raises OutOfRange where
-    log H is not finite on the grid (where |H| passes the largest float,
-    log |H| reads inf), and NoInteriorPeak where the best sample is an end."""
+    samples' one array call gives the best sample (ties to the smallest
+    beta), where the peak's climb starts, the extremes of the unwrapped phase and the
+    turn at the nearest sample that im_at unwraps its angle by.  The scale
+    is a quarter of the window's half-width, a_p on a default_grid.  The
+    ERB's node pass is one more array call, at the peak and its nodes, whose
+    power it divides by the peak's.  Raises OutOfRange where log H is not
+    finite on the grid (where |H| passes the largest float, log |H| reads
+    inf), and NoInteriorPeak where the best sample is an end."""
     betas, scale = grid.samples, 0.25 * grid.dense_halfwidth
     # a zero, an overflow (of |H| too) or a nan gives a non-finite L, which fails the gate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -176,22 +174,7 @@ def _complex_log(response: Callable, grid: FrequencyGrid):
             log_at = np.log(np.abs(np.asarray(response(at), dtype=complex)))
             return np.exp(2.0 * (log_at[1:] - log_at[0])).tolist()
 
-    levels = DB_PER_LOG * log_mag
-    # the levels above the best sample, and those below it from it down
-    high, low = levels[k_pk + 1:], levels[k_pk - 1::-1]
-
-    def crossing(target, n_db, up):
-        side = (high if up else low) < target
-        k = int(side.argmax())
-        if not side[k]:
-            raise LevelNotReached(n_db, "high-frequency" if up else "low-frequency")
-        if up:
-            j = k_pk + 1 + k
-            return _level_crossing(re_at, target, samples[j - 1], samples[j])
-        j = k_pk - 1 - k
-        return _level_crossing(re_at, target, samples[j], samples[j + 1])
-
     extremes = [(samples[k - 1], samples[k + 1], turns[k]) for k in (k_max, k_min)
                 if 0 < k < last]
     probe = LogProbe(re_at, im_at, power, scale, samples[k_pk], samples[0], samples[-1])
-    return probe, extremes, crossing
+    return probe, extremes, (samples[k_pk:], samples[k_pk::-1])

@@ -23,7 +23,6 @@ from gefdesign import (
     relative_errors,
 )
 from gefdesign import characteristics, core
-from gefdesign import grid as grid_module
 from gefdesign import probe as probe_module
 from gefdesign.characteristics import (
     _level_crossing,
@@ -475,8 +474,9 @@ class TestExtractNumeric:
                 )
 
     def test_crossings_survive_scalar_and_vector_disagreement(self, theta_sharp6, monkeypatch):
-        # the scalar path reads 0.086 dB louder off the peak, so some sampled
-        # brackets hold no scalar crossing and the nearer sample is taken
+        # the scalar path reads 0.086 dB louder off the peak than the array
+        # path; the walk brackets each crossing by scalar levels, so no Brent
+        # call sees both ends on one side of the target
         def louder_off_peak(beta):
             value = eval_sharp(theta_sharp6, beta)
             return value if np.ndim(beta) or abs(beta - 1.0) < 0.01 else 1.01 * value
@@ -495,7 +495,7 @@ class TestExtractNumeric:
         grid = default_grid(theta_sharp6)
         levels = tuple(np.arange(1.0, 20.5, 0.5))
         report = extract_numeric(louder_off_peak, grid, n_levels=levels)
-        assert same_sign
+        assert same_sign == []
         want = closed_form(theta_sharp6, n_levels=levels)
         for n in levels:
             assert abs(report.bw_n_beta[n] - want.bw_n_beta[n]) < 4.0 * grid.dense_step
@@ -718,12 +718,6 @@ class TestLevelCrossing:
         got = extract_numeric(log_probe(theta, "p_sharp")).bw_n_beta[3.0]
         assert got == pytest.approx(closed_form(theta).bw_n_beta[3.0], rel=1e-6, abs=0.0)
 
-    @pytest.mark.parametrize("target, nearer", [(-2.5, 2.0), (-0.5, 1.0)])
-    def test_same_sign_ends_give_the_nearer_sample(self, target, nearer):
-        # both scalar levels on one side of the target: no bracket for Brent
-        assert _level_crossing(lambda beta: -beta / DB_PER_LOG, target, 1.0, 2.0) == nearer
-        assert _level_crossing(lambda beta: -beta / DB_PER_LOG, target, 2.0, 1.0) == nearer
-
 
 def gaussian_bumps(*bumps, floor=0.0, delay=5.0):
     """A response whose magnitude is a sum of Gaussians h*exp(-((beta-c)/w)**2)
@@ -829,10 +823,11 @@ class TestNanBetweenSamples:
 
 
 class TestCrossingSearch:
-    """The brackets of each n-dB crossing.  A callable's: the first grid
-    sample below the target above the peak sample and the last one below
-    it.  A LogProbe's: probes at steps of the scale, then twice, four times
-    that, ... from the peak, up to the ends of the span."""
+    """The brackets of each n-dB crossing, from one walk out from the peak:
+    the first point whose level is at or below the target, and the point
+    before it.  A callable's points are its grid samples from the best one;
+    a LogProbe's are at steps of the scale, then twice, four times that, ...
+    from the peak, up to the ends of the span."""
 
     GRID = FrequencyGrid(np.linspace(0.5, 1.5, 1001), 0.5, 0.001, 1.5, 0)
 
@@ -844,9 +839,7 @@ class TestCrossingSearch:
             brackets.append((a, b))
             return _level_crossing(re_at, target, a, b, *gaps)
 
-        # a LogProbe's crossings are found in characteristics, a callable's in grid
-        for module in (characteristics, grid_module):
-            monkeypatch.setattr(module, "_level_crossing", recording)
+        monkeypatch.setattr(characteristics, "_level_crossing", recording)
         return brackets
 
     @pytest.mark.parametrize("sign, side", [(1.0, "high-frequency"), (-1.0, "low-frequency")])
@@ -1249,3 +1242,12 @@ def test_cold_import_loads_no_polynomial_module_and_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_grid_imports_nothing_of_characteristics():
+    # one crossing walk, in characteristics: grid only samples the callable
+    code = "import sys, gefdesign.grid\nprint('gefdesign.characteristics' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(characteristics.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "False"
