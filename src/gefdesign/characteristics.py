@@ -453,8 +453,10 @@ def _erb_quadrature(probe: LogProbe, peak: float, re_peak: float,
     probe's scale.  About the peak, 16-point Legendre panels between the
     offsets 0, +-unit and +-4 unit (unit is a_p, or less where the caller
     narrows it); past them, 16-point Legendre panels in the log of the
-    distance from the peak (_log_panel): below, down to the span's lower
-    end; above, to its upper end, or where that is infinite, out to
+    distance from the peak (_log_panel): below, to half the peak's distance
+    from the span's lower end, and one plain 16-point panel from there to
+    that end, which keeps the nodes away from the pole of p and v at -b_p;
+    above, to its upper end, or where that is infinite, out to
     _TAIL_REACH times the peak's distance from the lower end.  From there
     the integrand in that log decays as exp(-rate s), the rate from two
     probes (_decay_rate).  At a rate of _LAGUERRE_MIN_RATE or more the
@@ -477,9 +479,16 @@ def _erb_quadrature(probe: LogProbe, peak: float, re_peak: float,
     x, w = _WINDOW if down >= near and up >= near else _window_panels(-down / k, up / k)
     x, w = ([k * t for t in x], [k * c for c in w]) if unit < a else (list(x), list(w))
     if down > near:
-        d, dw = _log_panel(near, down)
-        x += [-t for t in d]
-        w += dw
+        # the log panels stop at half the peak's distance from the lower end,
+        # short of the pole of p and v at -b_p; one plain panel takes the rest
+        mid = max(near, 0.5 * down)
+        if mid > near:
+            d, dw = _log_panel(near, mid)
+            x += [-t for t in d]
+            w += dw
+        center, half = 0.5 * (down + mid), 0.5 * (down - mid)
+        x += [-center - half * t for t in _GL_X]
+        w += [half * c for c in _GL_W]
     reach = up if up < math.inf else _TAIL_REACH * down
     if not reach < math.inf:
         raise OutOfRange(f"the ERB's tail from beta = {peak:g} passes the largest float")
