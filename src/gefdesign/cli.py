@@ -100,14 +100,24 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+# the trio's characteristic flags, in --help's order: (flag, spec key, help)
+_TRIO_FLAGS = (
+    ("--gdelay-cycles", "n_cycles", "peak group delay N in cycles"),
+    ("--phase-accum", "phi_accum", "phase accumulation in cycles"),
+    ("--qerb", "q_erb", "ERB quality factor"),
+    ("--qn", "q_n", "n-dB quality factor, e.g. 10:14.6"),
+    ("--convexity", "s_beta", "peak convexity S in dB"),
+)
+
+
 def _add_trio_flags(parser) -> None:
     parser.add_argument("--peak-beta", type=float, help="normalized peak frequency")
     parser.add_argument("--peak-hz", type=float, help="peak frequency in Hz (normalized design)")
-    parser.add_argument("--gdelay-cycles", type=float, help="peak group delay N in cycles")
-    parser.add_argument("--phase-accum", type=float, help="phase accumulation in cycles")
-    parser.add_argument("--qerb", type=float, help="ERB quality factor")
-    parser.add_argument("--qn", type=str, metavar="N:VALUE", help="n-dB quality factor, e.g. 10:14.6")
-    parser.add_argument("--convexity", type=float, help="peak convexity S in dB")
+    for flag, key, text in _TRIO_FLAGS:
+        if key == "q_n":
+            parser.add_argument(flag, type=str, metavar="N:VALUE", help=text)
+        else:
+            parser.add_argument(flag, type=float, help=text)
     parser.add_argument("--mode", choices=("exact", "approx"), default="exact")
     parser.add_argument("--integer-snap", action="store_true", help="round b_u to the nearest integer")
 
@@ -121,15 +131,12 @@ def _spec_from_flags(args) -> tuple[CharacteristicSpec, float | None]:
         _finite_positive("--peak-hz", f_peak_hz, UsageError)
 
     values: dict[str, float] = {}
+    for flag, key, _ in _TRIO_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and key != "q_n":
+            values[key] = value
+    # q_n comes last, with its level
     n_level = None
-    if args.gdelay_cycles is not None:
-        values["n_cycles"] = args.gdelay_cycles
-    if args.phase_accum is not None:
-        values["phi_accum"] = args.phase_accum
-    if args.qerb is not None:
-        values["q_erb"] = args.qerb
-    if args.convexity is not None:
-        values["s_beta"] = args.convexity
     if args.qn is not None:
         try:
             level_text, value_text = args.qn.split(":", 1)

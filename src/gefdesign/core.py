@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfRange
-from .probe import TARGETS, _check_targets, _re_at, log_probe  # noqa: F401 (log_probe re-exported)
+from .probe import TARGETS, _check_targets, _re_at
 from .scalar import _LOG_FLOAT_MAX, DB_PER_LOG, FilterConstants, peak_beta
 
 

@@ -21,18 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .bank import BankChannel, CfMap, bank_to_dict, build_constant_q_bank, cf_at, uniform_places
-from .core import (
-    DB_PER_LOG,
-    _maybe_scalar,
-    _re_at,
-    _response_columns,
-    _unit_peak_gain,
-    eval_gef,
-    log_response,
-)
+from .core import _maybe_scalar, _response_columns, _unit_peak_gain, eval_gef, log_response
 from .design import CharacteristicSpec, design
 from .errors import InfeasibleSpec, OutOfRange
-from .scalar import _finite_positive, _Record, peak_beta
+from .probe import _re_at
+from .scalar import DB_PER_LOG, _finite_positive, _Record, peak_beta
 
 
 class MultibandBand(_Record):

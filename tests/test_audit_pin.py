@@ -24,8 +24,9 @@ import pytest
 
 from gefdesign import CharacteristicSpec, FilterConstants, evaluate_case, sweep
 from gefdesign.grid import default_grid
-from gefdesign.core import TARGETS, _re_at, _unit_peak_gain, log_response
+from gefdesign.core import _unit_peak_gain, log_response
 from gefdesign.design import DesignRow, design
+from gefdesign.probe import TARGETS, _re_at
 from gefdesign.scalar import CHARACTERISTIC
 
 PIN_PATH = Path(__file__).resolve().parent / "data" / "audit_pin.json"

@@ -31,9 +31,11 @@ from gefdesign import (
 )
 from gefdesign import biquad
 from gefdesign.cli import run
-from gefdesign.core import DB_PER_LOG, log_probe, log_response
+from gefdesign.core import log_response
 from gefdesign.digital import DigitalFilter, SignalBuffer, apply_sos, read_wav, write_wav
 from gefdesign.errors import GefError
+from gefdesign.probe import log_probe
+from gefdesign.scalar import DB_PER_LOG
 
 N_SHARP6_TEXT = "19.098593171027442"
 SRC = Path(__file__).resolve().parents[1] / "src"

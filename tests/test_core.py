@@ -21,8 +21,7 @@ from gefdesign import (
     wavenumber,
 )
 from gefdesign import core, probe
-from gefdesign.core import DB_PER_LOG
-from gefdesign.scalar import _brentq
+from gefdesign.scalar import DB_PER_LOG, _brentq
 from gefdesign.errors import GefError, InfeasibleSpec, NonPositiveConstant
 
 LN10 = math.log(10.0)
@@ -316,7 +315,7 @@ class TestLogResponse:
         theta = theta_sharp6.with_gain(7.0)
         betas = np.linspace(0.01, 4.0, 2001)
         logs = core.log_response(theta, betas)
-        assert tuple(logs) == core.TARGETS
+        assert tuple(logs) == probe.TARGETS
         for target, fn in self.TARGETS:
             log = logs[target]
             values = np.asarray(fn(theta, betas))
@@ -330,7 +329,7 @@ class TestLogResponse:
     def test_targets_share_the_pole_logs(self, theta_sharp6):
         betas = np.linspace(0.5, 1.5, 11)
         every = core.log_response(theta_sharp6, betas)
-        for target in core.TARGETS:
+        for target in probe.TARGETS:
             alone = core.log_response(theta_sharp6, betas, (target,))
             assert list(alone) == [target]
             assert np.array_equal(alone[target].re, every[target].re)
@@ -347,7 +346,7 @@ class TestLogResponse:
     def test_scalar_probe_is_the_real_part(self, theta, beta):
         logs = core.log_response(theta.with_gain(3.0), np.array([beta]))
         for target, log in logs.items():
-            got = core._re_at(theta.with_gain(3.0), target)(beta)
+            got = probe._re_at(theta.with_gain(3.0), target)(beta)
             assert type(got) is float
             # a last-bit difference of math.log and numpy's log, times b_u
             tol = 4e-15 * theta.b_u
@@ -360,7 +359,7 @@ class TestLogResponse:
         for theta in (loud, quiet):
             for target, log in core.log_response(theta, betas).items():
                 assert np.all(np.isfinite(log.re)) and np.all(np.isfinite(log.im))
-                assert math.isfinite(core._re_at(theta, target)(1.0))
+                assert math.isfinite(probe._re_at(theta, target)(1.0))
         assert core.log_response(loud, betas)["p"].re[1] > 1000.0
         assert core.log_response(quiet, betas)["p"].re[1] < -2000.0
 
@@ -374,7 +373,7 @@ class TestLogResponse:
         for target, log in logs.items():
             assert np.all(np.isfinite(log.re))
             for beta, re in zip(betas, log.re):
-                assert core._re_at(theta, target)(float(beta)) == pytest.approx(re, rel=1e-14)
+                assert probe._re_at(theta, target)(float(beta)) == pytest.approx(re, rel=1e-14)
         np.testing.assert_allclose(logs["p_sharp"].re, -4.0 * np.log(betas), rtol=1e-15)
         np.testing.assert_allclose(logs["v"].re, -7.0 * np.log(betas), rtol=1e-15)
 
@@ -397,7 +396,7 @@ class TestLogResponse:
             np.geomspace(1e-300, 1e300, 33),
         ]
         block = core.log_response(theta, np.array(rows))
-        for target in core.TARGETS:
+        for target in probe.TARGETS:
             for k, betas in enumerate(rows):
                 alone = core.log_response(theta, betas, (target,))[target]
                 assert block[target].re[k].tobytes() == alone.re.tobytes(), (target, k)
@@ -411,12 +410,12 @@ class TestLogResponse:
         want = -4.0 * (math.log(1e-170) + math.log(2.0))
         assert level_db(theta, 1.0) == pytest.approx(DB_PER_LOG * want, rel=1e-14)
         assert level_db(theta, 1.0) == pytest.approx(13576.0, abs=1.0)
-        assert core._re_at(theta, "p")(1.0) == pytest.approx(want, rel=1e-14)
+        assert probe._re_at(theta, "p")(1.0) == pytest.approx(want, rel=1e-14)
         betas = np.array([0.0, 1.0 - 1e-160, 1.0, 1.0 + 1e-170, 3.0])
         for target, log in core.log_response(theta, betas).items():
             assert np.all(np.isfinite(log.re))
             for beta, re in zip(betas, log.re):
-                assert core._re_at(theta, target)(float(beta)) == re
+                assert probe._re_at(theta, target)(float(beta)) == re
 
 
 class TestLogProbe:
@@ -442,13 +441,13 @@ class TestLogProbe:
     def test_phase_limits(self, target, at_zero, at_inf):
         for theta in (FilterConstants(0.05, 1.0, 6.0), FilterConstants(1e-9, 3.0, 0.8),
                       FilterConstants(2.0, 1e5, 19.5)):
-            im_at = core.log_probe(theta, target).im_at
+            im_at = probe.log_probe(theta, target).im_at
             a, b, b_u = theta.a_p, theta.b_p, theta.b_u
             assert im_at(0.0) == pytest.approx(at_zero(a, b, b_u), rel=1e-15, abs=1e-300)
             assert im_at(math.inf) == pytest.approx(at_inf(b_u), rel=1e-15)
 
     @pytest.mark.parametrize("make", [
-        lambda theta: core.log_probe(theta, "P"),
+        lambda theta: probe.log_probe(theta, "P"),
         lambda theta: core.log_response(theta, [1.0], ("P",)),
         lambda theta: core.log_response(theta, [1.0], ("p", "vv")),
     ])
@@ -457,7 +456,7 @@ class TestLogProbe:
         with pytest.raises(ValueError, match=r"one of \('p_sharp', 'p', 'v'\)"):
             make(theta_sharp6)
 
-    @pytest.mark.parametrize("target", core.TARGETS)
+    @pytest.mark.parametrize("target", probe.TARGETS)
     def test_offsets_give_the_power_of_the_log_response(self, target):
         # the power at peak + a_p x over the power at the peak is
         # exp(2 (Re L(peak + a_p x) - Re L(peak))), to rounding
@@ -469,7 +468,7 @@ class TestLogProbe:
         assert type(got) is list and all(type(value) is float for value in got)
         np.testing.assert_allclose(got, np.exp(2.0 * (re[1:] - re[0])), rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("target", core.TARGETS)
+    @pytest.mark.parametrize("target", probe.TARGETS)
     def test_offsets_below_the_spacing_of_floats_stay_apart(self, target):
         # near b_p = 1e6 floats are 1.2e-10 apart; the offsets from it, in
         # units of a_p = 1e-12, are not rounded to them, so Re L falls as the
@@ -484,7 +483,7 @@ class TestLogProbe:
         FilterConstants(1e150, 1e300, 3.0),
         FilterConstants(2e-160, 1e-150, 2.5),
     ])
-    @pytest.mark.parametrize("target", core.TARGETS)
+    @pytest.mark.parametrize("target", probe.TARGETS)
     def test_power_is_scale_free(self, theta, target):
         # each factor is a ratio to its value at the peak, so the power at
         # the same offsets is the same at any scale of the constants
@@ -565,7 +564,7 @@ class TestPeakHelpers:
             unit = normalized_to_peak(theta)
         except GefError:
             return
-        assert abs(core._re_at(unit, "p")(peak_beta(unit))) <= 1e-12
+        assert abs(probe._re_at(unit, "p")(peak_beta(unit))) <= 1e-12
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -29,7 +29,6 @@ from gefdesign import (
 )
 from gefdesign import filterbank
 from gefdesign.grid import FrequencyGrid, default_grid
-from gefdesign.core import DB_PER_LOG
 from gefdesign.errors import InfeasibleSpec, OutOfRange
 from gefdesign.filterbank import (
     BankChannel,
@@ -37,6 +36,7 @@ from gefdesign.filterbank import (
     multiband_from_dict,
     uniform_places,
 )
+from gefdesign.scalar import DB_PER_LOG
 
 N_SHARP6 = 6.0 / (2.0 * math.pi * 0.05)
 

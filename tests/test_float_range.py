@@ -24,9 +24,10 @@ from gefdesign import (
     wavenumber,
 )
 from gefdesign.biquad import to_sos
-from gefdesign.core import eval_v, log_probe
+from gefdesign.core import eval_v
 from gefdesign.digital import SignalBuffer, apply_fft
 from gefdesign.errors import GefError, OutOfRange
+from gefdesign.probe import log_probe
 from gefdesign.scalar import GAMMA_SERIES_FROM, gamma_ratio, peak_beta
 
 # log-uniform over [1e-300, 1e300], and three subnormals
