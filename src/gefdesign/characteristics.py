@@ -25,9 +25,9 @@ loads no numpy.  A complex response callable is probed the same way inside
 the span of a grid from ``grid.default_grid``, whose one array call finds
 its best sample and unwraps its phase, and whose samples out from the best
 one are the points its crossings' walk reads at one float each; ``grid``
-imports numpy, and ``extract_numeric`` imports it for a callable alone.  The oracle reads
-levels from Re L, so a filter whose |H| passes the largest float extracts
-like any other.
+imports numpy, and ``extract_numeric`` imports it for a callable alone.
+The oracle reads levels from Re L, so a filter whose |H| passes the largest
+float extracts like any other.
 """
 
 from __future__ import annotations
@@ -479,8 +479,7 @@ def _erb_quadrature(probe: LogProbe, peak: float, re_peak: float,
     x, w = _WINDOW if down >= near and up >= near else _window_panels(-down / k, up / k)
     x, w = ([k * t for t in x], [k * c for c in w]) if unit < a else (list(x), list(w))
     if down > near:
-        # the log panels stop at half the peak's distance from the lower end,
-        # short of the pole of p and v at -b_p; one plain panel takes the rest
+        # the log panels stop short of the pole of p and v at -b_p
         mid = max(near, 0.5 * down)
         if mid > near:
             d, dw = _log_panel(near, mid)
@@ -596,7 +595,8 @@ def extract_numeric(response, grid=None,
     bracket each crossing (_crossing): the walk out from the peak on each
     side, for a LogProbe at steps of a_p, 2 a_p, 4 a_p, ..., for a callable
     over its grid samples from the best one, stops at the first probe whose
-    level is at or below the target and takes the one before it; the ERB by Gauss quadrature of the normalized power over
+    level is at or below the target and takes the one before it; the ERB
+    by Gauss quadrature of the normalized power over
     the span (_erb_quadrature, on panels of a_p, or of four of the power's
     standard widths where S makes that narrower); N as the maximum of the
     delay, by Richardson's differences of Im L and parabolic vertex steps (_max_delay), over 2 pi;

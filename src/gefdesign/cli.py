@@ -135,7 +135,7 @@ def _spec_from_flags(args) -> tuple[CharacteristicSpec, float | None]:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and key != "q_n":
             values[key] = value
-    # q_n comes last, with its level
+    # q_n goes in last: CharacteristicSpec refuses the first bad value in this order
     n_level = None
     if args.qn is not None:
         try:
