@@ -6,28 +6,24 @@ Two independent routes produce the same characteristic set
 * ``closed_form`` evaluates the analytic expressions in terms of the filter
   constants (exact for the one-sided sharp form).
 * ``extract_numeric`` recomputes everything from probes of the response:
-  parabolic vertex steps for the peak and a Richardson-extrapolated second
-  difference there for the convexity, Brent level crossings bracketed by one
-  walk out from the peak (over doubling steps, or a callable's grid samples),
-  Gauss quadrature for the ERB, a Richardson-extrapolated difference of the
-  phase with parabolic vertex steps for the group delay, and the phase's
-  limits at the ends of the span with the Brent root of its delay at an
-  interior extremum for phi_accum.
-  It works on the log response L = log H (levels from Re L, phase from
-  Im L) and never consults the closed forms, so it can serve as an oracle
-  for them.
+  parabolic vertex steps for the peak, and for the maximum of the group
+  delay; the curvature of the level at the peak for the convexity; Brent
+  level crossings bracketed by one walk out from the peak; Gauss quadrature
+  for the ERB; and the phase's limits at the ends of the span, with its
+  value at the Brent root of the delay at an interior extremum, for
+  phi_accum.  It works on the log response L = log H (levels from Re L,
+  phase from Im L) and never consults the closed forms, so it can serve as
+  an oracle for them.
 
-From the constants, ``probe.log_probe`` gives the probes over [0, inf): Re L
-and Im L at one float, the power at the ERB's nodes as offsets from the peak
-in units of a_p, and Im L's exact limits at 0 and inf; no grid is sampled,
-and this module and ``probe`` run on the standard library, so the audit
-loads no numpy.  A complex response callable is probed the same way inside
-the span of a grid from ``grid.default_grid``, whose one array call finds
-its best sample and unwraps its phase, and whose samples out from the best
-one are the points its crossings' walk reads at one float each; ``grid``
-imports numpy, and ``extract_numeric`` imports it for a callable alone.
-The oracle reads levels from Re L, so a filter whose |H| passes the largest
-float extracts like any other.
+From the constants, ``probe.log_probe`` gives the probes over [0, inf): Re L,
+Im L, the exact group delay and curvature at one float, the power at the
+ERB's nodes as offsets from the peak, and Im L's exact limits at 0 and inf;
+no grid is sampled, and this module and ``probe`` run on the standard
+library, so the audit loads no numpy.  A complex response callable is probed
+the same way inside the span of a grid (``grid``, which imports numpy, and
+which ``extract_numeric`` imports for a callable alone), with Richardson's
+differences for the delay and the curvature.  The oracle reads levels from
+Re L, so a filter whose |H| passes the largest float extracts like any other.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import math
 from operator import mul
 from typing import Mapping
 
-from .probe import LogProbe
+from .probe import LogProbe, _slopes
 from .scalar import (
     CHARACTERISTIC,
     DB_PER_LOG,
@@ -256,8 +252,8 @@ _LOG_PANEL_SPAN = 6.0
 # is a pure power of the distance to rounding
 _LAGUERRE_MIN_RATE = 2.0
 _FAR_SPAN = 35.5
-# the step of N's Richardson differences of Im L, in units of a_p
-_DELAY_STEP = 1.0 / 1024.0
+# a LogProbe's crossing walk starts this fraction of its placed distance inside it
+_MARGIN = 1.0 / 64.0
 _CLIMB_STEPS = 64
 
 
@@ -300,12 +296,12 @@ def _level_crossing(re_at, target, a, b, gap_a=None, gap_b=None):
         raise OutOfRange(f"the level is nan between beta = {a:g} and {b:g}") from None
 
 
-def _doublings(peak: float, step: float, edge: float):
-    """peak + step, peak + 2 step, peak + 4 step, ... short of edge, then
+def _doublings(base: float, step: float, edge: float):
+    """base + step, base + 2 step, base + 4 step, ... short of edge, then
     edge itself where it is finite: a LogProbe's points outward from the
     peak on the side of step's sign."""
     while True:
-        x = peak + step
+        x = base + step
         if not (x < edge if step > 0.0 else x > edge):
             if math.isfinite(edge):
                 yield edge
@@ -318,9 +314,10 @@ def _crossing(re_at, target: float, n_db: float, peak: float, points, up: bool) 
     """The crossing of the level target, n_db below the peak's, nearest the
     peak: above it where ``up`` is true, below it otherwise.  ``points`` run
     outward from the peak on that side (_doublings for a LogProbe, a
-    callable's grid samples from the best one); the first whose level is at
-    or below the target brackets the crossing with the point before it, the
-    peak for the first, and _level_crossing finds it there.
+    callable's grid samples about where its array's levels cross); the first
+    whose level is at or below the target brackets the crossing with the
+    point before it, the peak for the first, and _level_crossing finds it
+    there.
     Raises LevelNotReached where the level stays above the target at every
     point, and OutOfRange where it is nan at one."""
     inner, gap_inner = peak, n_db
@@ -334,21 +331,6 @@ def _crossing(re_at, target: float, n_db: float, peak: float, points, up: bool) 
             return _level_crossing(re_at, target, x, inner, gap, gap_inner)
         inner, gap_inner = x, gap
     raise LevelNotReached(n_db, "high-frequency" if up else "low-frequency")
-
-
-def _slopes(f, x: float, y: float, h: float, name: str) -> tuple[float, float, float, float]:
-    """The offsets of x - h and x + h from x and the slopes of f over them,
-    f being y at x; all nan where an offset rounds to 0.  Raises OutOfRange
-    where f at a probe is not finite; ``name`` names f in the message."""
-    lo, hi = x - h, x + h
-    d0, d2 = x - lo, hi - x
-    if not (d0 > 0.0 and d2 > 0.0):
-        return (math.nan,) * 4
-    y0, y2 = f(lo), f(hi)
-    if not (-math.inf < y0 < math.inf and -math.inf < y2 < math.inf):
-        value = y2 if -math.inf < y0 < math.inf else y0
-        raise OutOfRange(f"{name} within {h:g} of beta = {x:g} is {value}")
-    return d0, d2, (y - y0) / d0, (y2 - y) / d2
 
 
 def _vertex_search(f, x: float, steps, name: str) -> tuple[float, float]:
@@ -370,32 +352,6 @@ def _vertex_search(f, x: float, steps, name: str) -> tuple[float, float]:
     if not -math.inf < y < math.inf:
         raise OutOfRange(f"{name} at beta = {x:g} is {y}")
     return x, y
-
-
-def _peak_and_convexity(re_at, beta: float, step: float) -> tuple[float, float, float]:
-    """The maximizer of Re L from beta, Re L there and S there, from at most
-    14 scalar probes: _vertex_search with the steps step, step / 16 and
-    step / 256; then S by Richardson's (r**2 D(2 step) - D(4 step)) / (r**2 - 1)
-    of the level's second differences, where r is the ratio of the two spans
-    actually probed, 2 where the floats resolve the steps.  Raises OutOfRange
-    where a step of S rounds to 0, Re L at a probe or S is not finite, or S
-    is not positive."""
-    beta, y = _vertex_search(re_at, beta, (step, step / 16.0, step / 256.0), "Re L")
-    # D = -2 (s0 - s2) / (d0 + d2) over the probed offsets; r = 2 gives (4 D - D') / 3
-    d0, d2, s0, s2 = _slopes(re_at, beta, y, 2.0 * step, "Re L")
-    e0, e2, t0, t2 = _slopes(re_at, beta, y, 4.0 * step, "Re L")
-    # nan where the spans are nan or round to one width, which no ratio extrapolates;
-    # each difference is divided before it is scaled, so S overflows only past
-    # the largest float
-    r2 = ((e0 + e2) / (d0 + d2)) ** 2
-    s_beta = (((s0 - s2) / (d0 + d2) - (t0 - t2) / (e0 + e2) / r2) * (r2 / (r2 - 1.0))
-              * (2.0 * DB_PER_LOG) if r2 > 1.0 else math.nan)
-    if not (math.isfinite(s_beta) and s_beta > 0.0):
-        raise OutOfRange(
-            f"the level's second difference at beta_peak = {beta:g} with step "
-            f"{4.0 * step:g} gives S = {s_beta:g}, not a finite positive value"
-        )
-    return beta, y, s_beta
 
 
 def _log_panel(d0: float, d1: float) -> tuple[list, list]:
@@ -529,47 +485,6 @@ def _erb_quadrature(probe: LogProbe, peak: float, re_peak: float,
     return erb, len(x)
 
 
-def _max_delay(im_at, beta: float, a: float) -> float:
-    """The maximum of the group delay -d(Im L)/d(beta), 2 pi N, from 40
-    scalar probes of Im L: the delay at x as Richardson's
-    (r**2 D_1 - D_2) / (r**2 - 1) of the centered differences over
-    x +- h and x +- 2 h, h = a_p / 1024, where r is the ratio of the spans
-    actually probed (2 where the floats resolve h, which gives
-    (4 D_1 - D_2) / 3); from beta, _vertex_search with the steps a_p / 8,
-    a_p / 64 and a_p / 512.  Raises OutOfRange where h or 2 h rounds to no
-    wider span, or the delay at a probe is not finite."""
-    h = a * _DELAY_STEP
-
-    def delay(x):
-        lo1, hi1, lo2, hi2 = x - h, x + h, x - 2.0 * h, x + 2.0 * h
-        w1, w2 = hi1 - lo1, hi2 - lo2
-        if not 0.0 < w1 < w2:
-            raise OutOfRange(f"the phase's steps {h:g} and {2.0 * h:g} at beta = {x:g} "
-                             "round to no wider spans")
-        r2 = (w2 / w1) ** 2
-        return (r2 * (im_at(lo1) - im_at(hi1)) / w1 - (im_at(lo2) - im_at(hi2)) / w2) / (r2 - 1.0)
-
-    return _vertex_search(delay, beta, (a / 8.0, a / 64.0, a / 512.0), "the group delay")[1]
-
-
-def _phase_turn(im_at, lo: float, hi: float) -> float | None:
-    """Im L where its group delay changes sign between lo and hi, the delay
-    a centered difference over +-h, h = hi / 1024, at its Brent root; None
-    where the delay has one sign at both ends or is nan.  An error d in the
-    root moves Im L by order d**2 there, so neither h nor Brent's tolerance
-    need be fine."""
-    h = hi / 1024.0
-
-    def fall(x):
-        return im_at(x - h) - im_at(x + h)
-
-    try:
-        root = _brentq(fall, lo, hi, xtol=1e-7 * hi)
-    except (ValueError, RuntimeError):
-        return None
-    return im_at(root)
-
-
 def extract_numeric(response, grid=None,
                     n_levels=DEFAULT_LEVELS_DB) -> CharacteristicReport:
     """Recompute the characteristic set of a response from probes of it.
@@ -588,21 +503,22 @@ def extract_numeric(response, grid=None,
         dB levels for bandwidths and quality factors, each finite and > 0
         (duplicates count once), as ``closed_form`` takes them.
 
-    Procedure, on L, with a_p the probe's scale: the peak and S by
-    _peak_and_convexity, at step a_p / 200, from the climb of Re L in steps
-    of a_p / 2 from the probe's start (a callable's best sample); BW_n by
-    Brent's method on the level (20/ln 10) Re L between the two probes that
-    bracket each crossing (_crossing): the walk out from the peak on each
-    side, for a LogProbe at steps of a_p, 2 a_p, 4 a_p, ..., for a callable
-    over its grid samples from the best one, stops at the first probe whose
-    level is at or below the target and takes the one before it; the ERB
-    by Gauss quadrature of the normalized power over
-    the span (_erb_quadrature, on panels of a_p, or of four of the power's
+    Procedure, on L, with a_p the probe's scale: the peak by _vertex_search
+    on Re L at steps of a_p / 200, / 16 and / 256 from the climb of Re L in
+    steps of a_p / 2 from the probe's start (a callable's best sample); S as
+    -(20/ln 10) times the curvature there; BW_n by Brent's method on the
+    level (20/ln 10) Re L between the two probes that bracket each crossing
+    (_crossing), the first at or below the target on a walk out from the
+    peak and the one before it: for a LogProbe, from _MARGIN inside and
+    outside the distance where a pure power with that S crosses, for a
+    callable, from its grid samples about the crossing of its array's
+    levels; the ERB by Gauss quadrature of the normalized power over the
+    span (_erb_quadrature, on panels of a_p, or of four of the power's
     standard widths where S makes that narrower); N as the maximum of the
-    delay, by Richardson's differences of Im L and parabolic vertex steps (_max_delay), over 2 pi;
+    delay by _vertex_search at steps of a_p / 8, / 64 and / 512, over 2 pi;
     phi_accum as the span of Im L over 2 pi: its values at the span's ends
     (the exact limits at 0 and inf for a LogProbe) and at an interior
-    extremum, the Brent root of its delay (v's phase maximum).
+    extremum, the Brent root of the delay (v's phase maximum).
 
     The report's provenance is the grid's geometry (grid_*) for a callable,
     and for a LogProbe the probes' scale and the ERB's node count
@@ -614,8 +530,9 @@ def extract_numeric(response, grid=None,
     Raises OutOfRange when a level is not finite and > 0, for a callable
     when L is not finite on its grid (as where |H| passes the largest
     float), when the ERB or S is not finite and positive (as where a step
-    of S rounds to 0), when Re L at a probe of the peak or the delay at a
-    probe of N is not finite, or Re L is nan at a probe of a crossing, when
+    of a callable's S rounds to 0), when Re L at a probe of the peak or the
+    delay at a probe of N is not finite, or Re L is nan at a probe of a
+    crossing, when
     the two crossings of a level give no width above the last (smaller)
     level's, or when N or phi_accum is not finite and positive;
     NoInteriorPeak when the peak is not inside the span; LevelNotReached
@@ -637,17 +554,29 @@ def extract_numeric(response, grid=None,
     if step == 0.0:
         raise OutOfRange(f"the peak's step a_p / 200 of a_p = {a:g} underflows to 0")
 
-    beta_pk, re_pk, s_beta = _peak_and_convexity(re_at, start, step)
-    # S's stencil reaches 4 steps to either side, and must stay in the span
+    beta_pk, re_pk = _vertex_search(re_at, start, (step, step / 16.0, step / 256.0), "Re L")
+    # a callable's stencil of S reaches 4 steps to either side, inside the span
     if not lo + 4.0 * step < beta_pk < hi - 4.0 * step:
         raise NoInteriorPeak(f"the magnitude maximum at beta = {beta_pk:g} is not inside "
                              f"[{lo:g}, {hi:g}] by S's stencil, 4 a_p / 200")
+    s_beta = -DB_PER_LOG * probe.curvature_at(beta_pk)
+    if not (math.isfinite(s_beta) and s_beta > 0.0):
+        raise OutOfRange(f"the level's curvature at beta_peak = {beta_pk:g} gives S = "
+                         f"{s_beta:g}, not a finite positive value")
 
     peak_level = DB_PER_LOG * re_pk
     bw = {}
     for n in _levels(n_levels):
         target = peak_level - n
-        high, low = runs or (_doublings(beta_pk, a, hi), _doublings(beta_pk, -a, lo))
+        if runs is None:
+            # where (1 + x**2)**-k, x = (beta - peak) / a_p, with S's k crosses the
+            # level, up to e**4 a_p out; the margin keeps the walk's steps off 0
+            reach = a * math.sqrt(math.expm1(min(2.0 * n / (s_beta * a * a), 8.0)))
+            m = max(_MARGIN * reach, math.ulp(beta_pk))
+            high = _doublings(beta_pk + (reach - 3.0 * m), 2.0 * m, hi)
+            low = _doublings(beta_pk - (reach - 3.0 * m), -2.0 * m, lo)
+        else:
+            high, low = runs(target)
         upper = _crossing(re_at, target, n, beta_pk, high, True)
         lower = _crossing(re_at, target, n, beta_pk, low, False)
         width, last = upper - lower, max(bw.values(), default=0.0)
@@ -662,14 +591,20 @@ def extract_numeric(response, grid=None,
     # panels then take four of its standard widths, sqrt((20/ln 10) / S), as unit
     erb, nodes = _erb_quadrature(probe, beta_pk, re_pk,
                                  min(a, 4.0 * math.sqrt(DB_PER_LOG / s_beta)))
-    n_beta = _max_delay(im_at, beta_pk, a) / TWO_PI
+    n_beta = _vertex_search(probe.delay_at, beta_pk, (a / 8.0, a / 64.0, a / 512.0),
+                            "the group delay")[1] / TWO_PI
 
     top, bottom = im_at(lo), im_at(hi)
     if extremes is None:
         extremes = [(lo, beta_pk, None)]
     for x0, x1, sample in extremes:
-        turn = _phase_turn(im_at, x0, x1)
-        value = sample if turn is None else turn
+        # Im L at the Brent root of the delay, or the sample where the delay has
+        # one sign at both ends or cannot be read: an error d in the root moves
+        # Im L by order d**2 there, so Brent's tolerance need not be fine
+        try:
+            value = im_at(_brentq(probe.delay_at, x0, x1, xtol=1e-7 * x1))
+        except (ValueError, RuntimeError, OutOfRange):
+            value = sample
         if value is not None:
             top, bottom = max(top, value), min(bottom, value)
     phi_accum = (top - bottom) / TWO_PI

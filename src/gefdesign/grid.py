@@ -5,7 +5,8 @@ distances from it that grow by GRID_GROWTH = 1.01 a sample out to ends in
 units of b_p, so that it scales with the constants.  It serves the response
 tables (``harness.response_table``, ``evaluate --response-out``) and the span
 of a complex response callable, which ``_complex_log`` turns into the
-probes ``characteristics.extract_numeric`` reads, and the samples its
+probes ``characteristics.extract_numeric`` reads (with Richardson's
+differences for the group delay and the curvature), and the samples its
 crossings' walk steps over.  In the package only those two paths import this
 module, which imports nothing of ``characteristics``, so the audit from the
 constants loads no numpy.
@@ -21,12 +22,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoInteriorPeak, OutOfRange
-from .probe import LogProbe
-from .scalar import TWO_PI, FilterConstants, _finite_positive, _Record
+from .probe import LogProbe, _slopes
+from .scalar import DB_PER_LOG, TWO_PI, FilterConstants, _finite_positive, _Record
 
 # the floor, in units of b_p, and the growth of the distances from b_p
 GRID_FLOOR = 1e-3
 GRID_GROWTH = 1.01
+# the step of a callable's differences of Im L for its group delay, in units
+# of its scale
+_DELAY_STEP = 1.0 / 1024.0
 
 
 class FrequencyGrid(_Record):
@@ -124,19 +128,68 @@ def default_grid(theta: FilterConstants, tail_max: float | None = None) -> Frequ
                          tail_max=float(tail_max), tail_points=int(tail_points))
 
 
+def _delay(im_at, h: float) -> Callable[[float], float]:
+    """The group delay -d(Im L)/d(beta) at x as Richardson's
+    (r**2 D_1 - D_2) / (r**2 - 1) of the centered differences of im_at over
+    x +- h and x +- 2 h, where r is the ratio of the spans actually probed
+    (2 where the floats resolve h, which gives (4 D_1 - D_2) / 3), as a
+    function of x.  It raises OutOfRange where h or 2 h rounds to no wider
+    span."""
+    def delay_at(x):
+        lo1, hi1, lo2, hi2 = x - h, x + h, x - 2.0 * h, x + 2.0 * h
+        w1, w2 = hi1 - lo1, hi2 - lo2
+        if not 0.0 < w1 < w2:
+            raise OutOfRange(f"the phase's steps {h:g} and {2.0 * h:g} at beta = {x:g} "
+                             "round to no wider spans")
+        r2 = (w2 / w1) ** 2
+        return (r2 * (im_at(lo1) - im_at(hi1)) / w1 - (im_at(lo2) - im_at(hi2)) / w2) / (r2 - 1.0)
+
+    return delay_at
+
+
+def _curvature(re_at, h: float) -> Callable[[float], float]:
+    """d2(Re L)/d(beta)2 at x as Richardson's (r**2 D(2 h) - D(4 h)) / (r**2 - 1)
+    of the second differences of re_at over x +- 2 h and x +- 4 h, where r
+    is the ratio of the two spans actually probed (2 where the floats
+    resolve h), as a function of x.  Each difference is divided before it is
+    scaled, so it overflows only past the largest float.  It raises
+    OutOfRange where Re L at a probe is not finite, or where a span rounds
+    to 0 or to the other's width, which no ratio extrapolates."""
+    def curvature_at(x):
+        y = re_at(x)
+        # D = -2 (s0 - s2) / (d0 + d2) over the probed offsets; r = 2 gives (4 D - D') / 3
+        d0, d2, s0, s2 = _slopes(re_at, x, y, 2.0 * h, "Re L")
+        e0, e2, t0, t2 = _slopes(re_at, x, y, 4.0 * h, "Re L")
+        r2 = ((e0 + e2) / (d0 + d2)) ** 2  # nan where the spans are nan
+        if not r2 > 1.0:
+            raise OutOfRange(f"the level's second differences at beta = {x:g} with step "
+                             f"{4.0 * h:g} round to no wider spans")
+        return ((s0 - s2) / (d0 + d2) - (t0 - t2) / (e0 + e2) / r2) * (r2 / (r2 - 1.0)) * -2.0
+
+    return curvature_at
+
+
 def _complex_log(response: Callable, grid: FrequencyGrid):
     """The probes of a complex response callable over the grid's span, from
     log H = log|H| + i unwrap(angle H) (hypot, not abs, at one beta, so a
     modulus past the largest float reads inf instead of raising, and a zero
-    reads -inf), the brackets of its phase's interior extremes, and the two
-    runs of samples from the best one, up and down the frequency axis, that
-    each crossing's walk reads Re L at (characteristics._crossing).
+    reads -inf), the brackets of its phase's interior extremes, and the
+    function of a level that gives the two runs of samples, up and down the
+    frequency axis, that each crossing's walk reads Re L at
+    (characteristics._crossing).  Its group delay and curvature are
+    Richardson's differences of im_at and re_at (_delay at a_p / 1024 and
+    _curvature at a_p / 200, a_p the scale).
 
     The grid serves twice: its ends stand in for 0 and infinity, and its
     samples' one array call gives the best sample (ties to the smallest
-    beta), where the peak's climb starts, the extremes of the unwrapped phase and the
-    turn at the nearest sample that im_at unwraps its angle by.  The scale
-    is a quarter of the window's half-width, a_p on a default_grid.  The
+    beta), where the peak's climb starts, the extremes of the unwrapped
+    phase, the turn at the nearest sample that im_at unwraps its angle by,
+    and the levels that start each run: at the sample before the first one
+    out from the best whose level is at or below the target (at the grid's
+    end on that side where none is), so that the walk reads the scalar level
+    at the two samples that bracket the crossing, and walks on from there
+    where the scalar level is still above the target.  The scale is a
+    quarter of the window's half-width, a_p on a default_grid.  The
     ERB's node pass is one more array call, at the peak and its nodes, whose
     power it divides by the peak's.  Raises OutOfRange where log H is not
     finite on the grid (where |H| passes the largest float, log |H| reads
@@ -174,7 +227,21 @@ def _complex_log(response: Callable, grid: FrequencyGrid):
             log_at = np.log(np.abs(np.asarray(response(at), dtype=complex)))
             return np.exp(2.0 * (log_at[1:] - log_at[0])).tolist()
 
+    levels = DB_PER_LOG * log_mag
+
+    def runs(target):
+        def below(run):  # the index in run of its first sample at or below the target
+            k = int(run.argmax())
+            return k if run[k] else run.size
+
+        at_or_below = levels <= target
+        up = k_pk + below(at_or_below[k_pk:])
+        down = k_pk - below(at_or_below[k_pk::-1])
+        return samples[max(up - 1, k_pk):], samples[min(down + 1, k_pk)::-1]
+
     extremes = [(samples[k - 1], samples[k + 1], turns[k]) for k in (k_max, k_min)
                 if 0 < k < last]
-    probe = LogProbe(re_at, im_at, power, scale, samples[k_pk], samples[0], samples[-1])
-    return probe, extremes, (samples[k_pk:], samples[k_pk::-1])
+    probe = LogProbe(re_at, im_at, _delay(im_at, scale * _DELAY_STEP),
+                     _curvature(re_at, scale / 200.0), power, scale, samples[k_pk],
+                     samples[0], samples[-1])
+    return probe, extremes, runs

@@ -2,11 +2,12 @@
 
 The numeric oracle (``characteristics.extract_numeric``) reads each target
 of the constants through a ``LogProbe``: Re L and Im L of L = log H at one
-float beta (see ``core.log_response`` for the three targets), and the ERB's
-node pass, the power |H|**2 relative to its value at the peak at a list of
-offsets from it.  Each is a function bound once to the constants and runs
-on ``math``, so the audit (``analyze``, ``evaluate``, ``sweep``) loads no
-numpy; ``core`` evaluates the same log response on arrays.
+float beta (see ``core.log_response`` for the three targets), the exact
+group delay -d(Im L)/d(beta) and curvature d2(Re L)/d(beta)2 there, and the
+ERB's node pass, the power |H|**2 relative to its value at the peak at a
+list of offsets from it.  Each is a function bound once to the constants
+and runs on ``math``, so the audit (``analyze``, ``evaluate``, ``sweep``)
+loads no numpy; ``core`` evaluates the same log response on arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
+from .errors import OutOfRange
 from .scalar import FilterConstants
 
 TARGETS = ("p_sharp", "p", "v")
@@ -86,6 +88,46 @@ def _im_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
     return im_at
 
 
+def _delay_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
+    """The group delay -d(Im L)/d(beta) of one target at one float beta,
+    exact, as a function bound once to the constants, in one frame a call,
+    as _im_at.  Each factor a + i u gives a / (a*a + u*u), taken as
+    1 / (1 + x*x) / a with x = u / a, so no a*a is formed, and a distance
+    whose square overflows gives 0; p takes v's zero with weight 0."""
+    a, b, b_u = theta.a_p, theta.b_p, theta.b_u
+    zero = 1.0 if target == "v" else 0.0
+
+    if target == "p_sharp":
+        def delay_at(beta):
+            x = (beta - b) / a
+            return b_u / (1.0 + x * x) / a
+    else:
+        def delay_at(beta):
+            x, y, z = (beta - b) / a, (beta + b) / a, beta / a
+            return (b_u * (1.0 / (1.0 + x * x) + 1.0 / (1.0 + y * y)) - zero / (1.0 + z * z)) / a
+    return delay_at
+
+
+def _curvature_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
+    """d2(Re L)/d(beta)2 of one target at one float beta, exact, as a
+    function bound once to the constants: each log modulus of a factor
+    a + i u, weighted as in _re_at, gives (a*a - u*u) / (a*a + u*u)**2, taken
+    as t (2 t - 1) with t = 1 / (1 + x*x), x = u / a, and the sum divided by
+    a twice, so that it overflows only where the curvature does."""
+    a, b, b_u = theta.a_p, theta.b_p, theta.b_u
+    terms = {"p_sharp": ((b, -b_u),), "p": ((b, -b_u), (-b, -b_u)),
+             "v": ((b, -b_u), (-b, -b_u), (0.0, 1.0))}[target]
+
+    def curvature_at(beta):
+        total = 0.0
+        for center, weight in terms:
+            x = (beta - center) / a
+            t = 1.0 / (1.0 + x * x)
+            total += weight * (t * (2.0 * t - 1.0))
+        return total / a / a
+    return curvature_at
+
+
 def _ratio(center: float) -> tuple[float, float, float]:
     """(g, h, k) with g + (h + k x)**2 = (1 + (center + x)**2) / (1 + center**2)
     for every x: the squared modulus of a factor 1 + i (center + x) over its
@@ -134,17 +176,36 @@ def _power_at(theta: FilterConstants, target: str) -> Callable[[float, list], li
     return power
 
 
+def _slopes(f, x: float, y: float, h: float, name: str) -> tuple[float, float, float, float]:
+    """The offsets of x - h and x + h from x and the slopes of f over them,
+    f being y at x; all nan where an offset rounds to 0.  Raises OutOfRange
+    where f at a probe is not finite; ``name`` names f in the message."""
+    lo, hi = x - h, x + h
+    d0, d2 = x - lo, hi - x
+    if not (d0 > 0.0 and d2 > 0.0):
+        return (math.nan,) * 4
+    y0, y2 = f(lo), f(hi)
+    if not (-math.inf < y0 < math.inf and -math.inf < y2 < math.inf):
+        value = y2 if -math.inf < y0 < math.inf else y0
+        raise OutOfRange(f"{name} within {h:g} of beta = {x:g} is {value}")
+    return d0, d2, (y - y0) / d0, (y2 - y) / d2
+
+
 class LogProbe(NamedTuple):
     """The log response L = log H of one target as extract_numeric reads it:
-    ``re_at`` and ``im_at``, Re L and Im L at one float beta; ``power``, the
-    ERB's node pass, |H|**2 over its value at a float peak at a list of
-    offsets from the peak in units of ``scale``, as a list; ``scale`` and
-    ``start``, the width (a_p) and the guess of the peak (b_p) the probes are
-    placed by; and the span [``lo``, ``hi``] the characteristics are read
-    over, at whose ends im_at gives the limits of Im L."""
+    ``re_at`` and ``im_at``, Re L and Im L at one float beta; ``delay_at``
+    and ``curvature_at``, -d(Im L)/d(beta) and d2(Re L)/d(beta)2 there;
+    ``power``, the ERB's node pass, |H|**2 over its value at a float peak at
+    a list of offsets from the peak in units of ``scale``, as a list;
+    ``scale`` and ``start``, the width (a_p) and the guess of the peak (b_p)
+    the probes are placed by; and the span [``lo``, ``hi``] the
+    characteristics are read over, at whose ends im_at gives the limits of
+    Im L."""
 
     re_at: Callable[[float], float]
     im_at: Callable[[float], float]
+    delay_at: Callable[[float], float]
+    curvature_at: Callable[[float], float]
     power: Callable[[float, list], list]
     scale: float
     start: float
@@ -157,5 +218,5 @@ def log_probe(theta: FilterConstants, target: str) -> LogProbe:
     the constants, with no sampled grid.  A target outside TARGETS raises
     ValueError."""
     _check_targets((target,))
-    return LogProbe(_re_at(theta, target), _im_at(theta, target), _power_at(theta, target),
-                    theta.a_p, theta.b_p)
+    return LogProbe(_re_at(theta, target), _im_at(theta, target), _delay_at(theta, target),
+                    _curvature_at(theta, target), _power_at(theta, target), theta.a_p, theta.b_p)

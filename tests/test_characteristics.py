@@ -26,7 +26,7 @@ from gefdesign import characteristics, core
 from gefdesign import probe as probe_module
 from gefdesign.characteristics import (
     _level_crossing,
-    _peak_and_convexity,
+    _vertex_search,
     erb_closed_form,
     qerb_closed_form,
 )
@@ -38,6 +38,7 @@ from gefdesign.errors import (
     NoInteriorPeak,
     OutOfRange,
 )
+from gefdesign import grid as grid_module
 from gefdesign.grid import GRID_FLOOR, GRID_GROWTH, FrequencyGrid
 from gefdesign.probe import TARGETS, LogProbe, log_probe
 from gefdesign.scalar import DB_PER_LOG, TWO_PI
@@ -321,13 +322,18 @@ LEVEL_ROUTES = {
 
 
 class TestExtractNumeric:
-    def test_s_step_below_float_spacing_raises(self):
+    def test_s_where_a_stencil_is_below_the_float_spacing(self):
         # 4 * a_p / 200 = 2e-22 is below the spacing of floats at beta = 0.05
-        # (about 7e-18), so the second difference of the level reads -0.0
+        # (about 7e-18), where a second difference of the level reads -0.0;
+        # the exact curvature reads S as tests/reference.py does, and the
+        # widths, far below that spacing, are refused
         theta = FilterConstants(1e-20, 0.05, 2.0)
         assert 4.0 * theta.a_p / 200.0 < math.ulp(0.05)
-        with pytest.raises(OutOfRange, match="second difference"):
-            extract_numeric(log_probe(theta, "p"))
+        probe = log_probe(theta, "p")
+        s_beta = -DB_PER_LOG * probe.curvature_at(reference.beta_peak(theta, "p"))
+        assert s_beta == pytest.approx(reference.s_beta(theta, "p"), rel=1e-15, abs=0.0)
+        with pytest.raises(OutOfRange, match="3 dB crossings .* give no width"):
+            extract_numeric(probe)
 
     def test_crossings_within_one_float_raise(self):
         # BW_3 = 0.1 is below the spacing of floats at 2**52 (1.0), so both
@@ -337,14 +343,24 @@ class TestExtractNumeric:
         with pytest.raises(OutOfRange, match="3 dB crossings .* give no width"):
             extract_numeric(log_probe(theta, "p"))
 
+    def test_a_level_far_below_the_float_spacing_is_refused(self):
+        # 5e-324 dB down, 2 n / (S a_p**2) underflows to 0, and so does the
+        # distance at which a pure power with that S crosses: the walk's steps,
+        # at least a float spacing at the peak, still move out, and both
+        # crossings land on one float
+        theta = FilterConstants(0.05, 1.0, 6.0)
+        with pytest.raises(OutOfRange, match="crossings .* give no width above 0"):
+            extract_numeric(log_probe(theta, "p"), n_levels=(5e-324,))
+
     def test_widths_that_do_not_grow_with_the_level_are_refused(self):
-        # a level that drops 30 dB at beta = 1 -+ 0.1 puts the 3 and 10 dB
-        # crossings on the same floats
+        # |H| that falls to 0 at beta = 1 -+ 0.1 puts the 3 and 10 dB crossings
+        # on the same floats: Brent's interpolated steps toward a level of -inf
+        # are 0, so both levels take the same steps from the same brackets
         def re_at(beta):
             u = beta - 1.0
-            return -u * u if abs(u) < 0.1 else -30.0 / DB_PER_LOG
+            return -u * u if abs(u) < 0.1 else -math.inf
 
-        probe = LogProbe(re_at, re_at, None, 0.05, 1.0)
+        probe = LogProbe(re_at, re_at, re_at, lambda beta: -2.0, None, 0.05, 1.0)
         with pytest.raises(OutOfRange, match="10 dB crossings .* give no width above"):
             extract_numeric(probe)
 
@@ -606,20 +622,23 @@ class TestScaleFree:
                 width = want.bw_n_beta[n]
                 error = abs(got.bw_n_beta[n] - width) / (2.0 * tol + rounding * width)
                 worst["bw"] = max(worst["bw"], error)
-        # measured worst: N 7.3e-13, S 1.6e-8 (the h**4 term), and the widths
-        # 0.37 of their bound (2.4e-6 relative at a_p / b_p near 1e-9, where
-        # Brent's tolerance is that wide; 5e-12 at b_u near 100, where Re L
-        # at the peak is about -3e4)
-        assert worst["n_beta"] <= 1e-12, worst
-        assert worst["s_beta"] <= 3e-8, worst
+        # measured worst: N 3.3e-16 and S 4.4e-16, from the exact delay and
+        # curvature (7.3e-13 and 1.6e-8, the h**4 term, from Richardson's
+        # differences), and the widths 0.36 of their bound (2.4e-6 relative at
+        # a_p / b_p near 1e-9, where Brent's tolerance is that wide; 5e-12 at
+        # b_u near 100, where Re L at the peak is about -3e4)
+        assert worst["n_beta"] <= 1e-15, worst
+        assert worst["s_beta"] <= 1e-15, worst
         assert worst["bw"] <= 1.0, worst
 
 
-    # S = 9.69e307, within 2x of the largest float: each difference is divided
-    # before it is scaled by (20 / ln 10) and 2 r**2, which overflowed to inf.
-    # measured: p_sharp 1.29e-8, v 0.98e-8, p 1.71e-8 (the h**4 term)
+    # S = 9.69e307, within 2x of the largest float: the curvature is divided
+    # by a_p twice before it is scaled by (20 / ln 10), which overflowed to inf
+    # where the differences were scaled first.  measured: p_sharp 0, and p
+    # 7.9e-11 and v 5.2e-11, the departure of their S from the closed form's,
+    # which is p_sharp's (1.29e-8, 1.71e-8 and 0.98e-8 from the differences)
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("target, bound", [("p_sharp", 1.6e-8), ("p", 3e-8), ("v", 3e-8)])
+    @pytest.mark.parametrize("target, bound", [("p_sharp", 1e-15), ("p", 1e-10), ("v", 1e-10)])
     def test_s_next_to_the_largest_float(self, target, bound):
         theta = FilterConstants(9.888505840825821e-154, 1.111940694408765e-148, 10.91278525109475)
         want = closed_form(theta).s_beta
@@ -630,13 +649,36 @@ class TestScaleFree:
 
 class TestCallableAdapter:
     """A response callable on its grid against the probes of the same
-    constants: the peak, the widths, N and S read one response either way, to
+    constants, which carry the adapter's Richardson stencils of the delay
+    and the curvature (grid._delay, grid._curvature) in place of their exact
+    ones: the peak, the widths, N and S read one response either way, to
     the rounding of the complex round trip exp(L), which the differences of
     the stencils magnify; the ERB and phi_accum differ by what lies outside
     the grid's span."""
 
+    @staticmethod
+    def stencilled(theta, target):
+        """log_probe(theta, target) with the adapter's stencils at a_p."""
+        probe = log_probe(theta, target)
+        a = theta.a_p
+        return probe._replace(delay_at=grid_module._delay(probe.im_at, a * grid_module._DELAY_STEP),
+                              curvature_at=grid_module._curvature(probe.re_at, a / 200.0))
+
+    @staticmethod
+    def draws():
+        """100 seeded constants of b_p 1 and a_p from 0.005 to 0.15, half
+        with whole b_u, with their grids."""
+        rng = np.random.default_rng(20261018)
+        for i in range(100):
+            b_u = float(rng.integers(1, 13)) if i % 2 else float(rng.uniform(1.0, 12.0))
+            theta = FilterConstants(float(rng.uniform(0.005, 0.15)), 1.0, b_u)
+            yield theta, default_grid(theta)
+
+    CALLABLES = (("p_sharp", eval_sharp), ("p", eval_gef), ("v", core.eval_v))
+
     # relative bounds, as when the callable was set against the log response on
-    # its grid; measured worst: 3.3e-14 on the widths, 4.9e-13 on N, 2.8e-12 on
+    # its grid; measured worst: 9.4e-14 on the widths (3.3e-14 while the probes
+    # bracketed by doubling steps), 4.9e-13 on N, 2.8e-12 on
     # the peak and the q, which carry it, and 5.3e-11 on S, whose probes
     # straddle the peak (the two start its vertex steps from different points)
     BOUNDS = {"bw": 1e-12, "n_beta": 1e-12, "beta_peak": 2e-11, "q": 2e-11, "s_beta": 1e-10}
@@ -645,13 +687,9 @@ class TestCallableAdapter:
         return self.BOUNDS[key] if key in self.BOUNDS else self.BOUNDS[key.split("_")[0]]
 
     def test_agrees_with_the_probes(self):
-        rng = np.random.default_rng(20261018)
-        for i in range(100):
-            b_u = float(rng.integers(1, 13)) if i % 2 else float(rng.uniform(1.0, 12.0))
-            theta = FilterConstants(float(rng.uniform(0.005, 0.15)), 1.0, b_u)
-            grid = default_grid(theta)
-            for target, fn in (("p_sharp", eval_sharp), ("p", eval_gef), ("v", core.eval_v)):
-                got = extract_numeric(log_probe(theta, target)).characteristics()
+        for theta, grid in self.draws():
+            for target, fn in self.CALLABLES:
+                got = extract_numeric(self.stencilled(theta, target)).characteristics()
                 want = extract_numeric(partial(fn, theta), grid).characteristics()
                 assert got.keys() == want.keys()
                 for key, value in want.items():
@@ -659,6 +697,18 @@ class TestCallableAdapter:
                         continue
                     bound = self.bound(key) * abs(value)
                     assert abs(got[key] - value) <= bound, (theta, target, key)
+
+    # the bounds the probes held with these stencils; measured worst: N 1.1e-12,
+    # S 1.3e-8 (the h**4 term of the second differences at h = a_p / 100)
+    def test_n_and_s_against_the_reference(self):
+        worst = {"n_beta": 0.0, "s_beta": 0.0}
+        for theta, grid in self.draws():
+            for target, fn in self.CALLABLES:
+                got = extract_numeric(partial(fn, theta), grid)
+                for key in worst:
+                    want = getattr(reference, key)(theta, target)
+                    worst[key] = max(worst[key], abs(getattr(got, key) / want - 1.0))
+        assert worst["n_beta"] <= 2e-12 and worst["s_beta"] <= 3e-8, worst
 
     GATE_SPOTS = ("peak", "low_tail", "high_tail", "first", "last")
 
@@ -796,7 +846,7 @@ class TestNanBetweenSamples:
         grid = default_grid(self.THETA)
         a_p = self.THETA.a_p
         start = extract_numeric(partial(eval_gef, self.THETA), grid).beta_peak
-        hole = (start - a_p / 8.0) - a_p * characteristics._DELAY_STEP
+        hole = (start - a_p / 8.0) - a_p * grid_module._DELAY_STEP
 
         def response(beta):
             values = eval_gef(self.THETA, beta)
@@ -826,9 +876,11 @@ class TestNanBetweenSamples:
 class TestCrossingSearch:
     """The brackets of each n-dB crossing, from one walk out from the peak:
     the first point whose level is at or below the target, and the point
-    before it.  A callable's points are its grid samples from the best one;
-    a LogProbe's are at steps of the scale, then twice, four times that, ...
-    from the peak, up to the ends of the span."""
+    before it.  A callable's points are its grid samples, from the last one
+    whose level in its array call is above the target; a LogProbe's are
+    _MARGIN of the distance at which a pure power with its S crosses the
+    level inside and outside that distance from the peak, then 2, 4, 8, ...
+    times as far out, up to the ends of the span."""
 
     GRID = FrequencyGrid(np.linspace(0.5, 1.5, 1001), 0.5, 0.001, 1.5, 0)
 
@@ -880,21 +932,43 @@ class TestCrossingSearch:
         report = extract_numeric(response, grid, n_levels=(3.0,))
         assert report.bw_n_beta[3.0] == pytest.approx(gaussian_bw(0.05, 3.0), rel=1e-6)
 
-    def test_a_probe_brackets_by_doubling_steps(self, monkeypatch):
-        # 20 dB down, p_sharp at b_u 1 is 9.95 a_p from its peak: the probes
-        # at 1, 2, 4 and 8 a_p stay above the target, the one at 16 a_p does not
+    def test_a_probe_brackets_where_a_pure_power_crosses(self, monkeypatch):
+        # p_sharp is the pure power (1 + x**2)**-b_u: 20 dB down at b_u 1 it
+        # crosses 9.95 a_p from its peak, where its S places the walk's first
+        # two probes, _MARGIN of that distance inside and outside it
         theta = FilterConstants(0.01, 1.0, 1.0)
         brackets = self.recording(monkeypatch)
         report = extract_numeric(log_probe(theta, "p_sharp"), n_levels=(20.0,))
-        peak = report.beta_peak
-        assert brackets == [(peak + 0.08, peak + 0.16), (peak - 0.16, peak - 0.08)]
         want = reference.bw_beta(theta, "p_sharp", 20.0)
+        reach = 0.5 * want
+        margin = characteristics._MARGIN * reach
+        peak = report.beta_peak
+        (inner, outer), (lower_outer, lower_inner) = brackets
+        offsets = [inner - peak, outer - peak, peak - lower_inner, peak - lower_outer]
+        assert offsets == pytest.approx([reach - margin, reach + margin] * 2, rel=1e-12)
         assert report.bw_n_beta[20.0] == pytest.approx(want, rel=1e-11)
+
+    def test_a_callable_reads_its_levels_at_the_bracketing_samples(self):
+        # the walk once read the callable at every sample from the best one
+        # out to each crossing, 497 calls here; the array call places it, and
+        # the widths are those of that walk, bit for bit
+        theta = FilterConstants(0.05, 1.0, 6.0)
+        calls = []
+
+        def response(beta):
+            calls.append(beta)
+            return eval_gef(theta, beta)
+
+        report = extract_numeric(response, default_grid(theta))
+        assert len(calls) <= 100
+        assert report.bw_n_beta == {3.0: float.fromhex("0x1.1e8ee6c7b16d0p-5"),
+                                    10.0: float.fromhex("0x1.18aa5a7bb1330p-4")}
 
 
 class TestPeakStencil:
-    """characteristics._peak_and_convexity: parabolic vertex steps at
-    h = step, step / 16 and step / 256, then Richardson's second difference."""
+    """The peak's parabolic vertex steps at h = step, step / 16 and
+    step / 256 (characteristics._vertex_search), then a callable's
+    Richardson second difference there (grid._curvature)."""
 
     def test_peak_where_floats_are_coarse(self):
         # near 1e7 adjacent floats are 1.9e-9 apart: the second step's probes
@@ -904,9 +978,10 @@ class TestPeakStencil:
         assert step / 256.0 < 0.5 * math.ulp(1e7) < step / 16.0
         re_at = probe_module._re_at(theta, "p")
         start = 1e7 + 40.0 * math.ulp(1e7)
-        peak, log_mag, s_beta = _peak_and_convexity(re_at, start, step)
+        peak, log_mag = _vertex_search(re_at, start, (step, step / 16.0, step / 256.0), "Re L")
         assert abs(peak - 1e7) <= math.ulp(1e7)
         assert log_mag == re_at(peak)
+        s_beta = -DB_PER_LOG * grid_module._curvature(re_at, step)(peak)
         # S's probes sit about 107 floats out, so the spans that are probed
         # miss the ratio 2 of the nominal ones by up to 0.5%; Richardson's
         # step on the ratio as probed cancels the h**2 term all the same:
@@ -921,15 +996,16 @@ class TestPeakStencil:
             return -((beta - 1.0) ** 2)
 
         with pytest.raises(OutOfRange, match="second difference"):
-            _peak_and_convexity(re_at, 1.0, step)
+            grid_module._curvature(re_at, step)(1.0)
 
 
 
 class TestProbeBudget:
     """What one extraction from the constants costs: scalar probes of Re L
-    and Im L, counted by wrapping probe._re_at and probe._im_at, and the ERB's
-    nodes, counted by wrapping its node pass probe._power_at, over seeded
-    constants of every target."""
+    and its curvature, counted by wrapping probe._re_at and
+    probe._curvature_at, of Im L and its delay, by wrapping probe._im_at and
+    probe._delay_at, and the ERB's nodes, by wrapping its node pass
+    probe._power_at, over seeded constants of every target."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -950,7 +1026,9 @@ class TestProbeBudget:
             monkeypatch.setattr(probe_module, name, counted_make)
 
         wrap("_re_at", "re")
+        wrap("_curvature_at", "re")
         wrap("_im_at", "im")
+        wrap("_delay_at", "im")
         wrap("_power_at", "nodes")
         return counts
 
@@ -964,12 +1042,14 @@ class TestProbeBudget:
                 for key, value in counts.items():
                     totals[key].append(value)
         assert len(totals["re"]) == 120
-        # measured: Re L 54 (median) and 62 (most), Im L 46 and 73 (v's phase
-        # maximum takes its Brent root), nodes 140 and 257 (the log panels
-        # split where a_p / b_p is small, the plain panel below them takes 16,
-        # and a decay slower than _LAGUERRE_MIN_RATE takes 85 more: p_sharp
-        # and v at b_u 1.07)
-        budget = {"re": (56, 64), "im": (48, 76), "nodes": (140, 260)}
+        # measured: Re L 40 (median) and 45 (most), the crossings' first probes
+        # placed by S (54 and 62 with doubling steps); Im L 14 and 28, the
+        # exact delay (46 and 73 from Richardson's differences of Im L), v's
+        # phase maximum taking its Brent root; nodes 140 and 257 (the log
+        # panels split where a_p / b_p is small, the plain panel below them
+        # takes 16, and a decay slower than _LAGUERRE_MIN_RATE takes 85 more:
+        # p_sharp and v at b_u 1.07)
+        budget = {"re": (42, 47), "im": (16, 30), "nodes": (140, 260)}
         for key, (median, most) in budget.items():
             assert np.median(totals[key]) <= median and max(totals[key]) <= most, key
         # the panels fix the nodes: these counts, exactly
@@ -1001,14 +1081,58 @@ def exact_phi_accum(theta, target):
     return (top + b_u * math.pi - 0.5 * math.pi) / TWO_PI
 
 
+class TestExactProbes:
+    """probe._delay_at and probe._curvature_at against tests/reference.py:
+    the delay at seeded betas within 4 a_p of b_p, and -(20/ln 10) times
+    the curvature at the reference's peak against its S, over
+    reference_constants() and the constants whose S lies within 2x of the
+    largest float (TestScaleFree), where the curvature must not overflow.
+    There the reference, whose a_p**2 and its square underflow, reads the
+    constants scaled by 2**500, and its values are scaled back exactly."""
+
+    NEAR_MAX = FilterConstants(9.888505840825821e-154, 1.111940694408765e-148, 10.91278525109475)
+    THETAS = reference_constants() + [NEAR_MAX]
+
+    @staticmethod
+    def scale(theta):
+        """The power of 2 the reference reads theta at."""
+        return 500 if theta is TestExactProbes.NEAR_MAX else 0
+
+    # measured worst: 4.4e-16 (p_sharp, p), 5.6e-16 (v)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_delay(self, target):
+        rng = np.random.default_rng(40)
+        for theta in self.THETAS:
+            k = self.scale(theta)
+            scaled = FilterConstants(math.ldexp(theta.a_p, k), math.ldexp(theta.b_p, k), theta.b_u)
+            delay_at = probe_module._delay_at(theta, target)
+            for x in rng.uniform(-4.0, 4.0, 8):
+                beta = theta.b_p + theta.a_p * float(x)
+                want = math.ldexp(reference.group_delay(scaled, target, math.ldexp(beta, k))[0], k)
+                assert delay_at(beta) == pytest.approx(want, rel=1e-15, abs=0.0), (theta, beta)
+
+    # measured worst: 4.4e-16 (p_sharp), 8.9e-16 (p, v); S = 9.69e307 near the
+    # largest float
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_curvature_gives_s_at_the_peak(self, target):
+        for theta in self.THETAS:
+            k = self.scale(theta)
+            scaled = FilterConstants(math.ldexp(theta.a_p, k), math.ldexp(theta.b_p, k), theta.b_u)
+            peak = math.ldexp(reference.beta_peak(scaled, target), -k)
+            want = math.ldexp(reference.s_beta(scaled, target), 2 * k)
+            got = -DB_PER_LOG * probe_module._curvature_at(theta, target)(peak)
+            assert got == pytest.approx(want, rel=2e-15, abs=0.0), theta
+
+
 class TestAgainstReference:
     """extract_numeric on the probes of the constants against the analytic
     values of tests/reference.py, over [0, inf).  Each bound sits just above
     the worst case measured over THETAS on any target, which is stated."""
 
-    # S at FilterConstants(2e-5, 1e7, 4): its probes sit about 107 floats out,
-    # so the spans probed miss the ratio 2 by up to 0.5%; Richardson's step on
-    # the ratio as probed reads 1.3e-8 there, where a ratio of 2 read 6.1e-7
+    # FilterConstants(2e-5, 1e7, 4), where the floats are 1.9e-9 apart: the
+    # peak's steps round to a few floats, and each crossing is a float there
     THETAS = reference_constants() + [FilterConstants(2e-5, 1e7, 4.0)]
 
     @staticmethod
@@ -1026,14 +1150,15 @@ class TestAgainstReference:
                 delay = reference.group_delay(theta, target, float(beta))[0]
                 assert delay == pytest.approx(slope, rel=1e-6), theta
 
-    # N: worst 1.1e-12, Richardson's differences at h = a_p / 1024 (2.0e-10 at
-    # a_p / 256, and 5.0e-10 from the grid's differences)
+    # N: worst 4.4e-16, the vertex of the exact delay (1.1e-12 from Richardson's
+    # differences of Im L at h = a_p / 1024, 2.0e-10 at a_p / 256, and 5.0e-10
+    # from the grid's differences)
     @pytest.mark.parametrize("target", TARGETS)
     def test_n_beta(self, target):
         assert len(self.THETAS) >= 100
         for theta in self.THETAS:
             want = reference.n_beta(theta, target)
-            assert self.extract(theta, target).n_beta == pytest.approx(want, rel=2e-12), theta
+            assert self.extract(theta, target).n_beta == pytest.approx(want, rel=1e-15), theta
 
     # the peak: worst 8.7e-12 (v)
     @pytest.mark.parametrize("target", TARGETS)
@@ -1043,13 +1168,15 @@ class TestAgainstReference:
             got = self.extract(theta, target).beta_peak
             assert got == pytest.approx(want, rel=1e-11, abs=0.0), theta
 
-    # S: worst 1.34e-8, the h**4 term of Richardson's difference at h = a_p / 100
+    # S: worst 2.3e-11 (v; 4.4e-16 on p_sharp), the exact curvature at the
+    # peak, which carries the peak's error on p and v (1.34e-8, the h**4 term
+    # of Richardson's difference at h = a_p / 100)
     @pytest.mark.parametrize("target", TARGETS)
     def test_s_beta(self, target):
         for theta in self.THETAS:
             want = reference.s_beta(theta, target)
             got = self.extract(theta, target).s_beta
-            assert got == pytest.approx(want, rel=3e-8, abs=0.0), theta
+            assert got == pytest.approx(want, rel=3e-11, abs=0.0), theta
 
     # the ERB over [0, inf): worst 1.5e-13 on every target (over the grid's
     # span it was 2.0e-10 against the span's own integral, and short of the
@@ -1063,8 +1190,9 @@ class TestAgainstReference:
 
     # the widths, rel 1e-11 as over the grid, plus a floor of six spacings of
     # the floats at b_p: each crossing is a float there, which is 1e-10 of
-    # BW_3 at a_p / b_p = 1e-6; worst 6.0e-12 relative where a_p / b_p >= 1e-4,
-    # and 5.2 spacings past 1e-11 relative below it
+    # BW_3 at a_p / b_p = 1e-6; worst 2.2e-12 relative where a_p / b_p >= 1e-4,
+    # and 1.7 spacings past 1e-11 relative below it (6.0e-12 and 5.2 from
+    # brackets of doubling steps)
     @pytest.mark.parametrize("target", TARGETS)
     def test_bw(self, target):
         for theta in self.THETAS:
@@ -1082,9 +1210,10 @@ class TestAgainstReference:
         assert self.extract(theta, "p").erb_beta == pytest.approx(want, rel=2e-13, abs=0.0)
 
     # phi_accum from the exact limits: worst 3.3e-16 on p and p_sharp, and
-    # 1.5e-12 on v, whose phase maximum is a Brent root of its probed delay
-    # (2.4e-8 from the grid's parabolic vertex, short of the tail past its span)
-    @pytest.mark.parametrize("target, bound", [("p_sharp", 5e-16), ("p", 5e-16), ("v", 2e-12)])
+    # 4.4e-16 on v, whose phase maximum is a Brent root of its exact delay
+    # (1.5e-12 at a root of differences of Im L, 2.4e-8 from the grid's
+    # parabolic vertex, short of the tail past its span)
+    @pytest.mark.parametrize("target, bound", [("p_sharp", 5e-16), ("p", 5e-16), ("v", 1e-15)])
     def test_phi_accum(self, target, bound):
         for theta in self.THETAS:
             want = exact_phi_accum(theta, target)

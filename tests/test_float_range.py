@@ -30,6 +30,8 @@ from gefdesign.errors import GefError, OutOfRange
 from gefdesign.probe import log_probe
 from gefdesign.scalar import GAMMA_SERIES_FROM, gamma_ratio, peak_beta
 
+import reference
+
 # log-uniform over [1e-300, 1e300], and three subnormals
 FULL_RANGE = st.one_of(
     st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent),
@@ -75,8 +77,9 @@ def test_every_call_returns_or_raises_a_gef_error(a_p, b_p, b_u):
         _returns_or_refuses(call)
 
 
-# constants at the edges of the probe oracle: the examples above, S's spans
-# that round to one width (b_p = 5e13), N's steps below the spacing of floats,
+# constants at the edges of the probe oracle: the examples above, second
+# differences whose spans round to one width (b_p = 5e13), steps of a_p / 200
+# below the spacing of floats,
 # exponents so large or small that the level barely moves or plunges, and
 # tails that do not decay (b_u = 0.3)
 PROBE_EXTREMES = [
@@ -105,11 +108,14 @@ def test_probes_return_or_refuse(a_p, b_p, b_u, target):
     _returns_or_refuses(partial(extract_numeric, probe))
 
 
-def test_spans_of_one_width_refuse_s():
-    # near 5e13 floats are 0.0078 apart: both of S's spans round to 0.0156
+def test_s_where_second_differences_span_one_width():
+    # near 5e13 floats are 0.0078 apart: second differences of the level over
+    # 4 and 8 a_p / 200 both span 0.0156, and once refused S; the exact
+    # curvature reads S, and N, as tests/reference.py does
     theta = FilterConstants(0.43282198205288996, 49671044904899.08, 2.1588319082153147)
-    with pytest.raises(OutOfRange, match="second difference"):
-        _extract(theta)
+    report = _extract(theta)
+    assert report.s_beta == pytest.approx(reference.s_beta(theta, "p"), rel=1e-15, abs=0.0)
+    assert report.n_beta == pytest.approx(reference.n_beta(theta, "p"), rel=1e-15, abs=0.0)
 
 
 class TestReproducers:
@@ -143,10 +149,16 @@ class TestReproducers:
         with pytest.raises(OutOfRange, match="underflows to 0"):
             default_grid(FilterConstants(5e-324, 1.0, 2.0))
 
-    def test_s_refuses_a_step_whose_square_underflows(self):
+    def test_s_past_the_largest_float_is_refused(self):
+        # S's stencil step, whose square underflows here, once refused S as a
+        # second difference; S itself, (20/ln 10) b_u / a_p**2 = 8.8e325, passes
+        # the largest float, as tests/reference.py reads it on p_sharp at the
+        # constants scaled by 2**540 (p's conjugate pole, 3.7e169 a_p away, adds
+        # nothing to it), and the exact curvature overflows to refuse it
         theta = FilterConstants(7.013041613054649e-164, 2610008.743437733, 0.05)
-        assert (4.0 * theta.a_p / 200.0) ** 2 == 0.0
-        with pytest.raises(OutOfRange, match="second difference"):
+        scaled = FilterConstants(math.ldexp(theta.a_p, 540), math.ldexp(theta.b_p, 540), 0.05)
+        assert reference.s_beta(scaled, "p_sharp") > math.ldexp(sys.float_info.max, -1080)
+        with pytest.raises(OutOfRange, match="S = inf"):
             _extract(theta)
 
     @pytest.mark.parametrize("a_p, b_p, b_u", [
