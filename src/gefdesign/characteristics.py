@@ -254,6 +254,7 @@ _LAGUERRE_MIN_RATE = 2.0
 _FAR_SPAN = 35.5
 # a LogProbe's crossing walk starts this fraction of its placed distance inside it
 _MARGIN = 1.0 / 64.0
+_XTOL = 1e-15  # Brent's tolerance on a crossing, relative to its bracket's far end
 _CLIMB_STEPS = 64
 
 
@@ -291,7 +292,7 @@ def _level_crossing(re_at, target, a, b, gap_a=None, gap_b=None):
         return DB_PER_LOG * re_at(beta) - target
 
     try:
-        return _brentq(gap, a, b, xtol=1e-15 * max(a, b), _fa=gap_a, _fb=gap_b)
+        return _brentq(gap, a, b, xtol=_XTOL * max(a, b), _fa=gap_a, _fb=gap_b)
     except ValueError:  # a nan level
         raise OutOfRange(f"the level is nan between beta = {a:g} and {b:g}") from None
 
@@ -317,9 +318,8 @@ def _crossing(re_at, target: float, n_db: float, peak: float, points, up: bool) 
     callable's grid samples about where its array's levels cross); the first
     whose level is at or below the target brackets the crossing with the
     point before it, the peak for the first, and _level_crossing finds it
-    there.
-    Raises LevelNotReached where the level stays above the target at every
-    point, and OutOfRange where it is nan at one."""
+    there.  Raises LevelNotReached where the level stays above the target at
+    every point, and OutOfRange where it is nan at one."""
     inner, gap_inner = peak, n_db
     for x in points:
         gap = DB_PER_LOG * re_at(x) - target
@@ -532,11 +532,10 @@ def extract_numeric(response, grid=None,
     float), when the ERB or S is not finite and positive (as where a step
     of a callable's S rounds to 0), when Re L at a probe of the peak or the
     delay at a probe of N is not finite, or Re L is nan at a probe of a
-    crossing, when
-    the two crossings of a level give no width above the last (smaller)
-    level's, or when N or phi_accum is not finite and positive;
-    NoInteriorPeak when the peak is not inside the span; LevelNotReached
-    when a level is not crossed on one side.
+    crossing, when a level's width passes the last level's (0 for the first)
+    by no more than its crossings' Brent tolerance, or N or phi_accum is not
+    finite and positive; NoInteriorPeak when the peak is not inside the span;
+    LevelNotReached when a level is not crossed on one side.
     """
     if isinstance(response, LogProbe):
         if grid is not None:
@@ -555,7 +554,7 @@ def extract_numeric(response, grid=None,
         raise OutOfRange(f"the peak's step a_p / 200 of a_p = {a:g} underflows to 0")
 
     beta_pk, re_pk = _vertex_search(re_at, start, (step, step / 16.0, step / 256.0), "Re L")
-    # a callable's stencil of S reaches 4 steps to either side, inside the span
+    # a callable's stencil of S reaches 4 steps either side; a LogProbe keeps the refusal
     if not lo + 4.0 * step < beta_pk < hi - 4.0 * step:
         raise NoInteriorPeak(f"the magnitude maximum at beta = {beta_pk:g} is not inside "
                              f"[{lo:g}, {hi:g}] by S's stencil, 4 a_p / 200")
@@ -580,11 +579,11 @@ def extract_numeric(response, grid=None,
         upper = _crossing(re_at, target, n, beta_pk, high, True)
         lower = _crossing(re_at, target, n, beta_pk, low, False)
         width, last = upper - lower, max(bw.values(), default=0.0)
-        if not width > last:
-            # both crossings round to one float, or to those of the level below,
-            # where the widths are below the spacing of floats
+        if not width - last > _XTOL * (upper + lower):
+            # both crossings are found within Brent's tolerance of one float, or
+            # of those of the level below: the width is not resolved
             raise OutOfRange(f"the {n:g} dB crossings at beta = {lower:g} give no width "
-                             f"above {last:g}")
+                             f"above {last:g} by more than their tolerance")
         bw[n] = width
 
     # the power's bell narrows below a_p where b_u passes 16 on p_sharp: the
@@ -612,10 +611,8 @@ def extract_numeric(response, grid=None,
         raise OutOfRange(f"the phase gives N = {n_beta:g} and phi_accum = {phi_accum:g}, "
                          "not both finite and positive")
 
-    if grid is None:
-        provenance = {"probe_scale": a, "probe_erb_nodes": nodes}
-    else:
-        provenance = {f"grid_{key}": value for key, value in grid.meta().items()}
+    provenance = ({"probe_scale": a, "probe_erb_nodes": nodes} if grid is None
+                  else {f"grid_{key}": value for key, value in grid.meta().items()})
     return CharacteristicReport(
         beta_peak=beta_pk,
         n_beta=n_beta,

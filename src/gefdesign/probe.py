@@ -93,18 +93,21 @@ def _delay_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
     exact, as a function bound once to the constants, in one frame a call,
     as _im_at.  Each factor a + i u gives a / (a*a + u*u), taken as
     1 / (1 + x*x) / a with x = u / a, so no a*a is formed, and a distance
-    whose square overflows gives 0; p takes v's zero with weight 0."""
+    whose square overflows gives 0."""
     a, b, b_u = theta.a_p, theta.b_p, theta.b_u
-    zero = 1.0 if target == "v" else 0.0
 
     if target == "p_sharp":
         def delay_at(beta):
             x = (beta - b) / a
             return b_u / (1.0 + x * x) / a
+    elif target == "p":
+        def delay_at(beta):
+            x, y = (beta - b) / a, (beta + b) / a
+            return b_u * (1.0 / (1.0 + x * x) + 1.0 / (1.0 + y * y)) / a
     else:
         def delay_at(beta):
             x, y, z = (beta - b) / a, (beta + b) / a, beta / a
-            return (b_u * (1.0 / (1.0 + x * x) + 1.0 / (1.0 + y * y)) - zero / (1.0 + z * z)) / a
+            return (b_u * (1.0 / (1.0 + x * x) + 1.0 / (1.0 + y * y)) - 1.0 / (1.0 + z * z)) / a
     return delay_at
 
 

@@ -352,13 +352,14 @@ class TestExtractNumeric:
         with pytest.raises(OutOfRange, match="crossings .* give no width above 0"):
             extract_numeric(log_probe(theta, "p"), n_levels=(5e-324,))
 
-    def test_widths_that_do_not_grow_with_the_level_are_refused(self):
-        # |H| that falls to 0 at beta = 1 -+ 0.1 puts the 3 and 10 dB crossings
-        # on the same floats: Brent's interpolated steps toward a level of -inf
-        # are 0, so both levels take the same steps from the same brackets
+    @pytest.mark.parametrize("drop", [-30.0 / DB_PER_LOG, -math.inf])
+    def test_widths_that_do_not_grow_with_the_level_are_refused(self, drop):
+        # a level that drops 30 dB, or to |H| = 0, at beta = 1 -+ 0.1 puts the
+        # 3 and 10 dB crossings on the same jump, where Brent finds each within
+        # its tolerance, on the same floats or a few apart
         def re_at(beta):
             u = beta - 1.0
-            return -u * u if abs(u) < 0.1 else -math.inf
+            return -u * u if abs(u) < 0.1 else drop
 
         probe = LogProbe(re_at, re_at, re_at, lambda beta: -2.0, None, 0.05, 1.0)
         with pytest.raises(OutOfRange, match="10 dB crossings .* give no width above"):
