@@ -352,18 +352,27 @@ class TestExtractNumeric:
         with pytest.raises(OutOfRange, match="crossings .* give no width above 0"):
             extract_numeric(log_probe(theta, "p"), n_levels=(5e-324,))
 
-    @pytest.mark.parametrize("drop", [-30.0 / DB_PER_LOG, -math.inf])
-    def test_widths_that_do_not_grow_with_the_level_are_refused(self, drop):
-        # a level that drops 30 dB, or to |H| = 0, at beta = 1 -+ 0.1 puts the
-        # 3 and 10 dB crossings on the same jump, where Brent finds each within
-        # its tolerance, on the same floats or a few apart
+    @staticmethod
+    def _jump(drop):
+        # a level -u**2, u = beta - 1, that falls to drop at beta = 1 -+ 0.1
         def re_at(beta):
             u = beta - 1.0
             return -u * u if abs(u) < 0.1 else drop
 
-        probe = LogProbe(re_at, re_at, re_at, lambda beta: -2.0, None, 0.05, 1.0)
+        return LogProbe(re_at, re_at, re_at, lambda beta: -2.0, None, 0.05, 1.0)
+
+    def test_widths_that_do_not_grow_with_the_level_are_refused(self):
+        # a level that drops 30 dB at beta = 1 -+ 0.1 puts the 3 and 10 dB
+        # crossings on the same jump, where Brent finds each within its
+        # tolerance: the two levels' crossings land 6 and 7 floats apart
         with pytest.raises(OutOfRange, match="10 dB crossings .* give no width above"):
-            extract_numeric(probe)
+            extract_numeric(self._jump(-30.0 / DB_PER_LOG))
+
+    def test_widths_on_a_drop_to_zero_are_refused(self):
+        # |H| = 0 past the jump: Brent's interpolated steps toward a level of
+        # -inf are 0, so both levels' crossings land on the same floats
+        with pytest.raises(OutOfRange, match="10 dB crossings .* give no width above"):
+            extract_numeric(self._jump(-math.inf))
 
     @pytest.mark.parametrize("route", LEVEL_ROUTES)
     @pytest.mark.parametrize("levels", [[0], [-3], [3.0, math.nan], [math.inf]])
