@@ -16,7 +16,9 @@ finite and continuous for exponents where the linear magnitude would
 overflow or underflow.  Because the real part of both pole factors (and of
 the zero factor a_p + i*beta) is a_p > 0, the per-factor arctangent angle is
 already continuous in beta and no branch unwrapping is needed, even for
-non-integer b_u.
+non-integer b_u.  Each target's factors (the poles', the zero's, and
+whether log C is added) are read from ``probe.FACTORS``, the one listing
+that the scalar probes read too.
 
 A beta given as a number (a Python float or int, or a numpy scalar) becomes
 a 0-d array, which eval_gef, eval_sharp and eval_v evaluate as a one-element
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfRange
-from .probe import TARGETS, _check_targets, _re_at
+from .probe import FACTORS, TARGETS, _check_targets, _re_at
 from .scalar import _LOG_FLOAT_MAX, DB_PER_LOG, FilterConstants, peak_beta
 
 
@@ -78,7 +80,7 @@ class LogResponse(NamedTuple):
 
 
 def log_response(theta: FilterConstants, beta, targets=TARGETS) -> dict:
-    """Log responses of the targets at the betas, from one pass of pole logs.
+    """Log responses of the targets at the betas, from one pass of factor logs.
 
     With lp = log(s - p) and lc = log(s - conj(p)) at s = i*beta,
 
@@ -86,38 +88,40 @@ def log_response(theta: FilterConstants, beta, targets=TARGETS) -> dict:
         p:        L = -b_u (lp + lc) + log C       (eval_gef = exp(L))
         v:        L = -b_u (lp + lc) + log(a_p + i beta)   (eval_v = exp(L))
 
+    as probe.FACTORS lists them: each center's log is taken once a call, and
+    each target sums its poles' logs, takes the sum times -b_u and adds its
+    zeros' logs and log C, in place where there is one target.
+
     Returns {target: LogResponse} in the order of ``targets``.  No value is
     exponentiated, so L is finite where the response itself overflows or
     underflows; where a squared modulus underflows to 0, L is not finite,
-    without a warning, and callers check for that.  A target outside TARGETS
-    raises ValueError.
+    without a warning, and callers check for that.  A target that is no row
+    of FACTORS raises ValueError.
     """
     _check_targets(targets)
     betas = np.asarray(beta, dtype=float)
     x = np.atleast_1d(betas)  # a 0-d beta as one element, so the parts run in place
-    b_u = theta.b_u
-    parts = {}
+    factors = [FACTORS[target] for target in targets]
+    out = {}
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        re, im = _log_parts(theta.a_p, x - theta.b_p)
-        if "p_sharp" in targets:
-            parts["p_sharp"] = (np.multiply(re, -b_u), np.multiply(im, -b_u))
-        if "p" in targets or "v" in targets:
-            # from here on the pole parts are overwritten with the sums
-            c_re, c_im = _log_parts(theta.a_p, x + theta.b_p)
-            re += c_re
-            re *= -b_u
-            im += c_im
-            im *= -b_u
-            if "v" in targets:
-                z_re, z_im = _log_parts(theta.a_p, x)
-                z_re += re
-                z_im += im
-                parts["v"] = (z_re, z_im)
-            re += math.log(theta.gain)
-            parts["p"] = (re, im)
-    shape = betas.shape
-    return {target: LogResponse(betas, *(part.reshape(shape) for part in parts[target]))
-            for target in targets}
+        logs = {c: _log_parts(theta.a_p, x - c * theta.b_p)
+                for poles, zeros, _ in factors for c in poles + zeros}
+        for target, (poles, zeros, adds_gain) in zip(targets, factors):
+            re, im = logs[poles[0]]
+            if len(targets) > 1:  # the logs are shared: sum into copies
+                re, im = re.copy(), im.copy()
+            for c in poles[1:]:
+                re += logs[c][0]
+                im += logs[c][1]
+            re *= -theta.b_u
+            im *= -theta.b_u
+            for c in zeros:
+                re += logs[c][0]
+                im += logs[c][1]
+            if adds_gain:
+                re += math.log(theta.gain)
+            out[target] = LogResponse(betas, re.reshape(betas.shape), im.reshape(betas.shape))
+    return out
 
 
 def _evaluate(theta: FilterConstants, beta, target: str):
@@ -167,10 +171,12 @@ def wavenumber(theta: FilterConstants, beta):
     form 2*b_u*(s + a_p)/((s-p)(s-conj(p))).  Its real part is the phase
     slope (negated) and its imaginary part the log-magnitude slope.  Where
     it passes the largest float (a_p near the smallest float, or b_u large)
-    the value is not finite, without a RuntimeWarning.
+    the value is not finite, without a RuntimeWarning.  At beta = inf it is
+    the limit 0.
     """
     beta = np.asarray(beta, dtype=float)
-    s = 1j * beta
+    s = np.zeros(beta.shape, complex)
+    s.imag = beta  # not 1j * beta, whose real part 0 * inf is nan
     with np.errstate(over="ignore", invalid="ignore"):
         out = theta.b_u * (1.0 / (s - theta.pole) + 1.0 / (s - theta.pole_conjugate))
     return _maybe_scalar(out)

@@ -8,6 +8,11 @@ ERB's node pass, the power |H|**2 relative to its value at the peak at a
 list of offsets from it.  Each is a function bound once to the constants
 and runs on ``math``, so the audit (``analyze``, ``evaluate``, ``sweep``)
 loads no numpy; ``core`` evaluates the same log response on arrays.
+
+``FACTORS`` is the one listing of each target's factors: the centers of its
+poles, in units of b_p, the centers of its zeros, and whether L adds log C.
+Every evaluator here and ``core.log_response`` is a loop over it, so a
+target is added or changed in that table alone.
 """
 
 from __future__ import annotations
@@ -19,72 +24,75 @@ from typing import Callable, NamedTuple
 from .errors import OutOfRange
 from .scalar import FilterConstants
 
-TARGETS = ("p_sharp", "p", "v")
+# Each target's factors, in the order every evaluator sums them: the centers
+# c of its one or two poles a + i (beta - c b_p), each raised to -b_u; its
+# zeros' centers, each to the power 1; and whether L adds log C.
+FACTORS = {"p_sharp": ((1.0,), (), False),
+           "p": ((1.0, -1.0), (), True),
+           "v": ((1.0, -1.0), (0.0,), False)}
+TARGETS = tuple(FACTORS)
 
 
 def _check_targets(targets) -> None:
-    """Raises ValueError naming TARGETS unless each target is one of them."""
-    unknown = [target for target in targets if target not in TARGETS]
+    """Raises ValueError naming the targets unless each is a row of FACTORS."""
+    unknown = [target for target in targets if target not in FACTORS]
     if unknown:
-        raise ValueError(f"unknown targets {unknown}: each must be one of {TARGETS}")
+        raise ValueError(f"unknown targets {unknown}: each must be one of {tuple(FACTORS)}")
+
+
+def _factors(theta: FilterConstants, target: str) -> tuple[list, list, float]:
+    """The target's pole and zero centers in beta (FACTORS times b_p) and its
+    log C, or -0.0, which adds nothing to any float, where L has none."""
+    poles, zeros, adds_gain = FACTORS[target]
+    return ([c * theta.b_p for c in poles], [c * theta.b_p for c in zeros],
+            math.log(theta.gain) if adds_gain else -0.0)
 
 
 def _re_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
     """Re L of one target (see core.log_response) at one float beta, on math
     and in the operations of the array path, as a function bound once to the
-    constants: a*a, the test of it against the smallest normal float and
-    log C are taken here, not at each call.  Each log modulus of a factor
-    a + i u is 0.5 log(a*a + u*u), or log hypot(a, u) where that sum is at
-    or past ``limit``, written out in the function so that a call is one
-    frame.  It takes no exp, so it neither overflows nor underflows where
-    the response does."""
-    a, b, b_u = theta.a_p, theta.b_p, theta.b_u
+    constants: a*a, the test of it against the smallest normal float, the
+    centers and log C are taken here, not at each call.  Each log modulus of
+    a factor a + i u is 0.5 log(a*a + u*u), or log hypot(a, u) where that sum
+    is at or past ``limit``, written out in the function so that a call is
+    one frame.  The poles' sum is taken times -b_u, then the zeros' sum and
+    log C are added.  It takes no exp, so it neither overflows nor
+    underflows where the response does."""
+    a, b_u = theta.a_p, theta.b_u
     a2 = a * a
     # a sum a*a + u*u at or past this takes hypot: every sum where a*a is
     # below the normal floats, or else an overflowed one
     limit = math.inf if a2 >= sys.float_info.min else 0.0
-    log_gain = math.log(theta.gain)
+    poles, zeros, log_gain = _factors(theta, target)
     log, hypot = math.log, math.hypot
 
-    if target == "p_sharp":
-        def re_at(beta):
-            u = beta - b
-            s = a2 + u * u
-            return -b_u * (0.5 * log(s) if s < limit else log(hypot(a, u)))
-    elif target == "p":
-        def re_at(beta):
-            u, w = beta - b, beta + b
-            s, t = a2 + u * u, a2 + w * w
-            return -b_u * ((0.5 * log(s) if s < limit else log(hypot(a, u)))
-                           + (0.5 * log(t) if t < limit else log(hypot(a, w)))) + log_gain
-    else:
-        def re_at(beta):
-            u, w = beta - b, beta + b
-            s, t, z = a2 + u * u, a2 + w * w, a2 + beta * beta
-            return (-b_u * ((0.5 * log(s) if s < limit else log(hypot(a, u)))
-                            + (0.5 * log(t) if t < limit else log(hypot(a, w))))
-                    + (0.5 * log(z) if z < limit else log(hypot(a, beta))))
+    def re_at(beta):
+        pole = zero = -0.0
+        for c in poles:
+            pole += 0.5 * log(s) if (s := a2 + (u := beta - c) * u) < limit else log(hypot(a, u))
+        for c in zeros:
+            zero += 0.5 * log(s) if (s := a2 + (u := beta - c) * u) < limit else log(hypot(a, u))
+        return -b_u * pole + zero + log_gain
     return re_at
 
 
 def _im_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
     """Im L of one target (see core.log_response) at one float beta, on math
     and in the operations of the array path, as a function bound once to the
-    constants, in one frame a call, as _re_at.  Each factor a + i u gives
-    atan(u / a), which math.atan takes to pi/2 at u = inf, so the function
-    at beta = inf is the limit of Im L there."""
-    a, b, b_u = theta.a_p, theta.b_p, theta.b_u
+    constants, in one frame a call, summed as _re_at.  Each factor a + i u
+    gives atan(u / a), which math.atan takes to pi/2 at u = inf, so the
+    function at beta = inf is the limit of Im L there."""
+    a, b_u = theta.a_p, theta.b_u
+    poles, zeros, _ = _factors(theta, target)
     atan = math.atan
 
-    if target == "p_sharp":
-        def im_at(beta):
-            return atan((beta - b) / a) * -b_u
-    elif target == "p":
-        def im_at(beta):
-            return (atan((beta - b) / a) + atan((beta + b) / a)) * -b_u
-    else:
-        def im_at(beta):
-            return atan(beta / a) + (atan((beta - b) / a) + atan((beta + b) / a)) * -b_u
+    def im_at(beta):
+        pole = zero = -0.0
+        for c in poles:
+            pole += atan((beta - c) / a)
+        for c in zeros:
+            zero += atan((beta - c) / a)
+        return pole * -b_u + zero
     return im_at
 
 
@@ -93,33 +101,31 @@ def _delay_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
     exact, as a function bound once to the constants, in one frame a call,
     as _im_at.  Each factor a + i u gives a / (a*a + u*u), taken as
     1 / (1 + x*x) / a with x = u / a, so no a*a is formed, and a distance
-    whose square overflows gives 0."""
-    a, b, b_u = theta.a_p, theta.b_p, theta.b_u
+    whose square overflows gives 0.  The delay is b_u times the poles' sum,
+    less the zeros' sum, over a."""
+    a, b_u = theta.a_p, theta.b_u
+    poles, zeros, _ = _factors(theta, target)
 
-    if target == "p_sharp":
-        def delay_at(beta):
-            x = (beta - b) / a
-            return b_u / (1.0 + x * x) / a
-    elif target == "p":
-        def delay_at(beta):
-            x, y = (beta - b) / a, (beta + b) / a
-            return b_u * (1.0 / (1.0 + x * x) + 1.0 / (1.0 + y * y)) / a
-    else:
-        def delay_at(beta):
-            x, y, z = (beta - b) / a, (beta + b) / a, beta / a
-            return (b_u * (1.0 / (1.0 + x * x) + 1.0 / (1.0 + y * y)) - 1.0 / (1.0 + z * z)) / a
+    def delay_at(beta):
+        pole = zero = 0.0
+        for c in poles:
+            pole += 1.0 / (1.0 + (x := (beta - c) / a) * x)
+        for c in zeros:
+            zero += 1.0 / (1.0 + (x := (beta - c) / a) * x)
+        return (b_u * pole - zero) / a
     return delay_at
 
 
 def _curvature_at(theta: FilterConstants, target: str) -> Callable[[float], float]:
     """d2(Re L)/d(beta)2 of one target at one float beta, exact, as a
     function bound once to the constants: each log modulus of a factor
-    a + i u, weighted as in _re_at, gives (a*a - u*u) / (a*a + u*u)**2, taken
-    as t (2 t - 1) with t = 1 / (1 + x*x), x = u / a, and the sum divided by
-    a twice, so that it overflows only where the curvature does."""
-    a, b, b_u = theta.a_p, theta.b_p, theta.b_u
-    terms = {"p_sharp": ((b, -b_u),), "p": ((b, -b_u), (-b, -b_u)),
-             "v": ((b, -b_u), (-b, -b_u), (0.0, 1.0))}[target]
+    a + i u, weighted -b_u at a pole and 1 at a zero, gives
+    (a*a - u*u) / (a*a + u*u)**2, taken as t (2 t - 1) with
+    t = 1 / (1 + x*x), x = u / a, and the sum divided by a twice, so that it
+    overflows only where the curvature does."""
+    a, b_u = theta.a_p, theta.b_u
+    poles, zeros, _ = _factors(theta, target)
+    terms = [(c, -b_u) for c in poles] + [(c, 1.0) for c in zeros]
 
     def curvature_at(beta):
         total = 0.0
@@ -152,30 +158,27 @@ def _power_at(theta: FilterConstants, target: str) -> Callable[[float, list], li
     float peak and a list of offsets x from it in units of a_p, the list of
     the power |H(peak + a_p x)|**2 / |H(peak)|**2, one ** a node.
 
-    With u, w and z the distances of beta to b_p, -b_p and 0 in units of
-    a_p, p_sharp's power is ((1 + u**2) / (1 + u0**2))**-b_u, u0 that of the
-    peak; p's takes the conjugate pole's factor (1 + w**2) / (1 + w0**2)
-    inside the power too, and v's the zero's (1 + z**2) / (1 + z0**2)
-    outside it.  Each factor is a ratio to its value at the peak (_ratio),
-    so (b_p / a_p)**2 is never formed, and the power has no gain.  A power
-    past the largest float raises OverflowError."""
-    a, b, e = theta.a_p, theta.b_p, -theta.b_u
+    Each factor is (1 + u**2) / (1 + u0**2), u and u0 the distances of
+    beta and of the peak to its center in units of a_p, a ratio to its value
+    at the peak (_ratio), so (b_p / a_p)**2 is never formed.  The product of
+    the one or two poles' factors is raised to -b_u in one pass, then each
+    zero's factor multiplies it in a second, and the power has no gain.  A
+    power past the largest float raises OverflowError."""
+    a, e = theta.a_p, -theta.b_u
+    poles, zeros, _ = _factors(theta, target)
 
-    if target == "p_sharp":
-        def power(peak, x):
-            g, h, k = _ratio((peak - b) / a)
-            return [(g + (u := h + k * t) * u) ** e for t in x]
-    elif target == "p":
-        def power(peak, x):
-            (g, h, k), (g2, h2, k2) = _ratio((peak - b) / a), _ratio((peak + b) / a)
-            return [((g + (u := h + k * t) * u) * (g2 + (w := h2 + k2 * t) * w)) ** e
-                    for t in x]
-    else:
-        def power(peak, x):
-            (g, h, k), (g2, h2, k2) = _ratio((peak - b) / a), _ratio((peak + b) / a)
-            g3, h3, k3 = _ratio(peak / a)
-            return [((g + (u := h + k * t) * u) * (g2 + (w := h2 + k2 * t) * w)) ** e
-                    * (g3 + (z := h3 + k3 * t) * z) for t in x]
+    def power(peak, x):
+        (g, h, k), *pair = [_ratio((peak - c) / a) for c in poles]
+        if pair:
+            (g2, h2, k2), = pair
+            out = [((g + (u := h + k * t) * u) * (g2 + (w := h2 + k2 * t) * w)) ** e
+                   for t in x]
+        else:
+            out = [(g + (u := h + k * t) * u) ** e for t in x]
+        for c in zeros:
+            g, h, k = _ratio((peak - c) / a)
+            out = [f * (g + (z := h + k * t) * z) for f, t in zip(out, x)]
+        return out
     return power
 
 
@@ -218,8 +221,8 @@ class LogProbe(NamedTuple):
 
 def log_probe(theta: FilterConstants, target: str) -> LogProbe:
     """The probes of one target's log response over [0, inf): exact, from
-    the constants, with no sampled grid.  A target outside TARGETS raises
-    ValueError."""
+    the constants, with no sampled grid.  A target that is no row of FACTORS
+    raises ValueError."""
     _check_targets((target,))
     return LogProbe(_re_at(theta, target), _im_at(theta, target), _delay_at(theta, target),
                     _curvature_at(theta, target), _power_at(theta, target), theta.a_p, theta.b_p)

@@ -1303,6 +1303,38 @@ class TestSecondOrderReduction:
             assert abs(value) < 0.02, key
 
 
+class TestSharpFormErrorOrder:
+    """How far p's beta_peak and N lie from the sharp form's closed forms:
+    numeric / closed_form - 1 is c (a_p / b_p)**2 to leading order, with
+    c = -1/2 for beta_peak (p's peak is sqrt(b_p**2 - a_p**2)) and +1/4 for
+    N, at every b_u.  The next order is (a_p / b_p)**2 / 4 of c, 2.3e-4 at
+    a_p / b_p = 0.03, the largest here."""
+
+    ORDER = {"beta_peak": -0.5, "n_beta": 0.25}
+
+    @staticmethod
+    def constants(count=40, seed=14):
+        """Seeded constants: b_p log-uniform over [0.1, 100], a_p / b_p
+        log-uniform over [1e-3, 0.03], b_u uniform over [1.5, 16], and
+        a_p / b_p = 0.01 at b_u 1.5, 2, 4 and 16."""
+        rng = np.random.default_rng(seed)
+        out = [FilterConstants(0.01, 1.0, b_u) for b_u in (1.5, 2.0, 4.0, 16.0)]
+        for _ in range(count):
+            b_p = float(10.0 ** rng.uniform(-1.0, 2.0))
+            ratio = float(10.0 ** rng.uniform(-3.0, math.log10(0.03)))
+            out.append(FilterConstants(ratio * b_p, b_p, float(rng.uniform(1.5, 16.0))))
+        return out
+
+    # measured worst: 2.2e-4 off c, on both
+    def test_coefficient_of_the_squared_ratio(self):
+        for theta in self.constants():
+            numeric, closed = extract_numeric(log_probe(theta, "p")), closed_form(theta)
+            ratio2 = (theta.a_p / theta.b_p) ** 2
+            for name, c in self.ORDER.items():
+                got = (getattr(numeric, name) / getattr(closed, name) - 1.0) / ratio2
+                assert got == pytest.approx(c, rel=0.01), (theta, name)
+
+
 class TestReportInvariants:
     def test_bw_monotonicity_enforced(self):
         from gefdesign.characteristics import CharacteristicReport

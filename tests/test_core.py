@@ -228,6 +228,14 @@ class TestWavenumber:
         )
         assert wavenumber(theta, beta) == pytest.approx(single_term, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_limit_at_infinity(self, theta_sharp6):
+        # 1j * inf has the real part 0 * inf, nan: k is built from beta as an
+        # imaginary part alone
+        assert wavenumber(theta_sharp6, math.inf) == 0j
+        got = wavenumber(theta_sharp6, [1.0, math.inf])
+        assert got[0] == wavenumber(theta_sharp6, 1.0) and got[1] == 0j
+
 
 class TestLevelAndPhase:
     def test_level_at_peak_closed_form(self, theta_sharp6):
@@ -455,6 +463,35 @@ class TestLogProbe:
         # log_probe once built v's probes for "P", and log_response raised a bare KeyError
         with pytest.raises(ValueError, match=r"one of \('p_sharp', 'p', 'v'\)"):
             make(theta_sharp6)
+
+    def test_factors_is_the_only_listing_of_a_target(self, monkeypatch):
+        # a fourth row, v's factors with log C, reaches every evaluator of L
+        # through probe.FACTORS alone
+        poles, zeros, _ = probe.FACTORS["v"]
+        monkeypatch.setitem(probe.FACTORS, "w", (poles, zeros, True))
+        theta = FilterConstants(0.05, 1.0, 6.0, gain=3.0)
+        a, b, b_u = theta.a_p, theta.b_p, theta.b_u
+        betas = [0.0, 0.3, 0.96, 0.9975, 1.0, 1.02, 1.7, 40.0]
+        log = core.log_response(theta, np.array(betas), ("w",))["w"]
+        v = core.log_response(theta, np.array(betas), ("v",))["v"]
+        np.testing.assert_allclose(log.re - v.re, math.log(3.0), rtol=1e-13)
+        np.testing.assert_array_equal(log.im, v.im)
+        row = probe.log_probe(theta, "w")
+        # each factor a + i u, with its exponent w in L, adds -w a / (a*a + u*u)
+        # to -d(Im L)/d(beta) and w (a*a - u*u) / (a*a + u*u)**2 to d2(Re L)/d(beta)2
+        factors = [(-b_u, c * b) for c in poles] + [(1.0, c * b) for c in zeros]
+        for beta, re, im in zip(betas, log.re, log.im):
+            assert row.re_at(beta) == pytest.approx(re, rel=1e-14, abs=1e-14)
+            assert row.im_at(beta) == pytest.approx(im, rel=1e-14, abs=1e-14)
+            delay = sum(-w * a / (a * a + (beta - c) ** 2) for w, c in factors)
+            curvature = sum(w * (a * a - (beta - c) ** 2) / (a * a + (beta - c) ** 2) ** 2
+                            for w, c in factors)
+            assert row.delay_at(beta) == pytest.approx(delay, rel=1e-13)
+            assert row.curvature_at(beta) == pytest.approx(curvature, rel=1e-12)
+        x = [-15.0, -2.5, 0.0, 1.25, 10.0, 60.0]
+        re = core.log_response(theta, 0.9975 + a * np.array([0.0, *x]), ("w",))["w"].re
+        np.testing.assert_allclose(row.power(0.9975, x), np.exp(2.0 * (re[1:] - re[0])),
+                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("target", probe.TARGETS)
     def test_offsets_give_the_power_of_the_log_response(self, target):
